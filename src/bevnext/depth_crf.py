@@ -119,8 +119,10 @@ class CrfKernel:
 class CrfParams:
     """Kernel collection, iteration count T and interaction window radius R.
 
-    R = 0 means dense coupling; R > 0 truncates the pairwise graph to a
-    Chebyshev window of R cells (the performance path).
+    R = 0 means dense coupling; R > 0 zeroes every coupling between cells
+    more than R apart in Chebyshev distance. The dense n x n affinity is
+    still built first and then masked, so R > 0 changes the result but
+    does not save time (it runs slower than dense).
     """
 
     kernels: list = field(default_factory=list)

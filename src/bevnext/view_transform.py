@@ -4,9 +4,15 @@ Forward projection in three steps: each feature pixel spawns one 3D point
 per depth bin (a frustum of candidate positions), image features are spread
 across those candidates weighted by the per-pixel depth distribution, and
 every in-bounds candidate is sum-pooled into the ego-centric grid cell it
-falls in. The scatter order is precomputed once per geometry (PoolIndex)
-and accumulation runs over sorted entries in float64, so pooled grids are
-bit-identical across runs and thread counts.
+falls in. The scatter order is precomputed once per geometry (PoolIndex).
+
+Accumulation contract: per cell and channel, pooling sums the cell's
+entries in float64, sequentially in sorted entry order, then rounds to
+float32 once, so pooled grids are bit-identical across runs and thread
+counts. `np.bincount` with weights and `np.add.at` both add in index
+order and keep it; `np.add.reduceat`, `ndarray.sum` along a contiguous
+axis and `matmul`/BLAS sum pairwise or in blocks and would change the low
+bits.
 
 Camera axis convention: x right, y down, z forward in the camera frame.
 The extrinsic transform maps camera-frame points into the ego frame.
@@ -330,8 +336,13 @@ def pool(frustum_features: np.ndarray, index: PoolIndex, spec: BevSpec) -> BevGr
     """Sum-pool lifted features into the BEV grid along the precomputed plan.
 
     Accepts [C, H', W', K] (single camera) or [N, C, H', W', K]. Each cell
-    accumulates its interval in sorted entry order, in float64, then rounds
-    to float32 once, so results are bit-identical regardless of threading.
+    accumulates its interval in float64, sequentially in sorted entry order,
+    then rounds to float32 once, so results are bit-identical regardless of
+    threading. Per channel, the entries' values are gathered straight from
+    the float32 stack, widened, and summed by `np.bincount`, whose loop adds
+    in entry order; only [entries] float64 values exist at a time, never a
+    float64 copy of the stack. Reordering primitives (`np.add.reduceat`,
+    `.sum`, `matmul`) would break the contract.
     """
     f = np.asarray(frustum_features, dtype=np.float32)
     if f.ndim == 4:
@@ -344,19 +355,25 @@ def pool(frustum_features: np.ndarray, index: PoolIndex, spec: BevSpec) -> BevGr
             f"pool: stale index (built for cameras={index.n_cameras}, dims={index.feat_shape}, "
             f"G={index.g}; got cameras={n}, dims={(h, w, k)}, G={spec.g}); rebuild the index"
         )
-    ff = f.astype(np.float64)
-    pix = index.entry_pixel.astype(np.int64)
-    vals = ff[
-        index.entry_camera.astype(np.int64),
-        :,
-        pix // w,
-        pix % w,
-        index.entry_bin.astype(np.int64),
-    ]
+    if index.entry_count and (
+        int(index.entry_camera.max()) >= n
+        or int(index.entry_pixel.max()) >= h * w
+        or int(index.entry_bin.max()) >= k
+    ):
+        raise ShapeError("pool: index entry outside the cameras, pixels or bins of its dims")
+    flat = f.reshape(-1)
+    volume = h * w * k  # one channel of one camera
+    src = (
+        index.entry_camera.astype(np.int64) * (c * volume)
+        + index.entry_pixel.astype(np.int64) * k
+        + index.entry_bin.astype(np.int64)
+    )
     cells = np.repeat(
         np.arange(spec.n_cells, dtype=np.int64),
         np.diff(index.cell_offsets.astype(np.int64)),
     )
-    acc = np.zeros((spec.n_cells, c), dtype=np.float64)
-    np.add.at(acc, cells, vals)
-    return BevGrid(acc.T.reshape(c, spec.g, spec.g).astype(np.float32))
+    out = np.empty((c, spec.n_cells), dtype=np.float32)
+    for ch in range(c):
+        vals = np.take(flat, src + ch * volume).astype(np.float64)
+        out[ch] = np.bincount(cells, weights=vals, minlength=spec.n_cells)
+    return BevGrid(out.reshape(c, spec.g, spec.g))

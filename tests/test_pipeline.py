@@ -1,9 +1,11 @@
 """End-to-end pipeline tests: backbone, depth labels, orchestration, artifacts."""
 
+import os
+
 import numpy as np
 import pytest
 
-from bevnext.config import SceneConfig
+from bevnext.config import SceneConfig, load_config
 from bevnext.depth_crf import DepthBins
 from bevnext.errors import (
     ConfigError,
@@ -32,6 +34,13 @@ DESK_BUNDLE = init_bundle(DESK, 7)
 # to weights init, conv arithmetic, or input scaling must show up here.
 GOLDEN_BACKBONE_8 = "f5ac2203f147d0becb02f89a142b3b52ab1dd4f02606d883c9df00c3d3d8b895"
 GOLDEN_BACKBONE_16 = "f32137463c9506d3617493f481adce1f286273244dc9111cd43c35c753571d3d"
+
+# configs/desk.cfg (scene seed 0) with init_bundle(cfg, 7): digests of the
+# fused BEV and the heatmap, pinned before pool moved from np.add.at to
+# per-channel np.bincount. Any change to the numerics of any stage up to the
+# heatmap must show up here.
+GOLDEN_DESK_BEV = "97815573cd5f9e01bbcc44b6875268c7698eb94581efe4116da88ab389100b83"
+GOLDEN_DESK_HEATMAP = "ee4e24e449b2f9a6496e36a845bebe6fc7fd4c450850c88e1188386353a5c187"
 
 
 # ---------------------------------------------------------------- helpers
@@ -201,6 +210,16 @@ def test_pipeline_deterministic_across_runs_and_threads():
         assert np.array_equal(again.bev.data, base.bev.data)
         for va, vb in zip(again.depth, base.depth):
             assert np.array_equal(va.probs, vb.probs)
+
+
+def test_pipeline_desk_golden_pinned_across_threads():
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "desk.cfg"))
+    assert cfg.seed == 0
+    scene, bundle = gen_scene(cfg), init_bundle(cfg, 7)
+    for threads in (1, 2):
+        result = run_pipeline(scene, cfg, bundle, threads=threads)
+        assert tensor_digest(result.bev.data) == GOLDEN_DESK_BEV, f"threads={threads}"
+        assert tensor_digest(result.heatmap.values) == GOLDEN_DESK_HEATMAP, f"threads={threads}"
 
 
 def test_pipeline_empty_scene_zero_detections():

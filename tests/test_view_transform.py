@@ -1,4 +1,4 @@
-"""View-transform tests: projection round-trip oracle, naive scatter pooling."""
+"""View-transform tests: projection round-trip oracle, naive and sequential scatter pooling."""
 
 import math
 
@@ -15,6 +15,7 @@ from bevnext.view_transform import (
     CameraModel,
     CameraRig,
     FrustumGrid,
+    PoolIndex,
     build_frustum,
     lift,
     pool,
@@ -71,6 +72,32 @@ def naive_splat(frusta, feat_stack, spec):
                     if cell is not None:
                         out[:, cell // spec.g, cell % spec.g] += feats[:, r, col, d].astype(np.float64)
     return out.astype(np.float32)
+
+
+def entry_sources(index, w):
+    """Fancy index of every plan entry's [C] vector in an [N, C, H', W', K] stack."""
+    pix = index.entry_pixel.astype(np.int64)
+    return (index.entry_camera.astype(np.int64), slice(None), pix // w, pix % w, index.entry_bin.astype(np.int64))
+
+
+def scatter_oracle(frustum_features, index, spec):
+    """Sequential float64 scatter with `np.add.at`, one entry after another.
+
+    `np.add.at` adds in index order, which is the sorted entry order of the
+    plan, so this is the accumulation `pool` must reproduce bit for bit.
+    """
+    f = np.asarray(frustum_features, dtype=np.float32)
+    if f.ndim == 4:
+        f = f[None]
+    c, w = f.shape[1], f.shape[3]
+    vals = f.astype(np.float64)[entry_sources(index, w)]
+    cells = np.repeat(
+        np.arange(spec.n_cells, dtype=np.int64),
+        np.diff(index.cell_offsets.astype(np.int64)),
+    )
+    acc = np.zeros((spec.n_cells, c), dtype=np.float64)
+    np.add.at(acc, cells, vals)
+    return acc.T.reshape(c, spec.g, spec.g).astype(np.float32)
 
 
 def _uniform_depth(camera, k, h, w):
@@ -247,8 +274,6 @@ def test_index_bundle_roundtrip(tmp_path):
     index = precompute_pool_index(frustum, spec)
     path = tmp_path / "index.bvnb"
     save_bundle(str(path), index.to_entries())
-    from bevnext.view_transform import PoolIndex
-
     back = PoolIndex.from_entries(load_bundle(str(path)))
     np.testing.assert_array_equal(back.cell_offsets, index.cell_offsets)
     np.testing.assert_array_equal(back.entry_camera, index.entry_camera)
@@ -346,6 +371,74 @@ def test_pool_bit_deterministic_across_runs():
     a = pool(feats, index, spec)
     b = pool(feats.copy(), precompute_pool_index(_point_frustum(pts.copy()), spec), spec)
     np.testing.assert_array_equal(a.data, b.data)
+
+
+def _cancelling_stack(rng, index, shape):
+    """Seeded float32 stack whose pooled sums depend on the order of addition.
+
+    Entry values have mixed signs and magnitudes from 1e-8 to 1e8. In each
+    cell the second half of the entries negates the first half, so the cell
+    sum cancels down to float64 rounding residue: a sum in any other order
+    leaves a different residue, which survives the rounding to float32.
+    """
+    c, w = shape[1], shape[3]
+    m = index.entry_count
+    sign = np.where(rng.uniform_array((c, m), -1, 1) < 0, -1.0, 1.0)
+    vals = (sign * 10.0 ** rng.uniform_array((c, m), -8, 8).astype(np.float64)).astype(np.float32)
+    sizes = np.diff(index.cell_offsets.astype(np.int64))
+    cells = np.repeat(np.arange(sizes.size), sizes)
+    rank = np.arange(m) - index.cell_offsets[:-1].astype(np.int64)[cells]
+    half = sizes[cells] // 2
+    second = (rank >= half) & (rank < 2 * half)
+    vals[:, second] = -vals[:, np.nonzero(second)[0] - half[second]]
+    stack = rng.uniform_array(shape, -1, 1)
+    stack[entry_sources(index, w)] = vals.T
+    return stack
+
+
+def test_pool_bit_identical_to_sequential_scatter():
+    spec = BevSpec(8, 1.0, 4.0)
+    h, w, k, c = 4, 5, 8, 4
+    for seed in range(4):
+        rng = SplitMix64(3000 + seed)
+        # three overlapping cameras over [-5, 2]^2: cells with x or y above 2 m stay empty
+        frusta = [
+            _point_frustum(rng.uniform_array((h, w, k, 3), -5, 2).astype(np.float64), camera=i)
+            for i in range(3)
+        ]
+        index = precompute_pool_index(frusta, spec)
+        sizes = np.diff(index.cell_offsets.astype(np.int64))
+        assert (sizes == 0).any() and sizes.max() >= 8
+        cells = np.repeat(np.arange(spec.n_cells), sizes)
+        assert len(set(zip(cells.tolist(), index.entry_camera.tolist()))) > np.count_nonzero(sizes)
+        stack = _cancelling_stack(rng, index, (3, c, h, w, k))
+
+        expected = scatter_oracle(stack, index, spec)
+        np.testing.assert_array_equal(pool(stack, index, spec).data, expected, err_msg=f"seed {seed}")
+        assert not expected[:, 7, 7].any()  # an empty cell pools to exactly zero
+
+        # the data detects reordering: the same entries summed back to front differ
+        vals = stack[entry_sources(index, w)]
+        backwards = np.stack(
+            [np.bincount(cells[::-1], vals[::-1, ch].astype(np.float64), spec.n_cells) for ch in range(c)]
+        )
+        assert not np.array_equal(backwards.astype(np.float32).reshape(expected.shape), expected)
+
+        # rank-4 input: a single camera with its own plan
+        single = precompute_pool_index(frusta[0], spec)
+        lone = _cancelling_stack(rng, single, (1, c, h, w, k))[0]
+        np.testing.assert_array_equal(pool(lone, single, spec).data, scatter_oracle(lone, single, spec))
+
+
+def test_pool_rejects_entries_outside_its_dims():
+    spec = BevSpec(8, 1.0, 4.0)
+    index = precompute_pool_index(_point_frustum([[[[0.1, 0.1, 1.0]]]]), spec)
+    entries = index.to_entries()
+    for key in ("pool.camera", "pool.pixel", "pool.bin"):
+        bad = dict(entries)
+        bad[key] = np.array([1], dtype=np.uint32)
+        with pytest.raises(ShapeError, match="outside"):
+            pool(np.ones((2, 1, 1, 1), np.float32), PoolIndex.from_entries(bad), spec)
 
 
 def test_pool_rejects_stale_index():
