@@ -15,6 +15,7 @@ energy and is applied consistently in both the energy and the messages.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,28 +189,38 @@ class Affinity:
         return float(self.matrix[i, j])
 
 
+@functools.lru_cache(maxsize=8)
+def _spatial_term(height: int, width: int, weight: float, theta: float) -> np.ndarray:
+    """weight * exp(-d^2 / (2 theta^2)) over squared cell-coordinate distances.
+
+    It depends only on the grid and the kernel, so every camera pass of a
+    run shares one read-only copy.
+    """
+    rows, cols = np.divmod(np.arange(height * width), width)
+    dr = rows[:, None] - rows[None, :]
+    dc = cols[:, None] - cols[None, :]
+    pos_d2 = (dr * dr + dc * dc).astype(np.float64)
+    term = weight * np.exp(-pos_d2 / (2.0 * theta * theta))
+    term.flags.writeable = False
+    return term
+
+
 def pairwise_affinity(colors: PatchColorMap, params: CrfParams) -> Affinity:
     h, w, _ = colors.colors.shape
     n = h * w
     flat = colors.colors.reshape(n, 3)
-    rows, cols = np.divmod(np.arange(n), w)
     a = np.zeros((n, n), dtype=np.float64)
     col_d2 = None
-    pos_d2 = None
     for k in params.kernels:
         if k.kind == "appearance":
             if col_d2 is None:
                 diff = flat[:, None, :] - flat[None, :, :]
                 col_d2 = np.einsum("ijc,ijc->ij", diff, diff)
-            d2 = col_d2
+            a += k.weight * np.exp(-col_d2 / (2.0 * k.theta * k.theta))
         else:
-            if pos_d2 is None:
-                dr = rows[:, None] - rows[None, :]
-                dc = cols[:, None] - cols[None, :]
-                pos_d2 = (dr * dr + dc * dc).astype(np.float64)
-            d2 = pos_d2
-        a += k.weight * np.exp(-d2 / (2.0 * k.theta * k.theta))
+            a += _spatial_term(h, w, k.weight, k.theta)
     if params.window > 0:
+        rows, cols = np.divmod(np.arange(n), w)
         cheb = np.maximum(np.abs(rows[:, None] - rows[None, :]), np.abs(cols[:, None] - cols[None, :]))
         a[cheb > params.window] = 0.0
     return Affinity(a, h, w)
@@ -251,6 +262,8 @@ def mean_field_step(q: DepthVolume, unary: np.ndarray, affinity: Affinity, compa
         raise ShapeError(f"mean_field_step: affinity is {affinity.coupling.shape}, expected {(n, n)}")
     qf = q.probs.reshape(k, n).T  # [N, K]
     expected = np.einsum("nb,ab->na", qf, compat)  # E_b compat(a,b) Q_j(b) per pixel
+    # `expected` comes out Fortran-ordered, so this sums over j with einsum's
+    # vectorised dot kernel; a C-ordered copy or `@` would change the bits.
     messages = np.einsum("ij,ja->ia", affinity.coupling, expected)  # [N, K]
     logits = -(unary.reshape(k, n).T + messages)
     out = softmax(logits, axis=1).T.reshape(k, h, w)

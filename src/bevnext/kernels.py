@@ -4,6 +4,16 @@ All operations are pure functions over numpy arrays. Feature tensors use
 NCHW layout and float32 storage; accumulations run in float64 with a fixed
 loop nesting (``np.einsum`` without ``optimize``, which never dispatches to
 BLAS), so results are bit-identical across runs and thread counts.
+
+``conv2d`` fixes the order of every output element's sum: for each tap in
+(ky, kx) order, a float64 tap sum starts at zero and adds
+w[o, i, ky, kx] * x[i] for i = 0..C-1 one by one; that tap sum is added to
+the accumulator, the bias is added last, and the result is cast to float32
+once. An einsum's reduction order can depend on the memory layout of its
+operands: when the reduced axis is innermost and contiguous in both inputs,
+einsum switches to a vectorised dot product that sums out of order. Any
+layout change to an einsum therefore needs a bit-identity test against a
+sequential oracle (``tests/test_kernels.py`` has one for ``conv2d``).
 """
 
 from __future__ import annotations
@@ -164,12 +174,20 @@ class MlpSpec:
         return cls(weights, biases, acts)
 
 
+# Input bytes per conv2d block: one block's tap window stays in a core's L2
+# cache while every output channel passes over it.
+_CONV_BLOCK_BYTES = 1 << 18
+
+
 def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Strided 2D convolution on an NCHW float32 tensor.
 
-    Output spatial dims follow (H + 2p - k) // s + 1. Accumulates in
-    float64 with a fixed (ky, kx) loop nesting, then rounds once to
-    float32; no reassociation, hence bit-determinism.
+    Output spatial dims follow (H + 2p - k) // s + 1. Each output element
+    is summed in float64 in one fixed order: taps in (ky, kx) order; within
+    a tap, w[o, i, ky, kx] * x[i] for input channels i = 0..C-1 in order,
+    starting from zero; each tap sum added to the running total; then the
+    bias; then one rounding to float32. No reassociation, hence
+    bit-determinism.
     """
     x = np.ascontiguousarray(x, dtype=np.float32)
     if x.ndim != 4:
@@ -184,13 +202,28 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
         raise ShapeError(f"conv2d: width axis {w} too small for kernel {k} with padding {p}")
     ho = (h + 2 * p - k) // s + 1
     wo = (w + 2 * p - k) // s + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))).astype(np.float64)
+    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=np.float64)
+    xp[:, :, p : p + h, p : p + w] = x
     wt = spec.weight.astype(np.float64)
     acc = np.zeros((n, spec.out_channels, ho, wo), dtype=np.float64)
-    for ky in range(k):
-        for kx in range(k):
-            win = xp[:, :, ky : ky + (ho - 1) * s + 1 : s, kx : kx + (wo - 1) * s + 1 : s]
-            acc += np.einsum("oi,nihw->nohw", wt[:, :, ky, kx], win)
+    # Output rows go in blocks whose input window fits in cache, and each
+    # tap's window of a block is copied into one buffer, so the einsum runs
+    # contiguous loops over (rows, wo) on cached data. Blocks hold disjoint
+    # outputs, so every output keeps its order of taps and channels. The
+    # spare element per channel keeps the channel axis non-contiguous: with
+    # a one-pixel output that axis would be innermost, and einsum would sum
+    # it with its out-of-order dot kernel.
+    rows = max(1, min(ho, _CONV_BLOCK_BYTES // max(1, 8 * n * c * wo)))
+    buf = np.empty((n, c, rows * wo + 1), dtype=np.float64)[:, :, : rows * wo].reshape(n, c, rows, wo)
+    for r0 in range(0, ho, rows):
+        r = min(rows, ho - r0)
+        win = buf[:, :, :r]
+        out = acc[:, :, r0 : r0 + r]
+        for ky in range(k):
+            y0 = ky + r0 * s
+            for kx in range(k):
+                np.copyto(win, xp[:, :, y0 : y0 + (r - 1) * s + 1 : s, kx : kx + (wo - 1) * s + 1 : s])
+                out += np.einsum("oi,nihw->nohw", wt[:, :, ky, kx], win)
     acc += spec.bias.astype(np.float64)[:, None, None]
     return acc.astype(np.float32)
 

@@ -1,10 +1,12 @@
 """CRF module tests: naive message-passing oracle, hand energies, smoothing trend."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from bevnext import depth_crf
 from bevnext.depth_crf import (
     Affinity,
     CrfKernel,
@@ -22,6 +24,7 @@ from bevnext.depth_crf import (
 )
 from bevnext.errors import ShapeError
 from bevnext.kernels import SplitMix64, softmax
+from bevnext.pipeline import tensor_digest
 
 
 # ---------------------------------------------------------------- oracles
@@ -45,6 +48,35 @@ def naive_mean_field_step(q, unary, affinity, compat):
             out[a, i] = math.exp(-uf[a, i] - msg)
     out /= out.sum(axis=0, keepdims=True)
     return out.reshape(k, h, w)
+
+
+def rebuilt_affinity(colors, params):
+    """`pairwise_affinity` as it was before the spatial term was cached:
+    every kernel rebuilt on each call and added in kernel-list order."""
+    h, w, _ = colors.colors.shape
+    n = h * w
+    flat = colors.colors.reshape(n, 3)
+    rows, cols = np.divmod(np.arange(n), w)
+    a = np.zeros((n, n), dtype=np.float64)
+    col_d2 = None
+    pos_d2 = None
+    for k in params.kernels:
+        if k.kind == "appearance":
+            if col_d2 is None:
+                diff = flat[:, None, :] - flat[None, :, :]
+                col_d2 = np.einsum("ijc,ijc->ij", diff, diff)
+            d2 = col_d2
+        else:
+            if pos_d2 is None:
+                dr = rows[:, None] - rows[None, :]
+                dc = cols[:, None] - cols[None, :]
+                pos_d2 = (dr * dr + dc * dc).astype(np.float64)
+            d2 = pos_d2
+        a += k.weight * np.exp(-d2 / (2.0 * k.theta * k.theta))
+    if params.window > 0:
+        cheb = np.maximum(np.abs(rows[:, None] - rows[None, :]), np.abs(cols[:, None] - cols[None, :]))
+        a[cheb > params.window] = 0.0
+    return a
 
 
 def naive_patch_colors(image, stride):
@@ -171,6 +203,49 @@ def test_affinity_spatial_kernel_decays_with_distance():
     assert aff.lookup(0, 2) == math.exp(-2.0)
 
 
+def test_affinity_cached_spatial_term_bit_identical_to_rebuilt():
+    rng = SplitMix64(71)
+    grids = [(8, 22), (4, 11), (5, 7)]
+    colors = {g: _colors(rng.uniform_array(g + (3,)).astype(np.float64)) for g in grids}
+    appearance, spatial = CrfKernel(1.0, 0.1, "appearance"), CrfKernel(0.3, 3.0, "spatial")
+    param_sets = [
+        CrfParams(kernels=[appearance, spatial]),
+        CrfParams(kernels=[spatial, appearance]),
+        CrfParams(kernels=[spatial, CrfKernel(0.7, 1.5, "spatial"), appearance]),
+        CrfParams(kernels=[appearance, spatial, CrfKernel(0.7, 1.5, "spatial")]),
+        CrfParams(kernels=[appearance, spatial], window=2),
+    ]
+    depth_crf._spatial_term.cache_clear()
+    for _ in range(2):  # the first round misses the cache, the second hits it
+        for g in grids:  # interleaved grid sizes
+            for params in param_sets:
+                got = pairwise_affinity(colors[g], params)
+                np.testing.assert_array_equal(got.matrix, rebuilt_affinity(colors[g], params), err_msg=f"{g} {params}")
+    info = depth_crf._spatial_term.cache_info()
+    assert info.misses == 2 * len(grids) and info.hits > 0  # two spatial kernels per grid
+
+
+def test_affinity_cached_spatial_term_is_read_only():
+    term = depth_crf._spatial_term(3, 4, 0.3, 3.0)
+    with pytest.raises(ValueError):
+        term[0, 1] = 1.0
+    before = term.copy()
+    aff = pairwise_affinity(_colors(np.full((3, 4, 3), 0.5)), CrfParams.default())
+    aff.matrix[:] = 2.0  # the returned affinity owns its matrix
+    np.testing.assert_array_equal(depth_crf._spatial_term(3, 4, 0.3, 3.0), before)
+
+
+def test_affinity_identical_across_concurrent_callers():
+    pc = _colors(SplitMix64(73).uniform_array((6, 13, 3)).astype(np.float64))
+    params = CrfParams.default()
+    depth_crf._spatial_term.cache_clear()
+    with ThreadPoolExecutor(max_workers=4) as ex:
+        mats = list(ex.map(lambda _: pairwise_affinity(pc, params).matrix, range(4)))
+    expected = rebuilt_affinity(pc, params)
+    for m in mats:
+        np.testing.assert_array_equal(m, expected)
+
+
 # ---------------------------------------------------------------- energy
 
 
@@ -256,6 +331,27 @@ def test_step_oracle_agreement_many_sizes():
         out = mean_field_step(DepthVolume(0, q0), unary, aff, compat)
         ref = naive_mean_field_step(q0, unary, aff, compat)
         np.testing.assert_allclose(out.probs, ref, atol=1e-10, rtol=0, err_msg=f"trial {trial}")
+
+
+# One seeded step at desk (8x22, K=8) and full (16x44, K=59) scale, pinned
+# before conv2d and pairwise_affinity were reworked. The message einsum sums
+# over j with einsum's vectorised dot kernel because `expected` is
+# Fortran-ordered; a C-ordered operand or `@` changes these bits.
+@pytest.mark.parametrize(
+    "k,h,w,seed,digest",
+    [
+        (8, 8, 22, 3, "0e280df8acad662f3cfc319302bb8e19660dfa4337ae57c3c98b61047dae309f"),
+        (59, 16, 44, 4, "0b6e78aaa8c5d6ab145075f32ac08d87072c7dfef402a921538959d31d99db6b"),
+    ],
+)
+def test_step_digest_pinned(k, h, w, seed, digest):
+    rng = SplitMix64(seed)
+    colors = _colors(rng.uniform_array((h, w, 3)).astype(np.float64))
+    q = DepthVolume(0, softmax(rng.uniform_array((k, h, w), -3.0, 3.0).astype(np.float64), axis=0))
+    aff = pairwise_affinity(colors, CrfParams.default())
+    compat = build_compat(DepthBins.uniform(k, 1.0, 1.0 + k))
+    out = mean_field_step(q, unary_from_probs(q.probs), aff, compat)
+    assert tensor_digest(out.probs) == digest
 
 
 def test_step_normalization_invariant():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bevnext import kernels
 from bevnext.errors import ShapeError
 from bevnext.kernels import (
     ConvSpec,
@@ -43,6 +44,31 @@ def naive_conv2d(x, spec):
                                 acc += float(spec.weight[o, i, ky, kx]) * xp[b, i, oy * s + ky, ox * s + kx]
                     out[b, o, oy, ox] = acc
     return out
+
+
+def sequential_conv2d(x, spec, channel_order=None):
+    """conv2d's accumulation contract, one input channel at a time.
+
+    For each tap in (ky, kx) order a float64 zero takes w[o, i, ky, kx] * x[i]
+    for i = 0..C-1 in order (or in ``channel_order``); that tap sum is added
+    into the accumulator, then the bias, then one cast to float32.
+    """
+    n, c, h, w = x.shape
+    k, s, p = spec.kernel_size, spec.stride, spec.padding
+    ho = (h + 2 * p - k) // s + 1
+    wo = (w + 2 * p - k) // s + 1
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (p, p), (p, p)))
+    wt = spec.weight.astype(np.float64)
+    acc = np.zeros((n, spec.out_channels, ho, wo), dtype=np.float64)
+    for ky in range(k):
+        for kx in range(k):
+            win = xp[:, :, ky : ky + (ho - 1) * s + 1 : s, kx : kx + (wo - 1) * s + 1 : s]
+            tap = np.zeros_like(acc)
+            for i in range(c) if channel_order is None else channel_order:
+                tap += wt[None, :, i, ky, kx, None, None] * win[:, None, i]
+            acc += tap
+    acc += spec.bias.astype(np.float64)[:, None, None]
+    return acc.astype(np.float32)
 
 
 def naive_mlp(x, spec):
@@ -138,6 +164,103 @@ def test_conv_oracle_agreement_50_instances():
         x = rng.uniform_array((1, cin, h, w), -2, 2)
         spec = _rand_conv(rng, cin, cout, k, stride=s, padding=p)
         np.testing.assert_allclose(conv2d(x, spec), naive_conv2d(x, spec), atol=1e-6, rtol=0, err_msg=f"trial {trial}")
+
+
+def _order_sensitive_conv(seed, n, cin, cout, k, stride, padding, h, w):
+    """Input and spec on which any reordering of the channel sum shows.
+
+    Weights are +-1 and inputs O(1), except that at each pixel every channel
+    pair (m, m + cin // 2) holds 1e8 in both channels with probability one
+    half. The two weights of a pair have opposite signs, so the pair cancels
+    within each tap sum, but the O(1) terms added while the partial sum is
+    large lose low bits, and which bits they lose depends on the order.
+    """
+    rng = np.random.default_rng(seed)
+    sign = rng.choice(np.array([-1.0, 1.0], dtype=np.float32), size=(cout, cin, k, k))
+    x = rng.uniform(-1.0, 1.0, (n, cin, h, w)).astype(np.float32)
+    half = cin // 2
+    if half:
+        sign[:, half : 2 * half] = -sign[:, :half]
+        pair = rng.random((n, half, h, w)) < 0.5
+        x[:, :half][pair] = 1e8
+        x[:, half : 2 * half][pair] = 1e8
+    bias = rng.uniform(-1.0, 1.0, cout).astype(np.float32)
+    return x, ConvSpec(cin, cout, k, stride, padding, sign, bias)
+
+
+# (cin, cout, k, stride, padding): stride/kernel/padding corners first, then
+# every shipped layer's channels (desk C=32, K=8; full C=64, K=59; window 3,
+# 3 fusion groups, 2 classes).
+CONV_BIT_CASES = [
+    (5, 4, 1, 1, 0),
+    (5, 4, 1, 2, 0),
+    (5, 4, 1, 1, 1),
+    (6, 3, 3, 1, 0),
+    (6, 3, 3, 2, 0),
+    (6, 3, 3, 1, 1),
+    (6, 3, 3, 2, 1),
+    (3, 8, 3, 2, 1),  # backbone.conv1
+    (8, 16, 3, 2, 1),  # backbone.conv2
+    (16, 32, 3, 2, 1),  # backbone.conv3 (desk)
+    (16, 64, 3, 2, 1),  # backbone.conv3 (full)
+    (32, 8, 1, 1, 0),  # depth_head (desk)
+    (64, 59, 1, 1, 0),  # depth_head (full)
+    (96, 32, 1, 1, 0),  # res2fusion reduce / final (desk)
+    (192, 64, 1, 1, 0),  # res2fusion reduce / final (full)
+    (32, 32, 3, 1, 1),  # res2fusion cascade (desk)
+    (64, 64, 3, 1, 1),  # res2fusion cascade (full)
+    (32, 32, 3, 2, 1),  # res2fusion.post.down (desk)
+    (64, 64, 3, 2, 1),  # res2fusion.post.down (full)
+    (64, 32, 1, 1, 0),  # res2fusion.post.merge (desk)
+    (128, 64, 1, 1, 0),  # res2fusion.post.merge (full)
+    (32, 2, 3, 1, 1),  # decoder.heatmap (desk)
+    (64, 2, 3, 1, 1),  # decoder.heatmap (full)
+]
+
+
+# One-pixel outputs, where the channel axis is the only one left to loop over.
+ONE_PIXEL_CASES = [
+    (16, 8, 1, 1, 0, 1, 1),
+    (40, 8, 1, 2, 0, 2, 1),
+    (192, 1, 1, 1, 0, 1, 1),
+    (7, 3, 3, 2, 0, 3, 4),
+    (40, 1, 3, 1, 0, 3, 3),
+]
+
+
+
+def _rows_of_blocks(blocks, cin, stride, wo):
+    """Input height whose output spans `blocks` row blocks, the last one partial."""
+    rows = kernels._CONV_BLOCK_BYTES // (8 * 2 * cin * wo)
+    return ((blocks - 1) * rows + 3) * stride
+
+
+# Outputs taller than one row block of conv2d.
+MULTI_BLOCK_CASES = [
+    (192, 64, 1, 1, 0, _rows_of_blocks(3, 192, 1, 9), 9),
+    (64, 64, 3, 2, 1, _rows_of_blocks(2, 64, 2, 9), 17),
+]
+
+
+@pytest.mark.parametrize(
+    "cin,cout,k,stride,padding,h,w",
+    [case + (6, 9) for case in CONV_BIT_CASES] + ONE_PIXEL_CASES + MULTI_BLOCK_CASES,
+)
+def test_conv_bit_identical_to_sequential_channel_sum(cin, cout, k, stride, padding, h, w):
+    seed = cin * 1000 + cout * 10 + k + stride + h
+    x, spec = _order_sensitive_conv(seed, 2, cin, cout, k, stride, padding, h, w)
+    expected = sequential_conv2d(x, spec)
+    np.testing.assert_array_equal(conv2d(x, spec), expected)
+    reversed_sum = sequential_conv2d(x, spec, channel_order=range(cin - 1, -1, -1))
+    assert not np.array_equal(reversed_sum, expected), "data cannot detect a reordered channel sum"
+
+
+def test_conv_empty_batch_and_channels():
+    spec = ConvSpec(3, 2, 3, 1, 1, np.ones((2, 3, 3, 3), np.float32), np.zeros(2, np.float32))
+    assert conv2d(np.zeros((0, 3, 4, 4), np.float32), spec).shape == (0, 2, 4, 4)
+    bias_only = ConvSpec(0, 2, 1, 1, 0, np.ones((2, 0, 1, 1), np.float32), np.array([1.5, -2.0], np.float32))
+    out = conv2d(np.zeros((1, 0, 4, 4), np.float32), bias_only)
+    np.testing.assert_array_equal(out, np.broadcast_to(bias_only.bias[None, :, None, None], (1, 2, 4, 4)))
 
 
 def test_conv_shape_errors_name_axis():

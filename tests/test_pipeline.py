@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from bevnext.config import SceneConfig, load_config
-from bevnext.depth_crf import DepthBins
+from bevnext.depth_crf import DepthBins, modulate
 from bevnext.errors import (
     ConfigError,
     FormatError,
     ShapeError,
     StageError,
 )
+from bevnext.kernels import conv2d
 from bevnext.object_decoder import parse_detections
 from bevnext.pipeline import (
     PipelineResult,
@@ -25,7 +26,8 @@ from bevnext.pipeline import (
 )
 from bevnext.ppm import load_ppm
 from bevnext.scene import background_image, gen_scene
-from bevnext.weights import backbone_specs, init_bundle, zero_bundle
+from bevnext.view_transform import lift
+from bevnext.weights import backbone_specs, depth_head_spec, init_bundle, zero_bundle
 
 DESK = SceneConfig()
 DESK_BUNDLE = init_bundle(DESK, 7)
@@ -41,6 +43,16 @@ GOLDEN_BACKBONE_16 = "f32137463c9506d3617493f481adce1f286273244dc9111cd43c35c753
 # heatmap must show up here.
 GOLDEN_DESK_BEV = "97815573cd5f9e01bbcc44b6875268c7698eb94581efe4116da88ab389100b83"
 GOLDEN_DESK_HEATMAP = "ee4e24e449b2f9a6496e36a845bebe6fc7fd4c450850c88e1188386353a5c187"
+
+# Same config, scene and weights, frame 0: digests of the six cameras'
+# stage outputs stacked in camera order, pinned before conv2d copied its tap
+# windows and the CRF cached its spatial kernel.
+GOLDEN_DESK_CAMERA_STAGES = {
+    "backbone": "9b2b0be1848d444c654c53c372d5ec0be681fa7baffab16830b97006812f8e2f",
+    "depth": "206874f1fe58c746d6a564f2bb548b0eba6bd10c4d26e553421368286adbb86d",
+    "crf": "01e6382e058b53411ac401cb08ae55b7ee92a57e17b77c72406966499b58601a",
+    "lift": "ee1a354a49f0caddff7c03bf9775a56e73e0d6341d2e780364c346c29d93a086",
+}
 
 
 # ---------------------------------------------------------------- helpers
@@ -220,6 +232,24 @@ def test_pipeline_desk_golden_pinned_across_threads():
         result = run_pipeline(scene, cfg, bundle, threads=threads)
         assert tensor_digest(result.bev.data) == GOLDEN_DESK_BEV, f"threads={threads}"
         assert tensor_digest(result.heatmap.values) == GOLDEN_DESK_HEATMAP, f"threads={threads}"
+
+
+def test_pipeline_desk_camera_stages_pinned():
+    """The per-camera stages before pooling, wired as run_pipeline wires them."""
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "desk.cfg"))
+    scene, bundle = gen_scene(cfg), init_bundle(cfg, 7)
+    bspecs, dspec = backbone_specs(bundle, cfg), depth_head_spec(bundle, cfg)
+    bg = background_image(cfg.image_h, cfg.image_w).astype(np.float64)
+    outputs = {stage: [] for stage in GOLDEN_DESK_CAMERA_STAGES}
+    for ci, image in enumerate(scene.frames[0].images):
+        feats = toy_backbone(image.astype(np.float64) - bg, cfg.stride, bspecs)
+        logits = conv2d(feats[None], dspec)[0]
+        vol = modulate(logits, image.astype(np.float64) / 255.0, cfg.bins(), cfg.crf_params(), ci)
+        for stage, arr in zip(outputs, (feats, logits, vol.probs, lift(feats, vol))):
+            outputs[stage].append(arr)
+    assert len(outputs["backbone"]) == 6
+    for stage, arrs in outputs.items():
+        assert tensor_digest(np.stack(arrs)) == GOLDEN_DESK_CAMERA_STAGES[stage], stage
 
 
 def test_pipeline_empty_scene_zero_detections():
