@@ -107,7 +107,13 @@ def load_bundle(path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (nlen,) = struct.unpack("<H", r.take(2))
-        name = r.take(nlen).decode("utf-8")
+        start = r.off
+        try:
+            name = r.take(nlen).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"{path}: entry name is not UTF-8 at offset {start + exc.start}: {exc.reason}"
+            ) from exc
         if name in out:
             raise FormatError(f"{path}: duplicate entry name '{name}'")
         out[name] = _unpack_tensor(r)

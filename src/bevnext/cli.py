@@ -2,10 +2,11 @@
 
 Subcommands: ``generate`` renders a synthetic scene directory,
 ``init-weights`` writes a seeded weight bundle, ``run`` executes the
-full pipeline over a scene, ``crf-demo`` shows the depth-distribution
-sharpening on a two-region image, and ``bench`` wall-times one stage on
-fixed synthetic inputs. Exit codes: 0 success, 2 configuration or file
-format problems, 3 runtime shape or stage failures.
+full pipeline over a scene, and ``crf-demo`` shows the
+depth-distribution sharpening on a two-region image. Stage and
+end-to-end timings come from the benchmark in ``perfbench/``. Exit
+codes: 0 success, 2 configuration or file format problems, 3 runtime
+shape or stage failures.
 """
 
 from __future__ import annotations
@@ -18,35 +19,14 @@ from typing import List, Optional
 
 import numpy as np
 
-from .config import SceneConfig, load_config
-from .depth_crf import CrfParams, DepthBins, DepthVolume, map_labeling, modulate
+from .config import load_config
+from .depth_crf import CrfParams, DepthBins, map_labeling, modulate
 from .errors import ConfigError, FormatError, ShapeError, StageError
-from .kernels import SplitMix64, softmax
-from .object_decoder import (
-    compute_heatmap,
-    depth_embedding,
-    expand_roi,
-    lift_references,
-    regress,
-    select_centers,
-    spatial_cross_attention,
-)
+from .kernels import SplitMix64
 from .pipeline import run_pipeline, write_artifacts
 from .ppm import save_ppm
-from .res2fusion import FusionStack, fuse, post_fuse
 from .scene import gen_scene, load_scene, save_scene
-from .view_transform import BevGrid, build_frustum, pool, precompute_pool_index
-from .weights import (
-    attn_spec,
-    depth_mlp_spec,
-    fusion_config,
-    heatmap_spec,
-    init_bundle,
-    load_weights,
-    post_specs,
-    regression_heads,
-    save_weights,
-)
+from .weights import init_bundle, load_weights, save_weights
 
 DEFAULT_WEIGHT_SEED = 7
 
@@ -126,84 +106,6 @@ def _cmd_crf_demo(args) -> int:
     return 0
 
 
-def _bench_setup(stage: str):
-    """Build (callable, description) benching one stage at desk scale."""
-    cfg = SceneConfig()
-    rng = SplitMix64(99)
-    if stage == "crf":
-        logits = rng.uniform_array((cfg.depth_bins, cfg.feat_h, cfg.feat_w), -2, 2).astype(np.float64)
-        image = rng.uniform_array((cfg.image_h, cfg.image_w, 3), 0, 1).astype(np.float64)
-        bins, params = cfg.bins(), cfg.crf_params()
-        return (lambda: modulate(logits, image, bins, params)), "dense CRF, 5 iterations"
-    if stage == "pool":
-        bins, spec = cfg.bins(), cfg.bev()
-        frusta = [
-            build_frustum(cam, cfg.feat_h, cfg.feat_w, cfg.stride, bins, ci)
-            for ci, cam in enumerate(cfg.rig())
-        ]
-        index = precompute_pool_index(frusta, spec)
-        feats = rng.uniform_array(
-            (cfg.camera_count, cfg.channels, cfg.feat_h, cfg.feat_w, cfg.depth_bins), -1, 1
-        )
-        return (lambda: pool(feats, index, spec)), "6-camera frustum sum-pool"
-    bundle = init_bundle(cfg, DEFAULT_WEIGHT_SEED)
-    if stage == "fusion":
-        grids = tuple(
-            BevGrid(rng.uniform_array((cfg.channels, cfg.bev_grid, cfg.bev_grid), -1, 1))
-            for _ in range(cfg.frames)
-        )
-        stack = FusionStack(grids)
-        fcfg = fusion_config(bundle, cfg)
-        down, merge = post_specs(bundle, cfg)
-        return (lambda: post_fuse(fuse(stack, fcfg), down, merge)), "9-frame temporal fusion"
-    if stage == "decoder":
-        bev = BevGrid(rng.uniform_array((cfg.channels, cfg.bev_grid, cfg.bev_grid), -1, 1))
-        spec, rig = cfg.bev(), cfg.rig()
-        hspec, attn = heatmap_spec(bundle, cfg), attn_spec(bundle, cfg)
-        dmlp, heads = depth_mlp_spec(bundle), regression_heads(bundle)
-        queries = bundle["decoder.queries"]
-        feats = rng.uniform_array(
-            (cfg.camera_count, cfg.channels, cfg.feat_h, cfg.feat_w), -1, 1
-        )
-        vols = tuple(
-            DepthVolume(ci, softmax(
-                rng.uniform_array((cfg.depth_bins, cfg.feat_h, cfg.feat_w), -1, 1).astype(np.float64),
-                axis=0,
-            ))
-            for ci in range(cfg.camera_count)
-        )
-
-        def decoder_pass():
-            heat = compute_heatmap(bev, hspec)
-            props = select_centers(heat, cfg.threshold, cfg.top_n)
-            roi = expand_roi(bev, props, queries)
-            refs = lift_references(roi.centers, spec, cfg.heights, rig, cfg.image_h, cfg.image_w)
-            emb = np.stack([depth_embedding(v, dmlp) for v in vols], axis=0)
-            refined, _ = spatial_cross_attention(roi, refs, feats, attn, cfg.stride, emb)
-            return regress(refined, heads, spec)
-
-        return decoder_pass, "heatmap -> ROI attention -> regression"
-    raise ConfigError(f"unknown bench stage '{stage}'")
-
-
-def _cmd_bench(args) -> int:
-    if args.repeat < 1:
-        raise ConfigError(f"--repeat must be >= 1, got {args.repeat}")
-    fn, desc = _bench_setup(args.stage)
-    times = []
-    for i in range(args.repeat):
-        t0 = time.perf_counter()
-        fn()
-        dt = (time.perf_counter() - t0) * 1000.0
-        times.append(dt)
-        print(f"stage {args.stage}: run {i + 1}/{args.repeat}: {dt:.2f} ms")
-    print(
-        f"stage {args.stage} ({desc}): min {min(times):.2f} ms, "
-        f"mean {sum(times) / len(times):.2f} ms over {args.repeat} runs"
-    )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bevnext",
@@ -240,11 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--bins", type=int, default=6)
     demo.add_argument("--out", default=None, help="optional PPM dump directory")
     demo.set_defaults(func=_cmd_crf_demo)
-
-    bench = sub.add_parser("bench", help="wall-time one stage on synthetic input")
-    bench.add_argument("--stage", required=True, choices=("crf", "pool", "fusion", "decoder"))
-    bench.add_argument("--repeat", type=int, default=3)
-    bench.set_defaults(func=_cmd_bench)
     return parser
 
 

@@ -14,9 +14,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .depth_crf import CrfParams, DepthBins
+from .depth_crf import MAX_ITERS, CrfParams, DepthBins
 from .errors import ConfigError
-from .res2fusion import CASCADE_INPUT_MODES
 from .view_transform import BevSpec, CameraModel, CameraRig
 
 FRAME_DT = 0.5  # seconds between frames (2 Hz capture)
@@ -45,9 +44,7 @@ class SceneConfig:
     bev_extent: float = 8.0
     channels: int = 32
     window: int = 3
-    cascade_input: str = "convolved"
     crf_iters: int = 5
-    crf_window: int = 0
     threshold: float = 0.1
     top_n: int = 16
     classes: int = 2
@@ -75,12 +72,7 @@ class SceneConfig:
             (self.bev_extent > 0, "bev.extent must be > 0"),
             (self.channels >= 1, "features.channels must be >= 1"),
             (self.window >= 1, "fusion.window must be >= 1"),
-            (
-                self.cascade_input in CASCADE_INPUT_MODES,
-                f"fusion.cascade_input must be one of {CASCADE_INPUT_MODES}",
-            ),
-            (0 <= self.crf_iters <= 64, "crf.iters must be in [0, 64]"),
-            (self.crf_window >= 0, "crf.window must be >= 0"),
+            (0 <= self.crf_iters <= MAX_ITERS, f"crf.iters must be in [0, {MAX_ITERS}]"),
             (0.0 <= self.threshold < 1.0, "decoder.threshold must be in [0, 1)"),
             (self.top_n >= 1, "decoder.top_n must be >= 1"),
             (self.classes >= 1, "decoder.classes must be >= 1"),
@@ -117,7 +109,7 @@ class SceneConfig:
         return BevSpec.square(self.bev_grid, self.bev_extent)
 
     def crf_params(self) -> CrfParams:
-        return CrfParams.default(iters=self.crf_iters, window=self.crf_window)
+        return CrfParams.default(iters=self.crf_iters)
 
     def rig(self) -> CameraRig:
         """Outward-facing surround rig: cameras evenly spaced on a circle.
@@ -160,9 +152,12 @@ def _parse_int(key: str, value: str) -> int:
 
 def _parse_float(key: str, value: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError as exc:
         raise ConfigError(f"{key}: expected a number, got '{value}'") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{key}: expected a finite number, got '{value}'")
+    return number
 
 
 def _parse_floats(key: str, value: str) -> tuple:
@@ -191,9 +186,7 @@ _SCHEMA = {
     "bev.extent": ("bev_extent", _parse_float),
     "features.channels": ("channels", _parse_int),
     "fusion.window": ("window", _parse_int),
-    "fusion.cascade_input": ("cascade_input", lambda key, value: value),
     "crf.iters": ("crf_iters", _parse_int),
-    "crf.window": ("crf_window", _parse_int),
     "decoder.threshold": ("threshold", _parse_float),
     "decoder.top_n": ("top_n", _parse_int),
     "decoder.classes": ("classes", _parse_int),
@@ -243,6 +236,8 @@ def load_config(path) -> SceneConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     return build_config(parse_config(text))
 
 

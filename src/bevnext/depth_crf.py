@@ -25,7 +25,6 @@ from .kernels import softmax
 
 UNARY_EPS = 1e-12
 MAX_ITERS = 64
-MAX_WINDOW = 4096
 
 
 @dataclass(frozen=True)
@@ -118,32 +117,22 @@ class CrfKernel:
 
 @dataclass
 class CrfParams:
-    """Kernel collection, iteration count T and interaction window radius R.
-
-    R = 0 means dense coupling; R > 0 zeroes every coupling between cells
-    more than R apart in Chebyshev distance. The dense n x n affinity is
-    still built first and then masked, so R > 0 changes the result but
-    does not save time (it runs slower than dense).
-    """
+    """Kernel collection and iteration count T; every cell pair is coupled."""
 
     kernels: list = field(default_factory=list)
     iters: int = 5
-    window: int = 0
 
     def __post_init__(self):
         if not self.kernels:
             raise ShapeError("CrfParams: at least one kernel required")
         if not 0 <= self.iters <= MAX_ITERS:
             raise ShapeError(f"CrfParams: iters must be in [0, {MAX_ITERS}]")
-        if not 0 <= self.window <= MAX_WINDOW:
-            raise ShapeError(f"CrfParams: window must be in [0, {MAX_WINDOW}]")
 
     @classmethod
-    def default(cls, iters: int = 5, window: int = 0) -> "CrfParams":
+    def default(cls, iters: int = 5) -> "CrfParams":
         return cls(
             kernels=[CrfKernel(1.0, 0.1, "appearance"), CrfKernel(0.3, 3.0, "spatial")],
             iters=iters,
-            window=window,
         )
 
 
@@ -167,28 +156,6 @@ def build_compat(bins: DepthBins) -> np.ndarray:
     return np.abs(c[:, None] - c[None, :])
 
 
-class Affinity:
-    """Pairwise coupling a(i, j) over flattened feature cells.
-
-    a(i, j) = sum over kernels of w * exp(-dist^2 / (2 theta^2)), where
-    appearance kernels use squared mean-RGB distance and spatial kernels
-    squared cell-coordinate distance. The stored dense matrix has
-    a(i, i) = sum of weights; couplings outside the interaction window are
-    zeroed. `coupling` is the zero-diagonal matrix used for messages and
-    energies.
-    """
-
-    def __init__(self, matrix: np.ndarray, height: int, width: int):
-        self.matrix = matrix
-        self.height = height
-        self.width = width
-        self.coupling = matrix.copy()
-        np.fill_diagonal(self.coupling, 0.0)
-
-    def lookup(self, i: int, j: int) -> float:
-        return float(self.matrix[i, j])
-
-
 @functools.lru_cache(maxsize=8)
 def _spatial_term(height: int, width: int, weight: float, theta: float) -> np.ndarray:
     """weight * exp(-d^2 / (2 theta^2)) over squared cell-coordinate distances.
@@ -205,7 +172,15 @@ def _spatial_term(height: int, width: int, weight: float, theta: float) -> np.nd
     return term
 
 
-def pairwise_affinity(colors: PatchColorMap, params: CrfParams) -> Affinity:
+def pairwise_affinity(colors: PatchColorMap, params: CrfParams) -> np.ndarray:
+    """Dense pairwise coupling a(i, j) over flattened feature cells, [n, n] float64.
+
+    a(i, j) = sum over kernels of w * exp(-dist^2 / (2 theta^2)), where
+    appearance kernels use squared mean-RGB distance and spatial kernels
+    squared cell-coordinate distance, added in kernel-list order. The
+    diagonal is zero (no cell couples to itself). The array is new on
+    every call and C-contiguous; the caller owns it.
+    """
     h, w, _ = colors.colors.shape
     n = h * w
     flat = colors.colors.reshape(n, 3)
@@ -219,11 +194,8 @@ def pairwise_affinity(colors: PatchColorMap, params: CrfParams) -> Affinity:
             a += k.weight * np.exp(-col_d2 / (2.0 * k.theta * k.theta))
         else:
             a += _spatial_term(h, w, k.weight, k.theta)
-    if params.window > 0:
-        rows, cols = np.divmod(np.arange(n), w)
-        cheb = np.maximum(np.abs(rows[:, None] - rows[None, :]), np.abs(cols[:, None] - cols[None, :]))
-        a[cheb > params.window] = 0.0
-    return Affinity(a, h, w)
+    np.fill_diagonal(a, 0.0)
+    return a
 
 
 def unary_from_probs(probs: np.ndarray) -> np.ndarray:
@@ -231,7 +203,7 @@ def unary_from_probs(probs: np.ndarray) -> np.ndarray:
     return -np.log(np.asarray(probs, dtype=np.float64) + UNARY_EPS)
 
 
-def crf_energy(labels: np.ndarray, unary: np.ndarray, affinity: Affinity, compat: np.ndarray) -> float:
+def crf_energy(labels: np.ndarray, unary: np.ndarray, coupling: np.ndarray, compat: np.ndarray) -> float:
     """Total energy of a hard bin assignment.
 
     E = sum_i unary(i, l_i) + sum_{i != j} a(i, j) * compat(l_i, l_j),
@@ -245,11 +217,11 @@ def crf_energy(labels: np.ndarray, unary: np.ndarray, affinity: Affinity, compat
     u = np.asarray(unary, dtype=np.float64).reshape(k, n).T  # [N, K]
     e_unary = float(u[np.arange(n), lab].sum())
     pair_compat = compat[np.ix_(lab, lab)]
-    e_pair = float((affinity.coupling * pair_compat).sum())
+    e_pair = float((coupling * pair_compat).sum())
     return e_unary + e_pair
 
 
-def mean_field_step(q: DepthVolume, unary: np.ndarray, affinity: Affinity, compat: np.ndarray) -> DepthVolume:
+def mean_field_step(q: DepthVolume, unary: np.ndarray, coupling: np.ndarray, compat: np.ndarray) -> DepthVolume:
     """One synchronous (Jacobi) mean-field update.
 
     Q'_i(a) ~ exp(-unary(i, a) - sum_{j != i} a(i, j) * sum_b compat(a, b) Q_j(b)),
@@ -258,13 +230,13 @@ def mean_field_step(q: DepthVolume, unary: np.ndarray, affinity: Affinity, compa
     """
     k, h, w = q.probs.shape
     n = h * w
-    if affinity.coupling.shape != (n, n):
-        raise ShapeError(f"mean_field_step: affinity is {affinity.coupling.shape}, expected {(n, n)}")
+    if coupling.shape != (n, n):
+        raise ShapeError(f"mean_field_step: coupling is {coupling.shape}, expected {(n, n)}")
     qf = q.probs.reshape(k, n).T  # [N, K]
     expected = np.einsum("nb,ab->na", qf, compat)  # E_b compat(a,b) Q_j(b) per pixel
     # `expected` comes out Fortran-ordered, so this sums over j with einsum's
     # vectorised dot kernel; a C-ordered copy or `@` would change the bits.
-    messages = np.einsum("ij,ja->ia", affinity.coupling, expected)  # [N, K]
+    messages = np.einsum("ij,ja->ia", coupling, expected)  # [N, K]
     logits = -(unary.reshape(k, n).T + messages)
     out = softmax(logits, axis=1).T.reshape(k, h, w)
     return DepthVolume(q.camera, out)
@@ -299,11 +271,11 @@ def modulate(
     if iw // w != stride:
         raise ShapeError(f"modulate: inconsistent stride between axes ({ih}/{h} vs {iw}/{w})")
     colors = patch_colors(image, stride)
-    affinity = pairwise_affinity(colors, params)
+    coupling = pairwise_affinity(colors, params)
     compat = build_compat(bins)
     unary = unary_from_probs(probs0)
     for _ in range(params.iters):
-        vol = mean_field_step(vol, unary, affinity, compat)
+        vol = mean_field_step(vol, unary, coupling, compat)
     return vol
 
 

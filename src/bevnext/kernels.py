@@ -99,27 +99,6 @@ class ConvSpec:
                 f"ConvSpec: bias axis 0 must equal out_channels={self.out_channels}, got {tuple(self.bias.shape)}"
             )
 
-    @classmethod
-    def create(
-        cls,
-        in_channels: int,
-        out_channels: int,
-        kernel_size: int,
-        rng: SplitMix64,
-        stride: int = 1,
-        padding: int | None = None,
-        zero_bias: bool = False,
-    ) -> "ConvSpec":
-        if padding is None:
-            padding = kernel_size // 2
-        fan_in = in_channels * kernel_size * kernel_size
-        weight = init_weights((out_channels, in_channels, kernel_size, kernel_size), fan_in, rng)
-        if zero_bias:
-            bias = np.zeros(out_channels, dtype=np.float32)
-        else:
-            bias = init_weights((out_channels,), fan_in, rng)
-        return cls(in_channels, out_channels, kernel_size, stride, padding, weight, bias)
-
 
 @dataclass
 class MlpSpec:
@@ -154,24 +133,6 @@ class MlpSpec:
     @property
     def out_width(self) -> int:
         return self.weights[-1].shape[0]
-
-    @classmethod
-    def create(cls, widths: list, rng: SplitMix64, final_identity: bool = True) -> "MlpSpec":
-        weights, biases, acts = [], [], []
-        for i in range(len(widths) - 1):
-            fan_in = widths[i]
-            weights.append(init_weights((widths[i + 1], widths[i]), fan_in, rng))
-            biases.append(init_weights((widths[i + 1],), fan_in, rng))
-            last = i == len(widths) - 2
-            acts.append("identity" if (last and final_identity) else "relu")
-        return cls(weights, biases, acts)
-
-    @classmethod
-    def zero(cls, widths: list) -> "MlpSpec":
-        weights = [np.zeros((widths[i + 1], widths[i]), np.float32) for i in range(len(widths) - 1)]
-        biases = [np.zeros(widths[i + 1], np.float32) for i in range(len(widths) - 1)]
-        acts = ["relu"] * (len(widths) - 2) + ["identity"]
-        return cls(weights, biases, acts)
 
 
 # Input bytes per conv2d block: one block's tap window stays in a core's L2

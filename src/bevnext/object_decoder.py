@@ -24,7 +24,7 @@ import numpy as np
 
 from .depth_crf import DepthVolume
 from .errors import FormatError, ShapeError
-from .kernels import ConvSpec, MlpSpec, SplitMix64, bilinear_sample, conv2d, init_weights, mlp_forward, softmax
+from .kernels import ConvSpec, MlpSpec, bilinear_sample, conv2d, mlp_forward, softmax
 from .view_transform import BevGrid, BevSpec, CameraRig
 
 ROI_SIZE = 7
@@ -207,23 +207,6 @@ class AttnSpec:
     def channels(self) -> int:
         return self.w_value.shape[1]
 
-    @classmethod
-    def create(cls, channels: int, n_ref: int, n_points: int, rng: SplitMix64) -> "AttnSpec":
-        rows_off = n_ref * n_points * 2
-        rows_w = n_ref * n_points
-        return cls(
-            n_ref=n_ref,
-            n_points=n_points,
-            w_offset=init_weights((rows_off, channels), channels, rng),
-            b_offset=np.zeros(rows_off, np.float32),
-            w_weight=init_weights((rows_w, channels), channels, rng),
-            b_weight=np.zeros(rows_w, np.float32),
-            w_value=init_weights((channels, channels), channels, rng),
-            b_value=np.zeros(channels, np.float32),
-            w_out=init_weights((channels, channels), channels, rng),
-            b_out=np.zeros(channels, np.float32),
-        )
-
 
 @dataclass(frozen=True)
 class Detection:
@@ -280,28 +263,6 @@ class RegressionHeads:
                 raise ShapeError(f"RegressionHeads: {name} head must output {width} values")
             if spec.in_width != trunk:
                 raise ShapeError(f"RegressionHeads: {name} head input width {spec.in_width} != trunk {trunk}")
-
-    @classmethod
-    def create(cls, channels: int, rng: SplitMix64) -> "RegressionHeads":
-        return cls(
-            shared=MlpSpec.create([channels, channels], rng, final_identity=False),
-            offset=MlpSpec.create([channels, 2], rng),
-            z=MlpSpec.create([channels, 1], rng),
-            size=MlpSpec.create([channels, 3], rng),
-            yaw=MlpSpec.create([channels, 2], rng),
-            vel=MlpSpec.create([channels, 2], rng),
-        )
-
-    @classmethod
-    def zero(cls, channels: int) -> "RegressionHeads":
-        return cls(
-            shared=MlpSpec.zero([channels, channels]),
-            offset=MlpSpec.zero([channels, 2]),
-            z=MlpSpec.zero([channels, 1]),
-            size=MlpSpec.zero([channels, 3]),
-            yaw=MlpSpec.zero([channels, 2]),
-            vel=MlpSpec.zero([channels, 2]),
-        )
 
 
 def compute_heatmap(bev: BevGrid, spec: ConvSpec) -> Heatmap:

@@ -66,9 +66,6 @@ from .weights import (
     validate_bundle,
 )
 
-STAGES = ("backbone", "depth", "crf", "lift", "pool", "fusion", "decoder")
-
-
 def run_stage(stage: str, fn: Callable, *args, **kwargs):
     """Run one stage; package-level failures re-raise tagged with the stage."""
     try:

@@ -21,9 +21,6 @@ from .errors import ShapeError
 from .kernels import ConvSpec, conv2d
 from .view_transform import BevGrid
 
-CASCADE_INPUT_MODES = ("convolved", "reduced")
-
-
 @dataclass(frozen=True)
 class FusionStack:
     """Chronological BEV frames; index k-1 is the current frame."""
@@ -60,26 +57,19 @@ class FusionConfig:
 
     reduce_specs[i] is the 1x1 conv for group i (i = 0 newest); there are
     g - 1 cascade specs, cascade_specs[i - 1] serving group i >= 1 (the
-    newest group is a passthrough). cascade_input picks what each group
-    adds from its older neighbor: the neighbor's convolved output
-    ("convolved", the default) or its raw reduced features ("reduced").
+    newest group is a passthrough).
     """
 
     window: int
     reduce_specs: Tuple[ConvSpec, ...]
     cascade_specs: Tuple[ConvSpec, ...]
     final_spec: ConvSpec
-    cascade_input: str = "convolved"
 
     def __post_init__(self):
         object.__setattr__(self, "reduce_specs", tuple(self.reduce_specs))
         object.__setattr__(self, "cascade_specs", tuple(self.cascade_specs))
         if self.window < 1:
             raise ShapeError(f"FusionConfig: window must be >= 1, got {self.window}")
-        if self.cascade_input not in CASCADE_INPUT_MODES:
-            raise ShapeError(
-                f"FusionConfig: cascade_input must be one of {CASCADE_INPUT_MODES}, got '{self.cascade_input}'"
-            )
         g = len(self.reduce_specs)
         if g < 1:
             raise ShapeError("FusionConfig: at least one reduce spec required")
@@ -148,22 +138,13 @@ def reduce_groups(groups: Sequence[np.ndarray], specs: Sequence[ConvSpec]) -> Li
     return [_conv(grp, spec) for grp, spec in zip(groups, specs)]
 
 
-def multiscale_cascade(
-    bprime: Sequence[np.ndarray],
-    specs: Sequence[ConvSpec],
-    cascade_input: str = "convolved",
-) -> List[np.ndarray]:
+def multiscale_cascade(bprime: Sequence[np.ndarray], specs: Sequence[ConvSpec]) -> List[np.ndarray]:
     """Run the 3x3 cascade from the oldest group toward the newest.
 
-    The oldest group is convolved alone; each later group i >= 1 adds its
-    older neighbor (convolved output by default, raw reduced features in
-    "reduced" mode) before its own 3x3 conv; group 0 passes through
-    untouched. Inherently sequential in the group index.
+    The oldest group is convolved alone; each later group i >= 1 adds the
+    convolved output of its older neighbor before its own 3x3 conv; group
+    0 passes through untouched. Inherently sequential in the group index.
     """
-    if cascade_input not in CASCADE_INPUT_MODES:
-        raise ShapeError(
-            f"multiscale_cascade: cascade_input must be one of {CASCADE_INPUT_MODES}, got '{cascade_input}'"
-        )
     g = len(bprime)
     if len(specs) != g - 1:
         raise ShapeError(f"multiscale_cascade: need {g - 1} specs for {g} groups, got {len(specs)}")
@@ -173,8 +154,7 @@ def multiscale_cascade(
         return out
     out[g - 1] = _conv(bprime[g - 1], specs[g - 2])
     for i in range(g - 2, 0, -1):
-        neighbor = out[i + 1] if cascade_input == "convolved" else bprime[i + 1]
-        out[i] = _conv(bprime[i] + neighbor, specs[i - 1])
+        out[i] = _conv(bprime[i] + out[i + 1], specs[i - 1])
     return out
 
 
@@ -199,7 +179,7 @@ def fuse(stack: FusionStack, config: FusionConfig) -> BevGrid:
         )
     groups = partition(stack, config.window)
     bp = reduce_groups(groups, config.reduce_specs)
-    bpp = multiscale_cascade(bp, config.cascade_specs, config.cascade_input)
+    bpp = multiscale_cascade(bp, config.cascade_specs)
     cat = np.concatenate(list(reversed(bpp)), axis=0)
     return BevGrid(_conv(cat, config.final_spec))
 

@@ -364,6 +364,8 @@ def load_scene(scene_dir) -> SyntheticScene:
             meta_text = fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read scene metadata {meta_path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"scene metadata {meta_path} is not UTF-8 text: {exc}") from exc
     meta = {}
     for line in meta_text.splitlines():
         stripped = line.strip()
@@ -398,6 +400,8 @@ def load_scene(scene_dir) -> SyntheticScene:
                 boxes = parse_boxes(fh.read())
         except OSError as exc:
             raise FormatError(f"missing box list in {fdir}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"box list {fdir}/boxes.txt is not UTF-8 text: {exc}") from exc
         try:
             points = bvnx.load_tensor(f"{fdir}/points.bvnx")
         except OSError as exc:

@@ -106,13 +106,6 @@ def init_bundle(cfg: SceneConfig, seed: int) -> WeightBundle:
     return WeightBundle(tensors)
 
 
-def zero_bundle(cfg: SceneConfig) -> WeightBundle:
-    """All-zero weights of the expected shapes (ablation baseline)."""
-    return WeightBundle(
-        {name: np.zeros(shape, np.float32) for name, shape in expected_shapes(cfg).items()}
-    )
-
-
 def validate_bundle(bundle: WeightBundle, cfg: SceneConfig) -> None:
     """Check the bundle holds exactly the expected names at exact shapes."""
     expected = expected_shapes(cfg)
@@ -173,7 +166,7 @@ def fusion_config(bundle: WeightBundle, cfg: SceneConfig) -> FusionConfig:
         for i in range(1, g)
     ]
     final = ConvSpec(g * c, c, 1, 1, 0, bundle["res2fusion.final.w"], bundle["res2fusion.final.b"])
-    return FusionConfig(cfg.window, tuple(reduces), tuple(cascades), final, cfg.cascade_input)
+    return FusionConfig(cfg.window, tuple(reduces), tuple(cascades), final)
 
 
 def post_specs(bundle: WeightBundle, cfg: SceneConfig) -> Tuple[ConvSpec, ConvSpec]:

@@ -1,0 +1,98 @@
+"""Seeded and all-zero specs and bundles built directly for tests.
+
+The pipeline takes every weight from a bundle (``weights.init_bundle``);
+these factories build single specs for unit tests. Each draws its
+weights from the given ``SplitMix64`` in a fixed order, so a test's data
+depend only on its seed and the order of its calls.
+"""
+
+import numpy as np
+
+from bevnext.config import SceneConfig
+from bevnext.kernels import ConvSpec, MlpSpec, SplitMix64, init_weights
+from bevnext.object_decoder import AttnSpec, RegressionHeads
+from bevnext.weights import WeightBundle, expected_shapes
+
+
+def conv_spec(
+    in_channels: int,
+    out_channels: int,
+    kernel_size: int,
+    rng: SplitMix64,
+    stride: int = 1,
+    padding: int | None = None,
+    zero_bias: bool = False,
+) -> ConvSpec:
+    if padding is None:
+        padding = kernel_size // 2
+    fan_in = in_channels * kernel_size * kernel_size
+    weight = init_weights((out_channels, in_channels, kernel_size, kernel_size), fan_in, rng)
+    if zero_bias:
+        bias = np.zeros(out_channels, dtype=np.float32)
+    else:
+        bias = init_weights((out_channels,), fan_in, rng)
+    return ConvSpec(in_channels, out_channels, kernel_size, stride, padding, weight, bias)
+
+
+def mlp_spec(widths: list, rng: SplitMix64, final_identity: bool = True) -> MlpSpec:
+    weights, biases, acts = [], [], []
+    for i in range(len(widths) - 1):
+        fan_in = widths[i]
+        weights.append(init_weights((widths[i + 1], widths[i]), fan_in, rng))
+        biases.append(init_weights((widths[i + 1],), fan_in, rng))
+        last = i == len(widths) - 2
+        acts.append("identity" if (last and final_identity) else "relu")
+    return MlpSpec(weights, biases, acts)
+
+
+def zero_mlp(widths: list) -> MlpSpec:
+    weights = [np.zeros((widths[i + 1], widths[i]), np.float32) for i in range(len(widths) - 1)]
+    biases = [np.zeros(widths[i + 1], np.float32) for i in range(len(widths) - 1)]
+    acts = ["relu"] * (len(widths) - 2) + ["identity"]
+    return MlpSpec(weights, biases, acts)
+
+
+def attn_spec(channels: int, n_ref: int, n_points: int, rng: SplitMix64) -> AttnSpec:
+    rows_off = n_ref * n_points * 2
+    rows_w = n_ref * n_points
+    return AttnSpec(
+        n_ref=n_ref,
+        n_points=n_points,
+        w_offset=init_weights((rows_off, channels), channels, rng),
+        b_offset=np.zeros(rows_off, np.float32),
+        w_weight=init_weights((rows_w, channels), channels, rng),
+        b_weight=np.zeros(rows_w, np.float32),
+        w_value=init_weights((channels, channels), channels, rng),
+        b_value=np.zeros(channels, np.float32),
+        w_out=init_weights((channels, channels), channels, rng),
+        b_out=np.zeros(channels, np.float32),
+    )
+
+
+def regression_heads(channels: int, rng: SplitMix64) -> RegressionHeads:
+    return RegressionHeads(
+        shared=mlp_spec([channels, channels], rng, final_identity=False),
+        offset=mlp_spec([channels, 2], rng),
+        z=mlp_spec([channels, 1], rng),
+        size=mlp_spec([channels, 3], rng),
+        yaw=mlp_spec([channels, 2], rng),
+        vel=mlp_spec([channels, 2], rng),
+    )
+
+
+def zero_heads(channels: int) -> RegressionHeads:
+    return RegressionHeads(
+        shared=zero_mlp([channels, channels]),
+        offset=zero_mlp([channels, 2]),
+        z=zero_mlp([channels, 1]),
+        size=zero_mlp([channels, 3]),
+        yaw=zero_mlp([channels, 2]),
+        vel=zero_mlp([channels, 2]),
+    )
+
+
+def zero_bundle(cfg: SceneConfig) -> WeightBundle:
+    """All-zero weights of the expected shapes (ablation baseline)."""
+    return WeightBundle(
+        {name: np.zeros(shape, np.float32) for name, shape in expected_shapes(cfg).items()}
+    )

@@ -29,9 +29,8 @@ from bevnext.depth_crf import (
     unary_from_probs,
 )
 from bevnext.config import SceneConfig
-from bevnext.kernels import ConvSpec, MlpSpec, SplitMix64, softmax
+from bevnext.kernels import SplitMix64, softmax
 from bevnext.object_decoder import (
-    AttnSpec,
     CenterProposal,
     Heatmap,
     depth_embedding,
@@ -51,6 +50,7 @@ from bevnext.view_transform import (
     pool,
     precompute_pool_index,
 )
+from factories import attn_spec, conv_spec, zero_mlp
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -154,7 +154,7 @@ def test_criterion_02_mean_field_matches_naive_oracle():
         probs = softmax(rng.uniform_array((k, h, w), -2.0, 2.0).astype(np.float64), axis=0)
         unary = unary_from_probs(probs)
         fast = mean_field_step(DepthVolume(0, probs), unary, affinity, compat)
-        slow = _naive_mean_field_step(probs, unary, affinity.matrix, compat)
+        slow = _naive_mean_field_step(probs, unary, affinity, compat)
         worst = max(worst, float(np.abs(fast.probs - slow).max()))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-10, f"max deviation {worst:.3e} exceeds 1e-10"
@@ -379,9 +379,9 @@ def test_criterion_07_fusion_group_structure():
         rng = SplitMix64(4000 + g)
         window = 3 if g == 3 else 1
         k = g * window
-        reduces = tuple(ConvSpec.create(window * c, c, 1, rng, zero_bias=True) for _ in range(g))
-        cascades = tuple(ConvSpec.create(c, c, 3, rng, zero_bias=True) for _ in range(g - 1))
-        final = ConvSpec.create(g * c, c, 1, rng, zero_bias=True)
+        reduces = tuple(conv_spec(window * c, c, 1, rng, zero_bias=True) for _ in range(g))
+        cascades = tuple(conv_spec(c, c, 3, rng, zero_bias=True) for _ in range(g - 1))
+        final = conv_spec(g * c, c, 1, rng, zero_bias=True)
         config = FusionConfig(window, reduces, cascades, final)
         for j in range(g):
             frames = [np.zeros((c, gdim, gdim), np.float32) for _ in range(k)]
@@ -413,8 +413,8 @@ def test_criterion_08_zero_embedding_is_identity():
         roi = expand_roi(bev, proposals, queries)
         refs = lift_references(roi.centers, spec, cfg.heights, rig, cfg.image_h, cfg.image_w)
         feats = rng.uniform_array((len(rig), c, cfg.feat_h, cfg.feat_w), -1.0, 1.0)
-        attn = AttnSpec.create(c, len(cfg.heights), cfg.points, rng)
-        zero_mlp = MlpSpec.zero([cfg.depth_bins, c])
+        attn = attn_spec(c, len(cfg.heights), cfg.points, rng)
+        zero_emb_mlp = zero_mlp([cfg.depth_bins, c])
         vols = [
             DepthVolume(
                 ci,
@@ -425,7 +425,7 @@ def test_criterion_08_zero_embedding_is_identity():
             )
             for ci in range(len(rig))
         ]
-        emb = np.stack([depth_embedding(v, zero_mlp) for v in vols])
+        emb = np.stack([depth_embedding(v, zero_emb_mlp) for v in vols])
         with_emb, flags_a = spatial_cross_attention(roi, refs, feats, attn, cfg.stride, emb)
         without, flags_b = spatial_cross_attention(roi, refs, feats, attn, cfg.stride, None)
         assert with_emb.patches.tobytes() == without.patches.tobytes(), f"seed {seed}: outputs differ"

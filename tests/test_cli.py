@@ -1,6 +1,7 @@
 """CLI tests: subcommand behavior, artifacts, and exit-code mapping."""
 
 import os
+import shutil
 import subprocess
 import sys
 
@@ -131,7 +132,7 @@ def test_run_threads_do_not_change_artifacts(workdir, tmp_path):
     assert outs[0] == outs[1]
 
 
-# ---------------------------------------------------------------- demo and bench
+# ---------------------------------------------------------------- demo
 
 
 def test_crf_demo_reports_shrinking_spread(tmp_path):
@@ -144,14 +145,6 @@ def test_crf_demo_reports_shrinking_spread(tmp_path):
         assert float(after.split()[-1]) <= float(before.split()[-1])
     assert (tmp_path / "demo" / "crf_before.ppm").exists()
     assert (tmp_path / "demo" / "crf_after.ppm").exists()
-
-
-@pytest.mark.parametrize("stage", ["crf", "pool", "fusion", "decoder"])
-def test_bench_stages_report_timings(stage):
-    code, out, err = cli("bench", "--stage", stage, "--repeat", "2")
-    assert code == 0, err
-    assert out.count(f"stage {stage}") == 3  # two runs plus the summary
-    assert "mean" in out
 
 
 # ---------------------------------------------------------------- exit codes
@@ -188,6 +181,33 @@ def test_exit_2_on_corrupt_weights(workdir, tmp_path):
     )
     assert code == 2
     assert "magic" in err
+
+
+@pytest.mark.parametrize("site", ["config", "scene.txt", "boxes.txt", "weights"])
+def test_exit_2_on_non_utf8_input(workdir, tmp_path, site):
+    cfg, weights, scene = workdir / "fast.cfg", workdir / "w.bvnx", tmp_path / "scene"
+    shutil.copytree(workdir / "scene", scene)
+    if site == "config":
+        bad = cfg = tmp_path / "bad.cfg"
+        bad.write_bytes(FAST_CFG.encode() + b"# caf\xe9\n")
+    elif site == "weights":
+        bad = weights = tmp_path / "bad.bvnx"
+        data = bytearray((workdir / "w.bvnx").read_bytes())
+        data[12] = 0xFF  # first byte of the first entry name: magic, version, count, name length
+        bad.write_bytes(bytes(data))
+    else:
+        bad = scene / site if site == "scene.txt" else scene / "frame_001" / site
+        bad.write_bytes(bad.read_bytes() + b"\xff\xfe\n")
+    code, _, err = cli(
+        "run", "--config", str(cfg), "--weights", str(weights),
+        "--scene", str(scene), "--out", str(tmp_path / "r"),
+    )
+    assert code == 2, err
+    assert str(bad) in err
+    assert "UTF-8" in err
+    assert "Traceback" not in err
+    if site == "weights":
+        assert "offset 12" in err
 
 
 def test_exit_2_on_missing_scene(workdir, tmp_path):

@@ -90,6 +90,12 @@ def test_heights_parse_as_float_list():
         ("depth.max", "0.5", "exceed"),
         ("fusion.cascade_input", "other", "cascade_input"),
         ("decoder.heights", ",", "comma-separated"),
+        ("crf.iters", "65", r"crf.iters must be in \[0, 64\]"),
+        ("bev.extent", "inf", "bev.extent: expected a finite number"),
+        ("camera.focal", "-inf", "camera.focal: expected a finite number"),
+        ("camera.height", "nan", "camera.height: expected a finite number"),
+        ("depth.max", "Infinity", "depth.max: expected a finite number"),
+        ("decoder.heights", "0.0,nan,1.0", "decoder.heights: expected a finite number"),
     ],
 )
 def test_validation_rejects(key, value, match):
@@ -103,7 +109,7 @@ def test_load_config_missing_file(tmp_path):
 
 
 def test_load_config_round_trip(tmp_path):
-    cfg = SceneConfig(seed=9, frames=4, heights=(-0.5, 1.25), cascade_input="reduced")
+    cfg = SceneConfig(seed=9, frames=4, heights=(-0.5, 1.25), crf_iters=2)
     path = tmp_path / "c.cfg"
     path.write_text(format_config(cfg))
     assert load_config(path) == cfg
@@ -113,7 +119,7 @@ def test_format_config_emits_every_schema_key():
     text = format_config(SceneConfig())
     raw = parse_config(text)
     assert build_config(raw) == SceneConfig()
-    assert len(raw) == 26
+    assert len(raw) == 24
 
 
 # ---------------------------------------------------------------- derived helpers
@@ -135,9 +141,9 @@ def test_groups_is_ceil_frames_over_window():
     assert SceneConfig(frames=1, window=3).groups == 1
 
 
-def test_crf_params_carry_iters_and_window():
-    params = SceneConfig(crf_iters=2, crf_window=4).crf_params()
-    assert params.iters == 2 and params.window == 4
+def test_crf_params_carry_iters():
+    params = SceneConfig(crf_iters=2).crf_params()
+    assert params.iters == 2
     assert len(params.kernels) == 2
 
 

@@ -8,7 +8,6 @@ import pytest
 
 from bevnext import depth_crf
 from bevnext.depth_crf import (
-    Affinity,
     CrfKernel,
     CrfParams,
     DepthBins,
@@ -30,7 +29,7 @@ from bevnext.pipeline import tensor_digest
 # ---------------------------------------------------------------- oracles
 
 
-def naive_mean_field_step(q, unary, affinity, compat):
+def naive_mean_field_step(q, unary, coupling, compat):
     """Literal O(N^2 K^2) message passing, one synchronous step."""
     k, h, w = q.shape
     n = h * w
@@ -44,7 +43,7 @@ def naive_mean_field_step(q, unary, affinity, compat):
                 if j == i:
                     continue
                 for b in range(k):
-                    msg += affinity.matrix[i, j] * compat[a, b] * qf[b, j]
+                    msg += coupling[i, j] * compat[a, b] * qf[b, j]
             out[a, i] = math.exp(-uf[a, i] - msg)
     out /= out.sum(axis=0, keepdims=True)
     return out.reshape(k, h, w)
@@ -52,7 +51,8 @@ def naive_mean_field_step(q, unary, affinity, compat):
 
 def rebuilt_affinity(colors, params):
     """`pairwise_affinity` as it was before the spatial term was cached:
-    every kernel rebuilt on each call and added in kernel-list order."""
+    every kernel rebuilt on each call and added in kernel-list order, then
+    the diagonal zeroed."""
     h, w, _ = colors.colors.shape
     n = h * w
     flat = colors.colors.reshape(n, 3)
@@ -73,9 +73,7 @@ def rebuilt_affinity(colors, params):
                 pos_d2 = (dr * dr + dc * dc).astype(np.float64)
             d2 = pos_d2
         a += k.weight * np.exp(-d2 / (2.0 * k.theta * k.theta))
-    if params.window > 0:
-        cheb = np.maximum(np.abs(rows[:, None] - rows[None, :]), np.abs(cols[:, None] - cols[None, :]))
-        a[cheb > params.window] = 0.0
+    np.fill_diagonal(a, 0.0)
     return a
 
 
@@ -174,33 +172,39 @@ def _colors(arr):
 
 def test_affinity_identical_colors_unit():
     pc = _colors([[[0.3, 0.3, 0.3], [0.3, 0.3, 0.3]]])
-    aff = pairwise_affinity(pc, CrfParams(kernels=[CrfKernel(1.0, 0.1, "appearance")]))
-    assert aff.lookup(0, 1) == 1.0
-    assert aff.lookup(1, 0) == 1.0
+    coupling = pairwise_affinity(pc, CrfParams(kernels=[CrfKernel(1.0, 0.1, "appearance")]))
+    assert coupling[0, 1] == 1.0
+    assert coupling[1, 0] == 1.0
 
 
 def test_affinity_analytic_point():
     theta = 0.1
     d = theta * math.sqrt(2.0)  # squared color distance = 2 theta^2
     pc = _colors([[[0.0, 0.0, 0.0], [d, 0.0, 0.0]]])
-    aff = pairwise_affinity(pc, CrfParams(kernels=[CrfKernel(1.0, theta, "appearance")]))
-    np.testing.assert_allclose(aff.lookup(0, 1), math.exp(-1.0), rtol=1e-12)
+    coupling = pairwise_affinity(pc, CrfParams(kernels=[CrfKernel(1.0, theta, "appearance")]))
+    np.testing.assert_allclose(coupling[0, 1], math.exp(-1.0), rtol=1e-12)
 
 
-def test_affinity_self_is_weight_sum():
-    pc = _colors([[[0.2, 0.4, 0.6], [0.9, 0.1, 0.2]]])
+def test_affinity_zero_diagonal_symmetric_and_owned():
+    pc = _colors(SplitMix64(75).uniform_array((3, 4, 3)).astype(np.float64))
     params = CrfParams(kernels=[CrfKernel(0.5, 0.1, "appearance"), CrfKernel(0.25, 3.0, "spatial")])
-    aff = pairwise_affinity(pc, params)
-    assert aff.lookup(0, 0) == 0.75
-    assert aff.lookup(1, 1) == 0.75
-    np.testing.assert_allclose(aff.matrix, aff.matrix.T)
+    coupling = pairwise_affinity(pc, params)
+    assert coupling.shape == (12, 12) and coupling.dtype == np.float64
+    assert not np.diagonal(coupling).any()  # no cell couples to itself
+    assert (coupling[~np.eye(12, dtype=bool)] > 0).all()
+    np.testing.assert_array_equal(coupling, coupling.T)
+    # a fresh C-contiguous array per call, not a view of a cached term
+    assert coupling.flags.owndata and coupling.flags.c_contiguous and coupling.flags.writeable
+    again = pairwise_affinity(pc, params)
+    assert not np.shares_memory(coupling, again)
+    np.testing.assert_array_equal(coupling, again)
 
 
 def test_affinity_spatial_kernel_decays_with_distance():
     pc = _colors(np.full((1, 3, 3), 0.5))
-    aff = pairwise_affinity(pc, CrfParams(kernels=[CrfKernel(1.0, 1.0, "spatial")]))
-    assert aff.lookup(0, 1) == math.exp(-0.5)
-    assert aff.lookup(0, 2) == math.exp(-2.0)
+    coupling = pairwise_affinity(pc, CrfParams(kernels=[CrfKernel(1.0, 1.0, "spatial")]))
+    assert coupling[0, 1] == math.exp(-0.5)
+    assert coupling[0, 2] == math.exp(-2.0)
 
 
 def test_affinity_cached_spatial_term_bit_identical_to_rebuilt():
@@ -213,14 +217,13 @@ def test_affinity_cached_spatial_term_bit_identical_to_rebuilt():
         CrfParams(kernels=[spatial, appearance]),
         CrfParams(kernels=[spatial, CrfKernel(0.7, 1.5, "spatial"), appearance]),
         CrfParams(kernels=[appearance, spatial, CrfKernel(0.7, 1.5, "spatial")]),
-        CrfParams(kernels=[appearance, spatial], window=2),
     ]
     depth_crf._spatial_term.cache_clear()
     for _ in range(2):  # the first round misses the cache, the second hits it
         for g in grids:  # interleaved grid sizes
             for params in param_sets:
                 got = pairwise_affinity(colors[g], params)
-                np.testing.assert_array_equal(got.matrix, rebuilt_affinity(colors[g], params), err_msg=f"{g} {params}")
+                np.testing.assert_array_equal(got, rebuilt_affinity(colors[g], params), err_msg=f"{g} {params}")
     info = depth_crf._spatial_term.cache_info()
     assert info.misses == 2 * len(grids) and info.hits > 0  # two spatial kernels per grid
 
@@ -230,8 +233,8 @@ def test_affinity_cached_spatial_term_is_read_only():
     with pytest.raises(ValueError):
         term[0, 1] = 1.0
     before = term.copy()
-    aff = pairwise_affinity(_colors(np.full((3, 4, 3), 0.5)), CrfParams.default())
-    aff.matrix[:] = 2.0  # the returned affinity owns its matrix
+    coupling = pairwise_affinity(_colors(np.full((3, 4, 3), 0.5)), CrfParams.default())
+    coupling[:] = 2.0  # the returned coupling is the caller's own array
     np.testing.assert_array_equal(depth_crf._spatial_term(3, 4, 0.3, 3.0), before)
 
 
@@ -240,7 +243,7 @@ def test_affinity_identical_across_concurrent_callers():
     params = CrfParams.default()
     depth_crf._spatial_term.cache_clear()
     with ThreadPoolExecutor(max_workers=4) as ex:
-        mats = list(ex.map(lambda _: pairwise_affinity(pc, params).matrix, range(4)))
+        mats = list(ex.map(lambda _: pairwise_affinity(pc, params), range(4)))
     expected = rebuilt_affinity(pc, params)
     for m in mats:
         np.testing.assert_array_equal(m, expected)
@@ -371,26 +374,6 @@ def test_step_normalization_invariant():
             assert (vol.probs >= 0).all()
 
 
-def test_windowed_equals_dense_when_window_covers_grid():
-    rng = SplitMix64(67)
-    k, h, w = 3, 4, 5
-    q = softmax(rng.uniform_array((k, h, w), -1, 1), axis=0)
-    unary = unary_from_probs(q)
-    colors = rng.uniform_array((h, w, 3)).astype(np.float64)
-    dense = pairwise_affinity(_colors(colors), CrfParams.default(window=0))
-    windowed = pairwise_affinity(_colors(colors), CrfParams.default(window=max(h, w)))
-    out_d = mean_field_step(DepthVolume(0, q), unary, dense, compat := build_compat(DepthBins.uniform(k, 1.0, 4.0)))
-    out_w = mean_field_step(DepthVolume(0, q), unary, windowed, compat)
-    np.testing.assert_allclose(out_w.probs, out_d.probs, atol=1e-10, rtol=0)
-
-
-def test_window_truncates_coupling():
-    pc = _colors(np.full((1, 5, 3), 0.5))
-    aff = pairwise_affinity(pc, CrfParams.default(window=1))
-    assert aff.lookup(0, 1) > 0
-    assert aff.lookup(0, 2) == 0.0
-
-
 # ---------------------------------------------------------------- modulate
 
 
@@ -448,7 +431,7 @@ def test_modulate_two_region_energy_not_increased():
         for i in left:
             for j in left:
                 if i != j:
-                    total += aff.matrix[i, j] * compat[lab[i], lab[j]]
+                    total += aff[i, j] * compat[lab[i], lab[j]]
         return total
 
     assert intra_left_pair_energy(out5) <= intra_left_pair_energy(out0)

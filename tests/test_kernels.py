@@ -20,6 +20,7 @@ from bevnext.kernels import (
     mlp_forward,
     softmax,
 )
+from factories import mlp_spec, zero_mlp
 
 
 # ---------------------------------------------------------------- oracles
@@ -278,7 +279,7 @@ def test_conv_shape_errors_name_axis():
 
 
 def test_mlp_zero_map():
-    spec = MlpSpec.zero([3, 4, 2])
+    spec = zero_mlp([3, 4, 2])
     x = SplitMix64(2).uniform_array((5, 3), -1, 1)
     np.testing.assert_array_equal(mlp_forward(x, spec), np.zeros((5, 2), np.float32))
 
@@ -291,13 +292,13 @@ def test_mlp_identity_layer():
 
 def test_mlp_matches_naive_oracle():
     rng = SplitMix64(99)
-    spec = MlpSpec.create([5, 8, 3], rng)
+    spec = mlp_spec([5, 8, 3], rng)
     x = rng.uniform_array((10, 5), -2, 2)
     np.testing.assert_allclose(mlp_forward(x, spec), naive_mlp(x, spec), atol=1e-6, rtol=0)
 
 
 def test_mlp_width_mismatch():
-    spec = MlpSpec.zero([3, 2])
+    spec = zero_mlp([3, 2])
     with pytest.raises(ShapeError, match="width"):
         mlp_forward(np.zeros((4, 5), np.float32), spec)
 

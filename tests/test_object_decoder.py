@@ -7,14 +7,13 @@ import pytest
 
 from bevnext.depth_crf import DepthVolume
 from bevnext.errors import FormatError, ShapeError
-from bevnext.kernels import ConvSpec, MlpSpec, SplitMix64, conv2d, mlp_forward
+from bevnext.kernels import ConvSpec, SplitMix64, conv2d, mlp_forward
 from bevnext.object_decoder import (
     AttnSpec,
     CenterProposal,
     Detection,
     Heatmap,
     RefPointSet,
-    RegressionHeads,
     RoiSet,
     attention_weights,
     compute_heatmap,
@@ -29,6 +28,7 @@ from bevnext.object_decoder import (
     spatial_cross_attention,
 )
 from bevnext.view_transform import BevGrid, BevSpec, CameraModel, CameraRig
+from factories import attn_spec, conv_spec, mlp_spec, regression_heads, zero_heads, zero_mlp
 
 
 # ---------------------------------------------------------------- oracles
@@ -138,7 +138,7 @@ def test_heatmap_saturating_bias():
 def test_heatmap_matches_conv_sigmoid_composition():
     rng = SplitMix64(3)
     bev = BevGrid(rng.uniform_array((3, 8, 8), -1, 1))
-    spec = ConvSpec.create(3, 2, 3, rng)
+    spec = conv_spec(3, 2, 3, rng)
     h = compute_heatmap(bev, spec)
     raw = conv2d(bev.data[None], spec)[0].astype(np.float64)
     ref = 1.0 / (1.0 + np.exp(-raw))
@@ -149,7 +149,7 @@ def test_heatmap_channel_mismatch():
     rng = SplitMix64(5)
     bev = BevGrid(np.zeros((3, 8, 8), np.float32))
     with pytest.raises(ShapeError, match="channel"):
-        compute_heatmap(bev, ConvSpec.create(4, 2, 3, rng))
+        compute_heatmap(bev, conv_spec(4, 2, 3, rng))
 
 
 def test_heatmap_rejects_closed_interval_values():
@@ -313,7 +313,7 @@ def test_references_roundtrip_to_ego():
 
 def test_depth_embedding_zero_mlp():
     probs = np.full((4, 3, 5), 0.25)
-    emb = depth_embedding(DepthVolume(0, probs), MlpSpec.zero([4, 6, 2]))
+    emb = depth_embedding(DepthVolume(0, probs), zero_mlp([4, 6, 2]))
     assert emb.shape == (2, 3, 5)
     assert not emb.any()
 
@@ -323,7 +323,7 @@ def test_depth_embedding_pointwise():
     probs = np.full((4, 2, 3), 0.25)
     probs[:, 1, 2] = [0.7, 0.1, 0.1, 0.1]
     probs[:, 0, 0] = [0.7, 0.1, 0.1, 0.1]
-    mlp = MlpSpec.create([4, 5, 3], rng)
+    mlp = mlp_spec([4, 5, 3], rng)
     emb = depth_embedding(DepthVolume(0, probs), mlp)
     np.testing.assert_array_equal(emb[:, 1, 2], emb[:, 0, 0])
 
@@ -333,7 +333,7 @@ def test_depth_embedding_matches_per_pixel_oracle():
     from bevnext.kernels import softmax
 
     probs = softmax(rng.uniform_array((4, 3, 4), -1, 1), axis=0)
-    mlp = MlpSpec.create([4, 6, 5], rng)
+    mlp = mlp_spec([4, 6, 5], rng)
     emb = depth_embedding(DepthVolume(0, probs), mlp)
     for r in range(3):
         for c in range(4):
@@ -343,7 +343,7 @@ def test_depth_embedding_matches_per_pixel_oracle():
 
 def test_depth_embedding_width_mismatch():
     with pytest.raises(ShapeError, match="width"):
-        depth_embedding(DepthVolume(0, np.full((4, 2, 2), 0.25)), MlpSpec.zero([5, 3]))
+        depth_embedding(DepthVolume(0, np.full((4, 2, 2), 0.25)), zero_mlp([5, 3]))
 
 
 # ---------------------------------------------------------------- attention
@@ -368,7 +368,7 @@ def _unit_attn(c, rng=None, n_ref=1, n_points=1):
 
 def test_attention_weights_normalized():
     rng = SplitMix64(21)
-    attn = AttnSpec.create(6, 4, 2, rng)
+    attn = attn_spec(6, 4, 2, rng)
     for _ in range(5):
         q = rng.uniform_array((6,), -2, 2).astype(np.float64)
         w = attention_weights(attn, q)
@@ -397,7 +397,7 @@ def test_sca_all_invalid_passthrough():
     rng = SplitMix64(25)
     c = 3
     roi = make_roi(rng, 2, c)
-    attn = AttnSpec.create(c, 2, 2, rng)
+    attn = attn_spec(c, 2, 2, rng)
     features = rng.uniform_array((2, c, 6, 6), -1, 1)
     refs = make_refs(rng, 2, 2, 2, 48, 48, valid_rate=-1.0)  # nothing valid
     refined, flags = spatial_cross_attention(roi, refs, features, attn, 8)
@@ -409,7 +409,7 @@ def test_sca_matches_naive_oracle():
     rng = SplitMix64(27)
     c, n, ncam, j, stride = 4, 3, 2, 2, 8
     roi = make_roi(rng, n, c)
-    attn = AttnSpec.create(c, j, 2, rng)
+    attn = attn_spec(c, j, 2, rng)
     features = rng.uniform_array((ncam, c, 8, 10), -1, 1)
     refs = make_refs(rng, n, ncam, j, 64, 80)
     refined, flags = spatial_cross_attention(roi, refs, features, attn, stride)
@@ -422,7 +422,7 @@ def test_sca_oracle_with_embedding():
     rng = SplitMix64(29)
     c, n, ncam, j, stride = 3, 2, 2, 3, 8
     roi = make_roi(rng, n, c)
-    attn = AttnSpec.create(c, j, 2, rng)
+    attn = attn_spec(c, j, 2, rng)
     features = rng.uniform_array((ncam, c, 8, 10), -1, 1)
     embedding = rng.uniform_array((ncam, c, 8, 10), -0.5, 0.5)
     refs = make_refs(rng, n, ncam, j, 64, 80)
@@ -435,11 +435,11 @@ def test_sca_zero_embedding_is_identity_ablation():
     rng = SplitMix64(31)
     c, n, ncam, j, stride = 3, 2, 2, 2, 8
     roi = make_roi(rng, n, c)
-    attn = AttnSpec.create(c, j, 2, rng)
+    attn = attn_spec(c, j, 2, rng)
     features = rng.uniform_array((ncam, c, 8, 10), -1, 1)
     refs = make_refs(rng, n, ncam, j, 64, 80)
     probs = np.full((5, 8, 10), 0.2)
-    zero_emb = np.stack([depth_embedding(DepthVolume(i, probs), MlpSpec.zero([5, c])) for i in range(ncam)])
+    zero_emb = np.stack([depth_embedding(DepthVolume(i, probs), zero_mlp([5, c])) for i in range(ncam)])
     with_emb, _ = spatial_cross_attention(roi, refs, features, attn, stride, embedding=zero_emb)
     without, _ = spatial_cross_attention(roi, refs, features, attn, stride)
     np.testing.assert_array_equal(with_emb.patches, without.patches)
@@ -448,7 +448,7 @@ def test_sca_zero_embedding_is_identity_ablation():
 def test_sca_rejects_mismatched_refs():
     rng = SplitMix64(33)
     roi = make_roi(rng, 2, 3)
-    attn = AttnSpec.create(3, 2, 2, rng)
+    attn = attn_spec(3, 2, 2, rng)
     refs = make_refs(rng, 3, 1, 2, 48, 48)  # wrong roi count
     with pytest.raises(ShapeError, match="refs"):
         spatial_cross_attention(roi, refs, rng.uniform_array((1, 3, 6, 6), -1, 1), attn, 8)
@@ -461,7 +461,7 @@ def test_regress_zero_heads():
     rng = SplitMix64(35)
     spec = BevSpec(8, 1.0, 4.0)
     roi = make_roi(rng, 1, 4, g=8)
-    dets = regress(roi, RegressionHeads.zero(4), spec)
+    dets = regress(roi, zero_heads(4), spec)
     d = dets[0]
     assert (d.l, d.w, d.h) == (1.0, 1.0, 1.0)
     assert d.yaw == 0.0
@@ -475,7 +475,7 @@ def test_regress_yaw_quarter_turn():
     rng = SplitMix64(37)
     spec = BevSpec(8, 1.0, 4.0)
     roi = make_roi(rng, 1, 4, g=8)
-    heads = RegressionHeads.zero(4)
+    heads = zero_heads(4)
     heads.yaw.biases[0][:] = [1.0, 0.0]  # (sin, cos) raw outputs
     dets = regress(roi, heads, spec)
     np.testing.assert_allclose(dets[0].yaw, math.pi / 2, atol=1e-12)
@@ -486,7 +486,7 @@ def test_regress_offset_bounded_by_half_cell():
     for seed in range(10):
         rng = SplitMix64(100 + seed)
         roi = make_roi(rng, 3, 4, g=8)
-        heads = RegressionHeads.create(4, rng)
+        heads = regression_heads(4, rng)
         for d, (cx, cy) in zip(regress(roi, heads, spec), roi.centers):
             center_x = -4.0 + (cx + 0.5) * 1.0
             center_y = -4.0 + (cy + 0.5) * 1.0
@@ -505,7 +505,7 @@ def test_regress_empty_roi():
         patches=np.zeros((0, 4, 7, 7), np.float32),
         queries=np.zeros((49, 4), np.float32),
     )
-    assert regress(roi, RegressionHeads.zero(4), spec) == []
+    assert regress(roi, zero_heads(4), spec) == []
 
 
 # ---------------------------------------------------------------- detections

@@ -27,7 +27,8 @@ from bevnext.pipeline import (
 from bevnext.ppm import load_ppm
 from bevnext.scene import background_image, gen_scene
 from bevnext.view_transform import lift
-from bevnext.weights import backbone_specs, depth_head_spec, init_bundle, zero_bundle
+from bevnext.weights import backbone_specs, depth_head_spec, init_bundle
+from factories import zero_bundle
 
 DESK = SceneConfig()
 DESK_BUNDLE = init_bundle(DESK, 7)

@@ -17,6 +17,7 @@ from bevnext.res2fusion import (
     reduce_groups,
 )
 from bevnext.view_transform import BevGrid
+from factories import conv_spec
 
 
 # ---------------------------------------------------------------- oracles
@@ -41,7 +42,7 @@ def naive_conv(x, weight, bias, stride=1, padding=None):
     return (out + bias[:, None, None]).astype(np.float32)
 
 
-def naive_cascade(bprime, specs, use_convolved):
+def naive_cascade(bprime, specs):
     """Literal oldest-to-newest cascade with the naive conv."""
     g = len(bprime)
     out = [None] * g
@@ -50,8 +51,7 @@ def naive_cascade(bprime, specs, use_convolved):
         return out
     out[g - 1] = naive_conv(bprime[g - 1], specs[g - 2].weight, specs[g - 2].bias)
     for i in range(g - 2, 0, -1):
-        neighbor = out[i + 1] if use_convolved else bprime[i + 1]
-        out[i] = naive_conv(bprime[i] + neighbor, specs[i - 1].weight, specs[i - 1].bias)
+        out[i] = naive_conv(bprime[i] + out[i + 1], specs[i - 1].weight, specs[i - 1].bias)
     return out
 
 
@@ -161,7 +161,7 @@ def test_reduce_matches_conv_oracle():
     rng = SplitMix64(7)
     stack = random_stack(rng, 4, c=2, g=5)
     groups = partition(stack, 2)
-    specs = [ConvSpec.create(4, 3, 1, rng) for _ in range(2)]
+    specs = [conv_spec(4, 3, 1, rng) for _ in range(2)]
     out = reduce_groups(groups, specs)
     for got, grp, spec in zip(out, groups, specs):
         ref = naive_conv(grp, spec.weight, spec.bias, padding=0)
@@ -223,42 +223,24 @@ def test_cascade_radius_tracks_stage_count():
 
 def test_cascade_matches_literal_oracle():
     rng = SplitMix64(17)
-    for use_convolved in (True, False):
-        b = [rng.uniform_array((2, 5, 5), -1, 1) for _ in range(4)]
-        specs = [ConvSpec.create(2, 2, 3, rng) for _ in range(3)]
-        mode = "convolved" if use_convolved else "reduced"
-        out = multiscale_cascade(b, specs, cascade_input=mode)
-        ref = naive_cascade(b, specs, use_convolved)
-        for i in range(4):
-            np.testing.assert_allclose(out[i], ref[i], atol=1e-6, rtol=0, err_msg=f"{mode} group {i}")
-
-
-def test_cascade_input_variants_differ():
-    rng = SplitMix64(19)
-    b = [rng.uniform_array((2, 5, 5), -1, 1) for _ in range(3)]
-    specs = [ConvSpec.create(2, 2, 3, rng) for _ in range(2)]
-    a = multiscale_cascade(b, specs, cascade_input="convolved")
-    r = multiscale_cascade(b, specs, cascade_input="reduced")
-    np.testing.assert_array_equal(a[2], r[2])  # oldest group identical
-    assert np.abs(a[1] - r[1]).max() > 1e-6
-
-
-def test_cascade_rejects_unknown_input_mode():
-    with pytest.raises(ShapeError, match="cascade_input"):
-        multiscale_cascade([np.zeros((1, 4, 4), np.float32)], [], cascade_input="nearest")
+    b = [rng.uniform_array((2, 5, 5), -1, 1) for _ in range(4)]
+    specs = [conv_spec(2, 2, 3, rng) for _ in range(3)]
+    out = multiscale_cascade(b, specs)
+    ref = naive_cascade(b, specs)
+    for i in range(4):
+        np.testing.assert_allclose(out[i], ref[i], atol=1e-6, rtol=0, err_msg=f"group {i}")
 
 
 # ---------------------------------------------------------------- fuse
 
 
-def _random_config(rng, k, w, c, c_mid, c_out, cascade_input="convolved"):
+def _random_config(rng, k, w, c, c_mid, c_out):
     g = math.ceil(k / w)
     return FusionConfig(
         window=w,
-        reduce_specs=tuple(ConvSpec.create(w * c, c_mid, 1, rng) for _ in range(g)),
-        cascade_specs=tuple(ConvSpec.create(c_mid, c_mid, 3, rng) for _ in range(g - 1)),
-        final_spec=ConvSpec.create(g * c_mid, c_out, 1, rng),
-        cascade_input=cascade_input,
+        reduce_specs=tuple(conv_spec(w * c, c_mid, 1, rng) for _ in range(g)),
+        cascade_specs=tuple(conv_spec(c_mid, c_mid, 3, rng) for _ in range(g - 1)),
+        final_spec=conv_spec(g * c_mid, c_out, 1, rng),
     )
 
 
@@ -296,7 +278,7 @@ def test_fuse_equals_composed_stages():
     out = fuse(stack, config)
     groups = partition(stack, config.window)
     bp = reduce_groups(groups, config.reduce_specs)
-    bpp = multiscale_cascade(bp, config.cascade_specs, config.cascade_input)
+    bpp = multiscale_cascade(bp, config.cascade_specs)
     cat = np.concatenate(list(reversed(bpp)), axis=0)
     ref = conv2d(cat[None], config.final_spec)[0]
     np.testing.assert_array_equal(out.data, ref)
@@ -352,7 +334,7 @@ def test_config_validates_cascade_count():
             window=1,
             reduce_specs=(identity_conv1(2), identity_conv1(2)),
             cascade_specs=(),
-            final_spec=ConvSpec.create(4, 2, 1, rng),
+            final_spec=conv_spec(4, 2, 1, rng),
         )
 
 
@@ -362,8 +344,8 @@ def test_config_validates_cascade_count():
 def test_post_fuse_keeps_grid_size():
     rng = SplitMix64(37)
     grid = BevGrid(rng.uniform_array((3, 8, 8), -1, 1))
-    down = ConvSpec.create(3, 2, 3, rng, stride=2)
-    merge = ConvSpec.create(5, 4, 1, rng)
+    down = conv_spec(3, 2, 3, rng, stride=2)
+    merge = conv_spec(5, 4, 1, rng)
     out = post_fuse(grid, down, merge)
     assert out.data.shape == (4, 8, 8)
 
@@ -371,7 +353,7 @@ def test_post_fuse_keeps_grid_size():
 def test_post_fuse_merge_can_select_input():
     rng = SplitMix64(39)
     grid = BevGrid(rng.uniform_array((3, 8, 8), -1, 1))
-    down = ConvSpec.create(3, 2, 3, rng, stride=2)
+    down = conv_spec(3, 2, 3, rng, stride=2)
     w = np.zeros((3, 5, 1, 1), np.float32)
     w[:, :3, 0, 0] = np.eye(3)
     merge = ConvSpec(5, 3, 1, 1, 0, w, np.zeros(3, np.float32))
@@ -383,7 +365,7 @@ def test_post_fuse_rejects_odd_grid():
     rng = SplitMix64(41)
     grid = BevGrid(np.zeros((2, 9, 9), np.float32))
     with pytest.raises(ShapeError, match="even"):
-        post_fuse(grid, ConvSpec.create(2, 2, 3, rng, stride=2), ConvSpec.create(4, 2, 1, rng))
+        post_fuse(grid, conv_spec(2, 2, 3, rng, stride=2), conv_spec(4, 2, 1, rng))
 
 
 # ---------------------------------------------------------------- stack

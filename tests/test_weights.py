@@ -22,8 +22,8 @@ from bevnext.weights import (
     regression_heads,
     save_weights,
     validate_bundle,
-    zero_bundle,
 )
+from factories import zero_bundle
 
 DESK = SceneConfig()
 
@@ -175,7 +175,6 @@ def test_fusion_config_matches_group_arithmetic():
     assert fc.reduce_specs[0].in_channels == 3 * 32
     assert len(fc.cascade_specs) == 2
     assert fc.final_spec.in_channels == 3 * 32
-    assert fc.cascade_input == cfg.cascade_input
 
 
 def test_post_and_heatmap_specs():
