@@ -2,9 +2,9 @@
 
 Single tensor file: magic ``BVNX``, format version u16, rank u16, dims as
 u32, then the float32 row-major payload, everything little-endian.
-Bundles (weight files, pool indices) use magic ``BVNB`` and hold named
-records; each record is a full BVNX tensor, or its u32 variant ``BVNU``
-used for auxiliary index tables. Non-finite payloads are rejected on load.
+Bundles (weight files) use magic ``BVNB`` and hold named records; each
+record is a full BVNX tensor. Every tensor is float32, and non-finite
+payloads are rejected on load.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 from .errors import FormatError
 
 MAGIC_TENSOR = b"BVNX"
-MAGIC_U32 = b"BVNU"
 MAGIC_BUNDLE = b"BVNB"
 FORMAT_VERSION = 1
 MAX_RANK = 4
@@ -25,11 +24,8 @@ MAX_RANK = 4
 def _pack_tensor(arr: np.ndarray) -> bytes:
     if arr.ndim < 1 or arr.ndim > MAX_RANK:
         raise FormatError(f"tensor rank must be 1..{MAX_RANK}, got {arr.ndim}")
-    if arr.dtype == np.uint32:
-        magic, a = MAGIC_U32, np.ascontiguousarray(arr, dtype="<u4")
-    else:
-        magic, a = MAGIC_TENSOR, np.ascontiguousarray(arr, dtype="<f4")
-    head = magic + struct.pack("<HH", FORMAT_VERSION, a.ndim)
+    a = np.ascontiguousarray(arr, dtype="<f4")
+    head = MAGIC_TENSOR + struct.pack("<HH", FORMAT_VERSION, a.ndim)
     head += struct.pack(f"<{a.ndim}I", *a.shape)
     return head + a.tobytes()
 
@@ -51,7 +47,7 @@ class _Reader:
 def _unpack_tensor(r: _Reader) -> np.ndarray:
     start = r.off
     magic = r.take(4)
-    if magic not in (MAGIC_TENSOR, MAGIC_U32):
+    if magic != MAGIC_TENSOR:
         raise FormatError(f"{r.name}: bad magic {magic!r} at offset {start}")
     version, rank = struct.unpack("<HH", r.take(4))
     if version != FORMAT_VERSION:
@@ -63,8 +59,6 @@ def _unpack_tensor(r: _Reader) -> np.ndarray:
         raise FormatError(f"{r.name}: dims {dims} contain a zero axis")
     count = int(np.prod(dims))
     payload = r.take(4 * count)
-    if magic == MAGIC_U32:
-        return np.frombuffer(payload, dtype="<u4").reshape(dims).astype(np.uint32)
     arr = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
     if not np.isfinite(arr).all():
         raise FormatError(f"{r.name}: payload contains NaN/Inf values")

@@ -10,7 +10,7 @@ duplicate keys and inconsistent dimensions are rejected up front with a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,6 +53,12 @@ class SceneConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "heights", tuple(float(h) for h in self.heights))
+        for key, (attr, convert) in _SCHEMA.items():
+            if convert in (_parse_float, _parse_floats):
+                value = getattr(self, attr)
+                for v in value if convert is _parse_floats else (value,):
+                    if not math.isfinite(v):
+                        raise ConfigError(f"{key}: expected a finite number, got '{v}'")
         if self.stride == 0:
             object.__setattr__(self, "stride", 8 if self.image_h <= 256 else 16)
         checks = [
@@ -152,12 +158,9 @@ def _parse_int(key: str, value: str) -> int:
 
 def _parse_float(key: str, value: str) -> float:
     try:
-        number = float(value)
+        return float(value)
     except ValueError as exc:
         raise ConfigError(f"{key}: expected a number, got '{value}'") from exc
-    if not math.isfinite(number):
-        raise ConfigError(f"{key}: expected a finite number, got '{value}'")
-    return number
 
 
 def _parse_floats(key: str, value: str) -> tuple:
@@ -239,17 +242,3 @@ def load_config(path) -> SceneConfig:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     return build_config(parse_config(text))
-
-
-def format_config(cfg: SceneConfig) -> str:
-    """Render a config as schema-keyed text; parses back to an equal config."""
-    by_attr = {attr: key for key, (attr, _) in _SCHEMA.items()}
-    lines = []
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if f.name == "heights":
-            rendered = ",".join(repr(h) for h in value)
-        else:
-            rendered = str(value)
-        lines.append(f"{by_attr[f.name]} = {rendered}")
-    return "".join(line + "\n" for line in lines)

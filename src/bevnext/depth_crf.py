@@ -60,7 +60,6 @@ class DepthBins:
 class DepthVolume:
     """Per-pixel categorical distribution over depth bins, shape [K, H, W]."""
 
-    camera: int
     probs: np.ndarray
 
     def __post_init__(self):
@@ -239,7 +238,7 @@ def mean_field_step(q: DepthVolume, unary: np.ndarray, coupling: np.ndarray, com
     messages = np.einsum("ij,ja->ia", coupling, expected)  # [N, K]
     logits = -(unary.reshape(k, n).T + messages)
     out = softmax(logits, axis=1).T.reshape(k, h, w)
-    return DepthVolume(q.camera, out)
+    return DepthVolume(out)
 
 
 def modulate(
@@ -247,7 +246,6 @@ def modulate(
     image: np.ndarray,
     bins: DepthBins,
     params: CrfParams,
-    camera: int = 0,
 ) -> DepthVolume:
     """Softmax the depth logits and run T mean-field refinement steps.
 
@@ -261,7 +259,7 @@ def modulate(
     if k != bins.k:
         raise ShapeError(f"modulate: logits bin axis {k} != bins.k {bins.k}")
     probs0 = softmax(lg, axis=0)
-    vol = DepthVolume(camera, probs0)
+    vol = DepthVolume(probs0)
     if params.iters == 0:
         return vol
     ih, iw = np.asarray(image).shape[:2]

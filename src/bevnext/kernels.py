@@ -73,31 +73,41 @@ def init_weights(shape, fan_in: int, rng: SplitMix64) -> np.ndarray:
 
 @dataclass
 class ConvSpec:
-    """2D convolution parameters; weight layout [out, in, k, k]."""
+    """2D convolution parameters; weight layout [out, in, k, k].
 
-    in_channels: int
-    out_channels: int
-    kernel_size: int
-    stride: int
-    padding: int
+    The channel counts and the kernel size are read off the weight's
+    shape, so a spec cannot state a shape its weight does not have.
+    """
+
     weight: np.ndarray
     bias: np.ndarray
+    stride: int
+    padding: int
 
     def __post_init__(self):
-        if self.kernel_size not in (1, 3):
-            raise ShapeError(f"ConvSpec: kernel_size must be 1 or 3, got {self.kernel_size}")
+        shape = tuple(self.weight.shape)
+        if len(shape) != 4 or shape[2] != shape[3] or shape[2] not in (1, 3):
+            raise ShapeError(f"ConvSpec: weight must be [out, in, k, k] with k in (1, 3), got {shape}")
         if self.stride not in (1, 2):
             raise ShapeError(f"ConvSpec: stride must be 1 or 2, got {self.stride}")
         if self.padding < 0:
             raise ShapeError(f"ConvSpec: padding must be >= 0, got {self.padding}")
-        k = self.kernel_size
-        want = (self.out_channels, self.in_channels, k, k)
-        if tuple(self.weight.shape) != want:
-            raise ShapeError(f"ConvSpec: weight axis mismatch, expected {want}, got {tuple(self.weight.shape)}")
         if tuple(self.bias.shape) != (self.out_channels,):
             raise ShapeError(
                 f"ConvSpec: bias axis 0 must equal out_channels={self.out_channels}, got {tuple(self.bias.shape)}"
             )
+
+    @property
+    def out_channels(self) -> int:
+        return self.weight.shape[0]
+
+    @property
+    def in_channels(self) -> int:
+        return self.weight.shape[1]
+
+    @property
+    def kernel_size(self) -> int:
+        return self.weight.shape[2]
 
 
 @dataclass

@@ -60,10 +60,6 @@ class Heatmap:
             raise ShapeError("Heatmap: values must lie in the open interval (0, 1)")
 
     @property
-    def n_classes(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def g(self) -> int:
         return self.values.shape[1]
 

@@ -27,7 +27,7 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from .config import SceneConfig
-from .depth_crf import DepthBins, DepthVolume, map_labeling, modulate
+from .depth_crf import DepthVolume, map_labeling, modulate
 from .errors import BevnextError, ConfigError, ShapeError, StageError
 from .kernels import ConvSpec, conv2d
 from .object_decoder import (
@@ -47,7 +47,6 @@ from .res2fusion import FusionStack, fuse, post_fuse
 from .scene import SyntheticScene, background_image
 from .view_transform import (
     BevGrid,
-    CameraModel,
     build_frustum,
     lift,
     pool,
@@ -122,51 +121,6 @@ def toy_backbone(image: np.ndarray, stride: int, specs: Sequence[ConvSpec]) -> n
     return x[0]
 
 
-def project_depth_labels(
-    points: np.ndarray,
-    camera: CameraModel,
-    feat_h: int,
-    feat_w: int,
-    stride: int,
-    bins: DepthBins,
-) -> Tuple[np.ndarray, float]:
-    """Sparse depth labels: project points onto the feature grid.
-
-    Each point maps to the feature cell containing its pixel and to the
-    bin with the nearest center; within a cell the nearest point wins
-    (ties by input order). Returns the [H', W'] int64 label raster with
-    -1 for unlabeled cells, and coverage = labeled cells / total cells.
-    """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    labels = np.full((feat_h, feat_w), -1, dtype=np.int64)
-    total = feat_h * feat_w
-    if pts.shape[0] == 0:
-        return labels, 0.0
-    uv, depth = camera.project(pts)
-    with np.errstate(invalid="ignore"):
-        ok = (
-            (depth > 0)
-            & np.isfinite(uv).all(axis=1)
-            & (uv[:, 0] >= 0)
-            & (uv[:, 0] < feat_w * stride)
-            & (uv[:, 1] >= 0)
-            & (uv[:, 1] < feat_h * stride)
-        )
-    idx = np.nonzero(ok)[0]
-    if idx.size == 0:
-        return labels, 0.0
-    u, v, d = uv[idx, 0], uv[idx, 1], depth[idx]
-    cell = (v.astype(np.int64) // stride) * feat_w + (u.astype(np.int64) // stride)
-    order = np.lexsort((idx, d, cell))
-    cells_sorted = cell[order]
-    _, first = np.unique(cells_sorted, return_index=True)
-    chosen = order[first]
-    bin_idx = np.abs(d[chosen][:, None] - bins.centers[None, :]).argmin(axis=1)
-    labels.reshape(-1)[cell[chosen]] = bin_idx
-    coverage = float(cell[chosen].size) / float(total)
-    return labels, coverage
-
-
 def _check_scene(scene: SyntheticScene, cfg: SceneConfig) -> None:
     """Scene artifacts must match the config's dimensional contract."""
     if scene.k != cfg.frames:
@@ -204,11 +158,11 @@ def run_pipeline(
     _check_scene(scene, cfg)
     validate_bundle(bundle, cfg)
     bins, spec, rig, params = cfg.bins(), cfg.bev(), cfg.rig(), cfg.crf_params()
-    bspecs = backbone_specs(bundle, cfg)
-    dspec = depth_head_spec(bundle, cfg)
+    bspecs = backbone_specs(bundle)
+    dspec = depth_head_spec(bundle)
     fcfg = fusion_config(bundle, cfg)
-    down, merge = post_specs(bundle, cfg)
-    hspec = heatmap_spec(bundle, cfg)
+    down, merge = post_specs(bundle)
+    hspec = heatmap_spec(bundle)
     attn = attn_spec(bundle, cfg)
     dmlp = depth_mlp_spec(bundle)
     heads = regression_heads(bundle)
@@ -221,11 +175,11 @@ def run_pipeline(
     index = run_stage("pool", precompute_pool_index, frusta, spec)
     bg = background_image(cfg.image_h, cfg.image_w).astype(np.float64)
 
-    def camera_pass(image: np.ndarray, ci: int):
+    def camera_pass(image: np.ndarray):
         diff = image.astype(np.float64) - bg
         feats = run_stage("backbone", toy_backbone, diff, cfg.stride, bspecs)
         logits = run_stage("depth", lambda: conv2d(feats[None], dspec)[0])
-        vol = run_stage("crf", modulate, logits, image.astype(np.float64) / 255.0, bins, params, ci)
+        vol = run_stage("crf", modulate, logits, image.astype(np.float64) / 255.0, bins, params)
         lifted = run_stage("lift", lift, feats, vol)
         return feats, vol, lifted
 
@@ -234,11 +188,10 @@ def run_pipeline(
     for t in range(scene.k):
         images = scene.frames[t].images
         if threads == 1:
-            results = [camera_pass(images[ci], ci) for ci in range(len(images))]
+            results = [camera_pass(image) for image in images]
         else:
             with ThreadPoolExecutor(max_workers=threads) as ex:
-                futures = [ex.submit(camera_pass, images[ci], ci) for ci in range(len(images))]
-                results = [f.result() for f in futures]
+                results = list(ex.map(camera_pass, images))
         lifted_stack = np.stack([lifted for _, _, lifted in results], axis=0)
         grids.append(run_stage("pool", pool, lifted_stack, index, spec))
         current = results

@@ -19,12 +19,12 @@ The extrinsic transform maps camera-frame points into the ego frame.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
 from .depth_crf import DepthBins, DepthVolume
-from .errors import FormatError, ShapeError
+from .errors import ShapeError
 
 ROTATION_TOL = 1e-6
 
@@ -53,11 +53,6 @@ class CameraModel:
             raise ShapeError(f"CameraModel: translation must be a 3-vector, got {t.shape}")
         if np.abs(r @ r.T - np.eye(3)).max() > ROTATION_TOL:
             raise ShapeError("CameraModel: rotation must be orthonormal within 1e-6")
-
-    def cam_to_ego(self, points: np.ndarray) -> np.ndarray:
-        """Map camera-frame [N, 3] points into the ego frame."""
-        p = np.asarray(points, dtype=np.float64)
-        return np.einsum("nj,ij->ni", p, self.rotation) + self.translation
 
     def ego_to_cam(self, points: np.ndarray) -> np.ndarray:
         p = np.asarray(points, dtype=np.float64) - self.translation
@@ -199,37 +194,6 @@ class PoolIndex:
     @property
     def entry_count(self) -> int:
         return int(self.cell_offsets[-1])
-
-    def to_entries(self) -> Dict[str, np.ndarray]:
-        """Flat u32 tensors for the named-bundle container."""
-        h, w, k = self.feat_shape
-        meta = np.array([self.g, self.n_cameras, h, w, k], dtype=np.uint32)
-        return {
-            "pool.meta": meta,
-            "pool.offsets": self.cell_offsets,
-            "pool.camera": self.entry_camera,
-            "pool.pixel": self.entry_pixel,
-            "pool.bin": self.entry_bin,
-        }
-
-    @classmethod
-    def from_entries(cls, entries: Dict[str, np.ndarray]) -> "PoolIndex":
-        for key in ("pool.meta", "pool.offsets", "pool.camera", "pool.pixel", "pool.bin"):
-            if key not in entries:
-                raise FormatError(f"pool index bundle missing entry '{key}'")
-        meta = np.asarray(entries["pool.meta"], dtype=np.uint32)
-        if meta.size != 5:
-            raise FormatError(f"pool index meta must have 5 fields, got {meta.size}")
-        g, n_cameras, h, w, k = (int(v) for v in meta)
-        return cls(
-            g=g,
-            n_cameras=n_cameras,
-            feat_shape=(h, w, k),
-            cell_offsets=entries["pool.offsets"],
-            entry_camera=entries["pool.camera"],
-            entry_pixel=entries["pool.pixel"],
-            entry_bin=entries["pool.bin"],
-        )
 
 
 def build_frustum(

@@ -3,11 +3,13 @@
 Every learnable tensor has a dotted name; ``expected_shapes`` derives the
 complete name -> shape map from a ``SceneConfig``, and loading validates
 the stored bundle against it, so any config/weights mismatch is caught
-before the pipeline runs. Initialization draws weights in sorted-name
-order from one seeded stream; all biases start at zero except the
-detection heatmap bias, which starts negative so that all-zero features
-score below the proposal threshold (an empty scene yields no detections
-by construction, not by accident).
+before the pipeline runs. That map is the only place a layer's shape is
+stated: the spec builders read channel counts and kernel sizes off the
+validated tensors. Initialization draws weights in sorted-name order
+from one seeded stream; all biases start at zero except the detection
+heatmap bias, which starts negative so that all-zero features score
+below the proposal threshold (an empty scene yields no detections by
+construction, not by accident).
 """
 
 from __future__ import annotations
@@ -140,44 +142,34 @@ def load_weights(path, cfg: SceneConfig) -> WeightBundle:
     return bundle
 
 
-def backbone_specs(bundle: WeightBundle, cfg: SceneConfig) -> List[ConvSpec]:
+def _conv(bundle: WeightBundle, name: str, stride: int = 1) -> ConvSpec:
+    """Spec of the named conv, shaped by its tensors; every shipped conv pads by k // 2."""
+    weight = bundle[name + ".w"]
+    return ConvSpec(weight, bundle[name + ".b"], stride, weight.shape[2] // 2)
+
+
+def backbone_specs(bundle: WeightBundle) -> List[ConvSpec]:
     """Three stride-2 3x3 convs: 3 -> 8 -> 16 -> C channels (1/8 scale)."""
-    chain = (("backbone.conv1", 3, 8), ("backbone.conv2", 8, 16), ("backbone.conv3", 16, cfg.channels))
-    return [
-        ConvSpec(cin, cout, 3, 2, 1, bundle[p + ".w"], bundle[p + ".b"])
-        for p, cin, cout in chain
-    ]
+    return [_conv(bundle, f"backbone.conv{i}", stride=2) for i in (1, 2, 3)]
 
 
-def depth_head_spec(bundle: WeightBundle, cfg: SceneConfig) -> ConvSpec:
-    return ConvSpec(cfg.channels, cfg.depth_bins, 1, 1, 0, bundle["depth_head.w"], bundle["depth_head.b"])
+def depth_head_spec(bundle: WeightBundle) -> ConvSpec:
+    return _conv(bundle, "depth_head")
 
 
 def fusion_config(bundle: WeightBundle, cfg: SceneConfig) -> FusionConfig:
-    c, g = cfg.channels, cfg.groups
-    reduces = [
-        ConvSpec(cfg.window * c, c, 1, 1, 0,
-                 bundle[f"res2fusion.reduce.{i}.w"], bundle[f"res2fusion.reduce.{i}.b"])
-        for i in range(g)
-    ]
-    cascades = [
-        ConvSpec(c, c, 3, 1, 1,
-                 bundle[f"res2fusion.cascade.{i}.w"], bundle[f"res2fusion.cascade.{i}.b"])
-        for i in range(1, g)
-    ]
-    final = ConvSpec(g * c, c, 1, 1, 0, bundle["res2fusion.final.w"], bundle["res2fusion.final.b"])
+    reduces = [_conv(bundle, f"res2fusion.reduce.{i}") for i in range(cfg.groups)]
+    cascades = [_conv(bundle, f"res2fusion.cascade.{i}") for i in range(1, cfg.groups)]
+    final = _conv(bundle, "res2fusion.final")
     return FusionConfig(cfg.window, tuple(reduces), tuple(cascades), final)
 
 
-def post_specs(bundle: WeightBundle, cfg: SceneConfig) -> Tuple[ConvSpec, ConvSpec]:
-    c = cfg.channels
-    down = ConvSpec(c, c, 3, 2, 1, bundle["res2fusion.post.down.w"], bundle["res2fusion.post.down.b"])
-    merge = ConvSpec(2 * c, c, 1, 1, 0, bundle["res2fusion.post.merge.w"], bundle["res2fusion.post.merge.b"])
-    return down, merge
+def post_specs(bundle: WeightBundle) -> Tuple[ConvSpec, ConvSpec]:
+    return _conv(bundle, "res2fusion.post.down", stride=2), _conv(bundle, "res2fusion.post.merge")
 
 
-def heatmap_spec(bundle: WeightBundle, cfg: SceneConfig) -> ConvSpec:
-    return ConvSpec(cfg.channels, cfg.classes, 3, 1, 1, bundle["decoder.heatmap.w"], bundle["decoder.heatmap.b"])
+def heatmap_spec(bundle: WeightBundle) -> ConvSpec:
+    return _conv(bundle, "decoder.heatmap")
 
 
 def attn_spec(bundle: WeightBundle, cfg: SceneConfig) -> AttnSpec:

@@ -1,16 +1,24 @@
-"""Seeded and all-zero specs and bundles built directly for tests.
+"""Test-side builders and oracles that the library itself does not need.
 
 The pipeline takes every weight from a bundle (``weights.init_bundle``);
 these factories build single specs for unit tests. Each draws its
 weights from the given ``SplitMix64`` in a fixed order, so a test's data
-depend only on its seed and the order of its calls.
+depend only on its seed and the order of its calls. ``cam_to_ego`` and
+``project_depth_labels`` are geometry oracles (the inverse of
+``CameraModel.ego_to_cam``, and sparse depth labels from surface
+points); ``format_config`` writes a config back out as text.
 """
+
+from dataclasses import fields
+from typing import Tuple
 
 import numpy as np
 
-from bevnext.config import SceneConfig
+from bevnext.config import _SCHEMA, SceneConfig
+from bevnext.depth_crf import DepthBins
 from bevnext.kernels import ConvSpec, MlpSpec, SplitMix64, init_weights
 from bevnext.object_decoder import AttnSpec, RegressionHeads
+from bevnext.view_transform import CameraModel
 from bevnext.weights import WeightBundle, expected_shapes
 
 
@@ -31,7 +39,7 @@ def conv_spec(
         bias = np.zeros(out_channels, dtype=np.float32)
     else:
         bias = init_weights((out_channels,), fan_in, rng)
-    return ConvSpec(in_channels, out_channels, kernel_size, stride, padding, weight, bias)
+    return ConvSpec(weight, bias, stride, padding)
 
 
 def mlp_spec(widths: list, rng: SplitMix64, final_identity: bool = True) -> MlpSpec:
@@ -96,3 +104,68 @@ def zero_bundle(cfg: SceneConfig) -> WeightBundle:
     return WeightBundle(
         {name: np.zeros(shape, np.float32) for name, shape in expected_shapes(cfg).items()}
     )
+
+
+def cam_to_ego(camera: CameraModel, points: np.ndarray) -> np.ndarray:
+    """Map camera-frame [N, 3] points into the ego frame."""
+    p = np.asarray(points, dtype=np.float64)
+    return np.einsum("nj,ij->ni", p, camera.rotation) + camera.translation
+
+
+def project_depth_labels(
+    points: np.ndarray,
+    camera: CameraModel,
+    feat_h: int,
+    feat_w: int,
+    stride: int,
+    bins: DepthBins,
+) -> Tuple[np.ndarray, float]:
+    """Sparse depth labels: project points onto the feature grid.
+
+    Each point maps to the feature cell containing its pixel and to the
+    bin with the nearest center; within a cell the nearest point wins
+    (ties by input order). Returns the [H', W'] int64 label raster with
+    -1 for unlabeled cells, and coverage = labeled cells / total cells.
+    """
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    labels = np.full((feat_h, feat_w), -1, dtype=np.int64)
+    total = feat_h * feat_w
+    if pts.shape[0] == 0:
+        return labels, 0.0
+    uv, depth = camera.project(pts)
+    with np.errstate(invalid="ignore"):
+        ok = (
+            (depth > 0)
+            & np.isfinite(uv).all(axis=1)
+            & (uv[:, 0] >= 0)
+            & (uv[:, 0] < feat_w * stride)
+            & (uv[:, 1] >= 0)
+            & (uv[:, 1] < feat_h * stride)
+        )
+    idx = np.nonzero(ok)[0]
+    if idx.size == 0:
+        return labels, 0.0
+    u, v, d = uv[idx, 0], uv[idx, 1], depth[idx]
+    cell = (v.astype(np.int64) // stride) * feat_w + (u.astype(np.int64) // stride)
+    order = np.lexsort((idx, d, cell))
+    cells_sorted = cell[order]
+    _, first = np.unique(cells_sorted, return_index=True)
+    chosen = order[first]
+    bin_idx = np.abs(d[chosen][:, None] - bins.centers[None, :]).argmin(axis=1)
+    labels.reshape(-1)[cell[chosen]] = bin_idx
+    coverage = float(cell[chosen].size) / float(total)
+    return labels, coverage
+
+
+def format_config(cfg: SceneConfig) -> str:
+    """Render a config as schema-keyed text; parses back to an equal config."""
+    by_attr = {attr: key for key, (attr, _) in _SCHEMA.items()}
+    lines = []
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.name == "heights":
+            rendered = ",".join(repr(h) for h in value)
+        else:
+            rendered = str(value)
+        lines.append(f"{by_attr[f.name]} = {rendered}")
+    return "".join(line + "\n" for line in lines)

@@ -39,7 +39,6 @@ from bevnext.object_decoder import (
     select_centers,
     spatial_cross_attention,
 )
-from bevnext.pipeline import project_depth_labels
 from bevnext.res2fusion import FusionConfig, FusionStack, fuse, partition
 from bevnext.view_transform import (
     BevGrid,
@@ -50,7 +49,7 @@ from bevnext.view_transform import (
     pool,
     precompute_pool_index,
 )
-from factories import attn_spec, conv_spec, zero_mlp
+from factories import attn_spec, cam_to_ego, conv_spec, project_depth_labels, zero_mlp
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -153,7 +152,7 @@ def test_criterion_02_mean_field_matches_naive_oracle():
         compat = build_compat(bins)
         probs = softmax(rng.uniform_array((k, h, w), -2.0, 2.0).astype(np.float64), axis=0)
         unary = unary_from_probs(probs)
-        fast = mean_field_step(DepthVolume(0, probs), unary, affinity, compat)
+        fast = mean_field_step(DepthVolume(probs), unary, affinity, compat)
         slow = _naive_mean_field_step(probs, unary, affinity, compat)
         worst = max(worst, float(np.abs(fast.probs - slow).max()))
     elapsed = time.perf_counter() - t0
@@ -238,7 +237,7 @@ def test_criterion_05_pooling_conserves_mass():
         for ci in range(n_cams):
             feats = rng.uniform_array((c, feat_h, feat_w), 0.5, 1.5)
             probs = softmax(rng.uniform_array((k, feat_h, feat_w), -1.0, 1.0).astype(np.float64), axis=0)
-            lifted.append(lift(feats, DepthVolume(ci, probs)))
+            lifted.append(lift(feats, DepthVolume(probs)))
         stack = np.stack(lifted)
         index = precompute_pool_index(frusta, spec)
         pooled = pool(stack, index, spec)
@@ -321,7 +320,7 @@ def test_criterion_06_projection_round_trip():
                 u, v = refs.uv[i, ci, hj]
                 d = depth[i, hj]
                 cam_pt = np.array([(u - cam.cx) / cam.fx * d, (v - cam.cy) / cam.fy * d, d])
-                ego = cam.cam_to_ego(cam_pt[None])[0]
+                ego = cam_to_ego(cam, cam_pt[None])[0]
                 relift_worst = max(relift_worst, float(np.abs(ego - refs.points[i, hj]).max()))
                 checked += 1
     assert checked > 0, "no valid reference projections to check"
@@ -417,7 +416,6 @@ def test_criterion_08_zero_embedding_is_identity():
         zero_emb_mlp = zero_mlp([cfg.depth_bins, c])
         vols = [
             DepthVolume(
-                ci,
                 softmax(
                     rng.uniform_array((cfg.depth_bins, cfg.feat_h, cfg.feat_w), -1.0, 1.0).astype(np.float64),
                     axis=0,

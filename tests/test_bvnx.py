@@ -63,22 +63,6 @@ def test_nan_payload_rejected(tmp_path):
         bvnx.load_tensor(p)
 
 
-def test_bundle_roundtrip_with_u32_table(tmp_path):
-    rng = SplitMix64(15)
-    bundle = {
-        "alpha.w": rng.uniform_array((3, 3), -1, 1),
-        "alpha.b": rng.uniform_array((3,), -1, 1),
-        "index.table": np.array([0, 5, 9], dtype=np.uint32),
-    }
-    p = tmp_path / "b.bvnb"
-    bvnx.save_bundle(p, bundle)
-    back = bvnx.load_bundle(p)
-    assert set(back) == set(bundle)
-    assert back["index.table"].dtype == np.uint32
-    for k in bundle:
-        np.testing.assert_array_equal(back[k], bundle[k])
-
-
 def test_bundle_save_is_deterministic(tmp_path):
     rng = SplitMix64(16)
     bundle = {"b": rng.uniform_array((2,)), "a": rng.uniform_array((2,))}
@@ -86,6 +70,18 @@ def test_bundle_save_is_deterministic(tmp_path):
     bvnx.save_bundle(p1, bundle)
     bvnx.save_bundle(p2, dict(reversed(list(bundle.items()))))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_u32_record_is_rejected_as_bad_magic(tmp_path):
+    """Every tensor is float32: a record tagged BVNU fails like any unknown magic."""
+    p = tmp_path / "t.bvnx"
+    p.write_bytes(b"BVNU" + struct.pack("<HHI", 1, 1, 1) + struct.pack("<I", 7))
+    with pytest.raises(FormatError, match="bad magic b'BVNU' at offset 0"):
+        bvnx.load_tensor(p)
+    bundle = tmp_path / "b.bvnb"
+    bundle.write_bytes(b"BVNB" + struct.pack("<HIH", 1, 1, 1) + b"a" + p.read_bytes())
+    with pytest.raises(FormatError, match="bad magic b'BVNU' at offset 13"):
+        bvnx.load_bundle(bundle)
 
 
 def test_bundle_bad_magic(tmp_path):

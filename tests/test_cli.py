@@ -5,7 +5,6 @@ import shutil
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from bevnext.config import SceneConfig
@@ -170,6 +169,18 @@ def test_exit_2_on_unknown_config_key(tmp_path):
     code, _, err = cli("generate", "--config", str(bad), "--out", str(tmp_path / "s"))
     assert code == 2
     assert "bogus.key" in err
+
+
+@pytest.mark.parametrize("line", ["camera.focal = inf", "decoder.heights = 0.0,nan"])
+def test_exit_2_on_non_finite_config_number(workdir, tmp_path, line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(FAST_CFG + line + "\n")
+    code, _, err = cli(
+        "run", "--config", str(bad), "--weights", str(workdir / "w.bvnx"),
+        "--scene", str(workdir / "scene"), "--out", str(tmp_path / "run"),
+    )
+    assert code == 2
+    assert line.split(" =")[0] + ": expected a finite number" in err
 
 
 def test_exit_2_on_corrupt_weights(workdir, tmp_path):

@@ -1,5 +1,6 @@
 """Config parsing, validation, and the derived rig/bins/grid helpers."""
 
+import dataclasses
 import math
 import os
 
@@ -10,11 +11,11 @@ from bevnext.config import (
     FRAME_DT,
     SceneConfig,
     build_config,
-    format_config,
     load_config,
     parse_config,
 )
 from bevnext.errors import ConfigError
+from factories import cam_to_ego, format_config
 
 
 # ---------------------------------------------------------------- parsing
@@ -103,6 +104,28 @@ def test_validation_rejects(key, value, match):
         build_config({key: value})
 
 
+FLOAT_FIELDS = [
+    ("focal", "camera.focal"),
+    ("radius", "camera.radius"),
+    ("camera_height", "camera.height"),
+    ("depth_min", "depth.min"),
+    ("depth_max", "depth.max"),
+    ("bev_extent", "bev.extent"),
+    ("threshold", "decoder.threshold"),
+    ("heights", "decoder.heights"),
+]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("attr,key", FLOAT_FIELDS)
+def test_constructor_and_replace_reject_non_finite(attr, key, bad):
+    value = (0.0, bad) if attr == "heights" else bad
+    with pytest.raises(ConfigError, match=f"{key}: expected a finite number"):
+        SceneConfig(**{attr: value})
+    with pytest.raises(ConfigError, match=f"{key}: expected a finite number"):
+        dataclasses.replace(SceneConfig(), **{attr: value})
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "absent.cfg")
@@ -166,11 +189,11 @@ def test_rig_camera_count_and_intrinsics():
 def test_rig_camera_zero_axes():
     """Camera 0 looks along ego +x with image-down mapping to ego -z."""
     cam = SceneConfig().rig()[0]
-    origin = cam.cam_to_ego(np.zeros((1, 3)))[0]
+    origin = cam_to_ego(cam, np.zeros((1, 3)))[0]
     assert np.allclose(origin, (0.5, 0.0, 0.9))
-    forward = cam.cam_to_ego(np.array([[0.0, 0.0, 1.0]]))[0] - origin
+    forward = cam_to_ego(cam, np.array([[0.0, 0.0, 1.0]]))[0] - origin
     assert np.allclose(forward, (1.0, 0.0, 0.0))
-    down = cam.cam_to_ego(np.array([[0.0, 1.0, 0.0]]))[0] - origin
+    down = cam_to_ego(cam, np.array([[0.0, 1.0, 0.0]]))[0] - origin
     assert np.allclose(down, (0.0, 0.0, -1.0))
 
 

@@ -291,7 +291,7 @@ def test_step_zero_coupling_is_unary_softmax():
     pc = _colors(rng.uniform_array((h, w, 3)).astype(np.float64))
     aff = pairwise_affinity(pc, CrfParams(kernels=[CrfKernel(0.0, 0.1, "appearance")]))
     compat = build_compat(DepthBins.uniform(k, 1.0, 4.0))
-    q_any = DepthVolume(0, softmax(rng.uniform_array((k, h, w), -1, 1), axis=0))
+    q_any = DepthVolume(softmax(rng.uniform_array((k, h, w), -1, 1), axis=0))
     out = mean_field_step(q_any, unary, aff, compat)
     np.testing.assert_allclose(out.probs, softmax(-unary, axis=0), atol=1e-12, rtol=0)
 
@@ -301,7 +301,7 @@ def test_step_symmetric_two_pixels():
     pc = _colors([[[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]]])
     aff = pairwise_affinity(pc, CrfParams(kernels=[CrfKernel(1.0, 0.1, "appearance")]))
     compat = build_compat(DepthBins(np.array([1.0, 2.0]), 1.0, 2.0))
-    q = DepthVolume(0, np.full((2, 1, 2), 0.5))
+    q = DepthVolume(np.full((2, 1, 2), 0.5))
     out = mean_field_step(q, unary, aff, compat)
     np.testing.assert_array_equal(out.probs[:, 0, 0], out.probs[:, 0, 1])
 
@@ -315,7 +315,7 @@ def test_step_matches_naive_oracle():
     pc = _colors(rng.uniform_array((h, w, 3)).astype(np.float64))
     aff = pairwise_affinity(pc, CrfParams.default())
     compat = build_compat(DepthBins.uniform(k, 1.0, 4.0))
-    out = mean_field_step(DepthVolume(0, q0), unary, aff, compat)
+    out = mean_field_step(DepthVolume(q0), unary, aff, compat)
     ref = naive_mean_field_step(q0, unary, aff, compat)
     np.testing.assert_allclose(out.probs, ref, atol=1e-10, rtol=0)
 
@@ -331,7 +331,7 @@ def test_step_oracle_agreement_many_sizes():
         pc = _colors(rng.uniform_array((h, w, 3)).astype(np.float64))
         aff = pairwise_affinity(pc, CrfParams.default())
         compat = build_compat(DepthBins.uniform(k, 1.0, 1.0 + k))
-        out = mean_field_step(DepthVolume(0, q0), unary, aff, compat)
+        out = mean_field_step(DepthVolume(q0), unary, aff, compat)
         ref = naive_mean_field_step(q0, unary, aff, compat)
         np.testing.assert_allclose(out.probs, ref, atol=1e-10, rtol=0, err_msg=f"trial {trial}")
 
@@ -350,7 +350,7 @@ def test_step_oracle_agreement_many_sizes():
 def test_step_digest_pinned(k, h, w, seed, digest):
     rng = SplitMix64(seed)
     colors = _colors(rng.uniform_array((h, w, 3)).astype(np.float64))
-    q = DepthVolume(0, softmax(rng.uniform_array((k, h, w), -3.0, 3.0).astype(np.float64), axis=0))
+    q = DepthVolume(softmax(rng.uniform_array((k, h, w), -3.0, 3.0).astype(np.float64), axis=0))
     aff = pairwise_affinity(colors, CrfParams.default())
     compat = build_compat(DepthBins.uniform(k, 1.0, 1.0 + k))
     out = mean_field_step(q, unary_from_probs(q.probs), aff, compat)
@@ -366,7 +366,7 @@ def test_step_normalization_invariant():
         pc = _colors(rng.uniform_array((h, w, 3)).astype(np.float64))
         aff = pairwise_affinity(pc, CrfParams.default())
         compat = build_compat(DepthBins.uniform(k, 1.0, 5.0))
-        vol = DepthVolume(0, q)
+        vol = DepthVolume(q)
         for _ in range(3):
             vol = mean_field_step(vol, unary, aff, compat)
             sums = vol.probs.sum(axis=0)
@@ -463,18 +463,18 @@ def test_modulate_shape_mismatch():
 def test_map_labeling_one_hot():
     probs = np.zeros((3, 2, 2))
     probs[2] = 1.0
-    np.testing.assert_array_equal(map_labeling(DepthVolume(0, probs)), np.full((2, 2), 2))
+    np.testing.assert_array_equal(map_labeling(DepthVolume(probs)), np.full((2, 2), 2))
 
 
 def test_map_labeling_uniform_breaks_low():
     probs = np.full((4, 2, 3), 0.25)
-    np.testing.assert_array_equal(map_labeling(DepthVolume(0, probs)), np.zeros((2, 3), dtype=np.int64))
+    np.testing.assert_array_equal(map_labeling(DepthVolume(probs)), np.zeros((2, 3), dtype=np.int64))
 
 
 def test_map_labeling_matches_scan_oracle():
     rng = SplitMix64(83)
     probs = softmax(rng.uniform_array((5, 4, 4), -2, 2), axis=0)
-    vol = DepthVolume(0, probs)
+    vol = DepthVolume(probs)
     got = map_labeling(vol)
     k, h, w = probs.shape
     for r in range(h):

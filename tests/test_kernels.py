@@ -120,26 +120,23 @@ def reference_splitmix(seed):
 def _rand_conv(rng, cin, cout, k, stride=1, padding=0):
     fan = cin * k * k
     return ConvSpec(
-        cin,
-        cout,
-        k,
-        stride,
-        padding,
         init_weights((cout, cin, k, k), fan, rng),
         init_weights((cout,), fan, rng),
+        stride,
+        padding,
     )
 
 
 def test_conv_identity_kernel():
     x = SplitMix64(1).uniform_array((1, 3, 5, 5), -1, 1)
     w = np.eye(3, dtype=np.float32).reshape(3, 3, 1, 1)
-    spec = ConvSpec(3, 3, 1, 1, 0, w, np.zeros(3, np.float32))
+    spec = ConvSpec(w, np.zeros(3, np.float32), 1, 0)
     np.testing.assert_array_equal(conv2d(x, spec), x)
 
 
 def test_conv_sum_of_ones():
     x = np.ones((1, 1, 3, 3), np.float32)
-    spec = ConvSpec(1, 1, 3, 1, 0, np.ones((1, 1, 3, 3), np.float32), np.zeros(1, np.float32))
+    spec = ConvSpec(np.ones((1, 1, 3, 3), np.float32), np.zeros(1, np.float32), 1, 0)
     out = conv2d(x, spec)
     assert out.shape == (1, 1, 1, 1)
     assert out[0, 0, 0, 0] == 9.0
@@ -186,7 +183,7 @@ def _order_sensitive_conv(seed, n, cin, cout, k, stride, padding, h, w):
         x[:, :half][pair] = 1e8
         x[:, half : 2 * half][pair] = 1e8
     bias = rng.uniform(-1.0, 1.0, cout).astype(np.float32)
-    return x, ConvSpec(cin, cout, k, stride, padding, sign, bias)
+    return x, ConvSpec(sign, bias, stride, padding)
 
 
 # (cin, cout, k, stride, padding): stride/kernel/padding corners first, then
@@ -257,11 +254,25 @@ def test_conv_bit_identical_to_sequential_channel_sum(cin, cout, k, stride, padd
 
 
 def test_conv_empty_batch_and_channels():
-    spec = ConvSpec(3, 2, 3, 1, 1, np.ones((2, 3, 3, 3), np.float32), np.zeros(2, np.float32))
+    spec = ConvSpec(np.ones((2, 3, 3, 3), np.float32), np.zeros(2, np.float32), 1, 1)
     assert conv2d(np.zeros((0, 3, 4, 4), np.float32), spec).shape == (0, 2, 4, 4)
-    bias_only = ConvSpec(0, 2, 1, 1, 0, np.ones((2, 0, 1, 1), np.float32), np.array([1.5, -2.0], np.float32))
+    bias_only = ConvSpec(np.ones((2, 0, 1, 1), np.float32), np.array([1.5, -2.0], np.float32), 1, 0)
     out = conv2d(np.zeros((1, 0, 4, 4), np.float32), bias_only)
     np.testing.assert_array_equal(out, np.broadcast_to(bias_only.bias[None, :, None, None], (1, 2, 4, 4)))
+
+
+@pytest.mark.parametrize(
+    "weight,bias",
+    [
+        (np.zeros((2, 3, 3), np.float32), np.zeros(2, np.float32)),  # rank 3
+        (np.zeros((2, 3, 3, 1), np.float32), np.zeros(2, np.float32)),  # not square
+        (np.zeros((2, 3, 5, 5), np.float32), np.zeros(2, np.float32)),  # k = 5
+        (np.zeros((2, 3, 3, 3), np.float32), np.zeros(3, np.float32)),  # bias length
+    ],
+)
+def test_conv_spec_rejects_weight_or_bias_shape(weight, bias):
+    with pytest.raises(ShapeError, match="ConvSpec"):
+        ConvSpec(weight, bias, 1, 1)
 
 
 def test_conv_shape_errors_name_axis():

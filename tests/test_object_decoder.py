@@ -28,7 +28,7 @@ from bevnext.object_decoder import (
     spatial_cross_attention,
 )
 from bevnext.view_transform import BevGrid, BevSpec, CameraModel, CameraRig
-from factories import attn_spec, conv_spec, mlp_spec, regression_heads, zero_heads, zero_mlp
+from factories import attn_spec, cam_to_ego, conv_spec, mlp_spec, regression_heads, zero_heads, zero_mlp
 
 
 # ---------------------------------------------------------------- oracles
@@ -122,14 +122,14 @@ def make_refs(rng, n, ncam, j, image_h, image_w, valid_rate=0.7):
 
 def test_heatmap_zero_conv_gives_half():
     bev = BevGrid(np.zeros((3, 8, 8), np.float32))
-    spec = ConvSpec(3, 2, 3, 1, 1, np.zeros((2, 3, 3, 3), np.float32), np.zeros(2, np.float32))
+    spec = ConvSpec(np.zeros((2, 3, 3, 3), np.float32), np.zeros(2, np.float32), 1, 1)
     h = compute_heatmap(bev, spec)
     np.testing.assert_array_equal(h.values, np.full((2, 8, 8), 0.5))
 
 
 def test_heatmap_saturating_bias():
     bev = BevGrid(np.zeros((2, 8, 8), np.float32))
-    spec = ConvSpec(2, 1, 3, 1, 1, np.zeros((1, 2, 3, 3), np.float32), np.full(1, -20.0, np.float32))
+    spec = ConvSpec(np.zeros((1, 2, 3, 3), np.float32), np.full(1, -20.0, np.float32), 1, 1)
     h = compute_heatmap(bev, spec)
     assert h.values.max() < 1e-8
     assert h.values.min() > 0  # open interval survives saturation
@@ -305,7 +305,7 @@ def test_references_roundtrip_to_ego():
                 p_ego = refs.points[i, j]
                 depth = cam.ego_to_cam(p_ego[None])[0, 2]
                 p_cam = np.array([(u - cam.cx) / cam.fx * depth, (v - cam.cy) / cam.fy * depth, depth])
-                np.testing.assert_allclose(cam.cam_to_ego(p_cam[None])[0], p_ego, atol=1e-5)
+                np.testing.assert_allclose(cam_to_ego(cam, p_cam[None])[0], p_ego, atol=1e-5)
 
 
 # ---------------------------------------------------------------- embedding
@@ -313,7 +313,7 @@ def test_references_roundtrip_to_ego():
 
 def test_depth_embedding_zero_mlp():
     probs = np.full((4, 3, 5), 0.25)
-    emb = depth_embedding(DepthVolume(0, probs), zero_mlp([4, 6, 2]))
+    emb = depth_embedding(DepthVolume(probs), zero_mlp([4, 6, 2]))
     assert emb.shape == (2, 3, 5)
     assert not emb.any()
 
@@ -324,7 +324,7 @@ def test_depth_embedding_pointwise():
     probs[:, 1, 2] = [0.7, 0.1, 0.1, 0.1]
     probs[:, 0, 0] = [0.7, 0.1, 0.1, 0.1]
     mlp = mlp_spec([4, 5, 3], rng)
-    emb = depth_embedding(DepthVolume(0, probs), mlp)
+    emb = depth_embedding(DepthVolume(probs), mlp)
     np.testing.assert_array_equal(emb[:, 1, 2], emb[:, 0, 0])
 
 
@@ -334,7 +334,7 @@ def test_depth_embedding_matches_per_pixel_oracle():
 
     probs = softmax(rng.uniform_array((4, 3, 4), -1, 1), axis=0)
     mlp = mlp_spec([4, 6, 5], rng)
-    emb = depth_embedding(DepthVolume(0, probs), mlp)
+    emb = depth_embedding(DepthVolume(probs), mlp)
     for r in range(3):
         for c in range(4):
             ref = mlp_forward(probs[:, r, c].astype(np.float32), mlp)
@@ -343,7 +343,7 @@ def test_depth_embedding_matches_per_pixel_oracle():
 
 def test_depth_embedding_width_mismatch():
     with pytest.raises(ShapeError, match="width"):
-        depth_embedding(DepthVolume(0, np.full((4, 2, 2), 0.25)), zero_mlp([5, 3]))
+        depth_embedding(DepthVolume(np.full((4, 2, 2), 0.25)), zero_mlp([5, 3]))
 
 
 # ---------------------------------------------------------------- attention
@@ -439,7 +439,7 @@ def test_sca_zero_embedding_is_identity_ablation():
     features = rng.uniform_array((ncam, c, 8, 10), -1, 1)
     refs = make_refs(rng, n, ncam, j, 64, 80)
     probs = np.full((5, 8, 10), 0.2)
-    zero_emb = np.stack([depth_embedding(DepthVolume(i, probs), zero_mlp([5, c])) for i in range(ncam)])
+    zero_emb = np.stack([depth_embedding(DepthVolume(probs), zero_mlp([5, c])) for i in range(ncam)])
     with_emb, _ = spatial_cross_attention(roi, refs, features, attn, stride, embedding=zero_emb)
     without, _ = spatial_cross_attention(roi, refs, features, attn, stride)
     np.testing.assert_array_equal(with_emb.patches, without.patches)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bevnext.config import SceneConfig, load_config
-from bevnext.depth_crf import DepthBins, modulate
+from bevnext.depth_crf import modulate
 from bevnext.errors import (
     ConfigError,
     FormatError,
@@ -17,7 +17,6 @@ from bevnext.kernels import conv2d
 from bevnext.object_decoder import parse_detections
 from bevnext.pipeline import (
     PipelineResult,
-    project_depth_labels,
     run_pipeline,
     run_stage,
     tensor_digest,
@@ -28,7 +27,7 @@ from bevnext.ppm import load_ppm
 from bevnext.scene import background_image, gen_scene
 from bevnext.view_transform import lift
 from bevnext.weights import backbone_specs, depth_head_spec, init_bundle
-from factories import zero_bundle
+from factories import cam_to_ego, project_depth_labels, zero_bundle
 
 DESK = SceneConfig()
 DESK_BUNDLE = init_bundle(DESK, 7)
@@ -72,37 +71,37 @@ def camera_point_grid(camera, feat_h, feat_w, stride, depth):
     x = (uu.reshape(-1) - camera.cx) / camera.fx * depth
     y = (vv.reshape(-1) - camera.cy) / camera.fy * depth
     z = np.full_like(x, depth)
-    return camera.cam_to_ego(np.stack([x, y, z], axis=1))
+    return cam_to_ego(camera, np.stack([x, y, z], axis=1))
 
 
 # ---------------------------------------------------------------- toy_backbone
 
 
 def test_backbone_output_dims_follow_stride():
-    out = toy_backbone(background_image(64, 176), 8, backbone_specs(DESK_BUNDLE, DESK))
+    out = toy_backbone(background_image(64, 176), 8, backbone_specs(DESK_BUNDLE))
     assert out.shape == (32, 8, 22)
-    out16 = toy_backbone(background_image(64, 176), 16, backbone_specs(DESK_BUNDLE, DESK))
+    out16 = toy_backbone(background_image(64, 176), 16, backbone_specs(DESK_BUNDLE))
     assert out16.shape == (32, 4, 11)
 
 
 def test_backbone_zero_weights_zero_features():
-    specs = backbone_specs(zero_bundle(DESK), DESK)
+    specs = backbone_specs(zero_bundle(DESK))
     img = background_image(64, 176)
     assert np.all(toy_backbone(img, 8, specs) == 0.0)
 
 
 def test_backbone_rejects_indivisible_dims():
     with pytest.raises(ShapeError, match="divisible"):
-        toy_backbone(background_image(60, 176), 8, backbone_specs(DESK_BUNDLE, DESK))
+        toy_backbone(background_image(60, 176), 8, backbone_specs(DESK_BUNDLE))
 
 
 def test_backbone_rejects_bad_stride():
     with pytest.raises(ShapeError, match="stride"):
-        toy_backbone(background_image(64, 176), 4, backbone_specs(DESK_BUNDLE, DESK))
+        toy_backbone(background_image(64, 176), 4, backbone_specs(DESK_BUNDLE))
 
 
 def test_backbone_golden_checksum_pinned():
-    specs = backbone_specs(DESK_BUNDLE, DESK)
+    specs = backbone_specs(DESK_BUNDLE)
     img = background_image(64, 176)
     assert tensor_digest(toy_backbone(img, 8, specs)) == GOLDEN_BACKBONE_8
     assert tensor_digest(toy_backbone(img, 16, specs)) == GOLDEN_BACKBONE_16
@@ -239,13 +238,13 @@ def test_pipeline_desk_camera_stages_pinned():
     """The per-camera stages before pooling, wired as run_pipeline wires them."""
     cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "desk.cfg"))
     scene, bundle = gen_scene(cfg), init_bundle(cfg, 7)
-    bspecs, dspec = backbone_specs(bundle, cfg), depth_head_spec(bundle, cfg)
+    bspecs, dspec = backbone_specs(bundle), depth_head_spec(bundle)
     bg = background_image(cfg.image_h, cfg.image_w).astype(np.float64)
     outputs = {stage: [] for stage in GOLDEN_DESK_CAMERA_STAGES}
-    for ci, image in enumerate(scene.frames[0].images):
+    for image in scene.frames[0].images:
         feats = toy_backbone(image.astype(np.float64) - bg, cfg.stride, bspecs)
         logits = conv2d(feats[None], dspec)[0]
-        vol = modulate(logits, image.astype(np.float64) / 255.0, cfg.bins(), cfg.crf_params(), ci)
+        vol = modulate(logits, image.astype(np.float64) / 255.0, cfg.bins(), cfg.crf_params())
         for stage, arr in zip(outputs, (feats, logits, vol.probs, lift(feats, vol))):
             outputs[stage].append(arr)
     assert len(outputs["backbone"]) == 6

@@ -57,16 +57,16 @@ def naive_cascade(bprime, specs):
 
 def identity_conv1(channels):
     w = np.eye(channels, dtype=np.float32).reshape(channels, channels, 1, 1)
-    return ConvSpec(channels, channels, 1, 1, 0, w, np.zeros(channels, np.float32))
+    return ConvSpec(w, np.zeros(channels, np.float32), 1, 0)
 
 
 def zero_conv(in_c, out_c, k):
-    return ConvSpec(in_c, out_c, k, 1, k // 2, np.zeros((out_c, in_c, k, k), np.float32), np.zeros(out_c, np.float32))
+    return ConvSpec(np.zeros((out_c, in_c, k, k), np.float32), np.zeros(out_c, np.float32), 1, k // 2)
 
 
 def positive_conv(in_c, out_c, k, rng):
     w = rng.uniform_array((out_c, in_c, k, k), 0.1, 1.0)
-    return ConvSpec(in_c, out_c, k, 1, k // 2, w, np.zeros(out_c, np.float32))
+    return ConvSpec(w, np.zeros(out_c, np.float32), 1, k // 2)
 
 
 def const_stack(values, c=2, g=6):
@@ -295,7 +295,7 @@ def test_fuse_concat_order_oldest_first():
         window=1,
         reduce_specs=(identity_conv1(2), identity_conv1(2)),
         cascade_specs=(positive_conv(2, 2, 3, rng),),
-        final_spec=ConvSpec(2 * c_mid, c_mid, 1, 1, 0, w_final, np.zeros(c_mid, np.float32)),
+        final_spec=ConvSpec(w_final, np.zeros(c_mid, np.float32), 1, 0),
     )
     out = fuse(stack, config)
     oldest_conv = conv2d(stack.grids[0].data[None], config.cascade_specs[0])[0]
@@ -356,7 +356,7 @@ def test_post_fuse_merge_can_select_input():
     down = conv_spec(3, 2, 3, rng, stride=2)
     w = np.zeros((3, 5, 1, 1), np.float32)
     w[:, :3, 0, 0] = np.eye(3)
-    merge = ConvSpec(5, 3, 1, 1, 0, w, np.zeros(3, np.float32))
+    merge = ConvSpec(w, np.zeros(3, np.float32), 1, 0)
     out = post_fuse(grid, down, merge)
     np.testing.assert_array_equal(out.data, grid.data)
 

@@ -1,11 +1,11 @@
 """View-transform tests: projection round-trip oracle, naive and sequential scatter pooling."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from bevnext.bvnx import load_bundle, save_bundle
 from bevnext.depth_crf import DepthBins, DepthVolume
 from bevnext.errors import ShapeError
 from bevnext.kernels import SplitMix64, softmax
@@ -15,12 +15,12 @@ from bevnext.view_transform import (
     CameraModel,
     CameraRig,
     FrustumGrid,
-    PoolIndex,
     build_frustum,
     lift,
     pool,
     precompute_pool_index,
 )
+from factories import cam_to_ego
 
 
 # ---------------------------------------------------------------- oracles
@@ -100,8 +100,8 @@ def scatter_oracle(frustum_features, index, spec):
     return acc.T.reshape(c, spec.g, spec.g).astype(np.float32)
 
 
-def _uniform_depth(camera, k, h, w):
-    return DepthVolume(camera, np.full((k, h, w), 1.0 / k))
+def _uniform_depth(k, h, w):
+    return DepthVolume(np.full((k, h, w), 1.0 / k))
 
 
 # ---------------------------------------------------------------- camera model
@@ -126,7 +126,7 @@ def test_project_inverts_cam_to_ego():
     rng = SplitMix64(11)
     cam = random_camera(rng)
     p_cam = np.array([[0.3, -0.2, 4.0]])
-    p_ego = cam.cam_to_ego(p_cam)
+    p_ego = cam_to_ego(cam, p_cam)
     uv, depth = cam.project(p_ego)
     np.testing.assert_allclose(depth, [4.0], atol=1e-9)
     np.testing.assert_allclose(uv[0, 0], cam.fx * 0.3 / 4.0 + cam.cx, atol=1e-9)
@@ -158,7 +158,7 @@ def test_frustum_points_recede_along_ray():
     rng = SplitMix64(13)
     cam = random_camera(rng)
     frustum = build_frustum(cam, 3, 4, 8, DepthBins.uniform(5, 1.0, 9.0))
-    center = cam.cam_to_ego(np.zeros((1, 3)))[0]
+    center = cam_to_ego(cam, np.zeros((1, 3)))[0]
     dist = np.linalg.norm(frustum.points - center, axis=-1)
     assert (np.diff(dist, axis=-1) > 0).all()
 
@@ -186,7 +186,7 @@ def test_lift_one_hot_depth_selects_slice():
     feats = rng.uniform_array((2, 3, 4), -1, 1)
     probs = np.zeros((5, 3, 4))
     probs[3] = 1.0
-    out = lift(feats, DepthVolume(0, probs))
+    out = lift(feats, DepthVolume(probs))
     np.testing.assert_array_equal(out[:, :, :, 3], feats)
     assert out.shape == (2, 3, 4, 5)
     out[:, :, :, 3] = 0
@@ -195,7 +195,7 @@ def test_lift_one_hot_depth_selects_slice():
 
 def test_lift_uniform_depth_divides_by_k():
     feats = np.full((2, 2, 2), 8.0, dtype=np.float32)
-    out = lift(feats, _uniform_depth(0, 4, 2, 2))
+    out = lift(feats, _uniform_depth(4, 2, 2))
     np.testing.assert_allclose(out, 2.0, atol=1e-7)
 
 
@@ -203,13 +203,13 @@ def test_lift_sums_back_to_features():
     rng = SplitMix64(23)
     feats = rng.uniform_array((3, 4, 5), -2, 2)
     probs = softmax(rng.uniform_array((6, 4, 5), -1, 1), axis=0)
-    out = lift(feats, DepthVolume(0, probs))
+    out = lift(feats, DepthVolume(probs))
     np.testing.assert_allclose(out.sum(axis=3), feats, atol=1e-6, rtol=0)
 
 
 def test_lift_rejects_dim_mismatch():
     with pytest.raises(ShapeError, match="depth"):
-        lift(np.zeros((2, 3, 4), np.float32), _uniform_depth(0, 4, 3, 5))
+        lift(np.zeros((2, 3, 4), np.float32), _uniform_depth(4, 3, 5))
 
 
 # ---------------------------------------------------------------- pool index
@@ -267,21 +267,6 @@ def test_index_sorted_by_cell_then_source():
     np.testing.assert_array_equal(order, np.arange(index.entry_count))
 
 
-def test_index_bundle_roundtrip(tmp_path):
-    rng = SplitMix64(37)
-    spec = BevSpec(8, 1.0, 4.0)
-    frustum = _point_frustum(rng.uniform_array((2, 3, 2, 3), -3, 3).astype(np.float64))
-    index = precompute_pool_index(frustum, spec)
-    path = tmp_path / "index.bvnb"
-    save_bundle(str(path), index.to_entries())
-    back = PoolIndex.from_entries(load_bundle(str(path)))
-    np.testing.assert_array_equal(back.cell_offsets, index.cell_offsets)
-    np.testing.assert_array_equal(back.entry_camera, index.entry_camera)
-    np.testing.assert_array_equal(back.entry_pixel, index.entry_pixel)
-    np.testing.assert_array_equal(back.entry_bin, index.entry_bin)
-    assert back.feat_shape == index.feat_shape
-
-
 # ---------------------------------------------------------------- pool
 
 
@@ -301,7 +286,7 @@ def test_pool_all_ones_conserves_mass():
     rng = SplitMix64(41)
     spec, bins, frusta, (h, w) = _in_bounds_setup(rng)
     feats = np.ones((3, h, w), dtype=np.float32)
-    lifted = lift(feats, _uniform_depth(0, bins.k, h, w))
+    lifted = lift(feats, _uniform_depth(bins.k, h, w))
     index = precompute_pool_index(frusta, spec)
     assert index.entry_count == h * w * bins.k  # everything in bounds
     grid = pool(lifted, index, spec)
@@ -329,7 +314,7 @@ def test_pool_matches_naive_scatter_many_seeds():
         ]
         feat_stack = np.stack(
             [
-                lift(rng.uniform_array((c, h, w), -1, 1), DepthVolume(i, softmax(rng.uniform_array((k, h, w), -1, 1), axis=0)))
+                lift(rng.uniform_array((c, h, w), -1, 1), DepthVolume(softmax(rng.uniform_array((k, h, w), -1, 1), axis=0)))
                 for i in range(2)
             ]
         )
@@ -348,7 +333,7 @@ def test_pool_conservation_random_instances():
         frustum = _point_frustum(pts)
         lifted = lift(
             rng.uniform_array((c, h, w), 0.5, 2.0),
-            DepthVolume(0, softmax(rng.uniform_array((k, h, w), -1, 1), axis=0)),
+            DepthVolume(softmax(rng.uniform_array((k, h, w), -1, 1), axis=0)),
         )
         index = precompute_pool_index(frustum, spec)
         grid = pool(lifted, index, spec)
@@ -433,12 +418,10 @@ def test_pool_bit_identical_to_sequential_scatter():
 def test_pool_rejects_entries_outside_its_dims():
     spec = BevSpec(8, 1.0, 4.0)
     index = precompute_pool_index(_point_frustum([[[[0.1, 0.1, 1.0]]]]), spec)
-    entries = index.to_entries()
-    for key in ("pool.camera", "pool.pixel", "pool.bin"):
-        bad = dict(entries)
-        bad[key] = np.array([1], dtype=np.uint32)
+    for field in ("entry_camera", "entry_pixel", "entry_bin"):
+        bad = dataclasses.replace(index, **{field: np.array([1], dtype=np.uint32)})
         with pytest.raises(ShapeError, match="outside"):
-            pool(np.ones((2, 1, 1, 1), np.float32), PoolIndex.from_entries(bad), spec)
+            pool(np.ones((2, 1, 1, 1), np.float32), bad, spec)
 
 
 def test_pool_rejects_stale_index():

@@ -8,7 +8,6 @@ from bevnext.errors import FormatError
 from bevnext.kernels import conv2d
 from bevnext.weights import (
     HEATMAP_BIAS,
-    WeightBundle,
     attn_spec,
     backbone_specs,
     depth_head_spec,
@@ -155,16 +154,22 @@ def test_load_missing_file_is_format_error(tmp_path):
 # ---------------------------------------------------------------- builders
 
 
+def keeps_size(spec):
+    """Every shipped conv pads by k // 2 (1x1 convs by 0, 3x3 convs by 1)."""
+    return spec.padding == spec.kernel_size // 2
+
+
 def test_backbone_specs_chain_and_stride():
-    specs = backbone_specs(init_bundle(DESK, 7), DESK)
+    specs = backbone_specs(init_bundle(DESK, 7))
     chain = [(s.in_channels, s.out_channels) for s in specs]
     assert chain == [(3, 8), (8, 16), (16, 32)]
-    assert all(s.stride == 2 and s.kernel_size == 3 for s in specs)
+    assert all(s.stride == 2 and s.kernel_size == 3 and keeps_size(s) for s in specs)
 
 
 def test_depth_head_maps_channels_to_bins():
-    spec = depth_head_spec(init_bundle(DESK, 7), DESK)
+    spec = depth_head_spec(init_bundle(DESK, 7))
     assert (spec.in_channels, spec.out_channels, spec.kernel_size) == (32, 8, 1)
+    assert spec.stride == 1 and keeps_size(spec)
 
 
 def test_fusion_config_matches_group_arithmetic():
@@ -175,15 +180,18 @@ def test_fusion_config_matches_group_arithmetic():
     assert fc.reduce_specs[0].in_channels == 3 * 32
     assert len(fc.cascade_specs) == 2
     assert fc.final_spec.in_channels == 3 * 32
+    convs = fc.reduce_specs + fc.cascade_specs + (fc.final_spec,)
+    assert all(s.stride == 1 and keeps_size(s) for s in convs)
 
 
 def test_post_and_heatmap_specs():
     bundle = init_bundle(DESK, 7)
-    down, merge = post_specs(bundle, DESK)
+    down, merge = post_specs(bundle)
     assert down.stride == 2 and down.kernel_size == 3
     assert merge.in_channels == 64 and merge.out_channels == 32
-    hm = heatmap_spec(bundle, DESK)
+    hm = heatmap_spec(bundle)
     assert hm.out_channels == DESK.classes
+    assert all(keeps_size(s) for s in (down, merge, hm))
 
 
 def test_attn_and_mlp_builders():
@@ -199,7 +207,7 @@ def test_attn_and_mlp_builders():
 
 
 def test_zero_weights_feed_a_zero_conv_chain():
-    specs = backbone_specs(zero_bundle(DESK), DESK)
+    specs = backbone_specs(zero_bundle(DESK))
     x = np.ones((1, 3, 16, 16), np.float32)
     for spec in specs:
         x = conv2d(x, spec)
