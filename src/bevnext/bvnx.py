@@ -9,6 +9,7 @@ payloads are rejected on load.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -24,6 +25,8 @@ MAX_RANK = 4
 def _pack_tensor(arr: np.ndarray) -> bytes:
     if arr.ndim < 1 or arr.ndim > MAX_RANK:
         raise FormatError(f"tensor rank must be 1..{MAX_RANK}, got {arr.ndim}")
+    if arr.dtype != np.float32:
+        raise FormatError(f"tensor dtype must be float32, got {arr.dtype}")
     a = np.ascontiguousarray(arr, dtype="<f4")
     head = MAGIC_TENSOR + struct.pack("<HH", FORMAT_VERSION, a.ndim)
     head += struct.pack(f"<{a.ndim}I", *a.shape)
@@ -57,7 +60,7 @@ def _unpack_tensor(r: _Reader) -> np.ndarray:
     dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
     if any(d < 1 for d in dims):
         raise FormatError(f"{r.name}: dims {dims} contain a zero axis")
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # Python ints: a crafted header cannot overflow
     payload = r.take(4 * count)
     arr = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
     if not np.isfinite(arr).all():
@@ -66,8 +69,9 @@ def _unpack_tensor(r: _Reader) -> np.ndarray:
 
 
 def save_tensor(path, arr: np.ndarray) -> None:
+    blob = _pack_tensor(np.asarray(arr))  # before open: a rejected tensor leaves no file
     with open(path, "wb") as f:
-        f.write(_pack_tensor(np.asarray(arr)))
+        f.write(blob)
 
 
 def load_tensor(path) -> np.ndarray:

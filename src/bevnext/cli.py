@@ -20,7 +20,7 @@ from typing import List, Optional
 import numpy as np
 
 from .config import load_config
-from .depth_crf import CrfParams, DepthBins, map_labeling, modulate
+from .depth_crf import DepthBins, map_labeling, modulate
 from .errors import ConfigError, FormatError, ShapeError, StageError
 from .kernels import SplitMix64
 from .pipeline import run_pipeline, write_artifacts
@@ -88,8 +88,8 @@ def _cmd_crf_demo(args) -> int:
     k = args.bins
     logits = rng.uniform_array((k, h, w), -2.0, 2.0).astype(np.float64)
     bins = DepthBins.uniform(k, 1.0, 1.0 + k)
-    before = modulate(logits, image / 255.0, bins, CrfParams.default(iters=0))
-    after = modulate(logits, image / 255.0, bins, CrfParams.default(iters=args.iters))
+    before = modulate(logits, image / 255.0, bins, 0)
+    after = modulate(logits, image / 255.0, bins, args.iters)
     left, right = slice(0, w // 2), slice(w // 2, w)
     for name, region in (("left", left), ("right", right)):
         s0 = _region_spread(before.probs, region)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depth_crf import MAX_ITERS, CrfParams, DepthBins
+from .depth_crf import MAX_ITERS, DepthBins
 from .errors import ConfigError
 from .view_transform import BevSpec, CameraModel, CameraRig
 
@@ -113,9 +113,6 @@ class SceneConfig:
 
     def bev(self) -> BevSpec:
         return BevSpec.square(self.bev_grid, self.bev_extent)
-
-    def crf_params(self) -> CrfParams:
-        return CrfParams.default(iters=self.crf_iters)
 
     def rig(self) -> CameraRig:
         """Outward-facing surround rig: cameras evenly spaced on a circle.

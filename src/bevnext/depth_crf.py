@@ -3,9 +3,13 @@
 Depth estimation is treated as classification over K metric bins. The raw
 network output is softmaxed into per-pixel distributions, then refined by
 T synchronous mean-field steps whose pairwise coupling prefers equal depth
-bins for pixels with similar patch colors. Label compatibility between two
-bins is the metric distance of their centers, so large depth disagreements
-between similar-looking pixels cost more than small ones.
+bins for pixels with similar patch colors. The coupling is the dense-CRF
+kernel pair of Kraehenbuehl & Koltun (arXiv 1210.5644), fixed here: an
+appearance kernel over mean patch RGB (weight 1.0, theta 0.1) plus a
+spatial smoothness kernel over feature-cell coordinates (weight 0.3,
+theta 3.0). Label compatibility between two bins is the metric distance of
+their centers, so large depth disagreements between similar-looking
+pixels cost more than small ones.
 
 All distributions in this module are float64; the unary cost of a
 probability p is -log(p + 1e-12). Pairwise sums follow the ordered-pair
@@ -16,7 +20,7 @@ energy and is applied consistently in both the energy and the messages.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +29,8 @@ from .kernels import softmax
 
 UNARY_EPS = 1e-12
 MAX_ITERS = 64
+APPEARANCE_WEIGHT, APPEARANCE_THETA = 1.0, 0.1  # over mean patch RGB
+SPATIAL_WEIGHT, SPATIAL_THETA = 0.3, 3.0  # over feature-cell coordinates
 
 
 @dataclass(frozen=True)
@@ -86,57 +92,8 @@ class DepthVolume:
         return self.probs.shape[2]
 
 
-@dataclass
-class PatchColorMap:
-    """Mean RGB per feature cell, shape [H, W, 3], values in [0, 1]."""
-
-    colors: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.colors, dtype=np.float64)
-        object.__setattr__(self, "colors", c)
-        if c.ndim != 3 or c.shape[2] != 3:
-            raise ShapeError("PatchColorMap: colors must be [H, W, 3]")
-
-
-@dataclass(frozen=True)
-class CrfKernel:
-    weight: float
-    theta: float
-    kind: str  # 'appearance' | 'spatial'
-
-    def __post_init__(self):
-        if self.kind not in ("appearance", "spatial"):
-            raise ShapeError(f"CrfKernel: unknown kind '{self.kind}'")
-        if self.weight < 0:
-            raise ShapeError("CrfKernel: weight must be >= 0")
-        if self.theta <= 0:
-            raise ShapeError("CrfKernel: bandwidth theta must be > 0")
-
-
-@dataclass
-class CrfParams:
-    """Kernel collection and iteration count T; every cell pair is coupled."""
-
-    kernels: list = field(default_factory=list)
-    iters: int = 5
-
-    def __post_init__(self):
-        if not self.kernels:
-            raise ShapeError("CrfParams: at least one kernel required")
-        if not 0 <= self.iters <= MAX_ITERS:
-            raise ShapeError(f"CrfParams: iters must be in [0, {MAX_ITERS}]")
-
-    @classmethod
-    def default(cls, iters: int = 5) -> "CrfParams":
-        return cls(
-            kernels=[CrfKernel(1.0, 0.1, "appearance"), CrfKernel(0.3, 3.0, "spatial")],
-            iters=iters,
-        )
-
-
-def patch_colors(image: np.ndarray, stride: int) -> PatchColorMap:
-    """Mean RGB of every stride x stride patch of an [H, W, 3] image."""
+def patch_colors(image: np.ndarray, stride: int) -> np.ndarray:
+    """Mean RGB of every stride x stride patch of an [H, W, 3] image, [H', W', 3] float64."""
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 3 or img.shape[2] != 3:
         raise ShapeError("patch_colors: image must be [H, W, 3]")
@@ -146,7 +103,7 @@ def patch_colors(image: np.ndarray, stride: int) -> PatchColorMap:
             f"patch_colors: image dims {h}x{w} not divisible by stride {stride}; crop the input first"
         )
     cells = img.reshape(h // stride, stride, w // stride, stride, 3)
-    return PatchColorMap(cells.mean(axis=(1, 3)))
+    return cells.mean(axis=(1, 3))
 
 
 def build_compat(bins: DepthBins) -> np.ndarray:
@@ -156,43 +113,39 @@ def build_compat(bins: DepthBins) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _spatial_term(height: int, width: int, weight: float, theta: float) -> np.ndarray:
-    """weight * exp(-d^2 / (2 theta^2)) over squared cell-coordinate distances.
+def _spatial_term(height: int, width: int) -> np.ndarray:
+    """SPATIAL_WEIGHT * exp(-d^2 / (2 SPATIAL_THETA^2)) over squared cell-coordinate distances.
 
-    It depends only on the grid and the kernel, so every camera pass of a
-    run shares one read-only copy.
+    It depends only on the grid, so every camera pass of a run shares one
+    read-only copy.
     """
     rows, cols = np.divmod(np.arange(height * width), width)
     dr = rows[:, None] - rows[None, :]
     dc = cols[:, None] - cols[None, :]
     pos_d2 = (dr * dr + dc * dc).astype(np.float64)
-    term = weight * np.exp(-pos_d2 / (2.0 * theta * theta))
+    term = SPATIAL_WEIGHT * np.exp(-pos_d2 / (2.0 * SPATIAL_THETA * SPATIAL_THETA))
     term.flags.writeable = False
     return term
 
 
-def pairwise_affinity(colors: PatchColorMap, params: CrfParams) -> np.ndarray:
+def pairwise_affinity(colors: np.ndarray) -> np.ndarray:
     """Dense pairwise coupling a(i, j) over flattened feature cells, [n, n] float64.
 
-    a(i, j) = sum over kernels of w * exp(-dist^2 / (2 theta^2)), where
-    appearance kernels use squared mean-RGB distance and spatial kernels
-    squared cell-coordinate distance, added in kernel-list order. The
-    diagonal is zero (no cell couples to itself). The array is new on
-    every call and C-contiguous; the caller owns it.
+    `colors` is the [H, W, 3] mean patch RGB. a(i, j) is the appearance
+    kernel APPEARANCE_WEIGHT * exp(-|rgb_i - rgb_j|^2 / (2 APPEARANCE_THETA^2))
+    plus the cached spatial kernel over squared cell-coordinate distance,
+    added in that order. The diagonal is zero (no cell couples to itself).
+    The array is new on every call and C-contiguous; the caller owns it.
     """
-    h, w, _ = colors.colors.shape
-    n = h * w
-    flat = colors.colors.reshape(n, 3)
-    a = np.zeros((n, n), dtype=np.float64)
-    col_d2 = None
-    for k in params.kernels:
-        if k.kind == "appearance":
-            if col_d2 is None:
-                diff = flat[:, None, :] - flat[None, :, :]
-                col_d2 = np.einsum("ijc,ijc->ij", diff, diff)
-            a += k.weight * np.exp(-col_d2 / (2.0 * k.theta * k.theta))
-        else:
-            a += _spatial_term(h, w, k.weight, k.theta)
+    c = np.asarray(colors, dtype=np.float64)
+    if c.ndim != 3 or c.shape[2] != 3:
+        raise ShapeError("pairwise_affinity: colors must be [H, W, 3]")
+    h, w, _ = c.shape
+    flat = c.reshape(h * w, 3)
+    diff = flat[:, None, :] - flat[None, :, :]
+    col_d2 = np.einsum("ijc,ijc->ij", diff, diff)
+    a = APPEARANCE_WEIGHT * np.exp(-col_d2 / (2.0 * APPEARANCE_THETA * APPEARANCE_THETA))
+    a += _spatial_term(h, w)
     np.fill_diagonal(a, 0.0)
     return a
 
@@ -245,13 +198,17 @@ def modulate(
     logits: np.ndarray,
     image: np.ndarray,
     bins: DepthBins,
-    params: CrfParams,
+    iters: int,
 ) -> DepthVolume:
-    """Softmax the depth logits and run T mean-field refinement steps.
+    """Softmax the depth logits and run `iters` mean-field refinement steps.
 
-    T = 0 returns softmax(logits) unchanged. The unary stays fixed at
-    -log softmax(logits) across iterations.
+    `iters` must lie in [0, MAX_ITERS]; 0 returns softmax(logits)
+    unchanged. The coupling is `pairwise_affinity` of the image's patch
+    colors, and the unary stays fixed at -log softmax(logits) across
+    iterations.
     """
+    if not 0 <= iters <= MAX_ITERS:
+        raise ShapeError(f"modulate: iters must be in [0, {MAX_ITERS}], got {iters}")
     lg = np.asarray(logits)
     if lg.ndim != 3:
         raise ShapeError(f"modulate: logits must be [K, H', W'], got rank {lg.ndim}")
@@ -260,7 +217,7 @@ def modulate(
         raise ShapeError(f"modulate: logits bin axis {k} != bins.k {bins.k}")
     probs0 = softmax(lg, axis=0)
     vol = DepthVolume(probs0)
-    if params.iters == 0:
+    if iters == 0:
         return vol
     ih, iw = np.asarray(image).shape[:2]
     if ih % h or iw % w:
@@ -269,10 +226,10 @@ def modulate(
     if iw // w != stride:
         raise ShapeError(f"modulate: inconsistent stride between axes ({ih}/{h} vs {iw}/{w})")
     colors = patch_colors(image, stride)
-    coupling = pairwise_affinity(colors, params)
+    coupling = pairwise_affinity(colors)
     compat = build_compat(bins)
     unary = unary_from_probs(probs0)
-    for _ in range(params.iters):
+    for _ in range(iters):
         vol = mean_field_step(vol, unary, coupling, compat)
     return vol
 

@@ -157,7 +157,7 @@ def run_pipeline(
         raise ConfigError(f"threads must be >= 1, got {threads}")
     _check_scene(scene, cfg)
     validate_bundle(bundle, cfg)
-    bins, spec, rig, params = cfg.bins(), cfg.bev(), cfg.rig(), cfg.crf_params()
+    bins, spec, rig = cfg.bins(), cfg.bev(), cfg.rig()
     bspecs = backbone_specs(bundle)
     dspec = depth_head_spec(bundle)
     fcfg = fusion_config(bundle, cfg)
@@ -179,7 +179,7 @@ def run_pipeline(
         diff = image.astype(np.float64) - bg
         feats = run_stage("backbone", toy_backbone, diff, cfg.stride, bspecs)
         logits = run_stage("depth", lambda: conv2d(feats[None], dspec)[0])
-        vol = run_stage("crf", modulate, logits, image.astype(np.float64) / 255.0, bins, params)
+        vol = run_stage("crf", modulate, logits, image.astype(np.float64) / 255.0, bins, cfg.crf_iters)
         lifted = run_stage("lift", lift, feats, vol)
         return feats, vol, lifted
 

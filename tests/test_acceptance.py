@@ -16,11 +16,8 @@ import time
 import numpy as np
 
 from bevnext.depth_crf import (
-    CrfKernel,
-    CrfParams,
     DepthBins,
     DepthVolume,
-    PatchColorMap,
     build_compat,
     crf_energy,
     mean_field_step,
@@ -83,20 +80,19 @@ def _random_camera(rng: SplitMix64) -> CameraModel:
 
 
 def test_criterion_01_zero_coupling_leaves_distributions():
-    """With all pairwise kernel weights zero, 5 refinement steps change nothing."""
+    """With a zero pairwise coupling, 5 mean-field steps change nothing."""
     k, h, w = 6, 4, 5
-    bins = DepthBins.uniform(k, 1.0, 7.0)
-    params = CrfParams(
-        kernels=[CrfKernel(0.0, 0.1, "appearance"), CrfKernel(0.0, 3.0, "spatial")],
-        iters=5,
-    )
+    compat = build_compat(DepthBins.uniform(k, 1.0, 7.0))
+    coupling = np.zeros((h * w, h * w))
     t0 = time.perf_counter()
     worst = 0.0
     for seed in range(100):
         rng = SplitMix64(seed)
         logits = rng.uniform_array((k, h, w), -3.0, 3.0).astype(np.float64)
-        image = rng.uniform_array((h, w, 3), 0.0, 1.0).astype(np.float64)
-        out = modulate(logits, image, bins, params)
+        out = DepthVolume(softmax(logits, axis=0))
+        unary = unary_from_probs(out.probs)
+        for _ in range(5):
+            out = mean_field_step(out, unary, coupling, compat)
         worst = max(worst, float(np.abs(out.probs - softmax(logits, axis=0)).max()))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-9, f"max deviation {worst:.3e} exceeds 1e-9"
@@ -146,9 +142,8 @@ def test_criterion_02_mean_field_matches_naive_oracle():
         else:
             h, w, k = rng.randint(1, 8), rng.randint(1, 8), rng.randint(2, 8)
         bins = DepthBins.uniform(k, 1.0, 1.0 + k)
-        colors = PatchColorMap(rng.uniform_array((h, w, 3), 0.0, 1.0).astype(np.float64))
-        params = CrfParams.default(iters=1)
-        affinity = pairwise_affinity(colors, params)
+        colors = rng.uniform_array((h, w, 3), 0.0, 1.0).astype(np.float64)
+        affinity = pairwise_affinity(colors)
         compat = build_compat(bins)
         probs = softmax(rng.uniform_array((k, h, w), -2.0, 2.0).astype(np.float64), axis=0)
         unary = unary_from_probs(probs)
@@ -167,9 +162,7 @@ def test_criterion_02_mean_field_matches_naive_oracle():
 def test_criterion_03_hand_computed_energy():
     """Two pixels, two bins, unit coupling: energies are exactly 2.0 and 1.0."""
     bins = DepthBins(np.array([1.0, 2.0]), 1.0, 2.0)
-    colors = PatchColorMap(np.full((1, 2, 3), 0.5))
-    params = CrfParams(kernels=[CrfKernel(1.0, 0.1, "appearance")], iters=0)
-    affinity = pairwise_affinity(colors, params)
+    affinity = np.array([[0.0, 1.0], [1.0, 0.0]])
     compat = build_compat(bins)
     # unary[label][pixel]: pixel 0 prefers bin 0, pixel 1 prefers bin 1
     unary = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -207,8 +200,8 @@ def test_criterion_04_two_region_spread_non_increasing():
         image[:, : w // 2] = left
         image[:, w // 2 :] = right
         logits = rng.uniform_array((k, h, w), -2.0, 2.0).astype(np.float64)
-        before = modulate(logits, image, bins, CrfParams.default(iters=0))
-        after = modulate(logits, image, bins, CrfParams.default(iters=5))
+        before = modulate(logits, image, bins, 0)
+        after = modulate(logits, image, bins, 5)
         ok = True
         for region in (slice(0, w // 2), slice(w // 2, w)):
             if _region_spread(after.probs, region) > _region_spread(before.probs, region) + 1e-12:

@@ -63,6 +63,35 @@ def test_nan_payload_rejected(tmp_path):
         bvnx.load_tensor(p)
 
 
+# Element counts that overflow int64 when multiplied as numpy ints.
+OVERFLOW_DIMS = [(2**32 - 1, 2**32 - 1), (65536,) * 4]
+
+
+def _tensor_header(dims):
+    return b"BVNX" + struct.pack("<HH", 1, len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
+
+
+@pytest.mark.parametrize("dims", OVERFLOW_DIMS)
+def test_overflowing_dims_report_truncation(tmp_path, dims):
+    p = tmp_path / "t.bvnx"
+    p.write_bytes(_tensor_header(dims) + struct.pack("<f", 1.0))
+    with pytest.raises(FormatError, match="truncated"):
+        bvnx.load_tensor(p)
+    b = tmp_path / "b.bvnb"
+    b.write_bytes(b"BVNB" + struct.pack("<HIH", 1, 1, 1) + b"w" + p.read_bytes())
+    with pytest.raises(FormatError, match="truncated"):
+        bvnx.load_bundle(b)
+
+
+@pytest.mark.parametrize("arr", [np.array([2**24 + 1, 5], np.uint32), np.array([0.1, 2.0], np.float64)])
+def test_save_rejects_non_float32(tmp_path, arr):
+    with pytest.raises(FormatError, match=f"dtype must be float32, got {arr.dtype}"):
+        bvnx.save_tensor(tmp_path / "t.bvnx", arr)
+    with pytest.raises(FormatError, match=f"got {arr.dtype}"):
+        bvnx.save_bundle(tmp_path / "b.bvnb", {"a": np.zeros(2, np.float32), "b": arr})
+    assert not (tmp_path / "t.bvnx").exists() and not (tmp_path / "b.bvnb").exists()
+
+
 def test_bundle_save_is_deterministic(tmp_path):
     rng = SplitMix64(16)
     bundle = {"b": rng.uniform_array((2,)), "a": rng.uniform_array((2,))}

@@ -2,6 +2,7 @@
 
 import os
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -146,6 +147,13 @@ def test_crf_demo_reports_shrinking_spread(tmp_path):
     assert (tmp_path / "demo" / "crf_after.ppm").exists()
 
 
+@pytest.mark.parametrize("iters", ["65", "-1"])
+def test_crf_demo_exit_3_on_iters_out_of_range(iters):
+    code, _, err = cli("crf-demo", "--iters", iters)
+    assert code == 3
+    assert "iters" in err
+
+
 # ---------------------------------------------------------------- exit codes
 
 
@@ -192,6 +200,18 @@ def test_exit_2_on_corrupt_weights(workdir, tmp_path):
     )
     assert code == 2
     assert "magic" in err
+
+
+def test_exit_2_on_weights_with_overflowing_dims(workdir, tmp_path):
+    bad = tmp_path / "bad.bvnx"
+    dims = struct.pack("<4I", *(65536,) * 4)
+    bad.write_bytes(b"BVNB" + struct.pack("<HIH", 1, 1, 1) + b"w" + b"BVNX" + struct.pack("<HH", 1, 4) + dims)
+    code, _, err = cli(
+        "run", "--config", str(workdir / "fast.cfg"), "--weights", str(bad),
+        "--scene", str(workdir / "scene"), "--out", str(tmp_path / "r"),
+    )
+    assert code == 2, err
+    assert "truncated" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("site", ["config", "scene.txt", "boxes.txt", "weights"])

@@ -164,12 +164,6 @@ def test_groups_is_ceil_frames_over_window():
     assert SceneConfig(frames=1, window=3).groups == 1
 
 
-def test_crf_params_carry_iters():
-    params = SceneConfig(crf_iters=2).crf_params()
-    assert params.iters == 2
-    assert len(params.kernels) == 2
-
-
 def test_frame_interval_is_half_second():
     assert FRAME_DT == 0.5
 

@@ -8,8 +8,7 @@ import pytest
 
 from bevnext import depth_crf
 from bevnext.depth_crf import (
-    CrfKernel,
-    CrfParams,
+    MAX_ITERS,
     DepthBins,
     DepthVolume,
     build_compat,
@@ -49,30 +48,23 @@ def naive_mean_field_step(q, unary, coupling, compat):
     return out.reshape(k, h, w)
 
 
-def rebuilt_affinity(colors, params):
+def rebuilt_affinity(colors):
     """`pairwise_affinity` as it was before the spatial term was cached:
-    every kernel rebuilt on each call and added in kernel-list order, then
-    the diagonal zeroed."""
-    h, w, _ = colors.colors.shape
+    both shipped kernels (appearance 1.0 / 0.1, spatial 0.3 / 3.0) rebuilt
+    on each call and added to a zero matrix in that order, then the
+    diagonal zeroed."""
+    h, w, _ = colors.shape
     n = h * w
-    flat = colors.colors.reshape(n, 3)
+    flat = colors.reshape(n, 3)
     rows, cols = np.divmod(np.arange(n), w)
+    diff = flat[:, None, :] - flat[None, :, :]
+    col_d2 = np.einsum("ijc,ijc->ij", diff, diff)
+    dr = rows[:, None] - rows[None, :]
+    dc = cols[:, None] - cols[None, :]
+    pos_d2 = (dr * dr + dc * dc).astype(np.float64)
     a = np.zeros((n, n), dtype=np.float64)
-    col_d2 = None
-    pos_d2 = None
-    for k in params.kernels:
-        if k.kind == "appearance":
-            if col_d2 is None:
-                diff = flat[:, None, :] - flat[None, :, :]
-                col_d2 = np.einsum("ijc,ijc->ij", diff, diff)
-            d2 = col_d2
-        else:
-            if pos_d2 is None:
-                dr = rows[:, None] - rows[None, :]
-                dc = cols[:, None] - cols[None, :]
-                pos_d2 = (dr * dr + dc * dc).astype(np.float64)
-            d2 = pos_d2
-        a += k.weight * np.exp(-d2 / (2.0 * k.theta * k.theta))
+    a += 1.0 * np.exp(-col_d2 / (2.0 * 0.1 * 0.1))
+    a += 0.3 * np.exp(-pos_d2 / (2.0 * 3.0 * 3.0))
     np.fill_diagonal(a, 0.0)
     return a
 
@@ -139,21 +131,22 @@ def test_bins_reject_unsorted():
 def test_patch_colors_constant_image():
     img = np.full((8, 8, 3), 0.5)
     pc = patch_colors(img, 4)
-    np.testing.assert_array_equal(pc.colors, np.full((2, 2, 3), 0.5))
+    np.testing.assert_array_equal(pc, np.full((2, 2, 3), 0.5))
 
 
 def test_patch_colors_mean_of_2x2():
     img = np.zeros((2, 2, 3))
     img[1, :, :] = 1.0
     pc = patch_colors(img, 2)
-    np.testing.assert_array_equal(pc.colors, np.full((1, 1, 3), 0.5))
+    assert pc.dtype == np.float64
+    np.testing.assert_array_equal(pc, np.full((1, 1, 3), 0.5))
 
 
 def test_patch_colors_matches_loop_oracle():
     rng = SplitMix64(21)
     img = rng.uniform_array((16, 16, 3)).astype(np.float64)
     pc = patch_colors(img, 4)
-    np.testing.assert_allclose(pc.colors, naive_patch_colors(img, 4), atol=1e-7, rtol=0)
+    np.testing.assert_allclose(pc, naive_patch_colors(img, 4), atol=1e-7, rtol=0)
 
 
 def test_patch_colors_rejects_nondivisible():
@@ -164,87 +157,101 @@ def test_patch_colors_rejects_nondivisible():
 # ---------------------------------------------------------------- affinity
 
 
-def _colors(arr):
-    from bevnext.depth_crf import PatchColorMap
+# Closed forms of the two shipped kernels, w * exp(-d2 / (2 theta^2)).
+def _appearance(d2):
+    return 1.0 * math.exp(-d2 / (2.0 * 0.1**2))
 
-    return PatchColorMap(np.asarray(arr, dtype=np.float64))
+
+def _spatial(d2):
+    return 0.3 * math.exp(-d2 / (2.0 * 3.0**2))
 
 
 def test_affinity_identical_colors_unit():
-    pc = _colors([[[0.3, 0.3, 0.3], [0.3, 0.3, 0.3]]])
-    coupling = pairwise_affinity(pc, CrfParams(kernels=[CrfKernel(1.0, 0.1, "appearance")]))
-    assert coupling[0, 1] == 1.0
-    assert coupling[1, 0] == 1.0
+    # equal colors: the appearance kernel is exactly its weight, 1.0
+    coupling = pairwise_affinity(np.full((1, 2, 3), 0.3))
+    np.testing.assert_allclose(coupling[0, 1], 1.0 + _spatial(1.0), rtol=1e-15)
+    assert coupling[0, 1] == coupling[1, 0]
 
 
 def test_affinity_analytic_point():
-    theta = 0.1
-    d = theta * math.sqrt(2.0)  # squared color distance = 2 theta^2
-    pc = _colors([[[0.0, 0.0, 0.0], [d, 0.0, 0.0]]])
-    coupling = pairwise_affinity(pc, CrfParams(kernels=[CrfKernel(1.0, theta, "appearance")]))
-    np.testing.assert_allclose(coupling[0, 1], math.exp(-1.0), rtol=1e-12)
+    d = 0.1 * math.sqrt(2.0)  # squared color distance = 2 theta^2
+    coupling = pairwise_affinity(np.array([[[0.0, 0.0, 0.0], [d, 0.0, 0.0]]]))
+    np.testing.assert_allclose(coupling[0, 1], math.exp(-1.0) + _spatial(1.0), rtol=1e-12)
+
+
+def test_affinity_appearance_kernel_closed_form():
+    colors = SplitMix64(77).uniform_array((2, 3, 3)).astype(np.float64)
+    coupling = pairwise_affinity(colors)
+    flat = colors.reshape(6, 3)
+    for i in range(6):
+        for j in range(6):
+            if i == j:
+                continue
+            ri, ci = divmod(i, 3)
+            rj, cj = divmod(j, 3)
+            want = _appearance(float(((flat[i] - flat[j]) ** 2).sum()))
+            want += _spatial((ri - rj) ** 2 + (ci - cj) ** 2)
+            np.testing.assert_allclose(coupling[i, j], want, rtol=1e-12, err_msg=f"{i} {j}")
+
+
+def test_affinity_rejects_non_rgb_colors():
+    with pytest.raises(ShapeError, match="colors must be"):
+        pairwise_affinity(np.zeros((2, 3, 4)))
+    with pytest.raises(ShapeError, match="colors must be"):
+        pairwise_affinity(np.zeros((6, 3)))
 
 
 def test_affinity_zero_diagonal_symmetric_and_owned():
-    pc = _colors(SplitMix64(75).uniform_array((3, 4, 3)).astype(np.float64))
-    params = CrfParams(kernels=[CrfKernel(0.5, 0.1, "appearance"), CrfKernel(0.25, 3.0, "spatial")])
-    coupling = pairwise_affinity(pc, params)
+    pc = SplitMix64(75).uniform_array((3, 4, 3)).astype(np.float64)
+    coupling = pairwise_affinity(pc)
     assert coupling.shape == (12, 12) and coupling.dtype == np.float64
     assert not np.diagonal(coupling).any()  # no cell couples to itself
     assert (coupling[~np.eye(12, dtype=bool)] > 0).all()
     np.testing.assert_array_equal(coupling, coupling.T)
     # a fresh C-contiguous array per call, not a view of a cached term
     assert coupling.flags.owndata and coupling.flags.c_contiguous and coupling.flags.writeable
-    again = pairwise_affinity(pc, params)
+    again = pairwise_affinity(pc)
     assert not np.shares_memory(coupling, again)
     np.testing.assert_array_equal(coupling, again)
 
 
 def test_affinity_spatial_kernel_decays_with_distance():
-    pc = _colors(np.full((1, 3, 3), 0.5))
-    coupling = pairwise_affinity(pc, CrfParams(kernels=[CrfKernel(1.0, 1.0, "spatial")]))
-    assert coupling[0, 1] == math.exp(-0.5)
-    assert coupling[0, 2] == math.exp(-2.0)
+    # a constant image leaves the appearance kernel at its weight everywhere
+    coupling = pairwise_affinity(np.full((1, 3, 3), 0.5)) - 1.0
+    np.testing.assert_allclose(coupling[0, 1], _spatial(1.0), rtol=1e-12)
+    np.testing.assert_allclose(coupling[0, 2], _spatial(4.0), rtol=1e-12)
+    assert coupling[0, 1] > coupling[0, 2] > 0
 
 
 def test_affinity_cached_spatial_term_bit_identical_to_rebuilt():
     rng = SplitMix64(71)
     grids = [(8, 22), (4, 11), (5, 7)]
-    colors = {g: _colors(rng.uniform_array(g + (3,)).astype(np.float64)) for g in grids}
-    appearance, spatial = CrfKernel(1.0, 0.1, "appearance"), CrfKernel(0.3, 3.0, "spatial")
-    param_sets = [
-        CrfParams(kernels=[appearance, spatial]),
-        CrfParams(kernels=[spatial, appearance]),
-        CrfParams(kernels=[spatial, CrfKernel(0.7, 1.5, "spatial"), appearance]),
-        CrfParams(kernels=[appearance, spatial, CrfKernel(0.7, 1.5, "spatial")]),
-    ]
+    colors = {g: rng.uniform_array(g + (3,)).astype(np.float64) for g in grids}
     depth_crf._spatial_term.cache_clear()
     for _ in range(2):  # the first round misses the cache, the second hits it
         for g in grids:  # interleaved grid sizes
-            for params in param_sets:
-                got = pairwise_affinity(colors[g], params)
-                np.testing.assert_array_equal(got, rebuilt_affinity(colors[g], params), err_msg=f"{g} {params}")
+            got = pairwise_affinity(colors[g])
+            np.testing.assert_array_equal(got, rebuilt_affinity(colors[g]), err_msg=f"{g}")
     info = depth_crf._spatial_term.cache_info()
-    assert info.misses == 2 * len(grids) and info.hits > 0  # two spatial kernels per grid
+    assert info.misses == len(grids) and info.hits > 0  # one spatial term per grid
 
 
 def test_affinity_cached_spatial_term_is_read_only():
-    term = depth_crf._spatial_term(3, 4, 0.3, 3.0)
+    term = depth_crf._spatial_term(3, 4)
     with pytest.raises(ValueError):
         term[0, 1] = 1.0
     before = term.copy()
-    coupling = pairwise_affinity(_colors(np.full((3, 4, 3), 0.5)), CrfParams.default())
+    coupling = pairwise_affinity(np.full((3, 4, 3), 0.5))
     coupling[:] = 2.0  # the returned coupling is the caller's own array
-    np.testing.assert_array_equal(depth_crf._spatial_term(3, 4, 0.3, 3.0), before)
+    np.testing.assert_array_equal(depth_crf._spatial_term(3, 4), before)
 
 
 def test_affinity_identical_across_concurrent_callers():
-    pc = _colors(SplitMix64(73).uniform_array((6, 13, 3)).astype(np.float64))
-    params = CrfParams.default()
+    pc = SplitMix64(73).uniform_array((6, 13, 3)).astype(np.float64)
     depth_crf._spatial_term.cache_clear()
     with ThreadPoolExecutor(max_workers=4) as ex:
-        mats = list(ex.map(lambda _: pairwise_affinity(pc, params), range(4)))
-    expected = rebuilt_affinity(pc, params)
+        mats = list(ex.map(lambda _: pairwise_affinity(pc), range(4)))
+    expected = rebuilt_affinity(pc)
     for m in mats:
         np.testing.assert_array_equal(m, expected)
 
@@ -256,8 +263,7 @@ def _two_pixel_instance():
     """N=2, K=2, unit coupling, bin centers 1 m apart."""
     bins = DepthBins(np.array([1.0, 2.0]), 1.0, 2.0)
     compat = build_compat(bins)
-    pc = _colors([[[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]]])
-    aff = pairwise_affinity(pc, CrfParams(kernels=[CrfKernel(1.0, 0.1, "appearance")]))
+    aff = np.array([[0.0, 1.0], [1.0, 0.0]])
     unary = np.array([[0.0, 1.0], [1.0, 0.0]]).reshape(2, 1, 2)  # [K, H=1, W=2]
     return unary, aff, compat
 
@@ -270,8 +276,7 @@ def test_energy_hand_computed_cases():
 
 def test_energy_zero_pairwise_reduces_to_unary():
     unary, _, compat = _two_pixel_instance()
-    pc = _colors([[[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]]])
-    aff0 = pairwise_affinity(pc, CrfParams(kernels=[CrfKernel(0.0, 0.1, "appearance")]))
+    aff0 = np.zeros((2, 2))
     assert crf_energy(np.array([1, 0]), unary, aff0, compat) == 2.0  # unaries only
 
 
@@ -288,8 +293,7 @@ def test_step_zero_coupling_is_unary_softmax():
     rng = SplitMix64(31)
     k, h, w = 3, 2, 2
     unary = rng.uniform_array((k, h, w), 0, 2).astype(np.float64)
-    pc = _colors(rng.uniform_array((h, w, 3)).astype(np.float64))
-    aff = pairwise_affinity(pc, CrfParams(kernels=[CrfKernel(0.0, 0.1, "appearance")]))
+    aff = np.zeros((h * w, h * w))
     compat = build_compat(DepthBins.uniform(k, 1.0, 4.0))
     q_any = DepthVolume(softmax(rng.uniform_array((k, h, w), -1, 1), axis=0))
     out = mean_field_step(q_any, unary, aff, compat)
@@ -298,8 +302,7 @@ def test_step_zero_coupling_is_unary_softmax():
 
 def test_step_symmetric_two_pixels():
     unary = np.array([[0.4, 0.4], [0.9, 0.9]]).reshape(2, 1, 2)
-    pc = _colors([[[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]]])
-    aff = pairwise_affinity(pc, CrfParams(kernels=[CrfKernel(1.0, 0.1, "appearance")]))
+    aff = np.array([[0.0, 1.0], [1.0, 0.0]])
     compat = build_compat(DepthBins(np.array([1.0, 2.0]), 1.0, 2.0))
     q = DepthVolume(np.full((2, 1, 2), 0.5))
     out = mean_field_step(q, unary, aff, compat)
@@ -312,8 +315,8 @@ def test_step_matches_naive_oracle():
     logits = rng.uniform_array((k, h, w), -1, 1)
     q0 = softmax(logits, axis=0)
     unary = unary_from_probs(q0)
-    pc = _colors(rng.uniform_array((h, w, 3)).astype(np.float64))
-    aff = pairwise_affinity(pc, CrfParams.default())
+    pc = rng.uniform_array((h, w, 3)).astype(np.float64)
+    aff = pairwise_affinity(pc)
     compat = build_compat(DepthBins.uniform(k, 1.0, 4.0))
     out = mean_field_step(DepthVolume(q0), unary, aff, compat)
     ref = naive_mean_field_step(q0, unary, aff, compat)
@@ -328,8 +331,8 @@ def test_step_oracle_agreement_many_sizes():
         w = rng.randint(1, 4)
         q0 = softmax(rng.uniform_array((k, h, w), -2, 2), axis=0)
         unary = unary_from_probs(q0)
-        pc = _colors(rng.uniform_array((h, w, 3)).astype(np.float64))
-        aff = pairwise_affinity(pc, CrfParams.default())
+        pc = rng.uniform_array((h, w, 3)).astype(np.float64)
+        aff = pairwise_affinity(pc)
         compat = build_compat(DepthBins.uniform(k, 1.0, 1.0 + k))
         out = mean_field_step(DepthVolume(q0), unary, aff, compat)
         ref = naive_mean_field_step(q0, unary, aff, compat)
@@ -349,9 +352,9 @@ def test_step_oracle_agreement_many_sizes():
 )
 def test_step_digest_pinned(k, h, w, seed, digest):
     rng = SplitMix64(seed)
-    colors = _colors(rng.uniform_array((h, w, 3)).astype(np.float64))
+    colors = rng.uniform_array((h, w, 3)).astype(np.float64)
     q = DepthVolume(softmax(rng.uniform_array((k, h, w), -3.0, 3.0).astype(np.float64), axis=0))
-    aff = pairwise_affinity(colors, CrfParams.default())
+    aff = pairwise_affinity(colors)
     compat = build_compat(DepthBins.uniform(k, 1.0, 1.0 + k))
     out = mean_field_step(q, unary_from_probs(q.probs), aff, compat)
     assert tensor_digest(out.probs) == digest
@@ -363,8 +366,8 @@ def test_step_normalization_invariant():
         k, h, w = 4, 3, 5
         q = softmax(rng.uniform_array((k, h, w), -3, 3), axis=0)
         unary = unary_from_probs(q)
-        pc = _colors(rng.uniform_array((h, w, 3)).astype(np.float64))
-        aff = pairwise_affinity(pc, CrfParams.default())
+        pc = rng.uniform_array((h, w, 3)).astype(np.float64)
+        aff = pairwise_affinity(pc)
         compat = build_compat(DepthBins.uniform(k, 1.0, 5.0))
         vol = DepthVolume(q)
         for _ in range(3):
@@ -381,31 +384,41 @@ def test_modulate_t0_is_softmax_exactly():
     rng = SplitMix64(71)
     logits = rng.uniform_array((4, 2, 3), -2, 2)
     img = rng.uniform_array((4, 6, 3)).astype(np.float64)
-    out = modulate(logits, img, DepthBins.uniform(4, 1.0, 5.0), CrfParams.default(iters=0))
+    out = modulate(logits, img, DepthBins.uniform(4, 1.0, 5.0), 0)
     np.testing.assert_array_equal(out.probs, softmax(logits, axis=0))
 
 
 def test_modulate_zero_weights_decouples():
+    # modulate's refinement loop with a zero coupling: 5 steps keep softmax(logits)
     rng = SplitMix64(73)
     logits = rng.uniform_array((4, 2, 3), -2, 2)
-    img = rng.uniform_array((4, 6, 3)).astype(np.float64)
-    bins = DepthBins.uniform(4, 1.0, 5.0)
-    params = CrfParams(kernels=[CrfKernel(0.0, 0.1, "appearance"), CrfKernel(0.0, 3.0, "spatial")], iters=5)
-    out = modulate(logits, img, bins, params)
-    np.testing.assert_allclose(out.probs, softmax(logits, axis=0), atol=1e-9, rtol=0)
+    compat = build_compat(DepthBins.uniform(4, 1.0, 5.0))
+    vol = DepthVolume(softmax(logits, axis=0))
+    unary = unary_from_probs(vol.probs)
+    for _ in range(5):
+        vol = mean_field_step(vol, unary, np.zeros((6, 6)), compat)
+    np.testing.assert_allclose(vol.probs, softmax(logits, axis=0), atol=1e-9, rtol=0)
+
+
+@pytest.mark.parametrize("iters", [-1, MAX_ITERS + 1])
+def test_modulate_rejects_iters_out_of_range(iters):
+    logits = np.zeros((4, 2, 3))
+    with pytest.raises(ShapeError, match=r"iters must be in \[0, 64\]"):
+        modulate(logits, np.zeros((4, 6, 3)), DepthBins.uniform(4, 1.0, 5.0), iters)
 
 
 def test_modulate_permutation_symmetry():
-    # Two pixels with identical colors and logits stay identical through refinement.
+    # The end cells of a 1x3 row mirror each other under both kernels; with
+    # identical colors and logits they stay identical through refinement.
     rng = SplitMix64(79)
-    k, h, w = 3, 2, 3
+    k, h, w = 3, 1, 3
     logits = rng.uniform_array((k, h, w), -1, 1)
-    logits[:, 1, 2] = logits[:, 0, 0]
+    logits[:, 0, 2] = logits[:, 0, 0]
     img = rng.uniform_array((h, w, 3)).astype(np.float64)
-    img[1, 2] = img[0, 0]
-    params = CrfParams(kernels=[CrfKernel(1.0, 0.1, "appearance")], iters=3)
-    out = modulate(logits, img, DepthBins.uniform(k, 1.0, 4.0), params)
-    np.testing.assert_array_equal(out.probs[:, 0, 0], out.probs[:, 1, 2])
+    img[0, 2] = img[0, 0]
+    out = modulate(logits, img, DepthBins.uniform(k, 1.0, 4.0), 3)
+    np.testing.assert_array_equal(out.probs[:, 0, 0], out.probs[:, 0, 2])
+    assert not np.array_equal(out.probs[:, 0, 0], out.probs[:, 0, 1])
 
 
 def test_modulate_two_region_energy_not_increased():
@@ -416,11 +429,9 @@ def test_modulate_two_region_energy_not_increased():
     logits = np.zeros((4, h, w), dtype=np.float32)
     logits[1] = 3.0
     logits[:, 1, 1] = [3.0, 0.0, 0.0, 0.0]  # lone pixel favoring bin 0
-    params = CrfParams.default()
-    out0 = modulate(logits, img, bins, CrfParams.default(iters=0))
-    out5 = modulate(logits, img, bins, params)
-    colors = patch_colors(img, 1)
-    aff = pairwise_affinity(colors, params)
+    out0 = modulate(logits, img, bins, 0)
+    out5 = modulate(logits, img, bins, 5)
+    aff = pairwise_affinity(patch_colors(img, 1))
     compat = build_compat(bins)
     unary = unary_from_probs(softmax(logits, axis=0))
     left = [r * w + c for r in range(h) for c in range(w // 2)]
@@ -446,15 +457,15 @@ def test_two_region_spread_shrinks_over_20_seeds():
     right_cols = list(range(w // 2, w))
     for seed in range(20):
         logits = SplitMix64(1000 + seed).uniform_array((4, h, w), -1.5, 1.5)
-        out0 = modulate(logits, img, bins, CrfParams.default(iters=0))
-        out5 = modulate(logits, img, bins, CrfParams.default(iters=5))
+        out0 = modulate(logits, img, bins, 0)
+        out5 = modulate(logits, img, bins, 5)
         assert region_spread(out5.probs, left_cols) <= region_spread(out0.probs, left_cols), f"seed {seed} left"
         assert region_spread(out5.probs, right_cols) <= region_spread(out0.probs, right_cols), f"seed {seed} right"
 
 
 def test_modulate_shape_mismatch():
     with pytest.raises(ShapeError, match="bin axis"):
-        modulate(np.zeros((3, 2, 2), np.float32), np.zeros((4, 4, 3)), DepthBins.uniform(4, 1.0, 5.0), CrfParams.default())
+        modulate(np.zeros((3, 2, 2), np.float32), np.zeros((4, 4, 3)), DepthBins.uniform(4, 1.0, 5.0), 5)
 
 
 # ---------------------------------------------------------------- labeling

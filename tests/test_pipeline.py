@@ -244,7 +244,7 @@ def test_pipeline_desk_camera_stages_pinned():
     for image in scene.frames[0].images:
         feats = toy_backbone(image.astype(np.float64) - bg, cfg.stride, bspecs)
         logits = conv2d(feats[None], dspec)[0]
-        vol = modulate(logits, image.astype(np.float64) / 255.0, cfg.bins(), cfg.crf_params())
+        vol = modulate(logits, image.astype(np.float64) / 255.0, cfg.bins(), cfg.crf_iters)
         for stage, arr in zip(outputs, (feats, logits, vol.probs, lift(feats, vol))):
             outputs[stage].append(arr)
     assert len(outputs["backbone"]) == 6
@@ -272,8 +272,11 @@ def test_pipeline_crf_iterations_change_values_not_shapes():
     r5 = run_pipeline(scene, cfg5, init_bundle(cfg5, 7))
     assert r0.heatmap.values.shape == r5.heatmap.values.shape
     assert r0.bev.data.shape == r5.bev.data.shape
+    assert len(r0.depth) == len(r5.depth) == cfg0.camera_count
     for v0, v5 in zip(r0.depth, r5.depth):
         assert v0.probs.shape == v5.probs.shape
+        assert np.abs(v5.probs - v0.probs).max() > 0.1  # measured 0.375-0.876 per camera
+    assert np.abs(r5.bev.data - r0.bev.data).max() > 1e-3  # measured 0.0145
 
 
 def test_pipeline_zero_threshold_emits_capped_detections():
