@@ -1,5 +1,7 @@
 """End-to-end pipeline tests: backbone, depth labels, orchestration, artifacts."""
 
+import dataclasses
+import hashlib
 import os
 
 import numpy as np
@@ -14,7 +16,8 @@ from bevnext.errors import (
     StageError,
 )
 from bevnext.kernels import conv2d
-from bevnext.object_decoder import parse_detections
+from bevnext import pipeline
+from bevnext.object_decoder import format_detections, parse_detections
 from bevnext.pipeline import (
     PipelineResult,
     run_pipeline,
@@ -52,6 +55,16 @@ GOLDEN_DESK_CAMERA_STAGES = {
     "depth": "206874f1fe58c746d6a564f2bb548b0eba6bd10c4d26e553421368286adbb86d",
     "crf": "01e6382e058b53411ac401cb08ae55b7ee92a57e17b77c72406966499b58601a",
     "lift": "ee1a354a49f0caddff7c03bf9775a56e73e0d6341d2e780364c346c29d93a086",
+}
+
+# Same config, scene and weights with decoder.threshold = 0.0 and
+# decoder.top_n = 1024, so every BEV cell proposes: digests of the refined
+# ROI patches and flags out of spatial_cross_attention, and sha256 of the
+# formatted detections, pinned before the decoder was batched over ROIs.
+GOLDEN_DESK_DECODER = {
+    "patches": "dc1716fef206b5702ea5f4f4cb11b8658e11a02969f8ab9064940b667d2b561b",
+    "flags": "6798d7ffa7b45e06d1d979298c1aced7a40700e49b005e041547de0841f5c194",
+    "detections": "3b3a714913d1fe643d6b8988dc9af503488a9ea0e7f1436cf492c42304df4433",
 }
 
 
@@ -250,6 +263,31 @@ def test_pipeline_desk_camera_stages_pinned():
     assert len(outputs["backbone"]) == 6
     for stage, arrs in outputs.items():
         assert tensor_digest(np.stack(arrs)) == GOLDEN_DESK_CAMERA_STAGES[stage], stage
+
+
+def test_pipeline_desk_decoder_pinned_across_threads(monkeypatch):
+    """The second stage on 1024 real proposals, as run_pipeline wires it."""
+    desk = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "desk.cfg"))
+    cfg = dataclasses.replace(desk, threshold=0.0, top_n=1024)
+    scene, bundle = gen_scene(cfg), init_bundle(cfg, 7)
+    refine = pipeline.spatial_cross_attention
+    outputs = []
+
+    def recording(*args, **kwargs):
+        outputs.append(refine(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(pipeline, "spatial_cross_attention", recording)
+    for threads in (1, 2):
+        outputs.clear()
+        result = run_pipeline(scene, cfg, bundle, threads=threads)
+        ((refined, flags),) = outputs
+        assert len(result.detections) == 1024
+        text = format_detections(result.detections)
+        assert tensor_digest(refined.patches) == GOLDEN_DESK_DECODER["patches"], f"threads={threads}"
+        assert tensor_digest(flags) == GOLDEN_DESK_DECODER["flags"], f"threads={threads}"
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == GOLDEN_DESK_DECODER["detections"], f"threads={threads}"
 
 
 def test_pipeline_empty_scene_zero_detections():
