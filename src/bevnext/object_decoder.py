@@ -226,13 +226,20 @@ class Detection:
             raise ShapeError("Detection: non-finite attribute")
         if self.l <= 0 or self.w <= 0 or self.h <= 0:
             raise ShapeError("Detection: size must be strictly positive")
+        for name in ("l", "w", "h"):
+            value = getattr(self, name)
+            if value < 1e-6 and f"{value:.6f}" == "0.000000":
+                raise ShapeError(f"Detection: size {name}={value!r} prints as 0.000000 and cannot be read back")
+        # fixed-decimal serialization can round pi up, or -pi down, by < 1e-6;
+        # -pi itself is outside the range, and its upper neighbour prints the same
         yaw = self.yaw
         if math.pi < yaw <= math.pi + YAW_PARSE_SLACK:
-            # fixed-decimal serialization can round pi up by < 1e-6
-            object.__setattr__(self, "yaw", math.pi)
             yaw = math.pi
+        elif -math.pi - YAW_PARSE_SLACK <= yaw <= -math.pi:
+            yaw = math.nextafter(-math.pi, 0.0)
         if not (-math.pi < yaw <= math.pi):
             raise ShapeError(f"Detection: yaw {yaw} outside (-pi, pi]")
+        object.__setattr__(self, "yaw", yaw)
 
 
 @dataclass(frozen=True)
@@ -374,18 +381,27 @@ def depth_embedding(depth: DepthVolume, mlp: MlpSpec) -> np.ndarray:
     return out.T.reshape(mlp.out_width, h, w)
 
 
-def attention_weights(attn: AttnSpec, query: np.ndarray) -> np.ndarray:
-    """Softmax-normalized sample weights [n_ref, n_points]; rows sum to 1."""
+def _project_queries(w: np.ndarray, b: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """w @ q + b for each query vector of a [..., C] batch, in float64.
+
+    Stacked matmul runs one matrix-vector product per query, the same
+    product a single 1-D query gets, so a batch gives every query the
+    bits it would get alone.
+    """
     q = np.asarray(query, dtype=np.float64)
-    raw = attn.w_weight.astype(np.float64) @ q + attn.b_weight.astype(np.float64)
-    return softmax(raw.reshape(attn.n_ref, attn.n_points), axis=1)
+    return np.matmul(w.astype(np.float64), q[..., None])[..., 0] + b.astype(np.float64)
+
+
+def attention_weights(attn: AttnSpec, query: np.ndarray) -> np.ndarray:
+    """Softmax-normalized sample weights [..., n_ref, n_points] for [..., C] queries; rows sum to 1."""
+    raw = _project_queries(attn.w_weight, attn.b_weight, query)
+    return softmax(raw.reshape(raw.shape[:-1] + (attn.n_ref, attn.n_points)), axis=-1)
 
 
 def sampling_offsets(attn: AttnSpec, query: np.ndarray) -> np.ndarray:
-    """Learned sample offsets [n_ref, n_points, 2] in feature-pixel units."""
-    q = np.asarray(query, dtype=np.float64)
-    raw = attn.w_offset.astype(np.float64) @ q + attn.b_offset.astype(np.float64)
-    return raw.reshape(attn.n_ref, attn.n_points, 2)
+    """Learned sample offsets [..., n_ref, n_points, 2] in feature-pixel units for [..., C] queries."""
+    raw = _project_queries(attn.w_offset, attn.b_offset, query)
+    return raw.reshape(raw.shape[:-1] + (attn.n_ref, attn.n_points, 2))
 
 
 def spatial_cross_attention(
@@ -402,12 +418,19 @@ def spatial_cross_attention(
     center-position query; each valid (camera, height) reference yields
     n_points bilinear samples at query-predicted offsets around the
     projected point, value-projected and combined with softmax weights.
-    Contributions sum over cameras and heights in fixed camera order, the
-    output projection maps the sum to a residual, and the residual is
+    The output projection maps the sum to a residual, and the residual is
     broadcast over all 49 patch positions. Cells with no valid reference
     pass through untouched; the returned bool array flags refined cells.
     Invalid references and samples falling outside the feature map
     contribute exactly zero.
+
+    All ROIs are processed at once, one camera at a time, in a fixed
+    float64 summation order: each camera's weighted samples are summed
+    into a partial that starts at zero and adds them height by height,
+    point by point within a height; the partials are then added to the
+    ROI's total in camera order. The result is bit-identical to a loop
+    over ROIs in that order; a change to the order must pass the loop
+    oracle test in tests/test_object_decoder.py.
     """
     feats = np.asarray(features, dtype=np.float32)
     if feats.ndim != 4:
@@ -434,34 +457,34 @@ def spatial_cross_attention(
     else:
         maps = feats
 
+    n, c = roi.n, attn.channels
     w_value = attn.w_value.astype(np.float64)
     b_value = attn.b_value.astype(np.float64)
-    w_out = attn.w_out.astype(np.float64)
-    b_out = attn.b_out.astype(np.float64)
+    center = roi.patches[:, :, CENTER_POSITION // ROI_SIZE, CENTER_POSITION % ROI_SIZE].astype(np.float64)
+    q = center + roi.queries[CENTER_POSITION].astype(np.float64)
+    wgt = attention_weights(attn, q)
+    off = sampling_offsets(attn, q)
+    acc = np.zeros((n, c), dtype=np.float64)
+    for cam in range(feats.shape[0]):
+        visible = np.nonzero(refs.valid[:, cam].any(axis=1))[0]
+        if visible.size == 0:
+            continue
+        mask = refs.valid[visible, cam]
+        rows, heights = np.nonzero(mask)
+        base = refs.uv[visible[rows], cam, heights] / stride - 0.5
+        pts = base[:, None, :] + off[visible[rows], heights]
+        vals, _ = bilinear_sample(maps[cam], pts.reshape(-1, 2))
+        sampled = np.einsum("pc,oc->po", vals.astype(np.float64), w_value) + b_value
+        projected = np.zeros((visible.size, attn.n_ref, attn.n_points, c), dtype=np.float64)
+        projected[rows, heights] = sampled.reshape(-1, attn.n_points, c)
+        # An invalid height adds w * 0 = +0 to a partial that is never -0,
+        # which leaves it unchanged: each ROI sums only its valid samples.
+        weights = np.where(mask[:, :, None], wgt[visible], 0.0).reshape(visible.size, -1)
+        acc[visible] += np.einsum("rk,rko->ro", weights, projected.reshape(visible.size, -1, c))
+    flags = refs.valid.any(axis=(1, 2))
+    delta = np.einsum("rc,oc->ro", acc, attn.w_out.astype(np.float64)) + attn.b_out.astype(np.float64)
     out_patches = roi.patches.copy()
-    flags = np.zeros(roi.n, dtype=bool)
-    for i in range(roi.n):
-        q = roi.patches[i, :, CENTER_POSITION // ROI_SIZE, CENTER_POSITION % ROI_SIZE].astype(np.float64)
-        q = q + roi.queries[CENTER_POSITION].astype(np.float64)
-        wgt = attention_weights(attn, q)
-        off = sampling_offsets(attn, q)
-        acc = np.zeros(attn.channels, dtype=np.float64)
-        hit = False
-        for cam in range(feats.shape[0]):
-            mask = refs.valid[i, cam]
-            if not mask.any():
-                continue
-            hit = True
-            j_idx = np.nonzero(mask)[0]
-            base = refs.uv[i, cam][j_idx] / stride - 0.5
-            pts = base[:, None, :] + off[j_idx]
-            vals, _ = bilinear_sample(maps[cam], pts.reshape(-1, 2))
-            projected = np.einsum("pc,oc->po", vals.astype(np.float64), w_value) + b_value
-            acc += np.einsum("p,po->o", wgt[j_idx].reshape(-1), projected)
-        if hit:
-            delta = (np.einsum("c,oc->o", acc, w_out) + b_out).astype(np.float32)
-            out_patches[i] += delta[:, None, None]
-            flags[i] = True
+    np.add(out_patches, delta.astype(np.float32)[:, :, None, None], out=out_patches, where=flags[:, None, None, None])
     refined = RoiSet(roi.centers, roi.classes, roi.scores, out_patches, roi.queries)
     return refined, flags
 
@@ -483,30 +506,19 @@ def regress(roi: RoiSet, heads: RegressionHeads, spec: BevSpec) -> List[Detectio
     size = mlp_forward(trunk, heads.size).astype(np.float64)
     yaw_raw = mlp_forward(trunk, heads.yaw).astype(np.float64)
     vel = mlp_forward(trunk, heads.vel).astype(np.float64)
+    shift = 0.5 * np.tanh(off)
+    xs = -spec.extent + (roi.centers[:, 0] + 0.5 + shift[:, 0]) * spec.cell_size
+    ys = -spec.extent + (roi.centers[:, 1] + 0.5 + shift[:, 1]) * spec.cell_size
+    rows = zip(
+        roi.classes.tolist(), xs.tolist(), ys.tolist(), zed[:, 0].tolist(), np.exp(size).tolist(),
+        yaw_raw.tolist(), vel.tolist(), roi.scores.tolist(),
+    )
     dets = []
-    for i in range(roi.n):
-        dx, dy = 0.5 * np.tanh(off[i])
-        x = -spec.extent + (roi.centers[i, 0] + 0.5 + dx) * spec.cell_size
-        y = -spec.extent + (roi.centers[i, 1] + 0.5 + dy) * spec.cell_size
-        l, w, h = np.exp(size[i])
-        yaw = math.atan2(yaw_raw[i, 0], yaw_raw[i, 1])
+    for cls, x, y, z, (l, w, h), (sin, cos), (vx, vy), score in rows:
+        yaw = math.atan2(sin, cos)
         if yaw <= -math.pi:
             yaw += 2.0 * math.pi
-        dets.append(
-            Detection(
-                cls=int(roi.classes[i]),
-                x=float(x),
-                y=float(y),
-                z=float(zed[i, 0]),
-                l=float(l),
-                w=float(w),
-                h=float(h),
-                yaw=float(yaw),
-                vx=float(vel[i, 0]),
-                vy=float(vel[i, 1]),
-                score=float(roi.scores[i]),
-            )
-        )
+        dets.append(Detection(cls, x, y, z, l, w, h, yaw, vx, vy, score))
     return dets
 
 

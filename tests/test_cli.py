@@ -8,11 +8,11 @@ import sys
 
 import pytest
 
-from bevnext.config import SceneConfig
+from bevnext.config import SceneConfig, load_config
 from bevnext.object_decoder import parse_detections
 from bevnext.ppm import load_ppm
 from bevnext.scene import load_scene
-from bevnext.weights import expected_shapes, load_weights
+from bevnext.weights import expected_shapes, load_weights, save_weights
 
 FAST_CFG = "scene.seed = 3\nscene.frames = 2\nscene.objects.min = 1\nscene.objects.max = 2\n"
 
@@ -130,6 +130,31 @@ def test_run_threads_do_not_change_artifacts(workdir, tmp_path):
         assert code == 0, err
         outs.append(tree_bytes(tmp_path / tag))
     assert outs[0] == outs[1]
+
+
+def test_run_emitting_detections_is_byte_identical_across_threads(tmp_path):
+    """desk.cfg with every cell above threshold, so the decoder's second stage runs."""
+    desk = open(os.path.join(os.path.dirname(__file__), "..", "configs", "desk.cfg"), encoding="utf-8").read()
+    assert "decoder.threshold = 0.1\n" in desk
+    cfg_path = tmp_path / "desk.cfg"
+    cfg_path.write_text(desk.replace("decoder.threshold = 0.1\n", "decoder.threshold = 0.0\n"))
+    top_n = load_config(cfg_path).top_n
+    code, _, err = cli("generate", "--config", str(cfg_path), "--out", str(tmp_path / "scene"))
+    assert code == 0, err
+    code, _, err = cli("init-weights", "--config", str(cfg_path), "--out", str(tmp_path / "w.bvnx"))
+    assert code == 0, err
+    texts = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"run_t{threads}"
+        code, _, err = cli(
+            "run", "--config", str(cfg_path), "--weights", str(tmp_path / "w.bvnx"),
+            "--scene", str(tmp_path / "scene"), "--out", str(out_dir), "--threads", threads,
+        )
+        assert code == 0, err
+        texts.append((out_dir / "detections.txt").read_bytes())
+    assert texts[0] == texts[1]
+    assert len(texts[0].splitlines()) == top_n
+    assert len(parse_detections(texts[0].decode())) == top_n
 
 
 # ---------------------------------------------------------------- demo
@@ -259,6 +284,21 @@ def test_exit_3_on_scene_config_shape_mismatch(workdir, tmp_path):
     )
     assert code == 3
     assert "rasters" in err
+
+
+def test_exit_3_on_size_that_prints_as_zero(workdir, tmp_path):
+    cfg_path = tmp_path / "all.cfg"
+    cfg_path.write_text(FAST_CFG + "decoder.threshold = 0.0\n")
+    bundle = load_weights(workdir / "w.bvnx", load_config(cfg_path))
+    bundle.tensors["decoder.head.size.b"][:] = -20.0  # exp(-20) is 2e-9
+    save_weights(bundle, tmp_path / "tiny.bvnx")
+    code, _, err = cli(
+        "run", "--config", str(cfg_path), "--weights", str(tmp_path / "tiny.bvnx"),
+        "--scene", str(workdir / "scene"), "--out", str(tmp_path / "r"),
+    )
+    assert code == 3
+    assert "prints as 0.000000" in err
+    assert not (tmp_path / "r" / "detections.txt").exists()
 
 
 def test_exit_2_on_unknown_subcommand():

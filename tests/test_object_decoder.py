@@ -4,11 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bevnext.depth_crf import DepthVolume
 from bevnext.errors import FormatError, ShapeError
-from bevnext.kernels import ConvSpec, SplitMix64, conv2d, mlp_forward
+from bevnext.kernels import ConvSpec, SplitMix64, bilinear_sample, conv2d, mlp_forward, softmax
 from bevnext.object_decoder import (
+    CENTER_POSITION,
+    N_QUERY_POSITIONS,
+    ROI_SIZE,
     AttnSpec,
     CenterProposal,
     Detection,
@@ -84,6 +89,54 @@ def naive_sca(roi, refs, features, attn, stride, embedding=None):
             out.append(roi.patches[i])
         flags.append(hit)
     return np.stack(out), np.array(flags)
+
+
+def loop_attention_weights(attn, query):
+    q = np.asarray(query, dtype=np.float64)
+    raw = attn.w_weight.astype(np.float64) @ q + attn.b_weight.astype(np.float64)
+    return softmax(raw.reshape(attn.n_ref, attn.n_points), axis=1)
+
+
+def loop_sampling_offsets(attn, query):
+    q = np.asarray(query, dtype=np.float64)
+    raw = attn.w_offset.astype(np.float64) @ q + attn.b_offset.astype(np.float64)
+    return raw.reshape(attn.n_ref, attn.n_points, 2)
+
+
+def loop_sca(roi, refs, features, attn, stride, embedding=None):
+    """The per-ROI, per-camera loop spatial_cross_attention ran before it was
+    batched over ROIs; the bit-exact oracle for its summation order."""
+    feats = np.asarray(features, dtype=np.float32)
+    maps = feats if embedding is None else feats + np.asarray(embedding, dtype=np.float32)
+    w_value = attn.w_value.astype(np.float64)
+    b_value = attn.b_value.astype(np.float64)
+    w_out = attn.w_out.astype(np.float64)
+    b_out = attn.b_out.astype(np.float64)
+    out_patches = roi.patches.copy()
+    flags = np.zeros(roi.n, dtype=bool)
+    for i in range(roi.n):
+        q = roi.patches[i, :, CENTER_POSITION // ROI_SIZE, CENTER_POSITION % ROI_SIZE].astype(np.float64)
+        q = q + roi.queries[CENTER_POSITION].astype(np.float64)
+        wgt = loop_attention_weights(attn, q)
+        off = loop_sampling_offsets(attn, q)
+        acc = np.zeros(attn.channels, dtype=np.float64)
+        hit = False
+        for cam in range(feats.shape[0]):
+            mask = refs.valid[i, cam]
+            if not mask.any():
+                continue
+            hit = True
+            j_idx = np.nonzero(mask)[0]
+            base = refs.uv[i, cam][j_idx] / stride - 0.5
+            pts = base[:, None, :] + off[j_idx]
+            vals, _ = bilinear_sample(maps[cam], pts.reshape(-1, 2))
+            projected = np.einsum("pc,oc->po", vals.astype(np.float64), w_value) + b_value
+            acc += np.einsum("p,po->o", wgt[j_idx].reshape(-1), projected)
+        if hit:
+            delta = (np.einsum("c,oc->o", acc, w_out) + b_out).astype(np.float32)
+            out_patches[i] += delta[:, None, None]
+            flags[i] = True
+    return out_patches, flags
 
 
 def single_class_heatmap(values):
@@ -330,8 +383,6 @@ def test_depth_embedding_pointwise():
 
 def test_depth_embedding_matches_per_pixel_oracle():
     rng = SplitMix64(19)
-    from bevnext.kernels import softmax
-
     probs = softmax(rng.uniform_array((4, 3, 4), -1, 1), axis=0)
     mlp = mlp_spec([4, 6, 5], rng)
     emb = depth_embedding(DepthVolume(probs), mlp)
@@ -369,13 +420,19 @@ def _unit_attn(c, rng=None, n_ref=1, n_points=1):
 def test_attention_weights_normalized():
     rng = SplitMix64(21)
     attn = attn_spec(6, 4, 2, rng)
-    for _ in range(5):
-        q = rng.uniform_array((6,), -2, 2).astype(np.float64)
+    queries = rng.uniform_array((5, 6), -2, 2).astype(np.float64)
+    for q in queries:
         w = attention_weights(attn, q)
         assert w.shape == (4, 2)
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-6)
         off = sampling_offsets(attn, q)
         assert off.shape == (4, 2, 2)
+    # a batch of queries gets each query's own bits
+    batch_w, batch_off = attention_weights(attn, queries), sampling_offsets(attn, queries)
+    assert batch_w.shape == (5, 4, 2) and batch_off.shape == (5, 4, 2, 2)
+    for q, w, off in zip(queries, batch_w, batch_off):
+        np.testing.assert_array_equal(w, loop_attention_weights(attn, q))
+        np.testing.assert_array_equal(off, loop_sampling_offsets(attn, q))
 
 
 def test_sca_degenerate_single_sample():
@@ -443,6 +500,140 @@ def test_sca_zero_embedding_is_identity_ablation():
     with_emb, _ = spatial_cross_attention(roi, refs, features, attn, stride, embedding=zero_emb)
     without, _ = spatial_cross_attention(roi, refs, features, attn, stride)
     np.testing.assert_array_equal(with_emb.patches, without.patches)
+
+
+def _order_sensitive_sca(seed, n, ncam, n_ref, n_points, c, with_embedding):
+    """ROIs, references, maps and weights on which the decoder's sum order shows.
+
+    Values have random signs and magnitudes from 1e-8 to 1e8: cameras 0
+    and 1 hold the large ones, the other cameras and the patches span the
+    whole range. Camera 1 holds exactly the negated maps of camera 0, and
+    half the ROIs see both at the same references, so those two partial
+    sums cancel exactly when added in camera order; a small partial added
+    to one of them first loses its low bits. ROI 0 has no valid reference, ROI 1 one camera, ROI 2 every
+    (camera, height), and ROI 3 a camera whose valid heights project far
+    off the feature map. The rest are random.
+    """
+    rng = np.random.default_rng(seed)
+    fh, fw, stride = 5, 7, 8
+
+    def spread(shape, low=-8.0, high=8.0):
+        signs = rng.choice(np.array([-1.0, 1.0]), size=shape)
+        return (signs * 10.0 ** rng.uniform(low, high, shape)).astype(np.float32)
+
+    def camera_maps():
+        maps = spread((ncam, c, fh, fw), high=-1.0)
+        maps[0] = spread((c, fh, fw), low=0.0)
+        maps[1] = -maps[0]
+        return maps
+
+    features = camera_maps()
+    embedding = camera_maps() if with_embedding else None
+    uv = np.stack(
+        [rng.uniform(0.0, fw * stride, (n, ncam, n_ref)), rng.uniform(0.0, fh * stride, (n, ncam, n_ref))],
+        axis=-1,
+    )
+    valid = rng.random((n, ncam, n_ref)) < 0.6
+    twins = rng.random(n) < 0.5
+    uv[twins, 1], valid[twins, 1] = uv[twins, 0], valid[twins, 0]
+    valid[0] = False
+    valid[1] = False
+    valid[1, 1, 0] = True
+    valid[2] = True
+    valid[3] = False
+    valid[3, ncam - 1] = True
+    uv[3, ncam - 1] = 1e4
+    refs = RefPointSet(points=np.zeros((n, n_ref, 3)), uv=uv, valid=valid)
+    roi = RoiSet(
+        centers=np.zeros((n, 2), np.int64),
+        classes=np.zeros(n, np.int64),
+        scores=np.full(n, 0.5),
+        patches=spread((n, c, ROI_SIZE, ROI_SIZE)),
+        queries=spread((N_QUERY_POSITIONS, c)),
+    )
+    # weights see log-magnitude queries through small projections, so the
+    # softmax stays finite and the offsets stay within a few pixels
+    rows = n_ref * n_points
+    attn = AttnSpec(
+        n_ref=n_ref,
+        n_points=n_points,
+        w_offset=rng.uniform(-1e-8, 1e-8, (2 * rows, c)),
+        b_offset=rng.uniform(-1.5, 1.5, 2 * rows),
+        w_weight=rng.uniform(-1e-8, 1e-8, (rows, c)),
+        b_weight=rng.uniform(-2.0, 2.0, rows),
+        w_value=rng.uniform(-1.0, 1.0, (c, c)),
+        b_value=np.zeros(c),
+        w_out=rng.uniform(-1.0, 1.0, (c, c)),
+        b_out=np.zeros(c),
+    )
+    return roi, refs, features, attn, stride, embedding
+
+
+def _cameras_reversed(refs, features, embedding):
+    flipped = RefPointSet(refs.points, refs.uv[:, ::-1], refs.valid[:, ::-1])
+    return flipped, features[::-1], None if embedding is None else embedding[::-1]
+
+
+@pytest.mark.parametrize("with_embedding", [False, True])
+@pytest.mark.parametrize("seed", range(10))
+def test_sca_bit_identical_to_loop_oracle(seed, with_embedding):
+    roi, refs, features, attn, stride, emb = _order_sensitive_sca(seed, 24, 3, 4, 2, 6, with_embedding)
+    refined, flags = spatial_cross_attention(roi, refs, features, attn, stride, emb)
+    expected, expected_flags = loop_sca(roi, refs, features, attn, stride, emb)
+    np.testing.assert_array_equal(flags, expected_flags)
+    np.testing.assert_array_equal(refined.patches, expected)
+    assert list(flags[:4]) == [False, True, True, True]
+    np.testing.assert_array_equal(refined.patches[0], roi.patches[0])
+    # the same per-camera sums added in reverse camera order change the bits
+    flipped_refs, flipped_features, flipped_emb = _cameras_reversed(refs, features, emb)
+    back_to_front, _ = loop_sca(roi, flipped_refs, flipped_features, attn, stride, flipped_emb)
+    assert not np.array_equal(back_to_front, expected), "data cannot detect a reordered camera sum"
+
+
+def test_sca_bit_identical_to_loop_oracle_within_a_camera():
+    """Samples on grid points with weights of exactly 1/2 and identity
+    projections, so each camera's partial is an exact sum of map values.
+    The maps hold +-2**60 and values near 1, so the large terms cancel and
+    whether a small one survives their float64 sum depends on the order
+    within the camera."""
+    rng = np.random.default_rng(5)
+    n, ncam, n_ref, n_points, c, fh, fw, stride = 64, 2, 4, 2, 2, 4, 6, 8
+    levels = np.array([2.0**60, -(2.0**60), 2.0**60, -(2.0**60), 0.75, -1.25, 3.0], dtype=np.float32)
+    features = rng.choice(levels, size=(ncam, c, fh, fw))
+    cells = np.stack([rng.integers(0, fw - 1, (n, ncam, n_ref)), rng.integers(0, fh - 1, (n, ncam, n_ref))], -1)
+    refs = RefPointSet(np.zeros((n, n_ref, 3)), (cells + 0.5) * stride, rng.random((n, ncam, n_ref)) < 0.8)
+    rows = n_ref * n_points
+    eye = np.eye(c, dtype=np.float32)
+    attn = AttnSpec(
+        n_ref, n_points,
+        w_offset=np.zeros((2 * rows, c)), b_offset=np.tile([0.0, 0.0, 1.0, 1.0], n_ref),
+        w_weight=np.zeros((rows, c)), b_weight=np.zeros(rows),
+        w_value=eye, b_value=np.zeros(c), w_out=eye, b_out=np.zeros(c),
+    )
+    roi = RoiSet(np.zeros((n, 2), np.int64), np.zeros(n, np.int64), np.full(n, 0.5),
+                 np.zeros((n, c, ROI_SIZE, ROI_SIZE)), np.zeros((N_QUERY_POSITIONS, c)))
+    refined, flags = spatial_cross_attention(roi, refs, features, attn, stride)
+    expected, expected_flags = loop_sca(roi, refs, features, attn, stride)
+    np.testing.assert_array_equal(flags, expected_flags)
+    np.testing.assert_array_equal(refined.patches, expected)
+    # the same samples summed with the heights back to front change the bits
+    heights_flipped = RefPointSet(refs.points, refs.uv[:, :, ::-1], refs.valid[:, :, ::-1])
+    back_to_front, _ = loop_sca(roi, heights_flipped, features, attn, stride)
+    assert not np.array_equal(back_to_front, expected), "data cannot detect a reordered height sum"
+
+
+def test_sca_empty_roi_set():
+    rng = SplitMix64(41)
+    roi = make_roi(rng, 0, 3)
+    attn = attn_spec(3, 2, 2, rng)
+    refs = make_refs(rng, 0, 2, 2, 48, 48)
+    features = rng.uniform_array((2, 3, 6, 6), -1, 1)
+    refined, flags = spatial_cross_attention(roi, refs, features, attn, 8)
+    expected, expected_flags = loop_sca(roi, refs, features, attn, 8)
+    np.testing.assert_array_equal(refined.patches, expected)
+    np.testing.assert_array_equal(flags, expected_flags)
+    assert refined.patches.shape == (0, 3, ROI_SIZE, ROI_SIZE)
+    assert flags.shape == (0,) and flags.dtype == bool
 
 
 def test_sca_rejects_mismatched_refs():
@@ -543,3 +734,44 @@ def test_detection_parse_skips_blank_and_comments():
 def test_detection_validates_size():
     with pytest.raises(ShapeError, match="size"):
         Detection(0, 0, 0, 0, -1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.5)
+
+
+def test_detection_size_that_prints_as_zero_is_rejected():
+    with pytest.raises(ShapeError, match="size w=5e-07 prints as 0.000000"):
+        Detection(0, 0, 0, 0, 1.0, 5e-7, 1.0, 0.0, 0.0, 0.0, 0.5)
+    d = Detection(0, 0, 0, 0, 1.0, math.nextafter(5e-7, 1.0), 1.0, 0.0, 0.0, 0.0, 0.5)
+    assert format_detections([d]).split()[5] == "0.000001"
+
+
+@pytest.mark.parametrize("yaw", [-3.1415926, -math.pi, -math.pi - 1e-6, math.pi + 1e-6])
+def test_detection_yaw_rounded_past_pi_reads_back(yaw):
+    text = format_detections([Detection(0, 0, 0, 0, 1.0, 1.0, 1.0, yaw, 0.0, 0.0, 0.5)])
+    (back,) = parse_detections(text)
+    assert -math.pi < back.yaw <= math.pi
+    assert format_detections([back]) == text
+
+
+def test_detection_yaw_beyond_parse_slack_is_rejected():
+    for yaw in (math.nextafter(-math.pi - 1e-6, -4.0), math.nextafter(math.pi + 1e-6, 4.0)):
+        with pytest.raises(ShapeError, match="yaw"):
+            Detection(0, 0, 0, 0, 1.0, 1.0, 1.0, yaw, 0.0, 0.0, 0.5)
+
+
+_ANY = st.floats(allow_nan=False, allow_infinity=False)
+_SIZE = st.one_of(st.floats(0.0, 2e-6), _ANY)
+_YAW = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.floats(-math.pi - 1e-6, -math.pi + 1e-6),
+    st.floats(math.pi - 1e-6, math.pi + 1e-6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-5, 5), _ANY, _ANY, _ANY, _SIZE, _SIZE, _SIZE, _YAW, _ANY, _ANY, _ANY)
+def test_every_detection_text_parses_back_to_itself(cls, x, y, z, l, w, h, yaw, vx, vy, score):
+    try:
+        d = Detection(cls, x, y, z, l, w, h, yaw, vx, vy, score)
+    except ShapeError:
+        return
+    text = format_detections([d])
+    assert format_detections(parse_detections(text)) == text
