@@ -484,6 +484,7 @@ def spatial_cross_attention(
     flags = refs.valid.any(axis=(1, 2))
     delta = np.einsum("rc,oc->ro", acc, attn.w_out.astype(np.float64)) + attn.b_out.astype(np.float64)
     out_patches = roi.patches.copy()
+    # in place: a boolean-indexed += would copy the refined patches twice
     np.add(out_patches, delta.astype(np.float32)[:, :, None, None], out=out_patches, where=flags[:, None, None, None])
     refined = RoiSet(roi.centers, roi.classes, roi.scores, out_patches, roi.queries)
     return refined, flags

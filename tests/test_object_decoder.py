@@ -139,6 +139,45 @@ def loop_sca(roi, refs, features, attn, stride, embedding=None):
     return out_patches, flags
 
 
+def loop_regress(roi, heads, spec):
+    """The per-ROI loop regress ran before it worked on whole arrays; the
+    bit-exact oracle for its arithmetic."""
+    if roi.n == 0:
+        return []
+    pooled = roi.patches.astype(np.float64).mean(axis=(2, 3)).astype(np.float32)
+    trunk = mlp_forward(pooled, heads.shared)
+    off = mlp_forward(trunk, heads.offset).astype(np.float64)
+    zed = mlp_forward(trunk, heads.z).astype(np.float64)
+    size = mlp_forward(trunk, heads.size).astype(np.float64)
+    yaw_raw = mlp_forward(trunk, heads.yaw).astype(np.float64)
+    vel = mlp_forward(trunk, heads.vel).astype(np.float64)
+    dets = []
+    for i in range(roi.n):
+        dx, dy = 0.5 * np.tanh(off[i])
+        x = -spec.extent + (roi.centers[i, 0] + 0.5 + dx) * spec.cell_size
+        y = -spec.extent + (roi.centers[i, 1] + 0.5 + dy) * spec.cell_size
+        l, w, h = np.exp(size[i])
+        yaw = math.atan2(yaw_raw[i, 0], yaw_raw[i, 1])
+        if yaw <= -math.pi:
+            yaw += 2.0 * math.pi
+        dets.append(
+            Detection(
+                cls=int(roi.classes[i]),
+                x=float(x),
+                y=float(y),
+                z=float(zed[i, 0]),
+                l=float(l),
+                w=float(w),
+                h=float(h),
+                yaw=float(yaw),
+                vx=float(vel[i, 0]),
+                vy=float(vel[i, 1]),
+                score=float(roi.scores[i]),
+            )
+        )
+    return dets
+
+
 def single_class_heatmap(values):
     return Heatmap(np.asarray(values, dtype=np.float64)[None])
 
@@ -510,9 +549,10 @@ def _order_sensitive_sca(seed, n, ncam, n_ref, n_points, c, with_embedding):
     whole range. Camera 1 holds exactly the negated maps of camera 0, and
     half the ROIs see both at the same references, so those two partial
     sums cancel exactly when added in camera order; a small partial added
-    to one of them first loses its low bits. ROI 0 has no valid reference, ROI 1 one camera, ROI 2 every
-    (camera, height), and ROI 3 a camera whose valid heights project far
-    off the feature map. The rest are random.
+    to one of them first loses its low bits. ROI 0 has no valid reference,
+    ROI 1 one camera, ROI 2 every (camera, height), and ROI 3 a camera
+    whose valid heights project far off the feature map. The rest are
+    random.
     """
     rng = np.random.default_rng(seed)
     fh, fw, stride = 5, 7, 8
@@ -551,8 +591,8 @@ def _order_sensitive_sca(seed, n, ncam, n_ref, n_points, c, with_embedding):
         patches=spread((n, c, ROI_SIZE, ROI_SIZE)),
         queries=spread((N_QUERY_POSITIONS, c)),
     )
-    # weights see log-magnitude queries through small projections, so the
-    # softmax stays finite and the offsets stay within a few pixels
+    # tiny weight and offset projections keep the softmax finite and the
+    # offsets within a few pixels for queries up to 1e8
     rows = n_ref * n_points
     attn = AttnSpec(
         n_ref=n_ref,
@@ -685,6 +725,23 @@ def test_regress_offset_bounded_by_half_cell():
             assert abs(d.y - center_y) <= 0.5 + 1e-9
             assert d.l > 0 and d.w > 0 and d.h > 0
             assert -math.pi < d.yaw <= math.pi
+
+
+def test_regress_bit_identical_to_loop_oracle():
+    rng = np.random.default_rng(43)
+    n, c = 4096, 8
+    spec = BevSpec(64, 0.8, 25.6)
+    roi = RoiSet(
+        centers=rng.integers(0, 64, (n, 2)),
+        classes=rng.integers(0, 3, n),
+        scores=rng.uniform(0.01, 0.99, n),
+        patches=rng.normal(0.0, 3.0, (n, c, ROI_SIZE, ROI_SIZE)),
+        queries=np.zeros((N_QUERY_POSITIONS, c)),
+    )
+    heads = regression_heads(c, SplitMix64(45))
+    dets = regress(roi, heads, spec)
+    assert len(dets) == n
+    assert dets == loop_regress(roi, heads, spec)  # dataclass equality compares every float exactly
 
 
 def test_regress_empty_roi():
