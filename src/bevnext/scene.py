@@ -9,7 +9,13 @@ velocity times the frame interval exactly.
 
 Rendering is a vectorized ray / oriented-box intersection with a depth
 buffer, using only elementwise numpy ops, so output rasters are
-byte-identical across runs and platforms.
+byte-identical across runs and platforms. Each camera's per-pixel ray
+directions are built once per scene. Each box is intersected only
+inside the screen rectangle of its 8 projected corners, widened by one
+pixel; a box that straddles the camera plane or holds the camera falls
+back to the whole image, and a box wholly behind the camera or off
+screen is skipped. Pixels see the same arithmetic as a whole-image
+pass, so the bytes do not depend on the clipping.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ MIN_PLACEMENT_RADIUS = 1.5
 MAX_SPEED = 0.5  # m/s per axis
 
 _SIZE_RANGES = ((0.5, 1.2), (0.4, 0.9), (0.5, 1.2))  # l, w, h
+_CORNER_SIGNS = np.array([(sx, sy, sz) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
 
 
 @dataclass(frozen=True)
@@ -64,7 +71,10 @@ class GroundTruthBox:
 
     def __post_init__(self):
         for name in ("x", "y", "z", "l", "w", "h", "yaw", "vx", "vy"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ShapeError(f"GroundTruthBox: {name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "cls", int(self.cls))
         if self.l <= 0 or self.w <= 0 or self.h <= 0:
             raise ShapeError("GroundTruthBox: size must be strictly positive")
@@ -176,44 +186,91 @@ def _slab_interval(origin: float, direction: np.ndarray, half: float):
     return near, far
 
 
-def render_view(
-    camera: CameraModel, boxes: Sequence[GroundTruthBox], image_h: int, image_w: int
-) -> np.ndarray:
-    """Render one camera view of the boxes over the gradient backdrop.
+def _ray_directions(camera: CameraModel, image_h: int, image_w: int) -> np.ndarray:
+    """Ego-frame ray direction of every pixel center, [H, W, 3] float64.
 
-    One primary ray per pixel through the pixel center; the nearest box
-    intersection wins the depth buffer and paints the class color. The
-    ray parameter equals camera-frame depth because the camera-frame ray
-    direction has unit z.
+    The camera-frame direction has unit z, so the ray parameter of a hit
+    equals its camera-frame depth.
     """
-    image = background_image(image_h, image_w).copy()
-    if not boxes:
-        return image
     us = (np.arange(image_w) + 0.5 - camera.cx) / camera.fx
     vs = (np.arange(image_h) + 0.5 - camera.cy) / camera.fy
     dirs_cam = np.empty((image_h, image_w, 3), dtype=np.float64)
     dirs_cam[:, :, 0] = us[None, :]
     dirs_cam[:, :, 1] = vs[:, None]
     dirs_cam[:, :, 2] = 1.0
-    dirs_ego = np.einsum("hwj,ij->hwi", dirs_cam, camera.rotation)
+    return np.einsum("hwj,ij->hwi", dirs_cam, camera.rotation)
+
+
+def _screen_rect(camera: CameraModel, box: GroundTruthBox, image_h: int, image_w: int):
+    """Pixel rows/columns ``(r0, r1, c0, c1)`` a box can cover, or None.
+
+    A convex box wholly in front of the camera projects inside the hull
+    of its 8 projected corners, so every pixel center it covers lies in
+    their bounding rectangle; one extra pixel on each side absorbs
+    rounding. A box with every corner at depth <= 0 is skipped: its hits
+    would have ``t_enter <= 0``, well short of the hit test's 1e-9. A box
+    with any corner at depth <= 1e-6 straddles the camera plane or holds
+    the camera, so its projection is unbounded and the whole image is
+    searched.
+    """
+    corners = (_CORNER_SIGNS * (box.size / 2.0)) @ _yaw_matrix(box.yaw).T + box.center
+    uv, depth = camera.project(corners)
+    if (depth <= 0.0).all():
+        return None
+    if (depth <= 1e-6).any():
+        return 0, image_h, 0, image_w
+    lo, hi = np.floor(uv.min(axis=0)) - 1, np.ceil(uv.max(axis=0)) + 2
+    c0, r0 = (max(int(v), 0) for v in lo)
+    c1, r1 = int(min(hi[0], image_w)), int(min(hi[1], image_h))
+    if r0 >= r1 or c0 >= c1:
+        return None
+    return r0, r1, c0, c1
+
+
+def _render(
+    camera: CameraModel, dirs_ego: np.ndarray, boxes: Sequence[GroundTruthBox]
+) -> np.ndarray:
+    """Render boxes through precomputed ``_ray_directions`` of ``camera``."""
+    image_h, image_w = dirs_ego.shape[:2]
+    image = background_image(image_h, image_w)
     depth = np.full((image_h, image_w), np.inf)
     for box in boxes:
+        rect = _screen_rect(camera, box, image_h, image_w)
+        if rect is None:
+            continue
+        r0, r1, c0, c1 = rect
         rot = _yaw_matrix(box.yaw)
         origin_box = rot.T @ (camera.translation - box.center)
-        dirs_box = np.einsum("ij,hwj->hwi", rot.T, dirs_ego)
-        t_enter = np.full((image_h, image_w), -np.inf)
-        t_exit = np.full((image_h, image_w), np.inf)
+        dirs_box = np.einsum("ij,hwj->hwi", rot.T, dirs_ego[r0:r1, c0:c1])
+        t_enter = np.full((r1 - r0, c1 - c0), -np.inf)
+        t_exit = np.full((r1 - r0, c1 - c0), np.inf)
         for axis in range(3):
             near, far = _slab_interval(
                 origin_box[axis], dirs_box[:, :, axis], box.size[axis] / 2.0
             )
             t_enter = np.maximum(t_enter, near)
             t_exit = np.minimum(t_exit, far)
+        depth_rect = depth[r0:r1, c0:c1]
         hit = (t_enter <= t_exit) & (t_enter > 1e-9)
-        closer = hit & (t_enter < depth)
-        depth[closer] = t_enter[closer]
-        image[closer] = PALETTE[box.cls % len(PALETTE)]
+        closer = hit & (t_enter < depth_rect)
+        depth_rect[closer] = t_enter[closer]
+        image[r0:r1, c0:c1][closer] = PALETTE[box.cls % len(PALETTE)]
     return image
+
+
+def render_view(
+    camera: CameraModel, boxes: Sequence[GroundTruthBox], image_h: int, image_w: int
+) -> np.ndarray:
+    """Render one camera view of the boxes over the gradient backdrop.
+
+    One primary ray per pixel through the pixel center; the nearest box
+    intersection wins the depth buffer and paints the class color. Each
+    box is intersected only inside its ``_screen_rect``, with the
+    full-image directions sliced to that rectangle, so every pixel sees
+    the same arithmetic as a whole-image pass. ``gen_scene`` builds the
+    directions once per camera and calls ``_render`` directly.
+    """
+    return _render(camera, _ray_directions(camera, image_h, image_w), boxes)
 
 
 def _sample_objects(cfg: SceneConfig, rng: SplitMix64) -> List[GroundTruthBox]:
@@ -278,6 +335,7 @@ def gen_scene(cfg: SceneConfig) -> SyntheticScene:
     reach = PLACEMENT_MARGIN * cfg.bev_extent
     for p in range(GROUND_POINTS):
         ground[p] = ((2.0 * rng.uniform() - 1.0) * reach, (2.0 * rng.uniform() - 1.0) * reach, 0.0)
+    rig_dirs = [_ray_directions(cam, cfg.image_h, cfg.image_w) for cam in rig]
     frames = []
     for t in range(cfg.frames):
         boxes_t = []
@@ -293,9 +351,7 @@ def gen_scene(cfg: SceneConfig) -> SyntheticScene:
             clouds.append(np.einsum("pj,ij->pi", offs, rot) + center_t)
         clouds.append(ground)
         points = np.concatenate(clouds, axis=0).astype(np.float32)
-        images = tuple(
-            render_view(cam, boxes_t, cfg.image_h, cfg.image_w) for cam in rig
-        )
+        images = tuple(_render(cam, dirs, boxes_t) for cam, dirs in zip(rig, rig_dirs))
         frames.append(SceneFrame(images, tuple(boxes_t), points))
     return SyntheticScene(tuple(frames))
 
@@ -321,9 +377,13 @@ def parse_boxes(text: str) -> List[GroundTruthBox]:
             raise FormatError(f"box line {lineno} has {len(cols)} columns, expected 10")
         try:
             boxes.append(GroundTruthBox(int(cols[0]), *[float(c) for c in cols[1:]]))
-        except ValueError as exc:
+        except (ValueError, ShapeError) as exc:
             raise FormatError(f"box line {lineno}: {exc}") from exc
     return boxes
+
+
+# scene.txt keys, in the order save_scene writes them.
+_META_KEYS = ("scene.frames", "camera.count", "camera.image_h", "camera.image_w")
 
 
 def _frame_dir(base, t: int) -> str:
@@ -338,12 +398,8 @@ def save_scene(scene: SyntheticScene, out_dir) -> None:
     scene, so equal scenes serialize identically.
     """
     os.makedirs(out_dir, exist_ok=True)
-    meta = (
-        f"scene.frames = {scene.k}\n"
-        f"camera.count = {scene.n_cameras}\n"
-        f"camera.image_h = {scene.image_h}\n"
-        f"camera.image_w = {scene.image_w}\n"
-    )
+    values = (scene.k, scene.n_cameras, scene.image_h, scene.image_w)
+    meta = "".join(f"{key} = {value}\n" for key, value in zip(_META_KEYS, values))
     with open(os.path.join(out_dir, "scene.txt"), "w", encoding="utf-8") as fh:
         fh.write(meta)
     for t, frame in enumerate(scene.frames):
@@ -367,17 +423,22 @@ def load_scene(scene_dir) -> SyntheticScene:
     except UnicodeDecodeError as exc:
         raise FormatError(f"scene metadata {meta_path} is not UTF-8 text: {exc}") from exc
     meta = {}
-    for line in meta_text.splitlines():
+    for lineno, line in enumerate(meta_text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        key, _, value = stripped.partition("=")
-        meta[key.strip()] = value.strip()
+        key, eq, value = stripped.partition("=")
+        key = key.strip()
+        where = f"{meta_path} line {lineno}"
+        if not eq:
+            raise FormatError(f"{where}: expected 'key = value', got '{stripped}'")
+        if key not in _META_KEYS:
+            raise FormatError(f"{where}: unknown key '{key}'")
+        if key in meta:
+            raise FormatError(f"{where}: duplicate key '{key}'")
+        meta[key] = value.strip()
     try:
-        k = int(meta["scene.frames"])
-        n_cam = int(meta["camera.count"])
-        image_h = int(meta["camera.image_h"])
-        image_w = int(meta["camera.image_w"])
+        k, n_cam, image_h, image_w = (int(meta[key]) for key in _META_KEYS)
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{meta_path}: missing or malformed metadata ({exc})") from exc
     frames = []
@@ -402,6 +463,8 @@ def load_scene(scene_dir) -> SyntheticScene:
             raise FormatError(f"missing box list in {fdir}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise FormatError(f"box list {fdir}/boxes.txt is not UTF-8 text: {exc}") from exc
+        except FormatError as exc:
+            raise FormatError(f"{fdir}/boxes.txt: {exc}") from exc
         try:
             points = bvnx.load_tensor(f"{fdir}/points.bvnx")
         except OSError as exc:

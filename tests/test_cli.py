@@ -266,6 +266,29 @@ def test_exit_2_on_non_utf8_input(workdir, tmp_path, site):
         assert "offset 12" in err
 
 
+@pytest.mark.parametrize(
+    "line, cause",
+    [
+        ("0 nan 0.0 0.4 1.0 1.0 0.8 0.0 0.0 0.0", "x must be finite"),
+        ("0 0.0 inf 0.4 1.0 1.0 0.8 0.0 0.0 0.0", "y must be finite"),
+        ("0 0.0 0.0 0.4 -1.0 1.0 0.8 0.0 0.0 0.0", "size must be strictly positive"),
+    ],
+)
+def test_exit_2_on_rejected_scene_box(workdir, tmp_path, line, cause):
+    scene = tmp_path / "scene"
+    shutil.copytree(workdir / "scene", scene)
+    bad = scene / "frame_001" / "boxes.txt"
+    text = bad.read_text()
+    bad.write_text(text + line + "\n")
+    code, _, err = cli(
+        "run", "--config", str(workdir / "fast.cfg"), "--weights", str(workdir / "w.bvnx"),
+        "--scene", str(scene), "--out", str(tmp_path / "r"),
+    )
+    assert code == 2, err
+    assert f"{bad}: box line {len(text.splitlines()) + 1}: GroundTruthBox: {cause}" in err
+    assert "Traceback" not in err
+
+
 def test_exit_2_on_missing_scene(workdir, tmp_path):
     code, _, err = cli(
         "run", "--config", str(workdir / "fast.cfg"), "--weights", str(workdir / "w.bvnx"),

@@ -1,17 +1,24 @@
 """Scene generation tests: determinism, kinematics, rendering geometry, I/O."""
 
+import dataclasses
+import hashlib
+import itertools
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from bevnext.config import FRAME_DT, SceneConfig
-from bevnext.errors import FormatError
+from bevnext.config import FRAME_DT, SceneConfig, load_config
+from bevnext.errors import FormatError, ShapeError
 from bevnext.scene import (
     GROUND_POINTS,
     OBJECT_POINTS,
     PALETTE,
     GroundTruthBox,
+    _ray_directions,
+    _slab_interval,
+    _yaw_matrix,
     background_image,
     box_center_at,
     format_boxes,
@@ -21,6 +28,9 @@ from bevnext.scene import (
     render_view,
     save_scene,
 )
+from bevnext.view_transform import CameraModel
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 # ---------------------------------------------------------------- helpers
@@ -45,6 +55,15 @@ def tree_bytes(root) -> dict:
             full = os.path.join(dirpath, name)
             out[os.path.relpath(full, root)] = open(full, "rb").read()
     return out
+
+
+def tree_sha256(root) -> str:
+    """sha256 over (relative path, length, bytes) of every file, paths sorted."""
+    h = hashlib.sha256()
+    tree = tree_bytes(root)
+    for rel in sorted(tree):
+        h.update(rel.encode() + b"\0" + len(tree[rel]).to_bytes(8, "little") + tree[rel])
+    return h.hexdigest()
 
 
 def yaw_rotate(yaw, p):
@@ -103,6 +122,34 @@ def test_saved_scene_bytes_are_reproducible(tmp_path):
     a, b = tree_bytes(tmp_path / "a"), tree_bytes(tmp_path / "b")
     assert a.keys() == b.keys()
     assert all(a[k] == b[k] for k in a)
+
+
+# sha256 of the save_scene tree (see tree_sha256) for each preset and seed,
+# recorded from the whole-image renderer before rectangle clipping.
+SCENE_TREE_SHA256 = {
+    ("desk", 0): "29b4a6ddb6f54d7fcfda07cbf7fe8332101468e96617cd4a6900d9f8e3ace896",
+    ("desk", 1): "7d7ec1317c3c5af028a661acbad367035617a2aaf75b4c17e3ccc27941271abd",
+    ("desk", 2): "e49cd789513ad5462dff6d56b2a6d34b042689cc7e4e586825894d3f1ee80841",
+    ("desk", 3): "2627f21e2b15da8e06b5c8f2d408dbac8501895dae8237a69c88efd978324047",
+    ("desk", 4): "2acaeb68df58e1956f76b9d597f62c4cee439a3a46f08344853d2a3ad34b8973",
+    ("desk", 5): "d57585c345d01b9fc3a0d04e7be3a7a6f0518247f09fecbf81255ee677d36ac9",
+    ("desk", 6): "9f1e63312d5f5a75ea7152487e609c5ba0492d620d8ffd63c68787112f639e45",
+    ("desk", 7): "2a81148da9504ad6513a76d127eb5840515846dc86ed1582e1252419bcee68c9",
+    ("desk", 8): "421f5528bcc9aae141a4e92123e5e89714d2055b5b33d4a02919ead2535adebb",
+    ("desk", 9): "40aef33de4679dabe3d5b0f870b301419f8e45ebd5b87830254a45658217528d",
+    ("full", 0): "a333d2df45109f1d3ca4b38cdab664d613c850789b18befee42e2efb5c5866ce",
+    ("full", 1): "63deb7fecc9681542f0049a2f689a6ca0ae59e205d6c52ef4be4d453c8b78f57",
+    ("full", 2): "cfc7b2f32059ddb2f7c4b701efd8a5b764768baadcc18819f56fcd8269d12e0d",
+}
+
+
+@pytest.mark.parametrize("preset, seed", sorted(SCENE_TREE_SHA256))
+def test_saved_scene_tree_is_pinned(tmp_path, preset, seed):
+    cfg = dataclasses.replace(load_config(os.path.join(CONFIGS, f"{preset}.cfg")), seed=seed)
+    save_scene(gen_scene(cfg), tmp_path / "s")
+    digest = tree_sha256(tmp_path / "s")
+    shutil.rmtree(tmp_path / "s")  # a full scene is 29 MB; pytest keeps tmp dirs
+    assert digest == SCENE_TREE_SHA256[(preset, seed)]
 
 
 # ---------------------------------------------------------------- empty scenes
@@ -190,6 +237,160 @@ def test_generated_objects_are_visible_somewhere():
         assert touched >= 1
 
 
+# ---------------------------------------------------------------- clipped rendering
+
+
+def full_image_render(camera, boxes, image_h, image_w):
+    """Oracle: the renderer before rectangle clipping, every box over every pixel."""
+    image = background_image(image_h, image_w).copy()
+    if not boxes:
+        return image
+    us = (np.arange(image_w) + 0.5 - camera.cx) / camera.fx
+    vs = (np.arange(image_h) + 0.5 - camera.cy) / camera.fy
+    dirs_cam = np.empty((image_h, image_w, 3), dtype=np.float64)
+    dirs_cam[:, :, 0] = us[None, :]
+    dirs_cam[:, :, 1] = vs[:, None]
+    dirs_cam[:, :, 2] = 1.0
+    dirs_ego = np.einsum("hwj,ij->hwi", dirs_cam, camera.rotation)
+    depth = np.full((image_h, image_w), np.inf)
+    for box in boxes:
+        rot = _yaw_matrix(box.yaw)
+        origin_box = rot.T @ (camera.translation - box.center)
+        dirs_box = np.einsum("ij,hwj->hwi", rot.T, dirs_ego)
+        t_enter = np.full((image_h, image_w), -np.inf)
+        t_exit = np.full((image_h, image_w), np.inf)
+        for axis in range(3):
+            near, far = _slab_interval(
+                origin_box[axis], dirs_box[:, :, axis], box.size[axis] / 2.0
+            )
+            t_enter = np.maximum(t_enter, near)
+            t_exit = np.minimum(t_exit, far)
+        hit = (t_enter <= t_exit) & (t_enter > 1e-9)
+        closer = hit & (t_enter < depth)
+        depth[closer] = t_enter[closer]
+        image[closer] = PALETTE[box.cls % len(PALETTE)]
+    return image
+
+
+DESK = SceneConfig()
+# Camera 0 sits at (0.5, 0, 0.9) looking along +x: an ego point at depth
+# d = x - 0.5 lands on column 88 - 60 y / d and row 32 - 60 (z - 0.9) / d.
+CAM0 = DESK.rig()[0]
+
+
+def ahead(cls, x, y, z, size=(1.0, 1.0, 1.0), yaw=0.0):
+    return GroundTruthBox(cls, x, y, z, *size, yaw, 0.0, 0.0)
+
+
+def painted(img):
+    return (img != background_image(*img.shape[:2])).any(axis=2)
+
+
+def pixel_ray_point(camera, row, col, depth):
+    """Ego point at camera depth ``depth`` on the ray through a pixel center."""
+    return camera.translation + depth * _ray_directions(camera, DESK.image_h, DESK.image_w)[row, col]
+
+
+def box_corners(box):
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
+    return np.array([yaw_rotate(box.yaw, s * box.size / 2.0) for s in signs]) + box.center
+
+
+# Pitched and yawed: each ray direction component sums three inexact
+# products, where the desk rig's rotations of zeros, ones and one sine
+# and cosine hide any change in summation order.
+TILTED = CameraModel(
+    61.3, 59.1, 87.4, 31.7,
+    _yaw_matrix(0.3)
+    @ np.array([[np.cos(0.2), 0.0, np.sin(0.2)], [0.0, 1.0, 0.0], [-np.sin(0.2), 0.0, np.cos(0.2)]])
+    @ CAM0.rotation,
+    CAM0.translation,
+)
+
+FAR = ahead(0, 6.0, 0.5, 0.4, (1.0, 2.0, 0.8))
+NEAR = ahead(1, 3.0, -0.3, 0.4, (1.0, 1.0, 0.8))
+
+
+def colors(img):
+    return {tuple(int(v) for v in c) for c in img[painted(img)]}
+
+
+# name -> (boxes, check that the oracle's image shows the case it names)
+ORACLE_CASES = {
+    # x from -1 to 2 around the camera's x = 0.5, off to the left
+    "straddles_camera_plane": (
+        [ahead(0, 0.5, 1.0, 0.9, (3.0, 0.5, 0.5))], lambda img: painted(img)[:, 0].any()),
+    "camera_inside_box": (
+        [ahead(0, 0.5, 0.0, 0.9, (2.0, 2.0, 2.0))], lambda img: not painted(img).any()),
+    "camera_inside_box_before_box_ahead": (
+        [ahead(0, 0.5, 0.0, 0.9, (2.0, 2.0, 2.0)), NEAR], lambda img: colors(img) == {PALETTE[1]}),
+    "wholly_behind_camera": ([ahead(0, -4.0, 0.0, 0.4)], lambda img: not painted(img).any()),
+    "wholly_off_screen": ([ahead(0, 4.0, 20.0, 0.4)], lambda img: not painted(img).any()),
+    "cut_by_left_edge": (
+        [ahead(0, 4.0, 4.4, 0.9)], lambda img: painted(img)[:, 0].any() and not painted(img)[:, -1].any()),
+    "cut_by_right_edge": (
+        [ahead(0, 4.0, -4.4, 0.9)], lambda img: painted(img)[:, -1].any() and not painted(img)[:, 0].any()),
+    "cut_by_top_edge": (
+        [ahead(0, 4.0, 0.0, 2.5)], lambda img: painted(img)[0].any() and not painted(img)[-1].any()),
+    "cut_by_bottom_edge": (
+        [ahead(0, 4.0, 0.0, -0.7)], lambda img: painted(img)[-1].any() and not painted(img)[0].any()),
+    "sub_pixel_box_far_away": (
+        [ahead(1, *pixel_ray_point(CAM0, 40, 120, 50.0), (0.01, 0.01, 0.01))],
+        lambda img: painted(img).sum() == 1 and painted(img)[40, 120]),
+    "overlapping_far_first": ([FAR, NEAR], lambda img: colors(img) == {PALETTE[0], PALETTE[1]}),
+    "overlapping_near_first": ([NEAR, FAR], lambda img: colors(img) == {PALETTE[0], PALETTE[1]}),
+    "zero_boxes": ([], lambda img: not painted(img).any()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_clipped_render_matches_full_image_oracle(name):
+    boxes, check = ORACLE_CASES[name]
+    expect = full_image_render(CAM0, boxes, DESK.image_h, DESK.image_w)
+    assert check(expect)
+    assert np.array_equal(render_view(CAM0, boxes, DESK.image_h, DESK.image_w), expect)
+
+
+def test_clipped_render_matches_oracle_through_a_tilted_camera():
+    cam = TILTED
+    rng = np.random.default_rng(1)
+    boxes = [
+        GroundTruthBox(
+            int(rng.integers(0, 6)), *rng.uniform((-2.0, -6.0, -1.0), (9.0, 6.0, 2.5)),
+            *rng.uniform(0.2, 2.5, 3), rng.uniform(-np.pi, np.pi), 0.0, 0.0,
+        )
+        for _ in range(40)
+    ]
+    expect = full_image_render(cam, boxes, DESK.image_h, DESK.image_w)
+    assert painted(expect).mean() > 0.2
+    assert np.array_equal(render_view(cam, boxes, DESK.image_h, DESK.image_w), expect)
+
+
+def test_clipped_render_matches_oracle_at_corners_on_pixel_centers():
+    """A box corner on a pixel center's ray: the slab test may hit that pixel
+    although the projected corners leave its center outside by < 1e-9 px,
+    and a last-bit change in the ray direction may flip the hit."""
+    cams = (TILTED, *DESK.rig())
+    rng = np.random.default_rng(0)
+    grazing = 0
+    for _ in range(300):
+        cam = cams[int(rng.integers(0, len(cams)))]
+        row, col = int(rng.integers(10, 54)), int(rng.integers(20, 156))
+        corner = pixel_ray_point(cam, row, col, rng.uniform(2.0, 6.0))
+        size, yaw = rng.uniform(0.3, 1.5, 3), rng.uniform(-np.pi, np.pi)
+        sign = rng.choice([-1.0, 1.0], 3)
+        center = corner - yaw_rotate(yaw, sign * size / 2.0)
+        box = GroundTruthBox(0, *center, *size, yaw, 0.0, 0.0)
+        expect = full_image_render(cam, [box], DESK.image_h, DESK.image_w)
+        assert np.array_equal(render_view(cam, [box], DESK.image_h, DESK.image_w), expect)
+        uv, _ = cam.project(box_corners(box))
+        rows, cols = np.nonzero(painted(expect))
+        centers = np.stack([cols + 0.5, rows + 0.5], axis=1)
+        outside = np.maximum(uv.min(axis=0) - centers, centers - uv.max(axis=0)).max(initial=0.0)
+        grazing += 0.0 < outside < 1e-9
+    assert grazing > 0
+
+
 # ---------------------------------------------------------------- surface points
 
 
@@ -246,6 +447,32 @@ def test_box_parse_skips_comments_and_blanks():
     assert parse_boxes("# header\n\n") == []
 
 
+BOX_FIELDS = ("x", "y", "z", "l", "w", "h", "yaw", "vx", "vy")
+
+
+@pytest.mark.parametrize("field", BOX_FIELDS)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_box_rejects_non_finite_field(field, value):
+    vals = dict(zip(BOX_FIELDS, (0.0, 0.0, 0.4, 1.0, 1.0, 0.8, 0.0, 0.0, 0.0)))
+    vals[field] = value
+    with pytest.raises(ShapeError, match=f"{field} must be finite"):
+        GroundTruthBox(0, **vals)
+
+
+@pytest.mark.parametrize(
+    "line, cause",
+    [
+        ("1 nan 0 0.4 1 1 0.8 0 0 0", "x must be finite"),
+        ("1 0 0 0.4 1 inf 0.8 0 0 0", "w must be finite"),
+        ("1 0 0 0.4 nan 1 0.8 0 0 0", "l must be finite"),
+        ("1 0 0 0.4 1 1 -0.8 0 0 0", "size must be strictly positive"),
+    ],
+)
+def test_box_parse_reports_rejected_box_with_line_number(line, cause):
+    with pytest.raises(FormatError, match=f"box line 3: .*{cause}"):
+        parse_boxes("# cls x y z l w h yaw vx vy\n0 0 0 0.4 1 1 0.8 0 0 0\n" + line + "\n")
+
+
 # ---------------------------------------------------------------- directory I/O
 
 
@@ -273,3 +500,68 @@ def test_load_rejects_missing_frame_files(tmp_path):
     os.remove(tmp_path / "s" / "frame_001" / "cam_3.ppm")
     with pytest.raises(FormatError, match="cam_3"):
         load_scene(tmp_path / "s")
+
+
+@pytest.mark.parametrize(
+    "extra, cause",
+    [
+        ("nonsense", "line 5: expected 'key = value', got 'nonsense'"),
+        ("camera.count = 6", "line 5: duplicate key 'camera.count'"),
+        ("camera.focal = 60.0", "line 5: unknown key 'camera.focal'"),
+    ],
+)
+def test_load_rejects_malformed_scene_metadata(tmp_path, extra, cause):
+    save_scene(gen_scene(SceneConfig(seed=2, frames=1)), tmp_path / "s")
+    meta = tmp_path / "s" / "scene.txt"
+    meta.write_text(meta.read_text() + extra + "\n")
+    with pytest.raises(FormatError) as info:
+        load_scene(tmp_path / "s")
+    assert str(info.value) == f"{meta} {cause}"
+
+
+def test_load_names_the_box_file_of_a_rejected_box(tmp_path):
+    save_scene(gen_scene(SceneConfig(seed=2, frames=2)), tmp_path / "s")
+    boxes = tmp_path / "s" / "frame_001" / "boxes.txt"
+    boxes.write_text(boxes.read_text() + "0 0 0 0.4 1 1 nan 0 0 0\n")
+    with pytest.raises(FormatError, match="frame_001/boxes.txt: box line .*: .*h must be finite"):
+        load_scene(tmp_path / "s")
+
+
+def _fuzz_cases(tree, raster_len, rng):
+    """(relative path, damaged bytes): byte flips and truncations per region."""
+    header_len = len(tree["frame_000/cam_0.ppm"]) - raster_len
+    regions = {
+        "scene.txt": (0, None),
+        "frame_000/boxes.txt": (0, None),
+        "frame_000/points.bvnx": (0, None),
+        "frame_001/cam_2.ppm": (0, header_len),  # header
+        "frame_000/cam_5.ppm": (header_len, None),  # raster
+    }
+    for rel, (lo, hi) in regions.items():
+        data = tree[rel]
+        hi = len(data) if hi is None else hi
+        for _ in range(10):
+            flipped = bytearray(data)
+            flipped[int(rng.integers(lo, hi))] ^= int(rng.integers(1, 256))
+            yield rel, bytes(flipped)
+        for _ in range(3):
+            yield rel, data[: int(rng.integers(lo, hi))]
+
+
+def test_load_scene_fuzzed_files_return_or_raise_named_errors(tmp_path):
+    root = tmp_path / "s"
+    cfg = SceneConfig(seed=2, frames=2)
+    save_scene(gen_scene(cfg), root)
+    tree = tree_bytes(root)
+    outcomes = {"loaded": 0, "rejected": 0}
+    raster_len = cfg.image_h * cfg.image_w * 3
+    for rel, damaged in _fuzz_cases(tree, raster_len, np.random.default_rng(0)):
+        (root / rel).write_bytes(damaged)
+        try:
+            load_scene(root)
+            outcomes["loaded"] += 1
+        except (FormatError, ShapeError):
+            outcomes["rejected"] += 1
+        finally:
+            (root / rel).write_bytes(tree[rel])
+    assert outcomes["loaded"] > 0 and outcomes["rejected"] > 0
