@@ -142,8 +142,10 @@ def pairwise_affinity(colors: np.ndarray) -> np.ndarray:
         raise ShapeError("pairwise_affinity: colors must be [H, W, 3]")
     h, w, _ = c.shape
     flat = c.reshape(h * w, 3)
-    diff = flat[:, None, :] - flat[None, :, :]
-    col_d2 = np.einsum("ijc,ijc->ij", diff, diff)
+    d0, d1, d2 = (flat[:, ch, None] - flat[None, :, ch] for ch in range(3))
+    # (c0 + c2) + c1 is the order np.einsum("ijc,ijc->ij") sums the three
+    # squared channel differences in, so the bits match the [n, n, 3] form.
+    col_d2 = (d0 * d0 + d2 * d2) + d1 * d1
     a = APPEARANCE_WEIGHT * np.exp(-col_d2 / (2.0 * APPEARANCE_THETA * APPEARANCE_THETA))
     a += _spatial_term(h, w)
     np.fill_diagonal(a, 0.0)
@@ -186,9 +188,9 @@ def mean_field_step(q: DepthVolume, unary: np.ndarray, coupling: np.ndarray, com
         raise ShapeError(f"mean_field_step: coupling is {coupling.shape}, expected {(n, n)}")
     qf = q.probs.reshape(k, n).T  # [N, K]
     expected = np.einsum("nb,ab->na", qf, compat)  # E_b compat(a,b) Q_j(b) per pixel
-    # `expected` comes out Fortran-ordered, so this sums over j with einsum's
-    # vectorised dot kernel; a C-ordered copy or `@` would change the bits.
-    messages = np.einsum("ij,ja->ia", coupling, expected)  # [N, K]
+    # One float64 OpenBLAS GEMM sums over j; its order is the library's, the
+    # same for any thread count (see the kernels module docstring).
+    messages = coupling @ expected  # [N, K]
     logits = -(unary.reshape(k, n).T + messages)
     out = softmax(logits, axis=1).T.reshape(k, h, w)
     return DepthVolume(out)

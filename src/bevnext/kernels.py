@@ -1,19 +1,27 @@
 """Deterministic neural-numeric primitives shared by every stage.
 
 All operations are pure functions over numpy arrays. Feature tensors use
-NCHW layout and float32 storage; accumulations run in float64 with a fixed
-loop nesting (``np.einsum`` without ``optimize``, which never dispatches to
-BLAS), so results are bit-identical across runs and thread counts.
+NCHW layout and float32 storage; accumulations run in float64 and each
+result is rounded to float32 once.
 
-``conv2d`` fixes the order of every output element's sum: for each tap in
-(ky, kx) order, a float64 tap sum starts at zero and adds
-w[o, i, ky, kx] * x[i] for i = 0..C-1 one by one; that tap sum is added to
-the accumulator, the bias is added last, and the result is cast to float32
-once. An einsum's reduction order can depend on the memory layout of its
-operands: when the reduced axis is innermost and contiguous in both inputs,
-einsum switches to a vectorised dot product that sums out of order. Any
-layout change to an einsum therefore needs a bit-identity test against a
-sequential oracle (``tests/test_kernels.py`` has one for ``conv2d``).
+Determinism: the same inputs give byte-identical outputs for any
+``--threads`` and any ``OPENBLAS_NUM_THREADS``, on one machine with one
+NumPy/OpenBLAS build. Two float64 contractions run as OpenBLAS GEMMs:
+``conv2d`` (the reshaped weight times im2col blocks) and the CRF messages
+of ``depth_crf.mean_field_step`` (coupling times expected compatibility).
+OpenBLAS splits a GEMM across its threads by output rows and columns,
+never along the summed axis, so each output keeps one summation order
+whatever the thread count; that order is the library's own and may differ
+on another CPU or build. Every other contraction keeps its documented
+order: the MLPs here, lift, the CRF expected term and the decoder's sums
+are ``np.einsum`` without ``optimize``, which never dispatches to BLAS,
+and the decoder's query projections are one matrix-vector product per
+query. An einsum's reduction order can depend on the memory layout of its
+operands (with the reduced axis innermost and contiguous in both, einsum
+switches to a vectorised dot product that sums out of order), so a layout
+change to an einsum needs a bit-identity test against an oracle. So does
+any change to how ``conv2d`` builds its blocks: ``tests/test_kernels.py``
+pins the GEMM order with an independent im2col oracle.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ import numpy as np
 from .errors import ShapeError
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 class SplitMix64:
@@ -41,10 +50,10 @@ class SplitMix64:
         self.state = self.seed
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def uniform(self) -> float:
@@ -52,10 +61,19 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0 ** -53
 
     def uniform_array(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
+        """n = prod(shape) draws of ``uniform`` in stream order, scaled to [low, high), float32.
+
+        The i-th draw mixes state + i * gamma (i = 1..n, wrapping mod 2^64),
+        so the whole array is computed at once and the state advances by
+        n * gamma, exactly as n calls of ``next_u64`` would leave it.
+        """
         n = int(np.prod(shape)) if shape else 1
-        vals = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            vals[i] = self.uniform()
+        z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(self.state)
+        self.state = (self.state + n * _GAMMA) & _MASK64
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        vals = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
         out = low + (high - low) * vals
         return out.reshape(shape).astype(np.float32)
 
@@ -145,20 +163,24 @@ class MlpSpec:
         return self.weights[-1].shape[0]
 
 
-# Input bytes per conv2d block: one block's tap window stays in a core's L2
-# cache while every output channel passes over it.
-_CONV_BLOCK_BYTES = 1 << 18
+# Column-buffer bytes per conv2d block: each block's im2col matrix is one
+# float64 GEMM operand, large enough for the BLAS kernel to run at speed and
+# small enough that a full-scale 3x3 conv never builds its whole column
+# matrix.
+_CONV_BLOCK_BYTES = 1 << 20
 
 
 def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Strided 2D convolution on an NCHW float32 tensor.
+    """Strided 2D convolution on an NCHW float32 tensor, as float64 GEMMs.
 
-    Output spatial dims follow (H + 2p - k) // s + 1. Each output element
-    is summed in float64 in one fixed order: taps in (ky, kx) order; within
-    a tap, w[o, i, ky, kx] * x[i] for input channels i = 0..C-1 in order,
-    starting from zero; each tap sum added to the running total; then the
-    bias; then one rounding to float32. No reassociation, hence
-    bit-determinism.
+    Output spatial dims follow (H + 2p - k) // s + 1. Per image, output
+    rows go in blocks of as many rows as fit _CONV_BLOCK_BYTES of column
+    buffer (at least one). For each block every tap's window is copied
+    into a float64 column buffer in (channel, ky, kx) row order;
+    ``np.matmul`` multiplies weight.reshape(out, C*k*k) by it, the bias
+    is added to the product, and the sum is cast to float32 once. The
+    summation order inside the GEMM is OpenBLAS's (see the module
+    docstring).
     """
     x = np.ascontiguousarray(x, dtype=np.float32)
     if x.ndim != 4:
@@ -175,28 +197,23 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     wo = (w + 2 * p - k) // s + 1
     xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=np.float64)
     xp[:, :, p : p + h, p : p + w] = x
-    wt = spec.weight.astype(np.float64)
-    acc = np.zeros((n, spec.out_channels, ho, wo), dtype=np.float64)
-    # Output rows go in blocks whose input window fits in cache, and each
-    # tap's window of a block is copied into one buffer, so the einsum runs
-    # contiguous loops over (rows, wo) on cached data. Blocks hold disjoint
-    # outputs, so every output keeps its order of taps and channels. The
-    # spare element per channel keeps the channel axis non-contiguous: with
-    # a one-pixel output that axis would be innermost, and einsum would sum
-    # it with its out-of-order dot kernel.
-    rows = max(1, min(ho, _CONV_BLOCK_BYTES // max(1, 8 * n * c * wo)))
-    buf = np.empty((n, c, rows * wo + 1), dtype=np.float64)[:, :, : rows * wo].reshape(n, c, rows, wo)
-    for r0 in range(0, ho, rows):
-        r = min(rows, ho - r0)
-        win = buf[:, :, :r]
-        out = acc[:, :, r0 : r0 + r]
-        for ky in range(k):
-            y0 = ky + r0 * s
-            for kx in range(k):
-                np.copyto(win, xp[:, :, y0 : y0 + (r - 1) * s + 1 : s, kx : kx + (wo - 1) * s + 1 : s])
-                out += np.einsum("oi,nihw->nohw", wt[:, :, ky, kx], win)
-    acc += spec.bias.astype(np.float64)[:, None, None]
-    return acc.astype(np.float32)
+    wmat = spec.weight.astype(np.float64).reshape(spec.out_channels, c * k * k)
+    bias = spec.bias.astype(np.float64)[:, None]
+    out = np.empty((n, spec.out_channels, ho, wo), dtype=np.float32)
+    rows = max(1, min(ho, _CONV_BLOCK_BYTES // max(1, 8 * c * k * k * wo)))
+    buf = np.empty(c * k * k * rows * wo, dtype=np.float64)
+    for b in range(n):
+        for r0 in range(0, ho, rows):
+            r = min(rows, ho - r0)
+            col = buf[: c * k * k * r * wo].reshape(c, k, k, r, wo)
+            for ky in range(k):
+                y0 = ky + r0 * s
+                for kx in range(k):
+                    np.copyto(col[:, ky, kx], xp[b, :, y0 : y0 + (r - 1) * s + 1 : s, kx : kx + (wo - 1) * s + 1 : s])
+            acc = np.matmul(wmat, col.reshape(c * k * k, r * wo))
+            acc += bias
+            out[b, :, r0 : r0 + r] = acc.reshape(spec.out_channels, r, wo)
+    return out
 
 
 def mlp_forward(x: np.ndarray, spec: MlpSpec) -> np.ndarray:

@@ -3,11 +3,12 @@
 Per frame, every camera runs backbone -> depth logits -> CRF-refined
 depth -> frustum lift; the lifted features pool into one BEV grid per
 frame. The frame grids fuse temporally, and the decoder turns the fused
-grid into detections. Camera passes are independent pure functions, so
-they may run on a thread pool; results are collected by camera index and
-pooled in fixed order, which keeps outputs bit-identical for any thread
-count. Failures inside a stage re-raise as ``StageError`` tagged with
-the stage name.
+grid into detections. Camera passes are independent and each writes its
+own slot of one preallocated lifted stack, so they may run on a thread
+pool (one per run); results are collected by camera index and pooled in
+fixed order, which keeps outputs bit-identical for any thread count.
+Failures inside a stage re-raise as ``StageError`` tagged with the stage
+name.
 
 The backbone consumes the background-subtracted raster. With zero
 conv biases an object-free frame therefore produces exactly zero
@@ -21,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
@@ -175,26 +177,27 @@ def run_pipeline(
     index = run_stage("pool", precompute_pool_index, frusta, spec)
     bg = background_image(cfg.image_h, cfg.image_w).astype(np.float64)
 
-    def camera_pass(image: np.ndarray):
+    # Every frame's camera passes lift into their own slot of one stack,
+    # which pool reads before the next frame overwrites it.
+    lifted = np.empty(
+        (len(rig), bspecs[-1].out_channels, cfg.feat_h, cfg.feat_w, bins.k), dtype=np.float32
+    )
+
+    def camera_pass(image: np.ndarray, out: np.ndarray):
         diff = image.astype(np.float64) - bg
         feats = run_stage("backbone", toy_backbone, diff, cfg.stride, bspecs)
         logits = run_stage("depth", lambda: conv2d(feats[None], dspec)[0])
         vol = run_stage("crf", modulate, logits, image.astype(np.float64) / 255.0, bins, cfg.crf_iters)
-        lifted = run_stage("lift", lift, feats, vol)
-        return feats, vol, lifted
+        run_stage("lift", lift, feats, vol, out)
+        return feats, vol
 
     grids = []
     current = None
-    for t in range(scene.k):
-        images = scene.frames[t].images
-        if threads == 1:
-            results = [camera_pass(image) for image in images]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                results = list(ex.map(camera_pass, images))
-        lifted_stack = np.stack([lifted for _, _, lifted in results], axis=0)
-        grids.append(run_stage("pool", pool, lifted_stack, index, spec))
-        current = results
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as ex:
+        camera_map = map if ex is None else ex.map
+        for t in range(scene.k):
+            current = list(camera_map(camera_pass, scene.frames[t].images, lifted))
+            grids.append(run_stage("pool", pool, lifted, index, spec))
 
     stack = run_stage("fusion", FusionStack, tuple(grids))
     fused = run_stage("fusion", fuse, stack, fcfg)
@@ -206,8 +209,8 @@ def run_pipeline(
     refs = run_stage(
         "decoder", lift_references, roi.centers, spec, cfg.heights, rig, cfg.image_h, cfg.image_w
     )
-    feats_now = np.stack([feats for feats, _, _ in current], axis=0)
-    vols_now = tuple(vol for _, vol, _ in current)
+    feats_now = np.stack([feats for feats, _ in current], axis=0)
+    vols_now = tuple(vol for _, vol in current)
     emb = run_stage(
         "decoder", lambda: np.stack([depth_embedding(v, dmlp) for v in vols_now], axis=0)
     )

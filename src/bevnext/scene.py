@@ -436,11 +436,15 @@ def load_scene(scene_dir) -> SyntheticScene:
             raise FormatError(f"{where}: unknown key '{key}'")
         if key in meta:
             raise FormatError(f"{where}: duplicate key '{key}'")
-        meta[key] = value.strip()
-    try:
-        k, n_cam, image_h, image_w = (int(meta[key]) for key in _META_KEYS)
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"{meta_path}: missing or malformed metadata ({exc})") from exc
+        value = value.strip()
+        try:
+            meta[key] = int(value)
+        except ValueError:
+            raise FormatError(f"{where}: {key} expected an integer, got '{value}'") from None
+    missing = [key for key in _META_KEYS if key not in meta]
+    if missing:
+        raise FormatError(f"{meta_path}: missing metadata key(s) {', '.join(missing)}")
+    k, n_cam, image_h, image_w = (meta[key] for key in _META_KEYS)
     frames = []
     for t in range(k):
         fdir = _frame_dir(scene_dir, t)

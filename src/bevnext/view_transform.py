@@ -19,7 +19,7 @@ The extrinsic transform maps camera-frame points into the ego frame.
 """
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -222,8 +222,13 @@ def build_frustum(
     return FrustumGrid(camera, ego)
 
 
-def lift(features: np.ndarray, depth: DepthVolume) -> np.ndarray:
-    """Spread [C, H', W'] features over depth bins: out[c,u,v,d] = f[c,u,v] * p[d,u,v]."""
+def lift(features: np.ndarray, depth: DepthVolume, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Spread [C, H', W'] features over depth bins: out[c,u,v,d] = f[c,u,v] * p[d,u,v].
+
+    The float32 result goes into ``out`` when given (a [C, H', W', K]
+    float32 array, e.g. one camera's slot of a preallocated stack), which
+    is returned; otherwise into a new array.
+    """
     f = np.asarray(features, dtype=np.float32)
     if f.ndim != 3:
         raise ShapeError(f"lift: features must be [C, H', W'], got rank {f.ndim}")
@@ -232,8 +237,13 @@ def lift(features: np.ndarray, depth: DepthVolume) -> np.ndarray:
         raise ShapeError(
             f"lift: depth dims {depth.height}x{depth.width} != feature dims {h}x{w}"
         )
-    out = np.einsum("chw,khw->chwk", f.astype(np.float64), depth.probs)
-    return out.astype(np.float32)
+    lifted = np.einsum("chw,khw->chwk", f.astype(np.float64), depth.probs)
+    if out is None:
+        return lifted.astype(np.float32)
+    if out.shape != lifted.shape or out.dtype != np.float32:
+        raise ShapeError(f"lift: out must be float32 {lifted.shape}, got {out.dtype} {out.shape}")
+    np.copyto(out, lifted, casting="same_kind")
+    return out
 
 
 def precompute_pool_index(

@@ -69,6 +69,17 @@ def rebuilt_affinity(colors):
     return a
 
 
+def einsum_mean_field_step(q, unary, coupling, compat):
+    """`mean_field_step` with its earlier message form: the einsum
+    "ij,ja->ia" over the Fortran-ordered expected term, which einsum sums
+    over j with its vectorised dot kernel instead of a BLAS GEMM."""
+    k, h, w = q.shape
+    n = h * w
+    expected = np.einsum("nb,ab->na", q.reshape(k, n).T, compat)
+    messages = np.einsum("ij,ja->ia", coupling, expected)
+    return softmax(-(unary.reshape(k, n).T + messages), axis=1).T.reshape(k, h, w)
+
+
 def naive_patch_colors(image, stride):
     h, w, _ = image.shape
     out = np.zeros((h // stride, w // stride, 3))
@@ -192,6 +203,19 @@ def test_affinity_appearance_kernel_closed_form():
             want = _appearance(float(((flat[i] - flat[j]) ** 2).sum()))
             want += _spatial((ri - rj) ** 2 + (ci - cj) ** 2)
             np.testing.assert_allclose(coupling[i, j], want, rtol=1e-12, err_msg=f"{i} {j}")
+
+
+@pytest.mark.parametrize("h,w", [(8, 22), (16, 44)])
+def test_affinity_bit_identical_to_einsum_difference_tensor(h, w):
+    """Three 2-D squared channel differences summed (c0 + c2) + c1 keep the
+    bits of the [n, n, 3] einsum form; summing them left to right would not."""
+    colors = SplitMix64(h * w).uniform_array((h, w, 3)).astype(np.float64)
+    np.testing.assert_array_equal(pairwise_affinity(colors), rebuilt_affinity(colors))
+    flat = colors.reshape(h * w, 3)
+    diff = flat[:, None, :] - flat[None, :, :]
+    d0, d1, d2 = (diff[:, :, ch] for ch in range(3))
+    left_to_right = (d0 * d0 + d1 * d1) + d2 * d2
+    assert not np.array_equal(left_to_right, np.einsum("ijc,ijc->ij", diff, diff))
 
 
 def test_affinity_rejects_non_rgb_colors():
@@ -339,25 +363,42 @@ def test_step_oracle_agreement_many_sizes():
         np.testing.assert_allclose(out.probs, ref, atol=1e-10, rtol=0, err_msg=f"trial {trial}")
 
 
-# One seeded step at desk (8x22, K=8) and full (16x44, K=59) scale, pinned
-# before conv2d and pairwise_affinity were reworked. The message einsum sums
-# over j with einsum's vectorised dot kernel because `expected` is
-# Fortran-ordered; a C-ordered operand or `@` changes these bits.
-@pytest.mark.parametrize(
-    "k,h,w,seed,digest",
-    [
-        (8, 8, 22, 3, "0e280df8acad662f3cfc319302bb8e19660dfa4337ae57c3c98b61047dae309f"),
-        (59, 16, 44, 4, "0b6e78aaa8c5d6ab145075f32ac08d87072c7dfef402a921538959d31d99db6b"),
-    ],
-)
-def test_step_digest_pinned(k, h, w, seed, digest):
+def _seeded_step_inputs(k, h, w, seed):
     rng = SplitMix64(seed)
     colors = rng.uniform_array((h, w, 3)).astype(np.float64)
     q = DepthVolume(softmax(rng.uniform_array((k, h, w), -3.0, 3.0).astype(np.float64), axis=0))
-    aff = pairwise_affinity(colors)
-    compat = build_compat(DepthBins.uniform(k, 1.0, 1.0 + k))
-    out = mean_field_step(q, unary_from_probs(q.probs), aff, compat)
+    return q, unary_from_probs(q.probs), pairwise_affinity(colors), build_compat(DepthBins.uniform(k, 1.0, 1.0 + k))
+
+
+# One seeded step at desk (8x22, K=8) and full (16x44, K=59) scale, pinned
+# with the messages as one float64 OpenBLAS GEMM (`coupling @ expected`).
+# The earlier einsum message form gives other bits (the digests were
+# 0e280df8... and 0b6e78aa...), as does any other GEMM order.
+@pytest.mark.parametrize(
+    "k,h,w,seed,digest",
+    [
+        (8, 8, 22, 3, "764a5fa6523a265b0f92ccefac7c0e1249c9e7e7dbd3e0beafead37b19996a92"),
+        (59, 16, 44, 4, "6961b1b31b37bc649264da8c27cfca634e33f4c5db5e200472cf0fd638863894"),
+    ],
+)
+def test_step_digest_pinned(k, h, w, seed, digest):
+    out = mean_field_step(*_seeded_step_inputs(k, h, w, seed))
     assert tensor_digest(out.probs) == digest
+
+
+@pytest.mark.parametrize("k,h,w,seed", [(8, 8, 22, 3), (59, 16, 44, 4)])
+def test_step_matches_einsum_message_form_within_float64_tolerance(k, h, w, seed):
+    """The GEMM messages move each probability by at most 1e-10 of itself.
+
+    Messages reach |m| ~ 1e3 at full scale, so a different float64
+    summation order shifts the logits by ~1e-13 and each probability by
+    that share of itself (measured: at most 1.8e-12).
+    """
+    q, unary, aff, compat = _seeded_step_inputs(k, h, w, seed)
+    out = mean_field_step(q, unary, aff, compat)
+    ref = einsum_mean_field_step(q.probs, unary, aff, compat)
+    np.testing.assert_allclose(out.probs, ref, rtol=1e-10, atol=0)
+    assert not np.array_equal(out.probs, ref), "the GEMM and the einsum should sum in different orders"
 
 
 def test_step_normalization_invariant():

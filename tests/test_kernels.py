@@ -47,12 +47,12 @@ def naive_conv2d(x, spec):
     return out
 
 
-def sequential_conv2d(x, spec, channel_order=None):
-    """conv2d's accumulation contract, one input channel at a time.
+def sequential_conv2d(x, spec):
+    """Float64 reference convolution, one input channel at a time.
 
     For each tap in (ky, kx) order a float64 zero takes w[o, i, ky, kx] * x[i]
-    for i = 0..C-1 in order (or in ``channel_order``); that tap sum is added
-    into the accumulator, then the bias, then one cast to float32.
+    for i = 0..C-1 in order; that tap sum is added into the accumulator,
+    then the bias, then one cast to float32.
     """
     n, c, h, w = x.shape
     k, s, p = spec.kernel_size, spec.stride, spec.padding
@@ -65,11 +65,50 @@ def sequential_conv2d(x, spec, channel_order=None):
         for kx in range(k):
             win = xp[:, :, ky : ky + (ho - 1) * s + 1 : s, kx : kx + (wo - 1) * s + 1 : s]
             tap = np.zeros_like(acc)
-            for i in range(c) if channel_order is None else channel_order:
+            for i in range(c):
                 tap += wt[None, :, i, ky, kx, None, None] * win[:, None, i]
             acc += tap
     acc += spec.bias.astype(np.float64)[:, None, None]
     return acc.astype(np.float32)
+
+
+def gemm_conv2d(x, spec, channel_order=None, bias_first=False):
+    """conv2d's GEMM order, built independently of its block copies.
+
+    Per image, output rows go in blocks of as many rows as fit
+    ``kernels._CONV_BLOCK_BYTES`` of float64 column buffer (at least one).
+    Each block's column matrix has one row per (channel, ky, kx), channels
+    in order (or in ``channel_order``), gathered by index arithmetic.
+    ``np.matmul`` multiplies the weight matrix, its columns in the same
+    order, by it; the bias is added to the product and the sum cast to
+    float32 once. ``bias_first`` instead makes the bias the first term of
+    the GEMM (a leading ones row), which sums it in another order.
+    """
+    n, c, h, w = x.shape
+    k, s, p = spec.kernel_size, spec.stride, spec.padding
+    ho = (h + 2 * p - k) // s + 1
+    wo = (w + 2 * p - k) // s + 1
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (p, p), (p, p)))
+    taps = [(i, ky, kx) for i in (range(c) if channel_order is None else channel_order)
+            for ky in range(k) for kx in range(k)]
+    wmat = np.array([[float(spec.weight[o, i, ky, kx]) for i, ky, kx in taps]
+                     for o in range(spec.out_channels)])
+    bias = spec.bias.astype(np.float64)[:, None]
+    if bias_first:
+        wmat = np.concatenate([bias, wmat], axis=1)
+    rows = max(1, min(ho, kernels._CONV_BLOCK_BYTES // (8 * c * k * k * wo)))
+    out = np.empty((n, spec.out_channels, ho, wo), dtype=np.float32)
+    for b in range(n):
+        for r0 in range(0, ho, rows):
+            oy, ox = np.meshgrid(np.arange(r0, min(r0 + rows, ho)), np.arange(wo), indexing="ij")
+            col = [xp[b, i, oy * s + ky, ox * s + kx].reshape(-1) for i, ky, kx in taps]
+            if bias_first:
+                col.insert(0, np.ones(oy.size))
+            acc = np.matmul(wmat, np.stack(col))
+            if not bias_first:
+                acc += bias
+            out[b, :, r0 : r0 + oy.shape[0]] = acc.reshape(spec.out_channels, -1, wo)
+    return out
 
 
 def naive_mlp(x, spec):
@@ -165,13 +204,15 @@ def test_conv_oracle_agreement_50_instances():
 
 
 def _order_sensitive_conv(seed, n, cin, cout, k, stride, padding, h, w):
-    """Input and spec on which any reordering of the channel sum shows.
+    """Input and spec on which a reordered channel sum or bias shows.
 
     Weights are +-1 and inputs O(1), except that at each pixel every channel
-    pair (m, m + cin // 2) holds 1e8 in both channels with probability one
+    pair (m, m + cin // 2) holds 1e10 in both channels with probability one
     half. The two weights of a pair have opposite signs, so the pair cancels
-    within each tap sum, but the O(1) terms added while the partial sum is
-    large lose low bits, and which bits they lose depends on the order.
+    within each output's sum, but the O(1) terms added while the partial
+    sum is large lose low bits, and which bits they lose depends on the
+    order. At 1e10 a lost bit is coarse enough to show even when the GEMM
+    splits the sum over SIMD lanes.
     """
     rng = np.random.default_rng(seed)
     sign = rng.choice(np.array([-1.0, 1.0], dtype=np.float32), size=(cout, cin, k, k))
@@ -180,8 +221,8 @@ def _order_sensitive_conv(seed, n, cin, cout, k, stride, padding, h, w):
     if half:
         sign[:, half : 2 * half] = -sign[:, :half]
         pair = rng.random((n, half, h, w)) < 0.5
-        x[:, :half][pair] = 1e8
-        x[:, half : 2 * half][pair] = 1e8
+        x[:, :half][pair] = 1e10
+        x[:, half : 2 * half][pair] = 1e10
     bias = rng.uniform(-1.0, 1.0, cout).astype(np.float32)
     return x, ConvSpec(sign, bias, stride, padding)
 
@@ -216,7 +257,7 @@ CONV_BIT_CASES = [
 ]
 
 
-# One-pixel outputs, where the channel axis is the only one left to loop over.
+# One-pixel outputs, where the channel axis is the only one left to sum.
 ONE_PIXEL_CASES = [
     (16, 8, 1, 1, 0, 1, 1),
     (40, 8, 1, 2, 0, 2, 1),
@@ -226,31 +267,56 @@ ONE_PIXEL_CASES = [
 ]
 
 
-
-def _rows_of_blocks(blocks, cin, stride, wo):
-    """Input height whose output spans `blocks` row blocks, the last one partial."""
-    rows = kernels._CONV_BLOCK_BYTES // (8 * 2 * cin * wo)
+def _rows_of_blocks(blocks, cin, k, stride, wo):
+    """Input height whose output spans `blocks` row blocks of conv2d, the last one partial."""
+    rows = kernels._CONV_BLOCK_BYTES // (8 * cin * k * k * wo)
     return ((blocks - 1) * rows + 3) * stride
 
 
-# Outputs taller than one row block of conv2d.
+# Outputs taller than one row block: the first two at the half-height block
+# each test also runs, the last at the shipped block size too.
 MULTI_BLOCK_CASES = [
-    (192, 64, 1, 1, 0, _rows_of_blocks(3, 192, 1, 9), 9),
-    (64, 64, 3, 2, 1, _rows_of_blocks(2, 64, 2, 9), 17),
+    (192, 64, 1, 1, 0, 21, 9),
+    (64, 64, 3, 2, 1, 62, 17),
+    (16, 8, 3, 1, 1, _rows_of_blocks(3, 16, 3, 1, 40), 40),
 ]
 
+CONV_ORDER_CASES = [case + (6, 9) for case in CONV_BIT_CASES] + ONE_PIXEL_CASES + MULTI_BLOCK_CASES
 
-@pytest.mark.parametrize(
-    "cin,cout,k,stride,padding,h,w",
-    [case + (6, 9) for case in CONV_BIT_CASES] + ONE_PIXEL_CASES + MULTI_BLOCK_CASES,
-)
-def test_conv_bit_identical_to_sequential_channel_sum(cin, cout, k, stride, padding, h, w):
+
+def _out_dims(k, stride, padding, h, w):
+    return (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+
+
+@pytest.mark.parametrize("cin,cout,k,stride,padding,h,w", CONV_ORDER_CASES)
+def test_conv_bit_identical_to_sequential_channel_sum(monkeypatch, cin, cout, k, stride, padding, h, w):
+    """conv2d is bit-identical to the GEMM-order oracle, which sums the
+    channels fed to one np.matmul in sequence, (channel, ky, kx).
+
+    It is checked at the shipped block size and at blocks of about half
+    the output rows. On this data, reversing the channel sequence or
+    making the bias the GEMM's first term changes the bits.
+    """
     seed = cin * 1000 + cout * 10 + k + stride + h
     x, spec = _order_sensitive_conv(seed, 2, cin, cout, k, stride, padding, h, w)
-    expected = sequential_conv2d(x, spec)
-    np.testing.assert_array_equal(conv2d(x, spec), expected)
-    reversed_sum = sequential_conv2d(x, spec, channel_order=range(cin - 1, -1, -1))
-    assert not np.array_equal(reversed_sum, expected), "data cannot detect a reordered channel sum"
+    ho, wo = _out_dims(k, stride, padding, h, w)
+    for rows in (None, ho // 2 + 1):
+        if rows is not None:
+            monkeypatch.setattr(kernels, "_CONV_BLOCK_BYTES", 8 * cin * k * k * wo * rows)
+        expected = gemm_conv2d(x, spec)
+        np.testing.assert_array_equal(conv2d(x, spec), expected, err_msg=f"block rows {rows}")
+    reversed_sum = gemm_conv2d(x, spec, channel_order=range(cin - 1, -1, -1))
+    assert not np.array_equal(reversed_sum, expected), "data cannot detect a reordered channel sequence"
+    assert not np.array_equal(gemm_conv2d(x, spec, bias_first=True), expected), "data cannot detect the bias order"
+
+
+@pytest.mark.parametrize("cin,cout,k,stride,padding,h,w", CONV_ORDER_CASES)
+def test_conv_within_one_ulp_of_sequential_reference(cin, cout, k, stride, padding, h, w):
+    """On benign data the GEMM order changes at most the last float32 bit."""
+    rng = SplitMix64(cin * 1000 + cout * 10 + k + stride + h)
+    x = rng.uniform_array((2, cin, h, w), -1, 1)
+    spec = _rand_conv(rng, cin, cout, k, stride=stride, padding=padding)
+    np.testing.assert_array_max_ulp(conv2d(x, spec), sequential_conv2d(x, spec), maxulp=1)
 
 
 def test_conv_empty_batch_and_channels():
@@ -386,6 +452,26 @@ def test_splitmix_matches_reference_stream():
         rng = SplitMix64(seed)
         for _ in range(100):
             assert rng.next_u64() == ref()
+
+
+def scalar_uniform_array(rng, shape, low=0.0, high=1.0):
+    """``uniform_array`` as one ``uniform`` call per element, in stream order."""
+    n = int(np.prod(shape)) if shape else 1
+    vals = np.array([rng.uniform() for _ in range(n)], dtype=np.float64)
+    return (low + (high - low) * vals).reshape(shape).astype(np.float32)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 0xDEADBEEF, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("shape", [(), (0,), (1,), (7,), (3, 4, 3, 3), 5])
+def test_uniform_array_matches_scalar_stream(seed, shape):
+    vec, ref = SplitMix64(seed), SplitMix64(seed)
+    assert vec.next_u64() == ref.next_u64()  # start mid-stream
+    got = vec.uniform_array(shape, -0.3, 0.7)
+    want = scalar_uniform_array(ref, shape, -0.3, 0.7)
+    assert got.dtype == np.float32 and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    assert vec.state == ref.state
+    assert vec.next_u64() == ref.next_u64()
 
 
 def test_init_deterministic_across_instances():

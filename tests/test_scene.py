@@ -519,6 +519,27 @@ def test_load_rejects_malformed_scene_metadata(tmp_path, extra, cause):
     assert str(info.value) == f"{meta} {cause}"
 
 
+@pytest.mark.parametrize(
+    "line, cause",
+    [
+        ("camera.count =", " line 2: camera.count expected an integer, got ''"),
+        ("camera.count = six", " line 2: camera.count expected an integer, got 'six'"),
+        ("camera.count = 6.0", " line 2: camera.count expected an integer, got '6.0'"),
+        (None, ": missing metadata key(s) camera.count"),
+    ],
+)
+def test_load_names_the_line_of_a_bad_scene_metadata_value(tmp_path, line, cause):
+    save_scene(gen_scene(SceneConfig(seed=2, frames=1)), tmp_path / "s")
+    meta = tmp_path / "s" / "scene.txt"
+    lines = meta.read_text().splitlines()
+    assert lines[1] == "camera.count = 6"
+    lines[1:2] = [] if line is None else [line]
+    meta.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError) as info:
+        load_scene(tmp_path / "s")
+    assert str(info.value) == f"{meta}{cause}"
+
+
 def test_load_names_the_box_file_of_a_rejected_box(tmp_path):
     save_scene(gen_scene(SceneConfig(seed=2, frames=2)), tmp_path / "s")
     boxes = tmp_path / "s" / "frame_001" / "boxes.txt"

@@ -212,6 +212,20 @@ def test_lift_rejects_dim_mismatch():
         lift(np.zeros((2, 3, 4), np.float32), _uniform_depth(4, 3, 5))
 
 
+def test_lift_into_a_stack_slot_keeps_every_bit():
+    rng = SplitMix64(29)
+    feats = rng.uniform_array((3, 4, 5), -2, 2)
+    depth = DepthVolume(softmax(rng.uniform_array((6, 4, 5), -1, 1), axis=0))
+    stack = np.full((2, 3, 4, 5, 6), np.nan, dtype=np.float32)
+    slot = stack[1]
+    assert lift(feats, depth, slot) is slot
+    np.testing.assert_array_equal(slot, lift(feats, depth))
+    assert np.isnan(stack[0]).all()
+    for bad in (np.empty((3, 4, 5, 5), np.float32), np.empty((3, 4, 5, 6), np.float64)):
+        with pytest.raises(ShapeError, match="out must be"):
+            lift(feats, depth, bad)
+
+
 # ---------------------------------------------------------------- pool index
 
 
