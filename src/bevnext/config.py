@@ -4,7 +4,8 @@ One ``SceneConfig`` drives scene generation, weight creation, and the
 full pipeline, so every cross-module dimension (stride, bins, grid,
 channels, frames) is derived from a single validated source. Unknown or
 duplicate keys and inconsistent dimensions are rejected up front with a
-``ConfigError`` (CLI exit code 2).
+``ConfigError`` (CLI exit code 2). A scene directory's ``scene.txt`` is
+read by the same ``parse_config``.
 """
 
 from __future__ import annotations
@@ -195,39 +196,40 @@ _SCHEMA = {
 }
 
 
-def parse_config(text: str) -> dict:
-    """Parse ``key = value`` lines into a raw string map.
+def parse_config(text: str, schema: dict = _SCHEMA, where: str = "config") -> dict:
+    """Parse ``key = value`` lines into typed values by key.
 
     Blank lines are skipped; ``#`` starts a comment anywhere on a line.
-    Duplicate keys are an error (silent last-wins hides typos).
+    Each line must hold one ``schema`` key, not seen before (silent
+    last-wins hides typos), and a value its converter accepts. Every
+    error names ``where`` and the line.
     """
-    raw: dict = {}
+    values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if "=" not in stripped:
-            raise ConfigError(f"config line {lineno}: expected 'key = value', got '{stripped}'")
-        key, _, value = stripped.partition("=")
+        at = f"{where} line {lineno}"
+        key, eq, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
+        if not eq:
+            raise ConfigError(f"{at}: expected 'key = value', got '{stripped}'")
         if not key or not value:
-            raise ConfigError(f"config line {lineno}: empty key or value")
-        if key in raw:
-            raise ConfigError(f"config line {lineno}: duplicate key '{key}'")
-        raw[key] = value
-    return raw
+            raise ConfigError(f"{at}: empty key or value")
+        if key not in schema:
+            raise ConfigError(f"{at}: unknown key '{key}'")
+        if key in values:
+            raise ConfigError(f"{at}: duplicate key '{key}'")
+        try:
+            values[key] = schema[key][1](key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"{at}: {exc}") from None
+    return values
 
 
-def build_config(raw: dict) -> SceneConfig:
-    """Validate a raw key map against the schema and build a SceneConfig."""
-    unknown = sorted(set(raw) - set(_SCHEMA))
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    kwargs = {}
-    for key, value in raw.items():
-        attr, convert = _SCHEMA[key]
-        kwargs[attr] = convert(key, value)
-    return SceneConfig(**kwargs)
+def build_config(values: dict) -> SceneConfig:
+    """Build a SceneConfig from ``parse_config`` values."""
+    return SceneConfig(**{_SCHEMA[key][0]: value for key, value in values.items()})
 
 
 def load_config(path) -> SceneConfig:
@@ -238,4 +240,4 @@ def load_config(path) -> SceneConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
-    return build_config(parse_config(text))
+    return build_config(parse_config(text, where=str(path)))

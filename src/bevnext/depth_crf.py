@@ -76,7 +76,8 @@ class DepthVolume:
         if (p < 0).any():
             raise ShapeError("DepthVolume: negative probability entry")
         sums = p.sum(axis=0)
-        if np.abs(sums - 1.0).max() > 1e-6:
+        # A NaN compares False both ways: test "within 1e-6" and negate it.
+        if not (np.abs(sums - 1.0) <= 1e-6).all():
             raise ShapeError("DepthVolume: per-pixel probabilities must sum to 1 within 1e-6")
 
     @property

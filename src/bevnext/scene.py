@@ -28,8 +28,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import bvnx, ppm
-from .config import FRAME_DT, SceneConfig
-from .errors import FormatError, ShapeError
+from .config import _SCHEMA, FRAME_DT, SceneConfig, parse_config
+from .errors import ConfigError, FormatError, ShapeError
 from .kernels import SplitMix64
 from .view_transform import CameraModel
 
@@ -258,21 +258,6 @@ def _render(
     return image
 
 
-def render_view(
-    camera: CameraModel, boxes: Sequence[GroundTruthBox], image_h: int, image_w: int
-) -> np.ndarray:
-    """Render one camera view of the boxes over the gradient backdrop.
-
-    One primary ray per pixel through the pixel center; the nearest box
-    intersection wins the depth buffer and paints the class color. Each
-    box is intersected only inside its ``_screen_rect``, with the
-    full-image directions sliced to that rectangle, so every pixel sees
-    the same arithmetic as a whole-image pass. ``gen_scene`` builds the
-    directions once per camera and calls ``_render`` directly.
-    """
-    return _render(camera, _ray_directions(camera, image_h, image_w), boxes)
-
-
 def _sample_objects(cfg: SceneConfig, rng: SplitMix64) -> List[GroundTruthBox]:
     """Frame-0 boxes: on-ground objects inside the placement ring.
 
@@ -422,28 +407,16 @@ def load_scene(scene_dir) -> SyntheticScene:
         raise FormatError(f"cannot read scene metadata {meta_path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"scene metadata {meta_path} is not UTF-8 text: {exc}") from exc
-    meta = {}
-    for lineno, line in enumerate(meta_text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, eq, value = stripped.partition("=")
-        key = key.strip()
-        where = f"{meta_path} line {lineno}"
-        if not eq:
-            raise FormatError(f"{where}: expected 'key = value', got '{stripped}'")
-        if key not in _META_KEYS:
-            raise FormatError(f"{where}: unknown key '{key}'")
-        if key in meta:
-            raise FormatError(f"{where}: duplicate key '{key}'")
-        value = value.strip()
-        try:
-            meta[key] = int(value)
-        except ValueError:
-            raise FormatError(f"{where}: {key} expected an integer, got '{value}'") from None
+    try:
+        meta = parse_config(meta_text, {key: _SCHEMA[key] for key in _META_KEYS}, meta_path)
+    except ConfigError as exc:
+        raise FormatError(str(exc)) from exc
     missing = [key for key in _META_KEYS if key not in meta]
     if missing:
         raise FormatError(f"{meta_path}: missing metadata key(s) {', '.join(missing)}")
+    for key in _META_KEYS:
+        if meta[key] < 1:
+            raise FormatError(f"{meta_path}: {key} must be >= 1, got {meta[key]}")
     k, n_cam, image_h, image_w = (meta[key] for key in _META_KEYS)
     frames = []
     for t in range(k):

@@ -6,11 +6,12 @@ weights from the given ``SplitMix64`` in a fixed order, so a test's data
 depend only on its seed and the order of its calls. ``cam_to_ego`` and
 ``project_depth_labels`` are geometry oracles (the inverse of
 ``CameraModel.ego_to_cam``, and sparse depth labels from surface
-points); ``format_config`` writes a config back out as text.
+points); ``format_config`` writes a config back out as text, and
+``render_view`` renders one camera view the way ``gen_scene`` does.
 """
 
 from dataclasses import fields
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from bevnext.config import _SCHEMA, SceneConfig
 from bevnext.depth_crf import DepthBins
 from bevnext.kernels import ConvSpec, MlpSpec, SplitMix64, init_weights
 from bevnext.object_decoder import AttnSpec, RegressionHeads
+from bevnext.scene import GroundTruthBox, _ray_directions, _render
 from bevnext.view_transform import CameraModel
 from bevnext.weights import WeightBundle, expected_shapes
 
@@ -169,3 +171,18 @@ def format_config(cfg: SceneConfig) -> str:
             rendered = str(value)
         lines.append(f"{by_attr[f.name]} = {rendered}")
     return "".join(line + "\n" for line in lines)
+
+
+def render_view(
+    camera: CameraModel, boxes: Sequence[GroundTruthBox], image_h: int, image_w: int
+) -> np.ndarray:
+    """Render one camera view of the boxes over the gradient backdrop.
+
+    One primary ray per pixel through the pixel center; the nearest box
+    intersection wins the depth buffer and paints the class color. Each
+    box is intersected only inside its ``_screen_rect``, with the
+    full-image directions sliced to that rectangle, so every pixel sees
+    the same arithmetic as a whole-image pass. ``gen_scene`` builds the
+    directions once per camera and calls ``_render`` directly.
+    """
+    return _render(camera, _ray_directions(camera, image_h, image_w), boxes)

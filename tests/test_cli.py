@@ -227,6 +227,18 @@ def test_exit_2_on_corrupt_weights(workdir, tmp_path):
     assert "magic" in err
 
 
+def test_exit_2_on_truncated_weights(workdir, tmp_path):
+    bad = tmp_path / "bad.bvnx"
+    data = (workdir / "w.bvnx").read_bytes()
+    bad.write_bytes(data[: len(data) - 5])
+    code, _, err = cli(
+        "run", "--config", str(workdir / "fast.cfg"), "--weights", str(bad),
+        "--scene", str(workdir / "scene"), "--out", str(tmp_path / "r"),
+    )
+    assert code == 2, err
+    assert f"{bad}: truncated file at offset" in err and "Traceback" not in err
+
+
 def test_exit_2_on_weights_with_overflowing_dims(workdir, tmp_path):
     bad = tmp_path / "bad.bvnx"
     dims = struct.pack("<4I", *(65536,) * 4)

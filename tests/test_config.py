@@ -22,28 +22,48 @@ from factories import cam_to_ego, format_config
 
 
 def test_parse_basic_lines():
-    raw = parse_config("a.b = 1\n c.d=hello \n")
-    assert raw == {"a.b": "1", "c.d": "hello"}
+    values = parse_config("scene.seed = 1\n camera.focal=2.5 \n")
+    assert values == {"scene.seed": 1, "camera.focal": 2.5}
 
 
 def test_parse_skips_blanks_and_comments():
-    raw = parse_config("# full comment\n\na.b = 1  # trailing\n   \n")
-    assert raw == {"a.b": "1"}
+    values = parse_config("# full comment\n\nscene.seed = 1  # trailing\n   \n")
+    assert values == {"scene.seed": 1}
 
 
 def test_parse_rejects_duplicate_key():
-    with pytest.raises(ConfigError, match="duplicate"):
-        parse_config("a = 1\na = 2\n")
+    with pytest.raises(ConfigError, match="config line 2: duplicate key 'scene.seed'"):
+        parse_config("scene.seed = 1\nscene.seed = 2\n")
 
 
 def test_parse_rejects_missing_equals():
-    with pytest.raises(ConfigError, match="key = value"):
+    with pytest.raises(ConfigError, match="config line 1: expected 'key = value'"):
         parse_config("just words\n")
 
 
 def test_parse_rejects_empty_value():
-    with pytest.raises(ConfigError, match="empty"):
-        parse_config("a.b =\n")
+    with pytest.raises(ConfigError, match="config line 1: empty key or value"):
+        parse_config("scene.seed =\n")
+
+
+@pytest.mark.parametrize(
+    "line, cause",
+    [
+        ("camera.count 6", "expected 'key = value', got 'camera.count 6'"),
+        ("= 6", "empty key or value"),
+        ("camera.count = # six", "empty key or value"),
+        ("camera.cuont = 6", "unknown key 'camera.cuont'"),
+        ("scene.seed = 2", "duplicate key 'scene.seed'"),
+        ("camera.count = six", "camera.count: expected an integer, got 'six'"),
+        ("camera.focal = wide", "camera.focal: expected a number, got 'wide'"),
+    ],
+)
+def test_load_config_names_file_and_line_of_every_line_error(tmp_path, line, cause):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"scene.seed = 1\n\n{line}\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path} line 3: {cause}"
 
 
 # ---------------------------------------------------------------- building
@@ -63,18 +83,18 @@ def test_stride_auto_switches_at_large_images():
 
 def test_unknown_key_rejected_by_name():
     with pytest.raises(ConfigError, match="bogus.key"):
-        build_config({"bogus.key": "1"})
+        build_config(parse_config("bogus.key = 1"))
 
 
 def test_type_errors_name_the_key():
     with pytest.raises(ConfigError, match="scene.frames"):
-        build_config({"scene.frames": "many"})
+        build_config(parse_config("scene.frames = many"))
     with pytest.raises(ConfigError, match="camera.focal"):
-        build_config({"camera.focal": "wide"})
+        build_config(parse_config("camera.focal = wide"))
 
 
 def test_heights_parse_as_float_list():
-    cfg = build_config({"decoder.heights": "-1.5, 0.0,2"})
+    cfg = build_config(parse_config("decoder.heights = -1.5, 0.0,2"))
     assert cfg.heights == (-1.5, 0.0, 2.0)
 
 
@@ -101,7 +121,7 @@ def test_heights_parse_as_float_list():
 )
 def test_validation_rejects(key, value, match):
     with pytest.raises(ConfigError, match=match):
-        build_config({key: value})
+        build_config(parse_config(f"{key} = {value}"))
 
 
 FLOAT_FIELDS = [
@@ -140,9 +160,9 @@ def test_load_config_round_trip(tmp_path):
 
 def test_format_config_emits_every_schema_key():
     text = format_config(SceneConfig())
-    raw = parse_config(text)
-    assert build_config(raw) == SceneConfig()
-    assert len(raw) == 24
+    values = parse_config(text)
+    assert build_config(values) == SceneConfig()
+    assert len(values) == 24
 
 
 # ---------------------------------------------------------------- derived helpers

@@ -136,6 +136,23 @@ def test_bins_reject_unsorted():
         DepthBins(np.array([2.0, 1.0]), 1.0, 2.0)
 
 
+@pytest.mark.parametrize(
+    "pixels",
+    [
+        [(np.nan, np.nan)],
+        [(0.5, 0.5), (np.nan, 0.5)],
+        [(np.inf, 0.0)],
+        [(np.inf, 0.0), (np.nan, 1.0)],
+        [(0.5, 0.6)],
+    ],
+    ids=["nan", "nan-beside-valid", "inf", "inf-beside-nan", "sum-off"],
+)
+def test_depth_volume_rejects_sums_that_are_not_one(pixels):
+    probs = np.array(pixels, dtype=np.float64).T.reshape(2, 1, len(pixels))
+    with pytest.raises(ShapeError, match="sum to 1"):
+        DepthVolume(probs)
+
+
 # ---------------------------------------------------------------- patch colors
 
 

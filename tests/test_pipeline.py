@@ -29,7 +29,7 @@ from bevnext.pipeline import (
 from bevnext.ppm import load_ppm
 from bevnext.scene import background_image, gen_scene
 from bevnext.view_transform import lift
-from bevnext.weights import backbone_specs, depth_head_spec, init_bundle
+from bevnext.weights import WeightBundle, backbone_specs, depth_head_spec, init_bundle
 from factories import cam_to_ego, project_depth_labels, zero_bundle
 
 DESK = SceneConfig()
@@ -69,6 +69,16 @@ GOLDEN_DESK_DECODER = {
     "patches": "dc1716fef206b5702ea5f4f4cb11b8658e11a02969f8ab9064940b667d2b561b",
     "flags": "6798d7ffa7b45e06d1d979298c1aced7a40700e49b005e041547de0841f5c194",
     "detections": "3b3a714913d1fe643d6b8988dc9af503488a9ea0e7f1436cf492c42304df4433",
+}
+
+# configs/full.cfg (scene seed 0) with init_bundle(cfg, 7), decoder.threshold
+# = 0.0 and decoder.top_n = 64, run at threads=2: digests of the fused BEV
+# and the heatmap, and sha256 of the formatted detections. The only tier-1
+# test that runs full.cfg through run_pipeline.
+GOLDEN_FULL = {
+    "bev": "aa1b8ffd4d651de79bdec7c07d4b4e35ba3a251609944e9c4a32fbf240990e0b",
+    "heatmap": "72ec52feefee2a288b9e97b33d3b564139417cf5def4ac89a0355e15b8255621",
+    "detections": "fffe72402231b732b54b0f8b0e77c7395c1bb15da7615ac5682bccae4e0718c6",
 }
 
 
@@ -292,6 +302,28 @@ def test_pipeline_desk_decoder_pinned_across_threads(monkeypatch):
         assert tensor_digest(flags) == GOLDEN_DESK_DECODER["flags"], f"threads={threads}"
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == GOLDEN_DESK_DECODER["detections"], f"threads={threads}"
+
+
+def test_pipeline_full_golden_pinned():
+    """full.cfg at its own scale: multi-block convs, a 128x128 pool plan,
+    59 depth bins and 64 proposals through the whole decoder."""
+    full = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "full.cfg"))
+    cfg = dataclasses.replace(full, threshold=0.0, top_n=64)
+    assert cfg.seed == 0
+    result = run_pipeline(gen_scene(cfg), cfg, init_bundle(cfg, 7), threads=2)
+    assert len(result.detections) == 64
+    assert tensor_digest(result.bev.data) == GOLDEN_FULL["bev"]
+    assert tensor_digest(result.heatmap.values) == GOLDEN_FULL["heatmap"]
+    text = format_detections(result.detections)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_FULL["detections"]
+
+
+def test_pipeline_overflowing_weights_stop_at_crf():
+    """Huge weights overflow the CRF softmax into NaN; the depth volume refuses it."""
+    cfg = SceneConfig(frames=1)
+    big = {name: arr * np.float32(1e20) for name, arr in init_bundle(cfg, 7).tensors.items()}
+    with np.errstate(all="ignore"), pytest.raises(StageError, match=r"\[stage crf\] DepthVolume"):
+        run_pipeline(gen_scene(cfg), cfg, WeightBundle(big))
 
 
 def test_pipeline_empty_scene_zero_detections():

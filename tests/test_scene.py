@@ -25,10 +25,10 @@ from bevnext.scene import (
     gen_scene,
     load_scene,
     parse_boxes,
-    render_view,
     save_scene,
 )
 from bevnext.view_transform import CameraModel
+from factories import render_view
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -522,10 +522,14 @@ def test_load_rejects_malformed_scene_metadata(tmp_path, extra, cause):
 @pytest.mark.parametrize(
     "line, cause",
     [
-        ("camera.count =", " line 2: camera.count expected an integer, got ''"),
-        ("camera.count = six", " line 2: camera.count expected an integer, got 'six'"),
-        ("camera.count = 6.0", " line 2: camera.count expected an integer, got '6.0'"),
+        ("camera.count =", " line 2: empty key or value"),
+        ("camera.count = six", " line 2: camera.count: expected an integer, got 'six'"),
+        ("camera.count = 6.0", " line 2: camera.count: expected an integer, got '6.0'"),
         (None, ": missing metadata key(s) camera.count"),
+        ("scene.frames = 0", ": scene.frames must be >= 1, got 0"),
+        ("camera.count = 0", ": camera.count must be >= 1, got 0"),
+        ("camera.count = -1", ": camera.count must be >= 1, got -1"),
+        ("camera.image_h = -5", ": camera.image_h must be >= 1, got -5"),
     ],
 )
 def test_load_names_the_line_of_a_bad_scene_metadata_value(tmp_path, line, cause):
@@ -533,11 +537,20 @@ def test_load_names_the_line_of_a_bad_scene_metadata_value(tmp_path, line, cause
     meta = tmp_path / "s" / "scene.txt"
     lines = meta.read_text().splitlines()
     assert lines[1] == "camera.count = 6"
-    lines[1:2] = [] if line is None else [line]
+    key = "camera.count" if line is None else line.split(" =")[0]
+    at = [text.split(" = ")[0] for text in lines].index(key)
+    lines[at : at + 1] = [] if line is None else [line]
     meta.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError) as info:
         load_scene(tmp_path / "s")
     assert str(info.value) == f"{meta}{cause}"
+
+
+def test_load_reads_scene_metadata_with_the_config_grammar(tmp_path):
+    save_scene(gen_scene(SceneConfig(seed=2, frames=1)), tmp_path / "s")
+    meta = tmp_path / "s" / "scene.txt"
+    meta.write_text("# written by hand\n\n" + meta.read_text().replace("count = 6", "count = 6  # cameras"))
+    assert load_scene(tmp_path / "s").n_cameras == 6
 
 
 def test_load_names_the_box_file_of_a_rejected_box(tmp_path):

@@ -151,6 +151,43 @@ def test_load_missing_file_is_format_error(tmp_path):
         load_weights(tmp_path / "absent.bvnx", DESK)
 
 
+def _header_offsets(bundle, size: int) -> list:
+    """Offsets of the bundle header and of every record's name and tensor header."""
+    offsets, off = list(range(10)), 10  # magic, version, count
+    for name in sorted(bundle.tensors):
+        shape = bundle[name].shape
+        head = 2 + len(name.encode()) + 8 + 4 * len(shape)  # name length, name, magic, version, rank, dims
+        offsets += range(off, off + head)
+        off += head + 4 * bundle[name].size
+    assert off == size
+    return offsets
+
+
+def test_load_fuzzed_bundle_loads_or_raises_format_error(tmp_path):
+    """Byte flips in headers and anywhere, and truncations, of a desk bundle."""
+    bundle = init_bundle(DESK, 7)
+    path = tmp_path / "w.bvnx"
+    save_weights(bundle, path)
+    data = path.read_bytes()
+    rng = np.random.default_rng(0)
+    cases = []
+    for offsets in (_header_offsets(bundle, len(data)), range(len(data))):
+        for _ in range(200):
+            damaged = bytearray(data)
+            damaged[offsets[int(rng.integers(len(offsets)))]] ^= int(rng.integers(1, 256))
+            cases.append(bytes(damaged))
+    cases += [data[: int(rng.integers(0, len(data)))] for _ in range(200)]
+    outcomes = {"loaded": 0, "rejected": 0}
+    for damaged in cases:
+        path.write_bytes(damaged)
+        try:
+            load_weights(path, DESK)
+            outcomes["loaded"] += 1
+        except FormatError:
+            outcomes["rejected"] += 1
+    assert outcomes["loaded"] > 0 and outcomes["rejected"] > 200
+
+
 # ---------------------------------------------------------------- builders
 
 
