@@ -240,4 +240,8 @@ def load_config(path) -> SceneConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
-    return build_config(parse_config(text, where=str(path)))
+    values = parse_config(text, where=str(path))
+    try:
+        return build_config(values)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

@@ -15,6 +15,12 @@ All distributions in this module are float64; the unary cost of a
 probability p is -log(p + 1e-12). Pairwise sums follow the ordered-pair
 convention (each unordered pair counted twice), which only scales the
 energy and is applied consistently in both the energy and the messages.
+
+A mean-field step sets every probability below the smallest normal
+float64 (``np.finfo(np.float64).tiny``, about 2.2e-308) to 0, because
+subnormal operands make the next step's einsum several times slower.
+This is a numerics decision: only those entries change, and the pinned
+CRF and pipeline digests stay the same.
 """
 
 from __future__ import annotations
@@ -193,8 +199,9 @@ def mean_field_step(q: DepthVolume, unary: np.ndarray, coupling: np.ndarray, com
     # same for any thread count (see the kernels module docstring).
     messages = coupling @ expected  # [N, K]
     logits = -(unary.reshape(k, n).T + messages)
-    out = softmax(logits, axis=1).T.reshape(k, h, w)
-    return DepthVolume(out)
+    out = softmax(logits, axis=1)
+    out[out < np.finfo(np.float64).tiny] = 0.0  # no subnormals (module docstring)
+    return DepthVolume(out.T.reshape(k, h, w))
 
 
 def modulate(

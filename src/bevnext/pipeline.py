@@ -7,6 +7,9 @@ grid into detections. Camera passes are independent and each writes its
 own slot of one preallocated lifted stack, so they may run on a thread
 pool (one per run); results are collected by camera index and pooled in
 fixed order, which keeps outputs bit-identical for any thread count.
+With more than one thread, each frame's pool runs on the thread pool
+while the next frame's passes run backbone, depth and CRF; a pass waits
+for that pool only before it lifts into the stack.
 Failures inside a stage re-raise as ``StageError`` tagged with the stage
 name.
 
@@ -183,21 +186,32 @@ def run_pipeline(
         (len(rig), bspecs[-1].out_channels, cfg.feat_h, cfg.feat_w, bins.k), dtype=np.float32
     )
 
-    def camera_pass(image: np.ndarray, out: np.ndarray):
+    def camera_pass(image: np.ndarray, out: np.ndarray, pooling=None):
         diff = image.astype(np.float64) - bg
         feats = run_stage("backbone", toy_backbone, diff, cfg.stride, bspecs)
         logits = run_stage("depth", lambda: conv2d(feats[None], dspec)[0])
         vol = run_stage("crf", modulate, logits, image.astype(np.float64) / 255.0, bins, cfg.crf_iters)
+        if pooling is not None:
+            pooling.result()  # the previous frame's pool is done reading the stack
         run_stage("lift", lift, feats, vol, out)
         return feats, vol
 
     grids = []
     current = None
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as ex:
-        camera_map = map if ex is None else ex.map
         for t in range(scene.k):
-            current = list(camera_map(camera_pass, scene.frames[t].images, lifted))
-            grids.append(run_stage("pool", pool, lifted, index, spec))
+            images = scene.frames[t].images
+            if ex is None:
+                current = list(map(camera_pass, images, lifted))
+                grids.append(run_stage("pool", pool, lifted, index, spec))
+            else:
+                # Frame t - 1 pools on the executor while frame t's passes run
+                # up to their lift, which waits for it.
+                pending = [grids[-1] if grids else None] * len(images)
+                current = list(ex.map(camera_pass, images, lifted, pending))
+                grids.append(ex.submit(run_stage, "pool", pool, lifted, index, spec))
+        if ex is not None:
+            grids = [future.result() for future in grids]
 
     stack = run_stage("fusion", FusionStack, tuple(grids))
     fused = run_stage("fusion", fuse, stack, fcfg)

@@ -429,7 +429,7 @@ def load_scene(scene_dir) -> SyntheticScene:
             except OSError as exc:
                 raise FormatError(f"missing scene raster {path}: {exc}") from exc
             if img.shape != (image_h, image_w, 3):
-                raise ShapeError(
+                raise FormatError(
                     f"{path}: raster dims {img.shape[:2]} != metadata {image_h}x{image_w}"
                 )
             images.append(img)
@@ -447,6 +447,6 @@ def load_scene(scene_dir) -> SyntheticScene:
         except OSError as exc:
             raise FormatError(f"missing point cloud in {fdir}: {exc}") from exc
         if points.ndim != 2 or points.shape[1] != 3:
-            raise ShapeError(f"{fdir}/points.bvnx: points must be [P, 3], got {points.shape}")
+            raise FormatError(f"{fdir}/points.bvnx: points must be [P, 3], got {points.shape}")
         frames.append(SceneFrame(tuple(images), tuple(boxes), points))
     return SyntheticScene(tuple(frames))

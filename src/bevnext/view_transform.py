@@ -4,10 +4,11 @@ Forward projection in three steps: each feature pixel spawns one 3D point
 per depth bin (a frustum of candidate positions), image features are spread
 across those candidates weighted by the per-pixel depth distribution, and
 every in-bounds candidate is sum-pooled into the ego-centric grid cell it
-falls in. The scatter order is precomputed once per geometry (PoolIndex).
+falls in. The scatter plan is precomputed once per geometry (PoolIndex)
+and kept in frustum order: camera index, then pixel, then depth bin.
 
 Accumulation contract: per cell and channel, pooling sums the cell's
-entries in float64, sequentially in sorted entry order, then rounds to
+entries in float64, sequentially in frustum order, then rounds to
 float32 once, so pooled grids are bit-identical across runs and thread
 counts. `np.bincount` with weights and `np.add.at` both add in index
 order and keep it; `np.add.reduceat`, `ndarray.sum` along a contiguous
@@ -164,36 +165,35 @@ class BevGrid:
 
 @dataclass(frozen=True)
 class PoolIndex:
-    """Sorted scatter plan: for each BEV cell, one contiguous entry interval.
+    """Scatter plan in frustum order: every in-bounds (camera, pixel, bin) entry and its cell.
 
-    Entries are sorted by (cell, camera, pixel, bin); cell_offsets is the
-    CSR-style interval table (length G*G + 1). Per-entry source coordinates
-    index into a [n_cameras, C, H', W', K] lifted feature stack.
+    Entries run in ascending camera index, then pixel, then bin, so the
+    entries of any one cell keep that order too. Per-entry source
+    coordinates index into a [n_cameras, C, H', W', K] lifted feature
+    stack; entry_cell is the flat BEV cell (iy * G + ix) each one adds to.
     """
 
     g: int
     n_cameras: int
     feat_shape: Tuple[int, int, int]
-    cell_offsets: np.ndarray
+    entry_cell: np.ndarray
     entry_camera: np.ndarray
     entry_pixel: np.ndarray
     entry_bin: np.ndarray
 
     def __post_init__(self):
-        for name in ("cell_offsets", "entry_camera", "entry_pixel", "entry_bin"):
+        for name in ("entry_cell", "entry_camera", "entry_pixel", "entry_bin"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.uint32))
         object.__setattr__(self, "feat_shape", tuple(int(v) for v in self.feat_shape))
-        if self.cell_offsets.shape != (self.g * self.g + 1,):
-            raise ShapeError(
-                f"PoolIndex: cell_offsets must have length G*G + 1 = {self.g * self.g + 1}, got {self.cell_offsets.size}"
-            )
         m = self.entry_count
         if self.entry_camera.size != m or self.entry_pixel.size != m or self.entry_bin.size != m:
-            raise ShapeError("PoolIndex: entry arrays must match the total interval length")
+            raise ShapeError("PoolIndex: entry arrays must have one length")
+        if m and int(self.entry_cell.max()) >= self.g * self.g:
+            raise ShapeError(f"PoolIndex: entry cell outside the G*G = {self.g * self.g} cells")
 
     @property
     def entry_count(self) -> int:
-        return int(self.cell_offsets[-1])
+        return int(self.entry_cell.size)
 
 
 def build_frustum(
@@ -250,14 +250,15 @@ def precompute_pool_index(
     frusta: Union[FrustumGrid, Sequence[FrustumGrid]],
     spec: BevSpec,
 ) -> PoolIndex:
-    """Sorted scatter plan from frustum geometry; reusable across frames.
+    """Frustum-order scatter plan from frustum geometry; reusable across frames.
 
-    Frusta from all cameras share one index; overlapping cells accumulate.
+    Frusta from all cameras share one index, taken in ascending camera
+    index whatever order they come in; overlapping cells accumulate.
     Out-of-extent points are dropped here, never at pool time.
     """
     if isinstance(frusta, FrustumGrid):
         frusta = [frusta]
-    frusta = list(frusta)
+    frusta = sorted(frusta, key=lambda f: f.camera)
     if not frusta:
         raise ShapeError("precompute_pool_index: at least one frustum required")
     h, w, k, _ = frusta[0].points.shape
@@ -270,12 +271,9 @@ def precompute_pool_index(
         if f.camera in seen:
             raise ShapeError(f"precompute_pool_index: duplicate camera index {f.camera}")
         seen.add(f.camera)
-    n_cameras = max(seen) + 1
 
-    cells, cams, pixels, dbins = [], [], [], []
+    cells, cams, sources = [], [], []
     flat = np.arange(h * w * k, dtype=np.int64)
-    pixel_of = flat // k
-    bin_of = flat % k
     for f in frusta:
         x = f.points[..., 0].reshape(-1)
         y = f.points[..., 1].reshape(-1)
@@ -284,25 +282,16 @@ def precompute_pool_index(
         ok = (ix >= 0) & (ix < spec.g) & (iy >= 0) & (iy < spec.g)
         cells.append((iy * spec.g + ix)[ok])
         cams.append(np.full(int(ok.sum()), f.camera, dtype=np.int64))
-        pixels.append(pixel_of[ok])
-        dbins.append(bin_of[ok])
-    cell = np.concatenate(cells)
-    cam = np.concatenate(cams)
-    pixel = np.concatenate(pixels)
-    dbin = np.concatenate(dbins)
-
-    order = np.lexsort((dbin, pixel, cam, cell))  # cell is the primary key
-    counts = np.bincount(cell, minlength=spec.n_cells)
-    offsets = np.zeros(spec.n_cells + 1, dtype=np.uint32)
-    offsets[1:] = np.cumsum(counts)
+        sources.append(flat[ok])
+    source = np.concatenate(sources)
     return PoolIndex(
         g=spec.g,
-        n_cameras=n_cameras,
+        n_cameras=frusta[-1].camera + 1,
         feat_shape=(h, w, k),
-        cell_offsets=offsets,
-        entry_camera=cam[order],
-        entry_pixel=pixel[order],
-        entry_bin=dbin[order],
+        entry_cell=np.concatenate(cells),
+        entry_camera=np.concatenate(cams),
+        entry_pixel=source // k,
+        entry_bin=source % k,
     )
 
 
@@ -310,13 +299,14 @@ def pool(frustum_features: np.ndarray, index: PoolIndex, spec: BevSpec) -> BevGr
     """Sum-pool lifted features into the BEV grid along the precomputed plan.
 
     Accepts [C, H', W', K] (single camera) or [N, C, H', W', K]. Each cell
-    accumulates its interval in float64, sequentially in sorted entry order,
+    accumulates its entries in float64, sequentially in frustum order,
     then rounds to float32 once, so results are bit-identical regardless of
     threading. Per channel, the entries' values are gathered straight from
-    the float32 stack, widened, and summed by `np.bincount`, whose loop adds
-    in entry order; only [entries] float64 values exist at a time, never a
-    float64 copy of the stack. Reordering primitives (`np.add.reduceat`,
-    `.sum`, `matmul`) would break the contract.
+    the float32 stack (front to back, since the plan is in frustum order),
+    widened, and summed by `np.bincount`, whose loop adds in entry order;
+    only [entries] float64 values exist at a time, never a float64 copy of
+    the stack. Reordering primitives (`np.add.reduceat`, `.sum`, `matmul`)
+    would break the contract.
     """
     f = np.asarray(frustum_features, dtype=np.float32)
     if f.ndim == 4:
@@ -337,17 +327,14 @@ def pool(frustum_features: np.ndarray, index: PoolIndex, spec: BevSpec) -> BevGr
         raise ShapeError("pool: index entry outside the cameras, pixels or bins of its dims")
     flat = f.reshape(-1)
     volume = h * w * k  # one channel of one camera
-    src = (
+    src = (  # channel 0; channel ch reads the same offsets past ch * volume
         index.entry_camera.astype(np.int64) * (c * volume)
         + index.entry_pixel.astype(np.int64) * k
         + index.entry_bin.astype(np.int64)
     )
-    cells = np.repeat(
-        np.arange(spec.n_cells, dtype=np.int64),
-        np.diff(index.cell_offsets.astype(np.int64)),
-    )
+    cells = index.entry_cell.astype(np.intp)
     out = np.empty((c, spec.n_cells), dtype=np.float32)
     for ch in range(c):
-        vals = np.take(flat, src + ch * volume).astype(np.float64)
+        vals = np.take(flat[ch * volume:], src).astype(np.float64)
         out[ch] = np.bincount(cells, weights=vals, minlength=spec.n_cells)
     return BevGrid(out.reshape(c, spec.g, spec.g))

@@ -6,8 +6,10 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from bevnext.bvnx import save_tensor
 from bevnext.config import SceneConfig, load_config
 from bevnext.object_decoder import parse_detections
 from bevnext.ppm import load_ppm
@@ -308,6 +310,33 @@ def test_exit_2_on_missing_scene(workdir, tmp_path):
     )
     assert code == 2
     assert "scene metadata" in err
+
+
+def test_exit_2_on_raster_dims_that_disagree_with_scene_metadata(workdir, tmp_path):
+    scene = tmp_path / "scene"
+    shutil.copytree(workdir / "scene", scene)
+    meta = scene / "scene.txt"
+    meta.write_text(meta.read_text().replace("camera.image_h = 64", "camera.image_h = 8"))
+    code, _, err = cli(
+        "run", "--config", str(workdir / "fast.cfg"), "--weights", str(workdir / "w.bvnx"),
+        "--scene", str(scene), "--out", str(tmp_path / "r"),
+    )
+    assert code == 2, err
+    assert f"{scene}/frame_000/cam_0.ppm: raster dims (64, 176) != metadata 8x176" in err
+    assert "Traceback" not in err
+
+
+def test_exit_2_on_point_cloud_that_is_not_p_by_3(workdir, tmp_path):
+    scene = tmp_path / "scene"
+    shutil.copytree(workdir / "scene", scene)
+    save_tensor(scene / "frame_001" / "points.bvnx", np.zeros((4, 2), dtype=np.float32))
+    code, _, err = cli(
+        "run", "--config", str(workdir / "fast.cfg"), "--weights", str(workdir / "w.bvnx"),
+        "--scene", str(scene), "--out", str(tmp_path / "r"),
+    )
+    assert code == 2, err
+    assert f"{scene}/frame_001/points.bvnx: points must be [P, 3], got (4, 2)" in err
+    assert "Traceback" not in err
 
 
 def test_exit_3_on_scene_config_shape_mismatch(workdir, tmp_path):

@@ -66,6 +66,22 @@ def test_load_config_names_file_and_line_of_every_line_error(tmp_path, line, cau
     assert str(info.value) == f"{path} line 3: {cause}"
 
 
+@pytest.mark.parametrize(
+    "line, cause",
+    [
+        ("bev.grid = 33", "bev.grid must be even"),
+        ("camera.focal = inf", "camera.focal: expected a finite number, got 'inf'"),
+        ("camera.image_h = 100", "image dims 100x176 must be divisible by stride 8"),
+    ],
+)
+def test_load_config_names_file_of_every_value_error(tmp_path, line, cause):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"scene.seed = 1\n{line}\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}: {cause}"
+
+
 # ---------------------------------------------------------------- building
 
 

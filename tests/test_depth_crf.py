@@ -435,6 +435,28 @@ def test_step_normalization_invariant():
             assert (vol.probs >= 0).all()
 
 
+def test_step_flushes_subnormal_probabilities_to_zero():
+    """Costs 708-745 above the best bin underflow the softmax into subnormals.
+
+    With zero coupling the step is softmax(-unary) exactly; the flushed
+    step must equal it bit for bit except where it was subnormal, and
+    there it must hold 0.
+    """
+    k, h, w = 5, 2, 3
+    costs = np.array([0.0, 3.0, 709.5, 720.0, 744.0])
+    unary = np.stack([np.roll(costs, i) for i in range(h * w)], axis=1).reshape(k, h, w)
+    q = DepthVolume(np.full((k, h, w), 1.0 / k))
+    compat = build_compat(DepthBins.uniform(k, 1.0, 6.0))
+    out = mean_field_step(q, unary, np.zeros((h * w, h * w)), compat).probs
+    ref = softmax(-unary.reshape(k, h * w).T, axis=1).T.reshape(k, h, w)
+    tiny = np.finfo(np.float64).tiny
+    subnormal = (ref > 0) & (ref < tiny)
+    assert subnormal.sum() == 3 * h * w  # the data reaches the flush
+    assert not ((out > 0) & (out < tiny)).any()
+    assert (out[subnormal] == 0).all()
+    np.testing.assert_array_equal(out[~subnormal], ref[~subnormal])
+
+
 # ---------------------------------------------------------------- modulate
 
 

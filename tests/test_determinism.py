@@ -13,7 +13,7 @@ import sys
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs", "desk.cfg")
-THREADS = (1, 2, 4)
+THREADS = (1, 2, 3, 4)
 
 # Runs desk.cfg at decoder.threshold 0 for each --threads value. Camera
 # stage outputs are recorded as the pipeline calls them and hashed as a

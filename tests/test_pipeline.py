@@ -3,6 +3,9 @@
 import dataclasses
 import hashlib
 import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from bevnext.pipeline import (
 )
 from bevnext.ppm import load_ppm
 from bevnext.scene import background_image, gen_scene
-from bevnext.view_transform import lift
+from bevnext.view_transform import lift, pool
 from bevnext.weights import WeightBundle, backbone_specs, depth_head_spec, init_bundle
 from factories import cam_to_ego, project_depth_labels, zero_bundle
 
@@ -381,6 +384,91 @@ def test_pipeline_rejects_bad_thread_count():
     cfg, scene = desk_scene(seed=1, frames=3)
     with pytest.raises(ConfigError, match="threads"):
         run_pipeline(scene, cfg, init_bundle(cfg, 7), threads=0)
+
+
+def test_pool_overlaps_the_next_frames_camera_passes_but_not_their_lift(monkeypatch):
+    cfg, scene = desk_scene(seed=2, frames=3)
+    bundle = init_bundle(cfg, 7)
+    reference = run_pipeline(scene, cfg, bundle, threads=1)
+    events, lock = [], threading.Lock()
+
+    def logged(name, fn):
+        def wrapped(*args, **kwargs):
+            with lock:
+                events.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def slow_pool(stack, index, spec):
+        before = stack.copy()
+        time.sleep(0.2)  # long enough for the other worker to start the next frame
+        grid = pool(stack, index, spec)
+        with lock:
+            events.append("pool end" if np.array_equal(stack, before) else "stack overwritten")
+        return grid
+
+    monkeypatch.setattr(pipeline, "pool", slow_pool)
+    monkeypatch.setattr(pipeline, "lift", logged("lift", pipeline.lift))
+    monkeypatch.setattr(pipeline, "toy_backbone", logged("backbone", pipeline.toy_backbone))
+    result = run_pipeline(scene, cfg, bundle, threads=2)
+    assert np.array_equal(result.bev.data, reference.bev.data)
+    assert "stack overwritten" not in events
+    ends = [i for i, e in enumerate(events) if e == "pool end"]
+    assert len(ends) == 3
+    for t, end in enumerate(ends[:2]):  # the last frame has no next frame
+        assert events[:end].count("backbone") > 6 * (t + 1), f"no pass of frame {t + 1} ran during pool {t}"
+        assert events[:end].count("lift") == 6 * (t + 1), f"frame {t + 1} lifted during pool {t}"
+
+
+def test_pool_failure_surfaces_tagged_without_hanging(monkeypatch):
+    cfg, scene = desk_scene(seed=2, frames=6)
+    calls = []
+
+    def failing_pool(stack, index, spec):
+        calls.append(len(calls))
+        if len(calls) == 4:  # frame 3
+            raise ShapeError("injected pool failure")
+        return pool(stack, index, spec)
+
+    monkeypatch.setattr(pipeline, "pool", failing_pool)
+    outcome = []
+
+    def run():
+        try:
+            run_pipeline(scene, cfg, init_bundle(cfg, 7), threads=2)
+        except Exception as exc:
+            outcome.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=120)
+    assert not runner.is_alive(), "run_pipeline hung after a failed pool"
+    assert len(outcome) == 1 and isinstance(outcome[0], StageError)
+    assert outcome[0].stage == "pool" and "injected pool failure" in str(outcome[0])
+    assert len(calls) == 4
+
+
+def test_overlapped_pool_under_stress_keeps_every_bit():
+    """More workers than cores and a 1 us switch interval: the shared stack stays exact."""
+    cfg, scene = desk_scene(seed=3, frames=4)
+    bundle = init_bundle(cfg, 7)
+    reference = run_pipeline(scene, cfg, bundle, threads=1)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(
+            target=lambda: results.extend(run_pipeline(scene, cfg, bundle, threads=t) for t in (3, 5)),
+            daemon=True,
+        )
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive() and len(results) == 2
+    for result in results:
+        assert np.array_equal(result.bev.data, reference.bev.data)
+        assert np.array_equal(result.heatmap.values, reference.heatmap.values)
 
 
 # ---------------------------------------------------------------- artifacts

@@ -80,23 +80,26 @@ def entry_sources(index, w):
     return (index.entry_camera.astype(np.int64), slice(None), pix // w, pix % w, index.entry_bin.astype(np.int64))
 
 
-def scatter_oracle(frustum_features, index, spec):
-    """Sequential float64 scatter with `np.add.at`, one entry after another.
+def scatter_oracle(frusta, frustum_features, spec):
+    """Sequential float64 scatter with `np.add.at`, straight from the frusta.
 
-    `np.add.at` adds in index order, which is the sorted entry order of the
-    plan, so this is the accumulation `pool` must reproduce bit for bit.
+    It never reads a plan: cameras go in ascending index, each camera's
+    points in (pixel, bin) order, and `np.add.at` adds in index order. So
+    every cell sums its entries in (camera, pixel, bin) order, the
+    accumulation `pool` must reproduce bit for bit.
     """
     f = np.asarray(frustum_features, dtype=np.float32)
     if f.ndim == 4:
         f = f[None]
-    c, w = f.shape[1], f.shape[3]
-    vals = f.astype(np.float64)[entry_sources(index, w)]
-    cells = np.repeat(
-        np.arange(spec.n_cells, dtype=np.int64),
-        np.diff(index.cell_offsets.astype(np.int64)),
-    )
+    c = f.shape[1]
     acc = np.zeros((spec.n_cells, c), dtype=np.float64)
-    np.add.at(acc, cells, vals)
+    for frustum in sorted(frusta, key=lambda fr: fr.camera):
+        x, y = frustum.points[..., 0].reshape(-1), frustum.points[..., 1].reshape(-1)
+        ix = np.floor((x + spec.extent) / spec.cell_size).astype(np.int64)
+        iy = np.floor((y + spec.extent) / spec.cell_size).astype(np.int64)
+        ok = (ix >= 0) & (ix < spec.g) & (iy >= 0) & (iy < spec.g)
+        vals = f[frustum.camera].reshape(c, -1).T.astype(np.float64)
+        np.add.at(acc, (iy * spec.g + ix)[ok], vals[ok])
     return acc.T.reshape(c, spec.g, spec.g).astype(np.float32)
 
 
@@ -239,10 +242,7 @@ def test_index_single_point_cell_arithmetic():
     frustum = _point_frustum([[[[0.1, 0.1, 1.0]]]])
     index = precompute_pool_index(frustum, spec)
     assert index.entry_count == 1
-    sizes = np.diff(index.cell_offsets)
-    assert sizes.sum() == 1
-    cell = int(np.nonzero(sizes)[0][0])
-    assert cell == naive_cell(0.1, 0.1, spec) == 4 * 8 + 4
+    assert index.entry_cell.tolist() == [naive_cell(0.1, 0.1, spec)] == [4 * 8 + 4]
 
 
 def test_index_excludes_out_of_bounds():
@@ -258,27 +258,30 @@ def test_index_partitions_in_bounds_points():
     pts = rng.uniform_array((3, 4, 5, 3), -6, 6).astype(np.float64)
     frustum = _point_frustum(pts)
     index = precompute_pool_index(frustum, spec)
-    expected = sum(
-        naive_cell(pts[r, c, d, 0], pts[r, c, d, 1], spec) is not None
-        for r in range(3)
-        for c in range(4)
-        for d in range(5)
-    )
-    assert index.entry_count == expected
-    assert np.diff(index.cell_offsets).sum() == expected
+    naive = [naive_cell(pts[r, c, d, 0], pts[r, c, d, 1], spec) for r in range(3) for c in range(4) for d in range(5)]
+    expected = [cell for cell in naive if cell is not None]
+    assert index.entry_count == len(expected)
+    assert index.entry_cell.tolist() == expected
 
 
-def test_index_sorted_by_cell_then_source():
+def test_index_in_frustum_order():
     rng = SplitMix64(31)
     spec = BevSpec(8, 1.0, 4.0)
     frusta = [
         _point_frustum(rng.uniform_array((2, 3, 2, 3), -3, 3).astype(np.float64), camera=i) for i in range(2)
     ]
-    index = precompute_pool_index(frusta, spec)
-    cells = np.repeat(np.arange(spec.g * spec.g), np.diff(index.cell_offsets))
-    keys = np.stack([cells, index.entry_camera, index.entry_pixel, index.entry_bin])
+    index = precompute_pool_index(frusta[::-1], spec)
+    keys = np.stack([index.entry_camera, index.entry_pixel, index.entry_bin])
     order = np.lexsort(keys[::-1])
     np.testing.assert_array_equal(order, np.arange(index.entry_count))
+    assert index.entry_camera[0] == 0 and index.entry_camera[-1] == 1
+
+
+def test_index_rejects_cells_outside_the_grid():
+    spec = BevSpec(8, 1.0, 4.0)
+    index = precompute_pool_index(_point_frustum([[[[0.1, 0.1, 1.0]]]]), spec)
+    with pytest.raises(ShapeError, match="cell outside"):
+        dataclasses.replace(index, entry_cell=np.array([64], dtype=np.uint32))
 
 
 # ---------------------------------------------------------------- pool
@@ -384,15 +387,23 @@ def _cancelling_stack(rng, index, shape):
     m = index.entry_count
     sign = np.where(rng.uniform_array((c, m), -1, 1) < 0, -1.0, 1.0)
     vals = (sign * 10.0 ** rng.uniform_array((c, m), -8, 8).astype(np.float64)).astype(np.float32)
-    sizes = np.diff(index.cell_offsets.astype(np.int64))
-    cells = np.repeat(np.arange(sizes.size), sizes)
-    rank = np.arange(m) - index.cell_offsets[:-1].astype(np.int64)[cells]
-    half = sizes[cells] // 2
+    cells = index.entry_cell.astype(np.int64)
+    by_cell = np.argsort(cells, kind="stable")  # each cell's entries, in plan order
+    sizes = np.bincount(cells)
+    rank = np.arange(m) - (np.cumsum(sizes) - sizes)[cells[by_cell]]
+    half = sizes[cells[by_cell]] // 2
     second = (rank >= half) & (rank < 2 * half)
-    vals[:, second] = -vals[:, np.nonzero(second)[0] - half[second]]
+    vals[:, by_cell[second]] = -vals[:, by_cell[np.nonzero(second)[0] - half[second]]]
     stack = rng.uniform_array(shape, -1, 1)
     stack[entry_sources(index, w)] = vals.T
     return stack
+
+
+def _overlapping_frusta(rng, h, w, k):
+    """Three cameras over [-5, 2]^2: cells with x or y above 2 m stay empty."""
+    return [
+        _point_frustum(rng.uniform_array((h, w, k, 3), -5, 2).astype(np.float64), camera=i) for i in range(3)
+    ]
 
 
 def test_pool_bit_identical_to_sequential_scatter():
@@ -400,19 +411,15 @@ def test_pool_bit_identical_to_sequential_scatter():
     h, w, k, c = 4, 5, 8, 4
     for seed in range(4):
         rng = SplitMix64(3000 + seed)
-        # three overlapping cameras over [-5, 2]^2: cells with x or y above 2 m stay empty
-        frusta = [
-            _point_frustum(rng.uniform_array((h, w, k, 3), -5, 2).astype(np.float64), camera=i)
-            for i in range(3)
-        ]
+        frusta = _overlapping_frusta(rng, h, w, k)
         index = precompute_pool_index(frusta, spec)
-        sizes = np.diff(index.cell_offsets.astype(np.int64))
+        cells = index.entry_cell.astype(np.int64)
+        sizes = np.bincount(cells, minlength=spec.n_cells)
         assert (sizes == 0).any() and sizes.max() >= 8
-        cells = np.repeat(np.arange(spec.n_cells), sizes)
         assert len(set(zip(cells.tolist(), index.entry_camera.tolist()))) > np.count_nonzero(sizes)
         stack = _cancelling_stack(rng, index, (3, c, h, w, k))
 
-        expected = scatter_oracle(stack, index, spec)
+        expected = scatter_oracle(frusta, stack, spec)
         np.testing.assert_array_equal(pool(stack, index, spec).data, expected, err_msg=f"seed {seed}")
         assert not expected[:, 7, 7].any()  # an empty cell pools to exactly zero
 
@@ -426,7 +433,22 @@ def test_pool_bit_identical_to_sequential_scatter():
         # rank-4 input: a single camera with its own plan
         single = precompute_pool_index(frusta[0], spec)
         lone = _cancelling_stack(rng, single, (1, c, h, w, k))[0]
-        np.testing.assert_array_equal(pool(lone, single, spec).data, scatter_oracle(lone, single, spec))
+        np.testing.assert_array_equal(pool(lone, single, spec).data, scatter_oracle(frusta[:1], lone, spec))
+
+
+def test_pool_bits_do_not_depend_on_the_order_frusta_come_in():
+    spec = BevSpec(8, 1.0, 4.0)
+    h, w, k, c = 4, 5, 8, 4
+    for seed in range(4):
+        frusta = _overlapping_frusta(SplitMix64(3100 + seed), h, w, k)
+        ascending = precompute_pool_index(frusta, spec)
+        descending = precompute_pool_index(frusta[::-1], spec)
+        for field in ("entry_cell", "entry_camera", "entry_pixel", "entry_bin"):
+            np.testing.assert_array_equal(getattr(descending, field), getattr(ascending, field))
+        stack = _cancelling_stack(SplitMix64(3200 + seed), ascending, (3, c, h, w, k))
+        np.testing.assert_array_equal(
+            pool(stack, descending, spec).data, pool(stack, ascending, spec).data, err_msg=f"seed {seed}"
+        )
 
 
 def test_pool_rejects_entries_outside_its_dims():
