@@ -149,11 +149,16 @@ def pairwise_affinity(colors: np.ndarray) -> np.ndarray:
         raise ShapeError("pairwise_affinity: colors must be [H, W, 3]")
     h, w, _ = c.shape
     flat = c.reshape(h * w, 3)
-    d0, d1, d2 = (flat[:, ch, None] - flat[None, :, ch] for ch in range(3))
     # (c0 + c2) + c1 is the order np.einsum("ijc,ijc->ij") sums the three
     # squared channel differences in, so the bits match the [n, n, 3] form.
-    col_d2 = (d0 * d0 + d2 * d2) + d1 * d1
-    a = APPEARANCE_WEIGHT * np.exp(-col_d2 / (2.0 * APPEARANCE_THETA * APPEARANCE_THETA))
+    # Two [n, n] arrays, updated in place: a holds the sum, d each term.
+    a, d = (np.subtract(flat[:, ch, None], flat[None, :, ch]) for ch in (0, 2))
+    a *= a
+    a += np.square(d, out=d)
+    a += np.square(np.subtract(flat[:, 1, None], flat[None, :, 1], out=d), out=d)
+    a /= -(2.0 * APPEARANCE_THETA * APPEARANCE_THETA)  # -x / y and x / -y are the same bits
+    np.exp(a, out=a)
+    a *= APPEARANCE_WEIGHT
     a += _spatial_term(h, w)
     np.fill_diagonal(a, 0.0)
     return a

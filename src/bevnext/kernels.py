@@ -175,7 +175,10 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
 
     Output spatial dims follow (H + 2p - k) // s + 1. Per image, output
     rows go in blocks of as many rows as fit _CONV_BLOCK_BYTES of column
-    buffer (at least one). For each block every tap's window is copied
+    buffer (at least one). Each block's (rows - 1) * s + k padded input
+    rows are copied into one float64 buffer allocated once per call; only
+    its rows that fall in the padding are zeroed, so no padded float64
+    copy of the whole input exists. Every tap's window is copied from it
     into a float64 column buffer in (channel, ky, kx) row order;
     ``np.matmul`` multiplies weight.reshape(out, C*k*k) by it, the bias
     is added to the product, and the sum is cast to float32 once. The
@@ -195,21 +198,26 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
         raise ShapeError(f"conv2d: width axis {w} too small for kernel {k} with padding {p}")
     ho = (h + 2 * p - k) // s + 1
     wo = (w + 2 * p - k) // s + 1
-    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=np.float64)
-    xp[:, :, p : p + h, p : p + w] = x
     wmat = spec.weight.astype(np.float64).reshape(spec.out_channels, c * k * k)
     bias = spec.bias.astype(np.float64)[:, None]
     out = np.empty((n, spec.out_channels, ho, wo), dtype=np.float32)
     rows = max(1, min(ho, _CONV_BLOCK_BYTES // max(1, 8 * c * k * k * wo)))
     buf = np.empty(c * k * k * rows * wo, dtype=np.float64)
+    span = (rows - 1) * s + k  # padded input rows one block reads
+    xb = np.zeros((c, span, w + 2 * p), dtype=np.float64)  # side columns stay zero
     for b in range(n):
         for r0 in range(0, ho, rows):
             r = min(rows, ho - r0)
+            y0 = r0 * s - p  # input row of the block buffer's first row
+            lo = min(max(-y0, 0), span)  # buffer rows [lo, hi) hold input rows
+            hi = min(max(h - y0, lo), span)
+            xb[:, :lo] = 0.0
+            xb[:, hi:] = 0.0
+            xb[:, lo:hi, p : p + w] = x[b, :, y0 + lo : y0 + hi]
             col = buf[: c * k * k * r * wo].reshape(c, k, k, r, wo)
             for ky in range(k):
-                y0 = ky + r0 * s
                 for kx in range(k):
-                    np.copyto(col[:, ky, kx], xp[b, :, y0 : y0 + (r - 1) * s + 1 : s, kx : kx + (wo - 1) * s + 1 : s])
+                    np.copyto(col[:, ky, kx], xb[:, ky : ky + (r - 1) * s + 1 : s, kx : kx + (wo - 1) * s + 1 : s])
             acc = np.matmul(wmat, col.reshape(c * k * k, r * wo))
             acc += bias
             out[b, :, r0 : r0 + r] = acc.reshape(spec.out_channels, r, wo)

@@ -10,6 +10,9 @@ fixed order, which keeps outputs bit-identical for any thread count.
 With more than one thread, each frame's pool runs on the thread pool
 while the next frame's passes run backbone, depth and CRF; a pass waits
 for that pool only before it lifts into the stack.
+The stack lives only for the frame loop: it is released once the last
+pool has read it (and the thread pool has shut down, so no finished work
+item still holds it), so fusion and the decoder never run beside it.
 Failures inside a stage re-raise as ``StageError`` tagged with the stage
 name.
 
@@ -187,10 +190,10 @@ def run_pipeline(
     )
 
     def camera_pass(image: np.ndarray, out: np.ndarray, pooling=None):
-        diff = image.astype(np.float64) - bg
-        feats = run_stage("backbone", toy_backbone, diff, cfg.stride, bspecs)
+        # One float64 image per conversion, with the bits of astype(float64) then the op.
+        feats = run_stage("backbone", toy_backbone, np.subtract(image, bg), cfg.stride, bspecs)
         logits = run_stage("depth", lambda: conv2d(feats[None], dspec)[0])
-        vol = run_stage("crf", modulate, logits, image.astype(np.float64) / 255.0, bins, cfg.crf_iters)
+        vol = run_stage("crf", modulate, logits, np.divide(image, 255.0), bins, cfg.crf_iters)
         if pooling is not None:
             pooling.result()  # the previous frame's pool is done reading the stack
         run_stage("lift", lift, feats, vol, out)
@@ -212,6 +215,7 @@ def run_pipeline(
                 grids.append(ex.submit(run_stage, "pool", pool, lifted, index, spec))
         if ex is not None:
             grids = [future.result() for future in grids]
+    del lifted  # every pool has read the stack; fusion and the decoder run without it
 
     stack = run_stage("fusion", FusionStack, tuple(grids))
     fused = run_stage("fusion", fuse, stack, fcfg)

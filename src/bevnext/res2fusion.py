@@ -116,19 +116,15 @@ def partition(stack: FusionStack, window: int) -> List[np.ndarray]:
     """
     if window < 1:
         raise ShapeError(f"partition: window must be >= 1, got {window}")
-    k, c, gdim = stack.k, stack.channels, stack.g
-    n_groups = -(-k // window)
-    groups = []
-    for i in range(n_groups):
-        end = k - i * window
-        parts = []
-        for j in range(end - window, end):
-            if j < 0:
-                parts.append(np.zeros((c, gdim, gdim), dtype=np.float32))
-            else:
-                parts.append(stack.grids[j].data)
-        groups.append(np.concatenate(parts, axis=0))
-    return groups
+    return [_group(stack, window, i) for i in range(-(-stack.k // window))]
+
+
+def _group(stack: FusionStack, window: int, i: int) -> np.ndarray:
+    """Window i of `partition`: frames k - (i + 1) * w .. k - i * w - 1, zeros before frame 0."""
+    end = stack.k - i * window
+    parts = [stack.grids[j].data for j in range(max(end - window, 0), end)]
+    pad = np.zeros(((window - len(parts)) * stack.channels, stack.g, stack.g), dtype=np.float32)
+    return np.concatenate([pad] + parts)
 
 
 def reduce_groups(groups: Sequence[np.ndarray], specs: Sequence[ConvSpec]) -> List[np.ndarray]:
@@ -163,7 +159,9 @@ def fuse(stack: FusionStack, config: FusionConfig) -> BevGrid:
 
     Exactly partition -> reduce_groups -> multiscale_cascade -> concat
     (oldest group first) -> final 1x1, with no extra arithmetic, so the
-    composed pipeline and this entry point are bit-identical.
+    composed pipeline and this entry point are bit-identical. Each window
+    is concatenated and reduced in turn, so only one window's
+    concatenation exists at a time.
     """
     n_groups = -(-stack.k // config.window)
     if n_groups != config.groups:
@@ -177,10 +175,8 @@ def fuse(stack: FusionStack, config: FusionConfig) -> BevGrid:
             f"fuse: reduce specs expect {config.reduce_specs[0].in_channels} channels, "
             f"window * stack channels is {expect_in}"
         )
-    groups = partition(stack, config.window)
-    bp = reduce_groups(groups, config.reduce_specs)
-    bpp = multiscale_cascade(bp, config.cascade_specs)
-    cat = np.concatenate(list(reversed(bpp)), axis=0)
+    bp = [_conv(_group(stack, config.window, i), spec) for i, spec in enumerate(config.reduce_specs)]
+    cat = np.concatenate(list(reversed(multiscale_cascade(bp, config.cascade_specs))), axis=0)
     return BevGrid(_conv(cat, config.final_spec))
 
 

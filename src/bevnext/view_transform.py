@@ -28,6 +28,7 @@ from .depth_crf import DepthBins, DepthVolume
 from .errors import ShapeError
 
 ROTATION_TOL = 1e-6
+_LIFT_BLOCK_BYTES = 1 << 20  # float64 product buffer per lift call
 
 
 @dataclass(frozen=True)
@@ -227,22 +228,32 @@ def lift(features: np.ndarray, depth: DepthVolume, out: Optional[np.ndarray] = N
 
     The float32 result goes into ``out`` when given (a [C, H', W', K]
     float32 array, e.g. one camera's slot of a preallocated stack), which
-    is returned; otherwise into a new array.
+    is returned; otherwise into a new array. The float64 product is
+    ``np.einsum("chw,khw->chwk")`` run over blocks of channels, each into
+    one buffer of at most _LIFT_BLOCK_BYTES and cast into ``out``, so no
+    float64 product of the whole tensor exists. einsum adds each product
+    to a zeroed output, so a negative feature times a zero probability
+    is +0.0; ``np.multiply`` would write -0.0 there.
     """
     f = np.asarray(features, dtype=np.float32)
     if f.ndim != 3:
         raise ShapeError(f"lift: features must be [C, H', W'], got rank {f.ndim}")
-    _, h, w = f.shape
+    c, h, w = f.shape
     if (depth.height, depth.width) != (h, w):
         raise ShapeError(
             f"lift: depth dims {depth.height}x{depth.width} != feature dims {h}x{w}"
         )
-    lifted = np.einsum("chw,khw->chwk", f.astype(np.float64), depth.probs)
+    shape = (c, h, w, depth.k)
     if out is None:
-        return lifted.astype(np.float32)
-    if out.shape != lifted.shape or out.dtype != np.float32:
-        raise ShapeError(f"lift: out must be float32 {lifted.shape}, got {out.dtype} {out.shape}")
-    np.copyto(out, lifted, casting="same_kind")
+        out = np.empty(shape, dtype=np.float32)
+    elif out.shape != shape or out.dtype != np.float32:
+        raise ShapeError(f"lift: out must be float32 {shape}, got {out.dtype} {out.shape}")
+    block = max(1, _LIFT_BLOCK_BYTES // max(1, 8 * h * w * depth.k))
+    buf = np.empty((min(block, c), h, w, depth.k), dtype=np.float64)
+    for c0 in range(0, c, block):
+        part = buf[: min(block, c - c0)]
+        np.einsum("chw,khw->chwk", f[c0 : c0 + block].astype(np.float64), depth.probs, out=part)
+        np.copyto(out[c0 : c0 + block], part, casting="same_kind")
     return out
 
 

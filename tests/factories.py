@@ -6,10 +6,12 @@ weights from the given ``SplitMix64`` in a fixed order, so a test's data
 depend only on its seed and the order of its calls. ``cam_to_ego`` and
 ``project_depth_labels`` are geometry oracles (the inverse of
 ``CameraModel.ego_to_cam``, and sparse depth labels from surface
-points); ``format_config`` writes a config back out as text, and
-``render_view`` renders one camera view the way ``gen_scene`` does.
+points); ``format_config`` writes a config back out as text,
+``render_view`` renders one camera view the way ``gen_scene`` does, and
+``traced_transient`` measures the memory a call allocates.
 """
 
+import tracemalloc
 from dataclasses import fields
 from typing import Sequence, Tuple
 
@@ -186,3 +188,19 @@ def render_view(
     directions once per camera and calls ``_render`` directly.
     """
     return _render(camera, _ray_directions(camera, image_h, image_w), boxes)
+
+
+def traced_transient(fn, *args, **kwargs) -> int:
+    """Peak bytes traced by tracemalloc while fn(*args, **kwargs) runs, above what was live before.
+
+    NumPy reports its data buffers to tracemalloc, so this counts every
+    array the call builds, its result included.
+    """
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before

@@ -20,7 +20,7 @@ from bevnext.kernels import (
     mlp_forward,
     softmax,
 )
-from factories import mlp_spec, zero_mlp
+from factories import mlp_spec, traced_transient, zero_mlp
 
 
 # ---------------------------------------------------------------- oracles
@@ -281,7 +281,18 @@ MULTI_BLOCK_CASES = [
     (16, 8, 3, 1, 1, _rows_of_blocks(3, 16, 3, 1, 40), 40),
 ]
 
-CONV_ORDER_CASES = [case + (6, 9) for case in CONV_BIT_CASES] + ONE_PIXEL_CASES + MULTI_BLOCK_CASES
+# Padding at block edges. A stride-2 3x3 conv with odd h: its first block
+# starts in the top padding and its last block ends in the bottom padding,
+# three blocks at the shipped size and two at the half-height size. And one
+# output row read from a single input row between two padding rows.
+PADDING_CASES = [
+    (16, 8, 3, 2, 1, _rows_of_blocks(3, 16, 3, 2, 20) + 1, 40),
+    (6, 3, 3, 2, 1, 1, 9),
+]
+
+CONV_ORDER_CASES = (
+    [case + (6, 9) for case in CONV_BIT_CASES] + ONE_PIXEL_CASES + MULTI_BLOCK_CASES + PADDING_CASES
+)
 
 
 def _out_dims(k, stride, padding, h, w):
@@ -317,6 +328,15 @@ def test_conv_within_one_ulp_of_sequential_reference(cin, cout, k, stride, paddi
     x = rng.uniform_array((2, cin, h, w), -1, 1)
     spec = _rand_conv(rng, cin, cout, k, stride=stride, padding=padding)
     np.testing.assert_array_max_ulp(conv2d(x, spec), sequential_conv2d(x, spec), maxulp=1)
+
+
+@pytest.mark.parametrize("k,padding", [(1, 0), (3, 1)])
+def test_conv_builds_no_padded_float64_copy_of_its_input(k, padding):
+    """A fusion-sized conv allocates less than half the float64 size of its input."""
+    rng = SplitMix64(41)
+    x = rng.uniform_array((1, 192, 128, 128), -1, 1)
+    spec = _rand_conv(rng, 192, 16, k, padding=padding)
+    assert traced_transient(conv2d, x, spec) < x.size * 8 // 2
 
 
 def test_conv_empty_batch_and_channels():

@@ -6,9 +6,12 @@ import os
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bevnext.config import SceneConfig, load_config
 from bevnext.depth_crf import modulate
@@ -30,6 +33,7 @@ from bevnext.pipeline import (
     write_artifacts,
 )
 from bevnext.ppm import load_ppm
+from bevnext.res2fusion import fuse
 from bevnext.scene import background_image, gen_scene
 from bevnext.view_transform import lift, pool
 from bevnext.weights import WeightBundle, backbone_specs, depth_head_spec, init_bundle
@@ -469,6 +473,59 @@ def test_overlapped_pool_under_stress_keeps_every_bit():
     for result in results:
         assert np.array_equal(result.bev.data, reference.bev.data)
         assert np.array_equal(result.heatmap.values, reference.heatmap.values)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_lifted_stack_is_freed_before_fusion(monkeypatch, threads):
+    """desk.cfg: by the time fuse runs, no reference to the lifted stack is left."""
+    stacks, freed = [], []
+
+    def lift_spy(features, depth, out=None):
+        stacks.append(weakref.ref(out.base))
+        return lift(features, depth, out)
+
+    def fuse_spy(stack, config):
+        freed.append([ref() is None for ref in stacks])
+        return fuse(stack, config)
+
+    monkeypatch.setattr(pipeline, "lift", lift_spy)
+    monkeypatch.setattr(pipeline, "fuse", fuse_spy)
+    run_pipeline(gen_scene(DESK), DESK, DESK_BUNDLE, threads=threads)
+    assert len(stacks) == DESK.frames * DESK.camera_count
+    assert freed == [[True] * len(stacks)]
+
+
+@st.composite
+def desk_sized_configs(draw):
+    """Valid SceneConfigs no larger than desk.cfg, drawn within every key's bounds."""
+    return SceneConfig(
+        seed=draw(st.integers(0, 1000)),
+        frames=draw(st.integers(1, 3)),
+        camera_count=draw(st.integers(1, 3)),
+        image_h=8 * draw(st.integers(1, 8)),
+        image_w=8 * draw(st.integers(1, 22)),
+        depth_bins=draw(st.integers(2, 8)),
+        bev_grid=2 * draw(st.integers(4, 16)),
+        channels=draw(st.integers(4, 32)),
+        window=draw(st.integers(1, 4)),
+        crf_iters=draw(st.integers(0, 3)),
+        top_n=draw(st.integers(1, 64)),
+        threshold=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        heights=tuple(draw(st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=4))),
+        points=draw(st.integers(1, 4)),
+    )
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(desk_sized_configs())
+def test_pipeline_runs_or_refuses_any_desk_sized_config(cfg):
+    """Every valid desk-sized config runs end to end, or stops with ConfigError/ShapeError."""
+    try:
+        result = run_pipeline(gen_scene(cfg), cfg, init_bundle(cfg, 7))
+    except (ConfigError, ShapeError):
+        return
+    assert result.bev.data.shape == (cfg.channels, cfg.bev_grid, cfg.bev_grid)
+    assert len(result.detections) <= cfg.top_n
 
 
 # ---------------------------------------------------------------- artifacts

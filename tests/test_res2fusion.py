@@ -17,7 +17,7 @@ from bevnext.res2fusion import (
     reduce_groups,
 )
 from bevnext.view_transform import BevGrid
-from factories import conv_spec
+from factories import conv_spec, traced_transient
 
 
 # ---------------------------------------------------------------- oracles
@@ -282,6 +282,19 @@ def test_fuse_equals_composed_stages():
     cat = np.concatenate(list(reversed(bpp)), axis=0)
     ref = conv2d(cat[None], config.final_spec)[0]
     np.testing.assert_array_equal(out.data, ref)
+
+
+def test_fuse_holds_less_than_the_three_concatenated_groups():
+    """full.cfg fusion: nine 64-channel 128x128 grids, window 3.
+
+    fuse allocates less than the three channel-concatenated windows
+    alone would take, so it never holds them all at once.
+    """
+    rng = SplitMix64(43)
+    stack = random_stack(rng, 9, c=64, g=128)
+    config = _random_config(SplitMix64(44), 9, 3, 64, 64, 64)
+    groups_bytes = 3 * (3 * 64) * 128 * 128 * 4
+    assert traced_transient(fuse, stack, config) < groups_bytes
 
 
 def test_fuse_concat_order_oldest_first():

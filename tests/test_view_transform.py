@@ -9,6 +9,7 @@ import pytest
 from bevnext.depth_crf import DepthBins, DepthVolume
 from bevnext.errors import ShapeError
 from bevnext.kernels import SplitMix64, softmax
+from bevnext import view_transform
 from bevnext.view_transform import (
     BevGrid,
     BevSpec,
@@ -20,7 +21,7 @@ from bevnext.view_transform import (
     pool,
     precompute_pool_index,
 )
-from factories import cam_to_ego
+from factories import cam_to_ego, traced_transient
 
 
 # ---------------------------------------------------------------- oracles
@@ -227,6 +228,43 @@ def test_lift_into_a_stack_slot_keeps_every_bit():
     for bad in (np.empty((3, 4, 5, 5), np.float32), np.empty((3, 4, 5, 6), np.float64)):
         with pytest.raises(ShapeError, match="out must be"):
             lift(feats, depth, bad)
+
+
+@pytest.mark.parametrize("channels_per_block", [None, 2])
+def test_lift_keeps_the_einsum_bits_down_to_the_sign_of_zero(monkeypatch, channels_per_block):
+    """lift's float32 bits equal the whole-tensor einsum's, compared as uint32.
+
+    assert_array_equal counts -0.0 equal to +0.0; the uint32 views do not.
+    Negative features meet exactly-zero probabilities here, where einsum
+    writes +0.0 and a plain np.multiply writes -0.0. Checked with one
+    channel block and with blocks of two channels.
+    """
+    c, h, w, k = 5, 4, 6, 7
+    if channels_per_block is not None:
+        monkeypatch.setattr(view_transform, "_LIFT_BLOCK_BYTES", 8 * h * w * k * channels_per_block)
+    rng = SplitMix64(31)
+    feats = rng.uniform_array((c, h, w), -2, 2)
+    feats[:, :, :3] = -np.abs(feats[:, :, :3]) - np.float32(0.5)
+    probs = softmax(rng.uniform_array((k, h, w), -1, 1), axis=0)
+    hot = (np.arange(h)[:, None] + np.arange(3)[None, :]) % k  # one-hot bins in the first 3 columns
+    probs[:, :, :3] = np.arange(k)[:, None, None] == hot
+    depth = DepthVolume(probs)
+    expected = np.einsum("chw,khw->chwk", feats.astype(np.float64), probs).astype(np.float32)
+    multiplied = np.multiply(feats.astype(np.float64)[..., None], probs.transpose(1, 2, 0)).astype(np.float32)
+    assert not np.array_equal(multiplied.view(np.uint32), expected.view(np.uint32)), "data cannot detect -0.0"
+    np.testing.assert_array_equal(lift(feats, depth).view(np.uint32), expected.view(np.uint32))
+    slot = np.full((c, h, w, k), np.nan, dtype=np.float32)
+    np.testing.assert_array_equal(lift(feats, depth, slot).view(np.uint32), expected.view(np.uint32))
+
+
+def test_lift_builds_no_float64_product_of_a_full_camera():
+    """full.cfg camera: lift allocates under a quarter of the float64 [C, H', W', K] product."""
+    c, h, w, k = 64, 16, 44, 59
+    rng = SplitMix64(37)
+    feats = rng.uniform_array((c, h, w), -1, 1)
+    depth = DepthVolume(softmax(rng.uniform_array((k, h, w), -1, 1), axis=0))
+    out = np.empty((c, h, w, k), dtype=np.float32)
+    assert traced_transient(lift, feats, depth, out) < c * h * w * k * 8 // 4
 
 
 # ---------------------------------------------------------------- pool index
