@@ -3,16 +3,17 @@
 Per frame, every camera runs backbone -> depth logits -> CRF-refined
 depth -> frustum lift; the lifted features pool into one BEV grid per
 frame. The frame grids fuse temporally, and the decoder turns the fused
-grid into detections. Camera passes are independent and each writes its
-own slot of one preallocated lifted stack, so they may run on a thread
-pool (one per run); results are collected by camera index and pooled in
-fixed order, which keeps outputs bit-identical for any thread count.
-With more than one thread, each frame's pool runs on the thread pool
-while the next frame's passes run backbone, depth and CRF; a pass waits
-for that pool only before it lifts into the stack.
-The stack lives only for the frame loop: it is released once the last
-pool has read it (and the thread pool has shut down, so no finished work
-item still holds it), so fusion and the decoder never run beside it.
+grid into detections. Camera passes (backbone, depth head, CRF) are the
+only work of the thread pool (one per run, for ``threads > 1``), queued
+one frame ahead: while it runs frame t + 1's passes, the thread that
+called ``run_pipeline`` takes frame t's results in camera order, lifts
+each into its slot of one preallocated stack and pools it. At
+``threads = 1`` the same loop runs each pass in place when its result is
+taken. Only the calling thread touches the stack, which keeps outputs
+bit-identical for any thread count and puts every long-lived array (the
+stack, the grids, pool's index buffers) on one heap; workers allocate only
+per-pass temporaries, so their allocator arenas keep little. The stack
+lives only for the frame loop, so fusion and the decoder run without it.
 Failures inside a stage re-raise as ``StageError`` tagged with the stage
 name.
 
@@ -25,6 +26,7 @@ detections structurally.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -118,14 +120,13 @@ def toy_backbone(image: np.ndarray, stride: int, specs: Sequence[ConvSpec]) -> n
         x = conv2d(x, spec)
         if i < 2:
             x = np.maximum(x, 0.0)
-    if stride == 16:
+    if stride == 16:  # 2x2 mean with the bits of mean(axis=(3, 5)): +0.0, then raster order
         n, c, hh, ww = x.shape
-        x = (
-            x.reshape(n, c, hh // 2, 2, ww // 2, 2)
-            .astype(np.float64)
-            .mean(axis=(3, 5))
-            .astype(np.float32)
-        )
+        v = x.reshape(n, c, hh // 2, 2, ww // 2, 2)
+        acc = np.zeros((n, c, hh // 2, ww // 2))  # so an all -0.0 window gives +0.0, as mean does
+        for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            acc += v[..., dy, :, dx]
+        x = (acc / 4).astype(np.float32)
     return x[0]
 
 
@@ -183,38 +184,35 @@ def run_pipeline(
     index = run_stage("pool", precompute_pool_index, frusta, spec)
     bg = background_image(cfg.image_h, cfg.image_w).astype(np.float64)
 
-    # Every frame's camera passes lift into their own slot of one stack,
-    # which pool reads before the next frame overwrites it.
     lifted = np.empty(
         (len(rig), bspecs[-1].out_channels, cfg.feat_h, cfg.feat_w, bins.k), dtype=np.float32
     )
 
-    def camera_pass(image: np.ndarray, out: np.ndarray, pooling=None):
+    def camera_pass(image: np.ndarray):
         # One float64 image per conversion, with the bits of astype(float64) then the op.
         feats = run_stage("backbone", toy_backbone, np.subtract(image, bg), cfg.stride, bspecs)
         logits = run_stage("depth", lambda: conv2d(feats[None], dspec)[0])
         vol = run_stage("crf", modulate, logits, np.divide(image, 255.0), bins, cfg.crf_iters)
-        if pooling is not None:
-            pooling.result()  # the previous frame's pool is done reading the stack
-        run_stage("lift", lift, feats, vol, out)
         return feats, vol
 
+    def start(t: int) -> list:
+        """Frame t's passes as calls giving (feats, vol): queued on the pool, or run when called."""
+        images = scene.frames[t].images if t < scene.k else ()
+        if ex is None:
+            return [functools.partial(camera_pass, image) for image in images]
+        return [ex.submit(camera_pass, image).result for image in images]
+
     grids = []
-    current = None
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as ex:
+        ahead = start(0)
         for t in range(scene.k):
-            images = scene.frames[t].images
-            if ex is None:
-                current = list(map(camera_pass, images, lifted))
-                grids.append(run_stage("pool", pool, lifted, index, spec))
-            else:
-                # Frame t - 1 pools on the executor while frame t's passes run
-                # up to their lift, which waits for it.
-                pending = [grids[-1] if grids else None] * len(images)
-                current = list(ex.map(camera_pass, images, lifted, pending))
-                grids.append(ex.submit(run_stage, "pool", pool, lifted, index, spec))
-        if ex is not None:
-            grids = [future.result() for future in grids]
+            # Frame t + 1's passes run on the pool while this thread lifts and pools frame t.
+            passes, ahead = ahead, start(t + 1)
+            current = []
+            for ci, result in enumerate(passes):
+                current.append(result())
+                run_stage("lift", lift, *current[-1], lifted[ci])  # index, never bind: a name on the slot keeps the stack alive
+            grids.append(run_stage("pool", pool, lifted, index, spec))
     del lifted  # every pool has read the stack; fusion and the decoder run without it
 
     stack = run_stage("fusion", FusionStack, tuple(grids))

@@ -1,12 +1,15 @@
 """CRF module tests: naive message-passing oracle, hand energies, smoothing trend."""
 
+import dataclasses
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from bevnext import depth_crf
+from bevnext.config import SceneConfig, load_config
 from bevnext.depth_crf import (
     MAX_ITERS,
     DepthBins,
@@ -23,6 +26,8 @@ from bevnext.depth_crf import (
 from bevnext.errors import ShapeError
 from bevnext.kernels import SplitMix64, softmax
 from bevnext.pipeline import tensor_digest
+from bevnext.scene import gen_scene
+from factories import traced_transient
 
 
 # ---------------------------------------------------------------- oracles
@@ -87,6 +92,21 @@ def naive_patch_colors(image, stride):
         for c in range(w // stride):
             out[r, c] = image[r * stride : (r + 1) * stride, c * stride : (c + 1) * stride].mean(axis=(0, 1))
     return out
+
+
+def mean_patch_colors(image, stride):
+    """`patch_colors` as it was before it summed patches with one ordered reduce."""
+    h, w, _ = image.shape
+    return np.asarray(image, dtype=np.float64).reshape(h // stride, stride, w // stride, stride, 3).mean(axis=(1, 3))
+
+
+def rebuilt_spatial_term(height, width):
+    """`_spatial_term` as it was before it built d^2 in place from float64 outer differences."""
+    rows, cols = np.divmod(np.arange(height * width), width)
+    dr = rows[:, None] - rows[None, :]
+    dc = cols[:, None] - cols[None, :]
+    pos_d2 = (dr * dr + dc * dc).astype(np.float64)
+    return 0.3 * np.exp(-pos_d2 / (2.0 * 3.0 * 3.0))
 
 
 def two_region_image(h, w):
@@ -175,6 +195,29 @@ def test_patch_colors_matches_loop_oracle():
     img = rng.uniform_array((16, 16, 3)).astype(np.float64)
     pc = patch_colors(img, 4)
     np.testing.assert_allclose(pc, naive_patch_colors(img, 4), atol=1e-7, rtol=0)
+
+
+def test_patch_colors_bit_identical_to_mean_oracle_on_camera_images():
+    """Every camera of two frames, desk (stride 8) and full (stride 16), scene seed 3."""
+    full = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "full.cfg"))
+    for cfg in (SceneConfig(seed=3, frames=2), dataclasses.replace(full, seed=3, frames=2)):
+        for frame in gen_scene(cfg).frames:
+            for ci, image in enumerate(frame.images):
+                img = np.divide(image, 255.0)  # as the pipeline passes it to modulate
+                got, want = patch_colors(img, cfg.stride), mean_patch_colors(img, cfg.stride)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), f"stride {cfg.stride} cam {ci}"
+
+
+@pytest.mark.parametrize("stride", [8, 16])
+def test_patch_colors_bit_identical_to_mean_oracle_on_signed_data(stride):
+    """Signed values with -0.0 entries and an all -0.0 patch, compared down to the sign of zero."""
+    rng = np.random.default_rng(stride)
+    img = rng.standard_normal((4 * stride, 6 * stride, 3)) * 10.0 ** rng.integers(-3, 4, (4 * stride, 6 * stride, 3))
+    img[rng.random(img.shape) < 0.2] = -0.0
+    img[:stride, :stride] = -0.0
+    got, want = patch_colors(img, stride), mean_patch_colors(img, stride)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_patch_colors_rejects_nondivisible():
@@ -285,6 +328,20 @@ def test_affinity_cached_spatial_term_is_read_only():
     coupling = pairwise_affinity(np.full((3, 4, 3), 0.5))
     coupling[:] = 2.0  # the returned coupling is the caller's own array
     np.testing.assert_array_equal(depth_crf._spatial_term(3, 4), before)
+
+
+@pytest.mark.parametrize("grid", [(8, 22), (16, 44), (3, 5), (1, 7)])
+def test_spatial_term_bit_identical_to_integer_oracle(grid):
+    got = depth_crf._spatial_term.__wrapped__(*grid)  # uncached
+    want = rebuilt_spatial_term(*grid)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_spatial_term_builds_no_more_than_two_temporaries():
+    """full.cfg grid (16x44): below 3x the 4 MB output, against ~19 MB of [n, n] int64 temporaries before."""
+    n = 16 * 44
+    assert traced_transient(depth_crf._spatial_term.__wrapped__, 16, 44) < 3 * n * n * 8
 
 
 def test_affinity_identical_across_concurrent_callers():

@@ -134,6 +134,25 @@ def test_backbone_rejects_bad_stride():
         toy_backbone(background_image(64, 176), 4, backbone_specs(DESK_BUNDLE))
 
 
+def test_backbone_stride16_mean_bit_identical_to_mean_oracle(monkeypatch):
+    """The 2x2 mean against .astype(float64).mean(axis=(3, 5)), down to the sign of zero.
+
+    The third conv is stubbed to return a random signed full-scale stride-8
+    map ([1, 64, 32, 88], with -0.0 entries and an all -0.0 window), so the
+    mean is the only arithmetic between it and the output.
+    """
+    rng = np.random.default_rng(16)
+    x = (rng.standard_normal((1, 64, 32, 88)) * 10.0 ** rng.integers(-3, 4, (1, 64, 32, 88))).astype(np.float32)
+    x[rng.random(x.shape) < 0.1] = -0.0
+    x[..., :2, :2] = -0.0
+    convs = iter([np.zeros((1, 1, 1, 1), np.float32)] * 2 + [x])
+    monkeypatch.setattr(pipeline, "conv2d", lambda inp, spec: next(convs))
+    want = x.reshape(1, 64, 16, 2, 44, 2).astype(np.float64).mean(axis=(3, 5)).astype(np.float32)[0]
+    got = toy_backbone(np.zeros((256, 704, 3)), 16, backbone_specs(DESK_BUNDLE))
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
 def test_backbone_golden_checksum_pinned():
     specs = backbone_specs(DESK_BUNDLE)
     img = background_image(64, 176)
@@ -450,6 +469,65 @@ def test_pool_failure_surfaces_tagged_without_hanging(monkeypatch):
     assert len(outcome) == 1 and isinstance(outcome[0], StageError)
     assert outcome[0].stage == "pool" and "injected pool failure" in str(outcome[0])
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_lift_and_pool_run_on_the_calling_thread(monkeypatch, threads):
+    """Workers run camera passes only; the stack is lifted into and pooled on one thread."""
+    seen, lock = {"lift": [], "pool": [], "toy_backbone": []}, threading.Lock()
+
+    def spied(name, fn):
+        def wrapped(*args, **kwargs):
+            with lock:
+                seen[name].append(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in seen:
+        monkeypatch.setattr(pipeline, name, spied(name, getattr(pipeline, name)))
+    cfg, scene = desk_scene(seed=4, frames=3)
+    run_pipeline(scene, cfg, init_bundle(cfg, 7), threads=threads)
+    caller = threading.get_ident()
+    assert len(seen["lift"]) == 3 * 6 and len(seen["pool"]) == 3
+    assert set(seen["lift"]) == set(seen["pool"]) == {caller}
+    assert caller not in seen["toy_backbone"]  # the passes ran on the pool
+
+
+def test_camera_pass_failure_during_pool_surfaces_tagged_without_hanging(monkeypatch):
+    """A pass of frame 2 raises while frame 1 pools: StageError "crf", and no pool after it."""
+    cfg, scene = desk_scene(seed=2, frames=4)
+    crf_calls, pools, lock = [], [], threading.Lock()
+
+    def failing_modulate(*args):
+        with lock:
+            crf_calls.append(None)
+            fail = len(crf_calls) == 2 * 6 + 3  # a pass of frame 2 (six cameras a frame)
+        if fail:
+            raise ShapeError("injected crf failure")
+        return modulate(*args)
+
+    def slow_pool(stack, index, spec):
+        pools.append(None)
+        time.sleep(0.2)  # frame t + 1's passes, and so frame 2's failing one, run meanwhile
+        return pool(stack, index, spec)
+
+    monkeypatch.setattr(pipeline, "modulate", failing_modulate)
+    monkeypatch.setattr(pipeline, "pool", slow_pool)
+    outcome = []
+
+    def run():
+        try:
+            run_pipeline(scene, cfg, init_bundle(cfg, 7), threads=2)
+        except Exception as exc:
+            outcome.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=120)
+    assert not runner.is_alive(), "run_pipeline hung after a failed camera pass"
+    assert len(outcome) == 1 and isinstance(outcome[0], StageError)
+    assert outcome[0].stage == "crf" and "injected crf failure" in str(outcome[0])
+    assert len(pools) == 2  # frames 0 and 1 pooled; frame 2 stopped at its failed pass
 
 
 def test_overlapped_pool_under_stress_keeps_every_bit():
