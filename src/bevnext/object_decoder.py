@@ -495,8 +495,9 @@ def regress(roi: RoiSet, heads: RegressionHeads, spec: BevSpec) -> List[Detectio
 
     The patch is mean-pooled to one feature vector, pushed through the
     shared trunk, then each head decodes its attribute: sub-cell center
-    offset via tanh (at most half a cell), size via exp (always
-    positive), yaw via atan2 of a (sin, cos) pair, z and velocity linear.
+    offset via tanh (at most half a cell), size via exp floored at 1e-6 m
+    (the least size that detections.txt writes as nonzero), yaw via atan2
+    of a (sin, cos) pair, z and velocity linear.
     """
     if roi.n == 0:
         return []
@@ -511,7 +512,7 @@ def regress(roi: RoiSet, heads: RegressionHeads, spec: BevSpec) -> List[Detectio
     xs = -spec.extent + (roi.centers[:, 0] + 0.5 + shift[:, 0]) * spec.cell_size
     ys = -spec.extent + (roi.centers[:, 1] + 0.5 + shift[:, 1]) * spec.cell_size
     rows = zip(
-        roi.classes.tolist(), xs.tolist(), ys.tolist(), zed[:, 0].tolist(), np.exp(size).tolist(),
+        roi.classes.tolist(), xs.tolist(), ys.tolist(), zed[:, 0].tolist(), np.maximum(np.exp(size), 1e-6).tolist(),
         yaw_raw.tolist(), vel.tolist(), roi.scores.tolist(),
     )
     dets = []

@@ -6,14 +6,16 @@ frame. The frame grids fuse temporally, and the decoder turns the fused
 grid into detections. Camera passes (backbone, depth head, CRF) are the
 only work of the thread pool (one per run, for ``threads > 1``), queued
 one frame ahead: while it runs frame t + 1's passes, the thread that
-called ``run_pipeline`` takes frame t's results in camera order, lifts
-each into its slot of one preallocated stack and pools it. At
-``threads = 1`` the same loop runs each pass in place when its result is
-taken. Only the calling thread touches the stack, which keeps outputs
-bit-identical for any thread count and puts every long-lived array (the
-stack, the grids, pool's index buffers) on one heap; workers allocate only
-per-pass temporaries, so their allocator arenas keep little. The stack
-lives only for the frame loop, so fusion and the decoder run without it.
+called ``run_pipeline`` pools frame t from a generator that takes each
+camera's result in camera order and lifts it into one preallocated
+[C, H', W', K] slot; pool reads each camera before it asks for the next,
+so no stack of all cameras' lifted features exists. At ``threads = 1``
+the same loop runs each pass in place when its result is taken. Only the
+calling thread touches the slot, which keeps outputs bit-identical for
+any thread count and puts every long-lived array (the slot, the grids,
+pool's buffers) on one heap; workers allocate only per-pass temporaries.
+The slot lives only for the frame loop, so fusion and the decoder run
+without it.
 Failures inside a stage re-raise as ``StageError`` tagged with the stage
 name.
 
@@ -184,9 +186,7 @@ def run_pipeline(
     index = run_stage("pool", precompute_pool_index, frusta, spec)
     bg = background_image(cfg.image_h, cfg.image_w).astype(np.float64)
 
-    lifted = np.empty(
-        (len(rig), bspecs[-1].out_channels, cfg.feat_h, cfg.feat_w, bins.k), dtype=np.float32
-    )
+    slot = np.empty((bspecs[-1].out_channels, cfg.feat_h, cfg.feat_w, bins.k), dtype=np.float32)
 
     def camera_pass(image: np.ndarray):
         # One float64 image per conversion, with the bits of astype(float64) then the op.
@@ -202,6 +202,12 @@ def run_pipeline(
             return [functools.partial(camera_pass, image) for image in images]
         return [ex.submit(camera_pass, image).result for image in images]
 
+    def lifted(passes: list, current: list):
+        """The frame's cameras for pool: each pass result, lifted into the one slot in camera order."""
+        for result in passes:
+            current.append(result())
+            yield run_stage("lift", lift, *current[-1], slot)
+
     grids = []
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as ex:
         ahead = start(0)
@@ -209,11 +215,8 @@ def run_pipeline(
             # Frame t + 1's passes run on the pool while this thread lifts and pools frame t.
             passes, ahead = ahead, start(t + 1)
             current = []
-            for ci, result in enumerate(passes):
-                current.append(result())
-                run_stage("lift", lift, *current[-1], lifted[ci])  # index, never bind: a name on the slot keeps the stack alive
-            grids.append(run_stage("pool", pool, lifted, index, spec))
-    del lifted  # every pool has read the stack; fusion and the decoder run without it
+            grids.append(run_stage("pool", pool, lifted(passes, current), index, spec))
+    del slot  # fusion and the decoder run without it
 
     stack = run_stage("fusion", FusionStack, tuple(grids))
     fused = run_stage("fusion", fuse, stack, fcfg)

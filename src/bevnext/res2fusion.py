@@ -144,14 +144,24 @@ def multiscale_cascade(bprime: Sequence[np.ndarray], specs: Sequence[ConvSpec]) 
     g = len(bprime)
     if len(specs) != g - 1:
         raise ShapeError(f"multiscale_cascade: need {g - 1} specs for {g} groups, got {len(specs)}")
-    out: List[np.ndarray] = [None] * g  # type: ignore[list-item]
-    out[0] = np.asarray(bprime[0], dtype=np.float32)
-    if g == 1:
-        return out
-    out[g - 1] = _conv(bprime[g - 1], specs[g - 2])
-    for i in range(g - 2, 0, -1):
-        out[i] = _conv(bprime[i] + out[i + 1], specs[i - 1])
-    return out
+    return np.split(_cascade(list(bprime), specs), g)[::-1]
+
+
+def _cascade(bprime: List[np.ndarray], specs: Sequence[ConvSpec]) -> np.ndarray:
+    """The cascade's outputs concatenated oldest group first, [g * C, G, G] float32.
+
+    Each output goes into its slot as soon as it is computed, and each
+    reduced group is popped from ``bprime`` (left empty) once it is used.
+    """
+    g, c = len(bprime), bprime[0].shape[0]
+    cat = np.empty((g * c,) + bprime[0].shape[1:], dtype=np.float32)
+    cat[(g - 1) * c :] = bprime.pop(0)  # the newest group passes through
+    for j in range(g - 1):  # slot j holds group g - 1 - j, whose older neighbor sits in slot j - 1
+        x = bprime.pop()
+        if j:
+            x = x + cat[(j - 1) * c : j * c]
+        cat[j * c : (j + 1) * c] = _conv(x, specs[g - 2 - j])
+    return cat
 
 
 def fuse(stack: FusionStack, config: FusionConfig) -> BevGrid:
@@ -161,7 +171,9 @@ def fuse(stack: FusionStack, config: FusionConfig) -> BevGrid:
     (oldest group first) -> final 1x1, with no extra arithmetic, so the
     composed pipeline and this entry point are bit-identical. Each window
     is concatenated and reduced in turn, so only one window's
-    concatenation exists at a time.
+    concatenation exists at a time; the cascade then writes its outputs
+    straight into the final conv's input and drops each reduced group
+    once it is used.
     """
     n_groups = -(-stack.k // config.window)
     if n_groups != config.groups:
@@ -176,8 +188,7 @@ def fuse(stack: FusionStack, config: FusionConfig) -> BevGrid:
             f"window * stack channels is {expect_in}"
         )
     bp = [_conv(_group(stack, config.window, i), spec) for i, spec in enumerate(config.reduce_specs)]
-    cat = np.concatenate(list(reversed(multiscale_cascade(bp, config.cascade_specs))), axis=0)
-    return BevGrid(_conv(cat, config.final_spec))
+    return BevGrid(_conv(_cascade(bp, config.cascade_specs), config.final_spec))
 
 
 def post_fuse(grid: BevGrid, down_spec: ConvSpec, merge_spec: ConvSpec) -> BevGrid:

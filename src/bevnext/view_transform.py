@@ -20,7 +20,7 @@ The extrinsic transform maps camera-frame points into the ego frame.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .errors import ShapeError
 
 ROTATION_TOL = 1e-6
 _LIFT_BLOCK_BYTES = 1 << 20  # float64 product buffer per lift call
+_POOL_BLOCK_BYTES = 1 << 18  # float64 gathered values per pool block
 
 
 @dataclass(frozen=True)
@@ -170,8 +171,8 @@ class PoolIndex:
 
     Entries run in ascending camera index, then pixel, then bin, so the
     entries of any one cell keep that order too. Per-entry source
-    coordinates index into a [n_cameras, C, H', W', K] lifted feature
-    stack; entry_cell is the flat BEV cell (iy * G + ix) each one adds to.
+    coordinates index into camera entry_camera's [C, H', W', K] lifted
+    features; entry_cell is the flat BEV cell (iy * G + ix) each adds to.
     """
 
     g: int
@@ -189,6 +190,8 @@ class PoolIndex:
         m = self.entry_count
         if self.entry_camera.size != m or self.entry_pixel.size != m or self.entry_bin.size != m:
             raise ShapeError("PoolIndex: entry arrays must have one length")
+        if (self.entry_camera[1:] < self.entry_camera[:-1]).any():
+            raise ShapeError("PoolIndex: entries must run in ascending camera order")
         if m and int(self.entry_cell.max()) >= self.g * self.g:
             raise ShapeError(f"PoolIndex: entry cell outside the G*G = {self.g * self.g} cells")
 
@@ -227,7 +230,7 @@ def lift(features: np.ndarray, depth: DepthVolume, out: Optional[np.ndarray] = N
     """Spread [C, H', W'] features over depth bins: out[c,u,v,d] = f[c,u,v] * p[d,u,v].
 
     The float32 result goes into ``out`` when given (a [C, H', W', K]
-    float32 array, e.g. one camera's slot of a preallocated stack), which
+    float32 array, e.g. the one slot a run lifts every camera into), which
     is returned; otherwise into a new array. The float64 product is
     ``np.einsum("chw,khw->chwk")`` run over blocks of channels, each into
     one buffer of at most _LIFT_BLOCK_BYTES and cast into ``out``, so no
@@ -306,46 +309,48 @@ def precompute_pool_index(
     )
 
 
-def pool(frustum_features: np.ndarray, index: PoolIndex, spec: BevSpec) -> BevGrid:
+def pool(frustum_features: Iterable[np.ndarray], index: PoolIndex, spec: BevSpec) -> BevGrid:
     """Sum-pool lifted features into the BEV grid along the precomputed plan.
 
-    Accepts [C, H', W', K] (single camera) or [N, C, H', W', K]. Each cell
-    accumulates its entries in float64, sequentially in frustum order,
-    then rounds to float32 once, so results are bit-identical regardless of
-    threading. Per channel, the entries' values are gathered straight from
-    the float32 stack (front to back, since the plan is in frustum order),
-    widened, and summed by `np.bincount`, whose loop adds in entry order;
-    only [entries] float64 values exist at a time, never a float64 copy of
-    the stack. Reordering primitives (`np.add.reduceat`, `.sum`, `matmul`)
-    would break the contract.
+    Reads the cameras in camera order from an [N, C, H', W', K] array (or
+    one [C, H', W', K] camera) or any iterable yielding each camera's
+    [C, H', W', K], reading each in full before it asks for the next. A
+    camera's entries are one contiguous slice of the plan; per block of
+    channels (at most _POOL_BLOCK_BYTES of float64 values), one
+    `np.add.at` adds them, widened, onto the flat float64 [C, G*G]
+    accumulator channel by channel in entry order, rounded to float32
+    once. So each cell sums its entries sequentially in frustum order,
+    whatever the threading; `np.add.reduceat`, `.sum`, `matmul` or a
+    per-camera `np.bincount` onto the running sums would change the bits.
     """
-    f = np.asarray(frustum_features, dtype=np.float32)
-    if f.ndim == 4:
-        f = f[None]
-    if f.ndim != 5:
-        raise ShapeError(f"pool: features must be [N, C, H', W', K], got rank {f.ndim}")
-    n, c, h, w, k = f.shape
-    if spec.g != index.g or (h, w, k) != index.feat_shape or n != index.n_cameras:
-        raise ShapeError(
-            f"pool: stale index (built for cameras={index.n_cameras}, dims={index.feat_shape}, "
-            f"G={index.g}; got cameras={n}, dims={(h, w, k)}, G={spec.g}); rebuild the index"
-        )
+    if isinstance(frustum_features, np.ndarray) and frustum_features.ndim == 4:
+        frustum_features = frustum_features[None]
+    h, w, k = index.feat_shape
     if index.entry_count and (
-        int(index.entry_camera.max()) >= n
+        int(index.entry_camera.max()) >= index.n_cameras
         or int(index.entry_pixel.max()) >= h * w
         or int(index.entry_bin.max()) >= k
     ):
         raise ShapeError("pool: index entry outside the cameras, pixels or bins of its dims")
-    flat = f.reshape(-1)
-    volume = h * w * k  # one channel of one camera
-    src = (  # channel 0; channel ch reads the same offsets past ch * volume
-        index.entry_camera.astype(np.int64) * (c * volume)
-        + index.entry_pixel.astype(np.int64) * k
-        + index.entry_bin.astype(np.int64)
-    )
+    stale = f"pool: stale index (built for cameras={index.n_cameras}, dims={index.feat_shape}, G={index.g})"
+    bounds = np.searchsorted(index.entry_camera, np.arange(index.n_cameras + 1))
+    src = index.entry_pixel.astype(np.intp) * k + index.entry_bin
     cells = index.entry_cell.astype(np.intp)
-    out = np.empty((c, spec.n_cells), dtype=np.float32)
-    for ch in range(c):
-        vals = np.take(flat[ch * volume:], src).astype(np.float64)
-        out[ch] = np.bincount(cells, weights=vals, minlength=spec.n_cells)
-    return BevGrid(out.reshape(c, spec.g, spec.g))
+    acc, n = None, -1
+    for n, camera in enumerate(frustum_features):
+        f = np.asarray(camera, dtype=np.float32)
+        if acc is None:
+            acc = np.zeros(f.shape[:1] + (spec.n_cells,))  # float64 running sums, [C, G*G]
+        if n == index.n_cameras or f.shape != (len(acc), h, w, k) or spec.g != index.g:
+            raise ShapeError(f"{stale}; got camera {n} of shape {f.shape}, G={spec.g}; rebuild the index")
+        lo, hi = bounds[n], bounds[n + 1]
+        flat = f.reshape(len(acc), -1)
+        block = max(1, _POOL_BLOCK_BYTES // max(1, 8 * int(hi - lo)))
+        into = cells[lo:hi] + np.arange(0, min(block, len(acc)) * spec.n_cells, spec.n_cells)[:, None]
+        for c0 in range(0, len(acc), block):
+            # src is in range (checked above), so "wrap" never wraps; it skips the slower checked gather
+            vals = flat[c0 : c0 + block].take(src[lo:hi], axis=1, mode="wrap").astype(np.float64)
+            np.add.at(acc.reshape(-1)[c0 * spec.n_cells :], into[: len(vals)].reshape(-1), vals.reshape(-1))
+    if acc is None or n + 1 != index.n_cameras:
+        raise ShapeError(f"{stale}; got {n + 1} cameras; rebuild the index")
+    return BevGrid(acc.astype(np.float32).reshape(-1, spec.g, spec.g))

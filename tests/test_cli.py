@@ -350,7 +350,8 @@ def test_exit_3_on_scene_config_shape_mismatch(workdir, tmp_path):
     assert "rasters" in err
 
 
-def test_exit_3_on_size_that_prints_as_zero(workdir, tmp_path):
+def test_run_floors_a_size_that_would_print_as_zero(workdir, tmp_path):
+    """A size head that decodes 2e-9 m writes 1e-6 m, which detections.txt reads back, and exits 0."""
     cfg_path = tmp_path / "all.cfg"
     cfg_path.write_text(FAST_CFG + "decoder.threshold = 0.0\n")
     bundle = load_weights(workdir / "w.bvnx", load_config(cfg_path))
@@ -360,9 +361,10 @@ def test_exit_3_on_size_that_prints_as_zero(workdir, tmp_path):
         "run", "--config", str(cfg_path), "--weights", str(tmp_path / "tiny.bvnx"),
         "--scene", str(workdir / "scene"), "--out", str(tmp_path / "r"),
     )
-    assert code == 3
-    assert "prints as 0.000000" in err
-    assert not (tmp_path / "r" / "detections.txt").exists()
+    assert code == 0, err
+    dets = parse_detections((tmp_path / "r" / "detections.txt").read_text())
+    assert len(dets) == load_config(cfg_path).top_n
+    assert {(d.l, d.w, d.h) for d in dets} == {(1e-6, 1e-6, 1e-6)}
 
 
 def test_exit_2_on_unknown_subcommand():

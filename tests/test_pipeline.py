@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -410,6 +411,7 @@ def test_pipeline_rejects_bad_thread_count():
 
 
 def test_pool_overlaps_the_next_frames_camera_passes_but_not_their_lift(monkeypatch):
+    """Frame t + 1's passes run during pool t; each lifted camera stays put until pool asks for the next."""
     cfg, scene = desk_scene(seed=2, frames=3)
     bundle = init_bundle(cfg, 7)
     reference = run_pipeline(scene, cfg, bundle, threads=1)
@@ -422,12 +424,18 @@ def test_pool_overlaps_the_next_frames_camera_passes_but_not_their_lift(monkeypa
             return fn(*args, **kwargs)
         return wrapped
 
-    def slow_pool(stack, index, spec):
-        before = stack.copy()
-        time.sleep(0.2)  # long enough for the other worker to start the next frame
-        grid = pool(stack, index, spec)
+    def slow_pool(cameras, index, spec):
+        def watched():
+            for camera in cameras:
+                before = camera.copy()
+                yield camera
+                with lock:  # pool has read this camera and asks for the next
+                    events.append("camera kept" if np.array_equal(camera, before) else "camera overwritten")
+            time.sleep(0.2)  # long enough for the other worker to start the next frame
+
+        grid = pool(watched(), index, spec)
         with lock:
-            events.append("pool end" if np.array_equal(stack, before) else "stack overwritten")
+            events.append("pool end")
         return grid
 
     monkeypatch.setattr(pipeline, "pool", slow_pool)
@@ -435,7 +443,7 @@ def test_pool_overlaps_the_next_frames_camera_passes_but_not_their_lift(monkeypa
     monkeypatch.setattr(pipeline, "toy_backbone", logged("backbone", pipeline.toy_backbone))
     result = run_pipeline(scene, cfg, bundle, threads=2)
     assert np.array_equal(result.bev.data, reference.bev.data)
-    assert "stack overwritten" not in events
+    assert events.count("camera kept") == 3 * 6 and "camera overwritten" not in events
     ends = [i for i, e in enumerate(events) if e == "pool end"]
     assert len(ends) == 3
     for t, end in enumerate(ends[:2]):  # the last frame has no next frame
@@ -494,9 +502,9 @@ def test_lift_and_pool_run_on_the_calling_thread(monkeypatch, threads):
 
 
 def test_camera_pass_failure_during_pool_surfaces_tagged_without_hanging(monkeypatch):
-    """A pass of frame 2 raises while frame 1 pools: StageError "crf", and no pool after it."""
+    """A pass of frame 2 raises while frame 1 pools: StageError "crf"; frame 2's pool stops at that pass."""
     cfg, scene = desk_scene(seed=2, frames=4)
-    crf_calls, pools, lock = [], [], threading.Lock()
+    crf_calls, pools, pooled, lock = [], [], [], threading.Lock()
 
     def failing_modulate(*args):
         with lock:
@@ -506,10 +514,12 @@ def test_camera_pass_failure_during_pool_surfaces_tagged_without_hanging(monkeyp
             raise ShapeError("injected crf failure")
         return modulate(*args)
 
-    def slow_pool(stack, index, spec):
+    def slow_pool(cameras, index, spec):
         pools.append(None)
         time.sleep(0.2)  # frame t + 1's passes, and so frame 2's failing one, run meanwhile
-        return pool(stack, index, spec)
+        grid = pool(cameras, index, spec)
+        pooled.append(None)
+        return grid
 
     monkeypatch.setattr(pipeline, "modulate", failing_modulate)
     monkeypatch.setattr(pipeline, "pool", slow_pool)
@@ -527,7 +537,7 @@ def test_camera_pass_failure_during_pool_surfaces_tagged_without_hanging(monkeyp
     assert not runner.is_alive(), "run_pipeline hung after a failed camera pass"
     assert len(outcome) == 1 and isinstance(outcome[0], StageError)
     assert outcome[0].stage == "crf" and "injected crf failure" in str(outcome[0])
-    assert len(pools) == 2  # frames 0 and 1 pooled; frame 2 stopped at its failed pass
+    assert len(pools) == 3 and len(pooled) == 2  # frames 0 and 1 pooled; frame 2's pool stopped at its failed pass
 
 
 def test_overlapped_pool_under_stress_keeps_every_bit():
@@ -555,22 +565,67 @@ def test_overlapped_pool_under_stress_keeps_every_bit():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_lifted_stack_is_freed_before_fusion(monkeypatch, threads):
-    """desk.cfg: by the time fuse runs, no reference to the lifted stack is left."""
-    stacks, freed = [], []
+    """desk.cfg: by the time fuse runs, no reference to the one lift slot is left."""
+    slots, freed = [], []
 
     def lift_spy(features, depth, out=None):
-        stacks.append(weakref.ref(out.base))
+        slots.append(weakref.ref(out))
         return lift(features, depth, out)
 
     def fuse_spy(stack, config):
-        freed.append([ref() is None for ref in stacks])
+        freed.append([ref() is None for ref in slots])
         return fuse(stack, config)
 
     monkeypatch.setattr(pipeline, "lift", lift_spy)
     monkeypatch.setattr(pipeline, "fuse", fuse_spy)
     run_pipeline(gen_scene(DESK), DESK, DESK_BUNDLE, threads=threads)
-    assert len(stacks) == DESK.frames * DESK.camera_count
-    assert freed == [[True] * len(stacks)]
+    assert len(slots) == DESK.frames * DESK.camera_count
+    assert freed == [[True] * len(slots)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_every_lift_in_a_run_gets_the_same_slot(monkeypatch, threads):
+    """desk.cfg: all 54 lifts write into one [C, H', W', K] array that is no view of a larger one."""
+    outs = []
+
+    def lift_spy(features, depth, out=None):
+        outs.append(out)
+        return lift(features, depth, out)
+
+    monkeypatch.setattr(pipeline, "lift", lift_spy)
+    run_pipeline(gen_scene(DESK), DESK, DESK_BUNDLE, threads=threads)
+    assert len(outs) == DESK.frames * DESK.camera_count
+    assert all(out is outs[0] for out in outs)
+    assert outs[0].shape == (DESK.channels, DESK.feat_h, DESK.feat_w, DESK.depth_bins)
+    assert outs[0].base is None
+
+
+def test_desk_run_allocates_nothing_the_size_of_the_lifted_stack(monkeypatch):
+    """tracemalloc: whenever pool asks for a camera, the one slot is live and no NumPy buffer nears the stack."""
+    live = []
+
+    def pool_spy(cameras, index, spec):
+        def watched():
+            for camera in cameras:
+                snap = tracemalloc.take_snapshot().filter_traces(
+                    [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+                )
+                live.append([trace.size for trace in snap.traces])
+                yield camera
+
+        return pool(watched(), index, spec)
+
+    monkeypatch.setattr(pipeline, "pool", pool_spy)
+    slot_bytes = 4 * DESK.channels * DESK.feat_h * DESK.feat_w * DESK.depth_bins
+    stack_bytes = DESK.camera_count * slot_bytes  # 1.08 MB
+    tracemalloc.start()
+    try:
+        run_pipeline(gen_scene(DESK), DESK, DESK_BUNDLE)
+    finally:
+        tracemalloc.stop()
+    assert len(live) == DESK.frames * DESK.camera_count
+    assert all(slot_bytes in sizes for sizes in live)
+    assert max(max(sizes) for sizes in live) < stack_bytes // 2  # the largest, 0.27 MB, is the float64 background image
 
 
 @st.composite

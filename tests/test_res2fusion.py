@@ -297,6 +297,21 @@ def test_fuse_holds_less_than_the_three_concatenated_groups():
     assert traced_transient(fuse, stack, config) < groups_bytes
 
 
+def test_fuse_writes_its_cascade_in_place():
+    """full.cfg fusion: fuse peaks under 28 MiB above its input.
+
+    Holding the reduced groups, the cascade outputs and their
+    concatenation at once took 33.6 MB. Reducing every group, then
+    writing each cascade output into its slot of the final conv's input
+    while dropping each reduced group once used, peaks at 27.9 MB: one
+    concatenated window, the reduced groups and conv2d's buffers.
+    """
+    rng = SplitMix64(43)
+    stack = random_stack(rng, 9, c=64, g=128)
+    config = _random_config(SplitMix64(44), 9, 3, 64, 64, 64)
+    assert traced_transient(fuse, stack, config) < 28 * 2**20
+
+
 def test_fuse_concat_order_oldest_first():
     rng = SplitMix64(27)
     stack = random_stack(rng, 2, c=2)

@@ -506,6 +506,56 @@ def test_pool_rejects_stale_index():
         pool(np.ones((2, 2, 2, 2), np.float32), index, spec)
 
 
+def test_pool_reads_each_camera_before_asking_for_the_next():
+    """A generator that reuses one buffer, and fills it with NaN once pool moves on, pools to the array's bits."""
+    spec = BevSpec(8, 1.0, 4.0)
+    h, w, k, c = 4, 5, 8, 4
+    for seed in range(2):
+        rng = SplitMix64(3300 + seed)
+        frusta = _overlapping_frusta(rng, h, w, k)
+        index = precompute_pool_index(frusta, spec)
+        stack = _cancelling_stack(rng, index, (3, c, h, w, k))
+
+        def scribbling():
+            buf = np.empty((c, h, w, k), np.float32)
+            for camera in stack:
+                buf[...] = camera
+                yield buf
+                buf[...] = np.nan
+
+        grid = pool(scribbling(), index, spec)
+        np.testing.assert_array_equal(grid.data.view(np.uint32), pool(stack, index, spec).data.view(np.uint32))
+        np.testing.assert_array_equal(grid.data, scatter_oracle(frusta, stack, spec))
+
+
+def test_pool_rejects_cameras_that_do_not_match_the_index():
+    spec = BevSpec(8, 1.0, 4.0)
+    h, w, k, c = 2, 3, 4, 2
+    frusta = _overlapping_frusta(SplitMix64(3400), h, w, k)
+    index = precompute_pool_index(frusta, spec)
+    cams = [np.ones((c, h, w, k), np.float32) for _ in range(3)]
+    for bad in (
+        cams[:2],  # too few
+        cams + cams[:1],  # too many
+        iter([]),
+        cams[:2] + [np.ones((c, h, w, k + 1), np.float32)],
+        cams[:2] + [np.ones((c + 1, h, w, k), np.float32)],
+        cams[:2] + [np.ones((h, w, k), np.float32)],
+    ):
+        with pytest.raises(ShapeError, match="stale index"):
+            pool(iter(bad), index, spec)
+    with pytest.raises(ShapeError, match="stale index"):
+        pool(iter(cams), index, BevSpec(16, 0.5, 4.0))
+    np.testing.assert_array_equal(pool(iter(cams), index, spec).data, pool(np.stack(cams), index, spec).data)
+
+
+def test_index_rejects_entries_out_of_camera_order():
+    spec = BevSpec(8, 1.0, 4.0)
+    index = precompute_pool_index([_point_frustum([[[[0.1, 0.1, 1.0]]]], camera=i) for i in range(2)], spec)
+    with pytest.raises(ShapeError, match="ascending camera"):
+        dataclasses.replace(index, entry_camera=np.array([1, 0], dtype=np.uint32))
+
+
 def test_overlapping_cameras_accumulate():
     spec = BevSpec(8, 1.0, 4.0)
     frusta = [_point_frustum([[[[0.1, 0.1, 1.0]]]], camera=i) for i in range(2)]
