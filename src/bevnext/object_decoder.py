@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .depth_crf import DepthVolume
 from .errors import FormatError, ShapeError
@@ -222,14 +223,15 @@ class Detection:
 
     def __post_init__(self):
         vals = (self.x, self.y, self.z, self.l, self.w, self.h, self.yaw, self.vx, self.vy, self.score)
-        if not all(math.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise ShapeError("Detection: non-finite attribute")
         if self.l <= 0 or self.w <= 0 or self.h <= 0:
             raise ShapeError("Detection: size must be strictly positive")
-        for name in ("l", "w", "h"):
-            value = getattr(self, name)
-            if value < 1e-6 and f"{value:.6f}" == "0.000000":
-                raise ShapeError(f"Detection: size {name}={value!r} prints as 0.000000 and cannot be read back")
+        if min(self.l, self.w, self.h) < 1e-6:
+            for name in ("l", "w", "h"):
+                value = getattr(self, name)
+                if value < 1e-6 and f"{value:.6f}" == "0.000000":
+                    raise ShapeError(f"Detection: size {name}={value!r} prints as 0.000000 and cannot be read back")
         # fixed-decimal serialization can round pi up, or -pi down, by < 1e-6;
         # -pi itself is outside the range, and its upper neighbour prints the same
         yaw = self.yaw
@@ -307,24 +309,22 @@ def select_centers(heatmap: Heatmap, tau: float, top_n: Optional[int] = None) ->
 
 
 def expand_roi(bev: BevGrid, proposals: Sequence[CenterProposal], queries: np.ndarray) -> RoiSet:
-    """Cut the 7x7 neighborhood of each proposal, zero-padded at borders."""
+    """Cut the 7x7 neighborhood of each proposal, zero-padded at borders, in one gather."""
     n, c, g = len(proposals), bev.channels, bev.g
     half = ROI_SIZE // 2
-    patches = np.zeros((n, c, ROI_SIZE, ROI_SIZE), dtype=np.float32)
-    centers = np.zeros((n, 2), dtype=np.int64)
-    classes = np.zeros(n, dtype=np.int64)
-    scores = np.zeros(n, dtype=np.float64)
-    for idx, p in enumerate(proposals):
-        if not (0 <= p.x < g and 0 <= p.y < g):
-            raise ShapeError(f"expand_roi: center ({p.x}, {p.y}) outside grid axis 0..{g - 1}")
-        x0, y0 = p.x - half, p.y - half
-        gx0, gy0 = max(x0, 0), max(y0, 0)
-        gx1, gy1 = min(p.x + half + 1, g), min(p.y + half + 1, g)
-        patches[idx, :, gy0 - y0 : gy1 - y0, gx0 - x0 : gx1 - x0] = bev.data[:, gy0:gy1, gx0:gx1]
-        centers[idx] = (p.x, p.y)
-        classes[idx] = p.cls
-        scores[idx] = p.score
-    return RoiSet(centers, classes, scores, patches, np.asarray(queries, dtype=np.float32))
+    centers = np.array([(p.x, p.y) for p in proposals], dtype=np.int64).reshape(n, 2)
+    classes = np.array([p.cls for p in proposals], dtype=np.int64)
+    scores = np.array([p.score for p in proposals], dtype=np.float64)
+    outside = np.flatnonzero(((centers < 0) | (centers >= g)).any(axis=1))
+    if outside.size:
+        p = proposals[outside[0]]
+        raise ShapeError(f"expand_roi: center ({p.x}, {p.y}) outside grid axis 0..{g - 1}")
+    if n == 0:  # nothing proposes: skip the grid copy
+        return RoiSet(centers, classes, scores, np.zeros((0, c, ROI_SIZE, ROI_SIZE)), queries)
+    padded = np.pad(bev.data.transpose(1, 2, 0), ((half, half), (half, half), (0, 0)))  # zero-padded [G+6, G+6, C]
+    # windows[y, x] is the [C, 7, 7] patch centred on cell (x, y)
+    patches = sliding_window_view(padded, (ROI_SIZE, ROI_SIZE), axis=(0, 1))[centers[:, 1], centers[:, 0]]
+    return RoiSet(centers, classes, scores, patches, queries)
 
 
 def lift_references(
@@ -481,6 +481,7 @@ def spatial_cross_attention(
         # which leaves it unchanged: each ROI sums only its valid samples.
         weights = np.where(mask[:, :, None], wgt[visible], 0.0).reshape(visible.size, -1)
         acc[visible] += np.einsum("rk,rko->ro", weights, projected.reshape(visible.size, -1, c))
+    base = pts = vals = sampled = projected = weights = None  # free the last camera's before out_patches
     flags = refs.valid.any(axis=(1, 2))
     delta = np.einsum("rc,oc->ro", acc, attn.w_out.astype(np.float64)) + attn.b_out.astype(np.float64)
     out_patches = roi.patches.copy()
@@ -501,7 +502,7 @@ def regress(roi: RoiSet, heads: RegressionHeads, spec: BevSpec) -> List[Detectio
     """
     if roi.n == 0:
         return []
-    pooled = roi.patches.astype(np.float64).mean(axis=(2, 3)).astype(np.float32)
+    pooled = roi.patches.mean(axis=(2, 3), dtype=np.float64).astype(np.float32)
     trunk = mlp_forward(pooled, heads.shared)
     off = mlp_forward(trunk, heads.offset).astype(np.float64)
     zed = mlp_forward(trunk, heads.z).astype(np.float64)

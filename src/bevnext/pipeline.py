@@ -233,10 +233,9 @@ def run_pipeline(
     emb = run_stage(
         "decoder", lambda: np.stack([depth_embedding(v, dmlp) for v in vols_now], axis=0)
     )
-    refined, _ = run_stage(
-        "decoder", spatial_cross_attention, roi, refs, feats_now, attn, cfg.stride, emb
-    )
-    dets = run_stage("decoder", regress, refined, heads, spec)
+    # Rebinding roi frees the unrefined patches before regress.
+    roi, _ = run_stage("decoder", spatial_cross_attention, roi, refs, feats_now, attn, cfg.stride, emb)
+    dets = run_stage("decoder", regress, roi, heads, spec)
     return PipelineResult(dets, heat, vols_now, bev)
 
 

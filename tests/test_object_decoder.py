@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bevnext import object_decoder
 from bevnext.depth_crf import DepthVolume
 from bevnext.errors import FormatError, ShapeError
 from bevnext.kernels import ConvSpec, SplitMix64, bilinear_sample, conv2d, mlp_forward, softmax
@@ -33,7 +34,16 @@ from bevnext.object_decoder import (
     spatial_cross_attention,
 )
 from bevnext.view_transform import BevGrid, BevSpec, CameraModel, CameraRig
-from factories import attn_spec, cam_to_ego, conv_spec, mlp_spec, regression_heads, zero_heads, zero_mlp
+from factories import (
+    attn_spec,
+    cam_to_ego,
+    conv_spec,
+    mlp_spec,
+    regression_heads,
+    traced_transient,
+    zero_heads,
+    zero_mlp,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -176,6 +186,19 @@ def loop_regress(roi, heads, spec):
             )
         )
     return dets
+
+
+def loop_expand_roi(bev, proposals):
+    """The per-proposal loop expand_roi ran before its one gather: the
+    bit-exact oracle for the patches."""
+    g, half = bev.g, ROI_SIZE // 2
+    patches = np.zeros((len(proposals), bev.channels, ROI_SIZE, ROI_SIZE), dtype=np.float32)
+    for idx, p in enumerate(proposals):
+        x0, y0 = p.x - half, p.y - half
+        gx0, gy0 = max(x0, 0), max(y0, 0)
+        gx1, gy1 = min(p.x + half + 1, g), min(p.y + half + 1, g)
+        patches[idx, :, gy0 - y0 : gy1 - y0, gx0 - x0 : gx1 - x0] = bev.data[:, gy0:gy1, gx0:gx1]
+    return patches
 
 
 def single_class_heatmap(values):
@@ -339,6 +362,33 @@ def test_roi_carries_queries_and_scores():
     roi = expand_roi(bev, [CenterProposal(5, 6, 1, 0.7)], queries)
     np.testing.assert_array_equal(roi.queries, queries)
     assert roi.classes[0] == 1 and roi.scores[0] == 0.7
+
+
+def test_roi_bit_identical_to_loop_oracle_on_every_border_cell():
+    rng = np.random.default_rng(47)
+    data = rng.normal(0.0, 1.0, (3, 8, 8)).astype(np.float32)
+    data[0, 0, 0] = -0.0  # the sign of zero is a bit too
+    bev = BevGrid(data)
+    cells = [(x, y) for y in range(8) for x in range(8) if x in (0, 7) or y in (0, 7)] + [(3, 4), (1, 6)]
+    proposals = [CenterProposal(x, y, i % 3, 0.5) for i, (x, y) in enumerate(cells)]
+    roi = expand_roi(bev, proposals, np.zeros((49, 3), np.float32))
+    assert roi.patches.shape == (len(cells), 3, ROI_SIZE, ROI_SIZE)
+    assert roi.patches.view(np.uint32).tobytes() == loop_expand_roi(bev, proposals).view(np.uint32).tobytes()
+    np.testing.assert_array_equal(roi.centers, cells)
+    np.testing.assert_array_equal(roi.classes, [i % 3 for i in range(len(cells))])
+
+
+def test_roi_empty_and_outside_centers():
+    bev = BevGrid(np.ones((2, 8, 8), np.float32))
+    queries = np.zeros((49, 2), np.float32)
+    assert expand_roi(bev, [], queries).patches.shape == (0, 2, ROI_SIZE, ROI_SIZE)
+    grid = BevGrid(np.ones((32, 32, 32), np.float32))  # with no proposals, no padded copy of the grid is made
+    assert traced_transient(expand_roi, grid, [], np.zeros((49, 32), np.float32)) < grid.data.nbytes // 2
+    inside = CenterProposal(3, 3, 0, 0.5)
+    for bad in ((8, 0), (0, -1), (-1, 9)):
+        proposals = [inside, CenterProposal(*bad, 0, 0.5), CenterProposal(9, 9, 0, 0.5)]
+        with pytest.raises(ShapeError, match=rf"center \({bad[0]}, {bad[1]}\) outside grid axis 0\.\.7"):
+            expand_roi(bev, proposals, queries)
 
 
 # ---------------------------------------------------------------- references
@@ -742,6 +792,41 @@ def test_regress_bit_identical_to_loop_oracle():
     dets = regress(roi, heads, spec)
     assert len(dets) == n
     assert dets == loop_regress(roi, heads, spec)  # dataclass equality compares every float exactly
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 1024])
+def test_regress_pools_each_patch_as_a_float64_copy_would(monkeypatch, n):
+    """The pooled vectors match a float64 copy's mean bit for bit, across magnitudes 1e-9 to 1e9."""
+    rng = np.random.default_rng(n)
+    c = 32
+    magnitude = 10.0 ** rng.uniform(-9.0, 9.0, (n, c, ROI_SIZE, ROI_SIZE))
+    patches = (magnitude * rng.choice([-1.0, 1.0], magnitude.shape)).astype(np.float32)
+    roi = RoiSet(np.zeros((n, 2)), np.zeros(n), np.full(n, 0.5), patches, np.zeros((N_QUERY_POSITIONS, c)))
+    inputs = []
+
+    def recording(x, spec):
+        inputs.append(x)
+        return mlp_forward(x, spec)
+
+    monkeypatch.setattr(object_decoder, "mlp_forward", recording)
+    regress(roi, zero_heads(c), BevSpec(8, 1.0, 4.0))
+    oracle = patches.astype(np.float64).mean(axis=(2, 3)).astype(np.float32)
+    assert inputs[0].dtype == np.float32
+    assert inputs[0].view(np.uint32).tobytes() == oracle.view(np.uint32).tobytes()
+
+
+def test_regress_allocates_no_copy_of_the_patches():
+    """tracemalloc: 1024 ROIs of 32 channels are 6.4 MB of patches; a float64 copy was 12.8 MB more."""
+    rng = np.random.default_rng(49)
+    n, c = 1024, 32
+    roi = RoiSet(
+        centers=rng.integers(0, 32, (n, 2)),
+        classes=rng.integers(0, 3, n),
+        scores=rng.uniform(0.01, 0.99, n),
+        patches=rng.normal(0.0, 1.0, (n, c, ROI_SIZE, ROI_SIZE)).astype(np.float32),
+        queries=np.zeros((N_QUERY_POSITIONS, c), np.float32),
+    )
+    assert traced_transient(regress, roi, regression_heads(c, SplitMix64(51)), BevSpec(32, 1.0, 16.0)) < 2 * 2**20
 
 
 def test_regress_empty_roi():

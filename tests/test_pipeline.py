@@ -24,7 +24,7 @@ from bevnext.errors import (
 )
 from bevnext.kernels import conv2d
 from bevnext import pipeline
-from bevnext.object_decoder import format_detections, parse_detections
+from bevnext.object_decoder import expand_roi, format_detections, parse_detections, regress
 from bevnext.pipeline import (
     PipelineResult,
     run_pipeline,
@@ -38,10 +38,11 @@ from bevnext.res2fusion import fuse
 from bevnext.scene import background_image, gen_scene
 from bevnext.view_transform import lift, pool
 from bevnext.weights import WeightBundle, backbone_specs, depth_head_spec, init_bundle
-from factories import cam_to_ego, project_depth_labels, zero_bundle
+from factories import cam_to_ego, project_depth_labels, traced_transient, zero_bundle
 
 DESK = SceneConfig()
 DESK_BUNDLE = init_bundle(DESK, 7)
+DESK_1024 = dataclasses.replace(DESK, threshold=0.0, top_n=1024)  # every cell proposes; same weight shapes
 
 # Pinned on the first verified run of the seeded desk backbone; any change
 # to weights init, conv arithmetic, or input scaling must show up here.
@@ -626,6 +627,47 @@ def test_desk_run_allocates_nothing_the_size_of_the_lifted_stack(monkeypatch):
     assert len(live) == DESK.frames * DESK.camera_count
     assert all(slot_bytes in sizes for sizes in live)
     assert max(max(sizes) for sizes in live) < stack_bytes // 2  # the largest, 0.27 MB, is the float64 background image
+
+
+def test_unrefined_patches_are_freed_before_regress(monkeypatch):
+    """desk.cfg at 1024 proposals: regress gets the refined set, and no reference to the unrefined one is left."""
+    unrefined, freed = [], []
+
+    def expand_spy(*args):
+        roi = expand_roi(*args)
+        unrefined.append(weakref.ref(roi.patches))
+        return roi
+
+    def regress_spy(roi, heads, spec):
+        freed.append(unrefined[0]() is None)
+        return regress(roi, heads, spec)
+
+    monkeypatch.setattr(pipeline, "expand_roi", expand_spy)
+    monkeypatch.setattr(pipeline, "regress", regress_spy)
+    assert len(run_pipeline(gen_scene(DESK_1024), DESK_1024, DESK_BUNDLE).detections) == 1024
+    assert freed == [True]
+
+
+def test_refinement_allocates_the_refined_set_and_little_else(monkeypatch):
+    """tracemalloc on desk.cfg's 1024 real proposals: the last camera's [visible, n_ref, n_points, C]
+    float64 temporaries are gone before the refined set is allocated."""
+    refine, transients = pipeline.spatial_cross_attention, []
+
+    def measured(roi, *args):
+        transients.append(traced_transient(refine, roi, *args) - roi.patches.nbytes)
+        return refine(roi, *args)
+
+    monkeypatch.setattr(pipeline, "spatial_cross_attention", measured)
+    run_pipeline(gen_scene(DESK_1024), DESK_1024, DESK_BUNDLE)
+    assert len(transients) == 1 and transients[0] < 2 * 2**20
+
+
+def test_desk_decoder_run_holds_at_most_two_patch_sets():
+    """tracemalloc: a desk run at 1024 proposals peaks with the unrefined and refined patch sets
+    (6.4 MB each), not with a float64 copy of one beside both (12.8 MB more)."""
+    scene = gen_scene(DESK_1024)
+    patch_set = 4 * 1024 * DESK_1024.channels * 7 * 7
+    assert traced_transient(run_pipeline, scene, DESK_1024, DESK_BUNDLE) < 3 * patch_set
 
 
 @st.composite
