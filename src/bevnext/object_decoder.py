@@ -545,9 +545,7 @@ def parse_detections(text: str) -> List[Detection]:
         if len(cols) != 11:
             raise FormatError(f"detection line {lineno} has {len(cols)} columns, expected 11")
         try:
-            cls = int(cols[0])
-            vals = [float(c) for c in cols[1:]]
-        except ValueError as exc:
+            dets.append(Detection(int(cols[0]), *[float(c) for c in cols[1:]]))
+        except (ValueError, ShapeError) as exc:
             raise FormatError(f"detection line {lineno}: {exc}") from exc
-        dets.append(Detection(cls, *vals))
     return dets

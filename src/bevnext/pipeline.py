@@ -179,10 +179,7 @@ def run_pipeline(
     heads = regression_heads(bundle)
     queries = bundle["decoder.queries"]
 
-    frusta = [
-        run_stage("lift", build_frustum, cam, cfg.feat_h, cfg.feat_w, cfg.stride, bins, ci)
-        for ci, cam in enumerate(rig)
-    ]
+    frusta = [run_stage("lift", build_frustum, cam, cfg.feat_h, cfg.feat_w, cfg.stride, bins) for cam in rig]
     index = run_stage("pool", precompute_pool_index, frusta, spec)
     bg = background_image(cfg.image_h, cfg.image_w).astype(np.float64)
 
@@ -215,7 +212,7 @@ def run_pipeline(
             # Frame t + 1's passes run on the pool while this thread lifts and pools frame t.
             passes, ahead = ahead, start(t + 1)
             current = []
-            grids.append(run_stage("pool", pool, lifted(passes, current), index, spec))
+            grids.append(run_stage("pool", pool, lifted(passes, current), index))
     del slot  # fusion and the decoder run without it
 
     stack = run_stage("fusion", FusionStack, tuple(grids))

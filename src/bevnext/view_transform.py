@@ -4,8 +4,10 @@ Forward projection in three steps: each feature pixel spawns one 3D point
 per depth bin (a frustum of candidate positions), image features are spread
 across those candidates weighted by the per-pixel depth distribution, and
 every in-bounds candidate is sum-pooled into the ego-centric grid cell it
-falls in. The scatter plan is precomputed once per geometry (PoolIndex)
-and kept in frustum order: camera index, then pixel, then depth bin.
+falls in. The scatter plan is precomputed once per geometry (PoolIndex):
+per camera, one (source, cell) pair of index arrays in (pixel, depth bin)
+order. A frustum's position in the list the plan is built from is its
+camera index, so frustum order is camera, then pixel, then depth bin.
 
 Accumulation contract: per cell and channel, pooling sums the cell's
 entries in float64, sequentially in frustum order, then rounds to
@@ -20,7 +22,7 @@ The extrinsic transform maps camera-frame points into the ego frame.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -126,7 +128,6 @@ class BevSpec:
 class FrustumGrid:
     """Ego-frame 3D point of every (feature pixel, depth bin) pair, [H', W', K, 3]."""
 
-    camera: int
     points: np.ndarray
 
     def __post_init__(self):
@@ -134,8 +135,6 @@ class FrustumGrid:
         object.__setattr__(self, "points", p)
         if p.ndim != 4 or p.shape[3] != 3:
             raise ShapeError(f"FrustumGrid: points must be [H', W', K, 3], got {p.shape}")
-        if self.camera < 0:
-            raise ShapeError("FrustumGrid: camera index must be >= 0")
         if not np.isfinite(p).all():
             raise ShapeError("FrustumGrid: non-finite point coordinate")
 
@@ -167,47 +166,53 @@ class BevGrid:
 
 @dataclass(frozen=True)
 class PoolIndex:
-    """Scatter plan in frustum order: every in-bounds (camera, pixel, bin) entry and its cell.
+    """Scatter plan: for each camera, its in-bounds frustum points and the cells they add to.
 
-    Entries run in ascending camera index, then pixel, then bin, so the
-    entries of any one cell keep that order too. Per-entry source
-    coordinates index into camera entry_camera's [C, H', W', K] lifted
-    features; entry_cell is the flat BEV cell (iy * G + ix) each adds to.
+    source[n] and cell[n] are camera n's intp arrays of one length, in
+    (pixel, bin) order: source is the flat offset pixel * K + bin into the
+    camera's [C, H', W', K] lifted features, with pixel = row * W' + col;
+    cell is the flat BEV cell iy * G + ix. Camera n is the n-th frustum
+    the plan was built from. The ranges are checked once, here, on
+    read-only copies.
     """
 
     g: int
-    n_cameras: int
     feat_shape: Tuple[int, int, int]
-    entry_cell: np.ndarray
-    entry_camera: np.ndarray
-    entry_pixel: np.ndarray
-    entry_bin: np.ndarray
+    source: Tuple[np.ndarray, ...]
+    cell: Tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        for name in ("entry_cell", "entry_camera", "entry_pixel", "entry_bin"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.uint32))
         object.__setattr__(self, "feat_shape", tuple(int(v) for v in self.feat_shape))
-        m = self.entry_count
-        if self.entry_camera.size != m or self.entry_pixel.size != m or self.entry_bin.size != m:
-            raise ShapeError("PoolIndex: entry arrays must have one length")
-        if (self.entry_camera[1:] < self.entry_camera[:-1]).any():
-            raise ShapeError("PoolIndex: entries must run in ascending camera order")
-        if m and int(self.entry_cell.max()) >= self.g * self.g:
-            raise ShapeError(f"PoolIndex: entry cell outside the G*G = {self.g * self.g} cells")
+        for name in ("source", "cell"):
+            arrays = tuple(np.array(a, dtype=np.intp) for a in getattr(self, name))
+            for a in arrays:
+                a.flags.writeable = False  # pool trusts the ranges checked below
+            object.__setattr__(self, name, arrays)
+        if len(self.source) != len(self.cell):
+            raise ShapeError(f"PoolIndex: {len(self.source)} source arrays but {len(self.cell)} cell arrays")
+        h, w, k = self.feat_shape
+        for n, (src, cell) in enumerate(zip(self.source, self.cell)):
+            if src.ndim != 1 or src.shape != cell.shape:
+                raise ShapeError(f"PoolIndex: camera {n}'s source and cell arrays differ in length")
+            if not src.size:
+                continue
+            if min(src.min(), cell.min()) < 0:
+                raise ShapeError(f"PoolIndex: camera {n} has a negative entry")
+            if src.max() >= h * w * k:
+                raise ShapeError(f"PoolIndex: camera {n} has a source outside the H'*W'*K = {h * w * k} slots")
+            if cell.max() >= self.g * self.g:
+                raise ShapeError(f"PoolIndex: camera {n} has a cell outside the G*G = {self.g * self.g} cells")
+
+    @property
+    def n_cameras(self) -> int:
+        return len(self.source)
 
     @property
     def entry_count(self) -> int:
-        return int(self.entry_cell.size)
+        return sum(src.size for src in self.source)
 
 
-def build_frustum(
-    cam: CameraModel,
-    feat_h: int,
-    feat_w: int,
-    stride: int,
-    bins: DepthBins,
-    camera: int = 0,
-) -> FrustumGrid:
+def build_frustum(cam: CameraModel, feat_h: int, feat_w: int, stride: int, bins: DepthBins) -> FrustumGrid:
     """Ego-frame point of every (feature pixel, depth bin) pair.
 
     Feature pixel (row, col) covers image pixels [row*stride, (row+1)*stride);
@@ -223,7 +228,7 @@ def build_frustum(
     z = np.broadcast_to(d[None, None, :], (feat_h, feat_w, bins.k))
     pts_cam = np.stack(np.broadcast_arrays(x, y, z), axis=-1)
     ego = np.einsum("hwkj,ij->hwki", pts_cam, cam.rotation) + cam.translation
-    return FrustumGrid(camera, ego)
+    return FrustumGrid(ego)
 
 
 def lift(features: np.ndarray, depth: DepthVolume, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -260,97 +265,62 @@ def lift(features: np.ndarray, depth: DepthVolume, out: Optional[np.ndarray] = N
     return out
 
 
-def precompute_pool_index(
-    frusta: Union[FrustumGrid, Sequence[FrustumGrid]],
-    spec: BevSpec,
-) -> PoolIndex:
-    """Frustum-order scatter plan from frustum geometry; reusable across frames.
+def precompute_pool_index(frusta: Sequence[FrustumGrid], spec: BevSpec) -> PoolIndex:
+    """Per-camera scatter plan from frustum geometry; reusable across frames.
 
-    Frusta from all cameras share one index, taken in ascending camera
-    index whatever order they come in; overlapping cells accumulate.
-    Out-of-extent points are dropped here, never at pool time.
+    frusta[n] is camera n. Each camera keeps its in-bounds points in
+    (pixel, bin) order; out-of-extent points are dropped here, never at
+    pool time. Cameras that see the same cell all add to it.
     """
-    if isinstance(frusta, FrustumGrid):
-        frusta = [frusta]
-    frusta = sorted(frusta, key=lambda f: f.camera)
     if not frusta:
         raise ShapeError("precompute_pool_index: at least one frustum required")
     h, w, k, _ = frusta[0].points.shape
-    seen = set()
+    sources, cells = [], []
     for f in frusta:
         if f.points.shape != (h, w, k, 3):
-            raise ShapeError(
-                f"precompute_pool_index: frustum dims {f.points.shape[:3]} != {(h, w, k)}"
-            )
-        if f.camera in seen:
-            raise ShapeError(f"precompute_pool_index: duplicate camera index {f.camera}")
-        seen.add(f.camera)
-
-    cells, cams, sources = [], [], []
-    flat = np.arange(h * w * k, dtype=np.int64)
-    for f in frusta:
+            raise ShapeError(f"precompute_pool_index: frustum dims {f.points.shape[:3]} != {(h, w, k)}")
         x = f.points[..., 0].reshape(-1)
         y = f.points[..., 1].reshape(-1)
-        ix = np.floor((x + spec.extent) / spec.cell_size).astype(np.int64)
-        iy = np.floor((y + spec.extent) / spec.cell_size).astype(np.int64)
+        ix = np.floor((x + spec.extent) / spec.cell_size).astype(np.intp)
+        iy = np.floor((y + spec.extent) / spec.cell_size).astype(np.intp)
         ok = (ix >= 0) & (ix < spec.g) & (iy >= 0) & (iy < spec.g)
+        sources.append(np.flatnonzero(ok))
         cells.append((iy * spec.g + ix)[ok])
-        cams.append(np.full(int(ok.sum()), f.camera, dtype=np.int64))
-        sources.append(flat[ok])
-    source = np.concatenate(sources)
-    return PoolIndex(
-        g=spec.g,
-        n_cameras=frusta[-1].camera + 1,
-        feat_shape=(h, w, k),
-        entry_cell=np.concatenate(cells),
-        entry_camera=np.concatenate(cams),
-        entry_pixel=source // k,
-        entry_bin=source % k,
-    )
+    return PoolIndex(spec.g, (h, w, k), tuple(sources), tuple(cells))
 
 
-def pool(frustum_features: Iterable[np.ndarray], index: PoolIndex, spec: BevSpec) -> BevGrid:
+def pool(frustum_features: Iterable[np.ndarray], index: PoolIndex) -> BevGrid:
     """Sum-pool lifted features into the BEV grid along the precomputed plan.
 
-    Reads the cameras in camera order from an [N, C, H', W', K] array (or
-    one [C, H', W', K] camera) or any iterable yielding each camera's
-    [C, H', W', K], reading each in full before it asks for the next. A
-    camera's entries are one contiguous slice of the plan; per block of
-    channels (at most _POOL_BLOCK_BYTES of float64 values), one
-    `np.add.at` adds them, widened, onto the flat float64 [C, G*G]
-    accumulator channel by channel in entry order, rounded to float32
-    once. So each cell sums its entries sequentially in frustum order,
-    whatever the threading; `np.add.reduceat`, `.sum`, `matmul` or a
-    per-camera `np.bincount` onto the running sums would change the bits.
+    Iterates the cameras in camera order, from an [N, C, H', W', K] array
+    or any iterable yielding each camera's [C, H', W', K], and reads each
+    in full before it asks for the next. Camera n adds along the plan's
+    source[n] and cell[n], as stored. Per block of channels (at most
+    _POOL_BLOCK_BYTES of float64 values), one `np.add.at` adds the
+    gathered values, widened, onto the flat float64 [C, G*G] accumulator
+    channel by channel in entry order, rounded to float32 once. So each
+    cell sums its entries sequentially in frustum order, whatever the
+    threading; `np.add.reduceat`, `.sum`, `matmul` or a per-camera
+    `np.bincount` onto the running sums would change the bits.
     """
-    if isinstance(frustum_features, np.ndarray) and frustum_features.ndim == 4:
-        frustum_features = frustum_features[None]
     h, w, k = index.feat_shape
-    if index.entry_count and (
-        int(index.entry_camera.max()) >= index.n_cameras
-        or int(index.entry_pixel.max()) >= h * w
-        or int(index.entry_bin.max()) >= k
-    ):
-        raise ShapeError("pool: index entry outside the cameras, pixels or bins of its dims")
-    stale = f"pool: stale index (built for cameras={index.n_cameras}, dims={index.feat_shape}, G={index.g})"
-    bounds = np.searchsorted(index.entry_camera, np.arange(index.n_cameras + 1))
-    src = index.entry_pixel.astype(np.intp) * k + index.entry_bin
-    cells = index.entry_cell.astype(np.intp)
+    n_cells = index.g * index.g
+    stale = f"pool: stale index (built for cameras={index.n_cameras}, dims={index.feat_shape})"
     acc, n = None, -1
     for n, camera in enumerate(frustum_features):
         f = np.asarray(camera, dtype=np.float32)
         if acc is None:
-            acc = np.zeros(f.shape[:1] + (spec.n_cells,))  # float64 running sums, [C, G*G]
-        if n == index.n_cameras or f.shape != (len(acc), h, w, k) or spec.g != index.g:
-            raise ShapeError(f"{stale}; got camera {n} of shape {f.shape}, G={spec.g}; rebuild the index")
-        lo, hi = bounds[n], bounds[n + 1]
+            acc = np.zeros(f.shape[:1] + (n_cells,))  # float64 running sums, [C, G*G]
+        if n == index.n_cameras or f.shape != (len(acc), h, w, k):
+            raise ShapeError(f"{stale}; got camera {n} of shape {f.shape}; rebuild the index")
+        src, cell = index.source[n], index.cell[n]
         flat = f.reshape(len(acc), -1)
-        block = max(1, _POOL_BLOCK_BYTES // max(1, 8 * int(hi - lo)))
-        into = cells[lo:hi] + np.arange(0, min(block, len(acc)) * spec.n_cells, spec.n_cells)[:, None]
+        block = max(1, _POOL_BLOCK_BYTES // max(1, 8 * src.size))
+        into = cell + np.arange(0, min(block, len(acc)) * n_cells, n_cells)[:, None]
         for c0 in range(0, len(acc), block):
-            # src is in range (checked above), so "wrap" never wraps; it skips the slower checked gather
-            vals = flat[c0 : c0 + block].take(src[lo:hi], axis=1, mode="wrap").astype(np.float64)
-            np.add.at(acc.reshape(-1)[c0 * spec.n_cells :], into[: len(vals)].reshape(-1), vals.reshape(-1))
+            # PoolIndex checked src's range, so "wrap" never wraps; it skips the slower checked gather
+            vals = flat[c0 : c0 + block].take(src, axis=1, mode="wrap").astype(np.float64)
+            np.add.at(acc.reshape(-1)[c0 * n_cells :], into[: len(vals)].reshape(-1), vals.reshape(-1))
     if acc is None or n + 1 != index.n_cameras:
         raise ShapeError(f"{stale}; got {n + 1} cameras; rebuild the index")
-    return BevGrid(acc.astype(np.float32).reshape(-1, spec.g, spec.g))
+    return BevGrid(acc.astype(np.float32).reshape(-1, index.g, index.g))

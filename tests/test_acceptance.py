@@ -225,7 +225,7 @@ def test_criterion_05_pooling_conserves_mass():
         rng = SplitMix64(2000 + seed)
         n_cams = rng.randint(1, 4)
         cams = [_random_camera(rng) for _ in range(n_cams)]
-        frusta = [build_frustum(cam, feat_h, feat_w, stride, bins, ci) for ci, cam in enumerate(cams)]
+        frusta = [build_frustum(cam, feat_h, feat_w, stride, bins) for cam in cams]
         lifted = []
         for ci in range(n_cams):
             feats = rng.uniform_array((c, feat_h, feat_w), 0.5, 1.5)
@@ -233,7 +233,7 @@ def test_criterion_05_pooling_conserves_mass():
             lifted.append(lift(feats, DepthVolume(probs)))
         stack = np.stack(lifted)
         index = precompute_pool_index(frusta, spec)
-        pooled = pool(stack, index, spec)
+        pooled = pool(stack, index)
 
         # in-bounds mass straight from the frustum geometry
         mass = np.zeros(c, dtype=np.float64)

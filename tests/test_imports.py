@@ -1,4 +1,5 @@
-"""Every imported name in the package and its tests is used somewhere in its module."""
+"""Every imported name in the package and its tests is used somewhere in its module,
+and every module-level private name of the package is read somewhere."""
 
 import ast
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "bevnext").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "bevnext").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -37,6 +39,70 @@ def test_scan_flags_only_the_unused_name():
         "    return np.asarray(x), xml.dom\n"
     )
     assert unused_imports(source) == [(2, "os")]
+
+
+def unused_private_names(package: dict, readers: dict):
+    """(path, line, name) of each module-level _private def, class or constant of ``package`` no source reads.
+
+    ``package`` and ``readers`` map a path to its source; the private names
+    are taken from ``package`` alone, the reads from both. A read is a
+    loaded name, an attribute or a name imported by ``from ... import``,
+    in any source, so a name that two modules define counts as read if
+    either is. Dunder names are not private.
+    """
+    defined, read = [], set()
+    for path, source in {**package, **readers}.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+        if path not in package:
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(path, node.lineno, n) for n in names if n.startswith("_") and not n.endswith("__")]
+    return [(path, line, name) for path, line, name in defined if name not in read]
+
+
+def test_private_scan_flags_only_the_unread_name():
+    package = {
+        "pkg/a.py": (
+            "__all__ = ['f']\n"
+            "_LIMIT = 3\n"
+            "_DEAD = 4\n"
+            "def _helper(x):\n"
+            "    return x + _LIMIT\n"
+            "class _Spec:\n"
+            "    pass\n"
+            "def _tested():\n"
+            "    pass\n"
+            "def f(x):\n"
+            "    _local = _helper(x)\n"
+            "    return _local\n"
+        ),
+        "pkg/b.py": "from . import a\nSPEC = a._Spec\n",
+    }
+    tests = {"tests/t.py": "from pkg.a import _tested\n_unread_in_tests = _tested\n"}
+    assert unused_private_names(package, tests) == [("pkg/a.py", 3, "_DEAD")]
+
+
+def _sources(paths) -> dict:
+    return {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in paths}
+
+
+def test_every_private_name_of_the_package_is_read():
+    tests = [p for p in SOURCES if p not in PACKAGE]
+    assert unused_private_names(_sources(PACKAGE), _sources(tests)) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))

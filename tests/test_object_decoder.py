@@ -868,6 +868,20 @@ def test_detection_parse_rejects_bad_columns():
         parse_detections("0 1.0 2.0\n")
 
 
+@pytest.mark.parametrize(
+    "line, cause",
+    [
+        ("0 1 2 3 0 1 1 0 0 0 0.5", "size must be strictly positive"),
+        ("0 nan 2 3 1 1 1 0 0 0 0.5", "non-finite attribute"),
+        ("0 1 2 3 1 1 1 9 0 0 0.5", "yaw 9.0 outside"),
+    ],
+    ids=["size-0", "nan", "yaw-9"],
+)
+def test_detection_parse_reports_rejected_detection_with_line_number(line, cause):
+    with pytest.raises(FormatError, match=f"detection line 3: .*{cause}"):
+        parse_detections("# header\n0 0 0 0 1 1 1 0 0 0 0.5\n" + line + "\n")
+
+
 def test_detection_parse_skips_blank_and_comments():
     text = "# header\n\n0 0.0 0.0 0.0 1.0 1.0 1.0 0.0 0.0 0.0 0.5\n"
     assert len(parse_detections(text)) == 1

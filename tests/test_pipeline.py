@@ -425,7 +425,7 @@ def test_pool_overlaps_the_next_frames_camera_passes_but_not_their_lift(monkeypa
             return fn(*args, **kwargs)
         return wrapped
 
-    def slow_pool(cameras, index, spec):
+    def slow_pool(cameras, index):
         def watched():
             for camera in cameras:
                 before = camera.copy()
@@ -434,7 +434,7 @@ def test_pool_overlaps_the_next_frames_camera_passes_but_not_their_lift(monkeypa
                     events.append("camera kept" if np.array_equal(camera, before) else "camera overwritten")
             time.sleep(0.2)  # long enough for the other worker to start the next frame
 
-        grid = pool(watched(), index, spec)
+        grid = pool(watched(), index)
         with lock:
             events.append("pool end")
         return grid
@@ -456,11 +456,11 @@ def test_pool_failure_surfaces_tagged_without_hanging(monkeypatch):
     cfg, scene = desk_scene(seed=2, frames=6)
     calls = []
 
-    def failing_pool(stack, index, spec):
+    def failing_pool(stack, index):
         calls.append(len(calls))
         if len(calls) == 4:  # frame 3
             raise ShapeError("injected pool failure")
-        return pool(stack, index, spec)
+        return pool(stack, index)
 
     monkeypatch.setattr(pipeline, "pool", failing_pool)
     outcome = []
@@ -515,10 +515,10 @@ def test_camera_pass_failure_during_pool_surfaces_tagged_without_hanging(monkeyp
             raise ShapeError("injected crf failure")
         return modulate(*args)
 
-    def slow_pool(cameras, index, spec):
+    def slow_pool(cameras, index):
         pools.append(None)
         time.sleep(0.2)  # frame t + 1's passes, and so frame 2's failing one, run meanwhile
-        grid = pool(cameras, index, spec)
+        grid = pool(cameras, index)
         pooled.append(None)
         return grid
 
@@ -605,7 +605,7 @@ def test_desk_run_allocates_nothing_the_size_of_the_lifted_stack(monkeypatch):
     """tracemalloc: whenever pool asks for a camera, the one slot is live and no NumPy buffer nears the stack."""
     live = []
 
-    def pool_spy(cameras, index, spec):
+    def pool_spy(cameras, index):
         def watched():
             for camera in cameras:
                 snap = tracemalloc.take_snapshot().filter_traces(
@@ -614,7 +614,7 @@ def test_desk_run_allocates_nothing_the_size_of_the_lifted_stack(monkeypatch):
                 live.append([trace.size for trace in snap.traces])
                 yield camera
 
-        return pool(watched(), index, spec)
+        return pool(watched(), index)
 
     monkeypatch.setattr(pipeline, "pool", pool_spy)
     slot_bytes = 4 * DESK.channels * DESK.feat_h * DESK.feat_w * DESK.depth_bins

@@ -2,13 +2,16 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bevnext.config import load_config
 from bevnext.depth_crf import DepthBins, DepthVolume
 from bevnext.errors import ShapeError
 from bevnext.kernels import SplitMix64, softmax
+from bevnext.scene import GROUND_POINTS, gen_scene
 from bevnext import view_transform
 from bevnext.view_transform import (
     BevGrid,
@@ -16,12 +19,15 @@ from bevnext.view_transform import (
     CameraModel,
     CameraRig,
     FrustumGrid,
+    PoolIndex,
     build_frustum,
     lift,
     pool,
     precompute_pool_index,
 )
-from factories import cam_to_ego, traced_transient
+from factories import cam_to_ego, project_depth_labels, traced_transient
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 # ---------------------------------------------------------------- oracles
@@ -75,31 +81,31 @@ def naive_splat(frusta, feat_stack, spec):
     return out.astype(np.float32)
 
 
-def entry_sources(index, w):
-    """Fancy index of every plan entry's [C] vector in an [N, C, H', W', K] stack."""
-    pix = index.entry_pixel.astype(np.int64)
-    return (index.entry_camera.astype(np.int64), slice(None), pix // w, pix % w, index.entry_bin.astype(np.int64))
+def entry_sources(index):
+    """Fancy index of every plan entry's [C] vector in an [N, C, H', W', K] stack, in plan order."""
+    h, w, k = index.feat_shape
+    cameras = np.concatenate([np.full(src.size, n) for n, src in enumerate(index.source)])
+    src = np.concatenate(index.source)
+    return (cameras, slice(None), src // (w * k), src // k % w, src % k)
 
 
 def scatter_oracle(frusta, frustum_features, spec):
     """Sequential float64 scatter with `np.add.at`, straight from the frusta.
 
-    It never reads a plan: cameras go in ascending index, each camera's
-    points in (pixel, bin) order, and `np.add.at` adds in index order. So
+    It never reads a plan: cameras go in list order, each camera's points
+    in (pixel, bin) order, and `np.add.at` adds in index order. So
     every cell sums its entries in (camera, pixel, bin) order, the
     accumulation `pool` must reproduce bit for bit.
     """
     f = np.asarray(frustum_features, dtype=np.float32)
-    if f.ndim == 4:
-        f = f[None]
     c = f.shape[1]
     acc = np.zeros((spec.n_cells, c), dtype=np.float64)
-    for frustum in sorted(frusta, key=lambda fr: fr.camera):
+    for n, frustum in enumerate(frusta):
         x, y = frustum.points[..., 0].reshape(-1), frustum.points[..., 1].reshape(-1)
         ix = np.floor((x + spec.extent) / spec.cell_size).astype(np.int64)
         iy = np.floor((y + spec.extent) / spec.cell_size).astype(np.int64)
         ok = (ix >= 0) & (ix < spec.g) & (iy >= 0) & (iy < spec.g)
-        vals = f[frustum.camera].reshape(c, -1).T.astype(np.float64)
+        vals = f[n].reshape(c, -1).T.astype(np.float64)
         np.add.at(acc, (iy * spec.g + ix)[ok], vals[ok])
     return acc.T.reshape(c, spec.g, spec.g).astype(np.float32)
 
@@ -270,23 +276,23 @@ def test_lift_builds_no_float64_product_of_a_full_camera():
 # ---------------------------------------------------------------- pool index
 
 
-def _point_frustum(points, camera=0):
+def _point_frustum(points):
     """FrustumGrid wrapping an explicit [H, W, K, 3] point array."""
-    return FrustumGrid(camera, np.asarray(points, dtype=np.float64))
+    return FrustumGrid(np.asarray(points, dtype=np.float64))
 
 
 def test_index_single_point_cell_arithmetic():
     spec = BevSpec(8, 1.0, 4.0)
     frustum = _point_frustum([[[[0.1, 0.1, 1.0]]]])
-    index = precompute_pool_index(frustum, spec)
+    index = precompute_pool_index([frustum], spec)
     assert index.entry_count == 1
-    assert index.entry_cell.tolist() == [naive_cell(0.1, 0.1, spec)] == [4 * 8 + 4]
+    assert index.cell[0].tolist() == [naive_cell(0.1, 0.1, spec)] == [4 * 8 + 4]
 
 
 def test_index_excludes_out_of_bounds():
     spec = BevSpec(8, 1.0, 4.0)
     frustum = _point_frustum([[[[5.0, 0.0, 1.0]]]])  # x = L + 1
-    index = precompute_pool_index(frustum, spec)
+    index = precompute_pool_index([frustum], spec)
     assert index.entry_count == 0
 
 
@@ -295,31 +301,60 @@ def test_index_partitions_in_bounds_points():
     spec = BevSpec(8, 1.0, 4.0)
     pts = rng.uniform_array((3, 4, 5, 3), -6, 6).astype(np.float64)
     frustum = _point_frustum(pts)
-    index = precompute_pool_index(frustum, spec)
+    index = precompute_pool_index([frustum], spec)
     naive = [naive_cell(pts[r, c, d, 0], pts[r, c, d, 1], spec) for r in range(3) for c in range(4) for d in range(5)]
     expected = [cell for cell in naive if cell is not None]
     assert index.entry_count == len(expected)
-    assert index.entry_cell.tolist() == expected
+    assert index.cell[0].tolist() == expected
 
 
 def test_index_in_frustum_order():
+    """Camera n's plan is the n-th frustum's in-bounds points in ascending (pixel, bin) offset."""
     rng = SplitMix64(31)
     spec = BevSpec(8, 1.0, 4.0)
-    frusta = [
-        _point_frustum(rng.uniform_array((2, 3, 2, 3), -3, 3).astype(np.float64), camera=i) for i in range(2)
-    ]
-    index = precompute_pool_index(frusta[::-1], spec)
-    keys = np.stack([index.entry_camera, index.entry_pixel, index.entry_bin])
-    order = np.lexsort(keys[::-1])
-    np.testing.assert_array_equal(order, np.arange(index.entry_count))
-    assert index.entry_camera[0] == 0 and index.entry_camera[-1] == 1
+    frusta = [_point_frustum(rng.uniform_array((2, 3, 2, 3), -3, 3).astype(np.float64)) for _ in range(2)]
+    index = precompute_pool_index(frusta, spec)
+    assert index.n_cameras == 2 and index.feat_shape == (2, 3, 2)
+    for n, frustum in enumerate(frusta):
+        assert (np.diff(index.source[n]) > 0).all()
+        assert index.cell[n].tolist() == precompute_pool_index([frustum], spec).cell[0].tolist()
+    swapped = precompute_pool_index(frusta[::-1], spec)
+    for field in ("source", "cell"):
+        assert [a.tolist() for a in getattr(swapped, field)] == [a.tolist() for a in getattr(index, field)[::-1]]
 
 
 def test_index_rejects_cells_outside_the_grid():
     spec = BevSpec(8, 1.0, 4.0)
-    index = precompute_pool_index(_point_frustum([[[[0.1, 0.1, 1.0]]]]), spec)
+    index = precompute_pool_index([_point_frustum([[[[0.1, 0.1, 1.0]]]])], spec)
     with pytest.raises(ShapeError, match="cell outside"):
-        dataclasses.replace(index, entry_cell=np.array([64], dtype=np.uint32))
+        dataclasses.replace(index, cell=(np.array([64]),))
+
+
+def test_index_keeps_read_only_copies_of_its_checked_arrays():
+    source, cell = np.array([5]), np.array([63])
+    index = PoolIndex(8, (2, 3, 4), (source,), (cell,))
+    source[0] = 2 * 3 * 4  # the caller's array stays the caller's
+    assert index.source[0].tolist() == [5]
+    with pytest.raises(ValueError, match="read-only"):
+        index.cell[0][0] = 64
+
+
+@pytest.mark.parametrize(
+    "source, cell, match",
+    [
+        ((np.array([2 * 3 * 4]),), (np.array([0]),), "source outside"),
+        ((np.array([-1]),), (np.array([0]),), "negative"),
+        ((np.array([0]),), (np.array([-1]),), "negative"),
+        ((np.array([0, 1]),), (np.array([0]),), "differ in length"),
+        ((np.array([0]), np.array([1])), (np.array([0]),), "2 source arrays but 1 cell"),
+    ],
+    ids=["source", "negative-source", "negative-cell", "lengths", "cameras"],
+)
+def test_index_rejects_a_malformed_plan(source, cell, match):
+    """Each range and shape check of PoolIndex, on a plan for [H', W', K] = [2, 3, 4] over 8x8 cells."""
+    PoolIndex(8, (2, 3, 4), (np.array([2 * 3 * 4 - 1]),), (np.array([63]),))  # the largest entries are in range
+    with pytest.raises(ShapeError, match=match):
+        PoolIndex(8, (2, 3, 4), source, cell)
 
 
 # ---------------------------------------------------------------- pool
@@ -333,7 +368,7 @@ def _in_bounds_setup(rng, n_cam=1):
     frusta = []
     for i in range(n_cam):
         cam = CameraModel(100, 100, w * stride / 2, h * stride / 2, np.eye(3), np.zeros(3))
-        frusta.append(build_frustum(cam, h, w, stride, bins, camera=i))
+        frusta.append(build_frustum(cam, h, w, stride, bins))
     return spec, bins, frusta, (h, w)
 
 
@@ -344,7 +379,7 @@ def test_pool_all_ones_conserves_mass():
     lifted = lift(feats, _uniform_depth(bins.k, h, w))
     index = precompute_pool_index(frusta, spec)
     assert index.entry_count == h * w * bins.k  # everything in bounds
-    grid = pool(lifted, index, spec)
+    grid = pool([lifted], index)
     per_channel = grid.data.sum(axis=(1, 2))
     np.testing.assert_allclose(per_channel, h * w, rtol=1e-4)
 
@@ -352,8 +387,8 @@ def test_pool_all_ones_conserves_mass():
 def test_pool_empty_cells_are_zero():
     spec = BevSpec(8, 1.0, 4.0)
     frustum = _point_frustum([[[[0.1, 0.1, 1.0]]]])
-    index = precompute_pool_index(frustum, spec)
-    grid = pool(np.ones((2, 1, 1, 1), np.float32), index, spec)
+    index = precompute_pool_index([frustum], spec)
+    grid = pool([np.ones((2, 1, 1, 1), np.float32)], index)
     assert grid.data[:, 4, 4].tolist() == [1.0, 1.0]
     total = grid.data.sum()
     assert total == 2.0  # every other cell exactly zero
@@ -364,9 +399,7 @@ def test_pool_matches_naive_scatter_many_seeds():
         rng = SplitMix64(1000 + seed)
         spec = BevSpec(8, 1.0, 4.0)
         h, w, k, c = 2, 3, 3, 2
-        frusta = [
-            _point_frustum(rng.uniform_array((h, w, k, 3), -5, 5).astype(np.float64), camera=i) for i in range(2)
-        ]
+        frusta = [_point_frustum(rng.uniform_array((h, w, k, 3), -5, 5).astype(np.float64)) for _ in range(2)]
         feat_stack = np.stack(
             [
                 lift(rng.uniform_array((c, h, w), -1, 1), DepthVolume(softmax(rng.uniform_array((k, h, w), -1, 1), axis=0)))
@@ -374,7 +407,7 @@ def test_pool_matches_naive_scatter_many_seeds():
             ]
         )
         index = precompute_pool_index(frusta, spec)
-        grid = pool(feat_stack, index, spec)
+        grid = pool(feat_stack, index)
         ref = naive_splat(frusta, feat_stack, spec)
         np.testing.assert_allclose(grid.data, ref, atol=1e-6, rtol=0, err_msg=f"seed {seed}")
 
@@ -390,8 +423,8 @@ def test_pool_conservation_random_instances():
             rng.uniform_array((c, h, w), 0.5, 2.0),
             DepthVolume(softmax(rng.uniform_array((k, h, w), -1, 1), axis=0)),
         )
-        index = precompute_pool_index(frustum, spec)
-        grid = pool(lifted, index, spec)
+        index = precompute_pool_index([frustum], spec)
+        grid = pool([lifted], index)
         mask = np.zeros((h, w, k), dtype=bool)
         for r in range(h):
             for col in range(w):
@@ -407,9 +440,9 @@ def test_pool_bit_deterministic_across_runs():
     pts = rng.uniform_array((3, 3, 2, 3), -5, 5).astype(np.float64)
     frustum = _point_frustum(pts)
     feats = rng.uniform_array((4, 3, 3, 2), -1, 1)
-    index = precompute_pool_index(frustum, spec)
-    a = pool(feats, index, spec)
-    b = pool(feats.copy(), precompute_pool_index(_point_frustum(pts.copy()), spec), spec)
+    index = precompute_pool_index([frustum], spec)
+    a = pool([feats], index)
+    b = pool([feats.copy()], precompute_pool_index([_point_frustum(pts.copy())], spec))
     np.testing.assert_array_equal(a.data, b.data)
 
 
@@ -421,11 +454,11 @@ def _cancelling_stack(rng, index, shape):
     sum cancels down to float64 rounding residue: a sum in any other order
     leaves a different residue, which survives the rounding to float32.
     """
-    c, w = shape[1], shape[3]
+    c = shape[1]
     m = index.entry_count
     sign = np.where(rng.uniform_array((c, m), -1, 1) < 0, -1.0, 1.0)
     vals = (sign * 10.0 ** rng.uniform_array((c, m), -8, 8).astype(np.float64)).astype(np.float32)
-    cells = index.entry_cell.astype(np.int64)
+    cells = np.concatenate(index.cell)
     by_cell = np.argsort(cells, kind="stable")  # each cell's entries, in plan order
     sizes = np.bincount(cells)
     rank = np.arange(m) - (np.cumsum(sizes) - sizes)[cells[by_cell]]
@@ -433,15 +466,13 @@ def _cancelling_stack(rng, index, shape):
     second = (rank >= half) & (rank < 2 * half)
     vals[:, by_cell[second]] = -vals[:, by_cell[np.nonzero(second)[0] - half[second]]]
     stack = rng.uniform_array(shape, -1, 1)
-    stack[entry_sources(index, w)] = vals.T
+    stack[entry_sources(index)] = vals.T
     return stack
 
 
 def _overlapping_frusta(rng, h, w, k):
     """Three cameras over [-5, 2]^2: cells with x or y above 2 m stay empty."""
-    return [
-        _point_frustum(rng.uniform_array((h, w, k, 3), -5, 2).astype(np.float64), camera=i) for i in range(3)
-    ]
+    return [_point_frustum(rng.uniform_array((h, w, k, 3), -5, 2).astype(np.float64)) for _ in range(3)]
 
 
 def test_pool_bit_identical_to_sequential_scatter():
@@ -451,59 +482,35 @@ def test_pool_bit_identical_to_sequential_scatter():
         rng = SplitMix64(3000 + seed)
         frusta = _overlapping_frusta(rng, h, w, k)
         index = precompute_pool_index(frusta, spec)
-        cells = index.entry_cell.astype(np.int64)
+        cells = np.concatenate(index.cell)
         sizes = np.bincount(cells, minlength=spec.n_cells)
         assert (sizes == 0).any() and sizes.max() >= 8
-        assert len(set(zip(cells.tolist(), index.entry_camera.tolist()))) > np.count_nonzero(sizes)
+        assert sum(len(set(cell.tolist())) for cell in index.cell) > np.count_nonzero(sizes)  # cameras share cells
         stack = _cancelling_stack(rng, index, (3, c, h, w, k))
 
         expected = scatter_oracle(frusta, stack, spec)
-        np.testing.assert_array_equal(pool(stack, index, spec).data, expected, err_msg=f"seed {seed}")
+        np.testing.assert_array_equal(pool(stack, index).data, expected, err_msg=f"seed {seed}")
         assert not expected[:, 7, 7].any()  # an empty cell pools to exactly zero
 
         # the data detects reordering: the same entries summed back to front differ
-        vals = stack[entry_sources(index, w)]
+        vals = stack[entry_sources(index)]
         backwards = np.stack(
             [np.bincount(cells[::-1], vals[::-1, ch].astype(np.float64), spec.n_cells) for ch in range(c)]
         )
         assert not np.array_equal(backwards.astype(np.float32).reshape(expected.shape), expected)
 
-        # rank-4 input: a single camera with its own plan
-        single = precompute_pool_index(frusta[0], spec)
-        lone = _cancelling_stack(rng, single, (1, c, h, w, k))[0]
-        np.testing.assert_array_equal(pool(lone, single, spec).data, scatter_oracle(frusta[:1], lone, spec))
-
-
-def test_pool_bits_do_not_depend_on_the_order_frusta_come_in():
-    spec = BevSpec(8, 1.0, 4.0)
-    h, w, k, c = 4, 5, 8, 4
-    for seed in range(4):
-        frusta = _overlapping_frusta(SplitMix64(3100 + seed), h, w, k)
-        ascending = precompute_pool_index(frusta, spec)
-        descending = precompute_pool_index(frusta[::-1], spec)
-        for field in ("entry_cell", "entry_camera", "entry_pixel", "entry_bin"):
-            np.testing.assert_array_equal(getattr(descending, field), getattr(ascending, field))
-        stack = _cancelling_stack(SplitMix64(3200 + seed), ascending, (3, c, h, w, k))
-        np.testing.assert_array_equal(
-            pool(stack, descending, spec).data, pool(stack, ascending, spec).data, err_msg=f"seed {seed}"
-        )
-
-
-def test_pool_rejects_entries_outside_its_dims():
-    spec = BevSpec(8, 1.0, 4.0)
-    index = precompute_pool_index(_point_frustum([[[[0.1, 0.1, 1.0]]]]), spec)
-    for field in ("entry_camera", "entry_pixel", "entry_bin"):
-        bad = dataclasses.replace(index, **{field: np.array([1], dtype=np.uint32)})
-        with pytest.raises(ShapeError, match="outside"):
-            pool(np.ones((2, 1, 1, 1), np.float32), bad, spec)
+        # a single camera with its own plan
+        single = precompute_pool_index(frusta[:1], spec)
+        lone = _cancelling_stack(rng, single, (1, c, h, w, k))
+        np.testing.assert_array_equal(pool(lone, single).data, scatter_oracle(frusta[:1], lone, spec))
 
 
 def test_pool_rejects_stale_index():
     spec = BevSpec(8, 1.0, 4.0)
     frustum = _point_frustum([[[[0.1, 0.1, 1.0]]]])
-    index = precompute_pool_index(frustum, spec)
+    index = precompute_pool_index([frustum], spec)
     with pytest.raises(ShapeError, match="index"):
-        pool(np.ones((2, 2, 2, 2), np.float32), index, spec)
+        pool([np.ones((2, 2, 2, 2), np.float32)], index)
 
 
 def test_pool_reads_each_camera_before_asking_for_the_next():
@@ -523,8 +530,8 @@ def test_pool_reads_each_camera_before_asking_for_the_next():
                 yield buf
                 buf[...] = np.nan
 
-        grid = pool(scribbling(), index, spec)
-        np.testing.assert_array_equal(grid.data.view(np.uint32), pool(stack, index, spec).data.view(np.uint32))
+        grid = pool(scribbling(), index)
+        np.testing.assert_array_equal(grid.data.view(np.uint32), pool(stack, index).data.view(np.uint32))
         np.testing.assert_array_equal(grid.data, scatter_oracle(frusta, stack, spec))
 
 
@@ -543,26 +550,75 @@ def test_pool_rejects_cameras_that_do_not_match_the_index():
         cams[:2] + [np.ones((h, w, k), np.float32)],
     ):
         with pytest.raises(ShapeError, match="stale index"):
-            pool(iter(bad), index, spec)
-    with pytest.raises(ShapeError, match="stale index"):
-        pool(iter(cams), index, BevSpec(16, 0.5, 4.0))
-    np.testing.assert_array_equal(pool(iter(cams), index, spec).data, pool(np.stack(cams), index, spec).data)
-
-
-def test_index_rejects_entries_out_of_camera_order():
-    spec = BevSpec(8, 1.0, 4.0)
-    index = precompute_pool_index([_point_frustum([[[[0.1, 0.1, 1.0]]]], camera=i) for i in range(2)], spec)
-    with pytest.raises(ShapeError, match="ascending camera"):
-        dataclasses.replace(index, entry_camera=np.array([1, 0], dtype=np.uint32))
+            pool(iter(bad), index)
+    np.testing.assert_array_equal(pool(iter(cams), index).data, pool(np.stack(cams), index).data)
 
 
 def test_overlapping_cameras_accumulate():
     spec = BevSpec(8, 1.0, 4.0)
-    frusta = [_point_frustum([[[[0.1, 0.1, 1.0]]]], camera=i) for i in range(2)]
+    frusta = [_point_frustum([[[[0.1, 0.1, 1.0]]]]) for _ in range(2)]
     index = precompute_pool_index(frusta, spec)
     feats = np.ones((2, 1, 1, 1, 1), np.float32)
-    grid = pool(feats, index, spec)
+    grid = pool(feats, index)
     assert grid.data[0, 4, 4] == 2.0
+
+
+# ---------------------------------------------------------------- geometry gate
+
+
+def _surface_peaks(cfg):
+    """(peaks within 1 m of a box footprint, peaks) of frame 0's pooled object surface.
+
+    Each camera's feature is 1 where an object surface point projects and
+    0 elsewhere; its depth is one-hot at the bin of the nearest such point
+    (ground points left out). lift -> pool splats it into BEV, and every
+    3x3 local maximum above 10% of the grid's max is a peak.
+    """
+    frame = gen_scene(cfg).frames[0]
+    objects = frame.points[:-GROUND_POINTS]  # gen_scene appends the ground points last
+    bins, spec, rig = cfg.bins(), cfg.bev(), cfg.rig()
+    index = precompute_pool_index([build_frustum(cam, cfg.feat_h, cfg.feat_w, cfg.stride, bins) for cam in rig], spec)
+
+    def cameras():
+        for cam in rig:
+            labels, _ = project_depth_labels(objects, cam, cfg.feat_h, cfg.feat_w, cfg.stride, bins)
+            hit = labels >= 0
+            probs = np.where(hit, np.arange(bins.k)[:, None, None] == labels, 1.0 / bins.k)
+            yield lift(hit[None].astype(np.float32), DepthVolume(probs))
+
+    bev = pool(cameras(), index).data[0]
+    g = spec.g
+    padded = np.pad(bev, 1, constant_values=-np.inf)
+    around = np.max([padded[dy : dy + g, dx : dx + g] for dy in range(3) for dx in range(3)], axis=0)
+    iy, ix = np.nonzero((bev == around) & (bev > 0.1 * bev.max()))
+    x = -spec.extent + (ix + 0.5) * spec.cell_size
+    y = -spec.extent + (iy + 0.5) * spec.cell_size
+    gap = np.full(x.shape, np.inf)
+    for b in frame.boxes:
+        cos, sin = math.cos(b.yaw), math.sin(b.yaw)
+        along, across = cos * (x - b.x) + sin * (y - b.y), -sin * (x - b.x) + cos * (y - b.y)
+        outside = np.hypot(np.maximum(np.abs(along) - b.l / 2, 0), np.maximum(np.abs(across) - b.w / 2, 0))
+        gap = np.minimum(gap, outside)
+    return int((gap <= 1.0).sum()), int(gap.size)
+
+
+@pytest.mark.parametrize("preset, n_seeds", [("desk", 10), ("full", 3)])
+def test_pooled_object_surfaces_peak_on_their_boxes(preset, n_seeds):
+    """Geometry gate: frusta, lift and pool put what a camera sees where the scene put it.
+
+    A surface point moves along its ray by at most half a 1 m depth bin,
+    and a peak sits at a cell centre up to half a cell diagonal (0.35 m
+    at desk, 0.57 m at full) from the points it sums, so a peak can miss
+    its box by just over 1 m at full. Measured: 59 of 59 peaks on a box at
+    desk, 20 of 21 at full. The gate asks for 90% and for enough peaks to
+    mean something; with ego x and y swapped in the frusta, 15 of 59 and 0
+    of 21 peaks land on a box.
+    """
+    cfg = dataclasses.replace(load_config(CONFIGS / f"{preset}.cfg"), frames=1)
+    counts = [_surface_peaks(dataclasses.replace(cfg, seed=seed)) for seed in range(n_seeds)]
+    on_box, peaks = (sum(col) for col in zip(*counts))
+    assert peaks >= 2 * n_seeds, f"only {peaks} peaks over {n_seeds} scenes"
+    assert on_box >= 0.9 * peaks, f"{on_box} of {peaks} BEV peaks lie within 1 m of a box"
 
 
 # ---------------------------------------------------------------- specs
