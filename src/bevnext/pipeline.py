@@ -2,20 +2,24 @@
 
 Per frame, every camera runs backbone -> depth logits -> CRF-refined
 depth -> frustum lift; the lifted features pool into one BEV grid per
-frame. The frame grids fuse temporally, and the decoder turns the fused
-grid into detections. Camera passes (backbone, depth head, CRF) are the
-only work of the thread pool (one per run, for ``threads > 1``), queued
-one frame ahead: while it runs frame t + 1's passes, the thread that
-called ``run_pipeline`` pools frame t from a generator that takes each
-camera's result in camera order and lifts it into one preallocated
-[C, H', W', K] slot; pool reads each camera before it asks for the next,
-so no stack of all cameras' lifted features exists. At ``threads = 1``
-the same loop runs each pass in place when its result is taken. Only the
-calling thread touches the slot, which keeps outputs bit-identical for
-any thread count and puts every long-lived array (the slot, the grids,
-pool's buffers) on one heap; workers allocate only per-pass temporaries.
-The slot lives only for the frame loop, so fusion and the decoder run
-without it.
+frame. ``fuse`` reads the frame grids as a stream, oldest first, and the
+decoder turns the fused grid into detections. Camera passes (backbone,
+depth head, CRF) are the only work of the thread pool (one per run, for
+``threads > 1``), queued one frame ahead: each time fuse asks for the
+next frame, the thread that called ``run_pipeline`` pools frame t while
+the pool runs frame t + 1's passes. Pool reads frame t from a generator
+that takes each camera's result in camera order and lifts it into one
+preallocated [C, H', W', K] slot, and reads each camera before it asks
+for the next, so no stack of all cameras' lifted features exists; fuse
+copies each grid into its window buffer and reduces each window as soon
+as its last frame is pooled, so no list of all frames' grids exists
+either. At ``threads = 1`` the same loop
+runs each pass in place when its result is taken. Only the calling
+thread touches the slot, which keeps outputs bit-identical for any
+thread count and puts every long-lived array (the slot, the grids,
+pool's and fuse's buffers) on one heap; workers allocate only per-pass
+temporaries. The slot lives only while frames are pooled, so the newest
+window's reduction and the decoder run without it.
 Failures inside a stage re-raise as ``StageError`` tagged with the stage
 name.
 
@@ -55,7 +59,7 @@ from .object_decoder import (
     spatial_cross_attention,
 )
 from .ppm import save_ppm
-from .res2fusion import FusionStack, fuse, post_fuse
+from .res2fusion import fuse, post_fuse
 from .scene import SyntheticScene, background_image
 from .view_transform import (
     BevGrid,
@@ -183,7 +187,7 @@ def run_pipeline(
     index = run_stage("pool", precompute_pool_index, frusta, spec)
     bg = background_image(cfg.image_h, cfg.image_w).astype(np.float64)
 
-    slot = np.empty((bspecs[-1].out_channels, cfg.feat_h, cfg.feat_w, bins.k), dtype=np.float32)
+    current: list = []  # the newest frame's (feats, vol) per camera, for the decoder
 
     def camera_pass(image: np.ndarray):
         # One float64 image per conversion, with the bits of astype(float64) then the op.
@@ -199,24 +203,27 @@ def run_pipeline(
             return [functools.partial(camera_pass, image) for image in images]
         return [ex.submit(camera_pass, image).result for image in images]
 
-    def lifted(passes: list, current: list):
+    def lifted(passes: list, slot: np.ndarray):
         """The frame's cameras for pool: each pass result, lifted into the one slot in camera order."""
+        current.clear()
         for result in passes:
             current.append(result())
             yield run_stage("lift", lift, *current[-1], slot)
 
-    grids = []
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as ex:
+    def frames():
+        """Each frame's BEV grid, oldest first, pooled while the pool runs the next frame's passes.
+
+        The slot is this generator's own, so it is freed when fuse has taken
+        the last frame and the stream ends, before the newest window is reduced.
+        """
+        slot = np.empty((bspecs[-1].out_channels, cfg.feat_h, cfg.feat_w, bins.k), dtype=np.float32)
         ahead = start(0)
         for t in range(scene.k):
-            # Frame t + 1's passes run on the pool while this thread lifts and pools frame t.
             passes, ahead = ahead, start(t + 1)
-            current = []
-            grids.append(run_stage("pool", pool, lifted(passes, current), index))
-    del slot  # fusion and the decoder run without it
+            yield run_stage("pool", pool, lifted(passes, slot), index)
 
-    stack = run_stage("fusion", FusionStack, tuple(grids))
-    fused = run_stage("fusion", fuse, stack, fcfg)
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as ex:
+        fused = run_stage("fusion", fuse, frames(), fcfg)
     bev = run_stage("fusion", post_fuse, fused, down, merge)
 
     heat = run_stage("decoder", compute_heatmap, bev, hspec)

@@ -7,13 +7,16 @@ concatenated and reduced by a 1x1 conv; the reduced groups then pass
 through a 3x3 cascade that runs oldest to newest, feeding each group the
 convolved output of its older neighbor, so older evidence reaches the
 output through progressively more 3x3 stages and a correspondingly wider
-receptive field. The newest group skips the cascade entirely. Everything
-is a pure function of BEV tensors and kernel weights: no ego poses are
-read and no frame warping happens anywhere.
+receptive field. The newest group skips the cascade entirely. Since the
+cascade runs in frame order, ``fuse`` reads the frames as a stream,
+oldest first, into one window buffer and finishes each older window as
+soon as its last frame arrives, so no frame is held past its window.
+Everything is a pure function of BEV tensors and kernel weights: no ego
+poses are read and no frame warping happens anywhere.
 """
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -22,44 +25,16 @@ from .kernels import ConvSpec, conv2d
 from .view_transform import BevGrid
 
 @dataclass(frozen=True)
-class FusionStack:
-    """Chronological BEV frames; index k-1 is the current frame."""
-
-    grids: Tuple[BevGrid, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "grids", tuple(self.grids))
-        if not self.grids:
-            raise ShapeError("FusionStack: at least one frame required")
-        first = self.grids[0].data.shape
-        for grid in self.grids[1:]:
-            if grid.data.shape != first:
-                raise ShapeError(
-                    f"FusionStack: mixed frame dims {grid.data.shape} vs {first}"
-                )
-
-    @property
-    def k(self) -> int:
-        return len(self.grids)
-
-    @property
-    def channels(self) -> int:
-        return self.grids[0].channels
-
-    @property
-    def g(self) -> int:
-        return self.grids[0].g
-
-
-@dataclass(frozen=True)
 class FusionConfig:
-    """Window size plus the per-group reduce, cascade, and final kernels.
+    """Frame count and window size plus the per-group reduce, cascade, and final kernels.
 
     reduce_specs[i] is the 1x1 conv for group i (i = 0 newest); there are
-    g - 1 cascade specs, cascade_specs[i - 1] serving group i >= 1 (the
-    newest group is a passthrough).
+    g = ceil(frames / window) of them and g - 1 cascade specs,
+    cascade_specs[i - 1] serving group i >= 1 (the newest group is a
+    passthrough).
     """
 
+    frames: int
     window: int
     reduce_specs: Tuple[ConvSpec, ...]
     cascade_specs: Tuple[ConvSpec, ...]
@@ -71,8 +46,11 @@ class FusionConfig:
         if self.window < 1:
             raise ShapeError(f"FusionConfig: window must be >= 1, got {self.window}")
         g = len(self.reduce_specs)
-        if g < 1:
-            raise ShapeError("FusionConfig: at least one reduce spec required")
+        if self.frames < 1 or -(-self.frames // self.window) != g:
+            raise ShapeError(
+                f"FusionConfig: {self.frames} frames with window {self.window} make "
+                f"{-(-self.frames // self.window)} groups, got {g} reduce specs"
+            )
         if len(self.cascade_specs) != g - 1:
             raise ShapeError(
                 f"FusionConfig: need {g - 1} cascade specs for {g} groups, got {len(self.cascade_specs)}"
@@ -107,8 +85,8 @@ def _conv(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     return conv2d(x[None], spec)[0]
 
 
-def partition(stack: FusionStack, window: int) -> List[np.ndarray]:
-    """Cut the stack into ceil(k / w) channel-concatenated windows.
+def partition(frames: Sequence[BevGrid], window: int) -> List[np.ndarray]:
+    """Cut the frames (oldest first) into ceil(k / w) channel-concatenated windows.
 
     Group 0 holds the w newest frames ending at the current one; the
     oldest group is zero padded on its old side up to width w. Within a
@@ -116,15 +94,12 @@ def partition(stack: FusionStack, window: int) -> List[np.ndarray]:
     """
     if window < 1:
         raise ShapeError(f"partition: window must be >= 1, got {window}")
-    return [_group(stack, window, i) for i in range(-(-stack.k // window))]
-
-
-def _group(stack: FusionStack, window: int, i: int) -> np.ndarray:
-    """Window i of `partition`: frames k - (i + 1) * w .. k - i * w - 1, zeros before frame 0."""
-    end = stack.k - i * window
-    parts = [stack.grids[j].data for j in range(max(end - window, 0), end)]
-    pad = np.zeros(((window - len(parts)) * stack.channels, stack.g, stack.g), dtype=np.float32)
-    return np.concatenate([pad] + parts)
+    groups = []
+    for end in range(len(frames), 0, -window):
+        parts = [f.data for f in frames[max(end - window, 0) : end]]
+        c, g = parts[0].shape[:2]
+        groups.append(np.concatenate([np.zeros(((window - len(parts)) * c, g, g), np.float32)] + parts))
+    return groups
 
 
 def reduce_groups(groups: Sequence[np.ndarray], specs: Sequence[ConvSpec]) -> List[np.ndarray]:
@@ -144,51 +119,60 @@ def multiscale_cascade(bprime: Sequence[np.ndarray], specs: Sequence[ConvSpec]) 
     g = len(bprime)
     if len(specs) != g - 1:
         raise ShapeError(f"multiscale_cascade: need {g - 1} specs for {g} groups, got {len(specs)}")
-    return np.split(_cascade(list(bprime), specs), g)[::-1]
+    out = list(bprime)
+    for i in range(g - 1, 0, -1):
+        out[i] = _conv(bprime[i] if i == g - 1 else bprime[i] + out[i + 1], specs[i - 1])
+    return out
 
 
-def _cascade(bprime: List[np.ndarray], specs: Sequence[ConvSpec]) -> np.ndarray:
-    """The cascade's outputs concatenated oldest group first, [g * C, G, G] float32.
-
-    Each output goes into its slot as soon as it is computed, and each
-    reduced group is popped from ``bprime`` (left empty) once it is used.
-    """
-    g, c = len(bprime), bprime[0].shape[0]
-    cat = np.empty((g * c,) + bprime[0].shape[1:], dtype=np.float32)
-    cat[(g - 1) * c :] = bprime.pop(0)  # the newest group passes through
-    for j in range(g - 1):  # slot j holds group g - 1 - j, whose older neighbor sits in slot j - 1
-        x = bprime.pop()
-        if j:
-            x = x + cat[(j - 1) * c : j * c]
-        cat[j * c : (j + 1) * c] = _conv(x, specs[g - 2 - j])
-    return cat
-
-
-def fuse(stack: FusionStack, config: FusionConfig) -> BevGrid:
-    """Fuse the whole stack into one BEV grid.
+def fuse(frames: Iterable[BevGrid], config: FusionConfig) -> BevGrid:
+    """Fuse a stream of ``config.frames`` BEV frames, oldest first, into one grid.
 
     Exactly partition -> reduce_groups -> multiscale_cascade -> concat
     (oldest group first) -> final 1x1, with no extra arithmetic, so the
-    composed pipeline and this entry point are bit-identical. Each window
-    is concatenated and reduced in turn, so only one window's
-    concatenation exists at a time; the cascade then writes its outputs
-    straight into the final conv's input and drops each reduced group
-    once it is used.
+    composed stages and this entry point are bit-identical. Windows are
+    counted from the newest frame, so a stream of any other length is
+    refused. Each frame is copied into its slot of one [w * C, G, G]
+    window buffer as it arrives and is not kept; each older window is
+    reduced and run through its cascade step as soon as its last frame
+    is in, and the newest window once the stream has ended. So only the
+    window buffer, the cascade outputs so far and one reduced group are
+    live at a time.
     """
-    n_groups = -(-stack.k // config.window)
-    if n_groups != config.groups:
-        raise ShapeError(
-            f"fuse: stack of {stack.k} frames with window {config.window} makes {n_groups} groups, "
-            f"config has {config.groups}"
-        )
-    expect_in = config.window * stack.channels
-    if config.reduce_specs[0].in_channels != expect_in:
-        raise ShapeError(
-            f"fuse: reduce specs expect {config.reduce_specs[0].in_channels} channels, "
-            f"window * stack channels is {expect_in}"
-        )
-    bp = [_conv(_group(stack, config.window, i), spec) for i, spec in enumerate(config.reduce_specs)]
-    return BevGrid(_conv(_cascade(bp, config.cascade_specs), config.final_spec))
+    k, w = config.frames, config.window
+    pad = config.groups * w - k  # zero frames before frame 0 in the oldest window
+    outs, buf, n = [], None, 0  # n: frames read so far
+    for grid in frames:  # not enumerate, whose reused result tuple would keep the last frame alive
+        if n == k:
+            raise ShapeError(f"fuse: more than {k} frames in the stream for {config.groups} groups of window {w}")
+        if buf is None:
+            shape, c = grid.data.shape, grid.data.shape[0]
+            if config.reduce_specs[0].in_channels != w * c:
+                raise ShapeError(
+                    f"fuse: reduce specs expect {config.reduce_specs[0].in_channels} channels, "
+                    f"window * frame channels is {w * c}"
+                )
+            buf = np.zeros((w * c,) + shape[1:], dtype=np.float32)  # the oldest window's pad stays zero
+        elif grid.data.shape != shape:
+            raise ShapeError(f"fuse: mixed frame dims {grid.data.shape} vs {shape}")
+        slot = (n + pad) % w
+        buf[slot * c : (slot + 1) * c] = grid.data
+        del grid  # only the window buffer's copy is kept
+        n += 1
+        i, rest = divmod(k - n, w)  # rest == 0: the frame just read is the newest of group i
+        if i and not rest:
+            x = _conv(buf, config.reduce_specs[i])
+            if outs:  # the older neighbor's cascade output
+                x += outs[-1]
+            outs.append(_conv(x, config.cascade_specs[i - 1]))
+            del x  # not kept while the next frames are read
+    if n < k:
+        raise ShapeError(f"fuse: the stream ended after {n} of {k} frames")
+    outs.append(_conv(buf, config.reduce_specs[0]))  # the newest group passes through
+    del buf
+    cat = np.concatenate(outs)
+    del outs  # the final conv runs beside cat alone
+    return BevGrid(_conv(cat, config.final_spec))
 
 
 def post_fuse(grid: BevGrid, down_spec: ConvSpec, merge_spec: ConvSpec) -> BevGrid:

@@ -186,11 +186,11 @@ def _slab_interval(origin: float, direction: np.ndarray, half: float):
     return near, far
 
 
-def _ray_directions(camera: CameraModel, image_h: int, image_w: int) -> np.ndarray:
+def _ray_directions(camera: CameraModel, image_h: int, image_w: int, out=None) -> np.ndarray:
     """Ego-frame ray direction of every pixel center, [H, W, 3] float64.
 
-    The camera-frame direction has unit z, so the ray parameter of a hit
-    equals its camera-frame depth.
+    Written into ``out`` when it is given. The camera-frame direction has
+    unit z, so the ray parameter of a hit equals its camera-frame depth.
     """
     us = (np.arange(image_w) + 0.5 - camera.cx) / camera.fx
     vs = (np.arange(image_h) + 0.5 - camera.cy) / camera.fy
@@ -198,7 +198,7 @@ def _ray_directions(camera: CameraModel, image_h: int, image_w: int) -> np.ndarr
     dirs_cam[:, :, 0] = us[None, :]
     dirs_cam[:, :, 1] = vs[:, None]
     dirs_cam[:, :, 2] = 1.0
-    return np.einsum("hwj,ij->hwi", dirs_cam, camera.rotation)
+    return np.einsum("hwj,ij->hwi", dirs_cam, camera.rotation, out=out)
 
 
 def _screen_rect(camera: CameraModel, box: GroundTruthBox, image_h: int, image_w: int):
@@ -310,18 +310,17 @@ def gen_scene(cfg: SceneConfig) -> SyntheticScene:
     Objects, their surface-point offsets, and the ground points are
     sampled once; every frame re-renders the same objects at their
     constant-velocity positions, so identical configs yield
-    byte-identical scenes.
+    byte-identical scenes. Rendering runs camera by camera through one
+    ray-direction buffer, so only one camera's directions exist at a time.
     """
     rng = SplitMix64(cfg.seed)
-    rig = cfg.rig()
     base_boxes = _sample_objects(cfg, rng)
     offsets = [_sample_surface_offsets(box, rng) for box in base_boxes]
     ground = np.empty((GROUND_POINTS, 3), dtype=np.float64)
     reach = PLACEMENT_MARGIN * cfg.bev_extent
     for p in range(GROUND_POINTS):
         ground[p] = ((2.0 * rng.uniform() - 1.0) * reach, (2.0 * rng.uniform() - 1.0) * reach, 0.0)
-    rig_dirs = [_ray_directions(cam, cfg.image_h, cfg.image_w) for cam in rig]
-    frames = []
+    boxes, points = [], []
     for t in range(cfg.frames):
         boxes_t = []
         clouds = []
@@ -335,10 +334,15 @@ def gen_scene(cfg: SceneConfig) -> SyntheticScene:
             rot = _yaw_matrix(box.yaw)
             clouds.append(np.einsum("pj,ij->pi", offs, rot) + center_t)
         clouds.append(ground)
-        points = np.concatenate(clouds, axis=0).astype(np.float32)
-        images = tuple(_render(cam, dirs, boxes_t) for cam, dirs in zip(rig, rig_dirs))
-        frames.append(SceneFrame(images, tuple(boxes_t), points))
-    return SyntheticScene(tuple(frames))
+        boxes.append(tuple(boxes_t))
+        points.append(np.concatenate(clouds, axis=0).astype(np.float32))
+    images = [[] for _ in range(cfg.frames)]
+    dirs = np.empty((cfg.image_h, cfg.image_w, 3))  # one buffer, rewritten per camera
+    for cam in cfg.rig():
+        _ray_directions(cam, cfg.image_h, cfg.image_w, dirs)
+        for t in range(cfg.frames):
+            images[t].append(_render(cam, dirs, boxes[t]))
+    return SyntheticScene(tuple(SceneFrame(*frame) for frame in zip(images, boxes, points)))
 
 
 def format_boxes(boxes: Sequence[GroundTruthBox]) -> str:

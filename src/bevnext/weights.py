@@ -161,7 +161,7 @@ def fusion_config(bundle: WeightBundle, cfg: SceneConfig) -> FusionConfig:
     reduces = [_conv(bundle, f"res2fusion.reduce.{i}") for i in range(cfg.groups)]
     cascades = [_conv(bundle, f"res2fusion.cascade.{i}") for i in range(1, cfg.groups)]
     final = _conv(bundle, "res2fusion.final")
-    return FusionConfig(cfg.window, tuple(reduces), tuple(cascades), final)
+    return FusionConfig(cfg.frames, cfg.window, tuple(reduces), tuple(cascades), final)
 
 
 def post_specs(bundle: WeightBundle) -> Tuple[ConvSpec, ConvSpec]:

@@ -36,7 +36,7 @@ from bevnext.object_decoder import (
     select_centers,
     spatial_cross_attention,
 )
-from bevnext.res2fusion import FusionConfig, FusionStack, fuse, partition
+from bevnext.res2fusion import FusionConfig, fuse, partition
 from bevnext.view_transform import (
     BevGrid,
     BevSpec,
@@ -327,11 +327,9 @@ def test_criterion_06_projection_round_trip():
 # ------------------------------------------------------------ criterion 7
 
 
-def _constant_stack(k: int) -> FusionStack:
+def _constant_stack(k: int) -> tuple:
     """Frame t holds the constant t + 1, so window contents are identifiable."""
-    return FusionStack(
-        tuple(BevGrid(np.full((1, 8, 8), float(t + 1), np.float32)) for t in range(k))
-    )
+    return tuple(BevGrid(np.full((1, 8, 8), float(t + 1), np.float32)) for t in range(k))
 
 
 def _impulse_radius(grid: BevGrid) -> int:
@@ -374,11 +372,11 @@ def test_criterion_07_fusion_group_structure():
         reduces = tuple(conv_spec(window * c, c, 1, rng, zero_bias=True) for _ in range(g))
         cascades = tuple(conv_spec(c, c, 3, rng, zero_bias=True) for _ in range(g - 1))
         final = conv_spec(g * c, c, 1, rng, zero_bias=True)
-        config = FusionConfig(window, reduces, cascades, final)
+        config = FusionConfig(k, window, reduces, cascades, final)
         for j in range(g):
             frames = [np.zeros((c, gdim, gdim), np.float32) for _ in range(k)]
             frames[k - 1 - j * window][0, gdim // 2, gdim // 2] = 1.0  # newest frame of window j
-            fused = fuse(FusionStack(tuple(BevGrid(f) for f in frames)), config)
+            fused = fuse((BevGrid(f) for f in frames), config)
             radius = _impulse_radius(fused)
             assert radius == j, f"g={g}, group {j}: impulse radius {radius} != {j}"
     _report(7, "group counts match ceil(k/w) for k <= 16; impulse radii equal cascade depth")

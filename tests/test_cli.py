@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from bevnext.bvnx import save_tensor
+from bevnext.cli import main
 from bevnext.config import SceneConfig, load_config
 from bevnext.object_decoder import parse_detections
 from bevnext.ppm import load_ppm
-from bevnext.scene import load_scene
-from bevnext.weights import expected_shapes, load_weights, save_weights
+from bevnext.scene import gen_scene, load_scene, save_scene
+from bevnext.weights import expected_shapes, init_bundle, load_weights, save_weights
 
 FAST_CFG = "scene.seed = 3\nscene.frames = 2\nscene.objects.min = 1\nscene.objects.max = 2\n"
 
@@ -365,6 +366,40 @@ def test_run_floors_a_size_that_would_print_as_zero(workdir, tmp_path):
     dets = parse_detections((tmp_path / "r" / "detections.txt").read_text())
     assert len(dets) == load_config(cfg_path).top_n
     assert {(d.l, d.w, d.h) for d in dets} == {(1e-6, 1e-6, 1e-6)}
+
+
+def _mutants(data: bytes, rng, flips: int, cuts: int):
+    """Seeded one-byte flips, then truncations, of data."""
+    for _ in range(flips):
+        damaged = bytearray(data)
+        damaged[int(rng.integers(len(data)))] ^= int(rng.integers(1, 256))
+        yield bytes(damaged)
+    for _ in range(cuts):
+        yield data[: int(rng.integers(len(data)))]
+
+
+def test_run_on_byte_mutated_config_and_scene_metadata_exits_0_2_or_3(tmp_path, capsys):
+    """In-process `bevnext run` on seeded byte damage to a whole desk config (two frames) and to a
+    scene's scene.txt: every run returns 0, 2 or 3 from main, and no exception escapes it."""
+    desk = open(os.path.join(os.path.dirname(__file__), "..", "configs", "desk.cfg"), encoding="utf-8").read()
+    text = desk.replace("scene.frames = 9", "scene.frames = 2").encode()
+    cfg_path, scene_dir, weights = tmp_path / "desk.cfg", tmp_path / "scene", tmp_path / "w.bvnx"
+    cfg_path.write_bytes(text)
+    cfg = load_config(cfg_path)
+    save_scene(gen_scene(cfg), scene_dir)
+    save_weights(init_bundle(cfg, 7), weights)
+    meta = scene_dir / "scene.txt"
+    argv = ["run", "--config", str(cfg_path), "--weights", str(weights), "--scene", str(scene_dir)]
+    rng, codes = np.random.default_rng(0), []
+    for path, flips, cuts in ((cfg_path, 96, 16), (meta, 48, 8)):
+        data = path.read_bytes()
+        for damaged in _mutants(data, rng, flips, cuts):
+            path.write_bytes(damaged)
+            codes.append(main(argv + ["--out", str(tmp_path / f"out_{len(codes)}")]))
+        path.write_bytes(data)
+    capsys.readouterr()
+    assert set(codes) <= {0, 2, 3}, codes
+    assert codes.count(0) and codes.count(2), codes
 
 
 def test_exit_2_on_unknown_subcommand():

@@ -23,7 +23,7 @@ from bevnext.errors import (
     StageError,
 )
 from bevnext.kernels import conv2d
-from bevnext import pipeline
+from bevnext import pipeline, res2fusion
 from bevnext.object_decoder import expand_roi, format_detections, parse_detections, regress
 from bevnext.pipeline import (
     PipelineResult,
@@ -453,6 +453,7 @@ def test_pool_overlaps_the_next_frames_camera_passes_but_not_their_lift(monkeypa
 
 
 def test_pool_failure_surfaces_tagged_without_hanging(monkeypatch):
+    """Pool runs inside fuse's frame stream; its failure at frame 3 keeps the pool tag, not fusion's."""
     cfg, scene = desk_scene(seed=2, frames=6)
     calls = []
 
@@ -565,23 +566,37 @@ def test_overlapped_pool_under_stress_keeps_every_bit():
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_lifted_stack_is_freed_before_fusion(monkeypatch, threads):
-    """desk.cfg: by the time fuse runs, no reference to the one lift slot is left."""
-    slots, freed = [], []
+def test_lifted_slot_is_freed_before_the_newest_window_is_reduced(monkeypatch, threads):
+    """desk.cfg: one fuse, one pool per frame; each older window is reduced once its last frame
+    is pooled, beside the live lift slot, and the newest once no reference to the slot is left."""
+    slots, configs, pools, reduced = [], [], [], []
 
     def lift_spy(features, depth, out=None):
         slots.append(weakref.ref(out))
         return lift(features, depth, out)
 
-    def fuse_spy(stack, config):
-        freed.append([ref() is None for ref in slots])
-        return fuse(stack, config)
+    def pool_spy(cameras, index):
+        pools.append(None)
+        return pool(cameras, index)
+
+    def fuse_spy(frames, config):
+        configs.append(config)
+        return fuse(frames, config)
+
+    def conv_spy(x, spec):
+        for i, reduce in enumerate(configs[-1].reduce_specs):
+            if spec is reduce:
+                reduced.append((i, len(pools), all(ref() is None for ref in slots)))
+        return conv2d(x, spec)
 
     monkeypatch.setattr(pipeline, "lift", lift_spy)
+    monkeypatch.setattr(pipeline, "pool", pool_spy)
     monkeypatch.setattr(pipeline, "fuse", fuse_spy)
+    monkeypatch.setattr(res2fusion, "conv2d", conv_spy)
     run_pipeline(gen_scene(DESK), DESK, DESK_BUNDLE, threads=threads)
+    assert len(configs) == 1 and len(pools) == DESK.frames
     assert len(slots) == DESK.frames * DESK.camera_count
-    assert freed == [[True] * len(slots)]
+    assert reduced == [(2, 3, False), (1, 6, False), (0, 9, True)]
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -1,6 +1,9 @@
 """Temporal fusion tests: literal cascade oracle, impulse-response probes."""
 
+import dataclasses
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +12,6 @@ from bevnext.errors import ShapeError
 from bevnext.kernels import ConvSpec, SplitMix64, conv2d
 from bevnext.res2fusion import (
     FusionConfig,
-    FusionStack,
     fuse,
     multiscale_cascade,
     partition,
@@ -70,12 +72,12 @@ def positive_conv(in_c, out_c, k, rng):
 
 
 def const_stack(values, c=2, g=6):
-    """One grid per value, every channel filled with that value."""
-    return FusionStack(tuple(BevGrid(np.full((c, g, g), v, np.float32)) for v in values))
+    """One grid per value, every channel filled with that value, oldest first."""
+    return tuple(BevGrid(np.full((c, g, g), v, np.float32)) for v in values)
 
 
 def random_stack(rng, k, c=3, g=8):
-    return FusionStack(tuple(BevGrid(rng.uniform_array((c, g, g), -1, 1)) for _ in range(k)))
+    return tuple(BevGrid(rng.uniform_array((c, g, g), -1, 1)) for _ in range(k))
 
 
 def chebyshev_ball(center, radius, size):
@@ -112,7 +114,7 @@ def test_partition_single_frame():
     stack = const_stack([5.0])
     groups = partition(stack, 1)
     assert len(groups) == 1
-    np.testing.assert_array_equal(groups[0], stack.grids[0].data)
+    np.testing.assert_array_equal(groups[0], stack[0].data)
 
 
 def test_group_count_law():
@@ -237,6 +239,7 @@ def test_cascade_matches_literal_oracle():
 def _random_config(rng, k, w, c, c_mid, c_out):
     g = math.ceil(k / w)
     return FusionConfig(
+        frames=k,
         window=w,
         reduce_specs=tuple(conv_spec(w * c, c_mid, 1, rng) for _ in range(g)),
         cascade_specs=tuple(conv_spec(c_mid, c_mid, 3, rng) for _ in range(g - 1)),
@@ -248,19 +251,21 @@ def test_fuse_single_frame_identity_kernels():
     rng = SplitMix64(21)
     stack = random_stack(rng, 1, c=3)
     config = FusionConfig(
+        frames=1,
         window=1,
         reduce_specs=(identity_conv1(3),),
         cascade_specs=(),
         final_spec=identity_conv1(3),
     )
     out = fuse(stack, config)
-    np.testing.assert_array_equal(out.data, stack.grids[0].data)
+    np.testing.assert_array_equal(out.data, stack[0].data)
 
 
 def test_fuse_zero_final_kernel():
     rng = SplitMix64(23)
     stack = random_stack(rng, 2, c=2)
     config = FusionConfig(
+        frames=2,
         window=1,
         reduce_specs=(identity_conv1(2), identity_conv1(2)),
         cascade_specs=(positive_conv(2, 2, 3, rng),),
@@ -271,17 +276,91 @@ def test_fuse_zero_final_kernel():
     assert not out.data.any()
 
 
+def _composed(frames, config):
+    """partition -> reduce_groups -> multiscale_cascade -> concat (oldest group first) -> final 1x1."""
+    groups = partition(frames, config.window)
+    bp = reduce_groups(groups, config.reduce_specs)
+    bpp = multiscale_cascade(bp, config.cascade_specs)
+    cat = np.concatenate(list(reversed(bpp)), axis=0)
+    return conv2d(cat[None], config.final_spec)[0]
+
+
 def test_fuse_equals_composed_stages():
     rng = SplitMix64(25)
     stack = random_stack(rng, 5, c=3, g=8)
     config = _random_config(SplitMix64(26), 5, 2, 3, 4, 5)
     out = fuse(stack, config)
-    groups = partition(stack, config.window)
-    bp = reduce_groups(groups, config.reduce_specs)
-    bpp = multiscale_cascade(bp, config.cascade_specs)
-    cat = np.concatenate(list(reversed(bpp)), axis=0)
-    ref = conv2d(cat[None], config.final_spec)[0]
-    np.testing.assert_array_equal(out.data, ref)
+    np.testing.assert_array_equal(out.data, _composed(stack, config))
+
+
+def test_fuse_reads_a_generator_bit_identical_to_the_composed_stages():
+    """5 frames, window 2: the oldest window holds one frame and one zero pad, read as a stream."""
+    stack = random_stack(SplitMix64(45), 5, c=3, g=8)
+    config = _random_config(SplitMix64(46), 5, 2, 3, 4, 5)
+    out = fuse((grid for grid in stack), config)
+    np.testing.assert_array_equal(out.data, _composed(stack, config))
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_fuse_rejects_a_stream_one_frame_short_or_long(k):
+    config = _random_config(SplitMix64(48), 5, 2, 2, 3, 4)
+    with pytest.raises(ShapeError, match="frames"):
+        fuse(iter(random_stack(SplitMix64(47), k, c=2)), config)
+
+
+def test_fuse_rejects_mixed_frame_dims():
+    frames = (BevGrid(np.zeros((2, 8, 8), np.float32)), BevGrid(np.zeros((2, 6, 6), np.float32)))
+    config = _random_config(SplitMix64(49), 2, 1, 2, 3, 4)
+    with pytest.raises(ShapeError, match="dims"):
+        fuse(iter(frames), config)
+
+
+def test_config_refuses_a_frame_count_its_groups_do_not_fit():
+    config = _random_config(SplitMix64(50), 6, 3, 2, 3, 4)  # two groups
+    with pytest.raises(ShapeError, match="groups"):
+        dataclasses.replace(config, frames=7)  # ceil(7 / 3) = 3 groups
+
+
+def test_fuse_stream_holds_one_window_of_frames_and_the_cascade_outputs():
+    """full.cfg fusion fed by a generator: nine 64-channel 128x128 frames, window 3.
+
+    Each frame is made only when fuse asks for it, so fuse alone could
+    keep it. Whenever fuse asks for the next frame, it holds none of the
+    frames it was handed, and the NumPy buffers it keeps come to at most
+    one window of frames (its window buffer) plus the g - 1 cascade
+    outputs. A fuse that collected every frame first would hold eight
+    frames at the last request.
+    """
+    w, c, g = 3, 64, 128
+    config = _random_config(SplitMix64(44), 9, w, c, c, c)
+    grid_bytes = c * g * g * 4
+    alive, held = [], []
+
+    def numpy_bytes():
+        snap = tracemalloc.take_snapshot().filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        return sum(trace.size for trace in snap.traces)
+
+    def make(rng):
+        data = rng.uniform_array((c, g, g), -1, 1)
+        refs.append(weakref.ref(data))
+        return BevGrid(data)
+
+    def frames():  # keeps no reference to a frame it has handed over
+        rng = SplitMix64(43)
+        for _ in range(9):
+            held.append(numpy_bytes() - baseline)
+            alive.append(sum(ref() is not None for ref in refs))
+            yield make(rng)
+
+    refs = []
+    tracemalloc.start()
+    try:
+        baseline = numpy_bytes()
+        fuse(frames(), config)
+    finally:
+        tracemalloc.stop()
+    assert alive == [0] * 9
+    assert max(held) <= (w + config.groups - 1) * grid_bytes, [h / grid_bytes for h in held]
 
 
 def test_fuse_holds_less_than_the_three_concatenated_groups():
@@ -301,10 +380,13 @@ def test_fuse_writes_its_cascade_in_place():
     """full.cfg fusion: fuse peaks under 28 MiB above its input.
 
     Holding the reduced groups, the cascade outputs and their
-    concatenation at once took 33.6 MB. Reducing every group, then
-    writing each cascade output into its slot of the final conv's input
-    while dropping each reduced group once used, peaks at 27.9 MB: one
-    concatenated window, the reduced groups and conv2d's buffers.
+    concatenation at once took 33.6 MB. Copying the frames into one
+    window buffer, reducing each window and running its cascade step in
+    turn, with each reduced group dropped once used, peaks at 27.9 MB:
+    the window buffer, the cascade outputs, one reduced group and
+    conv2d's buffers. Writing the outputs into a final-conv input
+    allocated up front would hold that input beside the window buffer
+    instead: 32.1 MB.
     """
     rng = SplitMix64(43)
     stack = random_stack(rng, 9, c=64, g=128)
@@ -320,13 +402,14 @@ def test_fuse_concat_order_oldest_first():
     w_final = np.zeros((c_mid, 2 * c_mid, 1, 1), np.float32)
     w_final[:, :c_mid, 0, 0] = np.eye(c_mid)
     config = FusionConfig(
+        frames=2,
         window=1,
         reduce_specs=(identity_conv1(2), identity_conv1(2)),
         cascade_specs=(positive_conv(2, 2, 3, rng),),
         final_spec=ConvSpec(w_final, np.zeros(c_mid, np.float32), 1, 0),
     )
     out = fuse(stack, config)
-    oldest_conv = conv2d(stack.grids[0].data[None], config.cascade_specs[0])[0]
+    oldest_conv = conv2d(stack[0].data[None], config.cascade_specs[0])[0]
     np.testing.assert_array_equal(out.data, oldest_conv)
 
 
@@ -359,6 +442,7 @@ def test_config_validates_cascade_count():
     rng = SplitMix64(35)
     with pytest.raises(ShapeError, match="cascade"):
         FusionConfig(
+            frames=2,
             window=1,
             reduce_specs=(identity_conv1(2), identity_conv1(2)),
             cascade_specs=(),
@@ -394,18 +478,3 @@ def test_post_fuse_rejects_odd_grid():
     grid = BevGrid(np.zeros((2, 9, 9), np.float32))
     with pytest.raises(ShapeError, match="even"):
         post_fuse(grid, conv_spec(2, 2, 3, rng, stride=2), conv_spec(4, 2, 1, rng))
-
-
-# ---------------------------------------------------------------- stack
-
-
-def test_stack_rejects_mixed_dims():
-    with pytest.raises(ShapeError, match="dims"):
-        FusionStack((BevGrid(np.zeros((2, 8, 8), np.float32)), BevGrid(np.zeros((2, 6, 6), np.float32))))
-
-
-def test_stack_properties():
-    stack = const_stack([1.0, 2.0, 3.0], c=4, g=8)
-    assert stack.k == 3
-    assert stack.channels == 4
-    assert stack.g == 8

@@ -5,11 +5,13 @@ import hashlib
 import itertools
 import os
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bevnext.config import FRAME_DT, SceneConfig, load_config
+from bevnext import scene as scene_module
 from bevnext.errors import FormatError, ShapeError
 from bevnext.scene import (
     GROUND_POINTS,
@@ -150,6 +152,40 @@ def test_saved_scene_tree_is_pinned(tmp_path, preset, seed):
     digest = tree_sha256(tmp_path / "s")
     shutil.rmtree(tmp_path / "s")  # a full scene is 29 MB; pytest keeps tmp dirs
     assert digest == SCENE_TREE_SHA256[(preset, seed)]
+
+
+def test_gen_scene_holds_one_cameras_ray_directions_at_a_time(monkeypatch):
+    """full.cfg: whenever a camera's ray directions are built, no other camera's are live.
+
+    At each call, what tracemalloc sees beyond the views already rendered
+    (boxes, points, the one direction buffer being rewritten) stays under
+    two cameras' [H, W, 3] float64 directions, 8.7 MB. Building every
+    camera's directions before rendering held five (21.6 MB) at the last
+    call.
+    """
+    cfg = load_config(os.path.join(CONFIGS, "full.cfg"))
+    view_bytes = cfg.image_h * cfg.image_w * 3
+    ray_directions, render = scene_module._ray_directions, scene_module._render
+    held, rendered = [], []
+
+    def ray_directions_spy(camera, image_h, image_w, out=None):
+        held.append(tracemalloc.get_traced_memory()[0] - baseline - len(rendered) * view_bytes)
+        return ray_directions(camera, image_h, image_w, out)
+
+    def render_spy(camera, dirs, boxes):
+        rendered.append(None)
+        return render(camera, dirs, boxes)
+
+    monkeypatch.setattr(scene_module, "_ray_directions", ray_directions_spy)
+    monkeypatch.setattr(scene_module, "_render", render_spy)
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        gen_scene(cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == cfg.camera_count
+    assert max(held) < 2 * 8 * view_bytes, held
 
 
 # ---------------------------------------------------------------- empty scenes
