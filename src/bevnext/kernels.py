@@ -270,7 +270,7 @@ def bilinear_sample(fmap: np.ndarray, points) -> tuple[np.ndarray, np.ndarray]:
     y1 = np.minimum(y0 + 1, h - 1)
     fx = xc - x0
     fy = yc - y0
-    f64 = fmap.astype(np.float64)
+    f64 = np.asarray(fmap, dtype=np.float64)  # a float64 map is read in place, not copied
     v00 = f64[:, y0, x0]
     v01 = f64[:, y0, x1]
     v10 = f64[:, y1, x0]

@@ -2,14 +2,18 @@
 
 Stage one proposes centers: a 3x3 conv plus sigmoid turns the fused BEV
 grid into a per-class heatmap, and cells strictly above a threshold
-become proposals. Stage two refines each proposal from the camera views:
-the 7x7 BEV neighborhood of the center is cut out, the cell is lifted to
-several candidate heights, each height is projected into every camera,
-and deformable attention samples the image feature maps (optionally
-shifted by a depth-distribution embedding) around the valid projections.
-The attended result is a per-ROI residual broadcast over the whole patch.
-Regression heads then decode center offset, size, yaw, height, and
-velocity from the refined patch.
+become proposals, passed on as one [N] structured array of centers,
+classes and scores. Stage two refines each proposal from the camera
+views. A proposal's ROI is the 7x7 window of the fused grid centred on
+its cell, zero where it leaves the grid; the ROI set keeps a reference
+to the grid, and no window is copied out until regression pools it. The
+cell is lifted to several candidate heights, each height is projected
+into every camera, and deformable attention samples the image feature
+maps (optionally shifted by a depth-distribution embedding) around the
+valid projections. The attended result is a per-ROI residual that
+applies to the whole window. Regression heads then decode center offset,
+size, yaw, height, and velocity from the mean of window plus residual,
+cut and pooled ROI_BLOCK ROIs at a time.
 
 Heatmap scores are kept in float64 and clamped away from 0 and 1, so a
 threshold comparison like score > 0.1 is exact and never flips due to
@@ -32,6 +36,7 @@ ROI_SIZE = 7
 N_QUERY_POSITIONS = ROI_SIZE * ROI_SIZE
 CENTER_POSITION = N_QUERY_POSITIONS // 2
 HEATMAP_CLAMP = 1e-12
+ROI_BLOCK = 128  # ROIs sampled per camera, or cut and pooled, at a time: bounds the decoder's temporaries
 YAW_PARSE_SLACK = 1e-6
 
 
@@ -65,51 +70,45 @@ class Heatmap:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class CenterProposal:
-    """One candidate object center: grid cell, class, heatmap score."""
-
-    x: int
-    y: int
-    cls: int
-    score: float
+# select_centers' proposals: the cell (x, y), the class and the heatmap score
+PROPOSAL_DTYPE = np.dtype([("center", np.int64, (2,)), ("cls", np.int64), ("score", np.float64)])
 
 
 @dataclass(frozen=True)
 class RoiSet:
-    """Proposals with their 7x7 BEV patches and the learned position queries."""
+    """Proposals as [N] arrays, the fused grid their ROIs lie in, and the learned position queries.
+
+    ROI i is the [C, 7, 7] window of ``bev`` centred on cell centers[i] =
+    (x, y), zero where it leaves the grid. The set holds a reference to the
+    grid, not copies of the windows.
+    """
 
     centers: np.ndarray
     classes: np.ndarray
     scores: np.ndarray
-    patches: np.ndarray
+    bev: BevGrid
     queries: np.ndarray
 
     def __post_init__(self):
         centers = np.asarray(self.centers, dtype=np.int64)
         classes = np.asarray(self.classes, dtype=np.int64)
         scores = np.asarray(self.scores, dtype=np.float64)
-        patches = np.asarray(self.patches, dtype=np.float32)
         queries = np.asarray(self.queries, dtype=np.float32)
-        for name, value in (
-            ("centers", centers),
-            ("classes", classes),
-            ("scores", scores),
-            ("patches", patches),
-            ("queries", queries),
-        ):
+        for name, value in (("centers", centers), ("classes", classes), ("scores", scores), ("queries", queries)):
             object.__setattr__(self, name, value)
-        n = centers.shape[0]
+        n, g = centers.shape[0], self.bev.g
         if centers.ndim != 2 or centers.shape[1] != 2:
             raise ShapeError(f"RoiSet: centers must be [N, 2], got {centers.shape}")
         if classes.shape != (n,) or scores.shape != (n,):
             raise ShapeError("RoiSet: classes and scores must match the center count")
-        if patches.ndim != 4 or patches.shape[0] != n or patches.shape[2:] != (ROI_SIZE, ROI_SIZE):
-            raise ShapeError(f"RoiSet: patches must be [N, C, {ROI_SIZE}, {ROI_SIZE}], got {patches.shape}")
-        if queries.ndim != 2 or queries.shape != (N_QUERY_POSITIONS, patches.shape[1]):
+        if queries.shape != (N_QUERY_POSITIONS, self.bev.channels):
             raise ShapeError(
-                f"RoiSet: queries must be [{N_QUERY_POSITIONS}, C={patches.shape[1]}], got {queries.shape}"
+                f"RoiSet: queries must be [{N_QUERY_POSITIONS}, C={self.bev.channels}], got {queries.shape}"
             )
+        outside = np.flatnonzero(((centers < 0) | (centers >= g)).any(axis=1))
+        if outside.size:
+            x, y = centers[outside[0]]
+            raise ShapeError(f"RoiSet: center ({x}, {y}) outside grid axis 0..{g - 1}")
         if n and (scores.min() <= 0.0 or scores.max() >= 1.0):
             raise ShapeError("RoiSet: scores must lie in (0, 1)")
 
@@ -119,7 +118,7 @@ class RoiSet:
 
     @property
     def channels(self) -> int:
-        return self.patches.shape[1]
+        return self.bev.channels
 
 
 @dataclass(frozen=True)
@@ -283,8 +282,8 @@ def compute_heatmap(bev: BevGrid, spec: ConvSpec) -> Heatmap:
     return Heatmap(probs)
 
 
-def select_centers(heatmap: Heatmap, tau: float, top_n: Optional[int] = None) -> List[CenterProposal]:
-    """Cells whose best class score is strictly above tau.
+def select_centers(heatmap: Heatmap, tau: float, top_n: Optional[int] = None) -> np.ndarray:
+    """Cells whose best class score is strictly above tau, as an [N] PROPOSAL_DTYPE array.
 
     One proposal per cell (class = argmax over channels); sorted by
     descending score, ties by (y, x); optionally capped at top_n.
@@ -294,37 +293,19 @@ def select_centers(heatmap: Heatmap, tau: float, top_n: Optional[int] = None) ->
     if top_n is not None and top_n < 1:
         raise ShapeError(f"select_centers: top_n must be >= 1, got {top_n}")
     scores = heatmap.values.max(axis=0)
-    classes = heatmap.values.argmax(axis=0)
     ys, xs = np.nonzero(scores > tau)
-    if ys.size == 0:
-        return []
-    picked_scores = scores[ys, xs]
-    order = np.lexsort((xs, ys, -picked_scores))
-    if top_n is not None:
-        order = order[:top_n]
-    return [
-        CenterProposal(int(xs[i]), int(ys[i]), int(classes[ys[i], xs[i]]), float(picked_scores[i]))
-        for i in order
-    ]
+    order = np.lexsort((xs, ys, -scores[ys, xs]))[:top_n]
+    ys, xs = ys[order], xs[order]
+    proposals = np.empty(order.size, PROPOSAL_DTYPE)
+    proposals["center"] = np.stack([xs, ys], axis=1)
+    proposals["cls"] = heatmap.values.argmax(axis=0)[ys, xs]
+    proposals["score"] = scores[ys, xs]
+    return proposals
 
 
-def expand_roi(bev: BevGrid, proposals: Sequence[CenterProposal], queries: np.ndarray) -> RoiSet:
-    """Cut the 7x7 neighborhood of each proposal, zero-padded at borders, in one gather."""
-    n, c, g = len(proposals), bev.channels, bev.g
-    half = ROI_SIZE // 2
-    centers = np.array([(p.x, p.y) for p in proposals], dtype=np.int64).reshape(n, 2)
-    classes = np.array([p.cls for p in proposals], dtype=np.int64)
-    scores = np.array([p.score for p in proposals], dtype=np.float64)
-    outside = np.flatnonzero(((centers < 0) | (centers >= g)).any(axis=1))
-    if outside.size:
-        p = proposals[outside[0]]
-        raise ShapeError(f"expand_roi: center ({p.x}, {p.y}) outside grid axis 0..{g - 1}")
-    if n == 0:  # nothing proposes: skip the grid copy
-        return RoiSet(centers, classes, scores, np.zeros((0, c, ROI_SIZE, ROI_SIZE)), queries)
-    padded = np.pad(bev.data.transpose(1, 2, 0), ((half, half), (half, half), (0, 0)))  # zero-padded [G+6, G+6, C]
-    # windows[y, x] is the [C, 7, 7] patch centred on cell (x, y)
-    patches = sliding_window_view(padded, (ROI_SIZE, ROI_SIZE), axis=(0, 1))[centers[:, 1], centers[:, 0]]
-    return RoiSet(centers, classes, scores, patches, queries)
+def expand_roi(bev: BevGrid, proposals: np.ndarray, queries: np.ndarray) -> RoiSet:
+    """The ROIs of select_centers' proposals: windows of bev, which is referenced, not copied."""
+    return RoiSet(proposals["center"], proposals["cls"], proposals["score"], bev, queries)
 
 
 def lift_references(
@@ -411,26 +392,27 @@ def spatial_cross_attention(
     attn: AttnSpec,
     stride: int,
     embedding: Optional[np.ndarray] = None,
-) -> Tuple[RoiSet, np.ndarray]:
-    """Refine ROI patches by deformable sampling of the camera feature maps.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-ROI residuals by deformable sampling of the camera feature maps.
 
-    Per ROI: the query is the patch-center feature plus the learned
-    center-position query; each valid (camera, height) reference yields
-    n_points bilinear samples at query-predicted offsets around the
-    projected point, value-projected and combined with softmax weights.
-    The output projection maps the sum to a residual, and the residual is
-    broadcast over all 49 patch positions. Cells with no valid reference
-    pass through untouched; the returned bool array flags refined cells.
-    Invalid references and samples falling outside the feature map
-    contribute exactly zero.
+    Per ROI: the query is the grid feature at the ROI's center cell plus
+    the learned center-position query; each valid (camera, height)
+    reference yields n_points bilinear samples at query-predicted offsets
+    around the projected point, value-projected and combined with softmax
+    weights. The output projection maps the sum to a residual for all 49
+    window positions. Returns (residual [N, C] float32, refined [N] bool):
+    a ROI with no valid reference is not refined and its residual row is
+    zero, to be left unapplied (regress adds a residual only where
+    refined). Invalid references and samples falling outside the feature
+    map contribute exactly zero.
 
-    All ROIs are processed at once, one camera at a time, in a fixed
-    float64 summation order: each camera's weighted samples are summed
-    into a partial that starts at zero and adds them height by height,
-    point by point within a height; the partials are then added to the
-    ROI's total in camera order. The result is bit-identical to a loop
-    over ROIs in that order; a change to the order must pass the loop
-    oracle test in tests/test_object_decoder.py.
+    ROIs are processed one camera at a time, ROI_BLOCK visible ROIs at a
+    time, in a fixed float64 summation order: each camera's weighted
+    samples are summed into a partial that starts at zero and adds them
+    height by height, point by point within a height; the partials are
+    then added to the ROI's total in camera order. The result is
+    bit-identical to a loop over ROIs in that order; a change to the order
+    must pass the loop oracle test in tests/test_object_decoder.py.
     """
     feats = np.asarray(features, dtype=np.float32)
     if feats.ndim != 4:
@@ -447,62 +429,76 @@ def spatial_cross_attention(
         )
     if attn.channels != roi.channels or feats.shape[1] != attn.channels:
         raise ShapeError("spatial_cross_attention: channel axes of roi, features, and attention must agree")
-    if embedding is not None:
-        emb = np.asarray(embedding, dtype=np.float32)
-        if emb.shape != feats.shape:
-            raise ShapeError(
-                f"spatial_cross_attention: embedding shape {emb.shape} != features shape {feats.shape}"
-            )
-        maps = feats + emb
-    else:
-        maps = feats
+    emb = None if embedding is None else np.asarray(embedding, dtype=np.float32)
+    if emb is not None and emb.shape != feats.shape:
+        raise ShapeError(f"spatial_cross_attention: embedding shape {emb.shape} != features shape {feats.shape}")
 
     n, c = roi.n, attn.channels
     w_value = attn.w_value.astype(np.float64)
     b_value = attn.b_value.astype(np.float64)
-    center = roi.patches[:, :, CENTER_POSITION // ROI_SIZE, CENTER_POSITION % ROI_SIZE].astype(np.float64)
+    center = roi.bev.data.transpose(1, 2, 0)[roi.centers[:, 1], roi.centers[:, 0]].astype(np.float64)
     q = center + roi.queries[CENTER_POSITION].astype(np.float64)
     wgt = attention_weights(attn, q)
     off = sampling_offsets(attn, q)
     acc = np.zeros((n, c), dtype=np.float64)
     for cam in range(feats.shape[0]):
-        visible = np.nonzero(refs.valid[:, cam].any(axis=1))[0]
+        visible = np.flatnonzero(refs.valid[:, cam].any(axis=1))
         if visible.size == 0:
             continue
-        mask = refs.valid[visible, cam]
-        rows, heights = np.nonzero(mask)
-        base = refs.uv[visible[rows], cam, heights] / stride - 0.5
-        pts = base[:, None, :] + off[visible[rows], heights]
-        vals, _ = bilinear_sample(maps[cam], pts.reshape(-1, 2))
-        sampled = np.einsum("pc,oc->po", vals.astype(np.float64), w_value) + b_value
-        projected = np.zeros((visible.size, attn.n_ref, attn.n_points, c), dtype=np.float64)
-        projected[rows, heights] = sampled.reshape(-1, attn.n_points, c)
-        # An invalid height adds w * 0 = +0 to a partial that is never -0,
-        # which leaves it unchanged: each ROI sums only its valid samples.
-        weights = np.where(mask[:, :, None], wgt[visible], 0.0).reshape(visible.size, -1)
-        acc[visible] += np.einsum("rk,rko->ro", weights, projected.reshape(visible.size, -1, c))
-    base = pts = vals = sampled = projected = weights = None  # free the last camera's before out_patches
-    flags = refs.valid.any(axis=(1, 2))
+        # the float32 sum of map and embedding, widened once for all of the camera's blocks
+        fmap = (feats[cam] if emb is None else feats[cam] + emb[cam]).astype(np.float64)
+        for start in range(0, visible.size, ROI_BLOCK):
+            rois = visible[start : start + ROI_BLOCK]
+            mask = refs.valid[rois, cam]
+            rows, heights = np.nonzero(mask)
+            base = refs.uv[rois[rows], cam, heights] / stride - 0.5
+            pts = base[:, None, :] + off[rois[rows], heights]
+            vals, _ = bilinear_sample(fmap, pts.reshape(-1, 2))
+            sampled = np.einsum("pc,oc->po", vals.astype(np.float64), w_value) + b_value
+            projected = np.zeros((rois.size, attn.n_ref, attn.n_points, c), dtype=np.float64)
+            projected[rows, heights] = sampled.reshape(-1, attn.n_points, c)
+            # An invalid height adds w * 0 = +0 to a partial that is never -0,
+            # which leaves it unchanged: each ROI sums only its valid samples.
+            weights = np.where(mask[:, :, None], wgt[rois], 0.0).reshape(rois.size, -1)
+            acc[rois] += np.einsum("rk,rko->ro", weights, projected.reshape(rois.size, -1, c))
+    refined = refs.valid.any(axis=(1, 2))
     delta = np.einsum("rc,oc->ro", acc, attn.w_out.astype(np.float64)) + attn.b_out.astype(np.float64)
-    out_patches = roi.patches.copy()
-    # in place: a boolean-indexed += would copy the refined patches twice
-    np.add(out_patches, delta.astype(np.float32)[:, :, None, None], out=out_patches, where=flags[:, None, None, None])
-    refined = RoiSet(roi.centers, roi.classes, roi.scores, out_patches, roi.queries)
-    return refined, flags
+    delta[~refined] = 0.0
+    return delta.astype(np.float32), refined
 
 
-def regress(roi: RoiSet, heads: RegressionHeads, spec: BevSpec) -> List[Detection]:
-    """Decode object attributes from each refined ROI patch.
+def regress(
+    roi: RoiSet, residual: np.ndarray, refined: np.ndarray, heads: RegressionHeads, spec: BevSpec
+) -> List[Detection]:
+    """Decode object attributes from each ROI's window plus its residual where refined.
 
-    The patch is mean-pooled to one feature vector, pushed through the
-    shared trunk, then each head decodes its attribute: sub-cell center
-    offset via tanh (at most half a cell), size via exp floored at 1e-6 m
-    (the least size that detections.txt writes as nonzero), yaw via atan2
-    of a (sin, cos) pair, z and velocity linear.
+    ROI_BLOCK windows at a time are cut from a zero-padded copy of the
+    grid, get their float32 residual added where refined, and are
+    mean-pooled to one feature vector each in float64. The vectors go
+    through the shared trunk, then each head decodes its attribute:
+    sub-cell center offset via tanh (at most half a cell), size via exp
+    floored at 1e-6 m (the least size that detections.txt writes as
+    nonzero), yaw via atan2 of a (sin, cos) pair, z and velocity linear.
     """
-    if roi.n == 0:
+    residual = np.asarray(residual, dtype=np.float32)
+    refined = np.asarray(refined, dtype=bool)
+    if residual.shape != (roi.n, roi.channels) or refined.shape != (roi.n,):
+        raise ShapeError(
+            f"regress: residual must be [{roi.n}, {roi.channels}] and refined [{roi.n}],"
+            f" got {residual.shape} and {refined.shape}"
+        )
+    if roi.n == 0:  # nothing proposes: skip the grid copy
         return []
-    pooled = roi.patches.mean(axis=(2, 3), dtype=np.float64).astype(np.float32)
+    half = ROI_SIZE // 2
+    padded = np.pad(roi.bev.data.transpose(1, 2, 0), ((half, half), (half, half), (0, 0)))  # [G+6, G+6, C]
+    windows = sliding_window_view(padded, (ROI_SIZE, ROI_SIZE), axis=(0, 1))  # [y, x]: the window of (x, y)
+    pooled = np.empty((roi.n, roi.channels), dtype=np.float32)
+    for start in range(0, roi.n, ROI_BLOCK):
+        block = slice(start, start + ROI_BLOCK)
+        patches = windows[roi.centers[block, 1], roi.centers[block, 0]]  # a [B, C, 7, 7] copy
+        # in place and where refined, so an unrefined window keeps its bits, signed zeros too
+        np.add(patches, residual[block, :, None, None], out=patches, where=refined[block, None, None, None])
+        pooled[block] = patches.mean(axis=(2, 3), dtype=np.float64)
     trunk = mlp_forward(pooled, heads.shared)
     off = mlp_forward(trunk, heads.offset).astype(np.float64)
     zed = mlp_forward(trunk, heads.z).astype(np.float64)

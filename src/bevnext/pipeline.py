@@ -237,9 +237,8 @@ def run_pipeline(
     emb = run_stage(
         "decoder", lambda: np.stack([depth_embedding(v, dmlp) for v in vols_now], axis=0)
     )
-    # Rebinding roi frees the unrefined patches before regress.
-    roi, _ = run_stage("decoder", spatial_cross_attention, roi, refs, feats_now, attn, cfg.stride, emb)
-    dets = run_stage("decoder", regress, roi, heads, spec)
+    residual, refined = run_stage("decoder", spatial_cross_attention, roi, refs, feats_now, attn, cfg.stride, emb)
+    dets = run_stage("decoder", regress, roi, residual, refined, heads, spec)
     return PipelineResult(dets, heat, vols_now, bev)
 
 

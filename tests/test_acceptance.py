@@ -28,7 +28,6 @@ from bevnext.depth_crf import (
 from bevnext.config import SceneConfig
 from bevnext.kernels import SplitMix64, softmax
 from bevnext.object_decoder import (
-    CenterProposal,
     Heatmap,
     depth_embedding,
     expand_roi,
@@ -46,7 +45,7 @@ from bevnext.view_transform import (
     pool,
     precompute_pool_index,
 )
-from factories import attn_spec, cam_to_ego, conv_spec, project_depth_labels, zero_mlp
+from factories import attn_spec, cam_to_ego, conv_spec, project_depth_labels, proposals, zero_mlp
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -394,13 +393,10 @@ def test_criterion_08_zero_embedding_is_identity():
     for seed in range(20):
         rng = SplitMix64(6000 + seed)
         n = rng.randint(1, 4)
-        proposals = [
-            CenterProposal(rng.randint(0, cfg.bev_grid - 1), rng.randint(0, cfg.bev_grid - 1), 0, 0.5)
-            for _ in range(n)
-        ]
+        cells = [(rng.randint(0, cfg.bev_grid - 1), rng.randint(0, cfg.bev_grid - 1)) for _ in range(n)]
         bev = BevGrid(rng.uniform_array((c, cfg.bev_grid, cfg.bev_grid), -1.0, 1.0))
         queries = rng.uniform_array((49, c), -1.0, 1.0)
-        roi = expand_roi(bev, proposals, queries)
+        roi = expand_roi(bev, proposals(cells), queries)
         refs = lift_references(roi.centers, spec, cfg.heights, rig, cfg.image_h, cfg.image_w)
         feats = rng.uniform_array((len(rig), c, cfg.feat_h, cfg.feat_w), -1.0, 1.0)
         attn = attn_spec(c, len(cfg.heights), cfg.points, rng)
@@ -417,7 +413,7 @@ def test_criterion_08_zero_embedding_is_identity():
         emb = np.stack([depth_embedding(v, zero_emb_mlp) for v in vols])
         with_emb, flags_a = spatial_cross_attention(roi, refs, feats, attn, cfg.stride, emb)
         without, flags_b = spatial_cross_attention(roi, refs, feats, attn, cfg.stride, None)
-        assert with_emb.patches.tobytes() == without.patches.tobytes(), f"seed {seed}: outputs differ"
+        assert with_emb.tobytes() == without.tobytes(), f"seed {seed}: outputs differ"
         assert np.array_equal(flags_a, flags_b)
         refined_any += int(flags_a.sum())
     assert refined_any > 0, "no ROI was ever refined; the check would be vacuous"
@@ -433,18 +429,16 @@ def test_criterion_09_threshold_semantics():
     values[0, 2, 3] = 0.1
     values[0, 4, 5] = 0.1 + 1e-6
     chosen = select_centers(Heatmap(values), 0.1)
-    assert [(p.x, p.y) for p in chosen] == [(5, 4)], "strict threshold boundary violated"
+    assert chosen["center"].tolist() == [[5, 4]], "strict threshold boundary violated"
 
     for seed in range(30):
         rng = SplitMix64(7000 + seed)
         heat = Heatmap(rng.uniform_array((2, 8, 8), 0.01, 0.99).astype(np.float64))
         taus = sorted(float(rng.uniform_array((), 0.0, 0.99)) for _ in range(3))
-        sets = [
-            {(p.x, p.y, p.cls, p.score) for p in select_centers(heat, tau)} for tau in taus
-        ]
+        sets = [{(tuple(xy), cls, score) for xy, cls, score in select_centers(heat, tau).tolist()} for tau in taus]
         assert sets[2] <= sets[1] <= sets[0], f"seed {seed}: raising tau added proposals"
-        capped_lo = {(p.x, p.y) for p in select_centers(heat, taus[0], top_n=5)}
-        capped_hi = {(p.x, p.y) for p in select_centers(heat, taus[2], top_n=5)}
+        capped_lo = {tuple(xy) for xy in select_centers(heat, taus[0], top_n=5)["center"].tolist()}
+        capped_hi = {tuple(xy) for xy in select_centers(heat, taus[2], top_n=5)["center"].tolist()}
         assert capped_hi <= capped_lo or len(capped_hi) == 5
     _report(9, "boundary at tau exact; monotone restriction held for 30 random heatmaps")
 

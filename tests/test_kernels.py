@@ -463,6 +463,16 @@ def test_bilinear_matches_4neighbor_oracle():
         np.testing.assert_allclose(vals[i], naive_bilinear(fmap, x, y), atol=1e-6, rtol=0)
 
 
+def test_bilinear_reads_a_float64_map_in_place():
+    """tracemalloc: sampling a float64 map copies none of it; a float32 map is widened once, with the same bits."""
+    fmap = SplitMix64(316).uniform_array((32, 64, 64), -2, 2)
+    wide = fmap.astype(np.float64)
+    pts = [(1.25, 2.5), (60.0, 3.75)]
+    assert traced_transient(bilinear_sample, wide, pts) < wide.nbytes // 8
+    for got, want in zip(bilinear_sample(wide, pts), bilinear_sample(fmap, pts)):
+        assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------- rng / init
 
 

@@ -1,6 +1,7 @@
 """Object decoder tests: naive attention oracle, threshold/geometry edge cases."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,19 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bevnext import object_decoder
+from bevnext.config import load_config
 from bevnext.depth_crf import DepthVolume
 from bevnext.errors import FormatError, ShapeError
 from bevnext.kernels import ConvSpec, SplitMix64, bilinear_sample, conv2d, mlp_forward, softmax
 from bevnext.object_decoder import (
     CENTER_POSITION,
     N_QUERY_POSITIONS,
+    PROPOSAL_DTYPE,
     ROI_SIZE,
     AttnSpec,
-    CenterProposal,
     Detection,
     Heatmap,
     RefPointSet,
-    RoiSet,
     attention_weights,
     compute_heatmap,
     depth_embedding,
@@ -39,7 +40,11 @@ from factories import (
     cam_to_ego,
     conv_spec,
     mlp_spec,
+    proposals,
+    refined_patches,
     regression_heads,
+    roi_windows,
+    tile_roi,
     traced_transient,
     zero_heads,
     zero_mlp,
@@ -69,13 +74,14 @@ def manual_bilinear(fmap, x, y):
 
 
 def naive_sca(roi, refs, features, attn, stride, embedding=None):
-    """Literal loop over (roi, camera, height, point)."""
+    """Literal loop over (roi, camera, height, point); returns the refined patches and flags."""
     maps = features if embedding is None else features + embedding
+    patches = roi_windows(roi)
     n, ncam, j_count = refs.valid.shape
     p_count = attn.n_points
     out, flags = [], []
     for i in range(n):
-        q = roi.patches[i, :, 3, 3].astype(np.float64) + roi.queries[24].astype(np.float64)
+        q = patches[i, :, 3, 3].astype(np.float64) + roi.queries[24].astype(np.float64)
         w_raw = (attn.w_weight.astype(np.float64) @ q + attn.b_weight).reshape(j_count, p_count)
         e = np.exp(w_raw - w_raw.max(axis=1, keepdims=True))
         wgt = e / e.sum(axis=1, keepdims=True)
@@ -94,9 +100,9 @@ def naive_sca(roi, refs, features, attn, stride, embedding=None):
                     acc += wgt[j, p] * (attn.w_value.astype(np.float64) @ sampled.astype(np.float64) + attn.b_value)
         if hit:
             delta = attn.w_out.astype(np.float64) @ acc + attn.b_out
-            out.append(roi.patches[i] + delta.astype(np.float32)[:, None, None])
+            out.append(patches[i] + delta.astype(np.float32)[:, None, None])
         else:
-            out.append(roi.patches[i])
+            out.append(patches[i])
         flags.append(hit)
     return np.stack(out), np.array(flags)
 
@@ -115,17 +121,19 @@ def loop_sampling_offsets(attn, query):
 
 def loop_sca(roi, refs, features, attn, stride, embedding=None):
     """The per-ROI, per-camera loop spatial_cross_attention ran before it was
-    batched over ROIs; the bit-exact oracle for its summation order."""
+    batched over ROIs; the bit-exact oracle for its summation order. Returns
+    the float32 residuals, zero where not refined, and the refined flags."""
     feats = np.asarray(features, dtype=np.float32)
     maps = feats if embedding is None else feats + np.asarray(embedding, dtype=np.float32)
     w_value = attn.w_value.astype(np.float64)
     b_value = attn.b_value.astype(np.float64)
     w_out = attn.w_out.astype(np.float64)
     b_out = attn.b_out.astype(np.float64)
-    out_patches = roi.patches.copy()
+    patches = roi_windows(roi)
+    residual = np.zeros((roi.n, roi.channels), dtype=np.float32)
     flags = np.zeros(roi.n, dtype=bool)
     for i in range(roi.n):
-        q = roi.patches[i, :, CENTER_POSITION // ROI_SIZE, CENTER_POSITION % ROI_SIZE].astype(np.float64)
+        q = patches[i, :, CENTER_POSITION // ROI_SIZE, CENTER_POSITION % ROI_SIZE].astype(np.float64)
         q = q + roi.queries[CENTER_POSITION].astype(np.float64)
         wgt = loop_attention_weights(attn, q)
         off = loop_sampling_offsets(attn, q)
@@ -143,18 +151,17 @@ def loop_sca(roi, refs, features, attn, stride, embedding=None):
             projected = np.einsum("pc,oc->po", vals.astype(np.float64), w_value) + b_value
             acc += np.einsum("p,po->o", wgt[j_idx].reshape(-1), projected)
         if hit:
-            delta = (np.einsum("c,oc->o", acc, w_out) + b_out).astype(np.float32)
-            out_patches[i] += delta[:, None, None]
+            residual[i] = np.einsum("c,oc->o", acc, w_out) + b_out
             flags[i] = True
-    return out_patches, flags
+    return residual, flags
 
 
-def loop_regress(roi, heads, spec):
+def loop_regress(roi, residual, refined, heads, spec):
     """The per-ROI loop regress ran before it worked on whole arrays; the
     bit-exact oracle for its arithmetic."""
     if roi.n == 0:
         return []
-    pooled = roi.patches.astype(np.float64).mean(axis=(2, 3)).astype(np.float32)
+    pooled = refined_patches(roi, residual, refined).astype(np.float64).mean(axis=(2, 3)).astype(np.float32)
     trunk = mlp_forward(pooled, heads.shared)
     off = mlp_forward(trunk, heads.offset).astype(np.float64)
     zed = mlp_forward(trunk, heads.z).astype(np.float64)
@@ -188,32 +195,29 @@ def loop_regress(roi, heads, spec):
     return dets
 
 
-def loop_expand_roi(bev, proposals):
-    """The per-proposal loop expand_roi ran before its one gather: the
-    bit-exact oracle for the patches."""
-    g, half = bev.g, ROI_SIZE // 2
-    patches = np.zeros((len(proposals), bev.channels, ROI_SIZE, ROI_SIZE), dtype=np.float32)
-    for idx, p in enumerate(proposals):
-        x0, y0 = p.x - half, p.y - half
-        gx0, gy0 = max(x0, 0), max(y0, 0)
-        gx1, gy1 = min(p.x + half + 1, g), min(p.y + half + 1, g)
-        patches[idx, :, gy0 - y0 : gy1 - y0, gx0 - x0 : gx1 - x0] = bev.data[:, gy0:gy1, gx0:gx1]
-    return patches
-
-
 def single_class_heatmap(values):
     return Heatmap(np.asarray(values, dtype=np.float64)[None])
 
 
-def make_roi(rng, n, c, g=16):
-    centers = np.stack([rng.uniform_array((n,), 3, g - 4).astype(np.int64) for _ in range(2)], axis=1)
-    return RoiSet(
-        centers=centers,
-        classes=np.zeros(n, np.int64),
-        scores=np.full(n, 0.5),
-        patches=rng.uniform_array((n, c, 7, 7), -1, 1),
-        queries=rng.uniform_array((49, c), -0.5, 0.5),
-    )
+def make_roi(rng, n, c):
+    return tile_roi(rng.uniform_array((n, c, 7, 7), -1, 1), rng.uniform_array((49, c), -0.5, 0.5))
+
+
+def no_residual(roi):
+    return np.zeros((roi.n, roi.channels), np.float32), np.zeros(roi.n, bool)
+
+
+def pooled_by_regress(monkeypatch, roi, residual, refined):
+    """The [N, C] float32 vectors regress feeds its shared trunk."""
+    inputs = []
+
+    def recording(x, spec):
+        inputs.append(x)
+        return mlp_forward(x, spec)
+
+    monkeypatch.setattr(object_decoder, "mlp_forward", recording)
+    regress(roi, residual, refined, zero_heads(roi.channels), BevSpec(8, 1.0, 4.0))
+    return inputs[0]
 
 
 def make_refs(rng, n, ncam, j, image_h, image_w, valid_rate=0.7):
@@ -281,19 +285,21 @@ def test_select_strict_threshold():
     vals[4, 5] = 0.1
     vals[6, 7] = 0.2
     picked = select_centers(single_class_heatmap(vals), 0.1)
-    assert [(p.x, p.y) for p in picked] == [(7, 6)]
-    assert picked[0].score == 0.2
-    assert picked[0].cls == 0
+    assert picked.dtype == PROPOSAL_DTYPE
+    assert picked["center"].tolist() == [[7, 6]]
+    assert picked["score"].tolist() == [0.2]
+    assert picked["cls"].tolist() == [0]
 
 
 def test_select_empty_below_threshold():
-    assert select_centers(single_class_heatmap(np.full((8, 8), 0.05)), 0.1) == []
+    picked = select_centers(single_class_heatmap(np.full((8, 8), 0.05)), 0.1)
+    assert len(picked) == 0 and picked.dtype == PROPOSAL_DTYPE
 
 
 def test_select_uniform_top_n_tie_order():
     picked = select_centers(single_class_heatmap(np.full((8, 8), 0.5)), 0.1, top_n=10)
     assert len(picked) == 10
-    assert [(p.y, p.x) for p in picked] == [(0, x) for x in range(8)] + [(1, 0), (1, 1)]
+    assert picked["center"][:, ::-1].tolist() == [[0, x] for x in range(8)] + [[1, 0], [1, 1]]
 
 
 def test_select_argmax_class_per_cell():
@@ -301,14 +307,14 @@ def test_select_argmax_class_per_cell():
     vals[1, 3, 4] = 0.7
     picked = select_centers(Heatmap(vals), 0.6)
     assert len(picked) == 1
-    assert (picked[0].x, picked[0].y, picked[0].cls, picked[0].score) == (4, 3, 1, 0.7)
+    assert (picked["center"].tolist(), picked["cls"].tolist(), picked["score"].tolist()) == ([[4, 3]], [1], [0.7])
 
 
 def test_select_sorted_by_descending_score():
     rng = SplitMix64(7)
     vals = rng.uniform_array((2, 8, 8), 0.01, 0.99).astype(np.float64)
     picked = select_centers(Heatmap(vals), 0.3)
-    scores = [p.score for p in picked]
+    scores = picked["score"].tolist()
     assert scores == sorted(scores, reverse=True)
 
 
@@ -316,10 +322,10 @@ def test_select_monotone_in_threshold():
     rng = SplitMix64(9)
     vals = rng.uniform_array((2, 8, 8), 0.01, 0.99).astype(np.float64)
     h = Heatmap(vals)
-    prev = {(p.x, p.y) for p in select_centers(h, 0.0)}
+    prev = {tuple(c) for c in select_centers(h, 0.0)["center"].tolist()}
     assert len(prev) == 64  # threshold zero keeps every cell
     for tau in (0.2, 0.4, 0.6, 0.8):
-        cur = {(p.x, p.y) for p in select_centers(h, tau)}
+        cur = {tuple(c) for c in select_centers(h, tau)["center"].tolist()}
         assert cur <= prev
         prev = cur
 
@@ -332,63 +338,91 @@ def test_select_rejects_bad_threshold():
 # ---------------------------------------------------------------- roi
 
 
-def test_roi_interior_patch_is_subgrid():
+def test_roi_interior_patch_is_subgrid(monkeypatch):
     rng = SplitMix64(11)
     bev = BevGrid(rng.uniform_array((2, 16, 16), -1, 1))
     queries = np.zeros((49, 2), np.float32)
-    roi = expand_roi(bev, [CenterProposal(8, 9, 0, 0.5)], queries)
-    np.testing.assert_array_equal(roi.patches[0], bev.data[:, 6:13, 5:12])
+    roi = expand_roi(bev, proposals([(8, 9)]), queries)
+    assert roi.bev is bev  # referenced, not copied
+    np.testing.assert_array_equal(roi_windows(roi)[0], bev.data[:, 6:13, 5:12])
+    pooled = pooled_by_regress(monkeypatch, roi, *no_residual(roi))
+    window_mean = bev.data[:, 6:13, 5:12].astype(np.float64).mean(axis=(1, 2)).astype(np.float32)
+    assert pooled[0].tobytes() == window_mean.tobytes()
 
 
-def test_roi_corner_patch_zero_padded():
+def test_roi_corner_patch_zero_padded(monkeypatch):
     bev = BevGrid(np.ones((1, 32, 32), np.float32))
-    roi = expand_roi(bev, [CenterProposal(0, 0, 0, 0.5)], np.zeros((49, 1), np.float32))
-    patch = roi.patches[0, 0]
+    roi = expand_roi(bev, proposals([(0, 0)]), np.zeros((49, 1), np.float32))
+    patch = roi_windows(roi)[0, 0]
     assert not patch[:3, :].any()
     assert not patch[:, :3].any()
     assert (patch[3:, 3:] == 1).all()
+    assert pooled_by_regress(monkeypatch, roi, *no_residual(roi))[0, 0] == np.float32(16 / 49)
 
 
-def test_roi_interior_ones_sum_49():
+def test_roi_interior_ones_sum_49(monkeypatch):
     bev = BevGrid(np.ones((1, 16, 16), np.float32))
-    roi = expand_roi(bev, [CenterProposal(8, 8, 0, 0.5)], np.zeros((49, 1), np.float32))
-    assert roi.patches[0].sum() == 49
+    roi = expand_roi(bev, proposals([(8, 8)]), np.zeros((49, 1), np.float32))
+    assert roi_windows(roi)[0].sum() == 49
+    assert pooled_by_regress(monkeypatch, roi, *no_residual(roi))[0, 0] == 1.0
 
 
 def test_roi_carries_queries_and_scores():
     rng = SplitMix64(13)
     bev = BevGrid(rng.uniform_array((2, 16, 16), -1, 1))
     queries = rng.uniform_array((49, 2), -1, 1)
-    roi = expand_roi(bev, [CenterProposal(5, 6, 1, 0.7)], queries)
+    roi = expand_roi(bev, proposals([(5, 6)], 1, 0.7), queries)
     np.testing.assert_array_equal(roi.queries, queries)
     assert roi.classes[0] == 1 and roi.scores[0] == 0.7
 
 
-def test_roi_bit_identical_to_loop_oracle_on_every_border_cell():
+def test_roi_bit_identical_to_loop_oracle_on_every_border_cell(monkeypatch):
+    """regress pools the zero-padded window of every border cell, plus the residual where refined,
+    bit for bit as the windows cut one at a time would pool."""
     rng = np.random.default_rng(47)
     data = rng.normal(0.0, 1.0, (3, 8, 8)).astype(np.float32)
     data[0, 0, 0] = -0.0  # the sign of zero is a bit too
     bev = BevGrid(data)
     cells = [(x, y) for y in range(8) for x in range(8) if x in (0, 7) or y in (0, 7)] + [(3, 4), (1, 6)]
-    proposals = [CenterProposal(x, y, i % 3, 0.5) for i, (x, y) in enumerate(cells)]
-    roi = expand_roi(bev, proposals, np.zeros((49, 3), np.float32))
-    assert roi.patches.shape == (len(cells), 3, ROI_SIZE, ROI_SIZE)
-    assert roi.patches.view(np.uint32).tobytes() == loop_expand_roi(bev, proposals).view(np.uint32).tobytes()
+    roi = expand_roi(bev, proposals(cells, np.arange(len(cells)) % 3), np.zeros((49, 3), np.float32))
     np.testing.assert_array_equal(roi.centers, cells)
     np.testing.assert_array_equal(roi.classes, [i % 3 for i in range(len(cells))])
+    residual = rng.normal(0.0, 1.0, (roi.n, 3)).astype(np.float32)
+    refined = np.arange(roi.n) % 2 == 0
+    pooled = pooled_by_regress(monkeypatch, roi, residual, refined)
+    oracle = refined_patches(roi, residual, refined).astype(np.float64).mean(axis=(2, 3)).astype(np.float32)
+    assert pooled.view(np.uint32).tobytes() == oracle.view(np.uint32).tobytes()
 
 
 def test_roi_empty_and_outside_centers():
     bev = BevGrid(np.ones((2, 8, 8), np.float32))
     queries = np.zeros((49, 2), np.float32)
-    assert expand_roi(bev, [], queries).patches.shape == (0, 2, ROI_SIZE, ROI_SIZE)
-    grid = BevGrid(np.ones((32, 32, 32), np.float32))  # with no proposals, no padded copy of the grid is made
-    assert traced_transient(expand_roi, grid, [], np.zeros((49, 32), np.float32)) < grid.data.nbytes // 2
-    inside = CenterProposal(3, 3, 0, 0.5)
+    empty = expand_roi(bev, proposals([]), queries)
+    assert empty.n == 0 and empty.centers.shape == (0, 2)
+    assert regress(empty, *no_residual(empty), zero_heads(2), BevSpec(8, 1.0, 4.0)) == []
     for bad in ((8, 0), (0, -1), (-1, 9)):
-        proposals = [inside, CenterProposal(*bad, 0, 0.5), CenterProposal(9, 9, 0, 0.5)]
         with pytest.raises(ShapeError, match=rf"center \({bad[0]}, {bad[1]}\) outside grid axis 0\.\.7"):
-            expand_roi(bev, proposals, queries)
+            expand_roi(bev, proposals([(3, 3), bad, (9, 9)]), queries)
+
+
+def test_zero_proposals_allocate_no_padded_grid_at_full_size():
+    """tracemalloc on a full.cfg-sized grid and camera maps: with no proposals, expand_roi,
+    spatial_cross_attention and regress copy neither the grid (4.6 MB padded) nor the maps
+    (1.1 MB summed with their embedding, 0.36 MB per camera widened to float64)."""
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "full.cfg"))
+    c, g = cfg.channels, cfg.bev_grid
+    bev = BevGrid(np.ones((c, g, g), np.float32))
+    features = np.ones((cfg.camera_count, c, cfg.feat_h, cfg.feat_w), np.float32)
+    attn = attn_spec(c, len(cfg.heights), cfg.points, SplitMix64(3))
+    refs = lift_references(np.zeros((0, 2)), cfg.bev(), cfg.heights, cfg.rig(), cfg.image_h, cfg.image_w)
+    heads, spec = zero_heads(c), cfg.bev()
+
+    def decode():
+        roi = expand_roi(bev, proposals([]), np.zeros((49, c), np.float32))
+        residual, refined = spatial_cross_attention(roi, refs, features, attn, cfg.stride, features)
+        assert regress(roi, residual, refined, heads, spec) == []
+
+    assert traced_transient(decode) < 2**18
 
 
 # ---------------------------------------------------------------- references
@@ -532,11 +566,14 @@ def test_sca_degenerate_single_sample():
     features = rng.uniform_array((1, c, 6, 6), -1, 1)
     uv = np.array([[[[20.0, 28.0]]]])  # feature coords (1.5, 2.5)
     refs = RefPointSet(points=np.zeros((1, 1, 3)), uv=uv, valid=np.ones((1, 1, 1), bool))
-    refined, flags = spatial_cross_attention(roi, refs, features, attn, stride)
+    residual, flags = spatial_cross_attention(roi, refs, features, attn, stride)
     assert flags[0]
     sampled = manual_bilinear(features[0], 20.0 / stride - 0.5, 28.0 / stride - 0.5)
     delta = (attn.w_value.astype(np.float64) @ sampled.astype(np.float64)).astype(np.float32)
-    np.testing.assert_allclose(refined.patches[0], roi.patches[0] + delta[:, None, None], atol=1e-6)
+    np.testing.assert_allclose(residual[0], delta, atol=1e-6)
+    np.testing.assert_allclose(
+        refined_patches(roi, residual, flags)[0], roi_windows(roi)[0] + delta[:, None, None], atol=1e-6
+    )
 
 
 def test_sca_all_invalid_passthrough():
@@ -546,9 +583,9 @@ def test_sca_all_invalid_passthrough():
     attn = attn_spec(c, 2, 2, rng)
     features = rng.uniform_array((2, c, 6, 6), -1, 1)
     refs = make_refs(rng, 2, 2, 2, 48, 48, valid_rate=-1.0)  # nothing valid
-    refined, flags = spatial_cross_attention(roi, refs, features, attn, 8)
-    assert not flags.any()
-    np.testing.assert_array_equal(refined.patches, roi.patches)
+    residual, flags = spatial_cross_attention(roi, refs, features, attn, 8)
+    assert not flags.any() and not residual.any()
+    np.testing.assert_array_equal(refined_patches(roi, residual, flags), roi_windows(roi))
 
 
 def test_sca_matches_naive_oracle():
@@ -558,10 +595,10 @@ def test_sca_matches_naive_oracle():
     attn = attn_spec(c, j, 2, rng)
     features = rng.uniform_array((ncam, c, 8, 10), -1, 1)
     refs = make_refs(rng, n, ncam, j, 64, 80)
-    refined, flags = spatial_cross_attention(roi, refs, features, attn, stride)
+    residual, flags = spatial_cross_attention(roi, refs, features, attn, stride)
     ref_patches, ref_flags = naive_sca(roi, refs, features, attn, stride)
     np.testing.assert_array_equal(flags, ref_flags)
-    np.testing.assert_allclose(refined.patches, ref_patches, atol=1e-5, rtol=0)
+    np.testing.assert_allclose(refined_patches(roi, residual, flags), ref_patches, atol=1e-5, rtol=0)
 
 
 def test_sca_oracle_with_embedding():
@@ -572,9 +609,9 @@ def test_sca_oracle_with_embedding():
     features = rng.uniform_array((ncam, c, 8, 10), -1, 1)
     embedding = rng.uniform_array((ncam, c, 8, 10), -0.5, 0.5)
     refs = make_refs(rng, n, ncam, j, 64, 80)
-    refined, _ = spatial_cross_attention(roi, refs, features, attn, stride, embedding=embedding)
+    residual, flags = spatial_cross_attention(roi, refs, features, attn, stride, embedding=embedding)
     ref_patches, _ = naive_sca(roi, refs, features, attn, stride, embedding=embedding)
-    np.testing.assert_allclose(refined.patches, ref_patches, atol=1e-5, rtol=0)
+    np.testing.assert_allclose(refined_patches(roi, residual, flags), ref_patches, atol=1e-5, rtol=0)
 
 
 def test_sca_zero_embedding_is_identity_ablation():
@@ -588,7 +625,7 @@ def test_sca_zero_embedding_is_identity_ablation():
     zero_emb = np.stack([depth_embedding(DepthVolume(probs), zero_mlp([5, c])) for i in range(ncam)])
     with_emb, _ = spatial_cross_attention(roi, refs, features, attn, stride, embedding=zero_emb)
     without, _ = spatial_cross_attention(roi, refs, features, attn, stride)
-    np.testing.assert_array_equal(with_emb.patches, without.patches)
+    assert with_emb.tobytes() == without.tobytes()
 
 
 def _order_sensitive_sca(seed, n, ncam, n_ref, n_points, c, with_embedding):
@@ -634,13 +671,7 @@ def _order_sensitive_sca(seed, n, ncam, n_ref, n_points, c, with_embedding):
     valid[3, ncam - 1] = True
     uv[3, ncam - 1] = 1e4
     refs = RefPointSet(points=np.zeros((n, n_ref, 3)), uv=uv, valid=valid)
-    roi = RoiSet(
-        centers=np.zeros((n, 2), np.int64),
-        classes=np.zeros(n, np.int64),
-        scores=np.full(n, 0.5),
-        patches=spread((n, c, ROI_SIZE, ROI_SIZE)),
-        queries=spread((N_QUERY_POSITIONS, c)),
-    )
+    roi = tile_roi(spread((n, c, ROI_SIZE, ROI_SIZE)), spread((N_QUERY_POSITIONS, c)))
     # tiny weight and offset projections keep the softmax finite and the
     # offsets within a few pixels for queries up to 1e8
     rows = n_ref * n_points
@@ -668,16 +699,28 @@ def _cameras_reversed(refs, features, embedding):
 @pytest.mark.parametrize("seed", range(10))
 def test_sca_bit_identical_to_loop_oracle(seed, with_embedding):
     roi, refs, features, attn, stride, emb = _order_sensitive_sca(seed, 24, 3, 4, 2, 6, with_embedding)
-    refined, flags = spatial_cross_attention(roi, refs, features, attn, stride, emb)
+    residual, flags = spatial_cross_attention(roi, refs, features, attn, stride, emb)
     expected, expected_flags = loop_sca(roi, refs, features, attn, stride, emb)
     np.testing.assert_array_equal(flags, expected_flags)
-    np.testing.assert_array_equal(refined.patches, expected)
+    np.testing.assert_array_equal(residual, expected)
     assert list(flags[:4]) == [False, True, True, True]
-    np.testing.assert_array_equal(refined.patches[0], roi.patches[0])
+    assert not residual[0].any()
+    np.testing.assert_array_equal(refined_patches(roi, residual, flags)[0], roi_windows(roi)[0])
     # the same per-camera sums added in reverse camera order change the bits
     flipped_refs, flipped_features, flipped_emb = _cameras_reversed(refs, features, emb)
     back_to_front, _ = loop_sca(roi, flipped_refs, flipped_features, attn, stride, flipped_emb)
     assert not np.array_equal(back_to_front, expected), "data cannot detect a reordered camera sum"
+
+
+@pytest.mark.parametrize("block", [1, 7, 24])
+def test_sca_bit_identical_to_loop_oracle_in_any_roi_block(monkeypatch, block):
+    """Sampling a camera's visible ROIs ROI_BLOCK at a time (here 1, 7 and all 24) leaves every bit."""
+    roi, refs, features, attn, stride, emb = _order_sensitive_sca(3, 24, 3, 4, 2, 6, True)
+    monkeypatch.setattr(object_decoder, "ROI_BLOCK", block)
+    residual, flags = spatial_cross_attention(roi, refs, features, attn, stride, emb)
+    expected, expected_flags = loop_sca(roi, refs, features, attn, stride, emb)
+    np.testing.assert_array_equal(flags, expected_flags)
+    np.testing.assert_array_equal(residual, expected)
 
 
 def test_sca_bit_identical_to_loop_oracle_within_a_camera():
@@ -700,12 +743,11 @@ def test_sca_bit_identical_to_loop_oracle_within_a_camera():
         w_weight=np.zeros((rows, c)), b_weight=np.zeros(rows),
         w_value=eye, b_value=np.zeros(c), w_out=eye, b_out=np.zeros(c),
     )
-    roi = RoiSet(np.zeros((n, 2), np.int64), np.zeros(n, np.int64), np.full(n, 0.5),
-                 np.zeros((n, c, ROI_SIZE, ROI_SIZE)), np.zeros((N_QUERY_POSITIONS, c)))
-    refined, flags = spatial_cross_attention(roi, refs, features, attn, stride)
+    roi = tile_roi(np.zeros((n, c, ROI_SIZE, ROI_SIZE)), np.zeros((N_QUERY_POSITIONS, c)))
+    residual, flags = spatial_cross_attention(roi, refs, features, attn, stride)
     expected, expected_flags = loop_sca(roi, refs, features, attn, stride)
     np.testing.assert_array_equal(flags, expected_flags)
-    np.testing.assert_array_equal(refined.patches, expected)
+    np.testing.assert_array_equal(residual, expected)
     # the same samples summed with the heights back to front change the bits
     heights_flipped = RefPointSet(refs.points, refs.uv[:, :, ::-1], refs.valid[:, :, ::-1])
     back_to_front, _ = loop_sca(roi, heights_flipped, features, attn, stride)
@@ -718,11 +760,11 @@ def test_sca_empty_roi_set():
     attn = attn_spec(3, 2, 2, rng)
     refs = make_refs(rng, 0, 2, 2, 48, 48)
     features = rng.uniform_array((2, 3, 6, 6), -1, 1)
-    refined, flags = spatial_cross_attention(roi, refs, features, attn, 8)
+    residual, flags = spatial_cross_attention(roi, refs, features, attn, 8)
     expected, expected_flags = loop_sca(roi, refs, features, attn, 8)
-    np.testing.assert_array_equal(refined.patches, expected)
+    np.testing.assert_array_equal(residual, expected)
     np.testing.assert_array_equal(flags, expected_flags)
-    assert refined.patches.shape == (0, 3, ROI_SIZE, ROI_SIZE)
+    assert residual.shape == (0, 3) and residual.dtype == np.float32
     assert flags.shape == (0,) and flags.dtype == bool
 
 
@@ -741,8 +783,8 @@ def test_sca_rejects_mismatched_refs():
 def test_regress_zero_heads():
     rng = SplitMix64(35)
     spec = BevSpec(8, 1.0, 4.0)
-    roi = make_roi(rng, 1, 4, g=8)
-    dets = regress(roi, zero_heads(4), spec)
+    roi = make_roi(rng, 1, 4)
+    dets = regress(roi, *no_residual(roi), zero_heads(4), spec)
     d = dets[0]
     assert (d.l, d.w, d.h) == (1.0, 1.0, 1.0)
     assert d.yaw == 0.0
@@ -755,10 +797,10 @@ def test_regress_zero_heads():
 def test_regress_yaw_quarter_turn():
     rng = SplitMix64(37)
     spec = BevSpec(8, 1.0, 4.0)
-    roi = make_roi(rng, 1, 4, g=8)
+    roi = make_roi(rng, 1, 4)
     heads = zero_heads(4)
     heads.yaw.biases[0][:] = [1.0, 0.0]  # (sin, cos) raw outputs
-    dets = regress(roi, heads, spec)
+    dets = regress(roi, *no_residual(roi), heads, spec)
     np.testing.assert_allclose(dets[0].yaw, math.pi / 2, atol=1e-12)
 
 
@@ -766,9 +808,9 @@ def test_regress_offset_bounded_by_half_cell():
     spec = BevSpec(8, 1.0, 4.0)
     for seed in range(10):
         rng = SplitMix64(100 + seed)
-        roi = make_roi(rng, 3, 4, g=8)
+        roi = make_roi(rng, 3, 4)
         heads = regression_heads(4, rng)
-        for d, (cx, cy) in zip(regress(roi, heads, spec), roi.centers):
+        for d, (cx, cy) in zip(regress(roi, *no_residual(roi), heads, spec), roi.centers):
             center_x = -4.0 + (cx + 0.5) * 1.0
             center_y = -4.0 + (cy + 0.5) * 1.0
             assert abs(d.x - center_x) <= 0.5 + 1e-9
@@ -781,17 +823,19 @@ def test_regress_bit_identical_to_loop_oracle():
     rng = np.random.default_rng(43)
     n, c = 4096, 8
     spec = BevSpec(64, 0.8, 25.6)
-    roi = RoiSet(
-        centers=rng.integers(0, 64, (n, 2)),
+    roi = tile_roi(
+        rng.normal(0.0, 3.0, (n, c, ROI_SIZE, ROI_SIZE)),
+        np.zeros((N_QUERY_POSITIONS, c)),
         classes=rng.integers(0, 3, n),
         scores=rng.uniform(0.01, 0.99, n),
-        patches=rng.normal(0.0, 3.0, (n, c, ROI_SIZE, ROI_SIZE)),
-        queries=np.zeros((N_QUERY_POSITIONS, c)),
     )
+    residual = rng.normal(0.0, 1.0, (n, c)).astype(np.float32)
+    refined = rng.random(n) < 0.5
     heads = regression_heads(c, SplitMix64(45))
-    dets = regress(roi, heads, spec)
+    dets = regress(roi, residual, refined, heads, spec)
     assert len(dets) == n
-    assert dets == loop_regress(roi, heads, spec)  # dataclass equality compares every float exactly
+    # dataclass equality compares every float exactly
+    assert dets == loop_regress(roi, residual, refined, heads, spec)
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 1024])
@@ -801,44 +845,19 @@ def test_regress_pools_each_patch_as_a_float64_copy_would(monkeypatch, n):
     c = 32
     magnitude = 10.0 ** rng.uniform(-9.0, 9.0, (n, c, ROI_SIZE, ROI_SIZE))
     patches = (magnitude * rng.choice([-1.0, 1.0], magnitude.shape)).astype(np.float32)
-    roi = RoiSet(np.zeros((n, 2)), np.zeros(n), np.full(n, 0.5), patches, np.zeros((N_QUERY_POSITIONS, c)))
-    inputs = []
-
-    def recording(x, spec):
-        inputs.append(x)
-        return mlp_forward(x, spec)
-
-    monkeypatch.setattr(object_decoder, "mlp_forward", recording)
-    regress(roi, zero_heads(c), BevSpec(8, 1.0, 4.0))
+    roi = tile_roi(patches, np.zeros((N_QUERY_POSITIONS, c)))
+    pooled = pooled_by_regress(monkeypatch, roi, *no_residual(roi))
     oracle = patches.astype(np.float64).mean(axis=(2, 3)).astype(np.float32)
-    assert inputs[0].dtype == np.float32
-    assert inputs[0].view(np.uint32).tobytes() == oracle.view(np.uint32).tobytes()
-
-
-def test_regress_allocates_no_copy_of_the_patches():
-    """tracemalloc: 1024 ROIs of 32 channels are 6.4 MB of patches; a float64 copy was 12.8 MB more."""
-    rng = np.random.default_rng(49)
-    n, c = 1024, 32
-    roi = RoiSet(
-        centers=rng.integers(0, 32, (n, 2)),
-        classes=rng.integers(0, 3, n),
-        scores=rng.uniform(0.01, 0.99, n),
-        patches=rng.normal(0.0, 1.0, (n, c, ROI_SIZE, ROI_SIZE)).astype(np.float32),
-        queries=np.zeros((N_QUERY_POSITIONS, c), np.float32),
-    )
-    assert traced_transient(regress, roi, regression_heads(c, SplitMix64(51)), BevSpec(32, 1.0, 16.0)) < 2 * 2**20
+    assert pooled.dtype == np.float32
+    assert pooled.view(np.uint32).tobytes() == oracle.view(np.uint32).tobytes()
 
 
 def test_regress_empty_roi():
     spec = BevSpec(8, 1.0, 4.0)
-    roi = RoiSet(
-        centers=np.zeros((0, 2), np.int64),
-        classes=np.zeros(0, np.int64),
-        scores=np.zeros(0),
-        patches=np.zeros((0, 4, 7, 7), np.float32),
-        queries=np.zeros((49, 4), np.float32),
-    )
-    assert regress(roi, zero_heads(4), spec) == []
+    roi = tile_roi(np.zeros((0, 4, 7, 7), np.float32), np.zeros((49, 4), np.float32))
+    assert regress(roi, *no_residual(roi), zero_heads(4), spec) == []
+    with pytest.raises(ShapeError, match="residual"):
+        regress(roi, np.zeros((1, 4)), np.zeros(1, bool), zero_heads(4), spec)
 
 
 # ---------------------------------------------------------------- detections

@@ -38,7 +38,7 @@ from bevnext.res2fusion import fuse
 from bevnext.scene import background_image, gen_scene
 from bevnext.view_transform import lift, pool
 from bevnext.weights import WeightBundle, backbone_specs, depth_head_spec, init_bundle
-from factories import cam_to_ego, project_depth_labels, traced_transient, zero_bundle
+from factories import cam_to_ego, project_depth_labels, refined_patches, traced_transient, zero_bundle
 
 DESK = SceneConfig()
 DESK_BUNDLE = init_bundle(DESK, 7)
@@ -74,6 +74,9 @@ GOLDEN_DESK_CAMERA_STAGES = {
 # decoder.top_n = 1024, so every BEV cell proposes: digests of the refined
 # ROI patches and flags out of spatial_cross_attention, and sha256 of the
 # formatted detections, pinned before the decoder was batched over ROIs.
+# The refined patches are no longer an output of any stage: the digest is
+# taken of factories.refined_patches, each ROI's 7x7 window of the fused
+# grid plus its float32 residual where refined, which regress pools.
 GOLDEN_DESK_DECODER = {
     "patches": "dc1716fef206b5702ea5f4f4cb11b8658e11a02969f8ab9064940b667d2b561b",
     "flags": "6798d7ffa7b45e06d1d979298c1aced7a40700e49b005e041547de0841f5c194",
@@ -315,18 +318,19 @@ def test_pipeline_desk_decoder_pinned_across_threads(monkeypatch):
     refine = pipeline.spatial_cross_attention
     outputs = []
 
-    def recording(*args, **kwargs):
-        outputs.append(refine(*args, **kwargs))
-        return outputs[-1]
+    def recording(roi, *args, **kwargs):
+        outputs.append((roi, *refine(roi, *args, **kwargs)))
+        return outputs[-1][1:]
 
     monkeypatch.setattr(pipeline, "spatial_cross_attention", recording)
     for threads in (1, 2):
         outputs.clear()
         result = run_pipeline(scene, cfg, bundle, threads=threads)
-        ((refined, flags),) = outputs
+        ((roi, residual, flags),) = outputs
         assert len(result.detections) == 1024
         text = format_detections(result.detections)
-        assert tensor_digest(refined.patches) == GOLDEN_DESK_DECODER["patches"], f"threads={threads}"
+        patches = refined_patches(roi, residual, flags)
+        assert tensor_digest(patches) == GOLDEN_DESK_DECODER["patches"], f"threads={threads}"
         assert tensor_digest(flags) == GOLDEN_DESK_DECODER["flags"], f"threads={threads}"
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == GOLDEN_DESK_DECODER["detections"], f"threads={threads}"
@@ -644,42 +648,36 @@ def test_desk_run_allocates_nothing_the_size_of_the_lifted_stack(monkeypatch):
     assert max(max(sizes) for sizes in live) < stack_bytes // 2  # the largest, 0.27 MB, is the float64 background image
 
 
-def test_unrefined_patches_are_freed_before_regress(monkeypatch):
-    """desk.cfg at 1024 proposals: regress gets the refined set, and no reference to the unrefined one is left."""
-    unrefined, freed = [], []
+def test_decoder_stages_allocate_no_patch_set(monkeypatch):
+    """tracemalloc on desk.cfg's 1024 real proposals, from expand_roi until regress returns:
+    the traced peak stays under 6 MiB, less than one float32 [N, C, 7, 7] patch set of all
+    proposals (6.125 MiB), so no such array is ever allocated. Cutting the patches out and
+    refining a copy of them peaked at 15.3 MB; the decoder now peaks at 4.9 MB, inside
+    spatial_cross_attention."""
+    peaks = []
 
-    def expand_spy(*args):
-        roi = expand_roi(*args)
-        unrefined.append(weakref.ref(roi.patches))
-        return roi
+    def expand_traced(*args):
+        tracemalloc.start()
+        return expand_roi(*args)
 
-    def regress_spy(roi, heads, spec):
-        freed.append(unrefined[0]() is None)
-        return regress(roi, heads, spec)
+    def regress_traced(*args):
+        dets = regress(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return dets
 
-    monkeypatch.setattr(pipeline, "expand_roi", expand_spy)
-    monkeypatch.setattr(pipeline, "regress", regress_spy)
-    assert len(run_pipeline(gen_scene(DESK_1024), DESK_1024, DESK_BUNDLE).detections) == 1024
-    assert freed == [True]
-
-
-def test_refinement_allocates_the_refined_set_and_little_else(monkeypatch):
-    """tracemalloc on desk.cfg's 1024 real proposals: the last camera's [visible, n_ref, n_points, C]
-    float64 temporaries are gone before the refined set is allocated."""
-    refine, transients = pipeline.spatial_cross_attention, []
-
-    def measured(roi, *args):
-        transients.append(traced_transient(refine, roi, *args) - roi.patches.nbytes)
-        return refine(roi, *args)
-
-    monkeypatch.setattr(pipeline, "spatial_cross_attention", measured)
-    run_pipeline(gen_scene(DESK_1024), DESK_1024, DESK_BUNDLE)
-    assert len(transients) == 1 and transients[0] < 2 * 2**20
+    monkeypatch.setattr(pipeline, "expand_roi", expand_traced)
+    monkeypatch.setattr(pipeline, "regress", regress_traced)
+    try:
+        assert len(run_pipeline(gen_scene(DESK_1024), DESK_1024, DESK_BUNDLE).detections) == 1024
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 1 and peaks[0] < 6 * 2**20
 
 
 def test_desk_decoder_run_holds_at_most_two_patch_sets():
-    """tracemalloc: a desk run at 1024 proposals peaks with the unrefined and refined patch sets
-    (6.4 MB each), not with a float64 copy of one beside both (12.8 MB more)."""
+    """tracemalloc: a desk run at 1024 proposals peaks below three patch sets (6.4 MB each). It
+    used to peak with the unrefined and refined sets, and before that with a float64 copy beside
+    both; now it holds none (test_decoder_stages_allocate_no_patch_set)."""
     scene = gen_scene(DESK_1024)
     patch_set = 4 * 1024 * DESK_1024.channels * 7 * 7
     assert traced_transient(run_pipeline, scene, DESK_1024, DESK_BUNDLE) < 3 * patch_set
