@@ -5,18 +5,19 @@ full pipeline, so every cross-module dimension (stride, bins, grid,
 channels, frames) is derived from a single validated source. Unknown or
 duplicate keys and inconsistent dimensions are rejected up front with a
 ``ConfigError`` (CLI exit code 2). A scene directory's ``scene.txt`` is
-read by the same ``parse_config``.
+read by the same ``parse_config``; ``parse_rows`` reads ``boxes.txt`` and ``detections.txt``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .depth_crf import MAX_ITERS, DepthBins
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .view_transform import BevSpec, CameraModel, CameraRig
 
 FRAME_DT = 0.5  # seconds between frames (2 Hz capture)
@@ -225,6 +226,28 @@ def parse_config(text: str, schema: dict = _SCHEMA, where: str = "config") -> di
         except ConfigError as exc:
             raise ConfigError(f"{at}: {exc}") from None
     return values
+
+
+def parse_rows(text: str, columns: int, what: str) -> Iterator[tuple]:
+    """(line number, (class id, float, ...)) per ``class value ...`` line; blanks and # comments are skipped.
+
+    Other than ``columns`` columns, a value that does not parse, or a class id that int64 cannot
+    hold is a ``FormatError`` naming ``what`` and the line.
+    """
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        cols = stripped.split()
+        if len(cols) != columns:
+            raise FormatError(f"{what} line {lineno} has {len(cols)} columns, expected {columns}")
+        try:
+            row = (int(cols[0]), *map(float, cols[1:]))
+        except ValueError as exc:
+            raise FormatError(f"{what} line {lineno}: {exc}") from exc
+        if not -(2**63) <= row[0] < 2**63:
+            raise FormatError(f"{what} line {lineno}: class id {row[0]} does not fit in int64")
+        yield lineno, row
 
 
 def build_config(values: dict) -> SceneConfig:

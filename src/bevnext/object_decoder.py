@@ -11,9 +11,9 @@ cell is lifted to several candidate heights, each height is projected
 into every camera, and deformable attention samples the image feature
 maps (optionally shifted by a depth-distribution embedding) around the
 valid projections. The attended result is a per-ROI residual that
-applies to the whole window. Regression heads then decode center offset,
-size, yaw, height, and velocity from the mean of window plus residual,
-cut and pooled ROI_BLOCK ROIs at a time.
+applies to the whole window. Regression heads decode each ROI's window
+plus residual, pooled ROI_BLOCK ROIs at a time, into one row of an [N]
+DETECTION_DTYPE array, which check_detections accepts or refuses.
 
 Heatmap scores are kept in float64 and clamped away from 0 and 1, so a
 threshold comparison like score > 0.1 is exact and never flips due to
@@ -22,11 +22,12 @@ float32 rounding of the threshold value.
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .config import parse_rows
 from .depth_crf import DepthVolume
 from .errors import FormatError, ShapeError
 from .kernels import ConvSpec, MlpSpec, bilinear_sample, conv2d, mlp_forward, softmax
@@ -204,43 +205,37 @@ class AttnSpec:
         return self.w_value.shape[1]
 
 
-@dataclass(frozen=True)
-class Detection:
-    """One decoded object in metric ego coordinates."""
+# regress's detections: class, box centre and size (metres), yaw in (-pi, pi], velocity and heatmap score
+DETECTION_DTYPE = np.dtype([("cls", np.int64)] + [(n, np.float64) for n in "x y z l w h yaw vx vy score".split()])
 
-    cls: int
-    x: float
-    y: float
-    z: float
-    l: float
-    w: float
-    h: float
-    yaw: float
-    vx: float
-    vy: float
-    score: float
 
-    def __post_init__(self):
-        vals = (self.x, self.y, self.z, self.l, self.w, self.h, self.yaw, self.vx, self.vy, self.score)
-        if not all(map(math.isfinite, vals)):
-            raise ShapeError("Detection: non-finite attribute")
-        if self.l <= 0 or self.w <= 0 or self.h <= 0:
-            raise ShapeError("Detection: size must be strictly positive")
-        if min(self.l, self.w, self.h) < 1e-6:
-            for name in ("l", "w", "h"):
-                value = getattr(self, name)
-                if value < 1e-6 and f"{value:.6f}" == "0.000000":
-                    raise ShapeError(f"Detection: size {name}={value!r} prints as 0.000000 and cannot be read back")
-        # fixed-decimal serialization can round pi up, or -pi down, by < 1e-6;
-        # -pi itself is outside the range, and its upper neighbour prints the same
-        yaw = self.yaw
-        if math.pi < yaw <= math.pi + YAW_PARSE_SLACK:
-            yaw = math.pi
-        elif -math.pi - YAW_PARSE_SLACK <= yaw <= -math.pi:
-            yaw = math.nextafter(-math.pi, 0.0)
-        if not (-math.pi < yaw <= math.pi):
-            raise ShapeError(f"Detection: yaw {yaw} outside (-pi, pi]")
-        object.__setattr__(self, "yaw", yaw)
+def check_detections(dets: np.ndarray) -> Optional[Tuple[int, str]]:
+    """(row, cause) of the first row of a DETECTION_DTYPE array that breaks a rule, or None.
+
+    The cause is the first rule the row breaks: all values finite, sizes > 0, no size that prints
+    as 0.000000 (for a positive double, exactly <= 5e-7), yaw in (-pi, pi]. First, a yaw at most
+    YAW_PARSE_SLACK past pi or -pi (6 decimals can round it there) is remapped in place to pi or to
+    the double just above -pi, which prints the same.
+    """
+    yaw = dets["yaw"]  # a view of the field
+    yaw[(yaw > math.pi) & (yaw <= math.pi + YAW_PARSE_SLACK)] = math.pi
+    yaw[(yaw >= -math.pi - YAW_PARSE_SLACK) & (yaw <= -math.pi)] = math.nextafter(-math.pi, 0.0)
+    values = np.column_stack([dets[name] for name in DETECTION_DTYPE.names[1:]])
+    size = values[:, 3:6]
+    rules = [~np.isfinite(values).all(axis=1), (size <= 0).any(axis=1), (size <= 5e-7).any(axis=1)]
+    broken = np.stack(rules + [~((yaw > -math.pi) & (yaw <= math.pi))], axis=1)  # [N, rule]
+    rows = np.flatnonzero(broken.any(axis=1))
+    if not rows.size:
+        return None
+    row = int(rows[0])
+    axis = int((size[row] <= 5e-7).argmax())
+    causes = (
+        "non-finite attribute",
+        "size must be strictly positive",
+        f"size {'lwh'[axis]}={size[row, axis].item()!r} prints as 0.000000 and cannot be read back",
+        f"yaw {yaw[row].item()} outside (-pi, pi]",
+    )
+    return row, causes[int(broken[row].argmax())]
 
 
 @dataclass(frozen=True)
@@ -469,16 +464,18 @@ def spatial_cross_attention(
 
 def regress(
     roi: RoiSet, residual: np.ndarray, refined: np.ndarray, heads: RegressionHeads, spec: BevSpec
-) -> List[Detection]:
-    """Decode object attributes from each ROI's window plus its residual where refined.
+) -> np.ndarray:
+    """Decode each ROI's window plus its residual where refined into an [N] DETECTION_DTYPE array.
 
     ROI_BLOCK windows at a time are cut from a zero-padded copy of the
     grid, get their float32 residual added where refined, and are
     mean-pooled to one feature vector each in float64. The vectors go
-    through the shared trunk, then each head decodes its attribute:
-    sub-cell center offset via tanh (at most half a cell), size via exp
-    floored at 1e-6 m (the least size that detections.txt writes as
-    nonzero), yaw via atan2 of a (sin, cos) pair, z and velocity linear.
+    through the shared trunk, then each head decodes its attribute for all
+    ROIs at once: sub-cell center offset via tanh (at most half a cell),
+    size via exp floored at 1e-6 m (the least size that detections.txt
+    writes as nonzero), z and velocity linear, and yaw via math.atan2 of a
+    (sin, cos) pair, row by row (np.arctan2 can differ in the last bit).
+    A row that check_detections refuses raises ShapeError naming it.
     """
     residual = np.asarray(residual, dtype=np.float32)
     refined = np.asarray(refined, dtype=bool)
@@ -487,8 +484,9 @@ def regress(
             f"regress: residual must be [{roi.n}, {roi.channels}] and refined [{roi.n}],"
             f" got {residual.shape} and {refined.shape}"
         )
+    dets = np.empty(roi.n, DETECTION_DTYPE)
     if roi.n == 0:  # nothing proposes: skip the grid copy
-        return []
+        return dets
     half = ROI_SIZE // 2
     padded = np.pad(roi.bev.data.transpose(1, 2, 0), ((half, half), (half, half), (0, 0)))  # [G+6, G+6, C]
     windows = sliding_window_view(padded, (ROI_SIZE, ROI_SIZE), axis=(0, 1))  # [y, x]: the window of (x, y)
@@ -500,48 +498,33 @@ def regress(
         np.add(patches, residual[block, :, None, None], out=patches, where=refined[block, None, None, None])
         pooled[block] = patches.mean(axis=(2, 3), dtype=np.float64)
     trunk = mlp_forward(pooled, heads.shared)
-    off = mlp_forward(trunk, heads.offset).astype(np.float64)
-    zed = mlp_forward(trunk, heads.z).astype(np.float64)
-    size = mlp_forward(trunk, heads.size).astype(np.float64)
-    yaw_raw = mlp_forward(trunk, heads.yaw).astype(np.float64)
-    vel = mlp_forward(trunk, heads.vel).astype(np.float64)
-    shift = 0.5 * np.tanh(off)
-    xs = -spec.extent + (roi.centers[:, 0] + 0.5 + shift[:, 0]) * spec.cell_size
-    ys = -spec.extent + (roi.centers[:, 1] + 0.5 + shift[:, 1]) * spec.cell_size
-    rows = zip(
-        roi.classes.tolist(), xs.tolist(), ys.tolist(), zed[:, 0].tolist(), np.maximum(np.exp(size), 1e-6).tolist(),
-        yaw_raw.tolist(), vel.tolist(), roi.scores.tolist(),
-    )
-    dets = []
-    for cls, x, y, z, (l, w, h), (sin, cos), (vx, vy), score in rows:
-        yaw = math.atan2(sin, cos)
-        if yaw <= -math.pi:
-            yaw += 2.0 * math.pi
-        dets.append(Detection(cls, x, y, z, l, w, h, yaw, vx, vy, score))
+    shift = 0.5 * np.tanh(mlp_forward(trunk, heads.offset).astype(np.float64))
+    dets["cls"] = roi.classes
+    dets["x"] = -spec.extent + (roi.centers[:, 0] + 0.5 + shift[:, 0]) * spec.cell_size
+    dets["y"] = -spec.extent + (roi.centers[:, 1] + 0.5 + shift[:, 1]) * spec.cell_size
+    dets["z"] = mlp_forward(trunk, heads.z)[:, 0]
+    dets["l"], dets["w"], dets["h"] = np.maximum(np.exp(mlp_forward(trunk, heads.size).astype(np.float64)), 1e-6).T
+    dets["yaw"] = [math.atan2(sin, cos) for sin, cos in mlp_forward(trunk, heads.yaw).tolist()]
+    dets["yaw"][dets["yaw"] <= -math.pi] += 2.0 * math.pi
+    dets["vx"], dets["vy"] = mlp_forward(trunk, heads.vel).T
+    dets["score"] = roi.scores
+    bad = check_detections(dets)
+    if bad is not None:
+        raise ShapeError(f"regress: detection {bad[0]}: {bad[1]}")
     return dets
 
 
-def format_detections(dets: Sequence[Detection]) -> str:
-    """One line per detection: class x y z l w h yaw vx vy score."""
-    lines = []
-    for d in dets:
-        fields = (d.x, d.y, d.z, d.l, d.w, d.h, d.yaw, d.vx, d.vy, d.score)
-        lines.append(str(d.cls) + " " + " ".join(f"{v:.6f}" for v in fields))
-    return "".join(line + "\n" for line in lines)
+def format_detections(dets: np.ndarray) -> str:
+    """One line per DETECTION_DTYPE row: class x y z l w h yaw vx vy score."""
+    line = "%d" + " %.6f" * 10 + "\n"
+    return "".join(line % row for row in dets.tolist())
 
 
-def parse_detections(text: str) -> List[Detection]:
-    """Inverse of format_detections; skips blank lines and # comments."""
-    dets = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        cols = stripped.split()
-        if len(cols) != 11:
-            raise FormatError(f"detection line {lineno} has {len(cols)} columns, expected 11")
-        try:
-            dets.append(Detection(int(cols[0]), *[float(c) for c in cols[1:]]))
-        except (ValueError, ShapeError) as exc:
-            raise FormatError(f"detection line {lineno}: {exc}") from exc
+def parse_detections(text: str) -> np.ndarray:
+    """Inverse of format_detections: the [N] DETECTION_DTYPE array, naming the line of a refused row."""
+    rows = list(parse_rows(text, len(DETECTION_DTYPE), "detection"))
+    dets = np.array([row for _, row in rows], DETECTION_DTYPE)
+    bad = check_detections(dets)
+    if bad is not None:
+        raise FormatError(f"detection line {rows[bad[0]][0]}: {bad[1]}")
     return dets

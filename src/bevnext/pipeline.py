@@ -47,7 +47,6 @@ from .depth_crf import DepthVolume, map_labeling, modulate
 from .errors import BevnextError, ConfigError, ShapeError, StageError
 from .kernels import ConvSpec, conv2d
 from .object_decoder import (
-    Detection,
     Heatmap,
     compute_heatmap,
     depth_embedding,
@@ -153,9 +152,9 @@ def _check_scene(scene: SyntheticScene, cfg: SceneConfig) -> None:
 
 @dataclass
 class PipelineResult:
-    """Decoder output plus the tensors the artifact dumps are made from."""
+    """The detections (regress's checked [N] DETECTION_DTYPE array) and the tensors the dumps are made from."""
 
-    detections: List[Detection]
+    detections: np.ndarray
     heatmap: Heatmap
     depth: Tuple[DepthVolume, ...]  # current-frame depth, one per camera
     bev: BevGrid  # fused decoder input

@@ -28,7 +28,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import bvnx, ppm
-from .config import _SCHEMA, FRAME_DT, SceneConfig, parse_config
+from .config import _SCHEMA, FRAME_DT, SceneConfig, parse_config, parse_rows
 from .errors import ConfigError, FormatError, ShapeError
 from .kernels import SplitMix64
 from .view_transform import CameraModel
@@ -357,16 +357,10 @@ def format_boxes(boxes: Sequence[GroundTruthBox]) -> str:
 def parse_boxes(text: str) -> List[GroundTruthBox]:
     """Inverse of format_boxes; skips blank lines and # comments."""
     boxes = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        cols = stripped.split()
-        if len(cols) != 10:
-            raise FormatError(f"box line {lineno} has {len(cols)} columns, expected 10")
+    for lineno, row in parse_rows(text, 10, "box"):
         try:
-            boxes.append(GroundTruthBox(int(cols[0]), *[float(c) for c in cols[1:]]))
-        except (ValueError, ShapeError) as exc:
+            boxes.append(GroundTruthBox(*row))
+        except ShapeError as exc:
             raise FormatError(f"box line {lineno}: {exc}") from exc
     return boxes
 

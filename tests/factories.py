@@ -13,8 +13,13 @@ points); ``format_config`` writes a config back out as text,
 [N, C, 7, 7] patches; ``roi_windows`` cuts a RoiSet's windows one by one
 (the per-proposal loop the decoder replaced), and ``refined_patches``
 adds a residual to them where refined, as ``regress`` does.
+``detection_oracle`` applies the detection rules to one row in scalar
+Python, the reference ``object_decoder.check_detections`` is tested
+against, and ``detections`` builds a ``DETECTION_DTYPE`` array from rows
+it accepts.
 """
 
+import math
 import tracemalloc
 from dataclasses import fields
 from typing import Sequence, Tuple
@@ -24,7 +29,16 @@ import numpy as np
 from bevnext.config import _SCHEMA, SceneConfig
 from bevnext.depth_crf import DepthBins
 from bevnext.kernels import ConvSpec, MlpSpec, SplitMix64, init_weights
-from bevnext.object_decoder import PROPOSAL_DTYPE, ROI_SIZE, AttnSpec, RegressionHeads, RoiSet
+from bevnext.errors import ShapeError
+from bevnext.object_decoder import (
+    DETECTION_DTYPE,
+    PROPOSAL_DTYPE,
+    ROI_SIZE,
+    YAW_PARSE_SLACK,
+    AttnSpec,
+    RegressionHeads,
+    RoiSet,
+)
 from bevnext.scene import GroundTruthBox, _ray_directions, _render
 from bevnext.view_transform import BevGrid, CameraModel
 from bevnext.weights import WeightBundle, expected_shapes
@@ -251,3 +265,43 @@ def traced_transient(fn, *args, **kwargs) -> int:
     finally:
         tracemalloc.stop()
     return peak - before
+
+
+def detections(rows) -> np.ndarray:
+    """A DETECTION_DTYPE array of (cls, x, y, z, l, w, h, yaw, vx, vy, score) rows.
+
+    Each row goes through ``detection_oracle`` first: a refused row raises
+    ShapeError with its cause, and an accepted row keeps its remapped yaw.
+    """
+    checked = []
+    for row in rows:
+        cause, yaw = detection_oracle(row)
+        if cause is not None:
+            raise ShapeError(f"detection {len(checked)}: {cause}")
+        checked.append(tuple(row[:7]) + (yaw,) + tuple(row[8:]))
+    return np.array(checked, dtype=DETECTION_DTYPE)
+
+
+def detection_oracle(row) -> Tuple[str | None, float]:
+    """One (cls, x, y, z, l, w, h, yaw, vx, vy, score) row under the detection rules, one value at a time.
+
+    Returns (cause, yaw): cause is None for a row the rules accept, whose
+    yaw is then remapped if text rounding can put it just past +-pi, and
+    otherwise the first rule the row breaks, in the order non-finite,
+    size <= 0, size that prints as 0.000000, yaw outside (-pi, pi].
+    """
+    _, x, y, z, l, w, h, yaw, vx, vy, score = row
+    if not all(map(math.isfinite, (x, y, z, l, w, h, yaw, vx, vy, score))):
+        return "non-finite attribute", yaw
+    if l <= 0 or w <= 0 or h <= 0:
+        return "size must be strictly positive", yaw
+    for name, value in (("l", l), ("w", w), ("h", h)):
+        if value < 1e-6 and f"{value:.6f}" == "0.000000":
+            return f"size {name}={value!r} prints as 0.000000 and cannot be read back", yaw
+    if math.pi < yaw <= math.pi + YAW_PARSE_SLACK:
+        yaw = math.pi
+    elif -math.pi - YAW_PARSE_SLACK <= yaw <= -math.pi:
+        yaw = math.nextafter(-math.pi, 0.0)
+    if not (-math.pi < yaw <= math.pi):
+        return f"yaw {yaw} outside (-pi, pi]", yaw
+    return None, yaw

@@ -365,7 +365,24 @@ def test_run_floors_a_size_that_would_print_as_zero(workdir, tmp_path):
     assert code == 0, err
     dets = parse_detections((tmp_path / "r" / "detections.txt").read_text())
     assert len(dets) == load_config(cfg_path).top_n
-    assert {(d.l, d.w, d.h) for d in dets} == {(1e-6, 1e-6, 1e-6)}
+    assert set(zip(dets["l"].tolist(), dets["w"].tolist(), dets["h"].tolist())) == {(1e-6, 1e-6, 1e-6)}
+
+
+def test_exit_3_when_the_decoder_decodes_a_non_finite_size(workdir, tmp_path):
+    """A size head whose exp overflows to inf is refused by regress: exit 3, naming the decoder stage."""
+    cfg_path = tmp_path / "all.cfg"
+    cfg_path.write_text(FAST_CFG + "decoder.threshold = 0.0\n")
+    bundle = load_weights(workdir / "w.bvnx", load_config(cfg_path))
+    bundle.tensors["decoder.head.size.b"][:] = 1000.0  # exp(1000) is inf
+    save_weights(bundle, tmp_path / "huge.bvnx")
+    code, _, err = cli(
+        "run", "--config", str(cfg_path), "--weights", str(tmp_path / "huge.bvnx"),
+        "--scene", str(workdir / "scene"), "--out", str(tmp_path / "r"),
+    )
+    assert code == 3, err
+    assert "[stage decoder] regress: detection 0: non-finite attribute" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r" / "detections.txt").exists()
 
 
 def _mutants(data: bytes, rng, flips: int, cuts: int):

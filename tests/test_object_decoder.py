@@ -18,8 +18,8 @@ from bevnext.object_decoder import (
     N_QUERY_POSITIONS,
     PROPOSAL_DTYPE,
     ROI_SIZE,
+    DETECTION_DTYPE,
     AttnSpec,
-    Detection,
     Heatmap,
     RefPointSet,
     attention_weights,
@@ -30,6 +30,7 @@ from bevnext.object_decoder import (
     lift_references,
     parse_detections,
     regress,
+    check_detections,
     sampling_offsets,
     select_centers,
     spatial_cross_attention,
@@ -39,6 +40,8 @@ from factories import (
     attn_spec,
     cam_to_ego,
     conv_spec,
+    detection_oracle,
+    detections,
     mlp_spec,
     proposals,
     refined_patches,
@@ -158,9 +161,8 @@ def loop_sca(roi, refs, features, attn, stride, embedding=None):
 
 def loop_regress(roi, residual, refined, heads, spec):
     """The per-ROI loop regress ran before it worked on whole arrays; the
-    bit-exact oracle for its arithmetic."""
-    if roi.n == 0:
-        return []
+    bit-exact oracle for its arithmetic, its rows checked one at a time by
+    factories.detection_oracle."""
     pooled = refined_patches(roi, residual, refined).astype(np.float64).mean(axis=(2, 3)).astype(np.float32)
     trunk = mlp_forward(pooled, heads.shared)
     off = mlp_forward(trunk, heads.offset).astype(np.float64)
@@ -168,31 +170,18 @@ def loop_regress(roi, residual, refined, heads, spec):
     size = mlp_forward(trunk, heads.size).astype(np.float64)
     yaw_raw = mlp_forward(trunk, heads.yaw).astype(np.float64)
     vel = mlp_forward(trunk, heads.vel).astype(np.float64)
-    dets = []
+    rows = []
     for i in range(roi.n):
         dx, dy = 0.5 * np.tanh(off[i])
         x = -spec.extent + (roi.centers[i, 0] + 0.5 + dx) * spec.cell_size
         y = -spec.extent + (roi.centers[i, 1] + 0.5 + dy) * spec.cell_size
-        l, w, h = np.exp(size[i])
+        l, w, h = np.maximum(np.exp(size[i]), 1e-6)
         yaw = math.atan2(yaw_raw[i, 0], yaw_raw[i, 1])
         if yaw <= -math.pi:
             yaw += 2.0 * math.pi
-        dets.append(
-            Detection(
-                cls=int(roi.classes[i]),
-                x=float(x),
-                y=float(y),
-                z=float(zed[i, 0]),
-                l=float(l),
-                w=float(w),
-                h=float(h),
-                yaw=float(yaw),
-                vx=float(vel[i, 0]),
-                vy=float(vel[i, 1]),
-                score=float(roi.scores[i]),
-            )
-        )
-    return dets
+        values = (x, y, zed[i, 0], l, w, h, yaw, vel[i, 0], vel[i, 1], roi.scores[i])
+        rows.append((int(roi.classes[i]),) + tuple(map(float, values)))
+    return detections(rows)
 
 
 def single_class_heatmap(values):
@@ -399,7 +388,7 @@ def test_roi_empty_and_outside_centers():
     queries = np.zeros((49, 2), np.float32)
     empty = expand_roi(bev, proposals([]), queries)
     assert empty.n == 0 and empty.centers.shape == (0, 2)
-    assert regress(empty, *no_residual(empty), zero_heads(2), BevSpec(8, 1.0, 4.0)) == []
+    assert len(regress(empty, *no_residual(empty), zero_heads(2), BevSpec(8, 1.0, 4.0))) == 0
     for bad in ((8, 0), (0, -1), (-1, 9)):
         with pytest.raises(ShapeError, match=rf"center \({bad[0]}, {bad[1]}\) outside grid axis 0\.\.7"):
             expand_roi(bev, proposals([(3, 3), bad, (9, 9)]), queries)
@@ -420,7 +409,7 @@ def test_zero_proposals_allocate_no_padded_grid_at_full_size():
     def decode():
         roi = expand_roi(bev, proposals([]), np.zeros((49, c), np.float32))
         residual, refined = spatial_cross_attention(roi, refs, features, attn, cfg.stride, features)
-        assert regress(roi, residual, refined, heads, spec) == []
+        assert len(regress(roi, residual, refined, heads, spec)) == 0
 
     assert traced_transient(decode) < 2**18
 
@@ -786,12 +775,12 @@ def test_regress_zero_heads():
     roi = make_roi(rng, 1, 4)
     dets = regress(roi, *no_residual(roi), zero_heads(4), spec)
     d = dets[0]
-    assert (d.l, d.w, d.h) == (1.0, 1.0, 1.0)
-    assert d.yaw == 0.0
-    assert (d.vx, d.vy) == (0.0, 0.0)
-    assert d.z == 0.0
-    np.testing.assert_allclose(d.x, -4.0 + (roi.centers[0, 0] + 0.5) * 1.0)
-    np.testing.assert_allclose(d.y, -4.0 + (roi.centers[0, 1] + 0.5) * 1.0)
+    assert (d["l"], d["w"], d["h"]) == (1.0, 1.0, 1.0)
+    assert d["yaw"] == 0.0
+    assert (d["vx"], d["vy"]) == (0.0, 0.0)
+    assert d["z"] == 0.0
+    np.testing.assert_allclose(d["x"], -4.0 + (roi.centers[0, 0] + 0.5) * 1.0)
+    np.testing.assert_allclose(d["y"], -4.0 + (roi.centers[0, 1] + 0.5) * 1.0)
 
 
 def test_regress_yaw_quarter_turn():
@@ -801,7 +790,7 @@ def test_regress_yaw_quarter_turn():
     heads = zero_heads(4)
     heads.yaw.biases[0][:] = [1.0, 0.0]  # (sin, cos) raw outputs
     dets = regress(roi, *no_residual(roi), heads, spec)
-    np.testing.assert_allclose(dets[0].yaw, math.pi / 2, atol=1e-12)
+    np.testing.assert_allclose(dets[0]["yaw"], math.pi / 2, atol=1e-12)
 
 
 def test_regress_offset_bounded_by_half_cell():
@@ -813,10 +802,10 @@ def test_regress_offset_bounded_by_half_cell():
         for d, (cx, cy) in zip(regress(roi, *no_residual(roi), heads, spec), roi.centers):
             center_x = -4.0 + (cx + 0.5) * 1.0
             center_y = -4.0 + (cy + 0.5) * 1.0
-            assert abs(d.x - center_x) <= 0.5 + 1e-9
-            assert abs(d.y - center_y) <= 0.5 + 1e-9
-            assert d.l > 0 and d.w > 0 and d.h > 0
-            assert -math.pi < d.yaw <= math.pi
+            assert abs(d["x"] - center_x) <= 0.5 + 1e-9
+            assert abs(d["y"] - center_y) <= 0.5 + 1e-9
+            assert d["l"] > 0 and d["w"] > 0 and d["h"] > 0
+            assert -math.pi < d["yaw"] <= math.pi
 
 
 def test_regress_bit_identical_to_loop_oracle():
@@ -833,9 +822,8 @@ def test_regress_bit_identical_to_loop_oracle():
     refined = rng.random(n) < 0.5
     heads = regression_heads(c, SplitMix64(45))
     dets = regress(roi, residual, refined, heads, spec)
-    assert len(dets) == n
-    # dataclass equality compares every float exactly
-    assert dets == loop_regress(roi, residual, refined, heads, spec)
+    assert len(dets) == n and dets.dtype == DETECTION_DTYPE
+    assert dets.tobytes() == loop_regress(roi, residual, refined, heads, spec).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 1024])
@@ -855,7 +843,8 @@ def test_regress_pools_each_patch_as_a_float64_copy_would(monkeypatch, n):
 def test_regress_empty_roi():
     spec = BevSpec(8, 1.0, 4.0)
     roi = tile_roi(np.zeros((0, 4, 7, 7), np.float32), np.zeros((49, 4), np.float32))
-    assert regress(roi, *no_residual(roi), zero_heads(4), spec) == []
+    dets = regress(roi, *no_residual(roi), zero_heads(4), spec)
+    assert dets.shape == (0,) and dets.dtype == DETECTION_DTYPE
     with pytest.raises(ShapeError, match="residual"):
         regress(roi, np.zeros((1, 4)), np.zeros(1, bool), zero_heads(4), spec)
 
@@ -863,23 +852,27 @@ def test_regress_empty_roi():
 # ---------------------------------------------------------------- detections
 
 
+def unchecked(*rows):
+    """A DETECTION_DTYPE array of the rows as given, no rule applied."""
+    return np.array(list(rows), dtype=DETECTION_DTYPE)
+
+
 def test_detection_line_format():
-    d = Detection(2, 1.25, -0.5, 0.75, 2.0, 1.0, 1.5, 0.5, 0.25, -0.125, 0.9)
-    line = format_detections([d]).strip()
+    dets = detections([(2, 1.25, -0.5, 0.75, 2.0, 1.0, 1.5, 0.5, 0.25, -0.125, 0.9)])
+    line = format_detections(dets).strip()
     assert line == "2 1.250000 -0.500000 0.750000 2.000000 1.000000 1.500000 0.500000 0.250000 -0.125000 0.900000"
 
 
 def test_detection_roundtrip():
-    dets = [
-        Detection(0, 0.1, 0.2, 0.3, 1.0, 2.0, 3.0, -1.5, 0.0, 0.5, 0.4),
-        Detection(1, -2.0, 3.0, 0.0, 0.5, 0.5, 0.5, math.pi, 1.0, -1.0, 0.8),
-    ]
+    dets = detections([
+        (0, 0.1, 0.2, 0.3, 1.0, 2.0, 3.0, -1.5, 0.0, 0.5, 0.4),
+        (1, -2.0, 3.0, 0.0, 0.5, 0.5, 0.5, math.pi, 1.0, -1.0, 0.8),
+    ])
     back = parse_detections(format_detections(dets))
-    assert len(back) == 2
-    for a, b in zip(dets, back):
-        assert a.cls == b.cls
-        for field in ("x", "y", "z", "l", "w", "h", "yaw", "vx", "vy", "score"):
-            assert abs(getattr(a, field) - getattr(b, field)) <= 1e-6
+    assert back.dtype == DETECTION_DTYPE and len(back) == 2
+    assert back["cls"].tolist() == [0, 1]
+    for field in DETECTION_DTYPE.names[1:]:
+        np.testing.assert_allclose(back[field], dets[field], rtol=0, atol=1e-6)
 
 
 def test_detection_parse_rejects_bad_columns():
@@ -901,52 +894,110 @@ def test_detection_parse_reports_rejected_detection_with_line_number(line, cause
         parse_detections("# header\n0 0 0 0 1 1 1 0 0 0 0.5\n" + line + "\n")
 
 
+def test_detection_parse_refuses_a_class_id_int64_cannot_hold():
+    good = "0 0 0 0 1 1 1 0 0 0 0.5\n"
+    for cls in (2**63, -(2**63) - 1, 99999999999999999999):
+        with pytest.raises(FormatError, match=f"detection line 2: class id {cls} does not fit in int64"):
+            parse_detections(good + f"{cls} 0 0 0 1 1 1 0 0 0 0.5\n")
+    for cls in (2**63 - 1, -(2**63)):
+        assert parse_detections(good + f"{cls} 0 0 0 1 1 1 0 0 0 0.5\n")["cls"].tolist() == [0, cls]
+
+
 def test_detection_parse_skips_blank_and_comments():
     text = "# header\n\n0 0.0 0.0 0.0 1.0 1.0 1.0 0.0 0.0 0.0 0.5\n"
     assert len(parse_detections(text)) == 1
+    empty = parse_detections("# header\n\n")
+    assert empty.shape == (0,) and empty.dtype == DETECTION_DTYPE
 
 
 def test_detection_validates_size():
-    with pytest.raises(ShapeError, match="size"):
-        Detection(0, 0, 0, 0, -1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.5)
+    assert check_detections(unchecked((0, 0, 0, 0, -1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.5))) == (
+        0, "size must be strictly positive"
+    )
 
 
 def test_detection_size_that_prints_as_zero_is_rejected():
-    with pytest.raises(ShapeError, match="size w=5e-07 prints as 0.000000"):
-        Detection(0, 0, 0, 0, 1.0, 5e-7, 1.0, 0.0, 0.0, 0.0, 0.5)
-    d = Detection(0, 0, 0, 0, 1.0, math.nextafter(5e-7, 1.0), 1.0, 0.0, 0.0, 0.0, 0.5)
-    assert format_detections([d]).split()[5] == "0.000001"
+    assert check_detections(unchecked((0, 0, 0, 0, 1.0, 5e-7, 1.0, 0.0, 0.0, 0.0, 0.5))) == (
+        0, "size w=5e-07 prints as 0.000000 and cannot be read back"
+    )
+    dets = unchecked((0, 0, 0, 0, 1.0, math.nextafter(5e-7, 1.0), 1.0, 0.0, 0.0, 0.0, 0.5))
+    assert check_detections(dets) is None
+    assert format_detections(dets).split()[5] == "0.000001"
 
 
 @pytest.mark.parametrize("yaw", [-3.1415926, -math.pi, -math.pi - 1e-6, math.pi + 1e-6])
 def test_detection_yaw_rounded_past_pi_reads_back(yaw):
-    text = format_detections([Detection(0, 0, 0, 0, 1.0, 1.0, 1.0, yaw, 0.0, 0.0, 0.5)])
+    dets = unchecked((0, 0, 0, 0, 1.0, 1.0, 1.0, yaw, 0.0, 0.0, 0.5))
+    assert check_detections(dets) is None
+    text = format_detections(dets)
     (back,) = parse_detections(text)
-    assert -math.pi < back.yaw <= math.pi
-    assert format_detections([back]) == text
+    assert -math.pi < back["yaw"] <= math.pi
+    assert format_detections(back[None]) == text
 
 
 def test_detection_yaw_beyond_parse_slack_is_rejected():
     for yaw in (math.nextafter(-math.pi - 1e-6, -4.0), math.nextafter(math.pi + 1e-6, 4.0)):
-        with pytest.raises(ShapeError, match="yaw"):
-            Detection(0, 0, 0, 0, 1.0, 1.0, 1.0, yaw, 0.0, 0.0, 0.5)
+        assert check_detections(unchecked((0, 0, 0, 0, 1.0, 1.0, 1.0, yaw, 0.0, 0.0, 0.5))) == (
+            0, f"yaw {yaw} outside (-pi, pi]"
+        )
+
+
+@pytest.mark.parametrize(
+    "row, cause",
+    [
+        ((0, 0, 0, math.inf, -1.0, 1e-9, 1.0, 9.0, 0, 0, 0.5), "non-finite attribute"),
+        ((0, 0, 0, 0, 1e-9, -1.0, 1.0, 9.0, 0, 0, 0.5), "size must be strictly positive"),
+        ((0, 0, 0, 0, 1.0, 1e-9, 2e-7, 9.0, 0, 0, 0.5), "size w=1e-09 prints as 0.000000 and cannot be read back"),
+        ((0, 0, 0, 0, 1.0, 1.0, 1.0, -9.0, 0, 0, math.nan), "non-finite attribute"),
+    ],
+    ids=["inf-before-size", "size-before-tiny", "first-tiny-axis", "nan-before-yaw"],
+)
+def test_check_names_the_first_rule_a_row_breaks(row, cause):
+    good = (1, 0, 0, 0, 1.0, 1.0, 1.0, 0.0, 0, 0, 0.5)
+    assert detection_oracle(row)[0] == cause
+    assert check_detections(unchecked(good, row, good, row)) == (1, cause)
+
+
+def test_regress_refuses_an_overflowing_size_naming_the_row():
+    spec = BevSpec(8, 1.0, 4.0)
+    roi = make_roi(SplitMix64(35), 3, 4)
+    heads = zero_heads(4)
+    heads.size.biases[0][:] = 1000.0  # exp(1000) overflows to inf
+    with np.errstate(over="ignore"), pytest.raises(ShapeError, match="regress: detection 0: non-finite attribute"):
+        regress(roi, *no_residual(roi), heads, spec)
 
 
 _ANY = st.floats(allow_nan=False, allow_infinity=False)
-_SIZE = st.one_of(st.floats(0.0, 2e-6), _ANY)
+_VALUE = st.one_of(_ANY, _ANY, _ANY, st.sampled_from([math.nan, math.inf, -math.inf]))
+_SIZE = st.one_of(st.floats(0.0, 2e-6), _VALUE)
 _YAW = st.one_of(
     st.floats(-4.0, 4.0),
     st.floats(-math.pi - 1e-6, -math.pi + 1e-6),
     st.floats(math.pi - 1e-6, math.pi + 1e-6),
+    st.sampled_from([math.nan, math.inf]),
 )
+_ROW = st.tuples(st.integers(-5, 5), _VALUE, _VALUE, _VALUE, _SIZE, _SIZE, _SIZE, _YAW, _VALUE, _VALUE, _VALUE)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(-5, 5), _ANY, _ANY, _ANY, _SIZE, _SIZE, _SIZE, _YAW, _ANY, _ANY, _ANY)
-def test_every_detection_text_parses_back_to_itself(cls, x, y, z, l, w, h, yaw, vx, vy, score):
-    try:
-        d = Detection(cls, x, y, z, l, w, h, yaw, vx, vy, score)
-    except ShapeError:
-        return
-    text = format_detections([d])
+@given(st.lists(_ROW, min_size=1, max_size=6))
+def test_every_detection_text_parses_back_to_itself(rows):
+    """check_detections against factories.detection_oracle on multi-row arrays.
+
+    The check refuses the first row the oracle refuses, with the oracle's
+    cause (for a row that breaks several rules, the first in order),
+    remaps every accepted row's yaw as the oracle does, and the accepted
+    rows' text parses back to itself; parse names the first refused row's
+    line.
+    """
+    verdicts = [detection_oracle(row) for row in rows]
+    refused = [i for i, (cause, _) in enumerate(verdicts) if cause is not None]
+    accepted = [i for i, (cause, _) in enumerate(verdicts) if cause is None]
+    dets = unchecked(*rows)
+    assert check_detections(dets) == ((refused[0], verdicts[refused[0]][0]) if refused else None)
+    assert dets["yaw"][accepted].tobytes() == np.array([verdicts[i][1] for i in accepted]).tobytes()
+    text = format_detections(dets[accepted])
     assert format_detections(parse_detections(text)) == text
+    if refused:
+        with pytest.raises(FormatError, match=f"^detection line {refused[0] + 2}: "):
+            parse_detections("# cls x y z l w h yaw vx vy score\n" + format_detections(dets))

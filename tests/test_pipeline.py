@@ -24,7 +24,7 @@ from bevnext.errors import (
 )
 from bevnext.kernels import conv2d
 from bevnext import pipeline, res2fusion
-from bevnext.object_decoder import expand_roi, format_detections, parse_detections, regress
+from bevnext.object_decoder import DETECTION_DTYPE, expand_roi, format_detections, parse_detections, regress
 from bevnext.pipeline import (
     PipelineResult,
     run_pipeline,
@@ -275,7 +275,8 @@ def test_pipeline_deterministic_across_runs_and_threads():
     base = run_pipeline(scene, cfg, bundle, threads=1)
     for threads in (1, 2, 4):
         again = run_pipeline(scene, cfg, bundle, threads=threads)
-        assert again.detections == base.detections
+        assert again.detections.dtype == base.detections.dtype == DETECTION_DTYPE
+        assert again.detections.tobytes() == base.detections.tobytes()
         assert np.array_equal(again.heatmap.values, base.heatmap.values)
         assert np.array_equal(again.bev.data, base.bev.data)
         for va, vb in zip(again.depth, base.depth):
@@ -361,7 +362,7 @@ def test_pipeline_overflowing_weights_stop_at_crf():
 def test_pipeline_empty_scene_zero_detections():
     cfg = SceneConfig(objects_min=0, objects_max=0, frames=3)
     result = run_pipeline(gen_scene(cfg), cfg, init_bundle(cfg, 7))
-    assert result.detections == []
+    assert result.detections.shape == (0,) and result.detections.dtype == DETECTION_DTYPE
 
 
 def test_pipeline_single_frame_degenerate_fusion():

@@ -483,6 +483,19 @@ def test_box_parse_skips_comments_and_blanks():
     assert parse_boxes("# header\n\n") == []
 
 
+def test_box_parse_refuses_a_class_id_int64_cannot_hold():
+    text = "# cls x y z l w h yaw vx vy\n99999999999999999999 0 0 0.4 1 1 0.8 0 0 0\n"
+    with pytest.raises(FormatError, match="box line 2: class id 99999999999999999999 does not fit in int64"):
+        parse_boxes(text)
+
+
+def test_box_parse_names_the_line_of_a_value_that_does_not_parse():
+    with pytest.raises(FormatError, match="box line 2: could not convert string to float: 'x'"):
+        parse_boxes("# cls x y z l w h yaw vx vy\n1 x 0 0.4 1 1 0.8 0 0 0\n")
+    with pytest.raises(FormatError, match="box line 1: invalid literal for int"):
+        parse_boxes("1.5 0 0 0.4 1 1 0.8 0 0 0\n")
+
+
 BOX_FIELDS = ("x", "y", "z", "l", "w", "h", "yaw", "vx", "vy")
 
 
