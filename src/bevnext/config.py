@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Tuple
 
 import numpy as np
 
 from .depth_crf import MAX_ITERS, DepthBins
 from .errors import ConfigError, FormatError
-from .view_transform import BevSpec, CameraModel, CameraRig
+from .view_transform import BevSpec, CameraModel
 
 FRAME_DT = 0.5  # seconds between frames (2 Hz capture)
 STRIDES = (8, 16)
@@ -116,7 +116,7 @@ class SceneConfig:
     def bev(self) -> BevSpec:
         return BevSpec.square(self.bev_grid, self.bev_extent)
 
-    def rig(self) -> CameraRig:
+    def rig(self) -> Tuple[CameraModel, ...]:
         """Outward-facing surround rig: cameras evenly spaced on a circle.
 
         Camera c points along ego yaw angle 2*pi*c/count; camera axes map
@@ -145,7 +145,7 @@ class SceneConfig:
                     translation=translation,
                 )
             )
-        return CameraRig(tuple(cams))
+        return tuple(cams)
 
 
 def _parse_int(key: str, value: str) -> int:

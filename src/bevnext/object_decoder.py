@@ -5,13 +5,13 @@ grid into a per-class heatmap, and cells strictly above a threshold
 become proposals, passed on as one [N] structured array of centers,
 classes and scores. Stage two refines each proposal from the camera
 views. A proposal's ROI is the 7x7 window of the fused grid centred on
-its cell, zero where it leaves the grid; the ROI set keeps a reference
-to the grid, and no window is copied out until regression pools it. The
-cell is lifted to several candidate heights, each height is projected
-into every camera, and deformable attention samples the image feature
-maps (optionally shifted by a depth-distribution embedding) around the
-valid projections. The attended result is a per-ROI residual that
-applies to the whole window. Regression heads decode each ROI's window
+its cell, zero where it leaves the grid; stage two reads the proposals
+and the grid as they are, and no window is copied out until regression
+pools it. The cell is lifted to several candidate heights, each height
+is projected into every camera, and deformable attention samples the
+image feature maps (optionally shifted by a depth-distribution embedding)
+around the valid projections. The attended result is a per-ROI residual
+that applies to the whole window. Regression heads decode each window
 plus residual, pooled ROI_BLOCK ROIs at a time, into one row of an [N]
 DETECTION_DTYPE array, which check_detections accepts or refuses.
 
@@ -31,7 +31,7 @@ from .config import parse_rows
 from .depth_crf import DepthVolume
 from .errors import FormatError, ShapeError
 from .kernels import ConvSpec, MlpSpec, bilinear_sample, conv2d, mlp_forward, softmax
-from .view_transform import BevGrid, BevSpec, CameraRig
+from .view_transform import BevGrid, BevSpec, CameraModel
 
 ROI_SIZE = 7
 N_QUERY_POSITIONS = ROI_SIZE * ROI_SIZE
@@ -75,51 +75,16 @@ class Heatmap:
 PROPOSAL_DTYPE = np.dtype([("center", np.int64, (2,)), ("cls", np.int64), ("score", np.float64)])
 
 
-@dataclass(frozen=True)
-class RoiSet:
-    """Proposals as [N] arrays, the fused grid their ROIs lie in, and the learned position queries.
-
-    ROI i is the [C, 7, 7] window of ``bev`` centred on cell centers[i] =
-    (x, y), zero where it leaves the grid. The set holds a reference to the
-    grid, not copies of the windows.
-    """
-
-    centers: np.ndarray
-    classes: np.ndarray
-    scores: np.ndarray
-    bev: BevGrid
-    queries: np.ndarray
-
-    def __post_init__(self):
-        centers = np.asarray(self.centers, dtype=np.int64)
-        classes = np.asarray(self.classes, dtype=np.int64)
-        scores = np.asarray(self.scores, dtype=np.float64)
-        queries = np.asarray(self.queries, dtype=np.float32)
-        for name, value in (("centers", centers), ("classes", classes), ("scores", scores), ("queries", queries)):
-            object.__setattr__(self, name, value)
-        n, g = centers.shape[0], self.bev.g
-        if centers.ndim != 2 or centers.shape[1] != 2:
-            raise ShapeError(f"RoiSet: centers must be [N, 2], got {centers.shape}")
-        if classes.shape != (n,) or scores.shape != (n,):
-            raise ShapeError("RoiSet: classes and scores must match the center count")
-        if queries.shape != (N_QUERY_POSITIONS, self.bev.channels):
-            raise ShapeError(
-                f"RoiSet: queries must be [{N_QUERY_POSITIONS}, C={self.bev.channels}], got {queries.shape}"
-            )
-        outside = np.flatnonzero(((centers < 0) | (centers >= g)).any(axis=1))
-        if outside.size:
-            x, y = centers[outside[0]]
-            raise ShapeError(f"RoiSet: center ({x}, {y}) outside grid axis 0..{g - 1}")
-        if n and (scores.min() <= 0.0 or scores.max() >= 1.0):
-            raise ShapeError("RoiSet: scores must lie in (0, 1)")
-
-    @property
-    def n(self) -> int:
-        return self.centers.shape[0]
-
-    @property
-    def channels(self) -> int:
-        return self.bev.channels
+def _check_proposals(caller: str, proposals: np.ndarray, g: int) -> None:
+    """Refuse all but an [N] PROPOSAL_DTYPE array of centres on the G x G grid (indexing would wrap a -1)."""
+    arr = np.asarray(proposals)
+    if arr.dtype != PROPOSAL_DTYPE or arr.ndim != 1:
+        raise ShapeError(f"{caller}: proposals must be an [N] PROPOSAL_DTYPE array, got {arr.dtype} {arr.shape}")
+    centers = arr["center"]
+    outside = np.flatnonzero(((centers < 0) | (centers >= g)).any(axis=1))
+    if outside.size:
+        x, y = centers[outside[0]]
+        raise ShapeError(f"{caller}: center ({x}, {y}) outside grid axis 0..{g - 1}")
 
 
 @dataclass(frozen=True)
@@ -298,16 +263,11 @@ def select_centers(heatmap: Heatmap, tau: float, top_n: Optional[int] = None) ->
     return proposals
 
 
-def expand_roi(bev: BevGrid, proposals: np.ndarray, queries: np.ndarray) -> RoiSet:
-    """The ROIs of select_centers' proposals: windows of bev, which is referenced, not copied."""
-    return RoiSet(proposals["center"], proposals["cls"], proposals["score"], bev, queries)
-
-
 def lift_references(
     cells: np.ndarray,
     spec: BevSpec,
     heights: Sequence[float],
-    rig: CameraRig,
+    rig: Sequence[CameraModel],
     image_h: int,
     image_w: int,
 ) -> RefPointSet:
@@ -381,7 +341,9 @@ def sampling_offsets(attn: AttnSpec, query: np.ndarray) -> np.ndarray:
 
 
 def spatial_cross_attention(
-    roi: RoiSet,
+    bev: BevGrid,
+    proposals: np.ndarray,
+    queries: np.ndarray,
     refs: RefPointSet,
     features: np.ndarray,
     attn: AttnSpec,
@@ -390,11 +352,11 @@ def spatial_cross_attention(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-ROI residuals by deformable sampling of the camera feature maps.
 
-    Per ROI: the query is the grid feature at the ROI's center cell plus
-    the learned center-position query; each valid (camera, height)
-    reference yields n_points bilinear samples at query-predicted offsets
-    around the projected point, value-projected and combined with softmax
-    weights. The output projection maps the sum to a residual for all 49
+    Per ROI: the query is the bev feature at the proposal's center cell
+    plus the learned center-position query, queries[CENTER_POSITION]; each
+    valid (camera, height) reference yields n_points bilinear samples at
+    query-predicted offsets around the projected point, value-projected
+    and combined with softmax weights. The output projection maps the sum to a residual for all 49
     window positions. Returns (residual [N, C] float32, refined [N] bool):
     a ROI with no valid reference is not refined and its residual row is
     zero, to be left unapplied (regress adds a residual only where
@@ -409,11 +371,17 @@ def spatial_cross_attention(
     bit-identical to a loop over ROIs in that order; a change to the order
     must pass the loop oracle test in tests/test_object_decoder.py.
     """
+    _check_proposals("spatial_cross_attention", proposals, bev.g)
+    queries = np.asarray(queries, dtype=np.float32)
+    if queries.shape != (N_QUERY_POSITIONS, bev.channels):
+        raise ShapeError(
+            f"spatial_cross_attention: queries must be [{N_QUERY_POSITIONS}, C={bev.channels}], got {queries.shape}"
+        )
     feats = np.asarray(features, dtype=np.float32)
     if feats.ndim != 4:
         raise ShapeError(f"spatial_cross_attention: features must be [n_cam, C, H', W'], got rank {feats.ndim}")
-    if refs.n != roi.n:
-        raise ShapeError(f"spatial_cross_attention: refs cover {refs.n} cells, roi has {roi.n}")
+    if refs.n != len(proposals):
+        raise ShapeError(f"spatial_cross_attention: refs cover {refs.n} cells, there are {len(proposals)} proposals")
     if refs.n_cameras != feats.shape[0]:
         raise ShapeError(
             f"spatial_cross_attention: refs project into {refs.n_cameras} cameras, features have {feats.shape[0]}"
@@ -422,17 +390,18 @@ def spatial_cross_attention(
         raise ShapeError(
             f"spatial_cross_attention: refs carry {refs.n_heights} heights, attention expects {attn.n_ref}"
         )
-    if attn.channels != roi.channels or feats.shape[1] != attn.channels:
-        raise ShapeError("spatial_cross_attention: channel axes of roi, features, and attention must agree")
+    if attn.channels != bev.channels or feats.shape[1] != attn.channels:
+        raise ShapeError("spatial_cross_attention: channel axes of the grid, features, and attention must agree")
     emb = None if embedding is None else np.asarray(embedding, dtype=np.float32)
     if emb is not None and emb.shape != feats.shape:
         raise ShapeError(f"spatial_cross_attention: embedding shape {emb.shape} != features shape {feats.shape}")
 
-    n, c = roi.n, attn.channels
+    n, c = len(proposals), attn.channels
     w_value = attn.w_value.astype(np.float64)
     b_value = attn.b_value.astype(np.float64)
-    center = roi.bev.data.transpose(1, 2, 0)[roi.centers[:, 1], roi.centers[:, 0]].astype(np.float64)
-    q = center + roi.queries[CENTER_POSITION].astype(np.float64)
+    cells = proposals["center"]
+    q = bev.data.transpose(1, 2, 0)[cells[:, 1], cells[:, 0]].astype(np.float64)
+    q += queries[CENTER_POSITION].astype(np.float64)
     wgt = attention_weights(attn, q)
     off = sampling_offsets(attn, q)
     acc = np.zeros((n, c), dtype=np.float64)
@@ -463,9 +432,9 @@ def spatial_cross_attention(
 
 
 def regress(
-    roi: RoiSet, residual: np.ndarray, refined: np.ndarray, heads: RegressionHeads, spec: BevSpec
+    bev: BevGrid, proposals: np.ndarray, residual: np.ndarray, refined: np.ndarray, heads: RegressionHeads, spec: BevSpec
 ) -> np.ndarray:
-    """Decode each ROI's window plus its residual where refined into an [N] DETECTION_DTYPE array.
+    """Decode each proposal's window of bev plus its residual where refined into an [N] DETECTION_DTYPE array.
 
     ROI_BLOCK windows at a time are cut from a zero-padded copy of the
     grid, get their float32 residual added where refined, and are
@@ -474,40 +443,43 @@ def regress(
     ROIs at once: sub-cell center offset via tanh (at most half a cell),
     size via exp floored at 1e-6 m (the least size that detections.txt
     writes as nonzero), z and velocity linear, and yaw via math.atan2 of a
-    (sin, cos) pair, row by row (np.arctan2 can differ in the last bit).
-    A row that check_detections refuses raises ShapeError naming it.
+    (sin, cos) pair, row by row (np.arctan2 can differ in the last bit);
+    class and score are the proposal's. A row that check_detections
+    refuses raises ShapeError naming it.
     """
+    _check_proposals("regress", proposals, bev.g)
+    n, c = len(proposals), bev.channels
     residual = np.asarray(residual, dtype=np.float32)
     refined = np.asarray(refined, dtype=bool)
-    if residual.shape != (roi.n, roi.channels) or refined.shape != (roi.n,):
+    if residual.shape != (n, c) or refined.shape != (n,):
         raise ShapeError(
-            f"regress: residual must be [{roi.n}, {roi.channels}] and refined [{roi.n}],"
-            f" got {residual.shape} and {refined.shape}"
+            f"regress: residual must be [{n}, {c}] and refined [{n}], got {residual.shape} and {refined.shape}"
         )
-    dets = np.empty(roi.n, DETECTION_DTYPE)
-    if roi.n == 0:  # nothing proposes: skip the grid copy
+    dets = np.empty(n, DETECTION_DTYPE)
+    if n == 0:  # nothing proposes: skip the grid copy
         return dets
     half = ROI_SIZE // 2
-    padded = np.pad(roi.bev.data.transpose(1, 2, 0), ((half, half), (half, half), (0, 0)))  # [G+6, G+6, C]
+    padded = np.pad(bev.data.transpose(1, 2, 0), ((half, half), (half, half), (0, 0)))  # [G+6, G+6, C]
     windows = sliding_window_view(padded, (ROI_SIZE, ROI_SIZE), axis=(0, 1))  # [y, x]: the window of (x, y)
-    pooled = np.empty((roi.n, roi.channels), dtype=np.float32)
-    for start in range(0, roi.n, ROI_BLOCK):
+    cells = proposals["center"]
+    pooled = np.empty((n, c), dtype=np.float32)
+    for start in range(0, n, ROI_BLOCK):
         block = slice(start, start + ROI_BLOCK)
-        patches = windows[roi.centers[block, 1], roi.centers[block, 0]]  # a [B, C, 7, 7] copy
+        patches = windows[cells[block, 1], cells[block, 0]]  # a [B, C, 7, 7] copy
         # in place and where refined, so an unrefined window keeps its bits, signed zeros too
         np.add(patches, residual[block, :, None, None], out=patches, where=refined[block, None, None, None])
         pooled[block] = patches.mean(axis=(2, 3), dtype=np.float64)
     trunk = mlp_forward(pooled, heads.shared)
     shift = 0.5 * np.tanh(mlp_forward(trunk, heads.offset).astype(np.float64))
-    dets["cls"] = roi.classes
-    dets["x"] = -spec.extent + (roi.centers[:, 0] + 0.5 + shift[:, 0]) * spec.cell_size
-    dets["y"] = -spec.extent + (roi.centers[:, 1] + 0.5 + shift[:, 1]) * spec.cell_size
+    dets["cls"] = proposals["cls"]
+    dets["x"] = -spec.extent + (cells[:, 0] + 0.5 + shift[:, 0]) * spec.cell_size
+    dets["y"] = -spec.extent + (cells[:, 1] + 0.5 + shift[:, 1]) * spec.cell_size
     dets["z"] = mlp_forward(trunk, heads.z)[:, 0]
     dets["l"], dets["w"], dets["h"] = np.maximum(np.exp(mlp_forward(trunk, heads.size).astype(np.float64)), 1e-6).T
     dets["yaw"] = [math.atan2(sin, cos) for sin, cos in mlp_forward(trunk, heads.yaw).tolist()]
     dets["yaw"][dets["yaw"] <= -math.pi] += 2.0 * math.pi
     dets["vx"], dets["vy"] = mlp_forward(trunk, heads.vel).T
-    dets["score"] = roi.scores
+    dets["score"] = proposals["score"]
     bad = check_detections(dets)
     if bad is not None:
         raise ShapeError(f"regress: detection {bad[0]}: {bad[1]}")

@@ -50,7 +50,6 @@ from .object_decoder import (
     Heatmap,
     compute_heatmap,
     depth_embedding,
-    expand_roi,
     format_detections,
     lift_references,
     regress,
@@ -227,17 +226,18 @@ def run_pipeline(
 
     heat = run_stage("decoder", compute_heatmap, bev, hspec)
     props = run_stage("decoder", select_centers, heat, cfg.threshold, cfg.top_n)
-    roi = run_stage("decoder", expand_roi, bev, props, queries)
     refs = run_stage(
-        "decoder", lift_references, roi.centers, spec, cfg.heights, rig, cfg.image_h, cfg.image_w
+        "decoder", lift_references, props["center"], spec, cfg.heights, rig, cfg.image_h, cfg.image_w
     )
     feats_now = np.stack([feats for feats, _ in current], axis=0)
     vols_now = tuple(vol for _, vol in current)
     emb = run_stage(
         "decoder", lambda: np.stack([depth_embedding(v, dmlp) for v in vols_now], axis=0)
     )
-    residual, refined = run_stage("decoder", spatial_cross_attention, roi, refs, feats_now, attn, cfg.stride, emb)
-    dets = run_stage("decoder", regress, roi, residual, refined, heads, spec)
+    residual, refined = run_stage(
+        "decoder", spatial_cross_attention, bev, props, queries, refs, feats_now, attn, cfg.stride, emb
+    )
+    dets = run_stage("decoder", regress, bev, props, residual, refined, heads, spec)
     return PipelineResult(dets, heat, vols_now, bev)
 
 

@@ -79,27 +79,6 @@ class CameraModel:
 
 
 @dataclass(frozen=True)
-class CameraRig:
-    """Ordered set of cameras sharing one ego frame."""
-
-    cameras: Tuple[CameraModel, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "cameras", tuple(self.cameras))
-        if not self.cameras:
-            raise ShapeError("CameraRig: at least one camera required")
-
-    def __len__(self) -> int:
-        return len(self.cameras)
-
-    def __iter__(self):
-        return iter(self.cameras)
-
-    def __getitem__(self, i: int) -> CameraModel:
-        return self.cameras[i]
-
-
-@dataclass(frozen=True)
 class BevSpec:
     """Square ego-centric grid: G x G cells covering [-L, L] in x and y."""
 

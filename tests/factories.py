@@ -9,10 +9,11 @@ depend only on its seed and the order of its calls. ``cam_to_ego`` and
 points); ``format_config`` writes a config back out as text,
 ``render_view`` renders one camera view the way ``gen_scene`` does, and
 ``traced_transient`` measures the memory a call allocates.
-``proposals`` and ``tile_roi`` build decoder inputs from cells and from
-[N, C, 7, 7] patches; ``roi_windows`` cuts a RoiSet's windows one by one
-(the per-proposal loop the decoder replaced), and ``refined_patches``
-adds a residual to them where refined, as ``regress`` does.
+``proposals`` builds select_centers' array from cells, and ``tile_roi`` a
+grid and the proposals whose windows are given [N, C, 7, 7] patches;
+``roi_windows`` cuts each proposal's window of a grid one by one (the
+per-proposal loop the decoder replaced), and ``refined_patches`` adds a
+residual to them where refined, as ``regress`` does.
 ``detection_oracle`` applies the detection rules to one row in scalar
 Python, the reference ``object_decoder.check_detections`` is tested
 against, and ``detections`` builds a ``DETECTION_DTYPE`` array from rows
@@ -37,7 +38,6 @@ from bevnext.object_decoder import (
     YAW_PARSE_SLACK,
     AttnSpec,
     RegressionHeads,
-    RoiSet,
 )
 from bevnext.scene import GroundTruthBox, _ray_directions, _render
 from bevnext.view_transform import BevGrid, CameraModel
@@ -129,11 +129,11 @@ def proposals(cells, classes=0, scores=0.5) -> np.ndarray:
     return out
 
 
-def tile_roi(patches, queries, classes=0, scores=0.5) -> RoiSet:
-    """A RoiSet whose windows are the given [N, C, 7, 7] patches, bit for bit.
+def tile_roi(patches, classes=0, scores=0.5) -> Tuple[BevGrid, np.ndarray]:
+    """A grid and its proposals, whose windows are the given [N, C, 7, 7] patches, bit for bit.
 
     Patch i fills the i-th disjoint 7x7 block of a zero grid, k blocks to a
-    row, so ROI i is centred on cell (3 + 7 (i % k), 3 + 7 (i // k)).
+    row, so proposal i is centred on cell (3 + 7 (i % k), 3 + 7 (i // k)).
     """
     patches = np.asarray(patches, dtype=np.float32)
     n, c = patches.shape[:2]
@@ -143,23 +143,23 @@ def tile_roi(patches, queries, classes=0, scores=0.5) -> RoiSet:
     grid = blocks.reshape(k, k, c, ROI_SIZE, ROI_SIZE).transpose(2, 0, 3, 1, 4).reshape(c, k * ROI_SIZE, -1)
     i = np.arange(n)
     centers = np.stack([i % k, i // k], axis=1) * ROI_SIZE + ROI_SIZE // 2
-    return RoiSet(centers, np.broadcast_to(classes, (n,)), np.broadcast_to(scores, (n,)), BevGrid(grid), queries)
+    return BevGrid(grid), proposals(centers, classes, scores)
 
 
-def roi_windows(roi: RoiSet) -> np.ndarray:
-    """The [N, C, 7, 7] window of each ROI, cut one at a time and zero outside the grid."""
-    g, half = roi.bev.g, ROI_SIZE // 2
-    patches = np.zeros((roi.n, roi.channels, ROI_SIZE, ROI_SIZE), dtype=np.float32)
-    for idx, (x, y) in enumerate(roi.centers.tolist()):
+def roi_windows(bev: BevGrid, props: np.ndarray) -> np.ndarray:
+    """The [N, C, 7, 7] window of bev around each proposal, cut one at a time and zero outside the grid."""
+    g, half = bev.g, ROI_SIZE // 2
+    patches = np.zeros((len(props), bev.channels, ROI_SIZE, ROI_SIZE), dtype=np.float32)
+    for idx, (x, y) in enumerate(props["center"].tolist()):
         x0, y0 = x - half, y - half
         gx0, gy0, gx1, gy1 = max(x0, 0), max(y0, 0), min(x + half + 1, g), min(y + half + 1, g)
-        patches[idx, :, gy0 - y0 : gy1 - y0, gx0 - x0 : gx1 - x0] = roi.bev.data[:, gy0:gy1, gx0:gx1]
+        patches[idx, :, gy0 - y0 : gy1 - y0, gx0 - x0 : gx1 - x0] = bev.data[:, gy0:gy1, gx0:gx1]
     return patches
 
 
-def refined_patches(roi: RoiSet, residual: np.ndarray, refined: np.ndarray) -> np.ndarray:
+def refined_patches(bev: BevGrid, props: np.ndarray, residual: np.ndarray, refined: np.ndarray) -> np.ndarray:
     """roi_windows plus the float32 [N, C] residual where refined: the patches regress pools."""
-    patches = roi_windows(roi)
+    patches = roi_windows(bev, props)
     np.add(patches, np.asarray(residual, np.float32)[:, :, None, None], out=patches, where=refined[:, None, None, None])
     return patches
 

@@ -30,7 +30,6 @@ from bevnext.kernels import SplitMix64, softmax
 from bevnext.object_decoder import (
     Heatmap,
     depth_embedding,
-    expand_roi,
     lift_references,
     select_centers,
     spatial_cross_attention,
@@ -396,8 +395,8 @@ def test_criterion_08_zero_embedding_is_identity():
         cells = [(rng.randint(0, cfg.bev_grid - 1), rng.randint(0, cfg.bev_grid - 1)) for _ in range(n)]
         bev = BevGrid(rng.uniform_array((c, cfg.bev_grid, cfg.bev_grid), -1.0, 1.0))
         queries = rng.uniform_array((49, c), -1.0, 1.0)
-        roi = expand_roi(bev, proposals(cells), queries)
-        refs = lift_references(roi.centers, spec, cfg.heights, rig, cfg.image_h, cfg.image_w)
+        props = proposals(cells)
+        refs = lift_references(props["center"], spec, cfg.heights, rig, cfg.image_h, cfg.image_w)
         feats = rng.uniform_array((len(rig), c, cfg.feat_h, cfg.feat_w), -1.0, 1.0)
         attn = attn_spec(c, len(cfg.heights), cfg.points, rng)
         zero_emb_mlp = zero_mlp([cfg.depth_bins, c])
@@ -411,8 +410,8 @@ def test_criterion_08_zero_embedding_is_identity():
             for ci in range(len(rig))
         ]
         emb = np.stack([depth_embedding(v, zero_emb_mlp) for v in vols])
-        with_emb, flags_a = spatial_cross_attention(roi, refs, feats, attn, cfg.stride, emb)
-        without, flags_b = spatial_cross_attention(roi, refs, feats, attn, cfg.stride, None)
+        with_emb, flags_a = spatial_cross_attention(bev, props, queries, refs, feats, attn, cfg.stride, emb)
+        without, flags_b = spatial_cross_attention(bev, props, queries, refs, feats, attn, cfg.stride, None)
         assert with_emb.tobytes() == without.tobytes(), f"seed {seed}: outputs differ"
         assert np.array_equal(flags_a, flags_b)
         refined_any += int(flags_a.sum())

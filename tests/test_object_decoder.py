@@ -25,7 +25,6 @@ from bevnext.object_decoder import (
     attention_weights,
     compute_heatmap,
     depth_embedding,
-    expand_roi,
     format_detections,
     lift_references,
     parse_detections,
@@ -35,7 +34,7 @@ from bevnext.object_decoder import (
     select_centers,
     spatial_cross_attention,
 )
-from bevnext.view_transform import BevGrid, BevSpec, CameraModel, CameraRig
+from bevnext.view_transform import BevGrid, BevSpec, CameraModel
 from factories import (
     attn_spec,
     cam_to_ego,
@@ -76,15 +75,15 @@ def manual_bilinear(fmap, x, y):
     return val.astype(np.float32)
 
 
-def naive_sca(roi, refs, features, attn, stride, embedding=None):
+def naive_sca(bev, props, queries, refs, features, attn, stride, embedding=None):
     """Literal loop over (roi, camera, height, point); returns the refined patches and flags."""
     maps = features if embedding is None else features + embedding
-    patches = roi_windows(roi)
+    patches = roi_windows(bev, props)
     n, ncam, j_count = refs.valid.shape
     p_count = attn.n_points
     out, flags = [], []
     for i in range(n):
-        q = patches[i, :, 3, 3].astype(np.float64) + roi.queries[24].astype(np.float64)
+        q = patches[i, :, 3, 3].astype(np.float64) + queries[24].astype(np.float64)
         w_raw = (attn.w_weight.astype(np.float64) @ q + attn.b_weight).reshape(j_count, p_count)
         e = np.exp(w_raw - w_raw.max(axis=1, keepdims=True))
         wgt = e / e.sum(axis=1, keepdims=True)
@@ -122,7 +121,7 @@ def loop_sampling_offsets(attn, query):
     return raw.reshape(attn.n_ref, attn.n_points, 2)
 
 
-def loop_sca(roi, refs, features, attn, stride, embedding=None):
+def loop_sca(bev, props, queries, refs, features, attn, stride, embedding=None):
     """The per-ROI, per-camera loop spatial_cross_attention ran before it was
     batched over ROIs; the bit-exact oracle for its summation order. Returns
     the float32 residuals, zero where not refined, and the refined flags."""
@@ -132,12 +131,12 @@ def loop_sca(roi, refs, features, attn, stride, embedding=None):
     b_value = attn.b_value.astype(np.float64)
     w_out = attn.w_out.astype(np.float64)
     b_out = attn.b_out.astype(np.float64)
-    patches = roi_windows(roi)
-    residual = np.zeros((roi.n, roi.channels), dtype=np.float32)
-    flags = np.zeros(roi.n, dtype=bool)
-    for i in range(roi.n):
+    patches = roi_windows(bev, props)
+    residual = np.zeros((len(props), bev.channels), dtype=np.float32)
+    flags = np.zeros(len(props), dtype=bool)
+    for i in range(len(props)):
         q = patches[i, :, CENTER_POSITION // ROI_SIZE, CENTER_POSITION % ROI_SIZE].astype(np.float64)
-        q = q + roi.queries[CENTER_POSITION].astype(np.float64)
+        q = q + queries[CENTER_POSITION].astype(np.float64)
         wgt = loop_attention_weights(attn, q)
         off = loop_sampling_offsets(attn, q)
         acc = np.zeros(attn.channels, dtype=np.float64)
@@ -159,11 +158,11 @@ def loop_sca(roi, refs, features, attn, stride, embedding=None):
     return residual, flags
 
 
-def loop_regress(roi, residual, refined, heads, spec):
+def loop_regress(bev, props, residual, refined, heads, spec):
     """The per-ROI loop regress ran before it worked on whole arrays; the
     bit-exact oracle for its arithmetic, its rows checked one at a time by
     factories.detection_oracle."""
-    pooled = refined_patches(roi, residual, refined).astype(np.float64).mean(axis=(2, 3)).astype(np.float32)
+    pooled = refined_patches(bev, props, residual, refined).astype(np.float64).mean(axis=(2, 3)).astype(np.float32)
     trunk = mlp_forward(pooled, heads.shared)
     off = mlp_forward(trunk, heads.offset).astype(np.float64)
     zed = mlp_forward(trunk, heads.z).astype(np.float64)
@@ -171,16 +170,16 @@ def loop_regress(roi, residual, refined, heads, spec):
     yaw_raw = mlp_forward(trunk, heads.yaw).astype(np.float64)
     vel = mlp_forward(trunk, heads.vel).astype(np.float64)
     rows = []
-    for i in range(roi.n):
+    for i, (cx, cy) in enumerate(props["center"].tolist()):
         dx, dy = 0.5 * np.tanh(off[i])
-        x = -spec.extent + (roi.centers[i, 0] + 0.5 + dx) * spec.cell_size
-        y = -spec.extent + (roi.centers[i, 1] + 0.5 + dy) * spec.cell_size
+        x = -spec.extent + (cx + 0.5 + dx) * spec.cell_size
+        y = -spec.extent + (cy + 0.5 + dy) * spec.cell_size
         l, w, h = np.maximum(np.exp(size[i]), 1e-6)
         yaw = math.atan2(yaw_raw[i, 0], yaw_raw[i, 1])
         if yaw <= -math.pi:
             yaw += 2.0 * math.pi
-        values = (x, y, zed[i, 0], l, w, h, yaw, vel[i, 0], vel[i, 1], roi.scores[i])
-        rows.append((int(roi.classes[i]),) + tuple(map(float, values)))
+        values = (x, y, zed[i, 0], l, w, h, yaw, vel[i, 0], vel[i, 1], props["score"][i])
+        rows.append((int(props["cls"][i]),) + tuple(map(float, values)))
     return detections(rows)
 
 
@@ -189,14 +188,17 @@ def single_class_heatmap(values):
 
 
 def make_roi(rng, n, c):
-    return tile_roi(rng.uniform_array((n, c, 7, 7), -1, 1), rng.uniform_array((49, c), -0.5, 0.5))
+    """(bev, proposals, queries), spatial_cross_attention's first three arguments: n random
+    windows tiled into a grid, and random position queries."""
+    bev, props = tile_roi(rng.uniform_array((n, c, 7, 7), -1, 1))
+    return bev, props, rng.uniform_array((49, c), -0.5, 0.5)
 
 
-def no_residual(roi):
-    return np.zeros((roi.n, roi.channels), np.float32), np.zeros(roi.n, bool)
+def no_residual(bev, props):
+    return np.zeros((len(props), bev.channels), np.float32), np.zeros(len(props), bool)
 
 
-def pooled_by_regress(monkeypatch, roi, residual, refined):
+def pooled_by_regress(monkeypatch, bev, props, residual, refined):
     """The [N, C] float32 vectors regress feeds its shared trunk."""
     inputs = []
 
@@ -205,7 +207,7 @@ def pooled_by_regress(monkeypatch, roi, residual, refined):
         return mlp_forward(x, spec)
 
     monkeypatch.setattr(object_decoder, "mlp_forward", recording)
-    regress(roi, residual, refined, zero_heads(roi.channels), BevSpec(8, 1.0, 4.0))
+    regress(bev, props, residual, refined, zero_heads(bev.channels), BevSpec(8, 1.0, 4.0))
     return inputs[0]
 
 
@@ -330,39 +332,28 @@ def test_select_rejects_bad_threshold():
 def test_roi_interior_patch_is_subgrid(monkeypatch):
     rng = SplitMix64(11)
     bev = BevGrid(rng.uniform_array((2, 16, 16), -1, 1))
-    queries = np.zeros((49, 2), np.float32)
-    roi = expand_roi(bev, proposals([(8, 9)]), queries)
-    assert roi.bev is bev  # referenced, not copied
-    np.testing.assert_array_equal(roi_windows(roi)[0], bev.data[:, 6:13, 5:12])
-    pooled = pooled_by_regress(monkeypatch, roi, *no_residual(roi))
+    props = proposals([(8, 9)])
+    np.testing.assert_array_equal(roi_windows(bev, props)[0], bev.data[:, 6:13, 5:12])
+    pooled = pooled_by_regress(monkeypatch, bev, props, *no_residual(bev, props))
     window_mean = bev.data[:, 6:13, 5:12].astype(np.float64).mean(axis=(1, 2)).astype(np.float32)
     assert pooled[0].tobytes() == window_mean.tobytes()
 
 
 def test_roi_corner_patch_zero_padded(monkeypatch):
     bev = BevGrid(np.ones((1, 32, 32), np.float32))
-    roi = expand_roi(bev, proposals([(0, 0)]), np.zeros((49, 1), np.float32))
-    patch = roi_windows(roi)[0, 0]
+    props = proposals([(0, 0)])
+    patch = roi_windows(bev, props)[0, 0]
     assert not patch[:3, :].any()
     assert not patch[:, :3].any()
     assert (patch[3:, 3:] == 1).all()
-    assert pooled_by_regress(monkeypatch, roi, *no_residual(roi))[0, 0] == np.float32(16 / 49)
+    assert pooled_by_regress(monkeypatch, bev, props, *no_residual(bev, props))[0, 0] == np.float32(16 / 49)
 
 
 def test_roi_interior_ones_sum_49(monkeypatch):
     bev = BevGrid(np.ones((1, 16, 16), np.float32))
-    roi = expand_roi(bev, proposals([(8, 8)]), np.zeros((49, 1), np.float32))
-    assert roi_windows(roi)[0].sum() == 49
-    assert pooled_by_regress(monkeypatch, roi, *no_residual(roi))[0, 0] == 1.0
-
-
-def test_roi_carries_queries_and_scores():
-    rng = SplitMix64(13)
-    bev = BevGrid(rng.uniform_array((2, 16, 16), -1, 1))
-    queries = rng.uniform_array((49, 2), -1, 1)
-    roi = expand_roi(bev, proposals([(5, 6)], 1, 0.7), queries)
-    np.testing.assert_array_equal(roi.queries, queries)
-    assert roi.classes[0] == 1 and roi.scores[0] == 0.7
+    props = proposals([(8, 8)])
+    assert roi_windows(bev, props)[0].sum() == 49
+    assert pooled_by_regress(monkeypatch, bev, props, *no_residual(bev, props))[0, 0] == 1.0
 
 
 def test_roi_bit_identical_to_loop_oracle_on_every_border_cell(monkeypatch):
@@ -373,29 +364,44 @@ def test_roi_bit_identical_to_loop_oracle_on_every_border_cell(monkeypatch):
     data[0, 0, 0] = -0.0  # the sign of zero is a bit too
     bev = BevGrid(data)
     cells = [(x, y) for y in range(8) for x in range(8) if x in (0, 7) or y in (0, 7)] + [(3, 4), (1, 6)]
-    roi = expand_roi(bev, proposals(cells, np.arange(len(cells)) % 3), np.zeros((49, 3), np.float32))
-    np.testing.assert_array_equal(roi.centers, cells)
-    np.testing.assert_array_equal(roi.classes, [i % 3 for i in range(len(cells))])
-    residual = rng.normal(0.0, 1.0, (roi.n, 3)).astype(np.float32)
-    refined = np.arange(roi.n) % 2 == 0
-    pooled = pooled_by_regress(monkeypatch, roi, residual, refined)
-    oracle = refined_patches(roi, residual, refined).astype(np.float64).mean(axis=(2, 3)).astype(np.float32)
+    props = proposals(cells, np.arange(len(cells)) % 3)
+    residual = rng.normal(0.0, 1.0, (len(props), 3)).astype(np.float32)
+    refined = np.arange(len(props)) % 2 == 0
+    pooled = pooled_by_regress(monkeypatch, bev, props, residual, refined)
+    oracle = refined_patches(bev, props, residual, refined).astype(np.float64).mean(axis=(2, 3)).astype(np.float32)
     assert pooled.view(np.uint32).tobytes() == oracle.view(np.uint32).tobytes()
 
 
-def test_roi_empty_and_outside_centers():
+def _decode_stage(stage, bev, props):
+    """Run spatial_cross_attention or regress on props, with every other input well formed."""
+    n, c = len(props), bev.channels
+    if stage == "regress":
+        return regress(bev, props, np.zeros((n, c)), np.zeros(n, bool), zero_heads(c), BevSpec(8, 1.0, 4.0))
+    refs = RefPointSet(np.zeros((n, 1, 3)), np.zeros((n, 1, 1, 2)), np.zeros((n, 1, 1), bool))
+    features = np.zeros((1, c, 6, 6), np.float32)
+    return spatial_cross_attention(bev, props, np.zeros((49, c)), refs, features, _unit_attn(c), 8)
+
+
+@pytest.mark.parametrize("stage", ["spatial_cross_attention", "regress"])
+@pytest.mark.parametrize(
+    "props, cause",
+    [
+        (proposals([(3, 3), (8, 0), (9, 9)]), r"center \(8, 0\) outside grid axis 0\.\.7"),
+        (proposals([(3, 3), (0, -1), (9, 9)]), r"center \(0, -1\) outside grid axis 0\.\.7"),
+        (proposals([(3, 3), (-1, 8), (9, 9)]), r"center \(-1, 8\) outside grid axis 0\.\.7"),
+        (np.array([(3, 3), (4, 4), (5, 5)], np.int64), r"proposals must be an \[N\] PROPOSAL_DTYPE array, got int64"),
+    ],
+    ids=["x-at-G", "y-at-minus-1", "minus-1-and-G", "plain-int64"],
+)
+def test_stage_two_refuses_malformed_proposals(stage, props, cause):
+    """Both stage-two steps refuse proposals that fancy indexing would wrap or fail on, naming the first."""
     bev = BevGrid(np.ones((2, 8, 8), np.float32))
-    queries = np.zeros((49, 2), np.float32)
-    empty = expand_roi(bev, proposals([]), queries)
-    assert empty.n == 0 and empty.centers.shape == (0, 2)
-    assert len(regress(empty, *no_residual(empty), zero_heads(2), BevSpec(8, 1.0, 4.0))) == 0
-    for bad in ((8, 0), (0, -1), (-1, 9)):
-        with pytest.raises(ShapeError, match=rf"center \({bad[0]}, {bad[1]}\) outside grid axis 0\.\.7"):
-            expand_roi(bev, proposals([(3, 3), bad, (9, 9)]), queries)
+    with pytest.raises(ShapeError, match=f"^{stage}: {cause}"):
+        _decode_stage(stage, bev, props)
 
 
 def test_zero_proposals_allocate_no_padded_grid_at_full_size():
-    """tracemalloc on a full.cfg-sized grid and camera maps: with no proposals, expand_roi,
+    """tracemalloc on a full.cfg-sized grid and camera maps: with no proposals,
     spatial_cross_attention and regress copy neither the grid (4.6 MB padded) nor the maps
     (1.1 MB summed with their embedding, 0.36 MB per camera widened to float64)."""
     cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "full.cfg"))
@@ -404,12 +410,12 @@ def test_zero_proposals_allocate_no_padded_grid_at_full_size():
     features = np.ones((cfg.camera_count, c, cfg.feat_h, cfg.feat_w), np.float32)
     attn = attn_spec(c, len(cfg.heights), cfg.points, SplitMix64(3))
     refs = lift_references(np.zeros((0, 2)), cfg.bev(), cfg.heights, cfg.rig(), cfg.image_h, cfg.image_w)
-    heads, spec = zero_heads(c), cfg.bev()
+    heads, spec, queries = zero_heads(c), cfg.bev(), np.zeros((49, c), np.float32)
 
     def decode():
-        roi = expand_roi(bev, proposals([]), np.zeros((49, c), np.float32))
-        residual, refined = spatial_cross_attention(roi, refs, features, attn, cfg.stride, features)
-        assert len(regress(roi, residual, refined, heads, spec)) == 0
+        props = proposals([])
+        residual, refined = spatial_cross_attention(bev, props, queries, refs, features, attn, cfg.stride, features)
+        assert len(regress(bev, props, residual, refined, heads, spec)) == 0
 
     assert traced_transient(decode) < 2**18
 
@@ -423,7 +429,7 @@ def _axis_camera(translation, image=(64, 64)):
 
 def test_references_on_optical_axis():
     spec = BevSpec(8, 1.0, 4.0)
-    rig = CameraRig((_axis_camera([-0.5, -0.5, 0.0]),))
+    rig = (_axis_camera([-0.5, -0.5, 0.0]),)
     # cell (3, 3) center is ego (-0.5, -0.5); height 1.0 puts it on the optical axis
     refs = lift_references(np.array([[3, 3]]), spec, [1.0], rig, 64, 64)
     np.testing.assert_allclose(refs.points[0, 0], [-0.5, -0.5, 1.0])
@@ -433,14 +439,14 @@ def test_references_on_optical_axis():
 
 def test_references_behind_camera_invalid():
     spec = BevSpec(8, 1.0, 4.0)
-    rig = CameraRig((_axis_camera([-0.5, -0.5, 2.0]),))  # camera past the point
+    rig = (_axis_camera([-0.5, -0.5, 2.0]),)  # camera past the point
     refs = lift_references(np.array([[3, 3]]), spec, [1.0], rig, 64, 64)
     assert not refs.valid[0, 0, 0]
 
 
 def test_references_outside_image_invalid():
     spec = BevSpec(8, 1.0, 4.0)
-    rig = CameraRig((_axis_camera([-4.5, -0.5, 0.0]),))  # 4 m lateral offset
+    rig = (_axis_camera([-4.5, -0.5, 0.0]),)  # 4 m lateral offset
     refs = lift_references(np.array([[3, 3]]), spec, [1.0], rig, 64, 64)
     assert not refs.valid[0, 0, 0]
 
@@ -457,7 +463,7 @@ def _random_ref_camera(rng):
 def test_references_roundtrip_to_ego():
     rng = SplitMix64(15)
     spec = BevSpec(8, 1.0, 4.0)
-    rig = CameraRig(tuple(_random_ref_camera(rng) for _ in range(3)))
+    rig = tuple(_random_ref_camera(rng) for _ in range(3))
     cells = np.array([[1, 2], [4, 4], [6, 3], [0, 7]])
     heights = [-1.0, 0.5, 2.0]
     refs = lift_references(cells, spec, heights, rig, 64, 64)
@@ -555,13 +561,13 @@ def test_sca_degenerate_single_sample():
     features = rng.uniform_array((1, c, 6, 6), -1, 1)
     uv = np.array([[[[20.0, 28.0]]]])  # feature coords (1.5, 2.5)
     refs = RefPointSet(points=np.zeros((1, 1, 3)), uv=uv, valid=np.ones((1, 1, 1), bool))
-    residual, flags = spatial_cross_attention(roi, refs, features, attn, stride)
+    residual, flags = spatial_cross_attention(*roi, refs, features, attn, stride)
     assert flags[0]
     sampled = manual_bilinear(features[0], 20.0 / stride - 0.5, 28.0 / stride - 0.5)
     delta = (attn.w_value.astype(np.float64) @ sampled.astype(np.float64)).astype(np.float32)
     np.testing.assert_allclose(residual[0], delta, atol=1e-6)
     np.testing.assert_allclose(
-        refined_patches(roi, residual, flags)[0], roi_windows(roi)[0] + delta[:, None, None], atol=1e-6
+        refined_patches(*roi[:2], residual, flags)[0], roi_windows(*roi[:2])[0] + delta[:, None, None], atol=1e-6
     )
 
 
@@ -572,9 +578,9 @@ def test_sca_all_invalid_passthrough():
     attn = attn_spec(c, 2, 2, rng)
     features = rng.uniform_array((2, c, 6, 6), -1, 1)
     refs = make_refs(rng, 2, 2, 2, 48, 48, valid_rate=-1.0)  # nothing valid
-    residual, flags = spatial_cross_attention(roi, refs, features, attn, 8)
+    residual, flags = spatial_cross_attention(*roi, refs, features, attn, 8)
     assert not flags.any() and not residual.any()
-    np.testing.assert_array_equal(refined_patches(roi, residual, flags), roi_windows(roi))
+    np.testing.assert_array_equal(refined_patches(*roi[:2], residual, flags), roi_windows(*roi[:2]))
 
 
 def test_sca_matches_naive_oracle():
@@ -584,10 +590,10 @@ def test_sca_matches_naive_oracle():
     attn = attn_spec(c, j, 2, rng)
     features = rng.uniform_array((ncam, c, 8, 10), -1, 1)
     refs = make_refs(rng, n, ncam, j, 64, 80)
-    residual, flags = spatial_cross_attention(roi, refs, features, attn, stride)
-    ref_patches, ref_flags = naive_sca(roi, refs, features, attn, stride)
+    residual, flags = spatial_cross_attention(*roi, refs, features, attn, stride)
+    ref_patches, ref_flags = naive_sca(*roi, refs, features, attn, stride)
     np.testing.assert_array_equal(flags, ref_flags)
-    np.testing.assert_allclose(refined_patches(roi, residual, flags), ref_patches, atol=1e-5, rtol=0)
+    np.testing.assert_allclose(refined_patches(*roi[:2], residual, flags), ref_patches, atol=1e-5, rtol=0)
 
 
 def test_sca_oracle_with_embedding():
@@ -598,9 +604,9 @@ def test_sca_oracle_with_embedding():
     features = rng.uniform_array((ncam, c, 8, 10), -1, 1)
     embedding = rng.uniform_array((ncam, c, 8, 10), -0.5, 0.5)
     refs = make_refs(rng, n, ncam, j, 64, 80)
-    residual, flags = spatial_cross_attention(roi, refs, features, attn, stride, embedding=embedding)
-    ref_patches, _ = naive_sca(roi, refs, features, attn, stride, embedding=embedding)
-    np.testing.assert_allclose(refined_patches(roi, residual, flags), ref_patches, atol=1e-5, rtol=0)
+    residual, flags = spatial_cross_attention(*roi, refs, features, attn, stride, embedding=embedding)
+    ref_patches, _ = naive_sca(*roi, refs, features, attn, stride, embedding=embedding)
+    np.testing.assert_allclose(refined_patches(*roi[:2], residual, flags), ref_patches, atol=1e-5, rtol=0)
 
 
 def test_sca_zero_embedding_is_identity_ablation():
@@ -612,8 +618,8 @@ def test_sca_zero_embedding_is_identity_ablation():
     refs = make_refs(rng, n, ncam, j, 64, 80)
     probs = np.full((5, 8, 10), 0.2)
     zero_emb = np.stack([depth_embedding(DepthVolume(probs), zero_mlp([5, c])) for i in range(ncam)])
-    with_emb, _ = spatial_cross_attention(roi, refs, features, attn, stride, embedding=zero_emb)
-    without, _ = spatial_cross_attention(roi, refs, features, attn, stride)
+    with_emb, _ = spatial_cross_attention(*roi, refs, features, attn, stride, embedding=zero_emb)
+    without, _ = spatial_cross_attention(*roi, refs, features, attn, stride)
     assert with_emb.tobytes() == without.tobytes()
 
 
@@ -660,7 +666,7 @@ def _order_sensitive_sca(seed, n, ncam, n_ref, n_points, c, with_embedding):
     valid[3, ncam - 1] = True
     uv[3, ncam - 1] = 1e4
     refs = RefPointSet(points=np.zeros((n, n_ref, 3)), uv=uv, valid=valid)
-    roi = tile_roi(spread((n, c, ROI_SIZE, ROI_SIZE)), spread((N_QUERY_POSITIONS, c)))
+    roi = (*tile_roi(spread((n, c, ROI_SIZE, ROI_SIZE))), spread((N_QUERY_POSITIONS, c)))
     # tiny weight and offset projections keep the softmax finite and the
     # offsets within a few pixels for queries up to 1e8
     rows = n_ref * n_points
@@ -688,16 +694,16 @@ def _cameras_reversed(refs, features, embedding):
 @pytest.mark.parametrize("seed", range(10))
 def test_sca_bit_identical_to_loop_oracle(seed, with_embedding):
     roi, refs, features, attn, stride, emb = _order_sensitive_sca(seed, 24, 3, 4, 2, 6, with_embedding)
-    residual, flags = spatial_cross_attention(roi, refs, features, attn, stride, emb)
-    expected, expected_flags = loop_sca(roi, refs, features, attn, stride, emb)
+    residual, flags = spatial_cross_attention(*roi, refs, features, attn, stride, emb)
+    expected, expected_flags = loop_sca(*roi, refs, features, attn, stride, emb)
     np.testing.assert_array_equal(flags, expected_flags)
     np.testing.assert_array_equal(residual, expected)
     assert list(flags[:4]) == [False, True, True, True]
     assert not residual[0].any()
-    np.testing.assert_array_equal(refined_patches(roi, residual, flags)[0], roi_windows(roi)[0])
+    np.testing.assert_array_equal(refined_patches(*roi[:2], residual, flags)[0], roi_windows(*roi[:2])[0])
     # the same per-camera sums added in reverse camera order change the bits
     flipped_refs, flipped_features, flipped_emb = _cameras_reversed(refs, features, emb)
-    back_to_front, _ = loop_sca(roi, flipped_refs, flipped_features, attn, stride, flipped_emb)
+    back_to_front, _ = loop_sca(*roi, flipped_refs, flipped_features, attn, stride, flipped_emb)
     assert not np.array_equal(back_to_front, expected), "data cannot detect a reordered camera sum"
 
 
@@ -706,8 +712,8 @@ def test_sca_bit_identical_to_loop_oracle_in_any_roi_block(monkeypatch, block):
     """Sampling a camera's visible ROIs ROI_BLOCK at a time (here 1, 7 and all 24) leaves every bit."""
     roi, refs, features, attn, stride, emb = _order_sensitive_sca(3, 24, 3, 4, 2, 6, True)
     monkeypatch.setattr(object_decoder, "ROI_BLOCK", block)
-    residual, flags = spatial_cross_attention(roi, refs, features, attn, stride, emb)
-    expected, expected_flags = loop_sca(roi, refs, features, attn, stride, emb)
+    residual, flags = spatial_cross_attention(*roi, refs, features, attn, stride, emb)
+    expected, expected_flags = loop_sca(*roi, refs, features, attn, stride, emb)
     np.testing.assert_array_equal(flags, expected_flags)
     np.testing.assert_array_equal(residual, expected)
 
@@ -732,14 +738,14 @@ def test_sca_bit_identical_to_loop_oracle_within_a_camera():
         w_weight=np.zeros((rows, c)), b_weight=np.zeros(rows),
         w_value=eye, b_value=np.zeros(c), w_out=eye, b_out=np.zeros(c),
     )
-    roi = tile_roi(np.zeros((n, c, ROI_SIZE, ROI_SIZE)), np.zeros((N_QUERY_POSITIONS, c)))
-    residual, flags = spatial_cross_attention(roi, refs, features, attn, stride)
-    expected, expected_flags = loop_sca(roi, refs, features, attn, stride)
+    roi = (*tile_roi(np.zeros((n, c, ROI_SIZE, ROI_SIZE))), np.zeros((N_QUERY_POSITIONS, c)))
+    residual, flags = spatial_cross_attention(*roi, refs, features, attn, stride)
+    expected, expected_flags = loop_sca(*roi, refs, features, attn, stride)
     np.testing.assert_array_equal(flags, expected_flags)
     np.testing.assert_array_equal(residual, expected)
     # the same samples summed with the heights back to front change the bits
     heights_flipped = RefPointSet(refs.points, refs.uv[:, :, ::-1], refs.valid[:, :, ::-1])
-    back_to_front, _ = loop_sca(roi, heights_flipped, features, attn, stride)
+    back_to_front, _ = loop_sca(*roi, heights_flipped, features, attn, stride)
     assert not np.array_equal(back_to_front, expected), "data cannot detect a reordered height sum"
 
 
@@ -749,8 +755,8 @@ def test_sca_empty_roi_set():
     attn = attn_spec(3, 2, 2, rng)
     refs = make_refs(rng, 0, 2, 2, 48, 48)
     features = rng.uniform_array((2, 3, 6, 6), -1, 1)
-    residual, flags = spatial_cross_attention(roi, refs, features, attn, 8)
-    expected, expected_flags = loop_sca(roi, refs, features, attn, 8)
+    residual, flags = spatial_cross_attention(*roi, refs, features, attn, 8)
+    expected, expected_flags = loop_sca(*roi, refs, features, attn, 8)
     np.testing.assert_array_equal(residual, expected)
     np.testing.assert_array_equal(flags, expected_flags)
     assert residual.shape == (0, 3) and residual.dtype == np.float32
@@ -762,8 +768,11 @@ def test_sca_rejects_mismatched_refs():
     roi = make_roi(rng, 2, 3)
     attn = attn_spec(3, 2, 2, rng)
     refs = make_refs(rng, 3, 1, 2, 48, 48)  # wrong roi count
-    with pytest.raises(ShapeError, match="refs"):
-        spatial_cross_attention(roi, refs, rng.uniform_array((1, 3, 6, 6), -1, 1), attn, 8)
+    features = rng.uniform_array((1, 3, 6, 6), -1, 1)
+    with pytest.raises(ShapeError, match="refs cover 3 cells, there are 2 proposals"):
+        spatial_cross_attention(*roi, refs, features, attn, 8)
+    with pytest.raises(ShapeError, match=r"queries must be \[49, C=3\], got \(48, 3\)"):
+        spatial_cross_attention(*roi[:2], roi[2][:48], make_refs(rng, 2, 1, 2, 48, 48), features, attn, 8)
 
 
 # ---------------------------------------------------------------- regression
@@ -772,24 +781,24 @@ def test_sca_rejects_mismatched_refs():
 def test_regress_zero_heads():
     rng = SplitMix64(35)
     spec = BevSpec(8, 1.0, 4.0)
-    roi = make_roi(rng, 1, 4)
-    dets = regress(roi, *no_residual(roi), zero_heads(4), spec)
+    bev, props, _ = make_roi(rng, 1, 4)
+    dets = regress(bev, props, *no_residual(bev, props), zero_heads(4), spec)
     d = dets[0]
     assert (d["l"], d["w"], d["h"]) == (1.0, 1.0, 1.0)
     assert d["yaw"] == 0.0
     assert (d["vx"], d["vy"]) == (0.0, 0.0)
     assert d["z"] == 0.0
-    np.testing.assert_allclose(d["x"], -4.0 + (roi.centers[0, 0] + 0.5) * 1.0)
-    np.testing.assert_allclose(d["y"], -4.0 + (roi.centers[0, 1] + 0.5) * 1.0)
+    np.testing.assert_allclose(d["x"], -4.0 + (props["center"][0, 0] + 0.5) * 1.0)
+    np.testing.assert_allclose(d["y"], -4.0 + (props["center"][0, 1] + 0.5) * 1.0)
 
 
 def test_regress_yaw_quarter_turn():
     rng = SplitMix64(37)
     spec = BevSpec(8, 1.0, 4.0)
-    roi = make_roi(rng, 1, 4)
+    bev, props, _ = make_roi(rng, 1, 4)
     heads = zero_heads(4)
     heads.yaw.biases[0][:] = [1.0, 0.0]  # (sin, cos) raw outputs
-    dets = regress(roi, *no_residual(roi), heads, spec)
+    dets = regress(bev, props, *no_residual(bev, props), heads, spec)
     np.testing.assert_allclose(dets[0]["yaw"], math.pi / 2, atol=1e-12)
 
 
@@ -797,9 +806,9 @@ def test_regress_offset_bounded_by_half_cell():
     spec = BevSpec(8, 1.0, 4.0)
     for seed in range(10):
         rng = SplitMix64(100 + seed)
-        roi = make_roi(rng, 3, 4)
+        bev, props, _ = make_roi(rng, 3, 4)
         heads = regression_heads(4, rng)
-        for d, (cx, cy) in zip(regress(roi, *no_residual(roi), heads, spec), roi.centers):
+        for d, (cx, cy) in zip(regress(bev, props, *no_residual(bev, props), heads, spec), props["center"]):
             center_x = -4.0 + (cx + 0.5) * 1.0
             center_y = -4.0 + (cy + 0.5) * 1.0
             assert abs(d["x"] - center_x) <= 0.5 + 1e-9
@@ -812,18 +821,17 @@ def test_regress_bit_identical_to_loop_oracle():
     rng = np.random.default_rng(43)
     n, c = 4096, 8
     spec = BevSpec(64, 0.8, 25.6)
-    roi = tile_roi(
+    bev, props = tile_roi(
         rng.normal(0.0, 3.0, (n, c, ROI_SIZE, ROI_SIZE)),
-        np.zeros((N_QUERY_POSITIONS, c)),
         classes=rng.integers(0, 3, n),
         scores=rng.uniform(0.01, 0.99, n),
     )
     residual = rng.normal(0.0, 1.0, (n, c)).astype(np.float32)
     refined = rng.random(n) < 0.5
     heads = regression_heads(c, SplitMix64(45))
-    dets = regress(roi, residual, refined, heads, spec)
+    dets = regress(bev, props, residual, refined, heads, spec)
     assert len(dets) == n and dets.dtype == DETECTION_DTYPE
-    assert dets.tobytes() == loop_regress(roi, residual, refined, heads, spec).tobytes()
+    assert dets.tobytes() == loop_regress(bev, props, residual, refined, heads, spec).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 1024])
@@ -833,8 +841,8 @@ def test_regress_pools_each_patch_as_a_float64_copy_would(monkeypatch, n):
     c = 32
     magnitude = 10.0 ** rng.uniform(-9.0, 9.0, (n, c, ROI_SIZE, ROI_SIZE))
     patches = (magnitude * rng.choice([-1.0, 1.0], magnitude.shape)).astype(np.float32)
-    roi = tile_roi(patches, np.zeros((N_QUERY_POSITIONS, c)))
-    pooled = pooled_by_regress(monkeypatch, roi, *no_residual(roi))
+    bev, props = tile_roi(patches)
+    pooled = pooled_by_regress(monkeypatch, bev, props, *no_residual(bev, props))
     oracle = patches.astype(np.float64).mean(axis=(2, 3)).astype(np.float32)
     assert pooled.dtype == np.float32
     assert pooled.view(np.uint32).tobytes() == oracle.view(np.uint32).tobytes()
@@ -842,11 +850,11 @@ def test_regress_pools_each_patch_as_a_float64_copy_would(monkeypatch, n):
 
 def test_regress_empty_roi():
     spec = BevSpec(8, 1.0, 4.0)
-    roi = tile_roi(np.zeros((0, 4, 7, 7), np.float32), np.zeros((49, 4), np.float32))
-    dets = regress(roi, *no_residual(roi), zero_heads(4), spec)
+    bev, props = tile_roi(np.zeros((0, 4, 7, 7), np.float32))
+    dets = regress(bev, props, *no_residual(bev, props), zero_heads(4), spec)
     assert dets.shape == (0,) and dets.dtype == DETECTION_DTYPE
     with pytest.raises(ShapeError, match="residual"):
-        regress(roi, np.zeros((1, 4)), np.zeros(1, bool), zero_heads(4), spec)
+        regress(bev, props, np.zeros((1, 4)), np.zeros(1, bool), zero_heads(4), spec)
 
 
 # ---------------------------------------------------------------- detections
@@ -960,11 +968,11 @@ def test_check_names_the_first_rule_a_row_breaks(row, cause):
 
 def test_regress_refuses_an_overflowing_size_naming_the_row():
     spec = BevSpec(8, 1.0, 4.0)
-    roi = make_roi(SplitMix64(35), 3, 4)
+    bev, props, _ = make_roi(SplitMix64(35), 3, 4)
     heads = zero_heads(4)
     heads.size.biases[0][:] = 1000.0  # exp(1000) overflows to inf
     with np.errstate(over="ignore"), pytest.raises(ShapeError, match="regress: detection 0: non-finite attribute"):
-        regress(roi, *no_residual(roi), heads, spec)
+        regress(bev, props, *no_residual(bev, props), heads, spec)
 
 
 _ANY = st.floats(allow_nan=False, allow_infinity=False)

@@ -24,7 +24,7 @@ from bevnext.errors import (
 )
 from bevnext.kernels import conv2d
 from bevnext import pipeline, res2fusion
-from bevnext.object_decoder import DETECTION_DTYPE, expand_roi, format_detections, parse_detections, regress
+from bevnext.object_decoder import DETECTION_DTYPE, format_detections, lift_references, parse_detections, regress
 from bevnext.pipeline import (
     PipelineResult,
     run_pipeline,
@@ -319,18 +319,18 @@ def test_pipeline_desk_decoder_pinned_across_threads(monkeypatch):
     refine = pipeline.spatial_cross_attention
     outputs = []
 
-    def recording(roi, *args, **kwargs):
-        outputs.append((roi, *refine(roi, *args, **kwargs)))
-        return outputs[-1][1:]
+    def recording(bev, props, *args, **kwargs):
+        outputs.append((bev, props, *refine(bev, props, *args, **kwargs)))
+        return outputs[-1][2:]
 
     monkeypatch.setattr(pipeline, "spatial_cross_attention", recording)
     for threads in (1, 2):
         outputs.clear()
         result = run_pipeline(scene, cfg, bundle, threads=threads)
-        ((roi, residual, flags),) = outputs
+        ((bev, props, residual, flags),) = outputs
         assert len(result.detections) == 1024
         text = format_detections(result.detections)
-        patches = refined_patches(roi, residual, flags)
+        patches = refined_patches(bev, props, residual, flags)
         assert tensor_digest(patches) == GOLDEN_DESK_DECODER["patches"], f"threads={threads}"
         assert tensor_digest(flags) == GOLDEN_DESK_DECODER["flags"], f"threads={threads}"
         digest = hashlib.sha256(text.encode()).hexdigest()
@@ -650,23 +650,23 @@ def test_desk_run_allocates_nothing_the_size_of_the_lifted_stack(monkeypatch):
 
 
 def test_decoder_stages_allocate_no_patch_set(monkeypatch):
-    """tracemalloc on desk.cfg's 1024 real proposals, from expand_roi until regress returns:
+    """tracemalloc on desk.cfg's 1024 real proposals, from lift_references until regress returns:
     the traced peak stays under 6 MiB, less than one float32 [N, C, 7, 7] patch set of all
     proposals (6.125 MiB), so no such array is ever allocated. Cutting the patches out and
-    refining a copy of them peaked at 15.3 MB; the decoder now peaks at 4.9 MB, inside
+    refining a copy of them peaked at 15.3 MB; the decoder now peaks at 4.6 MB, inside
     spatial_cross_attention."""
     peaks = []
 
-    def expand_traced(*args):
+    def lift_traced(*args):
         tracemalloc.start()
-        return expand_roi(*args)
+        return lift_references(*args)
 
     def regress_traced(*args):
         dets = regress(*args)
         peaks.append(tracemalloc.get_traced_memory()[1])
         return dets
 
-    monkeypatch.setattr(pipeline, "expand_roi", expand_traced)
+    monkeypatch.setattr(pipeline, "lift_references", lift_traced)
     monkeypatch.setattr(pipeline, "regress", regress_traced)
     try:
         assert len(run_pipeline(gen_scene(DESK_1024), DESK_1024, DESK_BUNDLE).detections) == 1024

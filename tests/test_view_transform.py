@@ -17,7 +17,6 @@ from bevnext.view_transform import (
     BevGrid,
     BevSpec,
     CameraModel,
-    CameraRig,
     FrustumGrid,
     PoolIndex,
     build_frustum,
@@ -125,11 +124,6 @@ def test_camera_rejects_bad_rotation():
 def test_camera_rejects_nonpositive_focal():
     with pytest.raises(ShapeError, match="focal"):
         CameraModel(0.0, 100, 32, 32, np.eye(3), np.zeros(3))
-
-
-def test_rig_requires_cameras():
-    with pytest.raises(ShapeError, match="camera"):
-        CameraRig(())
 
 
 def test_project_inverts_cam_to_ego():
