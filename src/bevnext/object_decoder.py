@@ -66,10 +66,6 @@ class Heatmap:
         if v.size and (v.min() <= 0.0 or v.max() >= 1.0):
             raise ShapeError("Heatmap: values must lie in the open interval (0, 1)")
 
-    @property
-    def g(self) -> int:
-        return self.values.shape[1]
-
 
 # select_centers' proposals: the cell (x, y), the class and the heatmap score
 PROPOSAL_DTYPE = np.dtype([("center", np.int64, (2,)), ("cls", np.int64), ("score", np.float64)])

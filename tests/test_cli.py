@@ -1,16 +1,20 @@
 """CLI tests: subcommand behavior, artifacts, and exit-code mapping."""
 
+import argparse
 import os
+import re
+import shlex
 import shutil
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bevnext.bvnx import save_tensor
-from bevnext.cli import main
+from bevnext.cli import build_parser, main
 from bevnext.config import SceneConfig, load_config
 from bevnext.object_decoder import parse_detections
 from bevnext.ppm import load_ppm
@@ -158,28 +162,6 @@ def test_run_emitting_detections_is_byte_identical_across_threads(tmp_path):
     assert texts[0] == texts[1]
     assert len(texts[0].splitlines()) == top_n
     assert len(parse_detections(texts[0].decode())) == top_n
-
-
-# ---------------------------------------------------------------- demo
-
-
-def test_crf_demo_reports_shrinking_spread(tmp_path):
-    code, out, err = cli("crf-demo", "--seed", "1", "--out", str(tmp_path / "demo"))
-    assert code == 0, err
-    lines = [l for l in out.splitlines() if l.startswith("region")]
-    assert len(lines) == 2
-    for line in lines:
-        before, after = line.split("spread")[1].split("->")
-        assert float(after.split()[-1]) <= float(before.split()[-1])
-    assert (tmp_path / "demo" / "crf_before.ppm").exists()
-    assert (tmp_path / "demo" / "crf_after.ppm").exists()
-
-
-@pytest.mark.parametrize("iters", ["65", "-1"])
-def test_crf_demo_exit_3_on_iters_out_of_range(iters):
-    code, _, err = cli("crf-demo", "--iters", iters)
-    assert code == 3
-    assert "iters" in err
 
 
 # ---------------------------------------------------------------- exit codes
@@ -419,6 +401,31 @@ def test_run_on_byte_mutated_config_and_scene_metadata_exits_0_2_or_3(tmp_path, 
     assert codes.count(0) and codes.count(2), codes
 
 
-def test_exit_2_on_unknown_subcommand():
-    code, _, _ = cli("frobnicate")
+@pytest.mark.parametrize("command", ["frobnicate", "crf-demo"])
+def test_exit_2_on_unknown_subcommand(command):
+    code, _, err = cli(command)
     assert code == 2
+    assert "invalid choice" in err
+
+
+def test_parser_offers_exactly_the_pipeline_commands():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == ["generate", "init-weights", "run"]
+
+
+def test_readme_commands_parse():
+    """Every ``bevnext`` command in the README's fenced sh blocks, backslash continuations joined,
+    is one the parser accepts; nothing is run."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["bevnext"]:
+                commands.append(words[1:])
+    assert len(commands) >= 3, commands
+    for words in commands:
+        try:
+            build_parser().parse_args(words)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: bevnext {shlex.join(words)}")
