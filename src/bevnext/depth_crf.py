@@ -2,30 +2,22 @@
 
 Depth estimation is treated as classification over K metric bins. The raw
 network output is softmaxed into per-pixel distributions, then refined by
-T synchronous mean-field steps whose pairwise coupling prefers equal depth
-bins for pixels with similar patch colors. The coupling is the dense-CRF
-kernel pair of Kraehenbuehl & Koltun (arXiv 1210.5644), fixed here: an
-appearance kernel over mean patch RGB (weight 1.0, theta 0.1) plus a
-spatial smoothness kernel over feature-cell coordinates (weight 0.3,
-theta 3.0). Label compatibility between two bins is the metric distance of
-their centers, so large depth disagreements between similar-looking
-pixels cost more than small ones.
+T synchronous mean-field steps of the fully connected CRF of Kraehenbuehl
+& Koltun (arXiv 1210.5644, eq. 3) with a Potts label compatibility: two
+cells pay their coupling a(i, j) when their bins differ, whatever the
+distance between the bins. The coupling is one bilateral kernel over
+feature cells, exp(-|p_i - p_j|^2 / (2 * 3.0^2)) * exp(-|rgb_i - rgb_j|^2
+/ (2 * 0.1^2)), with positions in feature cells and colors the mean patch
+RGB, so nearby cells of similar color prefer equal depth bins.
 
-With no depth evidence this CRF does not stay uniform: zero logits on
-scene seed 0, camera 0, after 5 steps end at p ~ 0.5 on bins 3 and 4 of 8
-(0-based) at desk.cfg and at p = 1.0 on bin 29 of 59 at full.cfg. ROADMAP
-item 1 plans the replacement.
+Under Potts, a neighborhood's message is the same for every bin when its
+distributions are uniform, so a cell without depth evidence stays
+uniform: the CRF spreads depth that the unary holds, and invents none.
 
 All distributions in this module are float64; the unary cost of a
 probability p is -log(p + 1e-12). Pairwise sums follow the ordered-pair
 convention (each unordered pair counted twice), which only scales the
 energy and is applied consistently in both the energy and the messages.
-
-A mean-field step sets every probability below the smallest normal
-float64 (``np.finfo(np.float64).tiny``, about 2.2e-308) to 0, because
-subnormal operands make the next step's einsum several times slower.
-This is a numerics decision: only those entries change, and the pinned
-CRF and pipeline digests stay the same.
 """
 
 from __future__ import annotations
@@ -40,8 +32,8 @@ from .kernels import softmax
 
 UNARY_EPS = 1e-12
 MAX_ITERS = 64
-APPEARANCE_WEIGHT, APPEARANCE_THETA = 1.0, 0.1  # over mean patch RGB
-SPATIAL_WEIGHT, SPATIAL_THETA = 0.3, 3.0  # over feature-cell coordinates
+APPEARANCE_THETA = 0.1  # over mean patch RGB
+SPATIAL_THETA = 3.0  # over feature-cell coordinates
 
 
 @dataclass(frozen=True)
@@ -119,15 +111,9 @@ def patch_colors(image: np.ndarray, stride: int) -> np.ndarray:
     return (np.add.reduce(block.reshape(stride**2, -1), axis=0) / stride**2).reshape(block.shape[2:])
 
 
-def build_compat(bins: DepthBins) -> np.ndarray:
-    """Label compatibility: metric distance |c_a - c_b| between bin centers."""
-    c = bins.centers
-    return np.abs(c[:, None] - c[None, :])
-
-
 @functools.lru_cache(maxsize=8)
 def _spatial_term(height: int, width: int) -> np.ndarray:
-    """SPATIAL_WEIGHT * exp(-d^2 / (2 SPATIAL_THETA^2)) over squared cell-coordinate distances.
+    """exp(-d^2 / (2 SPATIAL_THETA^2)) over squared cell-coordinate distances.
 
     It depends only on the grid, so every camera pass of a run shares one
     read-only copy.
@@ -137,7 +123,7 @@ def _spatial_term(height: int, width: int) -> np.ndarray:
     term *= term
     term += np.square(dc, out=dc)
     term /= -(2.0 * SPATIAL_THETA * SPATIAL_THETA)  # exact integer d^2; -x / y == x / -y
-    np.multiply(np.exp(term, out=term), SPATIAL_WEIGHT, out=term)
+    np.exp(term, out=term)
     term.flags.writeable = False
     return term
 
@@ -145,10 +131,10 @@ def _spatial_term(height: int, width: int) -> np.ndarray:
 def pairwise_affinity(colors: np.ndarray) -> np.ndarray:
     """Dense pairwise coupling a(i, j) over flattened feature cells, [n, n] float64.
 
-    `colors` is the [H, W, 3] mean patch RGB. a(i, j) is the appearance
-    kernel APPEARANCE_WEIGHT * exp(-|rgb_i - rgb_j|^2 / (2 APPEARANCE_THETA^2))
-    plus the cached spatial kernel over squared cell-coordinate distance,
-    added in that order. The diagonal is zero (no cell couples to itself).
+    `colors` is the [H, W, 3] mean patch RGB. a(i, j) is the bilateral
+    kernel exp(-|rgb_i - rgb_j|^2 / (2 APPEARANCE_THETA^2)) times the cached
+    spatial kernel over squared cell-coordinate distance, multiplied in that
+    order. The diagonal is zero (no cell couples to itself).
     The array is new on every call and C-contiguous; the caller owns it.
     """
     c = np.asarray(colors, dtype=np.float64)
@@ -165,8 +151,7 @@ def pairwise_affinity(colors: np.ndarray) -> np.ndarray:
     a += np.square(np.subtract(flat[:, 1, None], flat[None, :, 1], out=d), out=d)
     a /= -(2.0 * APPEARANCE_THETA * APPEARANCE_THETA)  # -x / y and x / -y are the same bits
     np.exp(a, out=a)
-    a *= APPEARANCE_WEIGHT
-    a += _spatial_term(h, w)
+    a *= _spatial_term(h, w)
     np.fill_diagonal(a, 0.0)
     return a
 
@@ -176,44 +161,41 @@ def unary_from_probs(probs: np.ndarray) -> np.ndarray:
     return -np.log(np.asarray(probs, dtype=np.float64) + UNARY_EPS)
 
 
-def crf_energy(labels: np.ndarray, unary: np.ndarray, coupling: np.ndarray, compat: np.ndarray) -> float:
+def crf_energy(labels: np.ndarray, unary: np.ndarray, coupling: np.ndarray) -> float:
     """Total energy of a hard bin assignment.
 
-    E = sum_i unary(i, l_i) + sum_{i != j} a(i, j) * compat(l_i, l_j),
+    E = sum_i unary(i, l_i) + sum_{i != j} a(i, j) * [l_i != l_j] (Potts),
     the pairwise sum running over ordered pairs.
     """
-    k = compat.shape[0]
+    u = np.asarray(unary, dtype=np.float64)
+    k = u.shape[0]
     lab = np.asarray(labels).reshape(-1)
     if lab.min() < 0 or lab.max() >= k:
         raise ShapeError(f"crf_energy: label outside [0, {k})")
     n = lab.size
-    u = np.asarray(unary, dtype=np.float64).reshape(k, n).T  # [N, K]
-    e_unary = float(u[np.arange(n), lab].sum())
-    pair_compat = compat[np.ix_(lab, lab)]
-    e_pair = float((coupling * pair_compat).sum())
+    e_unary = float(u.reshape(k, n)[lab, np.arange(n)].sum())
+    e_pair = float(coupling[lab[:, None] != lab[None, :]].sum())
     return e_unary + e_pair
 
 
-def mean_field_step(q: DepthVolume, unary: np.ndarray, coupling: np.ndarray, compat: np.ndarray) -> DepthVolume:
+def mean_field_step(q: DepthVolume, unary: np.ndarray, coupling: np.ndarray) -> DepthVolume:
     """One synchronous (Jacobi) mean-field update.
 
-    Q'_i(a) ~ exp(-unary(i, a) - sum_{j != i} a(i, j) * sum_b compat(a, b) Q_j(b)),
-    normalized per pixel. All messages read the previous iterate, so the
-    update is order-independent and safe to parallelize over pixels.
+    Q'_i(a) ~ exp(-unary(i, a) - sum_{j != i} a(i, j) * (1 - Q_j(a))), the
+    Potts message, normalized per pixel. Its sum_j a(i, j) is the same for
+    every bin and cancels in the normalization, leaving
+    softmax(coupling @ Q - unary). All messages read the previous iterate,
+    so the update is order-independent and safe to parallelize over pixels.
     """
     k, h, w = q.probs.shape
     n = h * w
     if coupling.shape != (n, n):
         raise ShapeError(f"mean_field_step: coupling is {coupling.shape}, expected {(n, n)}")
-    qf = q.probs.reshape(k, n).T  # [N, K]
-    expected = np.einsum("nb,ab->na", qf, compat)  # E_b compat(a,b) Q_j(b) per pixel
     # One float64 OpenBLAS GEMM sums over j; its order is the library's, the
     # same for any thread count (see the kernels module docstring).
-    messages = coupling @ expected  # [N, K]
-    logits = -(unary.reshape(k, n).T + messages)
-    out = softmax(logits, axis=1)
-    out[out < np.finfo(np.float64).tiny] = 0.0  # no subnormals (module docstring)
-    return DepthVolume(out.T.reshape(k, h, w))
+    logits = coupling @ q.probs.reshape(k, n).T  # [N, K]
+    logits -= unary.reshape(k, n).T
+    return DepthVolume(softmax(logits, axis=1).T.reshape(k, h, w))
 
 
 def modulate(
@@ -249,10 +231,9 @@ def modulate(
         raise ShapeError(f"modulate: inconsistent stride between axes ({ih}/{h} vs {iw}/{w})")
     colors = patch_colors(image, stride)
     coupling = pairwise_affinity(colors)
-    compat = build_compat(bins)
     unary = unary_from_probs(probs0)
     for _ in range(iters):
-        vol = mean_field_step(vol, unary, coupling, compat)
+        vol = mean_field_step(vol, unary, coupling)
     return vol
 
 

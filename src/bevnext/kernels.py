@@ -8,15 +8,14 @@ Determinism: the same inputs give byte-identical outputs for any
 ``--threads`` and any ``OPENBLAS_NUM_THREADS``, on one machine with one
 NumPy/OpenBLAS build. Two float64 contractions run as OpenBLAS GEMMs:
 ``conv2d`` (the reshaped weight times im2col blocks) and the CRF messages
-of ``depth_crf.mean_field_step`` (coupling times expected compatibility).
+of ``depth_crf.mean_field_step`` (coupling times the current distributions).
 OpenBLAS splits a GEMM across its threads by output rows and columns,
 never along the summed axis, so each output keeps one summation order
 whatever the thread count; that order is the library's own and may differ
 on another CPU or build. Every other contraction keeps its documented
-order: the MLPs here, lift, the CRF expected term and the decoder's sums
-are ``np.einsum`` without ``optimize``, which never dispatches to BLAS,
-and the decoder's query projections are one matrix-vector product per
-query. An einsum's reduction order can depend on the memory layout of its
+order: the MLPs here, lift and the decoder's sums are ``np.einsum``
+without ``optimize``, which never dispatches to BLAS, and the decoder's
+query projections are one matrix-vector product per query. An einsum's reduction order can depend on the memory layout of its
 operands (with the reduced axis innermost and contiguous in both, einsum
 switches to a vectorised dot product that sums out of order), so a layout
 change to an einsum needs a bit-identity test against an oracle. So does

@@ -18,7 +18,6 @@ import numpy as np
 from bevnext.depth_crf import (
     DepthBins,
     DepthVolume,
-    build_compat,
     crf_energy,
     mean_field_step,
     modulate,
@@ -80,7 +79,6 @@ def _random_camera(rng: SplitMix64) -> CameraModel:
 def test_criterion_01_zero_coupling_leaves_distributions():
     """With a zero pairwise coupling, 5 mean-field steps change nothing."""
     k, h, w = 6, 4, 5
-    compat = build_compat(DepthBins.uniform(k, 1.0, 7.0))
     coupling = np.zeros((h * w, h * w))
     t0 = time.perf_counter()
     worst = 0.0
@@ -90,7 +88,7 @@ def test_criterion_01_zero_coupling_leaves_distributions():
         out = DepthVolume(softmax(logits, axis=0))
         unary = unary_from_probs(out.probs)
         for _ in range(5):
-            out = mean_field_step(out, unary, coupling, compat)
+            out = mean_field_step(out, unary, coupling)
         worst = max(worst, float(np.abs(out.probs - softmax(logits, axis=0)).max()))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-9, f"max deviation {worst:.3e} exceeds 1e-9"
@@ -101,14 +99,13 @@ def test_criterion_01_zero_coupling_leaves_distributions():
 # ------------------------------------------------------------ criterion 2
 
 
-def _naive_mean_field_step(q: np.ndarray, unary: np.ndarray, amat: np.ndarray, compat: np.ndarray) -> np.ndarray:
-    """Literal quadruple-loop message passing over ordered pixel pairs."""
+def _naive_mean_field_step(q: np.ndarray, unary: np.ndarray, amat: np.ndarray) -> np.ndarray:
+    """Literal quadruple-loop message passing over ordered pixel pairs, Potts compat."""
     k, h, w = q.shape
     n = h * w
     qf = q.reshape(k, n).T.tolist()
     un = unary.reshape(k, n).T.tolist()
     a = amat.tolist()
-    cm = compat.tolist()
     out = np.empty((n, k), dtype=np.float64)
     for i in range(n):
         logits = []
@@ -119,7 +116,7 @@ def _naive_mean_field_step(q: np.ndarray, unary: np.ndarray, amat: np.ndarray, c
                     continue
                 s = 0.0
                 for b in range(k):
-                    s += cm[lab][b] * qf[j][b]
+                    s += (0.0 if lab == b else 1.0) * qf[j][b]
                 msg += a[i][j] * s
             logits.append(-(un[i][lab] + msg))
         mx = max(logits)
@@ -139,14 +136,12 @@ def test_criterion_02_mean_field_matches_naive_oracle():
             h, w, k = 8, 8, 8  # exercise the N = 64, K = 8 bound
         else:
             h, w, k = rng.randint(1, 8), rng.randint(1, 8), rng.randint(2, 8)
-        bins = DepthBins.uniform(k, 1.0, 1.0 + k)
         colors = rng.uniform_array((h, w, 3), 0.0, 1.0).astype(np.float64)
         affinity = pairwise_affinity(colors)
-        compat = build_compat(bins)
         probs = softmax(rng.uniform_array((k, h, w), -2.0, 2.0).astype(np.float64), axis=0)
         unary = unary_from_probs(probs)
-        fast = mean_field_step(DepthVolume(probs), unary, affinity, compat)
-        slow = _naive_mean_field_step(probs, unary, affinity, compat)
+        fast = mean_field_step(DepthVolume(probs), unary, affinity)
+        slow = _naive_mean_field_step(probs, unary, affinity)
         worst = max(worst, float(np.abs(fast.probs - slow).max()))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-10, f"max deviation {worst:.3e} exceeds 1e-10"
@@ -159,13 +154,11 @@ def test_criterion_02_mean_field_matches_naive_oracle():
 
 def test_criterion_03_hand_computed_energy():
     """Two pixels, two bins, unit coupling: energies are exactly 2.0 and 1.0."""
-    bins = DepthBins(np.array([1.0, 2.0]), 1.0, 2.0)
     affinity = np.array([[0.0, 1.0], [1.0, 0.0]])
-    compat = build_compat(bins)
     # unary[label][pixel]: pixel 0 prefers bin 0, pixel 1 prefers bin 1
     unary = np.array([[0.0, 1.0], [1.0, 0.0]])
-    e_split = crf_energy(np.array([0, 1]), unary, affinity, compat)
-    e_agree = crf_energy(np.array([0, 0]), unary, affinity, compat)
+    e_split = crf_energy(np.array([0, 1]), unary, affinity)
+    e_agree = crf_energy(np.array([0, 0]), unary, affinity)
     assert e_split == 2.0, f"split assignment energy {e_split} != 2.0"
     assert e_agree == 1.0, f"agreeing assignment energy {e_agree} != 1.0"
     _report(3, "E(bin0, bin1) = 2.0 and E(bin0, bin0) = 1.0 exactly")
