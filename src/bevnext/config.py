@@ -35,7 +35,7 @@ class SceneConfig:
     camera_count: int = 6
     image_h: int = 64
     image_w: int = 176
-    stride: int = 0  # 0 = auto: 8 for images up to 256 rows, else 16
+    stride: int = 8
     focal: float = 60.0
     radius: float = 0.5
     camera_height: float = 0.9
@@ -61,8 +61,6 @@ class SceneConfig:
                 for v in value if convert is _parse_floats else (value,):
                     if not math.isfinite(v):
                         raise ConfigError(f"{key}: expected a finite number, got '{v}'")
-        if self.stride == 0:
-            object.__setattr__(self, "stride", 8 if self.image_h <= 256 else 16)
         checks = [
             (self.seed >= 0, "scene.seed must be >= 0"),
             (self.frames >= 1, "scene.frames must be >= 1"),

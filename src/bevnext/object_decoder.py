@@ -34,8 +34,6 @@ from .kernels import ConvSpec, MlpSpec, bilinear_sample, conv2d, mlp_forward, so
 from .view_transform import BevGrid, BevSpec, CameraModel
 
 ROI_SIZE = 7
-N_QUERY_POSITIONS = ROI_SIZE * ROI_SIZE
-CENTER_POSITION = N_QUERY_POSITIONS // 2
 HEATMAP_CLAMP = 1e-12
 ROI_BLOCK = 128  # ROIs sampled per camera, or cut and pooled, at a time: bounds the decoder's temporaries
 YAW_PARSE_SLACK = 1e-6
@@ -85,34 +83,28 @@ def _check_proposals(caller: str, proposals: np.ndarray, g: int) -> None:
 
 @dataclass(frozen=True)
 class RefPointSet:
-    """Lifted 3D reference points per ROI, with per-camera projections.
+    """Per-camera projections [N, n_cam, J, 2] of each ROI's reference points at J heights.
 
     valid is False wherever the point sits behind the camera plane or
     projects outside the image rectangle.
     """
 
-    points: np.ndarray
     uv: np.ndarray
     valid: np.ndarray
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=np.float64)
         uv = np.asarray(self.uv, dtype=np.float64)
         valid = np.asarray(self.valid, dtype=bool)
-        object.__setattr__(self, "points", points)
         object.__setattr__(self, "uv", uv)
         object.__setattr__(self, "valid", valid)
-        if points.ndim != 3 or points.shape[2] != 3:
-            raise ShapeError(f"RefPointSet: points must be [N, J, 3], got {points.shape}")
-        n, j = points.shape[:2]
-        if uv.ndim != 4 or uv.shape[0] != n or uv.shape[2] != j or uv.shape[3] != 2:
+        if uv.ndim != 4 or uv.shape[3] != 2:
             raise ShapeError(f"RefPointSet: uv must be [N, n_cam, J, 2], got {uv.shape}")
         if valid.shape != uv.shape[:3]:
             raise ShapeError(f"RefPointSet: valid must be {uv.shape[:3]}, got {valid.shape}")
 
     @property
     def n(self) -> int:
-        return self.points.shape[0]
+        return self.uv.shape[0]
 
     @property
     def n_cameras(self) -> int:
@@ -120,7 +112,7 @@ class RefPointSet:
 
     @property
     def n_heights(self) -> int:
-        return self.points.shape[1]
+        return self.uv.shape[2]
 
 
 @dataclass(frozen=True)
@@ -277,15 +269,10 @@ def lift_references(
     if hs.size < 1:
         raise ShapeError("lift_references: at least one height required")
     n, j = cells.shape[0], hs.size
-    ego_x = -spec.extent + (cells[:, 0] + 0.5) * spec.cell_size
-    ego_y = -spec.extent + (cells[:, 1] + 0.5) * spec.cell_size
-    points = np.zeros((n, j, 3), dtype=np.float64)
-    points[:, :, 0] = ego_x[:, None]
-    points[:, :, 1] = ego_y[:, None]
-    points[:, :, 2] = hs[None, :]
+    ego_xy = -spec.extent + (cells + 0.5) * spec.cell_size
+    flat = np.column_stack([np.repeat(ego_xy, j, axis=0), np.tile(hs, n)])  # [N*J, 3] ego points, height fastest
     uv = np.zeros((n, len(rig), j, 2), dtype=np.float64)
     valid = np.zeros((n, len(rig), j), dtype=bool)
-    flat = points.reshape(-1, 3)
     for ci, cam in enumerate(rig):
         puv, depth = cam.project(flat)
         ok = (
@@ -298,7 +285,7 @@ def lift_references(
         puv = np.where(np.isfinite(puv), puv, 0.0)
         uv[:, ci] = puv.reshape(n, j, 2)
         valid[:, ci] = ok.reshape(n, j)
-    return RefPointSet(points, uv, valid)
+    return RefPointSet(uv, valid)
 
 
 def depth_embedding(depth: DepthVolume, mlp: MlpSpec) -> np.ndarray:
@@ -339,7 +326,7 @@ def sampling_offsets(attn: AttnSpec, query: np.ndarray) -> np.ndarray:
 def spatial_cross_attention(
     bev: BevGrid,
     proposals: np.ndarray,
-    queries: np.ndarray,
+    query: np.ndarray,
     refs: RefPointSet,
     features: np.ndarray,
     attn: AttnSpec,
@@ -349,15 +336,15 @@ def spatial_cross_attention(
     """Per-ROI residuals by deformable sampling of the camera feature maps.
 
     Per ROI: the query is the bev feature at the proposal's center cell
-    plus the learned center-position query, queries[CENTER_POSITION]; each
-    valid (camera, height) reference yields n_points bilinear samples at
-    query-predicted offsets around the projected point, value-projected
-    and combined with softmax weights. The output projection maps the sum to a residual for all 49
-    window positions. Returns (residual [N, C] float32, refined [N] bool):
-    a ROI with no valid reference is not refined and its residual row is
-    zero, to be left unapplied (regress adds a residual only where
-    refined). Invalid references and samples falling outside the feature
-    map contribute exactly zero.
+    plus the one learned [1, C] query row; each valid (camera, height)
+    reference yields n_points bilinear samples at query-predicted offsets
+    around the projected point, value-projected and combined with softmax
+    weights. The output projection maps the sum to the ROI's residual.
+    Returns (residual [N, C] float32, refined [N] bool): a ROI with no
+    valid reference is not refined and its residual row is zero, to be
+    left unapplied (regress adds a residual only where refined). Invalid
+    references and samples falling outside the feature map contribute
+    exactly zero.
 
     ROIs are processed one camera at a time, ROI_BLOCK visible ROIs at a
     time, in a fixed float64 summation order: each camera's weighted
@@ -368,11 +355,9 @@ def spatial_cross_attention(
     must pass the loop oracle test in tests/test_object_decoder.py.
     """
     _check_proposals("spatial_cross_attention", proposals, bev.g)
-    queries = np.asarray(queries, dtype=np.float32)
-    if queries.shape != (N_QUERY_POSITIONS, bev.channels):
-        raise ShapeError(
-            f"spatial_cross_attention: queries must be [{N_QUERY_POSITIONS}, C={bev.channels}], got {queries.shape}"
-        )
+    query = np.asarray(query, dtype=np.float32)
+    if query.shape != (1, bev.channels):
+        raise ShapeError(f"spatial_cross_attention: query must be [1, C={bev.channels}], got {query.shape}")
     feats = np.asarray(features, dtype=np.float32)
     if feats.ndim != 4:
         raise ShapeError(f"spatial_cross_attention: features must be [n_cam, C, H', W'], got rank {feats.ndim}")
@@ -397,7 +382,7 @@ def spatial_cross_attention(
     b_value = attn.b_value.astype(np.float64)
     cells = proposals["center"]
     q = bev.data.transpose(1, 2, 0)[cells[:, 1], cells[:, 0]].astype(np.float64)
-    q += queries[CENTER_POSITION].astype(np.float64)
+    q += query[0].astype(np.float64)
     wgt = attention_weights(attn, q)
     off = sampling_offsets(attn, q)
     acc = np.zeros((n, c), dtype=np.float64)

@@ -179,7 +179,7 @@ def run_pipeline(
     attn = attn_spec(bundle, cfg)
     dmlp = depth_mlp_spec(bundle)
     heads = regression_heads(bundle)
-    queries = bundle["decoder.queries"]
+    query = bundle["decoder.query"]
 
     frusta = [run_stage("lift", build_frustum, cam, cfg.feat_h, cfg.feat_w, cfg.stride, bins) for cam in rig]
     index = run_stage("pool", precompute_pool_index, frusta, spec)
@@ -235,7 +235,7 @@ def run_pipeline(
         "decoder", lambda: np.stack([depth_embedding(v, dmlp) for v in vols_now], axis=0)
     )
     residual, refined = run_stage(
-        "decoder", spatial_cross_attention, bev, props, queries, refs, feats_now, attn, cfg.stride, emb
+        "decoder", spatial_cross_attention, bev, props, query, refs, feats_now, attn, cfg.stride, emb
     )
     dets = run_stage("decoder", regress, bev, props, residual, refined, heads, spec)
     return PipelineResult(dets, heat, vols_now, bev)

@@ -23,7 +23,7 @@ from . import bvnx
 from .config import SceneConfig
 from .errors import FormatError
 from .kernels import ConvSpec, MlpSpec, SplitMix64, init_weights
-from .object_decoder import AttnSpec, N_QUERY_POSITIONS, RegressionHeads
+from .object_decoder import AttnSpec, RegressionHeads
 from .res2fusion import FusionConfig
 
 HEATMAP_BIAS = -2.5  # sigmoid(-2.5) ~ 0.076, below the 0.1 proposal threshold
@@ -71,7 +71,7 @@ def expected_shapes(cfg: SceneConfig) -> Dict[str, Tuple[int, ...]]:
     conv("res2fusion.post.down", c, c, 3)
     conv("res2fusion.post.merge", 2 * c, c, 1)
     conv("decoder.heatmap", c, cfg.classes, 3)
-    shapes["decoder.queries"] = (N_QUERY_POSITIONS, c)
+    shapes["decoder.query"] = (1, c)
     linear("decoder.attn.offset", c, j * p * 2)
     linear("decoder.attn.weight", c, j * p)
     linear("decoder.attn.value", c, c)

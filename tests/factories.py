@@ -41,7 +41,7 @@ from bevnext.object_decoder import (
     RegressionHeads,
 )
 from bevnext.scene import GroundTruthBox, _ray_directions, _render, _screen_rect, _slab_interval, _yaw_matrix
-from bevnext.view_transform import BevGrid, CameraModel
+from bevnext.view_transform import BevGrid, BevSpec, CameraModel
 from bevnext.weights import WeightBundle, expected_shapes
 
 
@@ -176,6 +176,13 @@ def cam_to_ego(camera: CameraModel, points: np.ndarray) -> np.ndarray:
     """Map camera-frame [N, 3] points into the ego frame."""
     p = np.asarray(points, dtype=np.float64)
     return np.einsum("nj,ij->ni", p, camera.rotation) + camera.translation
+
+
+def reference_points(cells, spec: BevSpec, heights) -> np.ndarray:
+    """[N, J, 3] ego points: each BEV cell's centre at each height, the points lift_references projects."""
+    rows = [[[-spec.extent + (x + 0.5) * spec.cell_size, -spec.extent + (y + 0.5) * spec.cell_size, h] for h in heights]
+            for x, y in np.asarray(cells).tolist()]
+    return np.array(rows, dtype=np.float64).reshape(-1, len(heights), 3)
 
 
 def project_depth_labels(

@@ -43,7 +43,7 @@ from bevnext.view_transform import (
     pool,
     precompute_pool_index,
 )
-from factories import attn_spec, cam_to_ego, conv_spec, project_depth_labels, proposals, zero_mlp
+from factories import attn_spec, cam_to_ego, conv_spec, project_depth_labels, proposals, reference_points, zero_mlp
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -292,11 +292,11 @@ def test_criterion_06_projection_round_trip():
     )
     refs = lift_references(cells, spec, cfg.heights, rig, cfg.image_h, cfg.image_w)
     n, j = refs.n, refs.n_heights
+    points = reference_points(cells, spec, cfg.heights)
     relift_worst = 0.0
     checked = 0
     for ci, cam in enumerate(rig):
-        flat = refs.points.reshape(-1, 3)
-        depth = cam.ego_to_cam(flat)[:, 2].reshape(n, j)
+        depth = cam.ego_to_cam(points.reshape(-1, 3))[:, 2].reshape(n, j)
         for i in range(n):
             for hj in range(j):
                 if not refs.valid[i, ci, hj]:
@@ -305,7 +305,7 @@ def test_criterion_06_projection_round_trip():
                 d = depth[i, hj]
                 cam_pt = np.array([(u - cam.cx) / cam.fx * d, (v - cam.cy) / cam.fy * d, d])
                 ego = cam_to_ego(cam, cam_pt[None])[0]
-                relift_worst = max(relift_worst, float(np.abs(ego - refs.points[i, hj]).max()))
+                relift_worst = max(relift_worst, float(np.abs(ego - points[i, hj]).max()))
                 checked += 1
     assert checked > 0, "no valid reference projections to check"
     assert relift_worst <= 1e-5, f"re-lift error {relift_worst:.3e} exceeds 1e-5"
@@ -387,7 +387,7 @@ def test_criterion_08_zero_embedding_is_identity():
         n = rng.randint(1, 4)
         cells = [(rng.randint(0, cfg.bev_grid - 1), rng.randint(0, cfg.bev_grid - 1)) for _ in range(n)]
         bev = BevGrid(rng.uniform_array((c, cfg.bev_grid, cfg.bev_grid), -1.0, 1.0))
-        queries = rng.uniform_array((49, c), -1.0, 1.0)
+        query = rng.uniform_array((1, c), -1.0, 1.0)
         props = proposals(cells)
         refs = lift_references(props["center"], spec, cfg.heights, rig, cfg.image_h, cfg.image_w)
         feats = rng.uniform_array((len(rig), c, cfg.feat_h, cfg.feat_w), -1.0, 1.0)
@@ -403,8 +403,8 @@ def test_criterion_08_zero_embedding_is_identity():
             for ci in range(len(rig))
         ]
         emb = np.stack([depth_embedding(v, zero_emb_mlp) for v in vols])
-        with_emb, flags_a = spatial_cross_attention(bev, props, queries, refs, feats, attn, cfg.stride, emb)
-        without, flags_b = spatial_cross_attention(bev, props, queries, refs, feats, attn, cfg.stride, None)
+        with_emb, flags_a = spatial_cross_attention(bev, props, query, refs, feats, attn, cfg.stride, emb)
+        without, flags_b = spatial_cross_attention(bev, props, query, refs, feats, attn, cfg.stride, None)
         assert with_emb.tobytes() == without.tobytes(), f"seed {seed}: outputs differ"
         assert np.array_equal(flags_a, flags_b)
         refined_any += int(flags_a.sum())

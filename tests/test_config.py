@@ -88,13 +88,8 @@ def test_load_config_names_file_of_every_value_error(tmp_path, line, cause):
 def test_empty_text_gives_desk_defaults():
     cfg = build_config(parse_config(""))
     assert cfg == SceneConfig()
-    assert cfg.stride == 8  # auto for a 64-row image
+    assert cfg.stride == 8
     assert (cfg.feat_h, cfg.feat_w) == (8, 22)
-
-
-def test_stride_auto_switches_at_large_images():
-    cfg = build_config(parse_config("camera.image_h = 512\ncamera.image_w = 512\n"))
-    assert cfg.stride == 16
 
 
 def test_unknown_key_rejected_by_name():
@@ -122,6 +117,7 @@ def test_heights_parse_as_float_list():
         ("bev.grid", "6", ">= 8"),
         ("decoder.threshold", "1.0", r"\[0, 1\)"),
         ("camera.stride", "12", "stride"),
+        ("camera.stride", "0", r"camera.stride must be one of \(8, 16\)"),
         ("camera.image_w", "100", "divisible"),
         ("depth.min", "0", "> 0"),
         ("depth.max", "0.5", "exceed"),

@@ -8,14 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bevnext import object_decoder
-from bevnext.config import load_config
+from bevnext import object_decoder, weights
+from bevnext.config import SceneConfig, load_config
 from bevnext.depth_crf import DepthVolume
 from bevnext.errors import FormatError, ShapeError
 from bevnext.kernels import ConvSpec, SplitMix64, bilinear_sample, conv2d, mlp_forward, softmax
 from bevnext.object_decoder import (
-    CENTER_POSITION,
-    N_QUERY_POSITIONS,
     PROPOSAL_DTYPE,
     ROI_SIZE,
     DETECTION_DTYPE,
@@ -43,6 +41,7 @@ from factories import (
     detections,
     mlp_spec,
     proposals,
+    reference_points,
     refined_patches,
     regression_heads,
     roi_windows,
@@ -75,7 +74,7 @@ def manual_bilinear(fmap, x, y):
     return val.astype(np.float32)
 
 
-def naive_sca(bev, props, queries, refs, features, attn, stride, embedding=None):
+def naive_sca(bev, props, query, refs, features, attn, stride, embedding=None):
     """Literal loop over (roi, camera, height, point); returns the refined patches and flags."""
     maps = features if embedding is None else features + embedding
     patches = roi_windows(bev, props)
@@ -83,7 +82,7 @@ def naive_sca(bev, props, queries, refs, features, attn, stride, embedding=None)
     p_count = attn.n_points
     out, flags = [], []
     for i in range(n):
-        q = patches[i, :, 3, 3].astype(np.float64) + queries[24].astype(np.float64)
+        q = patches[i, :, 3, 3].astype(np.float64) + query[0].astype(np.float64)
         w_raw = (attn.w_weight.astype(np.float64) @ q + attn.b_weight).reshape(j_count, p_count)
         e = np.exp(w_raw - w_raw.max(axis=1, keepdims=True))
         wgt = e / e.sum(axis=1, keepdims=True)
@@ -121,7 +120,7 @@ def loop_sampling_offsets(attn, query):
     return raw.reshape(attn.n_ref, attn.n_points, 2)
 
 
-def loop_sca(bev, props, queries, refs, features, attn, stride, embedding=None):
+def loop_sca(bev, props, query, refs, features, attn, stride, embedding=None):
     """The per-ROI, per-camera loop spatial_cross_attention ran before it was
     batched over ROIs; the bit-exact oracle for its summation order. Returns
     the float32 residuals, zero where not refined, and the refined flags."""
@@ -135,8 +134,7 @@ def loop_sca(bev, props, queries, refs, features, attn, stride, embedding=None):
     residual = np.zeros((len(props), bev.channels), dtype=np.float32)
     flags = np.zeros(len(props), dtype=bool)
     for i in range(len(props)):
-        q = patches[i, :, CENTER_POSITION // ROI_SIZE, CENTER_POSITION % ROI_SIZE].astype(np.float64)
-        q = q + queries[CENTER_POSITION].astype(np.float64)
+        q = patches[i, :, ROI_SIZE // 2, ROI_SIZE // 2].astype(np.float64) + query[0].astype(np.float64)
         wgt = loop_attention_weights(attn, q)
         off = loop_sampling_offsets(attn, q)
         acc = np.zeros(attn.channels, dtype=np.float64)
@@ -188,10 +186,10 @@ def single_class_heatmap(values):
 
 
 def make_roi(rng, n, c):
-    """(bev, proposals, queries), spatial_cross_attention's first three arguments: n random
-    windows tiled into a grid, and random position queries."""
+    """(bev, proposals, query), spatial_cross_attention's first three arguments: n random
+    windows tiled into a grid, and a random [1, c] query row."""
     bev, props = tile_roi(rng.uniform_array((n, c, 7, 7), -1, 1))
-    return bev, props, rng.uniform_array((49, c), -0.5, 0.5)
+    return bev, props, rng.uniform_array((1, c), -0.5, 0.5)
 
 
 def no_residual(bev, props):
@@ -219,12 +217,7 @@ def make_refs(rng, n, ncam, j, image_h, image_w, valid_rate=0.7):
         ],
         axis=-1,
     )
-    valid = rng.uniform_array((n, ncam, j)) < valid_rate
-    return RefPointSet(
-        points=rng.uniform_array((n, j, 3), -4, 4).astype(np.float64),
-        uv=uv,
-        valid=valid,
-    )
+    return RefPointSet(uv=uv, valid=rng.uniform_array((n, ncam, j)) < valid_rate)
 
 
 # ---------------------------------------------------------------- heatmap
@@ -377,9 +370,9 @@ def _decode_stage(stage, bev, props):
     n, c = len(props), bev.channels
     if stage == "regress":
         return regress(bev, props, np.zeros((n, c)), np.zeros(n, bool), zero_heads(c), BevSpec(8, 1.0, 4.0))
-    refs = RefPointSet(np.zeros((n, 1, 3)), np.zeros((n, 1, 1, 2)), np.zeros((n, 1, 1), bool))
+    refs = RefPointSet(np.zeros((n, 1, 1, 2)), np.zeros((n, 1, 1), bool))
     features = np.zeros((1, c, 6, 6), np.float32)
-    return spatial_cross_attention(bev, props, np.zeros((49, c)), refs, features, _unit_attn(c), 8)
+    return spatial_cross_attention(bev, props, np.zeros((1, c)), refs, features, _unit_attn(c), 8)
 
 
 @pytest.mark.parametrize("stage", ["spatial_cross_attention", "regress"])
@@ -410,11 +403,11 @@ def test_zero_proposals_allocate_no_padded_grid_at_full_size():
     features = np.ones((cfg.camera_count, c, cfg.feat_h, cfg.feat_w), np.float32)
     attn = attn_spec(c, len(cfg.heights), cfg.points, SplitMix64(3))
     refs = lift_references(np.zeros((0, 2)), cfg.bev(), cfg.heights, cfg.rig(), cfg.image_h, cfg.image_w)
-    heads, spec, queries = zero_heads(c), cfg.bev(), np.zeros((49, c), np.float32)
+    heads, spec, query = zero_heads(c), cfg.bev(), np.zeros((1, c), np.float32)
 
     def decode():
         props = proposals([])
-        residual, refined = spatial_cross_attention(bev, props, queries, refs, features, attn, cfg.stride, features)
+        residual, refined = spatial_cross_attention(bev, props, query, refs, features, attn, cfg.stride, features)
         assert len(regress(bev, props, residual, refined, heads, spec)) == 0
 
     assert traced_transient(decode) < 2**18
@@ -431,8 +424,8 @@ def test_references_on_optical_axis():
     spec = BevSpec(8, 1.0, 4.0)
     rig = (_axis_camera([-0.5, -0.5, 0.0]),)
     # cell (3, 3) center is ego (-0.5, -0.5); height 1.0 puts it on the optical axis
+    np.testing.assert_array_equal(reference_points([[3, 3]], spec, [1.0]), [[[-0.5, -0.5, 1.0]]])
     refs = lift_references(np.array([[3, 3]]), spec, [1.0], rig, 64, 64)
-    np.testing.assert_allclose(refs.points[0, 0], [-0.5, -0.5, 1.0])
     np.testing.assert_allclose(refs.uv[0, 0, 0], [32.0, 32.0], atol=1e-9)
     assert refs.valid[0, 0, 0]
 
@@ -467,13 +460,15 @@ def test_references_roundtrip_to_ego():
     cells = np.array([[1, 2], [4, 4], [6, 3], [0, 7]])
     heights = [-1.0, 0.5, 2.0]
     refs = lift_references(cells, spec, heights, rig, 64, 64)
+    points = reference_points(cells, spec, heights)
+    assert refs.valid.any()
     for i in range(cells.shape[0]):
         for ci, cam in enumerate(rig):
             for j in range(len(heights)):
                 if not refs.valid[i, ci, j]:
                     continue
                 u, v = refs.uv[i, ci, j]
-                p_ego = refs.points[i, j]
+                p_ego = points[i, j]
                 depth = cam.ego_to_cam(p_ego[None])[0, 2]
                 p_cam = np.array([(u - cam.cx) / cam.fx * depth, (v - cam.cy) / cam.fy * depth, depth])
                 np.testing.assert_allclose(cam_to_ego(cam, p_cam[None])[0], p_ego, atol=1e-5)
@@ -560,7 +555,7 @@ def test_sca_degenerate_single_sample():
     attn = _unit_attn(c, rng)
     features = rng.uniform_array((1, c, 6, 6), -1, 1)
     uv = np.array([[[[20.0, 28.0]]]])  # feature coords (1.5, 2.5)
-    refs = RefPointSet(points=np.zeros((1, 1, 3)), uv=uv, valid=np.ones((1, 1, 1), bool))
+    refs = RefPointSet(uv=uv, valid=np.ones((1, 1, 1), bool))
     residual, flags = spatial_cross_attention(*roi, refs, features, attn, stride)
     assert flags[0]
     sampled = manual_bilinear(features[0], 20.0 / stride - 0.5, 28.0 / stride - 0.5)
@@ -665,8 +660,8 @@ def _order_sensitive_sca(seed, n, ncam, n_ref, n_points, c, with_embedding):
     valid[3] = False
     valid[3, ncam - 1] = True
     uv[3, ncam - 1] = 1e4
-    refs = RefPointSet(points=np.zeros((n, n_ref, 3)), uv=uv, valid=valid)
-    roi = (*tile_roi(spread((n, c, ROI_SIZE, ROI_SIZE))), spread((N_QUERY_POSITIONS, c)))
+    refs = RefPointSet(uv=uv, valid=valid)
+    roi = (*tile_roi(spread((n, c, ROI_SIZE, ROI_SIZE))), spread((1, c)))
     # tiny weight and offset projections keep the softmax finite and the
     # offsets within a few pixels for queries up to 1e8
     rows = n_ref * n_points
@@ -686,7 +681,7 @@ def _order_sensitive_sca(seed, n, ncam, n_ref, n_points, c, with_embedding):
 
 
 def _cameras_reversed(refs, features, embedding):
-    flipped = RefPointSet(refs.points, refs.uv[:, ::-1], refs.valid[:, ::-1])
+    flipped = RefPointSet(refs.uv[:, ::-1], refs.valid[:, ::-1])
     return flipped, features[::-1], None if embedding is None else embedding[::-1]
 
 
@@ -729,7 +724,7 @@ def test_sca_bit_identical_to_loop_oracle_within_a_camera():
     levels = np.array([2.0**60, -(2.0**60), 2.0**60, -(2.0**60), 0.75, -1.25, 3.0], dtype=np.float32)
     features = rng.choice(levels, size=(ncam, c, fh, fw))
     cells = np.stack([rng.integers(0, fw - 1, (n, ncam, n_ref)), rng.integers(0, fh - 1, (n, ncam, n_ref))], -1)
-    refs = RefPointSet(np.zeros((n, n_ref, 3)), (cells + 0.5) * stride, rng.random((n, ncam, n_ref)) < 0.8)
+    refs = RefPointSet((cells + 0.5) * stride, rng.random((n, ncam, n_ref)) < 0.8)
     rows = n_ref * n_points
     eye = np.eye(c, dtype=np.float32)
     attn = AttnSpec(
@@ -738,13 +733,13 @@ def test_sca_bit_identical_to_loop_oracle_within_a_camera():
         w_weight=np.zeros((rows, c)), b_weight=np.zeros(rows),
         w_value=eye, b_value=np.zeros(c), w_out=eye, b_out=np.zeros(c),
     )
-    roi = (*tile_roi(np.zeros((n, c, ROI_SIZE, ROI_SIZE))), np.zeros((N_QUERY_POSITIONS, c)))
+    roi = (*tile_roi(np.zeros((n, c, ROI_SIZE, ROI_SIZE))), np.zeros((1, c)))
     residual, flags = spatial_cross_attention(*roi, refs, features, attn, stride)
     expected, expected_flags = loop_sca(*roi, refs, features, attn, stride)
     np.testing.assert_array_equal(flags, expected_flags)
     np.testing.assert_array_equal(residual, expected)
     # the same samples summed with the heights back to front change the bits
-    heights_flipped = RefPointSet(refs.points, refs.uv[:, :, ::-1], refs.valid[:, :, ::-1])
+    heights_flipped = RefPointSet(refs.uv[:, :, ::-1], refs.valid[:, :, ::-1])
     back_to_front, _ = loop_sca(*roi, heights_flipped, features, attn, stride)
     assert not np.array_equal(back_to_front, expected), "data cannot detect a reordered height sum"
 
@@ -771,8 +766,29 @@ def test_sca_rejects_mismatched_refs():
     features = rng.uniform_array((1, 3, 6, 6), -1, 1)
     with pytest.raises(ShapeError, match="refs cover 3 cells, there are 2 proposals"):
         spatial_cross_attention(*roi, refs, features, attn, 8)
-    with pytest.raises(ShapeError, match=r"queries must be \[49, C=3\], got \(48, 3\)"):
-        spatial_cross_attention(*roi[:2], roi[2][:48], make_refs(rng, 2, 1, 2, 48, 48), features, attn, 8)
+    # a [49, C] table of per-window-position queries is refused too
+    with pytest.raises(ShapeError, match=r"query must be \[1, C=3\], got \(49, 3\)"):
+        spatial_cross_attention(*roi[:2], np.zeros((49, 3)), make_refs(rng, 2, 1, 2, 48, 48), features, attn, 8)
+
+
+def test_every_element_of_the_bundles_query_moves_a_refined_residual():
+    """Stage two reads all of the bundle's query tensor: nudging any one element of it
+    changes the residual of a refined ROI, so no stored query value goes unread."""
+    cfg = SceneConfig()
+    bundle = weights.init_bundle(cfg, 7)
+    query, attn = bundle["decoder.query"], weights.attn_spec(bundle, cfg)
+    rng = SplitMix64(43)
+    bev = BevGrid(rng.uniform_array((cfg.channels, cfg.bev_grid, cfg.bev_grid), -1, 1))
+    props = proposals([(4, 16), (16, 4), (28, 16), (16, 28)])
+    refs = lift_references(props["center"], cfg.bev(), cfg.heights, cfg.rig(), cfg.image_h, cfg.image_w)
+    features = rng.uniform_array((cfg.camera_count, cfg.channels, cfg.feat_h, cfg.feat_w), -1, 1)
+    base, refined = spatial_cross_attention(bev, props, query, refs, features, attn, cfg.stride)
+    assert refined.all()
+    for idx in np.ndindex(query.shape):
+        nudged = query.copy()
+        nudged[idx] += 0.5
+        residual, _ = spatial_cross_attention(bev, props, nudged, refs, features, attn, cfg.stride)
+        assert not np.array_equal(residual, base), f"query element {idx} moves no refined residual"
 
 
 # ---------------------------------------------------------------- regression

@@ -54,9 +54,12 @@ GOLDEN_BACKBONE_16 = "f32137463c9506d3617493f481adce1f286273244dc9111cd43c35c753
 # per-channel np.bincount. Any change to the numerics of any stage up to the
 # heatmap must show up here. Re-pinned when the CRF moved from a metric
 # compat with an additive kernel pair to Potts with one bilateral kernel
-# (were 97815573... and ee4e24e4...).
-GOLDEN_DESK_BEV = "3b690be4dc75f820e617db250987499b07afcb406fbd4a838d1898e9a1752f12"
-GOLDEN_DESK_HEATMAP = "61a7302ffde4f64a6853ee7c40575a97c717ebe08ced2a7bbef49fc70af0ffaa"
+# (were 97815573... and ee4e24e4...). Re-pinned for an init stream shift:
+# the decoder's learned query is one [1, C] row where it was a [49, C]
+# table, so init_bundle draws 48*C fewer values before depth_head.* and
+# res2fusion.* (were 3b690be4... and 61a7302f...).
+GOLDEN_DESK_BEV = "6c03300fe4cf2cf5eb3706b21aba6b10fb7b4c59170c4aa0563f655983c7cb53"
+GOLDEN_DESK_HEATMAP = "c8eaec574b763fa8cb9c8966beb069c4593b220c6299aab76ed05f5f5679c335"
 
 # Same config, scene and weights, frame 0: digests of the six cameras'
 # stage outputs stacked in camera order, pinned before conv2d copied its tap
@@ -66,12 +69,15 @@ GOLDEN_DESK_HEATMAP = "61a7302ffde4f64a6853ee7c40575a97c717ebe08ced2a7bbef49fc70
 # its 270336 float32 values moved by one ulp (was ee1a354a...). Backbone
 # and depth kept their bits through that change and conv2d's move to GEMMs.
 # crf and lift were re-pinned again for the Potts CRF with one bilateral
-# kernel (were 11aab317... and e45dea3d...).
+# kernel (were 11aab317... and e45dea3d...). depth, crf and lift were
+# re-pinned for the init stream shift above (were 206874f1..., 0c1c1318...
+# and f8397f2c...); the backbone's weights sort before decoder.* and keep
+# their bits.
 GOLDEN_DESK_CAMERA_STAGES = {
     "backbone": "9b2b0be1848d444c654c53c372d5ec0be681fa7baffab16830b97006812f8e2f",
-    "depth": "206874f1fe58c746d6a564f2bb548b0eba6bd10c4d26e553421368286adbb86d",
-    "crf": "0c1c1318f0af84739d567ec6f9b3146a4cbf033d3fca3f5f9db67eb20b7cbc98",
-    "lift": "f8397f2ccdd750259244570900a505a7c05e5ea5a62b319d9780a1028aac1a79",
+    "depth": "a3aec40cfc93a13e08cf3f71a7735633b3f8625c63af31d7f9f24fe54af966d2",
+    "crf": "5d9820af19e8f1f826b87e4932c2defa60da2dd30a9bd6e969c2d92e5a4cd0b7",
+    "lift": "b424cfd727c74bd53326e09d1588ddd86a0cd9be0aefb974c6ebb08a03a8169d",
 }
 
 # Same config, scene and weights with decoder.threshold = 0.0 and
@@ -81,22 +87,25 @@ GOLDEN_DESK_CAMERA_STAGES = {
 # The refined patches are no longer an output of any stage: the digest is
 # taken of factories.refined_patches, each ROI's 7x7 window of the fused
 # grid plus its float32 residual where refined, which regress pools.
-# Re-pinned for the Potts CRF (were dc1716fe..., 6798d7ff... and 3b3a7149...).
+# Re-pinned for the Potts CRF (were dc1716fe..., 6798d7ff... and 3b3a7149...),
+# then for the init stream shift above (were f8bca05f..., c1656e9f... and
+# 9a70dfed...; the flags follow the proposals' score order).
 GOLDEN_DESK_DECODER = {
-    "patches": "f8bca05f50cfc6c95d707705f0570e121d674bceb660722ec2c81845f378e657",
-    "flags": "c1656e9f0057046fc00c253d66b8c3d85e985aff640e503b6dafe86b2c963406",
-    "detections": "9a70dfed907f8aaa2ab217d7360f47b5bab2caaa1c379dacbbabcf46a4f88f5a",
+    "patches": "91e2b4f6a4c3c4f17952b286a9545c53978862218b9524e8feabaa5fcdc8ae2b",
+    "flags": "1adc23f9d8a032bf3e3b77b648c7d9e93d12feb42786fbad0fcf0848547334c2",
+    "detections": "518d90ae15f45aad382cf2eb9c0f0e21179c0f7066ae92f910a8666cf0a59e1b",
 }
 
 # configs/full.cfg (scene seed 0) with init_bundle(cfg, 7), decoder.threshold
 # = 0.0 and decoder.top_n = 64, run at threads=2: digests of the fused BEV
 # and the heatmap, and sha256 of the formatted detections. The only tier-1
 # test that runs full.cfg through run_pipeline. Re-pinned for the Potts CRF
-# (were aa1b8ffd..., 72ec52fe... and fffe7240...).
+# (were aa1b8ffd..., 72ec52fe... and fffe7240...), then for the init stream
+# shift above (were c9f54ddd..., 187a02f5... and ade899ea...).
 GOLDEN_FULL = {
-    "bev": "c9f54ddd9d6384cc3910ed1484314435a3be2c4a669e35d78ca48e9309dbc830",
-    "heatmap": "187a02f5cfdef946c46e799a4bfa2691c34e2fdd11ade6476692d13644d712d5",
-    "detections": "ade899ea16067efc1a552dcf07f61e6b91cccd18f1b5decc4b7e483fceee08f4",
+    "bev": "e9259e904fe0d143df59ac0d6ad6fcf2b2981c11f39cecfea134c17710c7832e",
+    "heatmap": "79f2bae9a988aa588f120d6a60ec3f22e56dd53b432a70daf844c8f8642b9f1c",
+    "detections": "d05d76a0b49e6867fe60594abb6f40c62d5a5cf8f32f7de1bc4be1a3490d5d85",
 }
 
 

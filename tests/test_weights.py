@@ -33,14 +33,14 @@ DESK = SceneConfig()
 def test_expected_shapes_desk_counts():
     shapes = expected_shapes(DESK)
     # conv pairs: 3 backbone + depth head + 3 reduces + 2 cascades + final
-    # + post down/merge + heatmap = 13; plus queries and 12 linear pairs
+    # + post down/merge + heatmap = 13; plus the query row and 12 linear pairs
     assert len(shapes) == 13 * 2 + 1 + 12 * 2
     assert shapes["backbone.conv1.w"] == (8, 3, 3, 3)
     assert shapes["depth_head.w"] == (8, 32, 1, 1)
     assert shapes["res2fusion.reduce.0.w"] == (32, 96, 1, 1)
     assert shapes["res2fusion.cascade.2.w"] == (32, 32, 3, 3)
     assert shapes["res2fusion.final.w"] == (32, 96, 1, 1)
-    assert shapes["decoder.queries"] == (49, 32)
+    assert shapes["decoder.query"] == (1, 32)
     assert shapes["decoder.attn.offset.w"] == (4 * 2 * 2, 32)
     assert shapes["decoder.attn.weight.w"] == (4 * 2, 32)
     assert shapes["decoder.depth_mlp.0.w"] == (32, 8)
