@@ -112,7 +112,7 @@ class SceneConfig:
         return DepthBins.uniform(self.depth_bins, self.depth_min, self.depth_max)
 
     def bev(self) -> BevSpec:
-        return BevSpec.square(self.bev_grid, self.bev_extent)
+        return BevSpec(self.bev_grid, self.bev_extent)
 
     def rig(self) -> Tuple[CameraModel, ...]:
         """Outward-facing surround rig: cameras evenly spaced on a circle.

@@ -129,29 +129,14 @@ class ConvSpec:
 
 @dataclass
 class MlpSpec:
-    """Per-layer weights [out, in], biases [out], activation tag per layer."""
+    """Per-layer weights [out, in], biases [out], activation tag per layer ("relu" or "identity").
+
+    Their shapes come from ``weights.expected_shapes`` and are checked once, by ``validate_bundle``.
+    """
 
     weights: list = field(default_factory=list)
     biases: list = field(default_factory=list)
     activations: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not (len(self.weights) == len(self.biases) == len(self.activations)):
-            raise ShapeError("MlpSpec: weights/biases/activations length mismatch")
-        if not self.weights:
-            raise ShapeError("MlpSpec: at least one layer required")
-        for i, (w, b, act) in enumerate(zip(self.weights, self.biases, self.activations)):
-            if w.ndim != 2:
-                raise ShapeError(f"MlpSpec: layer {i} weight must be 2-D")
-            if b.shape != (w.shape[0],):
-                raise ShapeError(f"MlpSpec: layer {i} bias axis 0 must equal {w.shape[0]}")
-            if act not in ("relu", "identity"):
-                raise ShapeError(f"MlpSpec: layer {i} has unknown activation '{act}'")
-            if i > 0 and w.shape[1] != self.weights[i - 1].shape[0]:
-                raise ShapeError(
-                    f"MlpSpec: layer {i} input width {w.shape[1]} != layer {i - 1} output width "
-                    f"{self.weights[i - 1].shape[0]}"
-                )
 
     @property
     def in_width(self) -> int:

@@ -122,7 +122,8 @@ class AttnSpec:
     One attention head; for each of n_ref heights, n_points samples are
     taken at learned offsets around the projected reference point with
     softmax-normalized weights, both produced by linear projections of
-    the query vector.
+    the query vector. The projections' shapes come from
+    ``weights.expected_shapes`` and are checked once, by ``validate_bundle``.
     """
 
     n_ref: int
@@ -139,19 +140,6 @@ class AttnSpec:
     def __post_init__(self):
         for name in ("w_offset", "b_offset", "w_weight", "b_weight", "w_value", "b_value", "w_out", "b_out"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float32))
-        if self.n_ref < 1 or self.n_points < 1:
-            raise ShapeError("AttnSpec: n_ref and n_points must be >= 1")
-        c = self.w_value.shape[1] if self.w_value.ndim == 2 else 0
-        if self.w_value.shape != (c, c) or self.w_out.shape != (c, c):
-            raise ShapeError("AttnSpec: value and output projections must be square [C, C]")
-        if self.b_value.shape != (c,) or self.b_out.shape != (c,):
-            raise ShapeError("AttnSpec: projection biases must be length C")
-        rows_off = self.n_ref * self.n_points * 2
-        rows_w = self.n_ref * self.n_points
-        if self.w_offset.shape != (rows_off, c) or self.b_offset.shape != (rows_off,):
-            raise ShapeError(f"AttnSpec: offset projection must map C -> {rows_off}")
-        if self.w_weight.shape != (rows_w, c) or self.b_weight.shape != (rows_w,):
-            raise ShapeError(f"AttnSpec: weight projection must map C -> {rows_w}")
 
     @property
     def channels(self) -> int:
@@ -193,7 +181,10 @@ def check_detections(dets: np.ndarray) -> Optional[Tuple[int, str]]:
 
 @dataclass(frozen=True)
 class RegressionHeads:
-    """Shared trunk plus one linear head per object attribute."""
+    """Shared trunk plus one linear head per object attribute (offset 2, z 1, size 3, yaw 2, vel 2 wide).
+
+    Their shapes come from ``weights.expected_shapes`` and are checked once, by ``validate_bundle``.
+    """
 
     shared: MlpSpec
     offset: MlpSpec
@@ -202,29 +193,9 @@ class RegressionHeads:
     yaw: MlpSpec
     vel: MlpSpec
 
-    def __post_init__(self):
-        trunk = self.shared.out_width
-        for name, spec, width in (
-            ("offset", self.offset, 2),
-            ("z", self.z, 1),
-            ("size", self.size, 3),
-            ("yaw", self.yaw, 2),
-            ("vel", self.vel, 2),
-        ):
-            if spec.out_width != width:
-                raise ShapeError(f"RegressionHeads: {name} head must output {width} values")
-            if spec.in_width != trunk:
-                raise ShapeError(f"RegressionHeads: {name} head input width {spec.in_width} != trunk {trunk}")
-
 
 def compute_heatmap(bev: BevGrid, spec: ConvSpec) -> Heatmap:
     """Sigmoid of a dim-preserving conv over the BEV grid."""
-    if spec.in_channels != bev.channels:
-        raise ShapeError(
-            f"compute_heatmap: conv expects channel axis {spec.in_channels}, BEV has {bev.channels}"
-        )
-    if spec.stride != 1 or spec.padding != spec.kernel_size // 2:
-        raise ShapeError("compute_heatmap: conv must be stride 1 with dim-preserving padding")
     raw = conv2d(bev.data[None], spec)[0].astype(np.float64)
     probs = np.clip(_sigmoid(raw), HEATMAP_CLAMP, 1.0 - HEATMAP_CLAMP)
     return Heatmap(probs)

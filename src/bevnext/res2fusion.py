@@ -31,7 +31,9 @@ class FusionConfig:
     reduce_specs[i] is the 1x1 conv for group i (i = 0 newest); there are
     g = ceil(frames / window) of them and g - 1 cascade specs,
     cascade_specs[i - 1] serving group i >= 1 (the newest group is a
-    passthrough).
+    passthrough). The kernels' shapes come from ``weights.expected_shapes``
+    and are checked once, by ``validate_bundle``; only the counts that
+    ``fuse`` indexes by are checked here.
     """
 
     frames: int
@@ -54,26 +56,6 @@ class FusionConfig:
         if len(self.cascade_specs) != g - 1:
             raise ShapeError(
                 f"FusionConfig: need {g - 1} cascade specs for {g} groups, got {len(self.cascade_specs)}"
-            )
-        c_mid = self.reduce_specs[0].out_channels
-        for i, spec in enumerate(self.reduce_specs):
-            if spec.kernel_size != 1 or spec.stride != 1:
-                raise ShapeError(f"FusionConfig: reduce spec {i} must be a 1x1 stride-1 conv")
-            if spec.out_channels != c_mid:
-                raise ShapeError("FusionConfig: reduce specs must share out_channels")
-            if spec.in_channels != self.reduce_specs[0].in_channels:
-                raise ShapeError("FusionConfig: reduce specs must share in_channels")
-        for i, spec in enumerate(self.cascade_specs):
-            if spec.kernel_size != 3 or spec.stride != 1 or spec.padding != 1:
-                raise ShapeError(f"FusionConfig: cascade spec {i} must be a padded 3x3 stride-1 conv")
-            if spec.in_channels != c_mid or spec.out_channels != c_mid:
-                raise ShapeError(f"FusionConfig: cascade spec {i} must map {c_mid} -> {c_mid} channels")
-        if self.final_spec.kernel_size != 1 or self.final_spec.stride != 1:
-            raise ShapeError("FusionConfig: final spec must be a 1x1 stride-1 conv")
-        if self.final_spec.in_channels != g * c_mid:
-            raise ShapeError(
-                f"FusionConfig: final spec expects {self.final_spec.in_channels} input channels, "
-                f"concat provides {g * c_mid}"
             )
 
     @property
@@ -184,15 +166,6 @@ def post_fuse(grid: BevGrid, down_spec: ConvSpec, merge_spec: ConvSpec) -> BevGr
     """
     if grid.g % 2:
         raise ShapeError(f"post_fuse: grid side {grid.g} must be even")
-    if down_spec.stride != 2 or down_spec.kernel_size != 3:
-        raise ShapeError("post_fuse: down_spec must be a stride-2 3x3 conv")
-    if merge_spec.kernel_size != 1 or merge_spec.stride != 1:
-        raise ShapeError("post_fuse: merge_spec must be a 1x1 stride-1 conv")
-    if merge_spec.in_channels != grid.channels + down_spec.out_channels:
-        raise ShapeError(
-            f"post_fuse: merge_spec expects {merge_spec.in_channels} channels, "
-            f"concat provides {grid.channels + down_spec.out_channels}"
-        )
     down = _conv(grid.data, down_spec)
     up = np.repeat(np.repeat(down, 2, axis=1), 2, axis=2)
     cat = np.concatenate([grid.data, up], axis=0)

@@ -83,20 +83,15 @@ class BevSpec:
     """Square ego-centric grid: G x G cells covering [-L, L] in x and y."""
 
     g: int
-    cell_size: float
     extent: float
 
     def __post_init__(self):
         if self.g < 8:
             raise ShapeError(f"BevSpec: grid size {self.g} below minimum 8")
-        if abs(self.g * self.cell_size - 2.0 * self.extent) > 1e-9:
-            raise ShapeError(
-                f"BevSpec: g * cell_size = {self.g * self.cell_size} must equal 2 * extent = {2 * self.extent}"
-            )
 
-    @classmethod
-    def square(cls, g: int, extent: float) -> "BevSpec":
-        return cls(g, 2.0 * extent / g, extent)
+    @property
+    def cell_size(self) -> float:
+        return 2.0 * self.extent / self.g
 
     @property
     def n_cells(self) -> int:

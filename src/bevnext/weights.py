@@ -1,11 +1,12 @@
 """Named weight bundles: shapes derived from config, persisted as bundles.
 
 Every learnable tensor has a dotted name; ``expected_shapes`` derives the
-complete name -> shape map from a ``SceneConfig``, and loading validates
-the stored bundle against it, so any config/weights mismatch is caught
-before the pipeline runs. That map is the only place a layer's shape is
-stated: the spec builders read channel counts and kernel sizes off the
-validated tensors. Initialization draws weights in sorted-name order
+complete name -> shape map from a ``SceneConfig``, and ``validate_bundle``
+checks a bundle against it on load and before the pipeline runs, so any
+config/weights mismatch is caught before a stage does. That map is the
+only place a layer's shape is stated and that check the only place it is
+checked: the spec builders read channel counts and kernel sizes off the
+validated tensors, and the spec types take them as they are. Initialization draws weights in sorted-name order
 from one seeded stream; all biases start at zero except the detection
 heatmap bias, which starts negative so that all-zero features score
 below the proposal threshold (an empty scene yields no detections by

@@ -207,7 +207,7 @@ def test_criterion_04_two_region_spread_non_increasing():
 
 def test_criterion_05_pooling_conserves_mass():
     """Pooled grid mass equals in-bounds lifted mass; index pool equals naive scatter."""
-    spec = BevSpec.square(8, 4.0)
+    spec = BevSpec(8, 4.0)
     feat_h, feat_w, k, c, stride = 3, 5, 4, 3, 8
     bins = DepthBins.uniform(k, 1.0, 9.0)
     worst_rel = 0.0

@@ -333,6 +333,22 @@ def test_exit_3_on_scene_config_shape_mismatch(workdir, tmp_path):
     assert "rasters" in err
 
 
+def test_run_accepts_every_grid_and_extent_the_config_accepts(tmp_path):
+    """A 14-cell grid over +-1000000000.3 m: 2 * extent / grid is the cell size, exit 0 from all three commands."""
+    cfg_path = tmp_path / "wide.cfg"
+    cfg_path.write_text(FAST_CFG + "bev.grid = 14\nbev.extent = 1000000000.3\n")
+    assert load_config(cfg_path).bev().cell_size == 2.0 * 1000000000.3 / 14
+    for command, out in (("generate", "scene"), ("init-weights", "w.bvnx")):
+        code, _, err = cli(command, "--config", str(cfg_path), "--out", str(tmp_path / out))
+        assert code == 0, err
+    code, _, err = cli(
+        "run", "--config", str(cfg_path), "--weights", str(tmp_path / "w.bvnx"),
+        "--scene", str(tmp_path / "scene"), "--out", str(tmp_path / "r"),
+    )
+    assert code == 0, err
+    parse_detections((tmp_path / "r" / "detections.txt").read_text())
+
+
 def test_run_floors_a_size_that_would_print_as_zero(workdir, tmp_path):
     """A size head that decodes 2e-9 m writes 1e-6 m, which detections.txt reads back, and exits 0."""
     cfg_path = tmp_path / "all.cfg"

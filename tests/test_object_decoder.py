@@ -205,7 +205,7 @@ def pooled_by_regress(monkeypatch, bev, props, residual, refined):
         return mlp_forward(x, spec)
 
     monkeypatch.setattr(object_decoder, "mlp_forward", recording)
-    regress(bev, props, residual, refined, zero_heads(bev.channels), BevSpec(8, 1.0, 4.0))
+    regress(bev, props, residual, refined, zero_heads(bev.channels), BevSpec(8, 4.0))
     return inputs[0]
 
 
@@ -369,7 +369,7 @@ def _decode_stage(stage, bev, props):
     """Run spatial_cross_attention or regress on props, with every other input well formed."""
     n, c = len(props), bev.channels
     if stage == "regress":
-        return regress(bev, props, np.zeros((n, c)), np.zeros(n, bool), zero_heads(c), BevSpec(8, 1.0, 4.0))
+        return regress(bev, props, np.zeros((n, c)), np.zeros(n, bool), zero_heads(c), BevSpec(8, 4.0))
     refs = RefPointSet(np.zeros((n, 1, 1, 2)), np.zeros((n, 1, 1), bool))
     features = np.zeros((1, c, 6, 6), np.float32)
     return spatial_cross_attention(bev, props, np.zeros((1, c)), refs, features, _unit_attn(c), 8)
@@ -421,7 +421,7 @@ def _axis_camera(translation, image=(64, 64)):
 
 
 def test_references_on_optical_axis():
-    spec = BevSpec(8, 1.0, 4.0)
+    spec = BevSpec(8, 4.0)
     rig = (_axis_camera([-0.5, -0.5, 0.0]),)
     # cell (3, 3) center is ego (-0.5, -0.5); height 1.0 puts it on the optical axis
     np.testing.assert_array_equal(reference_points([[3, 3]], spec, [1.0]), [[[-0.5, -0.5, 1.0]]])
@@ -431,14 +431,14 @@ def test_references_on_optical_axis():
 
 
 def test_references_behind_camera_invalid():
-    spec = BevSpec(8, 1.0, 4.0)
+    spec = BevSpec(8, 4.0)
     rig = (_axis_camera([-0.5, -0.5, 2.0]),)  # camera past the point
     refs = lift_references(np.array([[3, 3]]), spec, [1.0], rig, 64, 64)
     assert not refs.valid[0, 0, 0]
 
 
 def test_references_outside_image_invalid():
-    spec = BevSpec(8, 1.0, 4.0)
+    spec = BevSpec(8, 4.0)
     rig = (_axis_camera([-4.5, -0.5, 0.0]),)  # 4 m lateral offset
     refs = lift_references(np.array([[3, 3]]), spec, [1.0], rig, 64, 64)
     assert not refs.valid[0, 0, 0]
@@ -455,7 +455,7 @@ def _random_ref_camera(rng):
 
 def test_references_roundtrip_to_ego():
     rng = SplitMix64(15)
-    spec = BevSpec(8, 1.0, 4.0)
+    spec = BevSpec(8, 4.0)
     rig = tuple(_random_ref_camera(rng) for _ in range(3))
     cells = np.array([[1, 2], [4, 4], [6, 3], [0, 7]])
     heights = [-1.0, 0.5, 2.0]
@@ -796,7 +796,7 @@ def test_every_element_of_the_bundles_query_moves_a_refined_residual():
 
 def test_regress_zero_heads():
     rng = SplitMix64(35)
-    spec = BevSpec(8, 1.0, 4.0)
+    spec = BevSpec(8, 4.0)
     bev, props, _ = make_roi(rng, 1, 4)
     dets = regress(bev, props, *no_residual(bev, props), zero_heads(4), spec)
     d = dets[0]
@@ -810,7 +810,7 @@ def test_regress_zero_heads():
 
 def test_regress_yaw_quarter_turn():
     rng = SplitMix64(37)
-    spec = BevSpec(8, 1.0, 4.0)
+    spec = BevSpec(8, 4.0)
     bev, props, _ = make_roi(rng, 1, 4)
     heads = zero_heads(4)
     heads.yaw.biases[0][:] = [1.0, 0.0]  # (sin, cos) raw outputs
@@ -819,7 +819,7 @@ def test_regress_yaw_quarter_turn():
 
 
 def test_regress_offset_bounded_by_half_cell():
-    spec = BevSpec(8, 1.0, 4.0)
+    spec = BevSpec(8, 4.0)
     for seed in range(10):
         rng = SplitMix64(100 + seed)
         bev, props, _ = make_roi(rng, 3, 4)
@@ -836,7 +836,7 @@ def test_regress_offset_bounded_by_half_cell():
 def test_regress_bit_identical_to_loop_oracle():
     rng = np.random.default_rng(43)
     n, c = 4096, 8
-    spec = BevSpec(64, 0.8, 25.6)
+    spec = BevSpec(64, 25.6)
     bev, props = tile_roi(
         rng.normal(0.0, 3.0, (n, c, ROI_SIZE, ROI_SIZE)),
         classes=rng.integers(0, 3, n),
@@ -865,7 +865,7 @@ def test_regress_pools_each_patch_as_a_float64_copy_would(monkeypatch, n):
 
 
 def test_regress_empty_roi():
-    spec = BevSpec(8, 1.0, 4.0)
+    spec = BevSpec(8, 4.0)
     bev, props = tile_roi(np.zeros((0, 4, 7, 7), np.float32))
     dets = regress(bev, props, *no_residual(bev, props), zero_heads(4), spec)
     assert dets.shape == (0,) and dets.dtype == DETECTION_DTYPE
@@ -983,7 +983,7 @@ def test_check_names_the_first_rule_a_row_breaks(row, cause):
 
 
 def test_regress_refuses_an_overflowing_size_naming_the_row():
-    spec = BevSpec(8, 1.0, 4.0)
+    spec = BevSpec(8, 4.0)
     bev, props, _ = make_roi(SplitMix64(35), 3, 4)
     heads = zero_heads(4)
     heads.size.biases[0][:] = 1000.0  # exp(1000) overflows to inf

@@ -276,7 +276,7 @@ def _point_frustum(points):
 
 
 def test_index_single_point_cell_arithmetic():
-    spec = BevSpec(8, 1.0, 4.0)
+    spec = BevSpec(8, 4.0)
     frustum = _point_frustum([[[[0.1, 0.1, 1.0]]]])
     index = precompute_pool_index([frustum], spec)
     assert index.entry_count == 1
@@ -284,7 +284,7 @@ def test_index_single_point_cell_arithmetic():
 
 
 def test_index_excludes_out_of_bounds():
-    spec = BevSpec(8, 1.0, 4.0)
+    spec = BevSpec(8, 4.0)
     frustum = _point_frustum([[[[5.0, 0.0, 1.0]]]])  # x = L + 1
     index = precompute_pool_index([frustum], spec)
     assert index.entry_count == 0
@@ -292,7 +292,7 @@ def test_index_excludes_out_of_bounds():
 
 def test_index_partitions_in_bounds_points():
     rng = SplitMix64(29)
-    spec = BevSpec(8, 1.0, 4.0)
+    spec = BevSpec(8, 4.0)
     pts = rng.uniform_array((3, 4, 5, 3), -6, 6).astype(np.float64)
     frustum = _point_frustum(pts)
     index = precompute_pool_index([frustum], spec)
@@ -305,7 +305,7 @@ def test_index_partitions_in_bounds_points():
 def test_index_in_frustum_order():
     """Camera n's plan is the n-th frustum's in-bounds points in ascending (pixel, bin) offset."""
     rng = SplitMix64(31)
-    spec = BevSpec(8, 1.0, 4.0)
+    spec = BevSpec(8, 4.0)
     frusta = [_point_frustum(rng.uniform_array((2, 3, 2, 3), -3, 3).astype(np.float64)) for _ in range(2)]
     index = precompute_pool_index(frusta, spec)
     assert index.n_cameras == 2 and index.feat_shape == (2, 3, 2)
@@ -318,7 +318,7 @@ def test_index_in_frustum_order():
 
 
 def test_index_rejects_cells_outside_the_grid():
-    spec = BevSpec(8, 1.0, 4.0)
+    spec = BevSpec(8, 4.0)
     index = precompute_pool_index([_point_frustum([[[[0.1, 0.1, 1.0]]]])], spec)
     with pytest.raises(ShapeError, match="cell outside"):
         dataclasses.replace(index, cell=(np.array([64]),))
@@ -356,7 +356,7 @@ def test_index_rejects_a_malformed_plan(source, cell, match):
 
 def _in_bounds_setup(rng, n_cam=1):
     """Cameras whose whole frustum lands inside the grid."""
-    spec = BevSpec(16, 1.0, 8.0)
+    spec = BevSpec(16, 8.0)
     bins = DepthBins.uniform(4, 1.0, 5.0)
     h, w, stride = 4, 6, 8
     frusta = []
@@ -379,7 +379,7 @@ def test_pool_all_ones_conserves_mass():
 
 
 def test_pool_empty_cells_are_zero():
-    spec = BevSpec(8, 1.0, 4.0)
+    spec = BevSpec(8, 4.0)
     frustum = _point_frustum([[[[0.1, 0.1, 1.0]]]])
     index = precompute_pool_index([frustum], spec)
     grid = pool([np.ones((2, 1, 1, 1), np.float32)], index)
@@ -391,7 +391,7 @@ def test_pool_empty_cells_are_zero():
 def test_pool_matches_naive_scatter_many_seeds():
     for seed in range(50):
         rng = SplitMix64(1000 + seed)
-        spec = BevSpec(8, 1.0, 4.0)
+        spec = BevSpec(8, 4.0)
         h, w, k, c = 2, 3, 3, 2
         frusta = [_point_frustum(rng.uniform_array((h, w, k, 3), -5, 5).astype(np.float64)) for _ in range(2)]
         feat_stack = np.stack(
@@ -409,7 +409,7 @@ def test_pool_matches_naive_scatter_many_seeds():
 def test_pool_conservation_random_instances():
     for seed in range(10):
         rng = SplitMix64(2000 + seed)
-        spec = BevSpec(8, 1.0, 4.0)
+        spec = BevSpec(8, 4.0)
         h, w, k, c = 3, 4, 4, 3
         pts = rng.uniform_array((h, w, k, 3), -5, 5).astype(np.float64)
         frustum = _point_frustum(pts)
@@ -430,7 +430,7 @@ def test_pool_conservation_random_instances():
 
 def test_pool_bit_deterministic_across_runs():
     rng = SplitMix64(43)
-    spec = BevSpec(8, 1.0, 4.0)
+    spec = BevSpec(8, 4.0)
     pts = rng.uniform_array((3, 3, 2, 3), -5, 5).astype(np.float64)
     frustum = _point_frustum(pts)
     feats = rng.uniform_array((4, 3, 3, 2), -1, 1)
@@ -470,7 +470,7 @@ def _overlapping_frusta(rng, h, w, k):
 
 
 def test_pool_bit_identical_to_sequential_scatter():
-    spec = BevSpec(8, 1.0, 4.0)
+    spec = BevSpec(8, 4.0)
     h, w, k, c = 4, 5, 8, 4
     for seed in range(4):
         rng = SplitMix64(3000 + seed)
@@ -500,7 +500,7 @@ def test_pool_bit_identical_to_sequential_scatter():
 
 
 def test_pool_rejects_stale_index():
-    spec = BevSpec(8, 1.0, 4.0)
+    spec = BevSpec(8, 4.0)
     frustum = _point_frustum([[[[0.1, 0.1, 1.0]]]])
     index = precompute_pool_index([frustum], spec)
     with pytest.raises(ShapeError, match="index"):
@@ -509,7 +509,7 @@ def test_pool_rejects_stale_index():
 
 def test_pool_reads_each_camera_before_asking_for_the_next():
     """A generator that reuses one buffer, and fills it with NaN once pool moves on, pools to the array's bits."""
-    spec = BevSpec(8, 1.0, 4.0)
+    spec = BevSpec(8, 4.0)
     h, w, k, c = 4, 5, 8, 4
     for seed in range(2):
         rng = SplitMix64(3300 + seed)
@@ -530,7 +530,7 @@ def test_pool_reads_each_camera_before_asking_for_the_next():
 
 
 def test_pool_rejects_cameras_that_do_not_match_the_index():
-    spec = BevSpec(8, 1.0, 4.0)
+    spec = BevSpec(8, 4.0)
     h, w, k, c = 2, 3, 4, 2
     frusta = _overlapping_frusta(SplitMix64(3400), h, w, k)
     index = precompute_pool_index(frusta, spec)
@@ -549,7 +549,7 @@ def test_pool_rejects_cameras_that_do_not_match_the_index():
 
 
 def test_overlapping_cameras_accumulate():
-    spec = BevSpec(8, 1.0, 4.0)
+    spec = BevSpec(8, 4.0)
     frusta = [_point_frustum([[[[0.1, 0.1, 1.0]]]]) for _ in range(2)]
     index = precompute_pool_index(frusta, spec)
     feats = np.ones((2, 1, 1, 1, 1), np.float32)
@@ -619,12 +619,10 @@ def test_pooled_object_surfaces_peak_on_their_boxes(preset, n_seeds):
 
 
 def test_bevspec_ties_grid_and_extent():
-    spec = BevSpec(32, 0.5, 8.0)
+    spec = BevSpec(32, 8.0)
     assert spec.g * spec.cell_size == 2 * spec.extent
-    with pytest.raises(ShapeError, match="extent"):
-        BevSpec(32, 0.5, 9.0)
     with pytest.raises(ShapeError, match="grid"):
-        BevSpec(4, 1.0, 2.0)
+        BevSpec(4, 2.0)
 
 
 def test_bevgrid_validates_shape():

@@ -1,13 +1,20 @@
 """Weight bundle tests: shape contract, seeded init, persistence, builders."""
 
+import functools
+import re
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from bevnext.config import SceneConfig
+from bevnext import pipeline
+from bevnext.config import SceneConfig, load_config
 from bevnext.errors import FormatError
 from bevnext.kernels import conv2d
 from bevnext.weights import (
     HEATMAP_BIAS,
+    WeightBundle,
     attn_spec,
     backbone_specs,
     depth_head_spec,
@@ -25,6 +32,13 @@ from bevnext.weights import (
 from factories import zero_bundle
 
 DESK = SceneConfig()
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+PRESETS = {preset: load_config(CONFIGS / f"{preset}.cfg") for preset in ("desk", "full")}
+
+
+@functools.lru_cache(maxsize=None)
+def preset_bundle(preset: str):
+    return init_bundle(PRESETS[preset], 7)
 
 
 # ---------------------------------------------------------------- shape contract
@@ -121,13 +135,29 @@ def test_load_rejects_missing_key_by_dotted_path(tmp_path):
         load_weights(path, DESK)
 
 
-def test_load_rejects_shape_mismatch_by_name(tmp_path):
-    bundle = init_bundle(DESK, 7)
-    bundle.tensors["depth_head.w"] = np.zeros((8, 32, 3, 3), np.float32)
-    path = tmp_path / "w.bvnx"
-    save_weights(bundle, path)
-    with pytest.raises(FormatError, match="depth_head.w"):
-        load_weights(path, DESK)
+def _no_stage(stage, fn, *args, **kwargs):
+    raise AssertionError(f"stage {stage} ran on a bundle that validate_bundle refuses")
+
+
+@pytest.mark.parametrize(
+    "preset,name", [(preset, name) for preset, cfg in PRESETS.items() for name in sorted(expected_shapes(cfg))]
+)
+def test_load_rejects_shape_mismatch_by_name(tmp_path, monkeypatch, preset, name):
+    """Any one tensor with axis 0 grown by 1 is refused by name: on load, and by run_pipeline before any stage."""
+    cfg = PRESETS[preset]
+    tensors = dict(preset_bundle(preset).tensors)
+    shape = tensors[name].shape
+    tensors[name] = np.zeros((shape[0] + 1,) + shape[1:], np.float32)
+    bundle = WeightBundle(tensors)
+    save_weights(bundle, tmp_path / "w.bvnx")
+    refusal = re.escape(f"weight '{name}' has shape")
+    with pytest.raises(FormatError, match=refusal):
+        load_weights(tmp_path / "w.bvnx", cfg)
+    monkeypatch.setattr(pipeline, "run_stage", _no_stage)
+    # the config's dimensions and no frames: run_pipeline must refuse the bundle before it reads any
+    scene = SimpleNamespace(k=cfg.frames, n_cameras=cfg.camera_count, image_h=cfg.image_h, image_w=cfg.image_w)
+    with pytest.raises(FormatError, match=refusal):
+        pipeline.run_pipeline(scene, cfg, bundle)
 
 
 def test_load_rejects_corrupt_magic_at_offset_zero(tmp_path):
@@ -196,6 +226,10 @@ def keeps_size(spec):
     return spec.padding == spec.kernel_size // 2
 
 
+def conv_shape(spec):
+    return spec.in_channels, spec.out_channels, spec.kernel_size, spec.stride
+
+
 def test_backbone_specs_chain_and_stride():
     specs = backbone_specs(init_bundle(DESK, 7))
     chain = [(s.in_channels, s.out_channels) for s in specs]
@@ -210,37 +244,60 @@ def test_depth_head_maps_channels_to_bins():
 
 
 def test_fusion_config_matches_group_arithmetic():
-    cfg = SceneConfig(frames=9, window=3)
-    fc = fusion_config(init_bundle(cfg, 7), cfg)
-    assert fc.groups == 3
-    assert fc.window == 3
-    assert fc.reduce_specs[0].in_channels == 3 * 32
-    assert len(fc.cascade_specs) == 2
-    assert fc.final_spec.in_channels == 3 * 32
-    convs = fc.reduce_specs + fc.cascade_specs + (fc.final_spec,)
-    assert all(s.stride == 1 and keeps_size(s) for s in convs)
+    """Per preset: g 1x1 reduces w*C -> C, g - 1 padded 3x3 cascades C -> C, a 1x1 final g*C -> C."""
+    for preset, cfg in PRESETS.items():
+        fc = fusion_config(preset_bundle(preset), cfg)
+        c = cfg.channels
+        assert fc.groups == cfg.groups == 3
+        assert fc.window == cfg.window == 3
+        assert len(fc.cascade_specs) == fc.groups - 1
+        assert all(conv_shape(s) == (3 * c, c, 1, 1) for s in fc.reduce_specs)
+        assert all(conv_shape(s) == (c, c, 3, 1) for s in fc.cascade_specs)
+        assert conv_shape(fc.final_spec) == (fc.groups * c, c, 1, 1)
+        convs = fc.reduce_specs + fc.cascade_specs + (fc.final_spec,)
+        assert all(keeps_size(s) for s in convs)
 
 
 def test_post_and_heatmap_specs():
-    bundle = init_bundle(DESK, 7)
-    down, merge = post_specs(bundle)
-    assert down.stride == 2 and down.kernel_size == 3
-    assert merge.in_channels == 64 and merge.out_channels == 32
-    hm = heatmap_spec(bundle)
-    assert hm.out_channels == DESK.classes
-    assert all(keeps_size(s) for s in (down, merge, hm))
+    """Per preset: a 3x3 stride-2 down C -> C, a 1x1 merge 2C -> C and a size-keeping 3x3 heatmap C -> classes."""
+    for preset, cfg in PRESETS.items():
+        bundle, c = preset_bundle(preset), cfg.channels
+        down, merge = post_specs(bundle)
+        assert conv_shape(down) == (c, c, 3, 2)
+        assert conv_shape(merge) == (2 * c, c, 1, 1)
+        hm = heatmap_spec(bundle)
+        assert conv_shape(hm) == (c, cfg.classes, 3, 1)
+        assert all(keeps_size(s) for s in (down, merge, hm))
 
 
 def test_attn_and_mlp_builders():
-    bundle = init_bundle(DESK, 7)
-    attn = attn_spec(bundle, DESK)
-    assert attn.n_ref == len(DESK.heights) and attn.n_points == DESK.points
-    assert attn.channels == 32
-    mlp = depth_mlp_spec(bundle)
-    assert mlp.in_width == DESK.depth_bins and mlp.out_width == 32
-    heads = regression_heads(bundle)
-    assert heads.shared.activations == ["relu"]
-    assert heads.size.out_width == 3
+    """Per preset: the attention projections' rows, the head widths on the trunk, and MLP layers that chain."""
+    for preset, cfg in PRESETS.items():
+        bundle, c = preset_bundle(preset), cfg.channels
+        attn = attn_spec(bundle, cfg)
+        j, p = len(cfg.heights), cfg.points
+        assert (attn.n_ref, attn.n_points) == (j, p) and j >= 1 and p >= 1
+        assert attn.channels == c
+        assert attn.w_offset.shape == (j * p * 2, c) and attn.b_offset.shape == (j * p * 2,)
+        assert attn.w_weight.shape == (j * p, c) and attn.b_weight.shape == (j * p,)
+        assert attn.w_value.shape == attn.w_out.shape == (c, c)
+        assert attn.b_value.shape == attn.b_out.shape == (c,)
+        mlp = depth_mlp_spec(bundle)
+        assert mlp.in_width == cfg.depth_bins and mlp.out_width == c
+        assert mlp.activations == ["relu", "identity"]
+        heads = regression_heads(bundle)
+        assert heads.shared.activations == ["relu"]
+        assert heads.shared.in_width == heads.shared.out_width == c
+        widths = {name: getattr(heads, name).out_width for name in ("offset", "z", "size", "yaw", "vel")}
+        assert widths == {"offset": 2, "z": 1, "size": 3, "yaw": 2, "vel": 2}
+        for name in widths:
+            assert getattr(heads, name).in_width == heads.shared.out_width
+            assert getattr(heads, name).activations == ["identity"]
+        for spec in [mlp] + [getattr(heads, name) for name in ("shared",) + tuple(widths)]:
+            assert len(spec.weights) == len(spec.biases) == len(spec.activations)
+            for i, (w, b) in enumerate(zip(spec.weights, spec.biases)):
+                assert w.ndim == 2 and b.shape == (w.shape[0],)
+                assert i == 0 or w.shape[1] == spec.weights[i - 1].shape[0]
 
 
 def test_zero_weights_feed_a_zero_conv_chain():
