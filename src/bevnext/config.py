@@ -5,7 +5,8 @@ full pipeline, so every cross-module dimension (stride, bins, grid,
 channels, frames) is derived from a single validated source. Unknown or
 duplicate keys and inconsistent dimensions are rejected up front with a
 ``ConfigError`` (CLI exit code 2). A scene directory's ``scene.txt`` is
-read by the same ``parse_config``; ``parse_rows`` reads ``boxes.txt`` and ``detections.txt``.
+read by the same ``parse_config``; ``parse_rows`` reads ``boxes.txt`` and ``detections.txt``,
+whose rows are ``BOX_DTYPE`` records (a detection adds a score).
 """
 
 from __future__ import annotations
@@ -224,6 +225,10 @@ def parse_config(text: str, schema: dict = _SCHEMA, where: str = "config") -> di
         except ConfigError as exc:
             raise ConfigError(f"{at}: {exc}") from None
     return values
+
+
+# One box: class, centre and size (metres), yaw (radians) and planar velocity (m/s)
+BOX_DTYPE = np.dtype([("cls", np.int64)] + [(n, np.float64) for n in "x y z l w h yaw vx vy".split()])
 
 
 def parse_rows(text: str, columns: int, what: str) -> Iterator[tuple]:

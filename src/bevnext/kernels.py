@@ -26,7 +26,7 @@ pins the GEMM order with an independent im2col oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,9 +134,9 @@ class MlpSpec:
     Their shapes come from ``weights.expected_shapes`` and are checked once, by ``validate_bundle``.
     """
 
-    weights: list = field(default_factory=list)
-    biases: list = field(default_factory=list)
-    activations: list = field(default_factory=list)
+    weights: list
+    biases: list
+    activations: list
 
     @property
     def in_width(self) -> int:

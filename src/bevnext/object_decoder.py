@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import parse_rows
+from .config import BOX_DTYPE, parse_rows
 from .depth_crf import DepthVolume
 from .errors import FormatError, ShapeError
 from .kernels import ConvSpec, MlpSpec, bilinear_sample, conv2d, mlp_forward, softmax
@@ -146,8 +146,8 @@ class AttnSpec:
         return self.w_value.shape[1]
 
 
-# regress's detections: class, box centre and size (metres), yaw in (-pi, pi], velocity and heatmap score
-DETECTION_DTYPE = np.dtype([("cls", np.int64)] + [(n, np.float64) for n in "x y z l w h yaw vx vy score".split()])
+# regress's detections: a box record, its yaw in (-pi, pi], plus the heatmap score
+DETECTION_DTYPE = np.dtype(BOX_DTYPE.descr + [("score", np.float64)])
 
 
 def check_detections(dets: np.ndarray) -> Optional[Tuple[int, str]]:

@@ -1,11 +1,11 @@
 """Synthetic surround-view scenes: flat-shaded boxes on a gradient sky.
 
 A scene is a short clip of frames. Each frame holds one rendered RGB
-raster per camera, the ground-truth boxes at that instant, and a sparse
-set of 3D surface points standing in for a range sensor. Objects move
-with constant velocity; positions at frame t are computed as
-center + velocity * (t * FRAME_DT), so inter-frame motion equals
-velocity times the frame interval exactly.
+raster per camera, the ground-truth boxes at that instant (an [N]
+``BOX_DTYPE`` array), and a sparse set of 3D surface points standing in
+for a range sensor. Objects move with constant velocity: frame t's boxes
+are frame 0's with x += vx * (t * FRAME_DT) and likewise y, so
+inter-frame motion equals velocity times the frame interval exactly.
 
 Rendering is a vectorized ray / oriented-box intersection with a depth
 buffer, using only elementwise numpy ops, so output rasters are
@@ -23,12 +23,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from . import bvnx, ppm
-from .config import _SCHEMA, FRAME_DT, SceneConfig, parse_config, parse_rows
+from .config import _SCHEMA, BOX_DTYPE, FRAME_DT, SceneConfig, parse_config, parse_rows
 from .errors import ConfigError, FormatError, ShapeError
 from .kernels import SplitMix64
 from .view_transform import CameraModel
@@ -55,50 +54,19 @@ _CORNER_SIGNS = np.array([(sx, sy, sz) for sx in (-1, 1) for sy in (-1, 1) for s
 
 
 @dataclass(frozen=True)
-class GroundTruthBox:
-    """One object at one instant: pose, size, and planar velocity."""
-
-    cls: int
-    x: float
-    y: float
-    z: float
-    l: float
-    w: float
-    h: float
-    yaw: float
-    vx: float
-    vy: float
-
-    def __post_init__(self):
-        for name in ("x", "y", "z", "l", "w", "h", "yaw", "vx", "vy"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ShapeError(f"GroundTruthBox: {name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "cls", int(self.cls))
-        if self.l <= 0 or self.w <= 0 or self.h <= 0:
-            raise ShapeError("GroundTruthBox: size must be strictly positive")
-
-    @property
-    def center(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    @property
-    def size(self) -> np.ndarray:
-        return np.array([self.l, self.w, self.h])
-
-
-@dataclass(frozen=True)
 class SceneFrame:
     """All per-instant data: one raster per camera, boxes, and points."""
 
-    images: Tuple[np.ndarray, ...]
-    boxes: Tuple[GroundTruthBox, ...]
+    images: tuple[np.ndarray, ...]
+    boxes: np.ndarray  # [N] BOX_DTYPE, taken as given: a cast would read a float [N, 10] as 10N boxes
     points: np.ndarray  # [P, 3] float32 ego-frame surface points
 
     def __post_init__(self):
         object.__setattr__(self, "images", tuple(self.images))
-        object.__setattr__(self, "boxes", tuple(self.boxes))
+        boxes = self.boxes
+        if not isinstance(boxes, np.ndarray) or boxes.dtype != BOX_DTYPE or boxes.ndim != 1:
+            got = f"{boxes.shape} {boxes.dtype}" if isinstance(boxes, np.ndarray) else type(boxes).__name__
+            raise ShapeError(f"SceneFrame: boxes must be an [N] BOX_DTYPE array, got {got}")
         pts = np.asarray(self.points, dtype=np.float32)
         object.__setattr__(self, "points", pts)
         if not self.images:
@@ -117,7 +85,7 @@ class SceneFrame:
 class SyntheticScene:
     """A chronological clip of frames sharing one camera rig."""
 
-    frames: Tuple[SceneFrame, ...]
+    frames: tuple[SceneFrame, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "frames", tuple(self.frames))
@@ -147,14 +115,6 @@ class SyntheticScene:
         return self.frames[0].images[0].shape[1]
 
 
-def box_center_at(center, velocity, frame: int) -> np.ndarray:
-    """Constant-velocity position at frame index ``frame``."""
-    c = np.asarray(center, dtype=np.float64).copy()
-    v = np.asarray(velocity, dtype=np.float64)
-    c[:2] = c[:2] + v * (frame * FRAME_DT)
-    return c
-
-
 def background_image(height: int, width: int) -> np.ndarray:
     """Gradient backdrop, identical for every camera and frame."""
     ys = (np.arange(height) * 255) // max(height - 1, 1)
@@ -164,6 +124,11 @@ def background_image(height: int, width: int) -> np.ndarray:
     img[:, :, 1] = xs[None, :]
     img[:, :, 2] = 96
     return img
+
+
+def _center_size(box) -> tuple[np.ndarray, np.ndarray]:
+    """A BOX_DTYPE record's centre (x, y, z) and size (l, w, h), [3] float64 each."""
+    return np.array([box["x"], box["y"], box["z"]]), np.array([box["l"], box["w"], box["h"]])
 
 
 def _yaw_matrix(yaw: float) -> np.ndarray:
@@ -201,7 +166,7 @@ def _ray_directions(camera: CameraModel, image_h: int, image_w: int, out=None) -
     return np.einsum("hwj,ij->hwi", dirs_cam, camera.rotation, out=out)
 
 
-def _screen_rect(camera: CameraModel, box: GroundTruthBox, image_h: int, image_w: int):
+def _screen_rect(camera: CameraModel, box, image_h: int, image_w: int):
     """Pixel rows/columns ``(r0, r1, c0, c1)`` a box can cover, or None.
 
     A convex box wholly in front of the camera projects inside the hull
@@ -213,7 +178,8 @@ def _screen_rect(camera: CameraModel, box: GroundTruthBox, image_h: int, image_w
     the camera, so its projection is unbounded and the whole image is
     searched.
     """
-    corners = (_CORNER_SIGNS * (box.size / 2.0)) @ _yaw_matrix(box.yaw).T + box.center
+    center, size = _center_size(box)
+    corners = (_CORNER_SIGNS * (size / 2.0)) @ _yaw_matrix(box["yaw"]).T + center
     uv, depth = camera.project(corners)
     if (depth <= 0.0).all():
         return None
@@ -227,10 +193,11 @@ def _screen_rect(camera: CameraModel, box: GroundTruthBox, image_h: int, image_w
     return r0, r1, c0, c1
 
 
-def _render(
-    camera: CameraModel, dirs_ego: np.ndarray, boxes: Sequence[GroundTruthBox]
-) -> np.ndarray:
-    """Render boxes through precomputed ``_ray_directions`` of ``camera``."""
+def _render(camera: CameraModel, dirs_ego: np.ndarray, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(image, depth) of [N] BOX_DTYPE boxes through precomputed ``_ray_directions`` of ``camera``.
+
+    depth is each pixel's camera-frame depth to its nearest box hit, or inf: finite where image is painted.
+    """
     image_h, image_w = dirs_ego.shape[:2]
     image = background_image(image_h, image_w)
     depth = np.full((image_h, image_w), np.inf)
@@ -239,27 +206,26 @@ def _render(
         if rect is None:
             continue
         r0, r1, c0, c1 = rect
-        rot = _yaw_matrix(box.yaw)
-        origin_box = rot.T @ (camera.translation - box.center)
+        center, size = _center_size(box)
+        rot = _yaw_matrix(box["yaw"])
+        origin_box = rot.T @ (camera.translation - center)
         dirs_box = np.einsum("ij,hwj->hwi", rot.T, dirs_ego[r0:r1, c0:c1])
         t_enter = np.full((r1 - r0, c1 - c0), -np.inf)
         t_exit = np.full((r1 - r0, c1 - c0), np.inf)
         for axis in range(3):
-            near, far = _slab_interval(
-                origin_box[axis], dirs_box[:, :, axis], box.size[axis] / 2.0
-            )
+            near, far = _slab_interval(origin_box[axis], dirs_box[:, :, axis], size[axis] / 2.0)
             t_enter = np.maximum(t_enter, near)
             t_exit = np.minimum(t_exit, far)
         depth_rect = depth[r0:r1, c0:c1]
         hit = (t_enter <= t_exit) & (t_enter > 1e-9)
         closer = hit & (t_enter < depth_rect)
         depth_rect[closer] = t_enter[closer]
-        image[r0:r1, c0:c1][closer] = PALETTE[box.cls % len(PALETTE)]
-    return image
+        image[r0:r1, c0:c1][closer] = PALETTE[box["cls"] % len(PALETTE)]
+    return image, depth
 
 
-def _sample_objects(cfg: SceneConfig, rng: SplitMix64) -> List[GroundTruthBox]:
-    """Frame-0 boxes: on-ground objects inside the placement ring.
+def _sample_objects(cfg: SceneConfig, rng: SplitMix64) -> np.ndarray:
+    """Frame-0 boxes, [N] BOX_DTYPE: on-ground objects inside the placement ring.
 
     Draw order per object is fixed (class, size, polar position, yaw,
     velocity), so the stream consumed from ``rng`` is reproducible. Any
@@ -282,18 +248,13 @@ def _sample_objects(cfg: SceneConfig, rng: SplitMix64) -> List[GroundTruthBox]:
         for axis in range(2):
             if abs(center[axis] + vel[axis] * duration) > DRIFT_MARGIN * cfg.bev_extent:
                 vel[axis] = -vel[axis]
-        boxes.append(
-            GroundTruthBox(
-                cls, center[0], center[1], center[2],
-                size[0], size[1], size[2], yaw, vel[0], vel[1],
-            )
-        )
-    return boxes
+        boxes.append((cls, *center, *size, yaw, *vel))
+    return np.array(boxes, BOX_DTYPE)
 
 
-def _sample_surface_offsets(box: GroundTruthBox, rng: SplitMix64) -> np.ndarray:
-    """Box-frame surface points: one random face per point, uniform on it."""
-    half = box.size / 2.0
+def _sample_surface_offsets(box, rng: SplitMix64) -> np.ndarray:
+    """Box-frame surface points of a BOX_DTYPE record: one random face per point, uniform on it."""
+    half = _center_size(box)[1] / 2.0
     offs = np.empty((OBJECT_POINTS, 3), dtype=np.float64)
     for p in range(OBJECT_POINTS):
         face = rng.randint(0, 5)
@@ -315,54 +276,48 @@ def gen_scene(cfg: SceneConfig) -> SyntheticScene:
     """
     rng = SplitMix64(cfg.seed)
     base_boxes = _sample_objects(cfg, rng)
-    offsets = [_sample_surface_offsets(box, rng) for box in base_boxes]
+    # each box's surface points about its centre, in the ego frame: yaw does not change over the clip
+    offsets = [np.einsum("pj,ij->pi", _sample_surface_offsets(b, rng), _yaw_matrix(b["yaw"])) for b in base_boxes]
     ground = np.empty((GROUND_POINTS, 3), dtype=np.float64)
     reach = PLACEMENT_MARGIN * cfg.bev_extent
     for p in range(GROUND_POINTS):
         ground[p] = ((2.0 * rng.uniform() - 1.0) * reach, (2.0 * rng.uniform() - 1.0) * reach, 0.0)
     boxes, points = [], []
     for t in range(cfg.frames):
-        boxes_t = []
-        clouds = []
-        for box, offs in zip(base_boxes, offsets):
-            center_t = box_center_at(box.center, (box.vx, box.vy), t)
-            moved = GroundTruthBox(
-                box.cls, center_t[0], center_t[1], center_t[2],
-                box.l, box.w, box.h, box.yaw, box.vx, box.vy,
-            )
-            boxes_t.append(moved)
-            rot = _yaw_matrix(box.yaw)
-            clouds.append(np.einsum("pj,ij->pi", offs, rot) + center_t)
-        clouds.append(ground)
-        boxes.append(tuple(boxes_t))
-        points.append(np.concatenate(clouds, axis=0).astype(np.float32))
+        moved = base_boxes.copy()
+        moved["x"] += moved["vx"] * (t * FRAME_DT)
+        moved["y"] += moved["vy"] * (t * FRAME_DT)
+        boxes.append(moved)
+        clouds = [offs + _center_size(box)[0] for box, offs in zip(moved, offsets)]
+        points.append(np.concatenate(clouds + [ground], axis=0).astype(np.float32))
     images = [[] for _ in range(cfg.frames)]
     dirs = np.empty((cfg.image_h, cfg.image_w, 3))  # one buffer, rewritten per camera
     for cam in cfg.rig():
         _ray_directions(cam, cfg.image_h, cfg.image_w, dirs)
         for t in range(cfg.frames):
-            images[t].append(_render(cam, dirs, boxes[t]))
+            images[t].append(_render(cam, dirs, boxes[t])[0])
     return SyntheticScene(tuple(SceneFrame(*frame) for frame in zip(images, boxes, points)))
 
 
-def format_boxes(boxes: Sequence[GroundTruthBox]) -> str:
-    """One line per box: cls x y z l w h yaw vx vy (floats via repr)."""
-    lines = ["# cls x y z l w h yaw vx vy"]
-    for b in boxes:
-        vals = (b.x, b.y, b.z, b.l, b.w, b.h, b.yaw, b.vx, b.vy)
-        lines.append(str(b.cls) + " " + " ".join(repr(v) for v in vals))
-    return "".join(line + "\n" for line in lines)
+def format_boxes(boxes: np.ndarray) -> str:
+    """A header naming the BOX_DTYPE fields, then one line per box with its floats via repr."""
+    line = "%d" + " %r" * 9 + "\n"
+    return "# " + " ".join(BOX_DTYPE.names) + "\n" + "".join(line % row for row in boxes.tolist())
 
 
-def parse_boxes(text: str) -> List[GroundTruthBox]:
-    """Inverse of format_boxes; skips blank lines and # comments."""
-    boxes = []
-    for lineno, row in parse_rows(text, 10, "box"):
-        try:
-            boxes.append(GroundTruthBox(*row))
-        except ShapeError as exc:
-            raise FormatError(f"box line {lineno}: {exc}") from exc
-    return boxes
+def parse_boxes(text: str) -> np.ndarray:
+    """Inverse of format_boxes: the [N] BOX_DTYPE array; skips blank lines and # comments.
+
+    A non-finite value or a size <= 0 is a FormatError naming the line and the field.
+    """
+    rows = []
+    for lineno, row in parse_rows(text, len(BOX_DTYPE), "box"):
+        bad = [f"{n} must be finite, got {v}" for n, v in zip(BOX_DTYPE.names[1:], row[1:]) if not math.isfinite(v)]
+        bad += [f"size must be strictly positive, got {n} = {v}" for n, v in zip("lwh", row[4:7]) if v <= 0]
+        if bad:
+            raise FormatError(f"box line {lineno}: {bad[0]}")
+        rows.append(row)
+    return np.array(rows, BOX_DTYPE)
 
 
 # scene.txt keys, in the order save_scene writes them.
@@ -446,5 +401,5 @@ def load_scene(scene_dir) -> SyntheticScene:
             raise FormatError(f"missing point cloud in {fdir}: {exc}") from exc
         if points.ndim != 2 or points.shape[1] != 3:
             raise FormatError(f"{fdir}/points.bvnx: points must be [P, 3], got {points.shape}")
-        frames.append(SceneFrame(tuple(images), tuple(boxes), points))
+        frames.append(SceneFrame(tuple(images), boxes, points))
     return SyntheticScene(tuple(frames))

@@ -7,9 +7,9 @@ depend only on its seed and the order of its calls. ``cam_to_ego`` and
 ``project_depth_labels`` are geometry oracles (the inverse of
 ``CameraModel.ego_to_cam``, and sparse depth labels from surface
 points); ``format_config`` writes a config back out as text,
-``render_view`` renders one camera view the way ``gen_scene`` does,
-``render_depth`` keeps that renderer's depth buffer instead, and
-``traced_transient`` measures the memory a call allocates.
+``render_view`` and ``render_depth`` are the image and the depth buffer
+of ``scene._render`` for one camera, and ``traced_transient`` measures
+the memory a call allocates.
 ``proposals`` builds select_centers' array from cells, and ``tile_roi`` a
 grid and the proposals whose windows are given [N, C, 7, 7] patches;
 ``roi_windows`` cuts each proposal's window of a grid one by one (the
@@ -24,7 +24,7 @@ it accepts.
 import math
 import tracemalloc
 from dataclasses import fields
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from bevnext.object_decoder import (
     AttnSpec,
     RegressionHeads,
 )
-from bevnext.scene import GroundTruthBox, _ray_directions, _render, _screen_rect, _slab_interval, _yaw_matrix
+from bevnext.scene import _ray_directions, _render
 from bevnext.view_transform import BevGrid, BevSpec, CameraModel
 from bevnext.weights import WeightBundle, expected_shapes
 
@@ -244,51 +244,14 @@ def format_config(cfg: SceneConfig) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def render_view(
-    camera: CameraModel, boxes: Sequence[GroundTruthBox], image_h: int, image_w: int
-) -> np.ndarray:
-    """Render one camera view of the boxes over the gradient backdrop.
-
-    One primary ray per pixel through the pixel center; the nearest box
-    intersection wins the depth buffer and paints the class color. Each
-    box is intersected only inside its ``_screen_rect``, with the
-    full-image directions sliced to that rectangle, so every pixel sees
-    the same arithmetic as a whole-image pass. ``gen_scene`` builds the
-    directions once per camera and calls ``_render`` directly.
-    """
-    return _render(camera, _ray_directions(camera, image_h, image_w), boxes)
+def render_view(camera: CameraModel, boxes: np.ndarray, image_h: int, image_w: int) -> np.ndarray:
+    """One camera's [H, W, 3] view of [N] BOX_DTYPE boxes, as ``gen_scene`` renders it."""
+    return _render(camera, _ray_directions(camera, image_h, image_w), boxes)[0]
 
 
-def render_depth(
-    camera: CameraModel, boxes: Sequence[GroundTruthBox], image_h: int, image_w: int
-) -> np.ndarray:
-    """Camera-frame depth of each pixel's nearest box hit, [H, W] float64, inf where no box is hit.
-
-    ``scene._render``'s loop with its depth buffer kept and no color
-    painted: the ray parameter of a hit is its camera-frame depth.
-    ``tests/test_scene.py`` checks that the hit mask equals the rendered
-    view's non-background pixels, so this copy cannot drift from it.
-    """
-    dirs_ego = _ray_directions(camera, image_h, image_w)
-    depth = np.full((image_h, image_w), np.inf)
-    for box in boxes:
-        rect = _screen_rect(camera, box, image_h, image_w)
-        if rect is None:
-            continue
-        r0, r1, c0, c1 = rect
-        rot = _yaw_matrix(box.yaw)
-        origin_box = rot.T @ (camera.translation - box.center)
-        dirs_box = np.einsum("ij,hwj->hwi", rot.T, dirs_ego[r0:r1, c0:c1])
-        t_enter = np.full((r1 - r0, c1 - c0), -np.inf)
-        t_exit = np.full((r1 - r0, c1 - c0), np.inf)
-        for axis in range(3):
-            near, far = _slab_interval(origin_box[axis], dirs_box[:, :, axis], box.size[axis] / 2.0)
-            t_enter = np.maximum(t_enter, near)
-            t_exit = np.minimum(t_exit, far)
-        depth_rect = depth[r0:r1, c0:c1]
-        closer = (t_enter <= t_exit) & (t_enter > 1e-9) & (t_enter < depth_rect)
-        depth_rect[closer] = t_enter[closer]
-    return depth
+def render_depth(camera: CameraModel, boxes: np.ndarray, image_h: int, image_w: int) -> np.ndarray:
+    """Camera-frame depth of each pixel's nearest box hit, [H, W] float64, inf where no box is hit."""
+    return _render(camera, _ray_directions(camera, image_h, image_w), boxes)[1]
 
 
 def traced_transient(fn, *args, **kwargs) -> int:

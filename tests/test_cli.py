@@ -282,7 +282,7 @@ def test_exit_2_on_rejected_scene_box(workdir, tmp_path, line, cause):
         "--scene", str(scene), "--out", str(tmp_path / "r"),
     )
     assert code == 2, err
-    assert f"{bad}: box line {len(text.splitlines()) + 1}: GroundTruthBox: {cause}" in err
+    assert f"{bad}: box line {len(text.splitlines()) + 1}: {cause}" in err
     assert "Traceback" not in err
 
 

@@ -387,6 +387,14 @@ def test_mlp_identity_layer():
     np.testing.assert_array_equal(mlp_forward(x, spec), x)
 
 
+def test_mlp_spec_requires_weights_biases_and_activations():
+    """An MlpSpec without its layers fails where it is built, not later in mlp_forward."""
+    with pytest.raises(TypeError, match="weights"):
+        MlpSpec()
+    with pytest.raises(TypeError, match="activations"):
+        MlpSpec([np.eye(4, dtype=np.float32)], [np.zeros(4, np.float32)])
+
+
 def test_mlp_matches_naive_oracle():
     rng = SplitMix64(99)
     spec = mlp_spec([5, 8, 3], rng)

@@ -10,19 +10,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bevnext.config import FRAME_DT, SceneConfig, load_config
+from bevnext.config import BOX_DTYPE, FRAME_DT, SceneConfig, load_config
 from bevnext import scene as scene_module
 from bevnext.errors import FormatError, ShapeError
+from bevnext.object_decoder import DETECTION_DTYPE
 from bevnext.scene import (
     GROUND_POINTS,
     OBJECT_POINTS,
     PALETTE,
-    GroundTruthBox,
+    SceneFrame,
+    _center_size,
     _ray_directions,
     _slab_interval,
     _yaw_matrix,
     background_image,
-    box_center_at,
     format_boxes,
     gen_scene,
     load_scene,
@@ -68,6 +69,11 @@ def tree_sha256(root) -> str:
     return h.hexdigest()
 
 
+def boxes_of(*rows):
+    """An [N] BOX_DTYPE array of (cls, x, y, z, l, w, h, yaw, vx, vy) rows."""
+    return np.array(list(rows), BOX_DTYPE)
+
+
 def yaw_rotate(yaw, p):
     c, s = np.cos(yaw), np.sin(yaw)
     return np.array([c * p[0] - s * p[1], s * p[0] + c * p[1], p[2]])
@@ -76,21 +82,16 @@ def yaw_rotate(yaw, p):
 # ---------------------------------------------------------------- kinematics
 
 
-def test_center_advance_is_exactly_velocity_times_dt():
-    for f in range(10):
-        c = box_center_at((0.0, 0.0, 0.4), (1.0, 0.0), f)
-        assert c[0] == 0.5 * f  # 1 m/s at 2 Hz advances half a meter per frame
-        assert c[1] == 0.0 and c[2] == 0.4
-
-
 def test_generated_boxes_obey_constant_velocity():
     scene = gen_scene(SceneConfig(seed=11, frames=5))
     base = scene.frames[0].boxes
+    still = ["cls", "z", "l", "w", "h", "yaw", "vx", "vy"]
+    assert len(base) > 0
     for t, frame in enumerate(scene.frames):
         for b0, bt in zip(base, frame.boxes):
-            assert bt.x == b0.x + b0.vx * (t * FRAME_DT)
-            assert bt.y == b0.y + b0.vy * (t * FRAME_DT)
-            assert (bt.z, bt.yaw, bt.vx, bt.vy) == (b0.z, b0.yaw, b0.vx, b0.vy)
+            assert bt["x"] == b0["x"] + b0["vx"] * (t * FRAME_DT)
+            assert bt["y"] == b0["y"] + b0["vy"] * (t * FRAME_DT)
+            assert bt[still] == b0[still]
 
 
 def test_box_centers_stay_inside_extent_every_frame():
@@ -98,9 +99,8 @@ def test_box_centers_stay_inside_extent_every_frame():
         cfg = SceneConfig(seed=seed, frames=9, objects_min=2, objects_max=4)
         scene = gen_scene(cfg)
         for frame in scene.frames:
-            for b in frame.boxes:
-                assert abs(b.x) < cfg.bev_extent
-                assert abs(b.y) < cfg.bev_extent
+            assert (np.abs(frame.boxes["x"]) < cfg.bev_extent).all()
+            assert (np.abs(frame.boxes["y"]) < cfg.bev_extent).all()
 
 
 # ---------------------------------------------------------------- determinism
@@ -196,7 +196,7 @@ def test_zero_object_scene_is_pure_background():
     scene = gen_scene(cfg)
     bg = background_image(cfg.image_h, cfg.image_w)
     for frame in scene.frames:
-        assert frame.boxes == ()
+        assert frame.boxes.shape == (0,) and frame.boxes.dtype == BOX_DTYPE
         for img in frame.images:
             assert np.array_equal(img, bg)
         assert frame.points.shape == (GROUND_POINTS, 3)
@@ -221,8 +221,7 @@ def test_render_box_ahead_hits_predicted_pixel():
     """A box straight ahead of camera 0 paints its color at the predicted pixel."""
     cfg = SceneConfig()
     cam = cfg.rig()[0]  # at (0.5, 0, 0.9) looking along +x
-    box = GroundTruthBox(1, 4.0, 0.0, 0.4, 1.0, 1.0, 0.8, 0.0, 0.0, 0.0)
-    img = render_view(cam, [box], cfg.image_h, cfg.image_w)
+    img = render_view(cam, boxes_of((1, 4.0, 0.0, 0.4, 1.0, 1.0, 0.8, 0.0, 0.0, 0.0)), cfg.image_h, cfg.image_w)
     # front face at x=3.5: camera depth 3.0, center offset 0.5 down
     v = int(cfg.image_h / 2 + cfg.focal * 0.5 / 3.0)
     u = int(cfg.image_w / 2)
@@ -232,12 +231,12 @@ def test_render_box_ahead_hits_predicted_pixel():
 def test_render_depth_buffer_prefers_nearer_box():
     cfg = SceneConfig()
     cam = cfg.rig()[0]
-    far = GroundTruthBox(0, 6.0, 0.0, 0.4, 1.0, 2.0, 0.8, 0.0, 0.0, 0.0)
-    near = GroundTruthBox(1, 3.0, 0.0, 0.4, 1.0, 2.0, 0.8, 0.0, 0.0, 0.0)
+    far = (0, 6.0, 0.0, 0.4, 1.0, 2.0, 0.8, 0.0, 0.0, 0.0)
+    near = (1, 3.0, 0.0, 0.4, 1.0, 2.0, 0.8, 0.0, 0.0, 0.0)
     u, v = int(cfg.image_w / 2), int(cfg.image_h / 2 + 4)
-    img_far = render_view(cam, [far], cfg.image_h, cfg.image_w)
+    img_far = render_view(cam, boxes_of(far), cfg.image_h, cfg.image_w)
     assert img_far[v, u].tolist() == list(PALETTE[0])
-    for order in ([far, near], [near, far]):
+    for order in (boxes_of(far, near), boxes_of(near, far)):
         img = render_view(cam, order, cfg.image_h, cfg.image_w)
         assert img[v, u].tolist() == list(PALETTE[1])
 
@@ -245,8 +244,7 @@ def test_render_depth_buffer_prefers_nearer_box():
 def test_render_box_behind_camera_is_invisible():
     cfg = SceneConfig()
     cam = cfg.rig()[0]  # looks along +x, so -x is behind
-    box = GroundTruthBox(0, -4.0, 0.0, 0.4, 1.0, 1.0, 0.8, 0.0, 0.0, 0.0)
-    img = render_view(cam, [box], cfg.image_h, cfg.image_w)
+    img = render_view(cam, boxes_of((0, -4.0, 0.0, 0.4, 1.0, 1.0, 0.8, 0.0, 0.0, 0.0)), cfg.image_h, cfg.image_w)
     assert np.array_equal(img, background_image(cfg.image_h, cfg.image_w))
 
 
@@ -254,18 +252,18 @@ def test_render_respects_yaw():
     """A long thin box rotated 90 degrees swaps its apparent width."""
     cfg = SceneConfig()
     cam = cfg.rig()[0]
-    long_across = GroundTruthBox(0, 4.0, 0.0, 0.4, 0.4, 3.0, 0.8, 0.0, 0.0, 0.0)
-    long_along = GroundTruthBox(0, 4.0, 0.0, 0.4, 0.4, 3.0, 0.8, np.pi / 2, 0.0, 0.0)
+    long_across = boxes_of((0, 4.0, 0.0, 0.4, 0.4, 3.0, 0.8, 0.0, 0.0, 0.0))
+    long_along = boxes_of((0, 4.0, 0.0, 0.4, 0.4, 3.0, 0.8, np.pi / 2, 0.0, 0.0))
     bg = background_image(cfg.image_h, cfg.image_w)
-    count_across = (render_view(cam, [long_across], 64, 176) != bg).any(axis=2).sum()
-    count_along = (render_view(cam, [long_along], 64, 176) != bg).any(axis=2).sum()
+    count_across = (render_view(cam, long_across, 64, 176) != bg).any(axis=2).sum()
+    count_along = (render_view(cam, long_along, 64, 176) != bg).any(axis=2).sum()
     assert count_across > count_along > 0
 
 
 def test_render_depth_hits_exactly_the_painted_pixels():
-    """factories.render_depth copies _render's loop with the depth buffer kept:
-    its hit mask equals the rendered raster's non-background pixels on every
-    camera of desk seeds 0-9, frame 0."""
+    """_render's two outputs agree: the finite pixels of its depth buffer are
+    exactly the non-background pixels of its image, and every depth is > 0,
+    on every camera of desk seeds 0-9, frame 0 (the image gen_scene kept)."""
     hits = 0
     for seed in range(10):
         cfg = SceneConfig(seed=seed, frames=1)
@@ -297,7 +295,7 @@ def test_generated_objects_are_visible_somewhere():
 def full_image_render(camera, boxes, image_h, image_w):
     """Oracle: the renderer before rectangle clipping, every box over every pixel."""
     image = background_image(image_h, image_w).copy()
-    if not boxes:
+    if not len(boxes):
         return image
     us = (np.arange(image_w) + 0.5 - camera.cx) / camera.fx
     vs = (np.arange(image_h) + 0.5 - camera.cy) / camera.fy
@@ -308,21 +306,22 @@ def full_image_render(camera, boxes, image_h, image_w):
     dirs_ego = np.einsum("hwj,ij->hwi", dirs_cam, camera.rotation)
     depth = np.full((image_h, image_w), np.inf)
     for box in boxes:
-        rot = _yaw_matrix(box.yaw)
-        origin_box = rot.T @ (camera.translation - box.center)
+        center, size = _center_size(box)
+        rot = _yaw_matrix(box["yaw"])
+        origin_box = rot.T @ (camera.translation - center)
         dirs_box = np.einsum("ij,hwj->hwi", rot.T, dirs_ego)
         t_enter = np.full((image_h, image_w), -np.inf)
         t_exit = np.full((image_h, image_w), np.inf)
         for axis in range(3):
             near, far = _slab_interval(
-                origin_box[axis], dirs_box[:, :, axis], box.size[axis] / 2.0
+                origin_box[axis], dirs_box[:, :, axis], size[axis] / 2.0
             )
             t_enter = np.maximum(t_enter, near)
             t_exit = np.minimum(t_exit, far)
         hit = (t_enter <= t_exit) & (t_enter > 1e-9)
         closer = hit & (t_enter < depth)
         depth[closer] = t_enter[closer]
-        image[closer] = PALETTE[box.cls % len(PALETTE)]
+        image[closer] = PALETTE[box["cls"] % len(PALETTE)]
     return image
 
 
@@ -333,7 +332,7 @@ CAM0 = DESK.rig()[0]
 
 
 def ahead(cls, x, y, z, size=(1.0, 1.0, 1.0), yaw=0.0):
-    return GroundTruthBox(cls, x, y, z, *size, yaw, 0.0, 0.0)
+    return (cls, x, y, z, *size, yaw, 0.0, 0.0)
 
 
 def painted(img):
@@ -347,7 +346,8 @@ def pixel_ray_point(camera, row, col, depth):
 
 def box_corners(box):
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
-    return np.array([yaw_rotate(box.yaw, s * box.size / 2.0) for s in signs]) + box.center
+    center, size = _center_size(box)
+    return np.array([yaw_rotate(box["yaw"], s * size / 2.0) for s in signs]) + center
 
 
 # Pitched and yawed: each ray direction component sums three inexact
@@ -369,7 +369,7 @@ def colors(img):
     return {tuple(int(v) for v in c) for c in img[painted(img)]}
 
 
-# name -> (boxes, check that the oracle's image shows the case it names)
+# name -> (box rows, check that the oracle's image shows the case it names)
 ORACLE_CASES = {
     # x from -1 to 2 around the camera's x = 0.5, off to the left
     "straddles_camera_plane": (
@@ -399,7 +399,8 @@ ORACLE_CASES = {
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
 def test_clipped_render_matches_full_image_oracle(name):
-    boxes, check = ORACLE_CASES[name]
+    rows, check = ORACLE_CASES[name]
+    boxes = boxes_of(*rows)
     expect = full_image_render(CAM0, boxes, DESK.image_h, DESK.image_w)
     assert check(expect)
     assert np.array_equal(render_view(CAM0, boxes, DESK.image_h, DESK.image_w), expect)
@@ -408,13 +409,13 @@ def test_clipped_render_matches_full_image_oracle(name):
 def test_clipped_render_matches_oracle_through_a_tilted_camera():
     cam = TILTED
     rng = np.random.default_rng(1)
-    boxes = [
-        GroundTruthBox(
+    boxes = boxes_of(*(
+        (
             int(rng.integers(0, 6)), *rng.uniform((-2.0, -6.0, -1.0), (9.0, 6.0, 2.5)),
             *rng.uniform(0.2, 2.5, 3), rng.uniform(-np.pi, np.pi), 0.0, 0.0,
         )
         for _ in range(40)
-    ]
+    ))
     expect = full_image_render(cam, boxes, DESK.image_h, DESK.image_w)
     assert painted(expect).mean() > 0.2
     assert np.array_equal(render_view(cam, boxes, DESK.image_h, DESK.image_w), expect)
@@ -434,10 +435,10 @@ def test_clipped_render_matches_oracle_at_corners_on_pixel_centers():
         size, yaw = rng.uniform(0.3, 1.5, 3), rng.uniform(-np.pi, np.pi)
         sign = rng.choice([-1.0, 1.0], 3)
         center = corner - yaw_rotate(yaw, sign * size / 2.0)
-        box = GroundTruthBox(0, *center, *size, yaw, 0.0, 0.0)
-        expect = full_image_render(cam, [box], DESK.image_h, DESK.image_w)
-        assert np.array_equal(render_view(cam, [box], DESK.image_h, DESK.image_w), expect)
-        uv, _ = cam.project(box_corners(box))
+        box = boxes_of((0, *center, *size, yaw, 0.0, 0.0))
+        expect = full_image_render(cam, box, DESK.image_h, DESK.image_w)
+        assert np.array_equal(render_view(cam, box, DESK.image_h, DESK.image_w), expect)
+        uv, _ = cam.project(box_corners(box[0]))
         rows, cols = np.nonzero(painted(expect))
         centers = np.stack([cols + 0.5, rows + 0.5], axis=1)
         outside = np.maximum(uv.min(axis=0) - centers, centers - uv.max(axis=0)).max(initial=0.0)
@@ -456,10 +457,11 @@ def test_object_points_lie_on_box_surface():
         object_pts = pts[: len(frame.boxes) * OBJECT_POINTS]
         for oi, box in enumerate(frame.boxes):
             chunk = object_pts[oi * OBJECT_POINTS : (oi + 1) * OBJECT_POINTS]
+            center, size = _center_size(box)
             local = np.stack(
-                [yaw_rotate(-box.yaw, p - box.center) for p in chunk.astype(np.float64)]
+                [yaw_rotate(-box["yaw"], p - center) for p in chunk.astype(np.float64)]
             )
-            half = box.size / 2
+            half = size / 2
             assert (np.abs(local) <= half + 1e-5).all()
             on_face = np.isclose(np.abs(local), half, atol=1e-5).any(axis=1)
             assert on_face.all()
@@ -474,7 +476,7 @@ def test_object_points_move_with_their_object():
     cfg = SceneConfig(seed=12, objects_min=1, objects_max=1, frames=3)
     scene = gen_scene(cfg)
     b0 = scene.frames[0].boxes[0]
-    shift = np.array([b0.vx * FRAME_DT, b0.vy * FRAME_DT, 0.0], dtype=np.float64)
+    shift = np.array([b0["vx"] * FRAME_DT, b0["vy"] * FRAME_DT, 0.0], dtype=np.float64)
     p0 = scene.frames[0].points[:OBJECT_POINTS].astype(np.float64)
     p1 = scene.frames[1].points[:OBJECT_POINTS].astype(np.float64)
     assert np.allclose(p1 - p0, shift, atol=1e-6)
@@ -484,12 +486,21 @@ def test_object_points_move_with_their_object():
 
 
 def test_box_text_round_trip_exact():
-    boxes = (
-        GroundTruthBox(0, 1.25, -3.5, 0.4, 1.1, 0.8, 0.9, 0.7853981633974483, 0.25, -0.125),
-        GroundTruthBox(2, -0.1, 0.2, 0.3, 0.5, 0.5, 0.5, -3.0, 0.0, 0.5),
-    )
-    back = tuple(parse_boxes(format_boxes(boxes)))
-    assert back == boxes
+    """format_boxes -> parse_boxes gives back the same bytes: two hand-written boxes, and every box
+    of every frame of desk seeds 0-9 and full seeds 0-1."""
+    boxes = [
+        boxes_of(
+            (0, 1.25, -3.5, 0.4, 1.1, 0.8, 0.9, 0.7853981633974483, 0.25, -0.125),
+            (2, -0.1, 0.2, 0.3, 0.5, 0.5, 0.5, -3.0, 0.0, 0.5),
+        )
+    ]
+    for preset, seeds in (("desk", range(10)), ("full", range(2))):
+        cfg = load_config(os.path.join(CONFIGS, f"{preset}.cfg"))
+        boxes += [frame.boxes for seed in seeds for frame in gen_scene(dataclasses.replace(cfg, seed=seed)).frames]
+    assert sum(map(len, boxes)) > 100
+    for b in boxes:
+        back = parse_boxes(format_boxes(b))
+        assert back.dtype == BOX_DTYPE and back.tobytes() == b.tobytes()
 
 
 def test_box_parse_rejects_bad_columns():
@@ -498,7 +509,8 @@ def test_box_parse_rejects_bad_columns():
 
 
 def test_box_parse_skips_comments_and_blanks():
-    assert parse_boxes("# header\n\n") == []
+    empty = parse_boxes("# header\n\n")
+    assert empty.shape == (0,) and empty.dtype == BOX_DTYPE
 
 
 def test_box_parse_refuses_a_class_id_int64_cannot_hold():
@@ -522,8 +534,30 @@ BOX_FIELDS = ("x", "y", "z", "l", "w", "h", "yaw", "vx", "vy")
 def test_box_rejects_non_finite_field(field, value):
     vals = dict(zip(BOX_FIELDS, (0.0, 0.0, 0.4, 1.0, 1.0, 0.8, 0.0, 0.0, 0.0)))
     vals[field] = value
-    with pytest.raises(ShapeError, match=f"{field} must be finite"):
-        GroundTruthBox(0, **vals)
+    with pytest.raises(FormatError, match=f"^box line 1: {field} must be finite, got {value}$"):
+        parse_boxes("0 " + " ".join(map(repr, vals.values())) + "\n")
+
+
+@pytest.mark.parametrize("field", ["l", "w", "h"])
+@pytest.mark.parametrize("value", [0.0, -0.0, -1.5])
+def test_box_parse_names_the_size_at_or_below_zero(field, value):
+    vals = dict(zip(BOX_FIELDS, (0.0, 0.0, 0.4, 1.0, 1.0, 0.8, 0.0, 0.0, 0.0)))
+    vals[field] = value
+    with pytest.raises(FormatError, match=f"^box line 1: size must be strictly positive, got {field} = {value}$"):
+        parse_boxes("0 " + " ".join(map(repr, vals.values())) + "\n")
+
+
+@pytest.mark.parametrize(
+    "boxes",
+    [np.zeros((2, 10)), np.zeros(2, DETECTION_DTYPE), np.zeros((2, 1), BOX_DTYPE), np.zeros(2, BOX_DTYPE)[0], ()],
+    ids=["float-2x10", "detection-dtype", "2-d", "record", "tuple"],
+)
+def test_scene_frame_refuses_all_but_a_1d_box_array(boxes):
+    """SceneFrame takes its boxes as given: np.asarray(np.zeros((2, 10)), BOX_DTYPE) would be 20 boxes."""
+    images, points = (background_image(4, 4),), np.zeros((1, 3), np.float32)
+    assert len(SceneFrame(images, np.zeros(2, BOX_DTYPE), points).boxes) == 2
+    with pytest.raises(ShapeError, match="SceneFrame: boxes must be an \\[N\\] BOX_DTYPE array"):
+        SceneFrame(images, boxes, points)
 
 
 @pytest.mark.parametrize(
@@ -550,7 +584,7 @@ def test_save_load_round_trip_is_exact(tmp_path):
     back = load_scene(tmp_path / "s")
     assert back.k == scene.k and back.n_cameras == scene.n_cameras
     for fa, fb in zip(scene.frames, back.frames):
-        assert fa.boxes == fb.boxes
+        assert fb.boxes.dtype == BOX_DTYPE and fa.boxes.tobytes() == fb.boxes.tobytes()
         assert np.array_equal(fa.points, fb.points)
         for ia, ib in zip(fa.images, fb.images):
             assert np.array_equal(ia, ib)

@@ -589,9 +589,9 @@ def _surface_peaks(cfg):
     y = -spec.extent + (iy + 0.5) * spec.cell_size
     gap = np.full(x.shape, np.inf)
     for b in frame.boxes:
-        cos, sin = math.cos(b.yaw), math.sin(b.yaw)
-        along, across = cos * (x - b.x) + sin * (y - b.y), -sin * (x - b.x) + cos * (y - b.y)
-        outside = np.hypot(np.maximum(np.abs(along) - b.l / 2, 0), np.maximum(np.abs(across) - b.w / 2, 0))
+        cos, sin = math.cos(b["yaw"]), math.sin(b["yaw"])
+        along, across = cos * (x - b["x"]) + sin * (y - b["y"]), -sin * (x - b["x"]) + cos * (y - b["y"])
+        outside = np.hypot(np.maximum(np.abs(along) - b["l"] / 2, 0), np.maximum(np.abs(across) - b["w"] / 2, 0))
         gap = np.minimum(gap, outside)
     return int((gap <= 1.0).sum()), int(gap.size)
 
