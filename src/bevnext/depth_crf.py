@@ -14,7 +14,9 @@ Under Potts, a neighborhood's message is the same for every bin when its
 distributions are uniform, so a cell without depth evidence stays
 uniform: the CRF spreads depth that the unary holds, and invents none.
 
-All distributions in this module are float64; the unary cost of a
+Depth distributions are plain float64 [K, H', W'] arrays, bin axis
+first: ``modulate`` returns one per camera, and ``lift``, the decoder's
+depth embedding and the depth dump read it as it is. The unary cost of a
 probability p is -log(p + 1e-12). Pairwise sums follow the ordered-pair
 convention (each unordered pair counted twice), which only scales the
 energy and is applied consistently in both the energy and the messages.
@@ -49,6 +51,8 @@ class DepthBins:
         object.__setattr__(self, "centers", c)
         if c.ndim != 1 or c.size < 2:
             raise ShapeError("DepthBins: need at least 2 centers")
+        if not np.isfinite(np.append(c, (self.d_min, self.d_max))).all():
+            raise ShapeError("DepthBins: centers, d_min and d_max must be finite")
         if not (np.diff(c) > 0).all():
             raise ShapeError("DepthBins: centers must be strictly increasing")
         if c[0] < self.d_min or c[-1] > self.d_max:
@@ -63,37 +67,6 @@ class DepthBins:
         """Evenly spaced centers at d_min + i * (d_max - d_min) / k."""
         step = (d_max - d_min) / k
         return cls(d_min + step * np.arange(k), d_min, d_max)
-
-
-@dataclass
-class DepthVolume:
-    """Per-pixel categorical distribution over depth bins, shape [K, H, W]."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
-        object.__setattr__(self, "probs", p)
-        if p.ndim != 3:
-            raise ShapeError(f"DepthVolume: probs must be rank-3 [K, H, W], got rank {p.ndim}")
-        if (p < 0).any():
-            raise ShapeError("DepthVolume: negative probability entry")
-        sums = p.sum(axis=0)
-        # A NaN compares False both ways: test "within 1e-6" and negate it.
-        if not (np.abs(sums - 1.0) <= 1e-6).all():
-            raise ShapeError("DepthVolume: per-pixel probabilities must sum to 1 within 1e-6")
-
-    @property
-    def k(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.probs.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.probs.shape[2]
 
 
 def patch_colors(image: np.ndarray, stride: int) -> np.ndarray:
@@ -161,24 +134,7 @@ def unary_from_probs(probs: np.ndarray) -> np.ndarray:
     return -np.log(np.asarray(probs, dtype=np.float64) + UNARY_EPS)
 
 
-def crf_energy(labels: np.ndarray, unary: np.ndarray, coupling: np.ndarray) -> float:
-    """Total energy of a hard bin assignment.
-
-    E = sum_i unary(i, l_i) + sum_{i != j} a(i, j) * [l_i != l_j] (Potts),
-    the pairwise sum running over ordered pairs.
-    """
-    u = np.asarray(unary, dtype=np.float64)
-    k = u.shape[0]
-    lab = np.asarray(labels).reshape(-1)
-    if lab.min() < 0 or lab.max() >= k:
-        raise ShapeError(f"crf_energy: label outside [0, {k})")
-    n = lab.size
-    e_unary = float(u.reshape(k, n)[lab, np.arange(n)].sum())
-    e_pair = float(coupling[lab[:, None] != lab[None, :]].sum())
-    return e_unary + e_pair
-
-
-def mean_field_step(q: DepthVolume, unary: np.ndarray, coupling: np.ndarray) -> DepthVolume:
+def mean_field_step(q: np.ndarray, unary: np.ndarray, coupling: np.ndarray) -> np.ndarray:
     """One synchronous (Jacobi) mean-field update.
 
     Q'_i(a) ~ exp(-unary(i, a) - sum_{j != i} a(i, j) * (1 - Q_j(a))), the
@@ -186,16 +142,17 @@ def mean_field_step(q: DepthVolume, unary: np.ndarray, coupling: np.ndarray) -> 
     every bin and cancels in the normalization, leaving
     softmax(coupling @ Q - unary). All messages read the previous iterate,
     so the update is order-independent and safe to parallelize over pixels.
+    `q` is the [K, H, W] iterate; the new one is returned in float64.
     """
-    k, h, w = q.probs.shape
+    k, h, w = q.shape
     n = h * w
     if coupling.shape != (n, n):
         raise ShapeError(f"mean_field_step: coupling is {coupling.shape}, expected {(n, n)}")
     # One float64 OpenBLAS GEMM sums over j; its order is the library's, the
     # same for any thread count (see the kernels module docstring).
-    logits = coupling @ q.probs.reshape(k, n).T  # [N, K]
+    logits = coupling @ q.reshape(k, n).T  # [N, K]
     logits -= unary.reshape(k, n).T
-    return DepthVolume(softmax(logits, axis=1).T.reshape(k, h, w))
+    return softmax(logits, axis=1).T.reshape(k, h, w)
 
 
 def modulate(
@@ -203,13 +160,15 @@ def modulate(
     image: np.ndarray,
     bins: DepthBins,
     iters: int,
-) -> DepthVolume:
+) -> np.ndarray:
     """Softmax the depth logits and run `iters` mean-field refinement steps.
 
-    `iters` must lie in [0, MAX_ITERS]; 0 returns softmax(logits)
-    unchanged. The coupling is `pairwise_affinity` of the image's patch
-    colors, and the unary stays fixed at -log softmax(logits) across
-    iterations.
+    Returns the float64 [K, H', W'] per-pixel depth distributions. The
+    logits must be finite, which makes every distribution finite,
+    non-negative and summing to 1. `iters` must lie in [0, MAX_ITERS];
+    0 returns softmax(logits) unchanged. The coupling is
+    `pairwise_affinity` of the image's patch colors, and the unary stays
+    fixed at -log softmax(logits) across iterations.
     """
     if not 0 <= iters <= MAX_ITERS:
         raise ShapeError(f"modulate: iters must be in [0, {MAX_ITERS}], got {iters}")
@@ -219,10 +178,11 @@ def modulate(
     k, h, w = lg.shape
     if k != bins.k:
         raise ShapeError(f"modulate: logits bin axis {k} != bins.k {bins.k}")
-    probs0 = softmax(lg, axis=0)
-    vol = DepthVolume(probs0)
+    if not np.isfinite(lg).all():
+        raise ShapeError("modulate: non-finite depth logit")
+    probs = softmax(lg, axis=0)
     if iters == 0:
-        return vol
+        return probs
     ih, iw = np.asarray(image).shape[:2]
     if ih % h or iw % w:
         raise ShapeError(f"modulate: image dims {ih}x{iw} not an integer multiple of feature dims {h}x{w}")
@@ -231,12 +191,12 @@ def modulate(
         raise ShapeError(f"modulate: inconsistent stride between axes ({ih}/{h} vs {iw}/{w})")
     colors = patch_colors(image, stride)
     coupling = pairwise_affinity(colors)
-    unary = unary_from_probs(probs0)
+    unary = unary_from_probs(probs)
     for _ in range(iters):
-        vol = mean_field_step(vol, unary, coupling)
-    return vol
+        probs = mean_field_step(probs, unary, coupling)
+    return probs
 
 
-def map_labeling(q: DepthVolume) -> np.ndarray:
-    """Per-pixel argmax bin index; ties break toward the lower index."""
-    return np.argmax(q.probs, axis=0)
+def map_labeling(probs: np.ndarray) -> np.ndarray:
+    """Per-pixel argmax bin of [K, H, W] probabilities; ties break toward the lower index."""
+    return np.argmax(probs, axis=0)

@@ -28,7 +28,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import BOX_DTYPE, parse_rows
-from .depth_crf import DepthVolume
 from .errors import FormatError, ShapeError
 from .kernels import ConvSpec, MlpSpec, bilinear_sample, conv2d, mlp_forward, softmax
 from .view_transform import BevGrid, BevSpec, CameraModel
@@ -259,14 +258,12 @@ def lift_references(
     return RefPointSet(uv, valid)
 
 
-def depth_embedding(depth: DepthVolume, mlp: MlpSpec) -> np.ndarray:
-    """Per-pixel MLP over the K-vector of depth probabilities, [C, H', W']."""
-    if mlp.in_width != depth.k:
-        raise ShapeError(
-            f"depth_embedding: mlp input width {mlp.in_width} != depth bin axis {depth.k}"
-        )
-    k, h, w = depth.probs.shape
-    flat = depth.probs.transpose(1, 2, 0).reshape(-1, k).astype(np.float32)
+def depth_embedding(depth: np.ndarray, mlp: MlpSpec) -> np.ndarray:
+    """Per-pixel MLP over the K-vector of [K, H', W'] depth probabilities, [C, H', W']."""
+    k, h, w = depth.shape
+    if mlp.in_width != k:
+        raise ShapeError(f"depth_embedding: mlp input width {mlp.in_width} != depth bin axis {k}")
+    flat = depth.transpose(1, 2, 0).reshape(-1, k).astype(np.float32)
     out = mlp_forward(flat, mlp)
     return out.T.reshape(mlp.out_width, h, w)
 

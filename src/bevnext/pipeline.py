@@ -43,7 +43,7 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from .config import SceneConfig
-from .depth_crf import DepthVolume, map_labeling, modulate
+from .depth_crf import map_labeling, modulate
 from .errors import BevnextError, ConfigError, ShapeError, StageError
 from .kernels import ConvSpec, conv2d
 from .object_decoder import (
@@ -155,7 +155,7 @@ class PipelineResult:
 
     detections: np.ndarray
     heatmap: Heatmap
-    depth: Tuple[DepthVolume, ...]  # current-frame depth, one per camera
+    depth: Tuple[np.ndarray, ...]  # current-frame [K, H', W'] depth probabilities, one per camera
     bev: BevGrid  # fused decoder input
 
 
@@ -185,17 +185,17 @@ def run_pipeline(
     index = run_stage("pool", precompute_pool_index, frusta, spec)
     bg = background_image(cfg.image_h, cfg.image_w).astype(np.float64)
 
-    current: list = []  # the newest frame's (feats, vol) per camera, for the decoder
+    current: list = []  # the newest frame's (feats, depth) per camera, for the decoder
 
     def camera_pass(image: np.ndarray):
         # One float64 image per conversion, with the bits of astype(float64) then the op.
         feats = run_stage("backbone", toy_backbone, np.subtract(image, bg), cfg.stride, bspecs)
         logits = run_stage("depth", lambda: conv2d(feats[None], dspec)[0])
-        vol = run_stage("crf", modulate, logits, np.divide(image, 255.0), bins, cfg.crf_iters)
-        return feats, vol
+        depth = run_stage("crf", modulate, logits, np.divide(image, 255.0), bins, cfg.crf_iters)
+        return feats, depth
 
     def start(t: int) -> list:
-        """Frame t's passes as calls giving (feats, vol): queued on the pool, or run when called."""
+        """Frame t's passes as calls giving (feats, depth): queued on the pool, or run when called."""
         images = scene.frames[t].images if t < scene.k else ()
         if ex is None:
             return [functools.partial(camera_pass, image) for image in images]
@@ -230,15 +230,13 @@ def run_pipeline(
         "decoder", lift_references, props["center"], spec, cfg.heights, rig, cfg.image_h, cfg.image_w
     )
     feats_now = np.stack([feats for feats, _ in current], axis=0)
-    vols_now = tuple(vol for _, vol in current)
-    emb = run_stage(
-        "decoder", lambda: np.stack([depth_embedding(v, dmlp) for v in vols_now], axis=0)
-    )
+    depth_now = tuple(depth for _, depth in current)
+    emb = run_stage("decoder", lambda: np.stack([depth_embedding(d, dmlp) for d in depth_now], axis=0))
     residual, refined = run_stage(
         "decoder", spatial_cross_attention, bev, props, query, refs, feats_now, attn, cfg.stride, emb
     )
     dets = run_stage("decoder", regress, bev, props, residual, refined, heads, spec)
-    return PipelineResult(dets, heat, vols_now, bev)
+    return PipelineResult(dets, heat, depth_now, bev)
 
 
 def write_artifacts(
@@ -255,9 +253,9 @@ def write_artifacts(
         fh.write(format_detections(result.detections))
     written.append(det_path)
     if dump_depth:
-        for ci, vol in enumerate(result.depth):
-            labels = map_labeling(vol)
-            gray = ((labels * 255) // max(vol.k - 1, 1)).astype(np.uint8)
+        for ci, depth in enumerate(result.depth):
+            labels = map_labeling(depth)
+            gray = ((labels * 255) // max(len(depth) - 1, 1)).astype(np.uint8)
             img = np.repeat(gray[:, :, None], 3, axis=2)
             path = os.path.join(out_dir, f"depth_cam{ci}.ppm")
             save_ppm(path, img)

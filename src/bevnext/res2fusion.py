@@ -16,7 +16,7 @@ poses are read and no frame warping happens anywhere.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -67,59 +67,23 @@ def _conv(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     return conv2d(x[None], spec)[0]
 
 
-def partition(frames: Sequence[BevGrid], window: int) -> List[np.ndarray]:
-    """Cut the frames (oldest first) into ceil(k / w) channel-concatenated windows.
-
-    Group 0 holds the w newest frames ending at the current one; the
-    oldest group is zero padded on its old side up to width w. Within a
-    group, channels run in chronological order (oldest frame first).
-    """
-    if window < 1:
-        raise ShapeError(f"partition: window must be >= 1, got {window}")
-    groups = []
-    for end in range(len(frames), 0, -window):
-        parts = [f.data for f in frames[max(end - window, 0) : end]]
-        c, g = parts[0].shape[:2]
-        groups.append(np.concatenate([np.zeros(((window - len(parts)) * c, g, g), np.float32)] + parts))
-    return groups
-
-
-def reduce_groups(groups: Sequence[np.ndarray], specs: Sequence[ConvSpec]) -> List[np.ndarray]:
-    """Apply each group's 1x1 reduction independently."""
-    if len(groups) != len(specs):
-        raise ShapeError(f"reduce_groups: {len(groups)} groups but {len(specs)} specs")
-    return [_conv(grp, spec) for grp, spec in zip(groups, specs)]
-
-
-def multiscale_cascade(bprime: Sequence[np.ndarray], specs: Sequence[ConvSpec]) -> List[np.ndarray]:
-    """Run the 3x3 cascade from the oldest group toward the newest.
-
-    The oldest group is convolved alone; each later group i >= 1 adds the
-    convolved output of its older neighbor before its own 3x3 conv; group
-    0 passes through untouched. Inherently sequential in the group index.
-    """
-    g = len(bprime)
-    if len(specs) != g - 1:
-        raise ShapeError(f"multiscale_cascade: need {g - 1} specs for {g} groups, got {len(specs)}")
-    out = list(bprime)
-    for i in range(g - 1, 0, -1):
-        out[i] = _conv(bprime[i] if i == g - 1 else bprime[i] + out[i + 1], specs[i - 1])
-    return out
-
-
 def fuse(frames: Iterable[BevGrid], config: FusionConfig) -> BevGrid:
     """Fuse a stream of ``config.frames`` BEV frames, oldest first, into one grid.
 
-    Exactly partition -> reduce_groups -> multiscale_cascade -> concat
-    (oldest group first) -> final 1x1, with no extra arithmetic, so the
-    composed stages and this entry point are bit-identical. Windows are
-    counted from the newest frame, so a stream of any other length is
-    refused. Each frame is copied into its slot of one [w * C, G, G]
-    window buffer as it arrives and is not kept; each older window is
-    reduced and run through its cascade step as soon as its last frame
-    is in, and the newest window once the stream has ended. So only the
-    window buffer, the cascade outputs so far and one reduced group are
-    live at a time.
+    The k frames are cut into g = ceil(k / w) windows counted from the
+    newest frame; window i (0 = newest) channel-concatenates its w frames,
+    oldest first, the oldest window zero padded on its old side. Window i
+    is reduced by reduce_specs[i]. The oldest reduced window goes through
+    its 3x3 cascade conv alone, each later window i >= 1 adds its older
+    neighbor's cascade output before cascade_specs[i - 1], and window 0
+    passes through. The outputs are concatenated oldest first and mixed
+    by the final 1x1 conv, with no other arithmetic. A stream of any other
+    length than k is refused. Each frame is copied into its slot of one
+    [w * C, G, G] window buffer as it arrives and is not kept; each older
+    window is reduced and run through its cascade step as soon as its
+    last frame is in, and the newest window once the stream has ended. So
+    only the window buffer, the cascade outputs so far and one reduced
+    group are live at a time.
     """
     k, w = config.frames, config.window
     pad = config.groups * w - k  # zero frames before frame 0 in the oldest window

@@ -53,7 +53,7 @@ _SIZE_RANGES = ((0.5, 1.2), (0.4, 0.9), (0.5, 1.2))  # l, w, h
 _CORNER_SIGNS = np.array([(sx, sy, sz) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity: a field-wise == would compare arrays
 class SceneFrame:
     """All per-instant data: one raster per camera, boxes, and points."""
 
@@ -81,7 +81,7 @@ class SceneFrame:
             raise ShapeError(f"SceneFrame: points must be [P, 3], got {pts.shape}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity: a field-wise == would compare arrays
 class SyntheticScene:
     """A chronological clip of frames sharing one camera rig."""
 

@@ -1,13 +1,15 @@
 """Camera-to-BEV view transform: frustum lifting and sum pooling.
 
 Forward projection in three steps: each feature pixel spawns one 3D point
-per depth bin (a frustum of candidate positions), image features are spread
-across those candidates weighted by the per-pixel depth distribution, and
-every in-bounds candidate is sum-pooled into the ego-centric grid cell it
-falls in. The scatter plan is precomputed once per geometry (PoolIndex):
-per camera, one (source, cell) pair of index arrays in (pixel, depth bin)
-order. A frustum's position in the list the plan is built from is its
-camera index, so frustum order is camera, then pixel, then depth bin.
+per depth bin (a frustum of candidate positions, a float64 [H', W', K, 3]
+array), image features are spread across those candidates weighted by the
+per-pixel depth distribution (the float64 [K, H', W'] array ``modulate``
+returns), and every in-bounds candidate is sum-pooled into the
+ego-centric grid cell it falls in. The scatter plan is precomputed once
+per geometry (PoolIndex): per camera, one (source, cell) pair of index
+arrays in (pixel, depth bin) order. A frustum's position in the list the
+plan is built from is its camera index, so frustum order is camera, then
+pixel, then depth bin.
 
 Accumulation contract: per cell and channel, pooling sums the cell's
 entries in float64, sequentially in frustum order, then rounds to
@@ -26,7 +28,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .depth_crf import DepthBins, DepthVolume
+from .depth_crf import DepthBins
 from .errors import ShapeError
 
 ROTATION_TOL = 1e-6
@@ -56,6 +58,8 @@ class CameraModel:
             raise ShapeError(f"CameraModel: rotation must be 3x3, got {r.shape}")
         if t.shape != (3,):
             raise ShapeError(f"CameraModel: translation must be a 3-vector, got {t.shape}")
+        if not np.isfinite(np.concatenate([[self.fx, self.fy, self.cx, self.cy], r.ravel(), t])).all():
+            raise ShapeError("CameraModel: intrinsics, rotation and translation must be finite")
         if np.abs(r @ r.T - np.eye(3)).max() > ROTATION_TOL:
             raise ShapeError("CameraModel: rotation must be orthonormal within 1e-6")
 
@@ -96,21 +100,6 @@ class BevSpec:
     @property
     def n_cells(self) -> int:
         return self.g * self.g
-
-
-@dataclass(frozen=True)
-class FrustumGrid:
-    """Ego-frame 3D point of every (feature pixel, depth bin) pair, [H', W', K, 3]."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.points, dtype=np.float64)
-        object.__setattr__(self, "points", p)
-        if p.ndim != 4 or p.shape[3] != 3:
-            raise ShapeError(f"FrustumGrid: points must be [H', W', K, 3], got {p.shape}")
-        if not np.isfinite(p).all():
-            raise ShapeError("FrustumGrid: non-finite point coordinate")
 
 
 @dataclass(frozen=True)
@@ -186,13 +175,14 @@ class PoolIndex:
         return sum(src.size for src in self.source)
 
 
-def build_frustum(cam: CameraModel, feat_h: int, feat_w: int, stride: int, bins: DepthBins) -> FrustumGrid:
-    """Ego-frame point of every (feature pixel, depth bin) pair.
+def build_frustum(cam: CameraModel, feat_h: int, feat_w: int, stride: int, bins: DepthBins) -> np.ndarray:
+    """Ego-frame point of every (feature pixel, depth bin) pair, float64 [H', W', K, 3].
 
     Feature pixel (row, col) covers image pixels [row*stride, (row+1)*stride);
     its center (u, v) = ((col + 0.5) * stride, (row + 0.5) * stride) is pushed
     through the inverse intrinsics at each bin center depth, then through the
-    camera-to-ego transform.
+    camera-to-ego transform. Its inputs are finite: CameraModel and
+    DepthBins refuse anything else.
     """
     u = (np.arange(feat_w, dtype=np.float64) + 0.5) * stride
     v = (np.arange(feat_h, dtype=np.float64) + 0.5) * stride
@@ -201,12 +191,13 @@ def build_frustum(cam: CameraModel, feat_h: int, feat_w: int, stride: int, bins:
     y = (v[:, None, None] - cam.cy) / cam.fy * d[None, None, :]
     z = np.broadcast_to(d[None, None, :], (feat_h, feat_w, bins.k))
     pts_cam = np.stack(np.broadcast_arrays(x, y, z), axis=-1)
-    ego = np.einsum("hwkj,ij->hwki", pts_cam, cam.rotation) + cam.translation
-    return FrustumGrid(ego)
+    return np.einsum("hwkj,ij->hwki", pts_cam, cam.rotation) + cam.translation
 
 
-def lift(features: np.ndarray, depth: DepthVolume, out: Optional[np.ndarray] = None) -> np.ndarray:
+def lift(features: np.ndarray, depth: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Spread [C, H', W'] features over depth bins: out[c,u,v,d] = f[c,u,v] * p[d,u,v].
+
+    ``depth`` is the float64 [K, H', W'] distribution array ``modulate`` returns.
 
     The float32 result goes into ``out`` when given (a [C, H', W', K]
     float32 array, e.g. the one slot a run lifts every camera into), which
@@ -221,40 +212,40 @@ def lift(features: np.ndarray, depth: DepthVolume, out: Optional[np.ndarray] = N
     if f.ndim != 3:
         raise ShapeError(f"lift: features must be [C, H', W'], got rank {f.ndim}")
     c, h, w = f.shape
-    if (depth.height, depth.width) != (h, w):
-        raise ShapeError(
-            f"lift: depth dims {depth.height}x{depth.width} != feature dims {h}x{w}"
-        )
-    shape = (c, h, w, depth.k)
+    k = depth.shape[0]
+    if depth.shape[1:] != (h, w):
+        raise ShapeError(f"lift: depth dims {depth.shape[1:]} != feature dims {(h, w)}")
+    shape = (c, h, w, k)
     if out is None:
         out = np.empty(shape, dtype=np.float32)
     elif out.shape != shape or out.dtype != np.float32:
         raise ShapeError(f"lift: out must be float32 {shape}, got {out.dtype} {out.shape}")
-    block = max(1, _LIFT_BLOCK_BYTES // max(1, 8 * h * w * depth.k))
-    buf = np.empty((min(block, c), h, w, depth.k), dtype=np.float64)
+    block = max(1, _LIFT_BLOCK_BYTES // max(1, 8 * h * w * k))
+    buf = np.empty((min(block, c), h, w, k), dtype=np.float64)
     for c0 in range(0, c, block):
         part = buf[: min(block, c - c0)]
-        np.einsum("chw,khw->chwk", f[c0 : c0 + block].astype(np.float64), depth.probs, out=part)
+        np.einsum("chw,khw->chwk", f[c0 : c0 + block].astype(np.float64), depth, out=part)
         np.copyto(out[c0 : c0 + block], part, casting="same_kind")
     return out
 
 
-def precompute_pool_index(frusta: Sequence[FrustumGrid], spec: BevSpec) -> PoolIndex:
+def precompute_pool_index(frusta: Sequence[np.ndarray], spec: BevSpec) -> PoolIndex:
     """Per-camera scatter plan from frustum geometry; reusable across frames.
 
-    frusta[n] is camera n. Each camera keeps its in-bounds points in
-    (pixel, bin) order; out-of-extent points are dropped here, never at
-    pool time. Cameras that see the same cell all add to it.
+    frusta[n] is camera n's [H', W', K, 3] points from ``build_frustum``.
+    Each camera keeps its in-bounds points in (pixel, bin) order;
+    out-of-extent points are dropped here, never at pool time. Cameras
+    that see the same cell all add to it.
     """
     if not frusta:
         raise ShapeError("precompute_pool_index: at least one frustum required")
-    h, w, k, _ = frusta[0].points.shape
+    h, w, k = frusta[0].shape[:3]
     sources, cells = [], []
     for f in frusta:
-        if f.points.shape != (h, w, k, 3):
-            raise ShapeError(f"precompute_pool_index: frustum dims {f.points.shape[:3]} != {(h, w, k)}")
-        x = f.points[..., 0].reshape(-1)
-        y = f.points[..., 1].reshape(-1)
+        if f.shape != (h, w, k, 3):
+            raise ShapeError(f"precompute_pool_index: frustum shape {f.shape} != {(h, w, k, 3)}")
+        x = f[..., 0].reshape(-1)
+        y = f[..., 1].reshape(-1)
         ix = np.floor((x + spec.extent) / spec.cell_size).astype(np.intp)
         iy = np.floor((y + spec.extent) / spec.cell_size).astype(np.intp)
         ok = (ix >= 0) & (ix < spec.g) & (iy >= 0) & (iy < spec.g)

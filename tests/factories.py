@@ -6,7 +6,10 @@ weights from the given ``SplitMix64`` in a fixed order, so a test's data
 depend only on its seed and the order of its calls. ``cam_to_ego`` and
 ``project_depth_labels`` are geometry oracles (the inverse of
 ``CameraModel.ego_to_cam``, and sparse depth labels from surface
-points); ``format_config`` writes a config back out as text,
+points). ``partition``, ``reduce_groups`` and ``multiscale_cascade`` are
+the temporal fusion's stages one at a time, and ``composed_fusion`` the
+composition ``fuse`` must equal; ``crf_energy`` is the Potts energy of a
+hard depth labelling. ``format_config`` writes a config back out as text,
 ``render_view`` and ``render_depth`` are the image and the depth buffer
 of ``scene._render`` for one camera, and ``traced_transient`` measures
 the memory a call allocates.
@@ -24,13 +27,13 @@ it accepts.
 import math
 import tracemalloc
 from dataclasses import fields
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from bevnext.config import _SCHEMA, SceneConfig
 from bevnext.depth_crf import DepthBins
-from bevnext.kernels import ConvSpec, MlpSpec, SplitMix64, init_weights
+from bevnext.kernels import ConvSpec, MlpSpec, SplitMix64, conv2d, init_weights
 from bevnext.errors import ShapeError
 from bevnext.object_decoder import (
     DETECTION_DTYPE,
@@ -40,6 +43,7 @@ from bevnext.object_decoder import (
     AttnSpec,
     RegressionHeads,
 )
+from bevnext.res2fusion import FusionConfig, _conv
 from bevnext.scene import _ray_directions, _render
 from bevnext.view_transform import BevGrid, BevSpec, CameraModel
 from bevnext.weights import WeightBundle, expected_shapes
@@ -170,6 +174,76 @@ def zero_bundle(cfg: SceneConfig) -> WeightBundle:
     return WeightBundle(
         {name: np.zeros(shape, np.float32) for name, shape in expected_shapes(cfg).items()}
     )
+
+
+def partition(frames: Sequence[BevGrid], window: int) -> List[np.ndarray]:
+    """Cut the frames (oldest first) into ceil(k / w) channel-concatenated windows.
+
+    Group 0 holds the w newest frames ending at the current one; the
+    oldest group is zero padded on its old side up to width w. Within a
+    group, channels run in chronological order (oldest frame first).
+    """
+    if window < 1:
+        raise ShapeError(f"partition: window must be >= 1, got {window}")
+    groups = []
+    for end in range(len(frames), 0, -window):
+        parts = [f.data for f in frames[max(end - window, 0) : end]]
+        c, g = parts[0].shape[:2]
+        groups.append(np.concatenate([np.zeros(((window - len(parts)) * c, g, g), np.float32)] + parts))
+    return groups
+
+
+def reduce_groups(groups: Sequence[np.ndarray], specs: Sequence[ConvSpec]) -> List[np.ndarray]:
+    """Apply each group's 1x1 reduction independently."""
+    if len(groups) != len(specs):
+        raise ShapeError(f"reduce_groups: {len(groups)} groups but {len(specs)} specs")
+    return [_conv(grp, spec) for grp, spec in zip(groups, specs)]
+
+
+def multiscale_cascade(bprime: Sequence[np.ndarray], specs: Sequence[ConvSpec]) -> List[np.ndarray]:
+    """Run the 3x3 cascade from the oldest group toward the newest.
+
+    The oldest group is convolved alone; each later group i >= 1 adds the
+    convolved output of its older neighbor before its own 3x3 conv; group
+    0 passes through untouched. Inherently sequential in the group index.
+    """
+    g = len(bprime)
+    if len(specs) != g - 1:
+        raise ShapeError(f"multiscale_cascade: need {g - 1} specs for {g} groups, got {len(specs)}")
+    out = list(bprime)
+    for i in range(g - 1, 0, -1):
+        out[i] = _conv(bprime[i] if i == g - 1 else bprime[i] + out[i + 1], specs[i - 1])
+    return out
+
+
+def composed_fusion(frames: Sequence[BevGrid], config: FusionConfig) -> np.ndarray:
+    """partition -> reduce_groups -> multiscale_cascade -> concat (oldest group first) -> final 1x1.
+
+    The whole frame stack at once, stage by stage: the composition ``fuse``
+    must equal bit for bit.
+    """
+    groups = partition(frames, config.window)
+    bp = reduce_groups(groups, config.reduce_specs)
+    bpp = multiscale_cascade(bp, config.cascade_specs)
+    cat = np.concatenate(list(reversed(bpp)), axis=0)
+    return conv2d(cat[None], config.final_spec)[0]
+
+
+def crf_energy(labels: np.ndarray, unary: np.ndarray, coupling: np.ndarray) -> float:
+    """Total energy of a hard bin assignment.
+
+    E = sum_i unary(i, l_i) + sum_{i != j} a(i, j) * [l_i != l_j] (Potts),
+    the pairwise sum running over ordered pairs.
+    """
+    u = np.asarray(unary, dtype=np.float64)
+    k = u.shape[0]
+    lab = np.asarray(labels).reshape(-1)
+    if lab.min() < 0 or lab.max() >= k:
+        raise ShapeError(f"crf_energy: label outside [0, {k})")
+    n = lab.size
+    e_unary = float(u.reshape(k, n)[lab, np.arange(n)].sum())
+    e_pair = float(coupling[lab[:, None] != lab[None, :]].sum())
+    return e_unary + e_pair
 
 
 def cam_to_ego(camera: CameraModel, points: np.ndarray) -> np.ndarray:

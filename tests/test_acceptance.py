@@ -17,8 +17,6 @@ import numpy as np
 
 from bevnext.depth_crf import (
     DepthBins,
-    DepthVolume,
-    crf_energy,
     mean_field_step,
     modulate,
     pairwise_affinity,
@@ -33,7 +31,7 @@ from bevnext.object_decoder import (
     select_centers,
     spatial_cross_attention,
 )
-from bevnext.res2fusion import FusionConfig, fuse, partition
+from bevnext.res2fusion import FusionConfig, fuse
 from bevnext.view_transform import (
     BevGrid,
     BevSpec,
@@ -43,7 +41,18 @@ from bevnext.view_transform import (
     pool,
     precompute_pool_index,
 )
-from factories import attn_spec, cam_to_ego, conv_spec, project_depth_labels, proposals, reference_points, zero_mlp
+from factories import (
+    attn_spec,
+    cam_to_ego,
+    composed_fusion,
+    conv_spec,
+    crf_energy,
+    partition,
+    project_depth_labels,
+    proposals,
+    reference_points,
+    zero_mlp,
+)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -85,11 +94,11 @@ def test_criterion_01_zero_coupling_leaves_distributions():
     for seed in range(100):
         rng = SplitMix64(seed)
         logits = rng.uniform_array((k, h, w), -3.0, 3.0).astype(np.float64)
-        out = DepthVolume(softmax(logits, axis=0))
-        unary = unary_from_probs(out.probs)
+        out = softmax(logits, axis=0)
+        unary = unary_from_probs(out)
         for _ in range(5):
             out = mean_field_step(out, unary, coupling)
-        worst = max(worst, float(np.abs(out.probs - softmax(logits, axis=0)).max()))
+        worst = max(worst, float(np.abs(out - softmax(logits, axis=0)).max()))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-9, f"max deviation {worst:.3e} exceeds 1e-9"
     assert elapsed < 5.0, f"runtime {elapsed:.2f} s exceeds 5 s"
@@ -140,9 +149,9 @@ def test_criterion_02_mean_field_matches_naive_oracle():
         affinity = pairwise_affinity(colors)
         probs = softmax(rng.uniform_array((k, h, w), -2.0, 2.0).astype(np.float64), axis=0)
         unary = unary_from_probs(probs)
-        fast = mean_field_step(DepthVolume(probs), unary, affinity)
+        fast = mean_field_step(probs, unary, affinity)
         slow = _naive_mean_field_step(probs, unary, affinity)
-        worst = max(worst, float(np.abs(fast.probs - slow).max()))
+        worst = max(worst, float(np.abs(fast - slow).max()))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-10, f"max deviation {worst:.3e} exceeds 1e-10"
     assert elapsed < 10.0, f"runtime {elapsed:.2f} s exceeds 10 s"
@@ -195,7 +204,7 @@ def test_criterion_04_two_region_spread_non_increasing():
         after = modulate(logits, image, bins, 5)
         ok = True
         for region in (slice(0, w // 2), slice(w // 2, w)):
-            if _region_spread(after.probs, region) > _region_spread(before.probs, region) + 1e-12:
+            if _region_spread(after, region) > _region_spread(before, region) + 1e-12:
                 ok = False
         passed += int(ok)
     assert passed == 20, f"spread shrank in only {passed}/20 cases"
@@ -221,7 +230,7 @@ def test_criterion_05_pooling_conserves_mass():
         for ci in range(n_cams):
             feats = rng.uniform_array((c, feat_h, feat_w), 0.5, 1.5)
             probs = softmax(rng.uniform_array((k, feat_h, feat_w), -1.0, 1.0).astype(np.float64), axis=0)
-            lifted.append(lift(feats, DepthVolume(probs)))
+            lifted.append(lift(feats, probs))
         stack = np.stack(lifted)
         index = precompute_pool_index(frusta, spec)
         pooled = pool(stack, index)
@@ -229,8 +238,8 @@ def test_criterion_05_pooling_conserves_mass():
         # in-bounds mass straight from the frustum geometry
         mass = np.zeros(c, dtype=np.float64)
         for ci, fr in enumerate(frusta):
-            ix = np.floor((fr.points[..., 0] + spec.extent) / spec.cell_size).astype(np.int64)
-            iy = np.floor((fr.points[..., 1] + spec.extent) / spec.cell_size).astype(np.int64)
+            ix = np.floor((fr[..., 0] + spec.extent) / spec.cell_size).astype(np.int64)
+            iy = np.floor((fr[..., 1] + spec.extent) / spec.cell_size).astype(np.int64)
             ok = (ix >= 0) & (ix < spec.g) & (iy >= 0) & (iy < spec.g)
             mass += lifted[ci].astype(np.float64)[:, ok].sum(axis=1)
         pooled_mass = pooled.data.astype(np.float64).sum(axis=(1, 2))
@@ -244,7 +253,7 @@ def test_criterion_05_pooling_conserves_mass():
             for row in range(feat_h):
                 for col in range(feat_w):
                     for d in range(k):
-                        x, y, _ = fr.points[row, col, d]
+                        x, y, _ = fr[row, col, d]
                         ix = math.floor((x + spec.extent) / spec.cell_size)
                         iy = math.floor((y + spec.extent) / spec.cell_size)
                         if 0 <= ix < spec.g and 0 <= iy < spec.g:
@@ -268,7 +277,7 @@ def test_criterion_06_projection_round_trip():
         rng = SplitMix64(3000 + seed)
         cam = _random_camera(rng)
         fr = build_frustum(cam, feat_h, feat_w, stride, bins)
-        uv, depth = cam.project(fr.points.reshape(-1, 3))
+        uv, depth = cam.project(fr.reshape(-1, 3))
         exp_u = np.tile((np.arange(feat_w) + 0.5) * stride, (feat_h, 1))[:, :, None]
         exp_v = np.tile((np.arange(feat_h) + 0.5) * stride, (feat_w, 1)).T[:, :, None]
         exp_uv = np.stack(
@@ -332,13 +341,23 @@ def _impulse_radius(grid: BevGrid) -> int:
 
 
 def test_criterion_07_fusion_group_structure():
-    """Group counts follow ceil(k / w); impulse radii equal each group's cascade depth."""
+    """Group counts follow ceil(k / w) and fuse is their composition; impulse radii equal each group's cascade depth."""
+    rng = SplitMix64(4100)
     for k in range(1, 17):
         stack = _constant_stack(k)
         for w in range(1, k + 1):
             groups = partition(stack, w)
             g = -(-k // w)
             assert len(groups) == g, f"k={k}, w={w}: {len(groups)} groups != {g}"
+            config = FusionConfig(
+                k,
+                w,
+                tuple(conv_spec(w, 2, 1, rng) for _ in range(g)),
+                tuple(conv_spec(2, 2, 3, rng) for _ in range(g - 1)),
+                conv_spec(2 * g, 2, 1, rng),
+            )
+            fused = fuse(iter(stack), config).data
+            assert fused.tobytes() == composed_fusion(stack, config).tobytes(), f"k={k}, w={w}: fuse != composition"
             padded = 0
             for i, grp in enumerate(groups):
                 end = k - i * w
@@ -370,7 +389,7 @@ def test_criterion_07_fusion_group_structure():
             fused = fuse((BevGrid(f) for f in frames), config)
             radius = _impulse_radius(fused)
             assert radius == j, f"g={g}, group {j}: impulse radius {radius} != {j}"
-    _report(7, "group counts match ceil(k/w) for k <= 16; impulse radii equal cascade depth")
+    _report(7, "group counts match ceil(k/w) and fuse equals their composition for k <= 16; impulse radii equal cascade depth")
 
 
 # ------------------------------------------------------------ criterion 8
@@ -394,12 +413,7 @@ def test_criterion_08_zero_embedding_is_identity():
         attn = attn_spec(c, len(cfg.heights), cfg.points, rng)
         zero_emb_mlp = zero_mlp([cfg.depth_bins, c])
         vols = [
-            DepthVolume(
-                softmax(
-                    rng.uniform_array((cfg.depth_bins, cfg.feat_h, cfg.feat_w), -1.0, 1.0).astype(np.float64),
-                    axis=0,
-                ),
-            )
+            softmax(rng.uniform_array((cfg.depth_bins, cfg.feat_h, cfg.feat_w), -1.0, 1.0).astype(np.float64), axis=0)
             for ci in range(len(rig))
         ]
         emb = np.stack([depth_embedding(v, zero_emb_mlp) for v in vols])

@@ -14,8 +14,6 @@ from bevnext.config import SceneConfig, load_config
 from bevnext.depth_crf import (
     MAX_ITERS,
     DepthBins,
-    DepthVolume,
-    crf_energy,
     map_labeling,
     mean_field_step,
     modulate,
@@ -27,7 +25,7 @@ from bevnext.errors import ShapeError
 from bevnext.kernels import SplitMix64, softmax
 from bevnext.pipeline import tensor_digest
 from bevnext.scene import gen_scene
-from factories import render_depth, traced_transient
+from factories import crf_energy, render_depth, traced_transient
 
 
 # ---------------------------------------------------------------- oracles
@@ -185,6 +183,12 @@ def test_bins_reject_unsorted():
         DepthBins(np.array([2.0, 1.0]), 1.0, 2.0)
 
 
+def test_bins_reject_non_finite():
+    for centers, d_min, d_max in (([1.0, np.inf], 0.0, np.inf), ([1.0, 2.0], np.nan, 2.0), ([1.0, 2.0], 1.0, np.nan)):
+        with pytest.raises(ShapeError, match="must be finite"):
+            DepthBins(np.array(centers), d_min, d_max)
+
+
 @pytest.mark.parametrize(
     "pixels",
     [
@@ -192,14 +196,15 @@ def test_bins_reject_unsorted():
         [(0.5, 0.5), (np.nan, 0.5)],
         [(np.inf, 0.0)],
         [(np.inf, 0.0), (np.nan, 1.0)],
-        [(0.5, 0.6)],
     ],
-    ids=["nan", "nan-beside-valid", "inf", "inf-beside-nan", "sum-off"],
+    ids=["nan", "nan-beside-valid", "inf", "inf-beside-nan"],
 )
-def test_depth_volume_rejects_sums_that_are_not_one(pixels):
-    probs = np.array(pixels, dtype=np.float64).T.reshape(2, 1, len(pixels))
-    with pytest.raises(ShapeError, match="sum to 1"):
-        DepthVolume(probs)
+def test_modulate_refuses_non_finite_logits(pixels):
+    """softmax would turn these into NaN distributions; modulate refuses them before it runs."""
+    logits = np.array(pixels, dtype=np.float64).T.reshape(2, 1, len(pixels))
+    for iters in (0, 5):
+        with pytest.raises(ShapeError, match="non-finite depth logit"):
+            modulate(logits, np.zeros((4, 4 * len(pixels), 3)), DepthBins.uniform(2, 1.0, 3.0), iters)
 
 
 # ---------------------------------------------------------------- patch colors
@@ -419,17 +424,17 @@ def test_step_zero_coupling_is_unary_softmax():
     k, h, w = 3, 2, 2
     unary = rng.uniform_array((k, h, w), 0, 2).astype(np.float64)
     aff = np.zeros((h * w, h * w))
-    q_any = DepthVolume(softmax(rng.uniform_array((k, h, w), -1, 1), axis=0))
+    q_any = softmax(rng.uniform_array((k, h, w), -1, 1), axis=0)
     out = mean_field_step(q_any, unary, aff)
-    np.testing.assert_allclose(out.probs, softmax(-unary, axis=0), atol=1e-12, rtol=0)
+    np.testing.assert_allclose(out, softmax(-unary, axis=0), atol=1e-12, rtol=0)
 
 
 def test_step_symmetric_two_pixels():
     unary = np.array([[0.4, 0.4], [0.9, 0.9]]).reshape(2, 1, 2)
     aff = np.array([[0.0, 1.0], [1.0, 0.0]])
-    q = DepthVolume(np.full((2, 1, 2), 0.5))
+    q = np.full((2, 1, 2), 0.5)
     out = mean_field_step(q, unary, aff)
-    np.testing.assert_array_equal(out.probs[:, 0, 0], out.probs[:, 0, 1])
+    np.testing.assert_array_equal(out[:, 0, 0], out[:, 0, 1])
 
 
 def test_step_matches_naive_oracle():
@@ -440,9 +445,9 @@ def test_step_matches_naive_oracle():
     unary = unary_from_probs(q0)
     pc = rng.uniform_array((h, w, 3)).astype(np.float64)
     aff = pairwise_affinity(pc)
-    out = mean_field_step(DepthVolume(q0), unary, aff)
+    out = mean_field_step(q0, unary, aff)
     ref = naive_mean_field_step(q0, unary, aff)
-    np.testing.assert_allclose(out.probs, ref, atol=1e-10, rtol=0)
+    np.testing.assert_allclose(out, ref, atol=1e-10, rtol=0)
 
 
 def test_step_oracle_agreement_many_sizes():
@@ -455,16 +460,16 @@ def test_step_oracle_agreement_many_sizes():
         unary = unary_from_probs(q0)
         pc = rng.uniform_array((h, w, 3)).astype(np.float64)
         aff = pairwise_affinity(pc)
-        out = mean_field_step(DepthVolume(q0), unary, aff)
+        out = mean_field_step(q0, unary, aff)
         ref = naive_mean_field_step(q0, unary, aff)
-        np.testing.assert_allclose(out.probs, ref, atol=1e-10, rtol=0, err_msg=f"trial {trial}")
+        np.testing.assert_allclose(out, ref, atol=1e-10, rtol=0, err_msg=f"trial {trial}")
 
 
 def _seeded_step_inputs(k, h, w, seed):
     rng = SplitMix64(seed)
     colors = rng.uniform_array((h, w, 3)).astype(np.float64)
-    q = DepthVolume(softmax(rng.uniform_array((k, h, w), -3.0, 3.0).astype(np.float64), axis=0))
-    return q, unary_from_probs(q.probs), pairwise_affinity(colors)
+    q = softmax(rng.uniform_array((k, h, w), -3.0, 3.0).astype(np.float64), axis=0)
+    return q, unary_from_probs(q), pairwise_affinity(colors)
 
 
 # One seeded step at desk (8x22, K=8) and full (16x44, K=59) scale, pinned
@@ -480,7 +485,7 @@ def _seeded_step_inputs(k, h, w, seed):
 )
 def test_step_digest_pinned(k, h, w, seed, digest):
     out = mean_field_step(*_seeded_step_inputs(k, h, w, seed))
-    assert tensor_digest(out.probs) == digest
+    assert tensor_digest(out) == digest
 
 
 @pytest.mark.parametrize("k,h,w,seed", [(8, 8, 22, 3), (59, 16, 44, 4)])
@@ -489,7 +494,7 @@ def test_step_matches_textbook_potts_form_within_1e_12(k, h, w, seed):
     moves no probability by more than 1e-12."""
     q, unary, aff = _seeded_step_inputs(k, h, w, seed)
     out = mean_field_step(q, unary, aff)
-    np.testing.assert_allclose(out.probs, textbook_potts_step(q.probs, unary, aff), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out, textbook_potts_step(q, unary, aff), rtol=0, atol=1e-12)
 
 
 def test_step_normalization_invariant():
@@ -500,12 +505,11 @@ def test_step_normalization_invariant():
         unary = unary_from_probs(q)
         pc = rng.uniform_array((h, w, 3)).astype(np.float64)
         aff = pairwise_affinity(pc)
-        vol = DepthVolume(q)
         for _ in range(3):
-            vol = mean_field_step(vol, unary, aff)
-            sums = vol.probs.sum(axis=0)
+            q = mean_field_step(q, unary, aff)
+            sums = q.sum(axis=0)
             assert np.abs(sums - 1.0).max() <= 1e-6
-            assert (vol.probs >= 0).all()
+            assert (q >= 0).all()
 
 
 # ---------------------------------------------------------------- modulate
@@ -516,18 +520,18 @@ def test_modulate_t0_is_softmax_exactly():
     logits = rng.uniform_array((4, 2, 3), -2, 2)
     img = rng.uniform_array((4, 6, 3)).astype(np.float64)
     out = modulate(logits, img, DepthBins.uniform(4, 1.0, 5.0), 0)
-    np.testing.assert_array_equal(out.probs, softmax(logits, axis=0))
+    np.testing.assert_array_equal(out, softmax(logits, axis=0))
 
 
 def test_modulate_zero_weights_decouples():
     # modulate's refinement loop with a zero coupling: 5 steps keep softmax(logits)
     rng = SplitMix64(73)
     logits = rng.uniform_array((4, 2, 3), -2, 2)
-    vol = DepthVolume(softmax(logits, axis=0))
-    unary = unary_from_probs(vol.probs)
+    probs = softmax(logits, axis=0)
+    unary = unary_from_probs(probs)
     for _ in range(5):
-        vol = mean_field_step(vol, unary, np.zeros((6, 6)))
-    np.testing.assert_allclose(vol.probs, softmax(logits, axis=0), atol=1e-9, rtol=0)
+        probs = mean_field_step(probs, unary, np.zeros((6, 6)))
+    np.testing.assert_allclose(probs, softmax(logits, axis=0), atol=1e-9, rtol=0)
 
 
 @pytest.mark.parametrize("iters", [-1, MAX_ITERS + 1])
@@ -547,8 +551,8 @@ def test_modulate_permutation_symmetry():
     img = rng.uniform_array((h, w, 3)).astype(np.float64)
     img[0, 2] = img[0, 0]
     out = modulate(logits, img, DepthBins.uniform(k, 1.0, 4.0), 3)
-    np.testing.assert_array_equal(out.probs[:, 0, 0], out.probs[:, 0, 2])
-    assert not np.array_equal(out.probs[:, 0, 0], out.probs[:, 0, 1])
+    np.testing.assert_array_equal(out[:, 0, 0], out[:, 0, 2])
+    assert not np.array_equal(out[:, 0, 0], out[:, 0, 1])
 
 
 def test_modulate_two_region_energy_not_increased():
@@ -565,8 +569,8 @@ def test_modulate_two_region_energy_not_increased():
     unary = unary_from_probs(softmax(logits, axis=0))
     left = [r * w + c for r in range(h) for c in range(w // 2)]
 
-    def intra_left_pair_energy(vol):
-        lab = map_labeling(vol).reshape(-1)
+    def intra_left_pair_energy(probs):
+        lab = map_labeling(probs).reshape(-1)
         total = 0.0
         for i in left:
             for j in left:
@@ -588,8 +592,8 @@ def test_two_region_spread_shrinks_over_20_seeds():
         logits = SplitMix64(1000 + seed).uniform_array((4, h, w), -1.5, 1.5)
         out0 = modulate(logits, img, bins, 0)
         out5 = modulate(logits, img, bins, 5)
-        assert region_spread(out5.probs, left_cols) <= region_spread(out0.probs, left_cols), f"seed {seed} left"
-        assert region_spread(out5.probs, right_cols) <= region_spread(out0.probs, right_cols), f"seed {seed} right"
+        assert region_spread(out5, left_cols) <= region_spread(out0, left_cols), f"seed {seed} left"
+        assert region_spread(out5, right_cols) <= region_spread(out0, right_cols), f"seed {seed} right"
 
 
 @pytest.mark.parametrize("preset", ["desk", "full"])
@@ -599,7 +603,7 @@ def test_modulate_keeps_depth_uniform_without_evidence(preset):
     bins = cfg.bins()
     for ci, image in enumerate(frame.images):
         out = modulate(np.zeros((bins.k, cfg.feat_h, cfg.feat_w)), np.divide(image, 255.0), bins, cfg.crf_iters)
-        assert np.abs(out.probs - 1.0 / bins.k).max() <= 1e-12, f"camera {ci}"
+        assert np.abs(out - 1.0 / bins.k).max() <= 1e-12, f"camera {ci}"
 
 
 @pytest.mark.parametrize("preset", ["desk", "full"])
@@ -635,19 +639,18 @@ def test_modulate_shape_mismatch():
 def test_map_labeling_one_hot():
     probs = np.zeros((3, 2, 2))
     probs[2] = 1.0
-    np.testing.assert_array_equal(map_labeling(DepthVolume(probs)), np.full((2, 2), 2))
+    np.testing.assert_array_equal(map_labeling(probs), np.full((2, 2), 2))
 
 
 def test_map_labeling_uniform_breaks_low():
     probs = np.full((4, 2, 3), 0.25)
-    np.testing.assert_array_equal(map_labeling(DepthVolume(probs)), np.zeros((2, 3), dtype=np.int64))
+    np.testing.assert_array_equal(map_labeling(probs), np.zeros((2, 3), dtype=np.int64))
 
 
 def test_map_labeling_matches_scan_oracle():
     rng = SplitMix64(83)
     probs = softmax(rng.uniform_array((5, 4, 4), -2, 2), axis=0)
-    vol = DepthVolume(probs)
-    got = map_labeling(vol)
+    got = map_labeling(probs)
     k, h, w = probs.shape
     for r in range(h):
         for c in range(w):

@@ -26,7 +26,7 @@ import dataclasses, hashlib, json, sys, threading
 import numpy as np
 from bevnext import pipeline
 from bevnext.config import load_config
-from bevnext.depth_crf import DepthVolume, mean_field_step, pairwise_affinity, unary_from_probs
+from bevnext.depth_crf import mean_field_step, pairwise_affinity, unary_from_probs
 from bevnext.kernels import ConvSpec, SplitMix64, conv2d, softmax
 from bevnext.object_decoder import format_detections
 from bevnext.pipeline import tensor_digest
@@ -48,7 +48,7 @@ def record(stage, fn, pick):
 
 pipeline.toy_backbone = record("backbone", pipeline.toy_backbone, lambda a, out: out)
 modulate = pipeline.modulate
-pipeline.modulate = record("crf", record("depth", modulate, lambda a, out: a[0]), lambda a, out: out.probs)
+pipeline.modulate = record("crf", record("depth", modulate, lambda a, out: a[0]), lambda a, out: out)
 pipeline.lift = record("lift", pipeline.lift, lambda a, out: out)
 
 report = {}
@@ -64,12 +64,12 @@ for threads in map(int, sys.argv[2:]):
 
 rng = SplitMix64(4)
 k, h, w = 59, 16, 44
-q = DepthVolume(softmax(rng.uniform_array((k, h, w), -3.0, 3.0).astype(np.float64), axis=0))
+q = softmax(rng.uniform_array((k, h, w), -3.0, 3.0).astype(np.float64), axis=0)
 aff = pairwise_affinity(rng.uniform_array((h, w, 3)).astype(np.float64))
-step = mean_field_step(q, unary_from_probs(q.probs), aff)
+step = mean_field_step(q, unary_from_probs(q), aff)
 spec = ConvSpec(rng.uniform_array((64, 64, 3, 3), -0.05, 0.05), rng.uniform_array((64,), -0.05, 0.05), 1, 1)
 conv = conv2d(rng.uniform_array((1, 64, 128, 128), -1, 1), spec)
-report["full"] = {"step": tensor_digest(step.probs), "conv": tensor_digest(conv)}
+report["full"] = {"step": tensor_digest(step), "conv": tensor_digest(conv)}
 print(json.dumps(report))
 """
 

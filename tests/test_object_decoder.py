@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from bevnext import object_decoder, weights
 from bevnext.config import SceneConfig, load_config
-from bevnext.depth_crf import DepthVolume
 from bevnext.errors import FormatError, ShapeError
 from bevnext.kernels import ConvSpec, SplitMix64, bilinear_sample, conv2d, mlp_forward, softmax
 from bevnext.object_decoder import (
@@ -479,7 +478,7 @@ def test_references_roundtrip_to_ego():
 
 def test_depth_embedding_zero_mlp():
     probs = np.full((4, 3, 5), 0.25)
-    emb = depth_embedding(DepthVolume(probs), zero_mlp([4, 6, 2]))
+    emb = depth_embedding(probs, zero_mlp([4, 6, 2]))
     assert emb.shape == (2, 3, 5)
     assert not emb.any()
 
@@ -490,7 +489,7 @@ def test_depth_embedding_pointwise():
     probs[:, 1, 2] = [0.7, 0.1, 0.1, 0.1]
     probs[:, 0, 0] = [0.7, 0.1, 0.1, 0.1]
     mlp = mlp_spec([4, 5, 3], rng)
-    emb = depth_embedding(DepthVolume(probs), mlp)
+    emb = depth_embedding(probs, mlp)
     np.testing.assert_array_equal(emb[:, 1, 2], emb[:, 0, 0])
 
 
@@ -498,7 +497,7 @@ def test_depth_embedding_matches_per_pixel_oracle():
     rng = SplitMix64(19)
     probs = softmax(rng.uniform_array((4, 3, 4), -1, 1), axis=0)
     mlp = mlp_spec([4, 6, 5], rng)
-    emb = depth_embedding(DepthVolume(probs), mlp)
+    emb = depth_embedding(probs, mlp)
     for r in range(3):
         for c in range(4):
             ref = mlp_forward(probs[:, r, c].astype(np.float32), mlp)
@@ -507,7 +506,7 @@ def test_depth_embedding_matches_per_pixel_oracle():
 
 def test_depth_embedding_width_mismatch():
     with pytest.raises(ShapeError, match="width"):
-        depth_embedding(DepthVolume(np.full((4, 2, 2), 0.25)), zero_mlp([5, 3]))
+        depth_embedding(np.full((4, 2, 2), 0.25), zero_mlp([5, 3]))
 
 
 # ---------------------------------------------------------------- attention
@@ -612,7 +611,7 @@ def test_sca_zero_embedding_is_identity_ablation():
     features = rng.uniform_array((ncam, c, 8, 10), -1, 1)
     refs = make_refs(rng, n, ncam, j, 64, 80)
     probs = np.full((5, 8, 10), 0.2)
-    zero_emb = np.stack([depth_embedding(DepthVolume(probs), zero_mlp([5, c])) for i in range(ncam)])
+    zero_emb = np.stack([depth_embedding(probs, zero_mlp([5, c])) for i in range(ncam)])
     with_emb, _ = spatial_cross_attention(*roi, refs, features, attn, stride, embedding=zero_emb)
     without, _ = spatial_cross_attention(*roi, refs, features, attn, stride)
     assert with_emb.tobytes() == without.tobytes()

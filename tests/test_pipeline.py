@@ -280,7 +280,7 @@ def test_pipeline_shapes_match_config_arithmetic():
     assert isinstance(result, PipelineResult)
     assert result.heatmap.values.shape == (cfg.classes, 32, 32)
     assert len(result.depth) == 6
-    assert all(vol.probs.shape == (8, 8, 22) for vol in result.depth)
+    assert all(depth.shape == (8, 8, 22) and depth.dtype == np.float64 for depth in result.depth)
     assert result.bev.data.shape == (32, 32, 32)
 
 
@@ -294,8 +294,8 @@ def test_pipeline_deterministic_across_runs_and_threads():
         assert again.detections.tobytes() == base.detections.tobytes()
         assert np.array_equal(again.heatmap.values, base.heatmap.values)
         assert np.array_equal(again.bev.data, base.bev.data)
-        for va, vb in zip(again.depth, base.depth):
-            assert np.array_equal(va.probs, vb.probs)
+        for da, db in zip(again.depth, base.depth):
+            assert np.array_equal(da, db)
 
 
 def test_pipeline_desk_golden_pinned_across_threads():
@@ -318,8 +318,8 @@ def test_pipeline_desk_camera_stages_pinned():
     for image in scene.frames[0].images:
         feats = toy_backbone(image.astype(np.float64) - bg, cfg.stride, bspecs)
         logits = conv2d(feats[None], dspec)[0]
-        vol = modulate(logits, image.astype(np.float64) / 255.0, cfg.bins(), cfg.crf_iters)
-        for stage, arr in zip(outputs, (feats, logits, vol.probs, lift(feats, vol))):
+        depth = modulate(logits, image.astype(np.float64) / 255.0, cfg.bins(), cfg.crf_iters)
+        for stage, arr in zip(outputs, (feats, logits, depth, lift(feats, depth))):
             outputs[stage].append(arr)
     assert len(outputs["backbone"]) == 6
     for stage, arrs in outputs.items():
@@ -367,10 +367,10 @@ def test_pipeline_full_golden_pinned():
 
 
 def test_pipeline_overflowing_weights_stop_at_crf():
-    """Huge weights overflow the CRF softmax into NaN; the depth volume refuses it."""
+    """Huge weights overflow the depth logits; modulate refuses them before its softmax makes NaN."""
     cfg = SceneConfig(frames=1)
     big = {name: arr * np.float32(1e20) for name, arr in init_bundle(cfg, 7).tensors.items()}
-    with np.errstate(all="ignore"), pytest.raises(StageError, match=r"\[stage crf\] DepthVolume"):
+    with np.errstate(all="ignore"), pytest.raises(StageError, match=r"\[stage crf\] modulate: non-finite depth logit"):
         run_pipeline(gen_scene(cfg), cfg, WeightBundle(big))
 
 
@@ -397,12 +397,12 @@ def test_pipeline_crf_iterations_change_values_not_shapes():
     assert len(r0.depth) == len(r5.depth) == cfg0.camera_count
     bg = background_image(cfg0.image_h, cfg0.image_w)
     moved = 0
-    for ci, (v0, v5, image) in enumerate(zip(r0.depth, r5.depth, scene.frames[-1].images)):
-        assert v0.probs.shape == v5.probs.shape
+    for ci, (d0, d5, image) in enumerate(zip(r0.depth, r5.depth, scene.frames[-1].images)):
+        assert d0.shape == d5.shape
         if np.array_equal(image, bg):  # cameras 1 and 2 see no object: no depth evidence to spread
-            assert np.array_equal(v5.probs, v0.probs), f"camera {ci}"
+            assert np.array_equal(d5, d0), f"camera {ci}"
         else:
-            assert np.abs(v5.probs - v0.probs).max() > 1e-4, f"camera {ci}"  # measured 8.4e-4 to 0.022
+            assert np.abs(d5 - d0).max() > 1e-4, f"camera {ci}"  # measured 8.4e-4 to 0.022
             moved += 1
     assert moved == 4
     assert np.abs(r5.bev.data - r0.bev.data).max() > 2e-5  # measured 2.5e-4

@@ -10,16 +10,16 @@ import pytest
 
 from bevnext.errors import ShapeError
 from bevnext.kernels import ConvSpec, SplitMix64, conv2d
-from bevnext.res2fusion import (
-    FusionConfig,
-    fuse,
+from bevnext.res2fusion import FusionConfig, fuse, post_fuse
+from bevnext.view_transform import BevGrid
+from factories import (
+    composed_fusion,
+    conv_spec,
     multiscale_cascade,
     partition,
-    post_fuse,
     reduce_groups,
+    traced_transient,
 )
-from bevnext.view_transform import BevGrid
-from factories import conv_spec, traced_transient
 
 
 # ---------------------------------------------------------------- oracles
@@ -276,21 +276,12 @@ def test_fuse_zero_final_kernel():
     assert not out.data.any()
 
 
-def _composed(frames, config):
-    """partition -> reduce_groups -> multiscale_cascade -> concat (oldest group first) -> final 1x1."""
-    groups = partition(frames, config.window)
-    bp = reduce_groups(groups, config.reduce_specs)
-    bpp = multiscale_cascade(bp, config.cascade_specs)
-    cat = np.concatenate(list(reversed(bpp)), axis=0)
-    return conv2d(cat[None], config.final_spec)[0]
-
-
 def test_fuse_equals_composed_stages():
     rng = SplitMix64(25)
     stack = random_stack(rng, 5, c=3, g=8)
     config = _random_config(SplitMix64(26), 5, 2, 3, 4, 5)
     out = fuse(stack, config)
-    np.testing.assert_array_equal(out.data, _composed(stack, config))
+    np.testing.assert_array_equal(out.data, composed_fusion(stack, config))
 
 
 def test_fuse_reads_a_generator_bit_identical_to_the_composed_stages():
@@ -298,7 +289,7 @@ def test_fuse_reads_a_generator_bit_identical_to_the_composed_stages():
     stack = random_stack(SplitMix64(45), 5, c=3, g=8)
     config = _random_config(SplitMix64(46), 5, 2, 3, 4, 5)
     out = fuse((grid for grid in stack), config)
-    np.testing.assert_array_equal(out.data, _composed(stack, config))
+    np.testing.assert_array_equal(out.data, composed_fusion(stack, config))
 
 
 @pytest.mark.parametrize("k", [4, 6])

@@ -111,6 +111,15 @@ def test_same_seed_gives_byte_identical_scenes():
     assert scene_digest(gen_scene(cfg)) == scene_digest(gen_scene(cfg))
 
 
+def test_scenes_and_frames_compare_by_identity():
+    """`==` on scenes and frames is identity and never compares their arrays (which would raise)."""
+    cfg = SceneConfig(seed=7, frames=2)
+    a, b = gen_scene(cfg), gen_scene(cfg)
+    assert a == a and a.frames[0] == a.frames[0]
+    assert a != b and a.frames[0] != b.frames[0]
+    assert scene_digest(a) == scene_digest(b)  # equal contents, still two scenes
+
+
 def test_different_seeds_differ():
     a = gen_scene(SceneConfig(seed=1, frames=2))
     b = gen_scene(SceneConfig(seed=2, frames=2))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bevnext.config import load_config
-from bevnext.depth_crf import DepthBins, DepthVolume
+from bevnext.depth_crf import DepthBins
 from bevnext.errors import ShapeError
 from bevnext.kernels import SplitMix64, softmax
 from bevnext.scene import GROUND_POINTS, gen_scene
@@ -17,7 +17,6 @@ from bevnext.view_transform import (
     BevGrid,
     BevSpec,
     CameraModel,
-    FrustumGrid,
     PoolIndex,
     build_frustum,
     lift,
@@ -69,11 +68,11 @@ def naive_splat(frusta, feat_stack, spec):
     c = feat_stack.shape[1]
     out = np.zeros((c, spec.g, spec.g))
     for frustum, feats in zip(frusta, feat_stack):
-        h, w, k, _ = frustum.points.shape
+        h, w, k, _ = frustum.shape
         for r in range(h):
             for col in range(w):
                 for d in range(k):
-                    x, y = frustum.points[r, col, d, 0], frustum.points[r, col, d, 1]
+                    x, y = frustum[r, col, d, 0], frustum[r, col, d, 1]
                     cell = naive_cell(x, y, spec)
                     if cell is not None:
                         out[:, cell // spec.g, cell % spec.g] += feats[:, r, col, d].astype(np.float64)
@@ -100,7 +99,7 @@ def scatter_oracle(frusta, frustum_features, spec):
     c = f.shape[1]
     acc = np.zeros((spec.n_cells, c), dtype=np.float64)
     for n, frustum in enumerate(frusta):
-        x, y = frustum.points[..., 0].reshape(-1), frustum.points[..., 1].reshape(-1)
+        x, y = frustum[..., 0].reshape(-1), frustum[..., 1].reshape(-1)
         ix = np.floor((x + spec.extent) / spec.cell_size).astype(np.int64)
         iy = np.floor((y + spec.extent) / spec.cell_size).astype(np.int64)
         ok = (ix >= 0) & (ix < spec.g) & (iy >= 0) & (iy < spec.g)
@@ -110,7 +109,7 @@ def scatter_oracle(frusta, frustum_features, spec):
 
 
 def _uniform_depth(k, h, w):
-    return DepthVolume(np.full((k, h, w), 1.0 / k))
+    return np.full((k, h, w), 1.0 / k)
 
 
 # ---------------------------------------------------------------- camera model
@@ -124,6 +123,20 @@ def test_camera_rejects_bad_rotation():
 def test_camera_rejects_nonpositive_focal():
     with pytest.raises(ShapeError, match="focal"):
         CameraModel(0.0, 100, 32, 32, np.eye(3), np.zeros(3))
+
+
+@pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy", "rotation", "translation"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_camera_rejects_non_finite_values(field, bad):
+    """A NaN passes both `fx <= 0` and the orthonormality bound, so only the finite check refuses it."""
+    values = dict(fx=100.0, fy=100.0, cx=32.0, cy=32.0, rotation=np.eye(3), translation=np.zeros(3))
+    if np.ndim(values[field]):
+        values[field] = values[field].copy()
+        values[field].flat[1] = bad
+    else:
+        values[field] = bad
+    with pytest.raises(ShapeError, match="must be finite"):
+        CameraModel(**values)
 
 
 def test_project_inverts_cam_to_ego():
@@ -145,16 +158,16 @@ def test_frustum_principal_point_on_optical_axis():
     bins = DepthBins(np.array([2.0, 5.0]), 2.0, 5.0)
     frustum = build_frustum(cam, 3, 3, 8, bins)
     # pixel (row 1, col 1) has center (12, 12) = principal point
-    np.testing.assert_allclose(frustum.points[1, 1, 1], [0.0, 0.0, 5.0], atol=1e-12)
-    np.testing.assert_allclose(frustum.points[1, 1, 0], [0.0, 0.0, 2.0], atol=1e-12)
+    np.testing.assert_allclose(frustum[1, 1, 1], [0.0, 0.0, 5.0], atol=1e-12)
+    np.testing.assert_allclose(frustum[1, 1, 0], [0.0, 0.0, 2.0], atol=1e-12)
 
 
 def test_frustum_depth_scales_offsets_linearly():
     cam = CameraModel(80, 120, 30.0, 20.0, np.eye(3), np.zeros(3))
     bins = DepthBins(np.array([2.0, 4.0]), 2.0, 4.0)
     frustum = build_frustum(cam, 4, 6, 8, bins)
-    near = frustum.points[:, :, 0, :2]
-    far = frustum.points[:, :, 1, :2]
+    near = frustum[:, :, 0, :2]
+    far = frustum[:, :, 1, :2]
     np.testing.assert_allclose(far, 2.0 * near, atol=1e-12)
 
 
@@ -163,7 +176,7 @@ def test_frustum_points_recede_along_ray():
     cam = random_camera(rng)
     frustum = build_frustum(cam, 3, 4, 8, DepthBins.uniform(5, 1.0, 9.0))
     center = cam_to_ego(cam, np.zeros((1, 3)))[0]
-    dist = np.linalg.norm(frustum.points - center, axis=-1)
+    dist = np.linalg.norm(frustum - center, axis=-1)
     assert (np.diff(dist, axis=-1) > 0).all()
 
 
@@ -174,7 +187,7 @@ def test_frustum_roundtrip_recovers_pixels_and_depth():
         h, w, stride = 4, 5, 8
         bins = DepthBins.uniform(6, 1.0, 7.0)
         frustum = build_frustum(cam, h, w, stride, bins)
-        pts = frustum.points.reshape(-1, 3)
+        pts = frustum.reshape(-1, 3)
         uv, depth = cam.project(pts)
         rows, cols, ds = np.unravel_index(np.arange(pts.shape[0]), (h, w, bins.k))
         np.testing.assert_allclose(uv[:, 0], (cols + 0.5) * stride, atol=1e-5, err_msg=f"trial {trial} u")
@@ -190,7 +203,7 @@ def test_lift_one_hot_depth_selects_slice():
     feats = rng.uniform_array((2, 3, 4), -1, 1)
     probs = np.zeros((5, 3, 4))
     probs[3] = 1.0
-    out = lift(feats, DepthVolume(probs))
+    out = lift(feats, probs)
     np.testing.assert_array_equal(out[:, :, :, 3], feats)
     assert out.shape == (2, 3, 4, 5)
     out[:, :, :, 3] = 0
@@ -207,7 +220,7 @@ def test_lift_sums_back_to_features():
     rng = SplitMix64(23)
     feats = rng.uniform_array((3, 4, 5), -2, 2)
     probs = softmax(rng.uniform_array((6, 4, 5), -1, 1), axis=0)
-    out = lift(feats, DepthVolume(probs))
+    out = lift(feats, probs)
     np.testing.assert_allclose(out.sum(axis=3), feats, atol=1e-6, rtol=0)
 
 
@@ -219,7 +232,7 @@ def test_lift_rejects_dim_mismatch():
 def test_lift_into_a_stack_slot_keeps_every_bit():
     rng = SplitMix64(29)
     feats = rng.uniform_array((3, 4, 5), -2, 2)
-    depth = DepthVolume(softmax(rng.uniform_array((6, 4, 5), -1, 1), axis=0))
+    depth = softmax(rng.uniform_array((6, 4, 5), -1, 1), axis=0)
     stack = np.full((2, 3, 4, 5, 6), np.nan, dtype=np.float32)
     slot = stack[1]
     assert lift(feats, depth, slot) is slot
@@ -248,13 +261,12 @@ def test_lift_keeps_the_einsum_bits_down_to_the_sign_of_zero(monkeypatch, channe
     probs = softmax(rng.uniform_array((k, h, w), -1, 1), axis=0)
     hot = (np.arange(h)[:, None] + np.arange(3)[None, :]) % k  # one-hot bins in the first 3 columns
     probs[:, :, :3] = np.arange(k)[:, None, None] == hot
-    depth = DepthVolume(probs)
     expected = np.einsum("chw,khw->chwk", feats.astype(np.float64), probs).astype(np.float32)
     multiplied = np.multiply(feats.astype(np.float64)[..., None], probs.transpose(1, 2, 0)).astype(np.float32)
     assert not np.array_equal(multiplied.view(np.uint32), expected.view(np.uint32)), "data cannot detect -0.0"
-    np.testing.assert_array_equal(lift(feats, depth).view(np.uint32), expected.view(np.uint32))
+    np.testing.assert_array_equal(lift(feats, probs).view(np.uint32), expected.view(np.uint32))
     slot = np.full((c, h, w, k), np.nan, dtype=np.float32)
-    np.testing.assert_array_equal(lift(feats, depth, slot).view(np.uint32), expected.view(np.uint32))
+    np.testing.assert_array_equal(lift(feats, probs, slot).view(np.uint32), expected.view(np.uint32))
 
 
 def test_lift_builds_no_float64_product_of_a_full_camera():
@@ -262,7 +274,7 @@ def test_lift_builds_no_float64_product_of_a_full_camera():
     c, h, w, k = 64, 16, 44, 59
     rng = SplitMix64(37)
     feats = rng.uniform_array((c, h, w), -1, 1)
-    depth = DepthVolume(softmax(rng.uniform_array((k, h, w), -1, 1), axis=0))
+    depth = softmax(rng.uniform_array((k, h, w), -1, 1), axis=0)
     out = np.empty((c, h, w, k), dtype=np.float32)
     assert traced_transient(lift, feats, depth, out) < c * h * w * k * 8 // 4
 
@@ -271,8 +283,8 @@ def test_lift_builds_no_float64_product_of_a_full_camera():
 
 
 def _point_frustum(points):
-    """FrustumGrid wrapping an explicit [H, W, K, 3] point array."""
-    return FrustumGrid(np.asarray(points, dtype=np.float64))
+    """An explicit [H, W, K, 3] point array as a float64 frustum."""
+    return np.asarray(points, dtype=np.float64)
 
 
 def test_index_single_point_cell_arithmetic():
@@ -396,7 +408,7 @@ def test_pool_matches_naive_scatter_many_seeds():
         frusta = [_point_frustum(rng.uniform_array((h, w, k, 3), -5, 5).astype(np.float64)) for _ in range(2)]
         feat_stack = np.stack(
             [
-                lift(rng.uniform_array((c, h, w), -1, 1), DepthVolume(softmax(rng.uniform_array((k, h, w), -1, 1), axis=0)))
+                lift(rng.uniform_array((c, h, w), -1, 1), softmax(rng.uniform_array((k, h, w), -1, 1), axis=0))
                 for i in range(2)
             ]
         )
@@ -415,7 +427,7 @@ def test_pool_conservation_random_instances():
         frustum = _point_frustum(pts)
         lifted = lift(
             rng.uniform_array((c, h, w), 0.5, 2.0),
-            DepthVolume(softmax(rng.uniform_array((k, h, w), -1, 1), axis=0)),
+            softmax(rng.uniform_array((k, h, w), -1, 1), axis=0),
         )
         index = precompute_pool_index([frustum], spec)
         grid = pool([lifted], index)
@@ -578,7 +590,7 @@ def _surface_peaks(cfg):
             labels, _ = project_depth_labels(objects, cam, cfg.feat_h, cfg.feat_w, cfg.stride, bins)
             hit = labels >= 0
             probs = np.where(hit, np.arange(bins.k)[:, None, None] == labels, 1.0 / bins.k)
-            yield lift(hit[None].astype(np.float32), DepthVolume(probs))
+            yield lift(hit[None].astype(np.float32), probs)
 
     bev = pool(cameras(), index).data[0]
     g = spec.g
