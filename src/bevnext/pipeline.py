@@ -1,25 +1,26 @@
 """End-to-end orchestration: images to detections, deterministically.
 
 Per frame, every camera runs backbone -> depth logits -> CRF-refined
-depth -> frustum lift; the lifted features pool into one BEV grid per
-frame. ``fuse`` reads the frame grids as a stream, oldest first, and the
-decoder turns the fused grid into detections. Camera passes (backbone,
-depth head, CRF) are the only work of the thread pool (one per run, for
-``threads > 1``), queued one frame ahead: each time fuse asks for the
-next frame, the thread that called ``run_pipeline`` pools frame t while
-the pool runs frame t + 1's passes. Pool reads frame t from a generator
-that takes each camera's result in camera order and lifts it into one
-preallocated [C, H', W', K] slot, and reads each camera before it asks
-for the next, so no stack of all cameras' lifted features exists; fuse
-copies each grid into its window buffer and reduces each window as soon
-as its last frame is pooled, so no list of all frames' grids exists
-either. At ``threads = 1`` the same loop
-runs each pass in place when its result is taken. Only the calling
-thread touches the slot, which keeps outputs bit-identical for any
-thread count and puts every long-lived array (the slot, the grids,
-pool's and fuse's buffers) on one heap; workers allocate only per-pass
-temporaries. The slot lives only while frames are pooled, so the newest
-window's reduction and the decoder run without it.
+depth -> lift of the pool plan's entries; the lifted entries pool into
+one BEV grid per frame. The plan keeps only frustum points inside the
+grid's extent and the height band of ``view_transform``, and ``lift``
+computes only those, in plan order, so no [C, H', W', K] frustum tensor
+is written. ``fuse`` reads the frame grids as a stream, oldest first, and
+the decoder turns the fused grid into detections. Camera passes
+(backbone, depth head, CRF) are the only work of the thread pool (one
+per run, for ``threads > 1``), queued one frame ahead: each time fuse
+asks for the next frame, the thread that called ``run_pipeline`` pools
+frame t while the pool runs frame t + 1's passes. Pool reads frame t
+from a generator that takes each camera's result in camera order and
+lifts it, and reads each camera before it asks for the next, so no
+stack of all cameras' lifted features exists; fuse copies each grid into
+its window buffer and reduces each window as soon as its last frame is
+pooled, so no list of all frames' grids exists either. At ``threads =
+1`` the same loop runs each pass in place when its result is taken.
+Lift and pool run only on the calling thread, which keeps outputs
+bit-identical for any thread count and puts every long-lived array (the
+grids, pool's and fuse's buffers) on one heap; workers allocate only
+per-pass temporaries.
 Failures inside a stage re-raise as ``StageError`` tagged with the stage
 name.
 
@@ -201,24 +202,19 @@ def run_pipeline(
             return [functools.partial(camera_pass, image) for image in images]
         return [ex.submit(camera_pass, image).result for image in images]
 
-    def lifted(passes: list, slot: np.ndarray):
-        """The frame's cameras for pool: each pass result, lifted into the one slot in camera order."""
+    def lifted(passes: list):
+        """The frame's cameras for pool: each pass result, lifted along the plan in camera order."""
         current.clear()
-        for result in passes:
+        for result, source in zip(passes, index.source):
             current.append(result())
-            yield run_stage("lift", lift, *current[-1], slot)
+            yield run_stage("lift", lift, *current[-1], source)
 
     def frames():
-        """Each frame's BEV grid, oldest first, pooled while the pool runs the next frame's passes.
-
-        The slot is this generator's own, so it is freed when fuse has taken
-        the last frame and the stream ends, before the newest window is reduced.
-        """
-        slot = np.empty((bspecs[-1].out_channels, cfg.feat_h, cfg.feat_w, bins.k), dtype=np.float32)
+        """Each frame's BEV grid, oldest first, pooled while the pool runs the next frame's passes."""
         ahead = start(0)
         for t in range(scene.k):
             passes, ahead = ahead, start(t + 1)
-            yield run_stage("pool", pool, lifted(passes, slot), index)
+            yield run_stage("pool", pool, lifted(passes), index)
 
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as ex:
         fused = run_stage("fusion", fuse, frames(), fcfg)

@@ -4,12 +4,14 @@ Forward projection in three steps: each feature pixel spawns one 3D point
 per depth bin (a frustum of candidate positions, a float64 [H', W', K, 3]
 array), image features are spread across those candidates weighted by the
 per-pixel depth distribution (the float64 [K, H', W'] array ``modulate``
-returns), and every in-bounds candidate is sum-pooled into the
-ego-centric grid cell it falls in. The scatter plan is precomputed once
-per geometry (PoolIndex): per camera, one (source, cell) pair of index
-arrays in (pixel, depth bin) order. A frustum's position in the list the
-plan is built from is its camera index, so frustum order is camera, then
-pixel, then depth bin.
+returns), and every candidate inside the grid's extent and the height
+band [Z_MIN, Z_MAX] is sum-pooled into the ego-centric grid cell it falls
+in. The scatter plan is precomputed once per geometry (PoolIndex): per
+camera, one (source, cell) pair of index arrays in (pixel, depth bin)
+order. ``lift`` computes only the plan's entries of a camera, in plan
+order, so no [C, H', W', K] tensor is ever written. A frustum's position
+in the list the plan is built from is its camera index, so frustum order
+is camera, then pixel, then depth bin.
 
 Accumulation contract: per cell and channel, pooling sums the cell's
 entries in float64, sequentially in frustum order, then rounds to
@@ -24,7 +26,7 @@ The extrinsic transform maps camera-frame points into the ego frame.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +35,15 @@ from .errors import ShapeError
 
 ROTATION_TOL = 1e-6
 _LIFT_BLOCK_BYTES = 1 << 20  # float64 product buffer per lift call
-_POOL_BLOCK_BYTES = 1 << 18  # float64 gathered values per pool block
+_POOL_BLOCK_BYTES = 1 << 18  # float64 values per pool block
+# Ego heights (m) the plan keeps. Every preset draws one world: ground at
+# z = 0 and objects at most 1.2 m tall (scene._SIZE_RANGES), so points
+# below the ground or above any object carry no surface. The floor is
+# 0.75 m under the ground because a bin centre and a stride-16 pixel
+# centre can push an object hit below it: at -0.25 m, full.cfg loses 8 of
+# its 129 object-surface hits (seeds 0-2). Mass outside the band is
+# dropped, not renormalised, as LSS (arXiv 2008.05625) drops it.
+Z_MIN, Z_MAX = -0.75, 1.5
 
 
 @dataclass(frozen=True)
@@ -132,8 +142,8 @@ class PoolIndex:
     """Scatter plan: for each camera, its in-bounds frustum points and the cells they add to.
 
     source[n] and cell[n] are camera n's intp arrays of one length, in
-    (pixel, bin) order: source is the flat offset pixel * K + bin into the
-    camera's [C, H', W', K] lifted features, with pixel = row * W' + col;
+    (pixel, bin) order: source is the flat offset pixel * K + bin of the
+    point in the camera's [H', W', K] frustum, with pixel = row * W' + col;
     cell is the flat BEV cell iy * G + ix. Camera n is the n-th frustum
     the plan was built from. The ranges are checked once, here, on
     read-only copies.
@@ -194,19 +204,17 @@ def build_frustum(cam: CameraModel, feat_h: int, feat_w: int, stride: int, bins:
     return np.einsum("hwkj,ij->hwki", pts_cam, cam.rotation) + cam.translation
 
 
-def lift(features: np.ndarray, depth: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Spread [C, H', W'] features over depth bins: out[c,u,v,d] = f[c,u,v] * p[d,u,v].
+def lift(features: np.ndarray, depth: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """Features spread over the plan's depth bins: out[c, e] = f[c, pixel_e] * p[bin_e, pixel_e].
 
-    ``depth`` is the float64 [K, H', W'] distribution array ``modulate`` returns.
-
-    The float32 result goes into ``out`` when given (a [C, H', W', K]
-    float32 array, e.g. the one slot a run lifts every camera into), which
-    is returned; otherwise into a new array. The float64 product is
-    ``np.einsum("chw,khw->chwk")`` run over blocks of channels, each into
-    one buffer of at most _LIFT_BLOCK_BYTES and cast into ``out``, so no
-    float64 product of the whole tensor exists. einsum adds each product
-    to a zeroed output, so a negative feature times a zero probability
-    is +0.0; ``np.multiply`` would write -0.0 there.
+    ``depth`` is the float64 [K, H', W'] distribution array ``modulate``
+    returns; ``source`` is one camera's plan entries (PoolIndex.source[n]),
+    each the offset pixel * K + bin. Returns float32 [C, len(source)] in
+    plan order. Each product has the bits of ``np.einsum("chw,khw->chwk")``:
+    the float64 product plus 0.0 (einsum adds it to a zeroed output, so a
+    negative feature times a zero probability is +0.0, where a plain
+    product is -0.0), rounded to float32 once. Channels go in blocks of at
+    most _LIFT_BLOCK_BYTES of float64 products.
     """
     f = np.asarray(features, dtype=np.float32)
     if f.ndim != 3:
@@ -215,17 +223,17 @@ def lift(features: np.ndarray, depth: np.ndarray, out: Optional[np.ndarray] = No
     k = depth.shape[0]
     if depth.shape[1:] != (h, w):
         raise ShapeError(f"lift: depth dims {depth.shape[1:]} != feature dims {(h, w)}")
-    shape = (c, h, w, k)
-    if out is None:
-        out = np.empty(shape, dtype=np.float32)
-    elif out.shape != shape or out.dtype != np.float32:
-        raise ShapeError(f"lift: out must be float32 {shape}, got {out.dtype} {out.shape}")
-    block = max(1, _LIFT_BLOCK_BYTES // max(1, 8 * h * w * k))
-    buf = np.empty((min(block, c), h, w, k), dtype=np.float64)
+    pixel, bin_ = np.divmod(source, k)
+    prob = depth.reshape(k, -1)[bin_, pixel]
+    flat = f.reshape(c, -1)
+    out = np.empty((c, len(prob)), dtype=np.float32)
+    block = max(1, _LIFT_BLOCK_BYTES // max(1, 8 * len(prob)))
+    buf = np.empty((min(block, c), len(prob)))
     for c0 in range(0, c, block):
         part = buf[: min(block, c - c0)]
-        np.einsum("chw,khw->chwk", f[c0 : c0 + block].astype(np.float64), depth, out=part)
-        np.copyto(out[c0 : c0 + block], part, casting="same_kind")
+        np.multiply(flat[c0 : c0 + block, pixel], prob, out=part)
+        part += 0.0
+        out[c0 : c0 + block] = part
     return out
 
 
@@ -233,9 +241,9 @@ def precompute_pool_index(frusta: Sequence[np.ndarray], spec: BevSpec) -> PoolIn
     """Per-camera scatter plan from frustum geometry; reusable across frames.
 
     frusta[n] is camera n's [H', W', K, 3] points from ``build_frustum``.
-    Each camera keeps its in-bounds points in (pixel, bin) order;
-    out-of-extent points are dropped here, never at pool time. Cameras
-    that see the same cell all add to it.
+    Each camera keeps its points inside the extent and with ego z in
+    [Z_MIN, Z_MAX], in (pixel, bin) order; the others are dropped here,
+    never lifted or pooled. Cameras that see the same cell all add to it.
     """
     if not frusta:
         raise ShapeError("precompute_pool_index: at least one frustum required")
@@ -248,43 +256,40 @@ def precompute_pool_index(frusta: Sequence[np.ndarray], spec: BevSpec) -> PoolIn
         y = f[..., 1].reshape(-1)
         ix = np.floor((x + spec.extent) / spec.cell_size).astype(np.intp)
         iy = np.floor((y + spec.extent) / spec.cell_size).astype(np.intp)
-        ok = (ix >= 0) & (ix < spec.g) & (iy >= 0) & (iy < spec.g)
+        z = f[..., 2].reshape(-1)
+        ok = (ix >= 0) & (ix < spec.g) & (iy >= 0) & (iy < spec.g) & (z >= Z_MIN) & (z <= Z_MAX)
         sources.append(np.flatnonzero(ok))
         cells.append((iy * spec.g + ix)[ok])
     return PoolIndex(spec.g, (h, w, k), tuple(sources), tuple(cells))
 
 
-def pool(frustum_features: Iterable[np.ndarray], index: PoolIndex) -> BevGrid:
-    """Sum-pool lifted features into the BEV grid along the precomputed plan.
+def pool(lifted: Iterable[np.ndarray], index: PoolIndex) -> BevGrid:
+    """Sum-pool lifted plan entries into the BEV grid.
 
-    Iterates the cameras in camera order, from an [N, C, H', W', K] array
-    or any iterable yielding each camera's [C, H', W', K], and reads each
-    in full before it asks for the next. Camera n adds along the plan's
-    source[n] and cell[n], as stored. Per block of channels (at most
-    _POOL_BLOCK_BYTES of float64 values), one `np.add.at` adds the
-    gathered values, widened, onto the flat float64 [C, G*G] accumulator
-    channel by channel in entry order, rounded to float32 once. So each
-    cell sums its entries sequentially in frustum order, whatever the
-    threading; `np.add.reduceat`, `.sum`, `matmul` or a per-camera
-    `np.bincount` onto the running sums would change the bits.
+    Iterates the cameras in camera order, from any iterable yielding
+    camera n's float32 [C, E_n] ``lift`` output for source[n], and reads
+    each in full before it asks for the next. Per block of channels (at
+    most _POOL_BLOCK_BYTES of float64 values), one `np.add.at` adds the
+    values, widened, along cell[n] onto the flat float64 [C, G*G]
+    accumulator channel by channel in entry order, rounded to float32
+    once. So each cell sums its entries sequentially in frustum order,
+    whatever the threading; `np.add.reduceat`, `.sum`, `matmul` or a
+    per-camera `np.bincount` onto the running sums would change the bits.
     """
-    h, w, k = index.feat_shape
     n_cells = index.g * index.g
     stale = f"pool: stale index (built for cameras={index.n_cameras}, dims={index.feat_shape})"
     acc, n = None, -1
-    for n, camera in enumerate(frustum_features):
+    for n, camera in enumerate(lifted):
         f = np.asarray(camera, dtype=np.float32)
         if acc is None:
             acc = np.zeros(f.shape[:1] + (n_cells,))  # float64 running sums, [C, G*G]
-        if n == index.n_cameras or f.shape != (len(acc), h, w, k):
+        if n == index.n_cameras or f.shape != (len(acc), index.cell[n].size):
             raise ShapeError(f"{stale}; got camera {n} of shape {f.shape}; rebuild the index")
-        src, cell = index.source[n], index.cell[n]
-        flat = f.reshape(len(acc), -1)
-        block = max(1, _POOL_BLOCK_BYTES // max(1, 8 * src.size))
+        cell = index.cell[n]
+        block = max(1, _POOL_BLOCK_BYTES // max(1, 8 * cell.size))
         into = cell + np.arange(0, min(block, len(acc)) * n_cells, n_cells)[:, None]
         for c0 in range(0, len(acc), block):
-            # PoolIndex checked src's range, so "wrap" never wraps; it skips the slower checked gather
-            vals = flat[c0 : c0 + block].take(src, axis=1, mode="wrap").astype(np.float64)
+            vals = f[c0 : c0 + block].astype(np.float64)
             np.add.at(acc.reshape(-1)[c0 * n_cells :], into[: len(vals)].reshape(-1), vals.reshape(-1))
     if acc is None or n + 1 != index.n_cameras:
         raise ShapeError(f"{stale}; got {n + 1} cameras; rebuild the index")

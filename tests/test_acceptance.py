@@ -33,6 +33,8 @@ from bevnext.object_decoder import (
 )
 from bevnext.res2fusion import FusionConfig, fuse
 from bevnext.view_transform import (
+    Z_MAX,
+    Z_MIN,
     BevGrid,
     BevSpec,
     CameraModel,
@@ -215,25 +217,32 @@ def test_criterion_04_two_region_spread_non_increasing():
 
 
 def test_criterion_05_pooling_conserves_mass():
-    """Pooled grid mass equals in-bounds lifted mass; index pool equals naive scatter."""
+    """Pooled grid mass equals in-bounds lifted mass; index pool equals naive scatter.
+
+    In bounds means inside the grid's extent and with ego height in the
+    band [Z_MIN, Z_MAX]. The oracles lift every (pixel, bin) pair; pool
+    reads lift's output along the plan.
+    """
     spec = BevSpec(8, 4.0)
     feat_h, feat_w, k, c, stride = 3, 5, 4, 3, 8
     bins = DepthBins.uniform(k, 1.0, 9.0)
+    everything = np.arange(feat_h * feat_w * k)
     worst_rel = 0.0
     worst_abs = 0.0
+    rigs_with_mass = 0
     for seed in range(50):
         rng = SplitMix64(2000 + seed)
         n_cams = rng.randint(1, 4)
         cams = [_random_camera(rng) for _ in range(n_cams)]
         frusta = [build_frustum(cam, feat_h, feat_w, stride, bins) for cam in cams]
-        lifted = []
+        inputs, lifted = [], []
         for ci in range(n_cams):
             feats = rng.uniform_array((c, feat_h, feat_w), 0.5, 1.5)
             probs = softmax(rng.uniform_array((k, feat_h, feat_w), -1.0, 1.0).astype(np.float64), axis=0)
-            lifted.append(lift(feats, probs))
-        stack = np.stack(lifted)
+            inputs.append((feats, probs))
+            lifted.append(lift(feats, probs, everything).reshape(c, feat_h, feat_w, k))
         index = precompute_pool_index(frusta, spec)
-        pooled = pool(stack, index)
+        pooled = pool([lift(f, p, src) for (f, p), src in zip(inputs, index.source)], index)
 
         # in-bounds mass straight from the frustum geometry
         mass = np.zeros(c, dtype=np.float64)
@@ -241,7 +250,9 @@ def test_criterion_05_pooling_conserves_mass():
             ix = np.floor((fr[..., 0] + spec.extent) / spec.cell_size).astype(np.int64)
             iy = np.floor((fr[..., 1] + spec.extent) / spec.cell_size).astype(np.int64)
             ok = (ix >= 0) & (ix < spec.g) & (iy >= 0) & (iy < spec.g)
+            ok &= (fr[..., 2] >= Z_MIN) & (fr[..., 2] <= Z_MAX)
             mass += lifted[ci].astype(np.float64)[:, ok].sum(axis=1)
+        rigs_with_mass += bool(mass.any())
         pooled_mass = pooled.data.astype(np.float64).sum(axis=(1, 2))
         rel = float(np.max(np.abs(pooled_mass - mass) / np.maximum(np.abs(mass), 1e-9)))
         worst_rel = max(worst_rel, rel)
@@ -253,15 +264,20 @@ def test_criterion_05_pooling_conserves_mass():
             for row in range(feat_h):
                 for col in range(feat_w):
                     for d in range(k):
-                        x, y, _ = fr[row, col, d]
+                        x, y, z = fr[row, col, d]
                         ix = math.floor((x + spec.extent) / spec.cell_size)
                         iy = math.floor((y + spec.extent) / spec.cell_size)
-                        if 0 <= ix < spec.g and 0 <= iy < spec.g:
+                        if 0 <= ix < spec.g and 0 <= iy < spec.g and Z_MIN <= z <= Z_MAX:
                             acc[:, iy, ix] += src[:, row, col, d]
         worst_abs = max(worst_abs, float(np.abs(acc.astype(np.float32) - pooled.data).max()))
+    assert rigs_with_mass == 45, f"{rigs_with_mass} of 50 rigs leave mass in bounds, not 45"
     assert worst_rel <= 1e-5, f"mass mismatch {worst_rel:.3e} exceeds 1e-5 relative"
     assert worst_abs <= 1e-6, f"naive scatter mismatch {worst_abs:.3e} exceeds 1e-6"
-    _report(5, f"50 rigs: mass within {worst_rel:.3e} relative, scatter within {worst_abs:.3e}")
+    _report(
+        5,
+        f"50 rigs ({rigs_with_mass} with mass in bounds): mass within {worst_rel:.3e} relative, "
+        f"scatter within {worst_abs:.3e}",
+    )
 
 
 # ------------------------------------------------------------ criterion 6

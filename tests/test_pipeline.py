@@ -7,7 +7,6 @@ import sys
 import threading
 import time
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from bevnext.errors import (
     StageError,
 )
 from bevnext.kernels import conv2d
-from bevnext import pipeline, res2fusion
+from bevnext import pipeline, res2fusion, view_transform
 from bevnext.object_decoder import DETECTION_DTYPE, format_detections, lift_references, parse_detections, regress
 from bevnext.pipeline import (
     PipelineResult,
@@ -57,9 +56,18 @@ GOLDEN_BACKBONE_16 = "f32137463c9506d3617493f481adce1f286273244dc9111cd43c35c753
 # (were 97815573... and ee4e24e4...). Re-pinned for an init stream shift:
 # the decoder's learned query is one [1, C] row where it was a [49, C]
 # table, so init_bundle draws 48*C fewer values before depth_head.* and
-# res2fusion.* (were 3b690be4... and 61a7302f...).
-GOLDEN_DESK_BEV = "6c03300fe4cf2cf5eb3706b21aba6b10fb7b4c59170c4aa0563f655983c7cb53"
-GOLDEN_DESK_HEATMAP = "c8eaec574b763fa8cb9c8966beb069c4593b220c6299aab76ed05f5f5679c335"
+# res2fusion.* (were 3b690be4... and 61a7302f...). Re-pinned when the pool
+# plan dropped frustum points outside the height band [Z_MIN, Z_MAX]; the
+# values from before the band are the *_OPEN_BAND digests below.
+GOLDEN_DESK_BEV = "4268733ecfafeb6d70740694fb02cc2280ef67a5aacba550492763398a12a8dd"
+GOLDEN_DESK_HEATMAP = "af873617d2216052b83f1de3d53e2395d84a1be438e3b034974f37322e6c429e"
+
+# The same digests with the band opened to (-inf, inf): the values pinned
+# for the dense [C, H', W', K] lift and its gather in pool, kept to show
+# that lifting and pooling only the plan's entries changes no bit.
+GOLDEN_DESK_BEV_OPEN_BAND = "6c03300fe4cf2cf5eb3706b21aba6b10fb7b4c59170c4aa0563f655983c7cb53"
+GOLDEN_DESK_HEATMAP_OPEN_BAND = "c8eaec574b763fa8cb9c8966beb069c4593b220c6299aab76ed05f5f5679c335"
+GOLDEN_FULL_BEV_OPEN_BAND = "e9259e904fe0d143df59ac0d6ad6fcf2b2981c11f39cecfea134c17710c7832e"
 
 # Same config, scene and weights, frame 0: digests of the six cameras'
 # stage outputs stacked in camera order, pinned before conv2d copied its tap
@@ -72,7 +80,8 @@ GOLDEN_DESK_HEATMAP = "c8eaec574b763fa8cb9c8966beb069c4593b220c6299aab76ed05f5f5
 # kernel (were 11aab317... and e45dea3d...). depth, crf and lift were
 # re-pinned for the init stream shift above (were 206874f1..., 0c1c1318...
 # and f8397f2c...); the backbone's weights sort before decoder.* and keep
-# their bits.
+# their bits. lift's digest is of its output along every (pixel, bin)
+# offset, as the [C, H', W', K] tensor it used to write whole.
 GOLDEN_DESK_CAMERA_STAGES = {
     "backbone": "9b2b0be1848d444c654c53c372d5ec0be681fa7baffab16830b97006812f8e2f",
     "depth": "a3aec40cfc93a13e08cf3f71a7735633b3f8625c63af31d7f9f24fe54af966d2",
@@ -89,11 +98,12 @@ GOLDEN_DESK_CAMERA_STAGES = {
 # grid plus its float32 residual where refined, which regress pools.
 # Re-pinned for the Potts CRF (were dc1716fe..., 6798d7ff... and 3b3a7149...),
 # then for the init stream shift above (were f8bca05f..., c1656e9f... and
-# 9a70dfed...; the flags follow the proposals' score order).
+# 9a70dfed...; the flags follow the proposals' score order), then for the
+# height band (were 91e2b4f6..., 1adc23f9... and 518d90ae...).
 GOLDEN_DESK_DECODER = {
-    "patches": "91e2b4f6a4c3c4f17952b286a9545c53978862218b9524e8feabaa5fcdc8ae2b",
-    "flags": "1adc23f9d8a032bf3e3b77b648c7d9e93d12feb42786fbad0fcf0848547334c2",
-    "detections": "518d90ae15f45aad382cf2eb9c0f0e21179c0f7066ae92f910a8666cf0a59e1b",
+    "patches": "4cf759da5e7974cef44cd6b864a3686cd18501b7544245e1752f152870a5409d",
+    "flags": "8705343cc6fb9ef32fb36558ae5903f770730fdc0872e4c5651f5c34e25aedf6",
+    "detections": "b27d7222a4c6622a3c0c74893b9c69d52fe95dc19cc6e2dc66f619550ca61229",
 }
 
 # configs/full.cfg (scene seed 0) with init_bundle(cfg, 7), decoder.threshold
@@ -101,11 +111,12 @@ GOLDEN_DESK_DECODER = {
 # and the heatmap, and sha256 of the formatted detections. The only tier-1
 # test that runs full.cfg through run_pipeline. Re-pinned for the Potts CRF
 # (were aa1b8ffd..., 72ec52fe... and fffe7240...), then for the init stream
-# shift above (were c9f54ddd..., 187a02f5... and ade899ea...).
+# shift above (were c9f54ddd..., 187a02f5... and ade899ea...), then for the
+# height band (were e9259e90..., 79f2bae9... and d05d76a0...).
 GOLDEN_FULL = {
-    "bev": "e9259e904fe0d143df59ac0d6ad6fcf2b2981c11f39cecfea134c17710c7832e",
-    "heatmap": "79f2bae9a988aa588f120d6a60ec3f22e56dd53b432a70daf844c8f8642b9f1c",
-    "detections": "d05d76a0b49e6867fe60594abb6f40c62d5a5cf8f32f7de1bc4be1a3490d5d85",
+    "bev": "20639d28ba43d19910482ec72f021fed5a1c0163aca59f34c5a46861a55aac48",
+    "heatmap": "7180b357a8267d56f7a8916503c72ec3f184811171817b5d4a04697db85f99ec",
+    "detections": "176d40166a66e8940ebb9cafea507c4eca3c587c33a702f1545b2139838dcbf9",
 }
 
 
@@ -308,6 +319,20 @@ def test_pipeline_desk_golden_pinned_across_threads():
         assert tensor_digest(result.heatmap.values) == GOLDEN_DESK_HEATMAP, f"threads={threads}"
 
 
+def test_open_band_keeps_the_dense_lift_and_pool_bits(monkeypatch):
+    """With the height band opened to (-inf, inf), desk.cfg's BEV and heatmap and full.cfg's BEV
+    keep the digests of the dense [C, H', W', K] lift and pool, so only the band moved the numerics."""
+    monkeypatch.setattr(view_transform, "Z_MIN", -np.inf)
+    monkeypatch.setattr(view_transform, "Z_MAX", np.inf)
+    desk = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "desk.cfg"))
+    result = run_pipeline(gen_scene(desk), desk, init_bundle(desk, 7))
+    assert tensor_digest(result.bev.data) == GOLDEN_DESK_BEV_OPEN_BAND
+    assert tensor_digest(result.heatmap.values) == GOLDEN_DESK_HEATMAP_OPEN_BAND
+    full = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "full.cfg"))
+    result = run_pipeline(gen_scene(full), full, init_bundle(full, 7), threads=2)
+    assert tensor_digest(result.bev.data) == GOLDEN_FULL_BEV_OPEN_BAND
+
+
 def test_pipeline_desk_camera_stages_pinned():
     """The per-camera stages before pooling, wired as run_pipeline wires them."""
     cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "desk.cfg"))
@@ -319,7 +344,8 @@ def test_pipeline_desk_camera_stages_pinned():
         feats = toy_backbone(image.astype(np.float64) - bg, cfg.stride, bspecs)
         logits = conv2d(feats[None], dspec)[0]
         depth = modulate(logits, image.astype(np.float64) / 255.0, cfg.bins(), cfg.crf_iters)
-        for stage, arr in zip(outputs, (feats, logits, depth, lift(feats, depth))):
+        lifted = lift(feats, depth, np.arange(depth.size)).reshape(len(feats), *depth.shape[1:], len(depth))
+        for stage, arr in zip(outputs, (feats, logits, depth, lifted)):
             outputs[stage].append(arr)
     assert len(outputs["backbone"]) == 6
     for stage, arrs in outputs.items():
@@ -592,15 +618,19 @@ def test_overlapped_pool_under_stress_keeps_every_bit():
         assert np.array_equal(result.heatmap.values, reference.heatmap.values)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_lifted_slot_is_freed_before_the_newest_window_is_reduced(monkeypatch, threads):
-    """desk.cfg: one fuse, one pool per frame; each older window is reduced once its last frame
-    is pooled, beside the live lift slot, and the newest once no reference to the slot is left."""
-    slots, configs, pools, reduced = [], [], [], []
+def test_no_lift_of_a_desk_run_allocates_a_camera_tensor(monkeypatch):
+    """desk.cfg at threads=1, tracemalloc: with one-channel blocks, no lift's traced peak reaches one
+    float32 [C, H', W', K] camera tensor (180 KB); each writes only its float32 [C, E_n] plan entries
+    (at most 91 KB). One fuse, one pool per frame: each older window is reduced once its last frame
+    is pooled, and the newest after the last."""
+    peaks, configs, pools, reduced = [], [], [], []
 
-    def lift_spy(features, depth, out=None):
-        slots.append(weakref.ref(out))
-        return lift(features, depth, out)
+    def lift_spy(features, depth, source):
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = lift(features, depth, source)
+        peaks.append((tracemalloc.get_traced_memory()[1] - before, out.nbytes))
+        return out
 
     def pool_spy(cameras, index):
         pools.append(None)
@@ -613,38 +643,28 @@ def test_lifted_slot_is_freed_before_the_newest_window_is_reduced(monkeypatch, t
     def conv_spy(x, spec):
         for i, reduce in enumerate(configs[-1].reduce_specs):
             if spec is reduce:
-                reduced.append((i, len(pools), all(ref() is None for ref in slots)))
+                reduced.append((i, len(pools)))
         return conv2d(x, spec)
 
+    monkeypatch.setattr(view_transform, "_LIFT_BLOCK_BYTES", 1)
     monkeypatch.setattr(pipeline, "lift", lift_spy)
     monkeypatch.setattr(pipeline, "pool", pool_spy)
     monkeypatch.setattr(pipeline, "fuse", fuse_spy)
     monkeypatch.setattr(res2fusion, "conv2d", conv_spy)
-    run_pipeline(gen_scene(DESK), DESK, DESK_BUNDLE, threads=threads)
-    assert len(configs) == 1 and len(pools) == DESK.frames
-    assert len(slots) == DESK.frames * DESK.camera_count
-    assert reduced == [(2, 3, False), (1, 6, False), (0, 9, True)]
-
-
-@pytest.mark.parametrize("threads", [1, 2])
-def test_every_lift_in_a_run_gets_the_same_slot(monkeypatch, threads):
-    """desk.cfg: all 54 lifts write into one [C, H', W', K] array that is no view of a larger one."""
-    outs = []
-
-    def lift_spy(features, depth, out=None):
-        outs.append(out)
-        return lift(features, depth, out)
-
-    monkeypatch.setattr(pipeline, "lift", lift_spy)
-    run_pipeline(gen_scene(DESK), DESK, DESK_BUNDLE, threads=threads)
-    assert len(outs) == DESK.frames * DESK.camera_count
-    assert all(out is outs[0] for out in outs)
-    assert outs[0].shape == (DESK.channels, DESK.feat_h, DESK.feat_w, DESK.depth_bins)
-    assert outs[0].base is None
+    slot_bytes = 4 * DESK.channels * DESK.feat_h * DESK.feat_w * DESK.depth_bins
+    tracemalloc.start()
+    try:
+        run_pipeline(gen_scene(DESK), DESK, DESK_BUNDLE)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == DESK.frames * DESK.camera_count and len(configs) == 1
+    assert max(out for _, out in peaks) == 4 * DESK.channels * 708  # cameras 0 and 3 keep 708 entries
+    assert max(peak for peak, _ in peaks) < slot_bytes
+    assert reduced == [(2, 3), (1, 6), (0, 9)]
 
 
 def test_desk_run_allocates_nothing_the_size_of_the_lifted_stack(monkeypatch):
-    """tracemalloc: whenever pool asks for a camera, the one slot is live and no NumPy buffer nears the stack."""
+    """tracemalloc: whenever pool asks for a camera, no camera tensor is live and no NumPy buffer nears the stack."""
     live = []
 
     def pool_spy(cameras, index):
@@ -667,7 +687,7 @@ def test_desk_run_allocates_nothing_the_size_of_the_lifted_stack(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(live) == DESK.frames * DESK.camera_count
-    assert all(slot_bytes in sizes for sizes in live)
+    assert not any(slot_bytes in sizes for sizes in live)
     assert max(max(sizes) for sizes in live) < stack_bytes // 2  # the largest, 0.27 MB, is the float64 background image
 
 

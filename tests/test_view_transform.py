@@ -54,11 +54,16 @@ def random_camera(rng):
     )
 
 
-def naive_cell(x, y, spec):
-    """Direct floor arithmetic; None when outside the extent."""
+def in_band(z):
+    """The plan's height test, read from the module at call time so a patched band applies."""
+    return (z >= view_transform.Z_MIN) & (z <= view_transform.Z_MAX)
+
+
+def naive_cell(x, y, z, spec):
+    """Direct floor arithmetic; None when outside the extent or the height band."""
     ix = math.floor((x + spec.extent) / spec.cell_size)
     iy = math.floor((y + spec.extent) / spec.cell_size)
-    if 0 <= ix < spec.g and 0 <= iy < spec.g:
+    if 0 <= ix < spec.g and 0 <= iy < spec.g and in_band(z):
         return iy * spec.g + ix
     return None
 
@@ -72,8 +77,7 @@ def naive_splat(frusta, feat_stack, spec):
         for r in range(h):
             for col in range(w):
                 for d in range(k):
-                    x, y = frustum[r, col, d, 0], frustum[r, col, d, 1]
-                    cell = naive_cell(x, y, spec)
+                    cell = naive_cell(*frustum[r, col, d], spec)
                     if cell is not None:
                         out[:, cell // spec.g, cell % spec.g] += feats[:, r, col, d].astype(np.float64)
     return out.astype(np.float32)
@@ -91,7 +95,8 @@ def scatter_oracle(frusta, frustum_features, spec):
     """Sequential float64 scatter with `np.add.at`, straight from the frusta.
 
     It never reads a plan: cameras go in list order, each camera's points
-    in (pixel, bin) order, and `np.add.at` adds in index order. So
+    inside the extent and the height band in (pixel, bin) order, and
+    `np.add.at` adds in index order. So
     every cell sums its entries in (camera, pixel, bin) order, the
     accumulation `pool` must reproduce bit for bit.
     """
@@ -102,7 +107,7 @@ def scatter_oracle(frusta, frustum_features, spec):
         x, y = frustum[..., 0].reshape(-1), frustum[..., 1].reshape(-1)
         ix = np.floor((x + spec.extent) / spec.cell_size).astype(np.int64)
         iy = np.floor((y + spec.extent) / spec.cell_size).astype(np.int64)
-        ok = (ix >= 0) & (ix < spec.g) & (iy >= 0) & (iy < spec.g)
+        ok = (ix >= 0) & (ix < spec.g) & (iy >= 0) & (iy < spec.g) & in_band(frustum[..., 2].reshape(-1))
         vals = f[n].reshape(c, -1).T.astype(np.float64)
         np.add.at(acc, (iy * spec.g + ix)[ok], vals[ok])
     return acc.T.reshape(c, spec.g, spec.g).astype(np.float32)
@@ -110,6 +115,17 @@ def scatter_oracle(frusta, frustum_features, spec):
 
 def _uniform_depth(k, h, w):
     return np.full((k, h, w), 1.0 / k)
+
+
+def lift_dense(features, depth):
+    """lift along every (pixel, bin) offset, as the dense float32 [C, H', W', K] tensor."""
+    k, h, w = depth.shape
+    return lift(features, depth, np.arange(h * w * k)).reshape(-1, h, w, k)
+
+
+def planned(stack, index):
+    """Each camera's [C, E_n] plan entries of a dense [N, C, H', W', K] stack, in plan order."""
+    return [camera.reshape(len(camera), -1)[:, src] for camera, src in zip(stack, index.source)]
 
 
 # ---------------------------------------------------------------- camera model
@@ -203,7 +219,7 @@ def test_lift_one_hot_depth_selects_slice():
     feats = rng.uniform_array((2, 3, 4), -1, 1)
     probs = np.zeros((5, 3, 4))
     probs[3] = 1.0
-    out = lift(feats, probs)
+    out = lift_dense(feats, probs)
     np.testing.assert_array_equal(out[:, :, :, 3], feats)
     assert out.shape == (2, 3, 4, 5)
     out[:, :, :, 3] = 0
@@ -212,7 +228,7 @@ def test_lift_one_hot_depth_selects_slice():
 
 def test_lift_uniform_depth_divides_by_k():
     feats = np.full((2, 2, 2), 8.0, dtype=np.float32)
-    out = lift(feats, _uniform_depth(4, 2, 2))
+    out = lift_dense(feats, _uniform_depth(4, 2, 2))
     np.testing.assert_allclose(out, 2.0, atol=1e-7)
 
 
@@ -220,27 +236,26 @@ def test_lift_sums_back_to_features():
     rng = SplitMix64(23)
     feats = rng.uniform_array((3, 4, 5), -2, 2)
     probs = softmax(rng.uniform_array((6, 4, 5), -1, 1), axis=0)
-    out = lift(feats, probs)
+    out = lift_dense(feats, probs)
     np.testing.assert_allclose(out.sum(axis=3), feats, atol=1e-6, rtol=0)
 
 
 def test_lift_rejects_dim_mismatch():
     with pytest.raises(ShapeError, match="depth"):
-        lift(np.zeros((2, 3, 4), np.float32), _uniform_depth(4, 3, 5))
+        lift(np.zeros((2, 3, 4), np.float32), _uniform_depth(4, 3, 5), np.arange(3))
 
 
-def test_lift_into_a_stack_slot_keeps_every_bit():
+def test_lift_computes_only_the_entries_it_is_given_in_their_order():
+    """Any source, shuffled, repeated or empty, gives the dense tensor's columns at those offsets."""
     rng = SplitMix64(29)
     feats = rng.uniform_array((3, 4, 5), -2, 2)
     depth = softmax(rng.uniform_array((6, 4, 5), -1, 1), axis=0)
-    stack = np.full((2, 3, 4, 5, 6), np.nan, dtype=np.float32)
-    slot = stack[1]
-    assert lift(feats, depth, slot) is slot
-    np.testing.assert_array_equal(slot, lift(feats, depth))
-    assert np.isnan(stack[0]).all()
-    for bad in (np.empty((3, 4, 5, 5), np.float32), np.empty((3, 4, 5, 6), np.float64)):
-        with pytest.raises(ShapeError, match="out must be"):
-            lift(feats, depth, bad)
+    dense = lift_dense(feats, depth).reshape(3, -1)
+    source = np.array([119, 0, 7, 7, 64, 1])
+    out = lift(feats, depth, source)
+    assert out.shape == (3, 6) and out.dtype == np.float32
+    np.testing.assert_array_equal(out.view(np.uint32), dense[:, source].view(np.uint32))
+    assert lift(feats, depth, source[:0]).shape == (3, 0)
 
 
 @pytest.mark.parametrize("channels_per_block", [None, 2])
@@ -264,19 +279,21 @@ def test_lift_keeps_the_einsum_bits_down_to_the_sign_of_zero(monkeypatch, channe
     expected = np.einsum("chw,khw->chwk", feats.astype(np.float64), probs).astype(np.float32)
     multiplied = np.multiply(feats.astype(np.float64)[..., None], probs.transpose(1, 2, 0)).astype(np.float32)
     assert not np.array_equal(multiplied.view(np.uint32), expected.view(np.uint32)), "data cannot detect -0.0"
-    np.testing.assert_array_equal(lift(feats, probs).view(np.uint32), expected.view(np.uint32))
-    slot = np.full((c, h, w, k), np.nan, dtype=np.float32)
-    np.testing.assert_array_equal(lift(feats, probs, slot).view(np.uint32), expected.view(np.uint32))
+    np.testing.assert_array_equal(lift_dense(feats, probs).view(np.uint32), expected.view(np.uint32))
+    source = np.flatnonzero(np.arange(h * w * k) % 3 != 1)  # a plan's gaps
+    picked = expected.reshape(c, -1)[:, source]
+    np.testing.assert_array_equal(lift(feats, probs, source).view(np.uint32), picked.view(np.uint32))
 
 
 def test_lift_builds_no_float64_product_of_a_full_camera():
-    """full.cfg camera: lift allocates under a quarter of the float64 [C, H', W', K] product."""
+    """full.cfg camera with every (pixel, bin) offset in its plan: lift allocates its float32
+    [C, E] output and, besides it, under a quarter of the float64 [C, E] product."""
     c, h, w, k = 64, 16, 44, 59
     rng = SplitMix64(37)
     feats = rng.uniform_array((c, h, w), -1, 1)
     depth = softmax(rng.uniform_array((k, h, w), -1, 1), axis=0)
-    out = np.empty((c, h, w, k), dtype=np.float32)
-    assert traced_transient(lift, feats, depth, out) < c * h * w * k * 8 // 4
+    e = h * w * k
+    assert traced_transient(lift, feats, depth, np.arange(e)) < c * e * 4 + c * e * 8 // 4
 
 
 # ---------------------------------------------------------------- pool index
@@ -292,7 +309,7 @@ def test_index_single_point_cell_arithmetic():
     frustum = _point_frustum([[[[0.1, 0.1, 1.0]]]])
     index = precompute_pool_index([frustum], spec)
     assert index.entry_count == 1
-    assert index.cell[0].tolist() == [naive_cell(0.1, 0.1, spec)] == [4 * 8 + 4]
+    assert index.cell[0].tolist() == [naive_cell(0.1, 0.1, 1.0, spec)] == [4 * 8 + 4]
 
 
 def test_index_excludes_out_of_bounds():
@@ -308,10 +325,24 @@ def test_index_partitions_in_bounds_points():
     pts = rng.uniform_array((3, 4, 5, 3), -6, 6).astype(np.float64)
     frustum = _point_frustum(pts)
     index = precompute_pool_index([frustum], spec)
-    naive = [naive_cell(pts[r, c, d, 0], pts[r, c, d, 1], spec) for r in range(3) for c in range(4) for d in range(5)]
+    naive = [naive_cell(*pts[r, c, d], spec) for r in range(3) for c in range(4) for d in range(5)]
     expected = [cell for cell in naive if cell is not None]
     assert index.entry_count == len(expected)
     assert index.cell[0].tolist() == expected
+    in_extent = [naive_cell(x, y, 0.0, spec) is not None for x, y, _ in pts.reshape(-1, 3)]
+    assert len(expected) == 2 and sum(in_extent) == 23  # the band drops 21 of the in-extent points
+    squashed = pts * [1.0, 1.0, 0.25]  # heights in [-1.5, 1.5] m, straddling the band's floor
+    naive = [naive_cell(*p, spec) for p in squashed.reshape(-1, 3)]
+    expected = [cell for cell in naive if cell is not None]
+    assert precompute_pool_index([squashed], spec).cell[0].tolist() == expected and len(expected) == 15
+
+
+def test_index_drops_points_outside_the_height_band():
+    """Inclusive bounds: a point at either bound is kept, one a micrometre past it is not."""
+    spec = BevSpec(8, 4.0)
+    zs = [view_transform.Z_MIN - 1e-6, view_transform.Z_MIN, 0.0, view_transform.Z_MAX, view_transform.Z_MAX + 1e-6]
+    index = precompute_pool_index([_point_frustum([[[[0.1, 0.1, z] for z in zs]]])], spec)
+    assert index.source[0].tolist() == [1, 2, 3]
 
 
 def test_index_in_frustum_order():
@@ -366,26 +397,25 @@ def test_index_rejects_a_malformed_plan(source, cell, match):
 # ---------------------------------------------------------------- pool
 
 
-def _in_bounds_setup(rng, n_cam=1):
-    """Cameras whose whole frustum lands inside the grid."""
+def _in_bounds_setup():
+    """A camera at ground level looking along ego +x whose whole frustum lands inside the grid
+    and, at most 0.54 m from the ground, inside the height band."""
     spec = BevSpec(16, 8.0)
     bins = DepthBins.uniform(4, 1.0, 5.0)
     h, w, stride = 4, 6, 8
-    frusta = []
-    for i in range(n_cam):
-        cam = CameraModel(100, 100, w * stride / 2, h * stride / 2, np.eye(3), np.zeros(3))
-        frusta.append(build_frustum(cam, h, w, stride, bins))
-    return spec, bins, frusta, (h, w)
+    forward = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])  # camera x, y, z -> ego -y, -z, +x
+    cam = CameraModel(100, 100, w * stride / 2, h * stride / 2, forward, np.zeros(3))
+    return spec, bins, [build_frustum(cam, h, w, stride, bins)], (h, w)
 
 
 def test_pool_all_ones_conserves_mass():
-    rng = SplitMix64(41)
-    spec, bins, frusta, (h, w) = _in_bounds_setup(rng)
+    spec, bins, frusta, (h, w) = _in_bounds_setup()
     feats = np.ones((3, h, w), dtype=np.float32)
-    lifted = lift(feats, _uniform_depth(bins.k, h, w))
     index = precompute_pool_index(frusta, spec)
-    assert index.entry_count == h * w * bins.k  # everything in bounds
-    grid = pool([lifted], index)
+    pts = frusta[0].reshape(-1, 3)
+    assert all(naive_cell(*p, spec) is not None for p in pts)  # everything in the extent and the band
+    assert index.entry_count == h * w * bins.k
+    grid = pool([lift(feats, _uniform_depth(bins.k, h, w), index.source[0])], index)
     per_channel = grid.data.sum(axis=(1, 2))
     np.testing.assert_allclose(per_channel, h * w, rtol=1e-4)
 
@@ -394,28 +424,30 @@ def test_pool_empty_cells_are_zero():
     spec = BevSpec(8, 4.0)
     frustum = _point_frustum([[[[0.1, 0.1, 1.0]]]])
     index = precompute_pool_index([frustum], spec)
-    grid = pool([np.ones((2, 1, 1, 1), np.float32)], index)
+    grid = pool([np.ones((2, 1), np.float32)], index)
     assert grid.data[:, 4, 4].tolist() == [1.0, 1.0]
     total = grid.data.sum()
     assert total == 2.0  # every other cell exactly zero
 
 
 def test_pool_matches_naive_scatter_many_seeds():
+    """lift along the plan, then pool, against the naive splat of the dense lifted tensors."""
+    pooled_mass = 0
     for seed in range(50):
         rng = SplitMix64(1000 + seed)
         spec = BevSpec(8, 4.0)
         h, w, k, c = 2, 3, 3, 2
         frusta = [_point_frustum(rng.uniform_array((h, w, k, 3), -5, 5).astype(np.float64)) for _ in range(2)]
-        feat_stack = np.stack(
-            [
-                lift(rng.uniform_array((c, h, w), -1, 1), softmax(rng.uniform_array((k, h, w), -1, 1), axis=0))
-                for i in range(2)
-            ]
-        )
+        inputs = [
+            (rng.uniform_array((c, h, w), -1, 1), softmax(rng.uniform_array((k, h, w), -1, 1), axis=0))
+            for _ in range(2)
+        ]
         index = precompute_pool_index(frusta, spec)
-        grid = pool(feat_stack, index)
-        ref = naive_splat(frusta, feat_stack, spec)
+        grid = pool([lift(f, p, src) for (f, p), src in zip(inputs, index.source)], index)
+        ref = naive_splat(frusta, np.stack([lift_dense(f, p) for f, p in inputs]), spec)
         np.testing.assert_allclose(grid.data, ref, atol=1e-6, rtol=0, err_msg=f"seed {seed}")
+        pooled_mass += bool(ref.any())
+    assert pooled_mass == 50, f"only {pooled_mass} of 50 seeds pool any mass inside the extent and the band"
 
 
 def test_pool_conservation_random_instances():
@@ -425,18 +457,16 @@ def test_pool_conservation_random_instances():
         h, w, k, c = 3, 4, 4, 3
         pts = rng.uniform_array((h, w, k, 3), -5, 5).astype(np.float64)
         frustum = _point_frustum(pts)
-        lifted = lift(
-            rng.uniform_array((c, h, w), 0.5, 2.0),
-            softmax(rng.uniform_array((k, h, w), -1, 1), axis=0),
-        )
+        feats, probs = rng.uniform_array((c, h, w), 0.5, 2.0), softmax(rng.uniform_array((k, h, w), -1, 1), axis=0)
         index = precompute_pool_index([frustum], spec)
-        grid = pool([lifted], index)
+        grid = pool([lift(feats, probs, index.source[0])], index)
         mask = np.zeros((h, w, k), dtype=bool)
         for r in range(h):
             for col in range(w):
                 for d in range(k):
-                    mask[r, col, d] = naive_cell(pts[r, col, d, 0], pts[r, col, d, 1], spec) is not None
-        expected = (lifted.astype(np.float64) * mask[None]).sum(axis=(1, 2, 3))
+                    mask[r, col, d] = naive_cell(*pts[r, col, d], spec) is not None
+        assert mask.sum() >= 3, f"seed {seed}: {mask.sum()} points in the extent and the band"
+        expected = (lift_dense(feats, probs).astype(np.float64) * mask[None]).sum(axis=(1, 2, 3))
         np.testing.assert_allclose(grid.data.sum(axis=(1, 2)), expected, rtol=1e-5)
 
 
@@ -445,10 +475,10 @@ def test_pool_bit_deterministic_across_runs():
     spec = BevSpec(8, 4.0)
     pts = rng.uniform_array((3, 3, 2, 3), -5, 5).astype(np.float64)
     frustum = _point_frustum(pts)
-    feats = rng.uniform_array((4, 3, 3, 2), -1, 1)
+    feats = rng.uniform_array((1, 4, 3, 3, 2), -1, 1)
     index = precompute_pool_index([frustum], spec)
-    a = pool([feats], index)
-    b = pool([feats.copy()], precompute_pool_index([_point_frustum(pts.copy())], spec))
+    a = pool(planned(feats, index), index)
+    b = pool(planned(feats.copy(), index), precompute_pool_index([_point_frustum(pts.copy())], spec))
     np.testing.assert_array_equal(a.data, b.data)
 
 
@@ -477,8 +507,12 @@ def _cancelling_stack(rng, index, shape):
 
 
 def _overlapping_frusta(rng, h, w, k):
-    """Three cameras over [-5, 2]^2: cells with x or y above 2 m stay empty."""
-    return [_point_frustum(rng.uniform_array((h, w, k, 3), -5, 2).astype(np.float64)) for _ in range(3)]
+    """Three cameras over [-5, 2]^2 and heights [-1.5, 2] m: cells with x or y above 2 m stay
+    empty, and the height band drops about a third of the points."""
+    frusta = [_point_frustum(rng.uniform_array((h, w, k, 3), -5, 2).astype(np.float64)) for _ in range(3)]
+    for frustum in frusta:
+        frustum[..., 2] = (frustum[..., 2] + 5.0) * 0.5 - 1.5
+    return frusta
 
 
 def test_pool_bit_identical_to_sequential_scatter():
@@ -495,7 +529,7 @@ def test_pool_bit_identical_to_sequential_scatter():
         stack = _cancelling_stack(rng, index, (3, c, h, w, k))
 
         expected = scatter_oracle(frusta, stack, spec)
-        np.testing.assert_array_equal(pool(stack, index).data, expected, err_msg=f"seed {seed}")
+        np.testing.assert_array_equal(pool(planned(stack, index), index).data, expected, err_msg=f"seed {seed}")
         assert not expected[:, 7, 7].any()  # an empty cell pools to exactly zero
 
         # the data detects reordering: the same entries summed back to front differ
@@ -508,7 +542,7 @@ def test_pool_bit_identical_to_sequential_scatter():
         # a single camera with its own plan
         single = precompute_pool_index(frusta[:1], spec)
         lone = _cancelling_stack(rng, single, (1, c, h, w, k))
-        np.testing.assert_array_equal(pool(lone, single).data, scatter_oracle(frusta[:1], lone, spec))
+        np.testing.assert_array_equal(pool(planned(lone, single), single).data, scatter_oracle(frusta[:1], lone, spec))
 
 
 def test_pool_rejects_stale_index():
@@ -529,15 +563,18 @@ def test_pool_reads_each_camera_before_asking_for_the_next():
         index = precompute_pool_index(frusta, spec)
         stack = _cancelling_stack(rng, index, (3, c, h, w, k))
 
+        cameras = planned(stack, index)
+
         def scribbling():
-            buf = np.empty((c, h, w, k), np.float32)
-            for camera in stack:
-                buf[...] = camera
-                yield buf
+            buf = np.empty((c, max(camera.shape[1] for camera in cameras)), np.float32)
+            for camera in cameras:
+                view = buf[:, : camera.shape[1]]
+                view[...] = camera
+                yield view
                 buf[...] = np.nan
 
         grid = pool(scribbling(), index)
-        np.testing.assert_array_equal(grid.data.view(np.uint32), pool(stack, index).data.view(np.uint32))
+        np.testing.assert_array_equal(grid.data.view(np.uint32), pool(cameras, index).data.view(np.uint32))
         np.testing.assert_array_equal(grid.data, scatter_oracle(frusta, stack, spec))
 
 
@@ -546,26 +583,26 @@ def test_pool_rejects_cameras_that_do_not_match_the_index():
     h, w, k, c = 2, 3, 4, 2
     frusta = _overlapping_frusta(SplitMix64(3400), h, w, k)
     index = precompute_pool_index(frusta, spec)
-    cams = [np.ones((c, h, w, k), np.float32) for _ in range(3)]
+    cams = [np.ones((c, src.size), np.float32) for src in index.source]
+    last = index.source[2].size
     for bad in (
         cams[:2],  # too few
         cams + cams[:1],  # too many
         iter([]),
-        cams[:2] + [np.ones((c, h, w, k + 1), np.float32)],
-        cams[:2] + [np.ones((c + 1, h, w, k), np.float32)],
-        cams[:2] + [np.ones((h, w, k), np.float32)],
+        cams[:2] + [np.ones((c, last + 1), np.float32)],
+        cams[:2] + [np.ones((c + 1, last), np.float32)],
+        cams[:2] + [np.ones((last,), np.float32)],
     ):
         with pytest.raises(ShapeError, match="stale index"):
             pool(iter(bad), index)
-    np.testing.assert_array_equal(pool(iter(cams), index).data, pool(np.stack(cams), index).data)
+    np.testing.assert_array_equal(pool(iter(cams), index).data, pool(cams, index).data)
 
 
 def test_overlapping_cameras_accumulate():
     spec = BevSpec(8, 4.0)
     frusta = [_point_frustum([[[[0.1, 0.1, 1.0]]]]) for _ in range(2)]
     index = precompute_pool_index(frusta, spec)
-    feats = np.ones((2, 1, 1, 1, 1), np.float32)
-    grid = pool(feats, index)
+    grid = pool([np.ones((1, 1), np.float32)] * 2, index)
     assert grid.data[0, 4, 4] == 2.0
 
 
@@ -586,11 +623,11 @@ def _surface_peaks(cfg):
     index = precompute_pool_index([build_frustum(cam, cfg.feat_h, cfg.feat_w, cfg.stride, bins) for cam in rig], spec)
 
     def cameras():
-        for cam in rig:
+        for cam, source in zip(rig, index.source):
             labels, _ = project_depth_labels(objects, cam, cfg.feat_h, cfg.feat_w, cfg.stride, bins)
             hit = labels >= 0
             probs = np.where(hit, np.arange(bins.k)[:, None, None] == labels, 1.0 / bins.k)
-            yield lift(hit[None].astype(np.float32), probs)
+            yield lift(hit[None].astype(np.float32), probs, source)
 
     bev = pool(cameras(), index).data[0]
     g = spec.g
@@ -625,6 +662,47 @@ def test_pooled_object_surfaces_peak_on_their_boxes(preset, n_seeds):
     on_box, peaks = (sum(col) for col in zip(*counts))
     assert peaks >= 2 * n_seeds, f"only {peaks} peaks over {n_seeds} scenes"
     assert on_box >= 0.9 * peaks, f"{on_box} of {peaks} BEV peaks lie within 1 m of a box"
+
+
+def _object_hits(cfg):
+    """(in-extent object-surface hits the pool plan drops, such hits) over frame 0's cameras.
+
+    A hit is the frustum point (row, col, bin) of a feature pixel that an
+    object surface point projects to, at the bin of the nearest such point
+    (ground points left out), as in _surface_peaks.
+    """
+    frame = gen_scene(cfg).frames[0]
+    objects = frame.points[:-GROUND_POINTS]
+    bins, spec, rig = cfg.bins(), cfg.bev(), cfg.rig()
+    frusta = [build_frustum(cam, cfg.feat_h, cfg.feat_w, cfg.stride, bins) for cam in rig]
+    index = precompute_pool_index(frusta, spec)
+    lost = hits = 0
+    for cam, frustum, source in zip(rig, frusta, index.source):
+        labels, _ = project_depth_labels(objects, cam, cfg.feat_h, cfg.feat_w, cfg.stride, bins)
+        rows, cols = np.nonzero(labels >= 0)
+        bin_ = labels[rows, cols]
+        in_extent = [naive_cell(x, y, 0.0, spec) is not None for x, y, _ in frustum[rows, cols, bin_]]
+        offsets = ((rows * cfg.feat_w + cols) * bins.k + bin_)[in_extent]
+        hits += offsets.size
+        lost += int((~np.isin(offsets, source)).sum())
+    return lost, hits
+
+
+def test_the_height_band_keeps_every_object_surface_hit(monkeypatch):
+    """Desk seeds 0-9 and full seeds 0-2: no object-surface hit inside the extent leaves the plan.
+
+    Objects stand on the ground and are at most 1.2 m tall, but a hit sits
+    at a bin centre along a stride-16 pixel centre's ray, which can put it
+    under the ground. A floor of -0.25 m drops 8 of the 129 hits at full.
+    """
+    desk, full = (load_config(CONFIGS / f"{preset}.cfg") for preset in ("desk", "full"))
+    scenes = [dataclasses.replace(desk, frames=1, seed=s) for s in range(10)]
+    scenes += [dataclasses.replace(full, frames=1, seed=s) for s in range(3)]
+    counts = [_object_hits(cfg) for cfg in scenes]
+    assert [sum(hits for _, hits in part) for part in (counts[:10], counts[10:])] == [433, 129]
+    assert sum(lost for lost, _ in counts) == 0
+    monkeypatch.setattr(view_transform, "Z_MIN", -0.25)
+    assert sum(_object_hits(cfg)[0] for cfg in scenes[10:]) == 8
 
 
 # ---------------------------------------------------------------- specs
