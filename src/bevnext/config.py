@@ -17,12 +17,13 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from .depth_crf import MAX_ITERS, DepthBins
+from .depth_crf import DepthBins
 from .errors import ConfigError, FormatError
 from .view_transform import BevSpec, CameraModel
 
 FRAME_DT = 0.5  # seconds between frames (2 Hz capture)
 STRIDES = (8, 16)
+MAX_ITERS = 64  # most mean-field steps crf.iters may ask for
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,14 @@ uniform: the CRF spreads depth that the unary holds, and invents none.
 
 Depth distributions are plain float64 [K, H', W'] arrays, bin axis
 first: ``modulate`` returns one per camera, and ``lift``, the decoder's
-depth embedding and the depth dump read it as it is. The unary cost of a
-probability p is -log(p + 1e-12). Pairwise sums follow the ordered-pair
-convention (each unordered pair counted twice), which only scales the
-energy and is applied consistently in both the energy and the messages.
+depth embedding and the depth dump read it as it is. ``modulate`` checks
+only that its logits are finite: their shape and the image's follow from
+the bundle's depth head and the scene, checked when a run starts, and it
+builds the colors and coupling the other functions here take. The unary
+cost of a probability p is -log(p + 1e-12). Pairwise sums follow the
+ordered-pair convention (each unordered pair counted twice), which only
+scales the energy and is applied consistently in both the energy and the
+messages.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .errors import ShapeError
 from .kernels import softmax
 
 UNARY_EPS = 1e-12
-MAX_ITERS = 64
 APPEARANCE_THETA = 0.1  # over mean patch RGB
 SPATIAL_THETA = 3.0  # over feature-cell coordinates
 
@@ -72,13 +75,7 @@ class DepthBins:
 def patch_colors(image: np.ndarray, stride: int) -> np.ndarray:
     """Mean RGB of every stride x stride patch of an [H, W, 3] image, [H', W', 3] float64."""
     img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise ShapeError("patch_colors: image must be [H, W, 3]")
     h, w, _ = img.shape
-    if h % stride or w % stride:
-        raise ShapeError(
-            f"patch_colors: image dims {h}x{w} not divisible by stride {stride}; crop the input first"
-        )
     # One row per patch offset in raster order, added row after row: mean(axis=(1, 3))'s bits.
     block = img.reshape(h // stride, stride, w // stride, stride, 3).transpose(1, 3, 0, 2, 4)
     return (np.add.reduce(block.reshape(stride**2, -1), axis=0) / stride**2).reshape(block.shape[2:])
@@ -111,8 +108,6 @@ def pairwise_affinity(colors: np.ndarray) -> np.ndarray:
     The array is new on every call and C-contiguous; the caller owns it.
     """
     c = np.asarray(colors, dtype=np.float64)
-    if c.ndim != 3 or c.shape[2] != 3:
-        raise ShapeError("pairwise_affinity: colors must be [H, W, 3]")
     h, w, _ = c.shape
     flat = c.reshape(h * w, 3)
     # (c0 + c2) + c1 is the order np.einsum("ijc,ijc->ij") sums the three
@@ -146,8 +141,6 @@ def mean_field_step(q: np.ndarray, unary: np.ndarray, coupling: np.ndarray) -> n
     """
     k, h, w = q.shape
     n = h * w
-    if coupling.shape != (n, n):
-        raise ShapeError(f"mean_field_step: coupling is {coupling.shape}, expected {(n, n)}")
     # One float64 OpenBLAS GEMM sums over j; its order is the library's, the
     # same for any thread count (see the kernels module docstring).
     logits = coupling @ q.reshape(k, n).T  # [N, K]
@@ -155,41 +148,25 @@ def mean_field_step(q: np.ndarray, unary: np.ndarray, coupling: np.ndarray) -> n
     return softmax(logits, axis=1).T.reshape(k, h, w)
 
 
-def modulate(
-    logits: np.ndarray,
-    image: np.ndarray,
-    bins: DepthBins,
-    iters: int,
-) -> np.ndarray:
-    """Softmax the depth logits and run `iters` mean-field refinement steps.
+def modulate(logits: np.ndarray, image: np.ndarray, iters: int) -> np.ndarray:
+    """Softmax the [K, H', W'] depth logits and run `iters` mean-field refinement steps.
 
     Returns the float64 [K, H', W'] per-pixel depth distributions. The
     logits must be finite, which makes every distribution finite,
-    non-negative and summing to 1. `iters` must lie in [0, MAX_ITERS];
-    0 returns softmax(logits) unchanged. The coupling is
-    `pairwise_affinity` of the image's patch colors, and the unary stays
-    fixed at -log softmax(logits) across iterations.
+    non-negative and summing to 1; a non-finite logit (large finite
+    weights can overflow to one) is refused. 0 iterations return
+    softmax(logits) unchanged. The coupling is `pairwise_affinity` of the
+    [H, W, 3] image's patch colors, one patch per feature cell (H = H' *
+    stride), and the unary stays fixed at -log softmax(logits) across
+    iterations.
     """
-    if not 0 <= iters <= MAX_ITERS:
-        raise ShapeError(f"modulate: iters must be in [0, {MAX_ITERS}], got {iters}")
     lg = np.asarray(logits)
-    if lg.ndim != 3:
-        raise ShapeError(f"modulate: logits must be [K, H', W'], got rank {lg.ndim}")
-    k, h, w = lg.shape
-    if k != bins.k:
-        raise ShapeError(f"modulate: logits bin axis {k} != bins.k {bins.k}")
     if not np.isfinite(lg).all():
         raise ShapeError("modulate: non-finite depth logit")
     probs = softmax(lg, axis=0)
     if iters == 0:
         return probs
-    ih, iw = np.asarray(image).shape[:2]
-    if ih % h or iw % w:
-        raise ShapeError(f"modulate: image dims {ih}x{iw} not an integer multiple of feature dims {h}x{w}")
-    stride = ih // h
-    if iw // w != stride:
-        raise ShapeError(f"modulate: inconsistent stride between axes ({ih}/{h} vs {iw}/{w})")
-    colors = patch_colors(image, stride)
+    colors = patch_colors(image, np.shape(image)[0] // lg.shape[1])
     coupling = pairwise_affinity(colors)
     unary = unary_from_probs(probs)
     for _ in range(iters):

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
@@ -93,26 +92,15 @@ class ConvSpec:
     """2D convolution parameters; weight layout [out, in, k, k].
 
     The channel counts and the kernel size are read off the weight's
-    shape, so a spec cannot state a shape its weight does not have.
+    shape, so a spec cannot state a shape its weight does not have. The
+    shapes come from ``weights.expected_shapes`` and are checked once, by
+    ``validate_bundle``; ``weights._conv`` sets stride and padding.
     """
 
     weight: np.ndarray
     bias: np.ndarray
     stride: int
     padding: int
-
-    def __post_init__(self):
-        shape = tuple(self.weight.shape)
-        if len(shape) != 4 or shape[2] != shape[3] or shape[2] not in (1, 3):
-            raise ShapeError(f"ConvSpec: weight must be [out, in, k, k] with k in (1, 3), got {shape}")
-        if self.stride not in (1, 2):
-            raise ShapeError(f"ConvSpec: stride must be 1 or 2, got {self.stride}")
-        if self.padding < 0:
-            raise ShapeError(f"ConvSpec: padding must be >= 0, got {self.padding}")
-        if tuple(self.bias.shape) != (self.out_channels,):
-            raise ShapeError(
-                f"ConvSpec: bias axis 0 must equal out_channels={self.out_channels}, got {tuple(self.bias.shape)}"
-            )
 
     @property
     def out_channels(self) -> int:
@@ -170,16 +158,8 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     docstring).
     """
     x = np.ascontiguousarray(x, dtype=np.float32)
-    if x.ndim != 4:
-        raise ShapeError(f"conv2d: input must be rank-4 NCHW, got rank {x.ndim}")
     n, c, h, w = x.shape
-    if c != spec.in_channels:
-        raise ShapeError(f"conv2d: input channel axis has {c}, spec.in_channels is {spec.in_channels}")
     k, s, p = spec.kernel_size, spec.stride, spec.padding
-    if h + 2 * p < k:
-        raise ShapeError(f"conv2d: height axis {h} too small for kernel {k} with padding {p}")
-    if w + 2 * p < k:
-        raise ShapeError(f"conv2d: width axis {w} too small for kernel {k} with padding {p}")
     ho = (h + 2 * p - k) // s + 1
     wo = (w + 2 * p - k) // s + 1
     wmat = spec.weight.astype(np.float64).reshape(spec.out_channels, c * k * k)
@@ -211,8 +191,6 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
 def mlp_forward(x: np.ndarray, spec: MlpSpec) -> np.ndarray:
     """MLP over the last axis; identity activation path is an exact affine map."""
     x = np.asarray(x)
-    if x.shape[-1] != spec.in_width:
-        raise ShapeError(f"mlp_forward: input last axis {x.shape[-1]} != first layer width {spec.in_width}")
     lead = x.shape[:-1]
     y = x.reshape(-1, spec.in_width).astype(np.float64)
     for w, b, act in zip(spec.weights, spec.biases, spec.activations):
@@ -225,8 +203,6 @@ def mlp_forward(x: np.ndarray, spec: MlpSpec) -> np.ndarray:
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-subtracted softmax, computed and returned in float64."""
     x64 = np.asarray(x, dtype=np.float64)
-    if not -x64.ndim <= axis < x64.ndim:
-        raise ShapeError(f"softmax: axis {axis} out of range for rank {x64.ndim}")
     m = np.max(x64, axis=axis, keepdims=True)
     e = np.exp(x64 - m)
     return e / np.sum(e, axis=axis, keepdims=True)
@@ -240,8 +216,6 @@ def bilinear_sample(fmap: np.ndarray, points) -> tuple[np.ndarray, np.ndarray]:
     coordinates return exact grid values.
     """
     fmap = np.asarray(fmap)
-    if fmap.ndim != 3:
-        raise ShapeError(f"bilinear_sample: map must be rank-3 CHW, got rank {fmap.ndim}")
     c, h, w = fmap.shape
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     x, y = pts[:, 0], pts[:, 1]

@@ -49,19 +49,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Heatmap:
-    """Per-class center scores over the BEV grid, every value in (0, 1)."""
+    """Per-class center scores, float64 [K_cls, G, G], clipped into (0, 1) by ``compute_heatmap``."""
 
     values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 3:
-            raise ShapeError(f"Heatmap: values must be [K_cls, G, G], got rank {v.ndim}")
-        if v.shape[1] != v.shape[2]:
-            raise ShapeError(f"Heatmap: grid must be square, got {v.shape[1]}x{v.shape[2]}")
-        if v.size and (v.min() <= 0.0 or v.max() >= 1.0):
-            raise ShapeError("Heatmap: values must lie in the open interval (0, 1)")
 
 
 # select_centers' proposals: the cell (x, y), the class and the heatmap score
@@ -82,36 +72,15 @@ def _check_proposals(caller: str, proposals: np.ndarray, g: int) -> None:
 
 @dataclass(frozen=True)
 class RefPointSet:
-    """Per-camera projections [N, n_cam, J, 2] of each ROI's reference points at J heights.
+    """Per-camera projections of each ROI's reference points at J heights.
 
-    valid is False wherever the point sits behind the camera plane or
-    projects outside the image rectangle.
+    uv is float64 [N, n_cam, J, 2] and valid bool [N, n_cam, J]; valid is
+    False wherever the point sits behind the camera plane or projects
+    outside the image rectangle.
     """
 
     uv: np.ndarray
     valid: np.ndarray
-
-    def __post_init__(self):
-        uv = np.asarray(self.uv, dtype=np.float64)
-        valid = np.asarray(self.valid, dtype=bool)
-        object.__setattr__(self, "uv", uv)
-        object.__setattr__(self, "valid", valid)
-        if uv.ndim != 4 or uv.shape[3] != 2:
-            raise ShapeError(f"RefPointSet: uv must be [N, n_cam, J, 2], got {uv.shape}")
-        if valid.shape != uv.shape[:3]:
-            raise ShapeError(f"RefPointSet: valid must be {uv.shape[:3]}, got {valid.shape}")
-
-    @property
-    def n(self) -> int:
-        return self.uv.shape[0]
-
-    @property
-    def n_cameras(self) -> int:
-        return self.uv.shape[1]
-
-    @property
-    def n_heights(self) -> int:
-        return self.uv.shape[2]
 
 
 @dataclass(frozen=True)
@@ -206,10 +175,6 @@ def select_centers(heatmap: Heatmap, tau: float, top_n: Optional[int] = None) ->
     One proposal per cell (class = argmax over channels); sorted by
     descending score, ties by (y, x); optionally capped at top_n.
     """
-    if not 0.0 <= tau < 1.0:
-        raise ShapeError(f"select_centers: threshold must be in [0, 1), got {tau}")
-    if top_n is not None and top_n < 1:
-        raise ShapeError(f"select_centers: top_n must be >= 1, got {top_n}")
     scores = heatmap.values.max(axis=0)
     ys, xs = np.nonzero(scores > tau)
     order = np.lexsort((xs, ys, -scores[ys, xs]))[:top_n]
@@ -236,8 +201,6 @@ def lift_references(
     """
     cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
     hs = np.asarray(list(heights), dtype=np.float64)
-    if hs.size < 1:
-        raise ShapeError("lift_references: at least one height required")
     n, j = cells.shape[0], hs.size
     ego_xy = -spec.extent + (cells + 0.5) * spec.cell_size
     flat = np.column_stack([np.repeat(ego_xy, j, axis=0), np.tile(hs, n)])  # [N*J, 3] ego points, height fastest
@@ -261,8 +224,6 @@ def lift_references(
 def depth_embedding(depth: np.ndarray, mlp: MlpSpec) -> np.ndarray:
     """Per-pixel MLP over the K-vector of [K, H', W'] depth probabilities, [C, H', W']."""
     k, h, w = depth.shape
-    if mlp.in_width != k:
-        raise ShapeError(f"depth_embedding: mlp input width {mlp.in_width} != depth bin axis {k}")
     flat = depth.transpose(1, 2, 0).reshape(-1, k).astype(np.float32)
     out = mlp_forward(flat, mlp)
     return out.T.reshape(mlp.out_width, h, w)
@@ -324,26 +285,8 @@ def spatial_cross_attention(
     """
     _check_proposals("spatial_cross_attention", proposals, bev.g)
     query = np.asarray(query, dtype=np.float32)
-    if query.shape != (1, bev.channels):
-        raise ShapeError(f"spatial_cross_attention: query must be [1, C={bev.channels}], got {query.shape}")
     feats = np.asarray(features, dtype=np.float32)
-    if feats.ndim != 4:
-        raise ShapeError(f"spatial_cross_attention: features must be [n_cam, C, H', W'], got rank {feats.ndim}")
-    if refs.n != len(proposals):
-        raise ShapeError(f"spatial_cross_attention: refs cover {refs.n} cells, there are {len(proposals)} proposals")
-    if refs.n_cameras != feats.shape[0]:
-        raise ShapeError(
-            f"spatial_cross_attention: refs project into {refs.n_cameras} cameras, features have {feats.shape[0]}"
-        )
-    if refs.n_heights != attn.n_ref:
-        raise ShapeError(
-            f"spatial_cross_attention: refs carry {refs.n_heights} heights, attention expects {attn.n_ref}"
-        )
-    if attn.channels != bev.channels or feats.shape[1] != attn.channels:
-        raise ShapeError("spatial_cross_attention: channel axes of the grid, features, and attention must agree")
     emb = None if embedding is None else np.asarray(embedding, dtype=np.float32)
-    if emb is not None and emb.shape != feats.shape:
-        raise ShapeError(f"spatial_cross_attention: embedding shape {emb.shape} != features shape {feats.shape}")
 
     n, c = len(proposals), attn.channels
     w_value = attn.w_value.astype(np.float64)
@@ -400,10 +343,6 @@ def regress(
     n, c = len(proposals), bev.channels
     residual = np.asarray(residual, dtype=np.float32)
     refined = np.asarray(refined, dtype=bool)
-    if residual.shape != (n, c) or refined.shape != (n,):
-        raise ShapeError(
-            f"regress: residual must be [{n}, {c}] and refined [{n}], got {residual.shape} and {refined.shape}"
-        )
     dets = np.empty(n, DETECTION_DTYPE)
     if n == 0:  # nothing proposes: skip the grid copy
         return dets

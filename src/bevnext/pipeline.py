@@ -21,8 +21,12 @@ Lift and pool run only on the calling thread, which keeps outputs
 bit-identical for any thread count and puts every long-lived array (the
 grids, pool's and fuse's buffers) on one heap; workers allocate only
 per-pass temporaries.
-Failures inside a stage re-raise as ``StageError`` tagged with the stage
-name.
+Shapes are checked once, when a run starts: the config checks its own
+rules, and ``run_pipeline`` checks the thread count, the scene against
+the config (``_check_scene``) and the bundle (``validate_bundle``) before
+any stage. These fix every stage's input shape, so no stage re-checks
+one. Failures inside a stage re-raise as ``StageError`` tagged with the
+stage name.
 
 The backbone consumes the background-subtracted raster. With zero
 conv biases an object-free frame therefore produces exactly zero
@@ -109,17 +113,6 @@ def toy_backbone(image: np.ndarray, stride: int, specs: Sequence[ConvSpec]) -> n
     pool. Output is [C, H/stride, W/stride] float32.
     """
     img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise ShapeError(f"toy_backbone: image must be [H, W, 3], got {img.shape}")
-    h, w = img.shape[:2]
-    if stride not in (8, 16):
-        raise ShapeError(f"toy_backbone: stride must be 8 or 16, got {stride}")
-    if h % stride or w % stride:
-        raise ShapeError(
-            f"toy_backbone: image dims {h}x{w} not divisible by stride {stride}"
-        )
-    if len(specs) != 3:
-        raise ShapeError(f"toy_backbone: expected 3 conv specs, got {len(specs)}")
     x = (img / 255.0).transpose(2, 0, 1).astype(np.float32)[None]
     for i, spec in enumerate(specs):
         x = conv2d(x, spec)
@@ -192,7 +185,7 @@ def run_pipeline(
         # One float64 image per conversion, with the bits of astype(float64) then the op.
         feats = run_stage("backbone", toy_backbone, np.subtract(image, bg), cfg.stride, bspecs)
         logits = run_stage("depth", lambda: conv2d(feats[None], dspec)[0])
-        depth = run_stage("crf", modulate, logits, np.divide(image, 255.0), bins, cfg.crf_iters)
+        depth = run_stage("crf", modulate, logits, np.divide(image, 255.0), cfg.crf_iters)
         return feats, depth
 
     def start(t: int) -> list:

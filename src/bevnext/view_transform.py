@@ -107,24 +107,19 @@ class BevSpec:
     def cell_size(self) -> float:
         return 2.0 * self.extent / self.g
 
-    @property
-    def n_cells(self) -> int:
-        return self.g * self.g
-
 
 @dataclass(frozen=True)
 class BevGrid:
-    """Single-frame C-channel feature raster over the ego ground plane, [C, G, G]."""
+    """Single-frame C-channel feature raster over the ego ground plane, [C, G, G].
+
+    Only its values are checked: large finite weights can overflow float32.
+    """
 
     data: np.ndarray
 
     def __post_init__(self):
         d = np.asarray(self.data, dtype=np.float32)
         object.__setattr__(self, "data", d)
-        if d.ndim != 3:
-            raise ShapeError(f"BevGrid: data must be rank-3 [C, G, G], got rank {d.ndim}")
-        if d.shape[1] != d.shape[2]:
-            raise ShapeError(f"BevGrid: grid must be square, got {d.shape[1]}x{d.shape[2]}")
         if not np.isfinite(d).all():
             raise ShapeError("BevGrid: non-finite feature value")
 
@@ -240,18 +235,15 @@ def lift(features: np.ndarray, depth: np.ndarray, source: np.ndarray) -> np.ndar
 def precompute_pool_index(frusta: Sequence[np.ndarray], spec: BevSpec) -> PoolIndex:
     """Per-camera scatter plan from frustum geometry; reusable across frames.
 
-    frusta[n] is camera n's [H', W', K, 3] points from ``build_frustum``.
-    Each camera keeps its points inside the extent and with ego z in
-    [Z_MIN, Z_MAX], in (pixel, bin) order; the others are dropped here,
-    never lifted or pooled. Cameras that see the same cell all add to it.
+    frusta[n] is camera n's [H', W', K, 3] points from ``build_frustum``;
+    there is at least one, and all have the shape of the first. Each
+    camera keeps its points inside the extent and with ego z in [Z_MIN,
+    Z_MAX], in (pixel, bin) order; the others are dropped here, never
+    lifted or pooled. Cameras that see the same cell all add to it.
     """
-    if not frusta:
-        raise ShapeError("precompute_pool_index: at least one frustum required")
     h, w, k = frusta[0].shape[:3]
     sources, cells = [], []
     for f in frusta:
-        if f.shape != (h, w, k, 3):
-            raise ShapeError(f"precompute_pool_index: frustum shape {f.shape} != {(h, w, k, 3)}")
         x = f[..., 0].reshape(-1)
         y = f[..., 1].reshape(-1)
         ix = np.floor((x + spec.extent) / spec.cell_size).astype(np.intp)

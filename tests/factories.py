@@ -328,6 +328,11 @@ def render_depth(camera: CameraModel, boxes: np.ndarray, image_h: int, image_w: 
     return _render(camera, _ray_directions(camera, image_h, image_w), boxes)[1]
 
 
+def no_stage(stage, fn, *args, **kwargs):
+    """A stand-in for ``pipeline.run_stage`` that fails: patched in, it shows a refusal came before any stage."""
+    raise AssertionError(f"stage {stage} ran on input a start-of-run check should have refused")
+
+
 def traced_transient(fn, *args, **kwargs) -> int:
     """Peak bytes traced by tracemalloc while fn(*args, **kwargs) runs, above what was live before.
 

@@ -192,7 +192,6 @@ def _region_spread(probs: np.ndarray, columns: slice) -> float:
 def test_criterion_04_two_region_spread_non_increasing():
     """Pixels sharing a region color agree more after refinement, 20/20 seeds."""
     k, h, w = 5, 6, 8
-    bins = DepthBins.uniform(k, 1.0, 6.0)
     passed = 0
     for seed in range(20):
         rng = SplitMix64(1000 + seed)
@@ -202,8 +201,8 @@ def test_criterion_04_two_region_spread_non_increasing():
         image[:, : w // 2] = left
         image[:, w // 2 :] = right
         logits = rng.uniform_array((k, h, w), -2.0, 2.0).astype(np.float64)
-        before = modulate(logits, image, bins, 0)
-        after = modulate(logits, image, bins, 5)
+        before = modulate(logits, image, 0)
+        after = modulate(logits, image, 5)
         ok = True
         for region in (slice(0, w // 2), slice(w // 2, w)):
             if _region_spread(after, region) > _region_spread(before, region) + 1e-12:
@@ -316,7 +315,7 @@ def test_criterion_06_projection_round_trip():
         [[rng.randint(0, cfg.bev_grid - 1), rng.randint(0, cfg.bev_grid - 1)] for _ in range(40)]
     )
     refs = lift_references(cells, spec, cfg.heights, rig, cfg.image_h, cfg.image_w)
-    n, j = refs.n, refs.n_heights
+    n, _, j, _ = refs.uv.shape
     points = reference_points(cells, spec, cfg.heights)
     relift_worst = 0.0
     checked = 0

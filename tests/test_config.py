@@ -118,12 +118,19 @@ def test_heights_parse_as_float_list():
         ("decoder.threshold", "1.0", r"\[0, 1\)"),
         ("camera.stride", "12", "stride"),
         ("camera.stride", "0", r"camera.stride must be one of \(8, 16\)"),
+        ("camera.stride", "4", r"camera.stride must be one of \(8, 16\)"),  # divides 64x176: only this rule refuses it
         ("camera.image_w", "100", "divisible"),
         ("depth.min", "0", "> 0"),
         ("depth.max", "0.5", "exceed"),
         ("fusion.cascade_input", "other", "cascade_input"),
         ("decoder.heights", ",", "comma-separated"),
         ("crf.iters", "65", r"crf.iters must be in \[0, 64\]"),
+        ("crf.iters", "-1", r"crf.iters must be in \[0, 64\]"),
+        ("camera.count", "0", "camera.count must be >= 1"),
+        ("scene.frames", "0", "scene.frames must be >= 1"),
+        ("fusion.window", "0", "fusion.window must be >= 1"),
+        ("decoder.threshold", "-0.1", r"decoder.threshold must be in \[0, 1\)"),
+        ("decoder.top_n", "0", "decoder.top_n must be >= 1"),
         ("bev.extent", "inf", "bev.extent: expected a finite number"),
         ("camera.focal", "-inf", "camera.focal: expected a finite number"),
         ("camera.height", "nan", "camera.height: expected a finite number"),
@@ -156,6 +163,12 @@ def test_constructor_and_replace_reject_non_finite(attr, key, bad):
         SceneConfig(**{attr: value})
     with pytest.raises(ConfigError, match=f"{key}: expected a finite number"):
         dataclasses.replace(SceneConfig(), **{attr: value})
+
+
+def test_constructor_refuses_empty_heights():
+    """The parser refuses an empty list first; the constructor refuses one too."""
+    with pytest.raises(ConfigError, match="decoder.heights needs at least one value"):
+        SceneConfig(heights=())
 
 
 def test_load_config_missing_file(tmp_path):

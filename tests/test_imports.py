@@ -1,7 +1,8 @@
 """Every imported name in the package and its tests is used somewhere in its module,
-every module-level private name of the package is read somewhere, and every
+every module-level private name of the package is read somewhere, every
 public module-level function and class of the package is read by the library
-or the benchmark, not by tests alone."""
+or the benchmark, not by tests alone, and every parameter of a package
+function is read by that function."""
 
 import ast
 from pathlib import Path
@@ -182,3 +183,50 @@ def test_every_public_name_of_the_package_is_read_by_library_or_benchmark():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_parameters(source: str):
+    """(line, function, parameter) of each parameter that its function's body never reads.
+
+    Functions, methods and lambdas count alike, and ``*args`` and
+    ``**kwargs`` are parameters too. A read is a loaded name anywhere in
+    the body, nested functions included, so a closure that reads a
+    parameter reads it; defaults, annotations and docstrings read nothing.
+    """
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p is not None]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(fn.lineno, getattr(fn, "name", "<lambda>"), p) for p in params if p not in read]
+    return sorted(found)
+
+
+def test_parameter_scan_flags_only_the_unread_names():
+    source = (
+        "class Spec:\n"
+        "    def scaled(self, by):\n"
+        "        return self.k * by\n"
+        "def run(x, bins, *args, key=None, **opts):\n"
+        '    """bins is named here, not read."""\n'
+        "    def inner():\n"
+        "        return x + len(args)\n"
+        "    return inner(), sorted(opts, key=lambda k: 0)\n"
+        "def typed(n: int = 2, limit=len('bins')) -> int:\n"
+        "    n = 3\n"
+        "    return n\n"
+    )
+    assert unread_parameters(source) == [
+        (4, "run", "bins"),
+        (4, "run", "key"),
+        (8, "<lambda>", "k"),
+        (9, "typed", "limit"),
+    ]
+
+
+def test_no_unread_parameters():
+    unread = {path: unread_parameters(source) for path, source in _sources(PACKAGE).items()}
+    assert {path: found for path, found in unread.items() if found} == {}

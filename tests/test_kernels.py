@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bevnext import kernels
-from bevnext.errors import ShapeError
 from bevnext.kernels import (
     ConvSpec,
     MlpSpec,
@@ -347,31 +346,6 @@ def test_conv_empty_batch_and_channels():
     np.testing.assert_array_equal(out, np.broadcast_to(bias_only.bias[None, :, None, None], (1, 2, 4, 4)))
 
 
-@pytest.mark.parametrize(
-    "weight,bias",
-    [
-        (np.zeros((2, 3, 3), np.float32), np.zeros(2, np.float32)),  # rank 3
-        (np.zeros((2, 3, 3, 1), np.float32), np.zeros(2, np.float32)),  # not square
-        (np.zeros((2, 3, 5, 5), np.float32), np.zeros(2, np.float32)),  # k = 5
-        (np.zeros((2, 3, 3, 3), np.float32), np.zeros(3, np.float32)),  # bias length
-    ],
-)
-def test_conv_spec_rejects_weight_or_bias_shape(weight, bias):
-    with pytest.raises(ShapeError, match="ConvSpec"):
-        ConvSpec(weight, bias, 1, 1)
-
-
-def test_conv_shape_errors_name_axis():
-    rng = SplitMix64(5)
-    spec = _rand_conv(rng, 4, 2, 3)
-    with pytest.raises(ShapeError, match="channel axis"):
-        conv2d(np.zeros((1, 3, 5, 5), np.float32), spec)
-    with pytest.raises(ShapeError, match="height axis"):
-        conv2d(np.zeros((1, 4, 2, 5), np.float32), spec)
-    with pytest.raises(ShapeError, match="rank"):
-        conv2d(np.zeros((4, 5, 5), np.float32), spec)
-
-
 # ---------------------------------------------------------------- mlp
 
 
@@ -400,12 +374,6 @@ def test_mlp_matches_naive_oracle():
     spec = mlp_spec([5, 8, 3], rng)
     x = rng.uniform_array((10, 5), -2, 2)
     np.testing.assert_allclose(mlp_forward(x, spec), naive_mlp(x, spec), atol=1e-6, rtol=0)
-
-
-def test_mlp_width_mismatch():
-    spec = zero_mlp([3, 2])
-    with pytest.raises(ShapeError, match="width"):
-        mlp_forward(np.zeros((4, 5), np.float32), spec)
 
 
 # ---------------------------------------------------------------- softmax

@@ -37,7 +37,7 @@ from bevnext.res2fusion import fuse
 from bevnext.scene import background_image, gen_scene
 from bevnext.view_transform import lift, pool
 from bevnext.weights import WeightBundle, backbone_specs, depth_head_spec, init_bundle
-from factories import cam_to_ego, project_depth_labels, refined_patches, traced_transient, zero_bundle
+from factories import cam_to_ego, no_stage, project_depth_labels, refined_patches, traced_transient, zero_bundle
 
 DESK = SceneConfig()
 DESK_BUNDLE = init_bundle(DESK, 7)
@@ -153,16 +153,6 @@ def test_backbone_zero_weights_zero_features():
     specs = backbone_specs(zero_bundle(DESK))
     img = background_image(64, 176)
     assert np.all(toy_backbone(img, 8, specs) == 0.0)
-
-
-def test_backbone_rejects_indivisible_dims():
-    with pytest.raises(ShapeError, match="divisible"):
-        toy_backbone(background_image(60, 176), 8, backbone_specs(DESK_BUNDLE))
-
-
-def test_backbone_rejects_bad_stride():
-    with pytest.raises(ShapeError, match="stride"):
-        toy_backbone(background_image(64, 176), 4, backbone_specs(DESK_BUNDLE))
 
 
 def test_backbone_stride16_mean_bit_identical_to_mean_oracle(monkeypatch):
@@ -343,7 +333,7 @@ def test_pipeline_desk_camera_stages_pinned():
     for image in scene.frames[0].images:
         feats = toy_backbone(image.astype(np.float64) - bg, cfg.stride, bspecs)
         logits = conv2d(feats[None], dspec)[0]
-        depth = modulate(logits, image.astype(np.float64) / 255.0, cfg.bins(), cfg.crf_iters)
+        depth = modulate(logits, image.astype(np.float64) / 255.0, cfg.crf_iters)
         lifted = lift(feats, depth, np.arange(depth.size)).reshape(len(feats), *depth.shape[1:], len(depth))
         for stage, arr in zip(outputs, (feats, logits, depth, lifted)):
             outputs[stage].append(arr)
@@ -440,14 +430,17 @@ def test_pipeline_zero_threshold_emits_capped_detections():
     assert len(result.detections) == cfg.top_n
 
 
-def test_pipeline_rejects_scene_config_mismatch():
-    cfg, scene = desk_scene(seed=1, frames=3)
-    wrong_frames = SceneConfig(frames=4)
-    with pytest.raises(ShapeError, match="frames"):
-        run_pipeline(scene, wrong_frames, init_bundle(wrong_frames, 7))
-    wrong_dims = SceneConfig(frames=3, image_h=128)
-    with pytest.raises(ShapeError, match="rasters"):
-        run_pipeline(scene, wrong_dims, init_bundle(wrong_dims, 7))
+def test_pipeline_rejects_scene_config_mismatch(monkeypatch):
+    """A scene whose frame count, camera count or raster dims differ from the config's is refused before any stage."""
+    _, scene = desk_scene(seed=1, frames=3)
+    monkeypatch.setattr(pipeline, "run_stage", no_stage)
+    for wrong, cause in (
+        (SceneConfig(frames=4), "scene has 3 frames, config expects 4"),
+        (SceneConfig(frames=3, camera_count=5), "scene has 6 cameras, config expects 5"),
+        (SceneConfig(frames=3, image_h=128), "scene rasters are 64x176, config expects 128x176"),
+    ):
+        with pytest.raises(ShapeError, match=cause):
+            run_pipeline(scene, wrong, init_bundle(wrong, 7))
 
 
 def test_pipeline_rejects_tampered_bundle_before_running():

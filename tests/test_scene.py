@@ -570,6 +570,18 @@ def test_scene_frame_refuses_all_but_a_1d_box_array(boxes):
 
 
 @pytest.mark.parametrize(
+    "image",
+    [np.zeros((4, 4), np.uint8), np.zeros((4, 4, 4), np.uint8), np.zeros((4, 4, 3), np.float64)],
+    ids=["2-d", "4-channel", "float64"],
+)
+def test_scene_frame_refuses_all_but_hw3_uint8_images(image):
+    """The backbone and the CRF take each raster as [H, W, 3] and do not check it: SceneFrame does."""
+    boxes, points = np.zeros(0, BOX_DTYPE), np.zeros((1, 3), np.float32)
+    with pytest.raises(ShapeError, match=r"SceneFrame: images must be \[H, W, 3\] uint8"):
+        SceneFrame((background_image(4, 4), image), boxes, points)
+
+
+@pytest.mark.parametrize(
     "line, cause",
     [
         ("1 nan 0 0.4 1 1 0.8 0 0 0", "x must be finite"),

@@ -14,7 +14,6 @@ from bevnext.kernels import SplitMix64, softmax
 from bevnext.scene import GROUND_POINTS, gen_scene
 from bevnext import view_transform
 from bevnext.view_transform import (
-    BevGrid,
     BevSpec,
     CameraModel,
     PoolIndex,
@@ -102,7 +101,7 @@ def scatter_oracle(frusta, frustum_features, spec):
     """
     f = np.asarray(frustum_features, dtype=np.float32)
     c = f.shape[1]
-    acc = np.zeros((spec.n_cells, c), dtype=np.float64)
+    acc = np.zeros((spec.g * spec.g, c), dtype=np.float64)
     for n, frustum in enumerate(frusta):
         x, y = frustum[..., 0].reshape(-1), frustum[..., 1].reshape(-1)
         ix = np.floor((x + spec.extent) / spec.cell_size).astype(np.int64)
@@ -523,7 +522,7 @@ def test_pool_bit_identical_to_sequential_scatter():
         frusta = _overlapping_frusta(rng, h, w, k)
         index = precompute_pool_index(frusta, spec)
         cells = np.concatenate(index.cell)
-        sizes = np.bincount(cells, minlength=spec.n_cells)
+        sizes = np.bincount(cells, minlength=spec.g * spec.g)
         assert (sizes == 0).any() and sizes.max() >= 8
         assert sum(len(set(cell.tolist())) for cell in index.cell) > np.count_nonzero(sizes)  # cameras share cells
         stack = _cancelling_stack(rng, index, (3, c, h, w, k))
@@ -535,7 +534,7 @@ def test_pool_bit_identical_to_sequential_scatter():
         # the data detects reordering: the same entries summed back to front differ
         vals = stack[entry_sources(index)]
         backwards = np.stack(
-            [np.bincount(cells[::-1], vals[::-1, ch].astype(np.float64), spec.n_cells) for ch in range(c)]
+            [np.bincount(cells[::-1], vals[::-1, ch].astype(np.float64), spec.g * spec.g) for ch in range(c)]
         )
         assert not np.array_equal(backwards.astype(np.float32).reshape(expected.shape), expected)
 
@@ -713,9 +712,3 @@ def test_bevspec_ties_grid_and_extent():
     assert spec.g * spec.cell_size == 2 * spec.extent
     with pytest.raises(ShapeError, match="grid"):
         BevSpec(4, 2.0)
-
-
-def test_bevgrid_validates_shape():
-    BevGrid(np.zeros((2, 8, 8), np.float32))
-    with pytest.raises(ShapeError, match="square"):
-        BevGrid(np.zeros((2, 8, 9), np.float32))

@@ -29,7 +29,7 @@ from bevnext.weights import (
     save_weights,
     validate_bundle,
 )
-from factories import zero_bundle
+from factories import no_stage, zero_bundle
 
 DESK = SceneConfig()
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -135,10 +135,6 @@ def test_load_rejects_missing_key_by_dotted_path(tmp_path):
         load_weights(path, DESK)
 
 
-def _no_stage(stage, fn, *args, **kwargs):
-    raise AssertionError(f"stage {stage} ran on a bundle that validate_bundle refuses")
-
-
 @pytest.mark.parametrize(
     "preset,name", [(preset, name) for preset, cfg in PRESETS.items() for name in sorted(expected_shapes(cfg))]
 )
@@ -153,7 +149,7 @@ def test_load_rejects_shape_mismatch_by_name(tmp_path, monkeypatch, preset, name
     refusal = re.escape(f"weight '{name}' has shape")
     with pytest.raises(FormatError, match=refusal):
         load_weights(tmp_path / "w.bvnx", cfg)
-    monkeypatch.setattr(pipeline, "run_stage", _no_stage)
+    monkeypatch.setattr(pipeline, "run_stage", no_stage)
     # the config's dimensions and no frames: run_pipeline must refuse the bundle before it reads any
     scene = SimpleNamespace(k=cfg.frames, n_cameras=cfg.camera_count, image_h=cfg.image_h, image_w=cfg.image_w)
     with pytest.raises(FormatError, match=refusal):
